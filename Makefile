@@ -20,9 +20,9 @@ COVER_PKGS  := ./internal/core ./internal/queue
 # Bounded fuzz budget for CI. `make fuzz FUZZTIME=5m` explores for real.
 FUZZTIME ?= 10s
 
-.PHONY: ci lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke serving-smoke bench-fastpath bench-batch bench bench-serve bench-scale bench-serving bench-telemetry bench-update
+.PHONY: ci lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke serving-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-scale bench-serving bench-telemetry bench-update
 
-ci: lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke serving-smoke cover bench-fastpath bench-batch bench-update bench-serving
+ci: lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke serving-smoke bench-smoke cover bench-fastpath bench-batch bench-update bench-serving
 
 # Static whole-program check (protocol rules + lockorder + atomics) over
 # the whole module (./... skips the linter's own testdata fixtures by
@@ -87,6 +87,13 @@ serve-smoke:
 # server's shed counter), and zero stale client words after recovery.
 serving-smoke:
 	$(GO) run ./cmd/dttbench -serving-smoke
+
+# The repository benchmark (bench/, declared by BENCHMARK.json) is its own
+# module, so `go vet ./...` and `go test ./...` from the root never see it
+# and a signature change in internal/core would break it silently until
+# benchmark time. Vet it and run its short tests against this tree.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage floor for the runtime-critical packages. Fails if the combined
 # statement coverage of $(COVER_PKGS) drops below $(COVER_FLOOR)%. The

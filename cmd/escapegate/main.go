@@ -52,6 +52,17 @@ var pinned = map[string][]string{
 		"Region.TUpdateBatch",
 		"Runtime.tstore",
 		"Runtime.tstoreBatch",
+		// The pipeline stages every write plane shares: the gate checks
+		// pinned bodies only, so the callees carrying the 0 allocs/op
+		// contract are named too.
+		"Runtime.noteWrite",
+		"Runtime.storeWord",
+		"Runtime.fireOne",
+		"Runtime.admitLocked",
+		"Runtime.afterWrite",
+		"Runtime.mergePlane",
+		"Runtime.beginRunLocked",
+		"Runtime.endRunLocked",
 	},
 	"internal/mem": {
 		"DeltaPlane.Apply",

@@ -21,26 +21,35 @@ func TestGateClean(t *testing.T) {
 
 // TestSyntheticViolation: a fabricated escape diagnostic inside a pinned
 // function body is attributed and flagged; the same diagnostic outside any
-// pinned range is ignored.
+// pinned range is ignored. The pins probed are the entry point and the
+// shared pipeline stages behind it, in both files of the store path: a
+// stage that is not pinned is not gated, whatever its caller's pin says.
 func TestSyntheticViolation(t *testing.T) {
 	idx, err := buildIndex("../..", pinned)
 	if err != nil {
 		t.Fatalf("buildIndex: %v", err)
 	}
-	sp, ok := idx.funcs["internal/core/runtime.go"]["Runtime.tstore"]
-	if !ok {
-		t.Fatal("Runtime.tstore not indexed")
-	}
-	inside := diag{file: "internal/core/runtime.go", line: sp.lo + 1, msg: "x escapes to heap"}
-	// The line right after the function's closing brace is outside it.
-	outside := diag{file: "internal/core/runtime.go", line: sp.hi + 1, msg: "x escapes to heap"}
+	for _, pin := range []struct{ file, fn string }{
+		{"internal/core/runtime.go", "Runtime.tstore"},
+		{"internal/core/runtime.go", "Runtime.admitLocked"},
+		{"internal/core/runtime.go", "Runtime.endRunLocked"},
+		{"internal/core/update.go", "Runtime.mergePlane"},
+	} {
+		sp, ok := idx.funcs[pin.file][pin.fn]
+		if !ok {
+			t.Fatalf("%s not indexed in %s", pin.fn, pin.file)
+		}
+		inside := diag{file: pin.file, line: sp.lo + 1, msg: "x escapes to heap"}
+		// The line right after the function's closing brace is outside it.
+		outside := diag{file: pin.file, line: sp.hi + 1, msg: "x escapes to heap"}
 
-	violations, _ := idx.check([]diag{inside, outside})
-	if len(violations) != 1 {
-		t.Fatalf("violations = %v, want exactly the in-body one", violations)
-	}
-	if !strings.Contains(violations[0], "Runtime.tstore") {
-		t.Errorf("violation does not name the pinned function: %s", violations[0])
+		violations, _ := idx.check([]diag{inside, outside})
+		if len(violations) != 1 {
+			t.Fatalf("%s: violations = %v, want exactly the in-body one", pin.fn, violations)
+		}
+		if !strings.Contains(violations[0], pin.fn) {
+			t.Errorf("violation does not name the pinned function %s: %s", pin.fn, violations[0])
+		}
 	}
 }
 

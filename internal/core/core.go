@@ -10,7 +10,7 @@
 // subject to duplicate squashing. The main thread consumes support-thread
 // results after Wait (the paper's twait) or Barrier (tbarrier).
 //
-// Three execution backends cover the evaluation space:
+// Four execution backends cover the evaluation space:
 //
 //   - BackendImmediate runs support threads on a pool of goroutines,
 //     modelling spare hardware contexts with real parallelism. This is the
@@ -156,17 +156,12 @@ type Config struct {
 	// Re-running the same program with the same seed replays the same
 	// support-thread interleaving.
 	SchedSeed uint64
-	// MergeThreshold, when > 0, merges a region's privatized update deltas
-	// eagerly once the number of distinct dirty words pending merge reaches
-	// the threshold. Zero (the default) disables count-of-words eager
-	// merging; deltas then merge at Wait/Barrier/Load or per MergeEvery.
-	// See Region.TUpdate.
-	MergeThreshold int
 	// MergeEvery, when > 0, merges a region's privatized update deltas
 	// eagerly every MergeEvery updates applied through one producer stripe.
 	// The cadence is op-count based, not time based, so the seeded backend
 	// replays eager merges deterministically. Zero (the default) disables
-	// interval merging.
+	// eager merging; deltas then merge at Wait/Barrier/Load. See
+	// Region.TUpdate.
 	MergeEvery int
 	// Telemetry enables the metrics plane: per-shard latency, run-duration
 	// and queue-depth histograms, pprof labels on support-thread instances,
@@ -226,9 +221,6 @@ func (c *Config) validate() error {
 	}
 	if c.Backend != BackendRecorded && c.Recorder != nil {
 		return fmt.Errorf("core: Recorder set but backend is %v", c.Backend)
-	}
-	if c.MergeThreshold < 0 {
-		return fmt.Errorf("core: negative MergeThreshold %d", c.MergeThreshold)
 	}
 	if c.MergeEvery < 0 {
 		return fmt.Errorf("core: negative MergeEvery %d", c.MergeEvery)

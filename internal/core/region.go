@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -115,6 +116,11 @@ func (r *Region) TStoreBatch(lo int, vs []mem.Word) int {
 func (r *Region) TStoreRange(lo, hi int, src []mem.Word) {
 	if hi < lo {
 		panic("core: TStoreRange with inverted range")
+	}
+	// An explicit length check: src[:hi-lo] alone would re-slice into spare
+	// capacity and silently store words the caller never passed.
+	if len(src) < hi-lo {
+		panic(fmt.Sprintf("core: TStoreRange [%d, %d) with only %d source words", lo, hi, len(src)))
 	}
 	r.rt.tstoreBatch(r, lo, src[:hi-lo])
 }

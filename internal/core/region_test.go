@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"dtt/internal/mem"
 )
 
 func TestRegionAccessors(t *testing.T) {
@@ -32,6 +34,46 @@ func TestRegionAccessors(t *testing.T) {
 	r.Store(0, 99)
 	if snap[0] != 5 {
 		t.Fatalf("Snapshot aliases live data")
+	}
+}
+
+// TestTStoreBatchPanics checks the batched stores' argument contract. The
+// short-src row hands TStoreRange a two-word slice with spare capacity: a
+// bare src[:hi-lo] re-slice would reach into the capacity and store four
+// words without complaint, so the region must come out untouched.
+func TestTStoreBatchPanics(t *testing.T) {
+	rt := newDeferred(t, nil)
+	data := rt.NewRegion("data", 8)
+	backing := []mem.Word{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"batch past the end", func() { data.TStoreBatch(6, backing[:3]) }},
+		{"batch negative lo", func() { data.TStoreBatch(-1, backing[:2]) }},
+		{"range past the end", func() { data.TStoreRange(6, 9, backing[:3]) }},
+		{"range inverted", func() { data.TStoreRange(4, 2, backing) }},
+		{"range short src", func() { data.TStoreRange(0, 4, backing[:2]) }},
+		{"range short src, no spare capacity", func() { data.TStoreRange(0, 4, backing[6:]) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.f()
+		}()
+	}
+	for i, v := range data.Snapshot() {
+		if v != 0 {
+			t.Errorf("a rejected batch stored word %d = %d", i, v)
+		}
+	}
+	data.TStoreBatch(8, nil)            // empty batch is a no-op wherever it points
+	data.TStoreRange(2, 4, backing[:5]) // a longer src is legal: the range bounds the store
+	if got := data.Snapshot(); got[2] != 1 || got[3] != 2 || got[4] != 0 {
+		t.Errorf("TStoreRange(2, 4) stored %v, want words 2..3 = 1, 2 only", got)
 	}
 }
 

@@ -47,12 +47,14 @@ type threadEntry struct {
 	// Register.
 	labels context.Context
 
-	// running is the run token: true while an instance of this thread is
-	// executing (queue-dispatched or inline). owner is the goroutine id of
-	// the token holder on the immediate backend, so a cascading trigger
-	// that overflows the queue can recognise itself and recurse instead of
-	// deadlocking on its own token.
-	running bool
+	// running is the run token, held while it is non-zero: the number of
+	// instances of this thread executing (queue-dispatched or inline). It
+	// exceeds one only when a cascading trigger that overflowed the queue
+	// re-enters its own thread's body, nested and therefore still serial.
+	// owner is the goroutine id of the token holder on the immediate
+	// backend, so such a cascade can recognise itself and recurse instead
+	// of deadlocking on its own token.
+	running int
 	owner   uint64
 
 	// tokenWaiters are closed when no instance of this thread is executing
@@ -64,16 +66,16 @@ type threadEntry struct {
 	quietWaiters []chan struct{}
 }
 
-// covers reports whether addr falls in one of the thread's attached trigger
-// ranges. Callers hold the thread's shard lock; a false result after a
+// attachmentAt returns the thread's attached trigger range containing addr,
+// or nil. Callers hold the thread's shard lock; a nil result after a
 // matching registry snapshot means a Cancel raced the store.
-func (te *threadEntry) covers(addr mem.Addr) bool {
-	for _, a := range te.atts {
-		if addr >= a.lo && addr < a.hi {
-			return true
+func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
+	for i := range te.atts {
+		if a := &te.atts[i]; addr >= a.lo && addr < a.hi {
+			return a
 		}
 	}
-	return false
+	return nil
 }
 
 // dispatchShard is one slice of the sharded dispatch plane: a colocated
@@ -460,7 +462,7 @@ func (rt *Runtime) Cancel(t ThreadID) {
 	sh.mu.Lock()
 	if rt.check != nil {
 		_, running := sh.tqst.InFlight(t)
-		if known && ths[t].running && running == 0 {
+		if known && ths[t].running > 0 && running == 0 {
 			// An inline overflow run holds the token but is invisible to
 			// the TQST; it is racing this cancel all the same.
 			running = 1
@@ -501,7 +503,7 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	_, running := sh.tqst.InFlight(t)
-	quiet := !te.running && running == 0 && !sh.tq.Pending(t) && sh.tqst.Quiet(t) && len(te.atts) == 0
+	quiet := te.running == 0 && running == 0 && !sh.tq.Pending(t) && sh.tqst.Quiet(t) && len(te.atts) == 0
 	if quiet {
 		sh.tqst.Forget(t)
 	}
@@ -521,16 +523,19 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 }
 
 // drainThread blocks until thread t has no pending or running instance:
-// the quiescence predicate of Wait, without Wait's merge point, join edge
-// or stats. Namespace.Close uses it after Cancel to let an in-flight
-// instance finish before the namespace's regions are freed — a cancelled
-// instance keeps executing against the entries it captured, and a store it
-// issues through a freed region would land in an address range the arena
-// may already have handed to another tenant. On the single-goroutine
-// backends a running instance cannot coexist with the caller, so the
-// predicate holds immediately; on the immediate backend the drain sleeps
-// on t's quiet-waiter channel like Wait does. Must not be called with
-// rt.mu or any shard lock held, nor from a support-thread body of t.
+// the quiescence loop of Wait on the immediate backend, without Wait's
+// merge point, join edge or stats. The predicate is three O(1) checks
+// against t's own shard-local state — it never scans a queue or touches
+// another shard — and the waiter sleeps on t's own channel, so completions
+// of other threads do not wake it. Namespace.Close also calls it, on every
+// backend, after Cancel, to let an in-flight instance finish before the
+// namespace's regions are freed — a cancelled instance keeps executing
+// against the entries it captured, and a store it issues through a freed
+// region would land in an address range the arena may already have handed
+// to another tenant. On the single-goroutine backends a running instance
+// cannot coexist with the caller, so the predicate holds immediately. Must
+// not be called with rt.mu or any shard lock held, nor from a
+// support-thread body of t.
 func (rt *Runtime) drainThread(t ThreadID) {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
@@ -540,7 +545,7 @@ func (rt *Runtime) drainThread(t ThreadID) {
 			break
 		}
 		te := ths[t]
-		if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && !te.running {
+		if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && te.running == 0 {
 			break
 		}
 		ch := make(chan struct{})
@@ -605,84 +610,118 @@ func (rt *Runtime) chargeMgmt(op isa.Opcode) {
 	rt.cfg.Recorder.NoteMgmt(int64(ins.Latency))
 }
 
-// tstore is the triggering-store implementation shared by Region.TStore and
-// Region.TStoreF. It returns whether the value changed.
+// noteWrite is pipeline stage one, the store outcome: every triggering
+// write — scalar, batched, merged — reports each word here and nowhere
+// else. It is split so the common configuration (no recorder, no sanitizer)
+// inlines to two nil tests in the caller's per-word loop; noteWriteChecked
+// does the reporting. The stats counters stay with the caller — a batch
+// settles them once per span.
+func (rt *Runtime) noteWrite(r *Region, i int, changed bool, g uint64) {
+	if rt.cfg.Recorder != nil || rt.check != nil {
+		rt.noteWriteChecked(r, i, changed, g)
+	}
+}
+
+// noteWriteChecked charges the recorded trace and hands the write to the
+// sanitizer. A silent store still counts against write confinement (where a
+// thread stores is decided by the instruction, not by the value already in
+// memory) but publishes nothing, so it gets no happens-before stamp. g is
+// the writer's goroutine id, resolved by the caller only when the sanitizer
+// is on: goid costs a stack read the unchecked fast path must not pay.
+func (rt *Runtime) noteWriteChecked(r *Region, i int, changed bool, g uint64) {
+	if rec := rt.cfg.Recorder; rec != nil {
+		rec.NoteTStore()
+	}
+	if rt.check == nil {
+		return
+	}
+	if changed {
+		rt.check.OnStore(g, r.Name(), i, r.buf.Addr(i))
+	} else {
+		rt.check.OnSilentStore(g, r.Name(), i, r.buf.Addr(i))
+	}
+}
+
+// checkGoid returns the calling goroutine's id when the sanitizer is on and
+// zero otherwise (see noteWrite).
+func (rt *Runtime) checkGoid() uint64 {
+	if rt.check == nil {
+		return 0
+	}
+	return goid()
+}
+
+// storeWord is one word of a scalar-shaped triggering write: the compare-
+// and-store, noteWrite, and for a changed word inside a trigger range one
+// fireOne per attached thread. Region.TStore and the update-merge plane both
+// write through here, so a merge store is trigger-identical to a scalar
+// triggering store of the merged value. It reports whether the word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
-// store is one atomic compare-and-swap plus two counters; a changing store
-// to an unattached address adds a lock-free index probe; only a changing
-// store inside a trigger range takes a lock, and then only the target
-// thread's shard lock, for the enqueue bookkeeping. Stores that trigger
-// threads in different shards never contend with each other.
-func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
+// store is one atomic compare-and-swap; a changing store to an unattached
+// address adds a lock-free index probe; only a changing store inside a
+// trigger range takes a lock, and then only the target thread's shard lock,
+// for the enqueue bookkeeping.
+func (rt *Runtime) storeWord(r *Region, i int, v mem.Word, g uint64, inline *[]queue.Entry) bool {
 	changed := r.buf.Store(i, v)
-	if rt.cfg.Recorder != nil {
-		rt.cfg.Recorder.NoteTStore()
-	}
-	rt.stats.tstores.Add(1)
+	rt.noteWrite(r, i, changed, g)
 	if !changed {
-		rt.stats.silent.Add(1)
-		if rt.check != nil {
-			// A silent store still counts against write confinement: where
-			// a thread stores is decided by the instruction, not by the
-			// value already in memory. No happens-before stamp — nothing
-			// was published.
-			rt.check.OnSilentStore(goid(), r.Name(), i, r.buf.Addr(i))
-		}
 		return false
 	}
-	addr := r.buf.Addr(i)
-	// g is only resolved when the sanitizer is on: goid costs a stack
-	// read, which the checked configuration accepts and the fast path
-	// must not pay.
-	var g uint64
-	if rt.check != nil {
-		g = goid()
-		rt.check.OnStore(g, r.Name(), i, addr)
-	}
-	if !rt.reg.Covers(addr) {
-		if rt.sched != nil {
-			rt.seededPoll()
-		}
-		return true
-	}
-
-	var inline []queue.Entry
-	rt.reg.Each(addr, func(id queue.ThreadID) {
-		rt.fireOne(id, addr, g, &inline)
-	})
-
-	for _, e := range inline {
-		rt.runInline(e)
-	}
-	if rt.sched != nil {
-		// A triggering store is a preemption point: the deterministic
-		// scheduler may dispatch any number of pending instances here.
-		rt.seededPoll()
+	if addr := r.buf.Addr(i); rt.reg.Covers(addr) {
+		rt.reg.Each(addr, func(id queue.ThreadID) {
+			rt.fireOne(id, addr, g, inline)
+		})
 	}
 	return true
 }
 
-// fireOne dispatches one fired (thread, addr) trigger: it takes the
-// thread's shard lock, re-checks coverage against a racing Cancel, and
-// moves fired plus exactly one decomposition counter in the same critical
-// section, so the Fired = Enqueued + Squashed + Overflowed identity holds
-// under the shard lock at all times. Overflowed triggers under
-// OverflowInline are appended through inline for the caller to run after
-// its dispatch completes — never with a shard lock held. Both the scalar
-// tstore path and the update-merge plane dispatch through here, so merge
-// stores are trigger-identical to scalar triggering stores.
-func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) {
-	// The thread table is loaded after the registry snapshot, so an id
-	// the registry knows is always in range here.
-	te := rt.threadsSnap()[id]
-	sh := rt.shardOf(id)
-	sh.mu.Lock()
-	if !te.covers(addr) {
-		// A concurrent Cancel detached the range between the registry
-		// snapshot and this shard lock; the trigger never happened.
-		sh.mu.Unlock()
-		return
+// tstore is the triggering-store implementation shared by Region.TStore and
+// Region.TStoreF. It returns whether the value changed.
+func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
+	var inline []queue.Entry
+	changed := rt.storeWord(r, i, v, rt.checkGoid(), &inline)
+	rt.stats.tstores.Add(1)
+	if !changed {
+		rt.stats.silent.Add(1)
+		return false
+	}
+	rt.afterWrite(inline)
+	return true
+}
+
+// afterWrite is the tail of every changing triggering write, run with no
+// lock held: the overflowed triggers the write collected execute inline in
+// the writer, and then the write is a preemption point — the deterministic
+// scheduler may dispatch any number of pending instances. A batch or a merge
+// is ONE preemption point, at its end, however many words it wrote.
+func (rt *Runtime) afterWrite(inline []queue.Entry) {
+	for _, e := range inline {
+		rt.runInline(e)
+	}
+	if rt.sched != nil {
+		rt.seededPoll(false)
+	}
+}
+
+// admitLocked is pipeline stage two, admission: it offers one fired
+// (thread, addr) trigger to the thread queue and is the only writer of the
+// Fired = Enqueued + Squashed + Overflowed identity — fired and exactly one
+// decomposition counter move here, in one critical section, so the identity
+// holds under the shard lock at all times. Callers hold sh.mu, where sh is
+// id's shard and te its thread record. A trigger whose range a concurrent
+// Cancel detached between the registry snapshot and this lock never
+// happened; it reports Squashed, like a squash leaving nothing to settle.
+// Under OverflowInline an overflowed trigger is appended to inline for the
+// caller to run after its dispatch completes — never with a shard lock
+// held. On Enqueued the caller owes the shard its settlement — the busy
+// mirror, a queue-depth sample and a worker wakeup — which stays with the
+// caller because the two dispatch shapes differ exactly there: fireOne
+// settles per entry, the batch walk once per shard, and a shared helper
+// measured 4% of a scalar round on the immediate backend.
+func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
+	if te.attachmentAt(addr) == nil {
+		return queue.Squashed
 	}
 	sh.c.fired++
 	if rt.check != nil {
@@ -691,16 +730,12 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 		// recorded unconditionally.
 		rt.check.OnTrigger(g, id)
 	}
-	switch sh.tq.Enqueue(id, addr) {
+	st := sh.tq.Enqueue(id, addr)
+	switch st {
 	case queue.Enqueued:
 		sh.tqst.MarkPending(id)
-		sh.busy.Add(1)
 		sh.c.enqueued++
-		if rt.tel != nil {
-			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-		}
 		rt.noteRelease(id, addr)
-		rt.signalShardLocked(sh)
 	case queue.Squashed:
 		sh.c.squashed++
 		rt.noteRelease(id, addr)
@@ -711,6 +746,24 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 		} else {
 			sh.c.dropped++
 		}
+	}
+	return st
+}
+
+// fireOne admits one fired trigger under its thread's shard lock: the
+// scalar-shaped dispatch, one lock acquisition per (store, thread) pair.
+func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) {
+	// The thread table is loaded after the registry snapshot, so an id
+	// the registry knows is always in range here.
+	te := rt.threadsSnap()[id]
+	sh := rt.shardOf(id)
+	sh.mu.Lock()
+	if rt.admitLocked(sh, te, id, addr, g, inline) == queue.Enqueued {
+		sh.busy.Add(1)
+		if rt.tel != nil {
+			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
+		}
+		rt.signalShardLocked(sh)
 	}
 	sh.mu.Unlock()
 }
@@ -724,9 +777,9 @@ type firedTrigger struct {
 
 // batchScratch is tstoreBatch's per-call working set: the fired pairs
 // collected during the write phase and the per-shard tally that lets the
-// dispatch phase skip shards with nothing to do. Instances live in
-// Runtime.batchPool; slices keep their capacity across calls, so a warmed
-// scratch serves any batch the program repeats without allocating.
+// dispatch phase skip shards with nothing to do. Instances live on the
+// Runtime.batchFree list; slices keep their capacity across calls, so a
+// warmed scratch serves any batch the program repeats without allocating.
 type batchScratch struct {
 	fired    []firedTrigger
 	perShard []int32
@@ -788,8 +841,9 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 //
 // On the seeded backend the whole batch is a single preemption point at
 // its end — the deterministic scheduler cannot observe a half-written
-// span. The scratch comes from rt.batchPool, keeping the steady-state path
-// at 0 allocs/op for silent, squashed and enqueueing batches alike.
+// span. The scratch comes from the rt.batchFree list, keeping the
+// steady-state path at 0 allocs/op for silent, squashed and enqueueing
+// batches alike.
 func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	if len(vs) == 0 {
 		return 0
@@ -798,12 +852,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		panic(fmt.Sprintf("core: TStoreBatch [%d, %d) out of range of %q (%d words)",
 			lo, lo+len(vs), r.Name(), r.buf.Len()))
 	}
-	rec := rt.cfg.Recorder
-	var g uint64
-	if rt.check != nil {
-		g = goid()
-	}
-
+	g := rt.checkGoid()
 	sc := rt.getScratch()
 	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
 	// One index resolution for the whole contiguous span: per word, trigger
@@ -813,23 +862,13 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	sc.cands = rt.reg.Snapshot().Overlapping(r.buf.Addr(lo), r.buf.Addr(lo+len(vs)), sc.cands[:0])
 	changed, lookups, matches := 0, 0, 0
 	for j, v := range vs {
-		if !r.buf.Store(lo+j, v) {
-			if rec != nil {
-				rec.NoteTStore()
-			}
-			if rt.check != nil {
-				rt.check.OnSilentStore(g, r.Name(), lo+j, r.buf.Addr(lo+j))
-			}
+		wrote := r.buf.Store(lo+j, v)
+		rt.noteWrite(r, lo+j, wrote, g)
+		if !wrote {
 			continue
 		}
 		changed++
-		if rec != nil {
-			rec.NoteTStore()
-		}
 		addr := r.buf.Addr(lo + j)
-		if rt.check != nil {
-			rt.check.OnStore(g, r.Name(), lo+j, addr)
-		}
 		matched := 0
 		for _, a := range sc.cands {
 			if a.Lo <= addr && addr < a.Hi {
@@ -864,35 +903,9 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 			enqueued := 0
 			sh.mu.Lock()
 			for _, ft := range sc.fired {
-				if uint32(ft.id)&rt.shardMask != uint32(s) {
-					continue
-				}
-				if !ths[ft.id].covers(ft.addr) {
-					// A concurrent Cancel detached the range between the
-					// registry snapshot and this shard lock; the trigger
-					// never happened.
-					continue
-				}
-				sh.c.fired++
-				if rt.check != nil {
-					rt.check.OnTrigger(g, ft.id)
-				}
-				switch sh.tq.Enqueue(ft.id, ft.addr) {
-				case queue.Enqueued:
-					sh.tqst.MarkPending(ft.id)
-					sh.c.enqueued++
+				if uint32(ft.id)&rt.shardMask == uint32(s) &&
+					rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
 					enqueued++
-					rt.noteRelease(ft.id, ft.addr)
-				case queue.Squashed:
-					sh.c.squashed++
-					rt.noteRelease(ft.id, ft.addr)
-				case queue.Overflowed:
-					sh.c.overflowed++
-					if rt.cfg.Overflow == queue.OverflowInline {
-						sc.inline = append(sc.inline, queue.Entry{Thread: ft.id, Addr: ft.addr})
-					} else {
-						sh.c.dropped++
-					}
 				}
 			}
 			if enqueued > 0 {
@@ -908,15 +921,10 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		}
 	}
 
-	for _, e := range sc.inline {
-		rt.runInline(e)
+	if changed > 0 {
+		rt.afterWrite(sc.inline)
 	}
-	sc.inline = sc.inline[:0]
 	rt.putScratch(sc)
-	if changed > 0 && rt.sched != nil {
-		// The whole batch is ONE preemption point, at its end.
-		rt.seededPoll()
-	}
 	return changed
 }
 
@@ -945,7 +953,7 @@ func (rt *Runtime) finishShardLocked(sh *dispatchShard, t ThreadID, ths []*threa
 	if int(t) >= 0 && int(t) < len(ths) {
 		te := ths[t]
 		_, running := sh.tqst.InFlight(t)
-		if !te.running && running == 0 {
+		if te.running == 0 && running == 0 {
 			if len(te.tokenWaiters) > 0 {
 				for _, ch := range te.tokenWaiters {
 					close(ch)
@@ -1048,10 +1056,8 @@ func (rt *Runtime) noteRelease(t ThreadID, addr mem.Addr) {
 }
 
 // takeRelease pops the recorded release point for an entry, or trace.NoTask.
+// BackendRecorded only.
 func (rt *Runtime) takeRelease(e queue.Entry) trace.TaskID {
-	if rt.release == nil { //dtt:ignore atomics -- nil-gate on a map set once at construction; never reassigned
-		return trace.NoTask
-	}
 	rt.relMu.Lock()
 	defer rt.relMu.Unlock()
 	k := releaseKey{thread: e.Thread, addr: e.Addr}
@@ -1079,23 +1085,21 @@ func (rt *Runtime) dropReleases(t ThreadID) {
 // resolveShardLocked builds the Trigger for a queue entry from the thread's
 // own attachment list. Callers hold the entry's shard lock, which guards
 // atts.
-func (rt *Runtime) resolveShardLocked(ths []*threadEntry, e queue.Entry) (Trigger, ThreadFunc) {
-	te := ths[e.Thread]
-	for _, a := range te.atts {
-		if e.Addr >= a.lo && e.Addr < a.hi {
-			return Trigger{
-				Thread: e.Thread,
-				Region: a.region,
-				Index:  a.region.buf.Index(e.Addr),
-				Addr:   e.Addr,
-			}, te.fn
-		}
+func (rt *Runtime) resolveShardLocked(te *threadEntry, e queue.Entry) (Trigger, ThreadFunc) {
+	a := te.attachmentAt(e.Addr)
+	if a == nil {
+		// An entry can only exist for an attached range: the enqueue side
+		// re-checks the attachment under the shard lock, and Cancel
+		// squashes entries under the same lock when detaching. Reaching
+		// here is a runtime bug.
+		panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
 	}
-	// An entry can only exist for an attached range: the enqueue side
-	// re-checks the attachment under the shard lock, and Cancel squashes
-	// entries under the same lock when detaching. Reaching here is a
-	// runtime bug.
-	panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
+	return Trigger{
+		Thread: e.Thread,
+		Region: a.region,
+		Index:  a.region.buf.Index(e.Addr),
+		Addr:   e.Addr,
+	}, te.fn
 }
 
 // runInstance executes one support-thread instance through invoke,
@@ -1183,7 +1187,7 @@ func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
 	for s := range rt.shards {
 		sh := &rt.shards[s]
 		for i := 0; i < sh.tq.Len(); i++ {
-			if !ths[sh.tq.EntryAt(i).Thread].running {
+			if ths[sh.tq.EntryAt(i).Thread].running == 0 {
 				rt.elig = append(rt.elig, eligRef{shard: s, idx: i})
 			}
 		}
@@ -1191,70 +1195,86 @@ func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
 	return rt.elig
 }
 
-// runSeededAllLocked dequeues the entry at ref and executes it on the
-// calling goroutine with the run token held, so nested preemption points
-// inside the body cannot start a second instance of the same thread.
-// Callers hold every shard lock; all are released before the body runs and
-// none are held on return.
-func (rt *Runtime) runSeededAllLocked(ths []*threadEntry, ref eligRef) {
-	sh := &rt.shards[ref.shard]
-	e := sh.tq.DequeueAt(ref.idx)
-	te := ths[e.Thread]
-	sh.tqst.MarkRunning(e.Thread)
-	te.running = true
-	tg, fn := rt.resolveShardLocked(ths, e)
-	rt.unlockAllShards()
-
-	ok := rt.runInstance(e, fn, tg)
-
-	sh.mu.Lock()
-	te.running = false
-	if ok {
-		sh.tqst.MarkDone(e.Thread)
-		sh.c.executed++
+// beginRunLocked opens the instance-run bracket for entry e: it takes the
+// thread's run token for goroutine g (re-entrantly, when an overflowed
+// cascade re-enters its own thread), moves the TQST slot to running (a
+// queued entry) or counts an inline run in flight (an overflowed trigger,
+// which the TQST never sees), and resolves the trigger. Callers hold
+// sh.mu, release it around runInstance, and close the bracket with
+// endRunLocked.
+func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, e queue.Entry, g uint64, queued bool) (Trigger, ThreadFunc) {
+	te.running++
+	te.owner = g
+	if queued {
+		sh.tqst.MarkRunning(e.Thread)
 	} else {
-		sh.tqst.MarkFailed(e.Thread)
+		sh.inlineRunning++
+		sh.busy.Add(1)
+	}
+	return rt.resolveShardLocked(te, e)
+}
+
+// endRunLocked closes the bracket beginRunLocked opened: it returns the run
+// token, records the outcome — Executed or FailedRuns for a queued
+// instance, InlineRuns (and FailedRuns) for an inline one, keeping
+// Overflowed = InlineRuns + Dropped — drops the shard's busy count and
+// propagates the quiescence consequences. Callers hold sh.mu.
+func (rt *Runtime) endRunLocked(sh *dispatchShard, ths []*threadEntry, t ThreadID, queued, ok bool) {
+	te := ths[t]
+	te.running--
+	if te.running == 0 {
+		te.owner = 0
+	}
+	switch {
+	case !queued:
+		sh.inlineRunning--
+		sh.c.inlineRuns++
+		if !ok {
+			sh.c.failedRuns++
+			sh.tqst.NoteFailed(t)
+		}
+	case ok:
+		sh.tqst.MarkDone(t)
+		sh.c.executed++
+	default:
+		sh.tqst.MarkFailed(t)
 		sh.c.failedRuns++
 	}
 	sh.busy.Add(-1)
-	rt.finishShardLocked(sh, e.Thread, ths)
-	sh.mu.Unlock()
+	rt.finishShardLocked(sh, t, ths)
 }
 
-// seededPoll is a BackendSeeded preemption point: the scheduler decides,
-// entry by entry, whether to dispatch now and which eligible entry runs.
-// Enumeration and pick happen with every shard lock held so the decision is
-// deterministic. Nested polls (a body whose triggering store re-enters
-// here) see the enclosing thread's run token and skip it, preserving
-// one-instance-at-a-time.
-func (rt *Runtime) seededPoll() {
+// seededPoll dispatches queued instances on the seeded backend, entry by
+// entry, in seed-chosen order. As a preemption point (drain false) the
+// scheduler also decides before each entry whether to dispatch at all; as
+// the Wait/Barrier drain it runs until nothing is eligible, leaving the
+// queue empty except for entries of threads still running in an enclosing
+// frame — impossible from the main thread, the only legal caller of
+// Wait/Barrier. Enumeration and pick happen with every shard lock held so
+// the decision is deterministic; the picked entry runs on the calling
+// goroutine with the run token held and no lock, so nested polls (a body
+// whose triggering store re-enters here) see the enclosing thread's token
+// and skip it, preserving one-instance-at-a-time.
+func (rt *Runtime) seededPoll(drain bool) {
 	for {
 		rt.lockAllShards()
 		ths := rt.threadsSnap()
 		elig := rt.eligibleAllLocked(ths)
-		if len(elig) == 0 || !rt.sched.RunNow() {
+		if len(elig) == 0 || (!drain && !rt.sched.RunNow()) {
 			rt.unlockAllShards()
 			return
 		}
-		rt.runSeededAllLocked(ths, elig[rt.sched.Pick(len(elig))])
-	}
-}
+		ref := elig[rt.sched.Pick(len(elig))]
+		sh := &rt.shards[ref.shard]
+		e := sh.tq.DequeueAt(ref.idx)
+		tg, fn := rt.beginRunLocked(sh, ths[e.Thread], e, 0, true)
+		rt.unlockAllShards()
 
-// drainSeeded executes queued instances in seed-chosen order until nothing
-// is eligible; BackendSeeded's Wait and Barrier call it. On return the
-// queue is empty except for entries of threads still running in an
-// enclosing frame — impossible when called from the main thread, which is
-// the only legal caller of Wait/Barrier.
-func (rt *Runtime) drainSeeded() {
-	for {
-		rt.lockAllShards()
-		ths := rt.threadsSnap()
-		elig := rt.eligibleAllLocked(ths)
-		if len(elig) == 0 {
-			rt.unlockAllShards()
-			return
-		}
-		rt.runSeededAllLocked(ths, elig[rt.sched.Pick(len(elig))])
+		ok := rt.runInstance(e, fn, tg)
+
+		sh.mu.Lock()
+		rt.endRunLocked(sh, ths, e.Thread, true, ok)
+		sh.mu.Unlock()
 	}
 }
 
@@ -1278,7 +1298,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	sh := rt.shardOf(e.Thread)
 	sh.mu.Lock()
 	for {
-		if !te.covers(e.Addr) {
+		if te.attachmentAt(e.Addr) == nil {
 			// A Cancel raced in between the overflow and this run; the
 			// work it would have done is cancelled work. Counting it as
 			// dropped keeps Overflowed = InlineRuns + Dropped.
@@ -1286,22 +1306,10 @@ func (rt *Runtime) runInline(e queue.Entry) {
 			sh.mu.Unlock()
 			return
 		}
-		if _, running := sh.tqst.InFlight(e.Thread); !te.running && running == 0 {
+		if te.running == 0 || rt.cfg.Backend != BackendImmediate || te.owner == g {
+			// The run token is free — or ours already, and the bracket
+			// re-enters the body nested on this goroutine.
 			break
-		}
-		if rt.cfg.Backend != BackendImmediate || te.owner == g {
-			// We hold this thread's run token ourselves: recurse.
-			tg, fn := rt.resolveShardLocked(ths, e)
-			sh.mu.Unlock()
-			ok := rt.runInstance(e, fn, tg)
-			sh.mu.Lock()
-			sh.c.inlineRuns++
-			if !ok {
-				sh.c.failedRuns++
-				sh.tqst.NoteFailed(e.Thread)
-			}
-			sh.mu.Unlock()
-			return
 		}
 		ch := make(chan struct{})
 		te.tokenWaiters = append(te.tokenWaiters, ch)
@@ -1309,26 +1317,13 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		<-ch
 		sh.mu.Lock()
 	}
-	te.running = true
-	te.owner = g
-	sh.inlineRunning++
-	sh.busy.Add(1)
-	tg, fn := rt.resolveShardLocked(ths, e)
+	tg, fn := rt.beginRunLocked(sh, te, e, g, false)
 	sh.mu.Unlock()
 
 	ok := rt.runInstance(e, fn, tg)
 
 	sh.mu.Lock()
-	te.running = false
-	te.owner = 0
-	sh.inlineRunning--
-	sh.busy.Add(-1)
-	sh.c.inlineRuns++
-	if !ok {
-		sh.c.failedRuns++
-		sh.tqst.NoteFailed(e.Thread)
-	}
-	rt.finishShardLocked(sh, e.Thread, ths)
+	rt.endRunLocked(sh, ths, e.Thread, false, ok)
 	sh.mu.Unlock()
 }
 
@@ -1340,32 +1335,18 @@ func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
 	// Loaded under sh.mu: any entry visible in this shard's queue was
 	// enqueued by a goroutine that saw its thread published first.
 	ths := rt.threadsSnap()
-	e, ok := sh.tq.DequeueFirst(func(e queue.Entry) bool { return !ths[e.Thread].running })
+	e, ok := sh.tq.DequeueFirst(func(e queue.Entry) bool { return ths[e.Thread].running == 0 })
 	if !ok {
 		sh.mu.Unlock()
 		return false
 	}
-	te := ths[e.Thread]
-	sh.tqst.MarkRunning(e.Thread)
-	te.running = true
-	te.owner = g
-	tg, fn := rt.resolveShardLocked(ths, e)
+	tg, fn := rt.beginRunLocked(sh, ths[e.Thread], e, g, true)
 	sh.mu.Unlock()
 
 	ok = rt.runInstance(e, fn, tg)
 
 	sh.mu.Lock()
-	te.running = false
-	te.owner = 0
-	if ok {
-		sh.tqst.MarkDone(e.Thread)
-		sh.c.executed++
-	} else {
-		sh.tqst.MarkFailed(e.Thread)
-		sh.c.failedRuns++
-	}
-	sh.busy.Add(-1)
-	rt.finishShardLocked(sh, e.Thread, ths)
+	rt.endRunLocked(sh, ths, e.Thread, true, ok)
 	sh.mu.Unlock()
 	return true
 }
@@ -1414,6 +1395,7 @@ func (rt *Runtime) worker(w int) {
 // order. No locks are held on entry or return; the shard lock is released
 // around thread bodies.
 func (rt *Runtime) drainAll() []trace.TaskID {
+	rec := rt.cfg.Recorder
 	var done []trace.TaskID
 	for {
 		progressed := false
@@ -1427,32 +1409,22 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 				}
 				progressed = true
 				ths := rt.threadsSnap()
-				sh.tqst.MarkRunning(e.Thread)
-				tg, fn := rt.resolveShardLocked(ths, e)
-				rel := rt.takeRelease(e)
-				name := ths[e.Thread].name
+				tg, fn := rt.beginRunLocked(sh, ths[e.Thread], e, 0, true)
 				sh.mu.Unlock()
 
-				if rt.cfg.Recorder != nil {
-					rt.cfg.Recorder.BeginSupport(name, rel)
+				if rec != nil {
+					rec.BeginSupport(ths[e.Thread].name, rt.takeRelease(e))
 				}
 				ok = rt.runInstance(e, fn, tg)
-				if rt.cfg.Recorder != nil {
+				if rec != nil {
 					// A failed instance still closes its trace task:
 					// whatever it charged before panicking was really
 					// executed.
-					done = append(done, rt.cfg.Recorder.EndSupport())
+					done = append(done, rec.EndSupport())
 				}
 
 				sh.mu.Lock()
-				if ok {
-					sh.tqst.MarkDone(e.Thread)
-					sh.c.executed++
-				} else {
-					sh.tqst.MarkFailed(e.Thread)
-					sh.c.failedRuns++
-				}
-				sh.busy.Add(-1)
+				rt.endRunLocked(sh, ths, e.Thread, true, ok)
 			}
 			sh.mu.Unlock()
 		}
@@ -1463,11 +1435,13 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 }
 
 // goid returns the current goroutine's id, parsed from the stack header.
-// It is only used on the queue-overflow slow path, where the cost is
-// immaterial next to the thread body about to run. A parse failure panics:
-// the id guards the recursive-inline deadlock check, and an unparseable id
-// silently disabling that check (as a zero-valued fallback once did) turns
-// a Go version bump into a runtime hang.
+// The unchecked fast paths never call it: a worker resolves its id once at
+// start, an inline overflow run on the immediate backend pays for it next
+// to the thread body about to run, and otherwise only the sanitizer asks
+// (once per checked access — part of CheckStrict's price). A parse failure
+// panics: the id guards the recursive-inline deadlock check, and an
+// unparseable id silently disabling that check (as a zero-valued fallback
+// once did) turns a Go version bump into a runtime hang.
 func goid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
@@ -1488,11 +1462,8 @@ func goid() uint64 {
 }
 
 // Wait blocks until thread t has no pending or running instances (twait).
-// With the deferred and recorded backends it executes the queue inline
-// first. On the immediate backend the wakeup predicate is three O(1)
-// checks against t's own shard-local counters — it never scans a queue or
-// touches another shard — and the waiter sleeps on t's own channel, so
-// completions of other threads do not wake it.
+// The single-goroutine backends execute the queue inline first; the
+// immediate backend sleeps in drainThread.
 func (rt *Runtime) Wait(t ThreadID) {
 	rt.stats.waits.Add(1)
 	if rt.tel != nil && rtrace.IsEnabled() {
@@ -1503,34 +1474,15 @@ func (rt *Runtime) Wait(t ThreadID) {
 	// is evaluated, so the post-Wait state reflects every TUpdate this
 	// goroutine issued.
 	rt.mergeAllPlanes()
-	if rt.cfg.Backend == BackendSeeded {
-		rt.drainSeeded()
-		rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
-		return
+	var done []trace.TaskID
+	switch rt.cfg.Backend {
+	case BackendSeeded:
+		rt.seededPoll(true)
+	case BackendImmediate:
+		rt.drainThread(t)
+	default:
+		done = rt.drainAll()
 	}
-	if rt.cfg.Backend == BackendImmediate {
-		sh := rt.shardOf(t)
-		sh.mu.Lock()
-		for {
-			ths := rt.threadsSnap()
-			if int(t) < 0 || int(t) >= len(ths) {
-				break
-			}
-			te := ths[t]
-			if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && !te.running {
-				break
-			}
-			ch := make(chan struct{})
-			te.quietWaiters = append(te.quietWaiters, ch)
-			sh.mu.Unlock()
-			<-ch
-			sh.mu.Lock()
-		}
-		sh.mu.Unlock()
-		rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
-		return
-	}
-	done := rt.drainAll()
 	rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
 	rt.joinTrace(done, isa.OpTWait)
 }
@@ -1560,12 +1512,11 @@ func (rt *Runtime) Barrier() {
 	// Like Wait, Barrier merges pending commutative deltas (blocking)
 	// before confirming quiescence.
 	rt.mergeAllPlanes()
-	if rt.cfg.Backend == BackendSeeded {
-		rt.drainSeeded()
-		rt.noteJoin(rt.check.OnBarrier)
-		return
-	}
-	if rt.cfg.Backend == BackendImmediate {
+	var done []trace.TaskID
+	switch rt.cfg.Backend {
+	case BackendSeeded:
+		rt.seededPoll(true)
+	case BackendImmediate:
 		for !rt.quietConfirm() {
 			ch := make(chan struct{})
 			rt.barMu.Lock()
@@ -1581,15 +1532,15 @@ func (rt *Runtime) Barrier() {
 			}
 			<-ch
 		}
-		rt.noteJoin(rt.check.OnBarrier)
-		return
+	default:
+		done = rt.drainAll()
 	}
-	done := rt.drainAll()
 	rt.noteJoin(rt.check.OnBarrier)
 	rt.joinTrace(done, isa.OpTBarrier)
 }
 
-// joinTrace closes the synchronisation point in the recorded trace.
+// joinTrace closes the synchronisation point in the recorded trace; a no-op
+// on the other backends.
 func (rt *Runtime) joinTrace(done []trace.TaskID, op isa.Opcode) {
 	if rt.cfg.Recorder == nil {
 		return
@@ -1620,11 +1571,7 @@ func (rt *Runtime) Executed(t ThreadID) int64 {
 // a simultaneous global occupancy — with one shard the two coincide.
 func (rt *Runtime) QueueCounters() queue.Counters {
 	var c queue.Counters
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		sh.mu.Lock()
-		sc := sh.tq.Counters()
-		sh.mu.Unlock()
+	for _, sc := range rt.ShardCounters() {
 		c.Enqueued += sc.Enqueued
 		c.Squashed += sc.Squashed
 		c.Overflowed += sc.Overflowed

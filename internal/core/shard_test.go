@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"dtt/internal/mem"
+	"dtt/internal/queue"
 	"dtt/internal/trace"
 )
 
@@ -111,7 +113,9 @@ func TestShardedEquivalenceMatchesUnsharded(t *testing.T) {
 // batch preserves per-shard enqueue order exactly, so the WHOLE counter set
 // must match the scalar run; the seeded backend legitimately differs in its
 // enqueue/squash/inline split because a batch is one preemption point where
-// a scalar loop is many — that is the documented semantic difference.
+// a scalar loop is many — that is the documented semantic difference. The
+// second table adds the update-merge plane as a third writer and pins the
+// shared admission and run bracket under overflow, drop and Cancel.
 func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 	for _, cfg := range []Config{
 		{Backend: BackendDeferred, Shards: 1},
@@ -147,6 +151,202 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 				cfg.Shards, batch.stats, scalar.stats)
 		}
 	}
+
+	// Three writers, one outcome: the scalar store, the batched store and
+	// the update-merge plane all admit through admitLocked and run through
+	// the same instance bracket, so the same value stream must leave the
+	// same memory and move the same dispatch counters whichever plane
+	// wrote it — including when the queue overflows on every store and
+	// when a Cancel lands between the write and the drain.
+	for _, row := range []struct {
+		name   string
+		cap    int
+		drop   bool
+		cancel bool
+	}{
+		{"cap4", 4, false, false},
+		{"cap1-inline", 1, false, false},
+		{"cap1-drop", 1, true, false},
+		{"cancel", 32, false, true}, // room for every trigger: the Cancel finds hi's eight pending
+	} {
+		cfg := Config{Shards: 1, QueueCapacity: row.cap, Checker: CheckStrict}
+		if row.drop {
+			cfg.Overflow = queue.OverflowDrop
+		}
+		same := func(phase string, a, b planeRun) {
+			t.Helper()
+			if a.dispatch != b.dispatch || a.qc != b.qc {
+				t.Fatalf("%s %s: dispatch counters diverge:\n%+v %+v\n%+v %+v", row.name, phase, a.dispatch, a.qc, b.dispatch, b.qc)
+			}
+			for i := range a.mem {
+				if a.mem[i] != b.mem[i] {
+					t.Fatalf("%s %s: final memory word %d: %d vs %d", row.name, phase, i, a.mem[i], b.mem[i])
+				}
+			}
+		}
+
+		cfg.Backend = BackendDeferred
+		scalar := runWritePlane(t, cfg, writeScalar, row.cancel)
+		same("deferred scalar vs batch", scalar, runWritePlane(t, cfg, writeBatch, row.cancel))
+		same("deferred scalar vs merge", scalar, runWritePlane(t, cfg, writeMerge, row.cancel))
+
+		// Seeded: a batch and a merge are each ONE preemption point, so
+		// they replay the same schedule and must agree on everything. A
+		// scalar stream is a preemption point per store — the documented
+		// difference — so only what the schedule cannot move is compared:
+		// Fired and the trigger region always, the output region too
+		// unless the row loses triggers (which ones overflow, and which
+		// are still pending when the Cancel lands, is the schedule's
+		// choice).
+		cfg.Backend, cfg.SchedSeed = BackendSeeded, 11
+		batch := runWritePlane(t, cfg, writeBatch, row.cancel)
+		same("seeded batch vs merge", batch, runWritePlane(t, cfg, writeMerge, row.cancel))
+		scalar = runWritePlane(t, cfg, writeScalar, row.cancel)
+		if scalar.dispatch.Fired != batch.dispatch.Fired {
+			t.Fatalf("%s seeded: scalar Fired %d, batch Fired %d", row.name, scalar.dispatch.Fired, batch.dispatch.Fired)
+		}
+		scalar.dispatch, scalar.qc = batch.dispatch, batch.qc
+		if row.drop || row.cancel {
+			scalar.mem, batch.mem = scalar.mem[:len(scalar.mem)/2], batch.mem[:len(batch.mem)/2]
+		}
+		same("seeded scalar vs batch", scalar, batch)
+
+		// Recorded: the trace must charge the same number of triggering
+		// stores and release the same number of support tasks.
+		cfg.Backend, cfg.SchedSeed = BackendRecorded, 0
+		scalar = runWritePlane(t, cfg, writeScalar, row.cancel)
+		batch = runWritePlane(t, cfg, writeBatch, row.cancel)
+		same("recorded scalar vs batch", scalar, batch)
+		if scalar.tstores != batch.tstores || scalar.released != batch.released {
+			t.Fatalf("%s recorded: scalar trace has %d tstores / %d released tasks, batch %d / %d",
+				row.name, scalar.tstores, scalar.released, batch.tstores, batch.released)
+		}
+	}
+}
+
+// writePlane names one of the three triggering-write planes.
+type writePlane int
+
+const (
+	writeScalar writePlane = iota // Region.TStore per word
+	writeBatch                    // one TStoreBatch/TStoreRange per round
+	writeMerge                    // Region.TUpdate(UpdSet) per word; the sync point merges
+)
+
+// planeRun is what runWritePlane observed: final memory (trigger region
+// then output region), the dispatch counters every plane must agree on,
+// and on the recorded backend the trace's tstore and released-task counts.
+type planeRun struct {
+	mem      []mem.Word
+	dispatch Stats
+	qc       queue.Counters
+	tstores  int64
+	released int
+}
+
+// runWritePlane drives the equivalence value stream (five rounds over 16
+// words, round 3 repeating round 2 so its writes are silent) through one
+// write plane. Every word is written at most once between sync points, so
+// the planes are comparable: a merge legitimately collapses repeated sets.
+// With cancel, the hi thread is cancelled in round 1 between the write and
+// the drain; the merge plane publishes through a Load first (Load is a
+// merge point), so its triggers, like the other planes', are pending when
+// the Cancel squashes them. The run must be sanitizer-clean.
+func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) planeRun {
+	t.Helper()
+	var rec *trace.Recorder
+	if cfg.Backend == BackendRecorded {
+		rec = trace.NewRecorder(nil)
+		cfg.Recorder = rec
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New(%+v): %v", cfg, err)
+	}
+	defer rt.Close()
+
+	const half = 8
+	in := rt.NewRegion("in", 2*half)
+	out := rt.NewRegion("out", 2*half)
+	lo := rt.Register("lo", func(tg Trigger) { out.Store(tg.Index, 3*tg.Region.Load(tg.Index)+1) })
+	hi := rt.Register("hi", func(tg Trigger) { out.Store(tg.Index, tg.Region.Load(tg.Index)*tg.Region.Load(tg.Index)) })
+	for th, lohi := range map[ThreadID][2]int{lo: {0, half}, hi: {half, 2 * half}} {
+		if err := rt.Attach(th, in, lohi[0], lohi[1]); err != nil {
+			t.Fatalf("Attach: %v", err)
+		}
+		if err := rt.AllowWrites(th, out, lohi[0], lohi[1]); err != nil {
+			t.Fatalf("AllowWrites: %v", err)
+		}
+	}
+
+	for round := 0; round < 5; round++ {
+		r := round
+		if r == 3 {
+			r = 2
+		}
+		var vals [2 * half]mem.Word
+		for i := range vals {
+			vals[i] = uint64(r*31 + i*7 + 1)
+		}
+		switch plane {
+		case writeScalar:
+			for i, v := range vals {
+				in.TStore(i, v)
+			}
+		case writeBatch:
+			if round%2 == 0 {
+				in.TStoreBatch(0, vals[:])
+			} else {
+				in.TStoreRange(0, 2*half, vals[:])
+			}
+		case writeMerge:
+			for i, v := range vals {
+				in.TUpdate(i, UpdSet, v)
+			}
+		}
+		if cancel && round == 1 {
+			if plane == writeMerge {
+				in.Load(0)
+			}
+			rt.Cancel(hi)
+		}
+		switch round % 3 {
+		case 0:
+			rt.Wait(lo)
+		case 1:
+			rt.Wait(hi)
+		case 2:
+			rt.Barrier()
+		}
+	}
+	rt.Barrier()
+
+	st := rt.Stats()
+	run := planeRun{
+		mem: append(in.Snapshot(), out.Snapshot()...),
+		dispatch: Stats{Fired: st.Fired, Enqueued: st.Enqueued, Squashed: st.Squashed, Overflowed: st.Overflowed,
+			InlineRuns: st.InlineRuns, Dropped: st.Dropped, Executed: st.Executed},
+		qc: rt.QueueCounters(),
+	}
+	if st.Fired != st.Enqueued+st.Squashed+st.Overflowed || st.Overflowed != st.InlineRuns+st.Dropped || st.FailedRuns != 0 {
+		t.Fatalf("%v plane %d: counter identities broken: %+v", cfg.Backend, plane, st)
+	}
+	if err := rt.CheckErr(); err != nil {
+		t.Fatalf("%v plane %d: sanitizer: %v", cfg.Backend, plane, err)
+	}
+	if rec != nil {
+		tr, err := rec.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range tr.Tasks {
+			run.tstores += task.TStores
+			if task.Kind == trace.KindSupport && len(task.Deps) > 0 {
+				run.released++
+			}
+		}
+	}
+	return run
 }
 
 // TestShardedCascadesConserveCounters is the sharded counterpart of

@@ -19,14 +19,14 @@
 //   - lazily at Wait/Barrier (blocking: the sync point owns the merge) and
 //     at Region.Load (best-effort: a TryLock, skipped when another merge
 //     is in flight);
-//   - eagerly when Config.MergeThreshold distinct dirty words accumulate
-//     or a stripe applies Config.MergeEvery ops since its last merge
-//     (best-effort TryLock — pending deltas survive a skipped merge and
-//     the next op retries).
+//   - eagerly when a stripe applies Config.MergeEvery ops since its last
+//     merge (best-effort TryLock — pending deltas survive a skipped merge
+//     and the next op retries).
 //
-// Changed merge words dispatch through the exact machinery scalar tstores
-// use (fireOne: shard lock, coverage re-check, Fired identity), so the
-// trigger-observable semantics match a scalar TStore of the merged value.
+// Merge words are written through the exact pipeline scalar tstores use
+// (storeWord: noteWrite, then fireOne per attached thread — shard lock,
+// coverage re-check, Fired identity), so the trigger-observable semantics
+// match a scalar TStore of the merged value.
 // On the seeded backend the whole merge is one preemption point at its
 // end, like a batch.
 //
@@ -48,7 +48,6 @@ import (
 	"sync"
 
 	"dtt/internal/mem"
-	"dtt/internal/queue"
 	"dtt/internal/telemetry"
 )
 
@@ -145,8 +144,7 @@ func (r *Region) TUpdate(i int, op mem.UpdateOp, v mem.Word) {
 		// the visibility point — on the merging agent's clock.
 		c.OnUpdate(goid(), r.Name(), i, r.buf.Addr(i))
 	}
-	newly, since := u.plane.Apply(u.plane.Hint(), i, op, v)
-	r.rt.maybeEagerMerge(u, newly, since)
+	r.rt.maybeEagerMerge(u, u.plane.Apply(u.plane.Hint(), i, op, v))
 }
 
 // TUpdateBatch folds vs[j] into words lo+j under a single stripe lock,
@@ -174,20 +172,12 @@ func (r *Region) TUpdateBatch(lo int, op mem.UpdateOp, vs []mem.Word) {
 			c.OnUpdate(g, r.Name(), lo+j, r.buf.Addr(lo+j))
 		}
 	}
-	newly, since := u.plane.ApplyBatch(u.plane.Hint(), lo, op, vs)
-	r.rt.maybeEagerMerge(u, newly > 0, since)
+	r.rt.maybeEagerMerge(u, u.plane.ApplyBatch(u.plane.Hint(), lo, op, vs))
 }
 
-// maybeEagerMerge applies the eager merge policy after an apply: merge
-// when the plane-wide dirty-word count crosses MergeThreshold (checked
-// only on a newly-dirtied cell, so repeated folding into hot cells reads
-// no shared counter) or when the producer's stripe has applied MergeEvery
-// ops since its last merge.
-func (rt *Runtime) maybeEagerMerge(u *updatePlane, newly bool, since int64) {
-	if th := rt.cfg.MergeThreshold; th > 0 && newly && u.plane.Pending() >= int64(th) {
-		rt.mergePlane(u, false)
-		return
-	}
+// maybeEagerMerge applies the eager merge policy after an apply: merge when
+// the producer's stripe has applied MergeEvery ops since its last merge.
+func (rt *Runtime) maybeEagerMerge(u *updatePlane, since int64) {
 	if ev := rt.cfg.MergeEvery; ev > 0 && since >= int64(ev) {
 		rt.mergePlane(u, false)
 	}
@@ -240,11 +230,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		return
 	}
 	r := u.r
-	rec := rt.cfg.Recorder
-	var g uint64
-	if rt.check != nil {
-		g = goid()
-	}
+	g := rt.checkGoid()
 	// The inline list rides the pooled batch scratch so a steady merge
 	// cadence allocates nothing.
 	sc := rt.getScratch()
@@ -253,35 +239,17 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	for k := 0; k < n; k++ {
 		i := p.MergeIndex(k)
 		// LoadQuiet: folding reads the base value as part of applying a
-		// store, not as a workload load — it must not reach probes.
+		// store, not as a workload load — it must not reach probes. The
+		// merge store itself is a real store on the merging agent's clock
+		// (merge is the visibility point), charged, checked and fired
+		// exactly as a scalar tstore of the merged value.
 		_, v := p.MergeWord(k, r.buf.LoadQuiet(i))
-		rt.stats.mergedUpdates.Add(1)
-		if rec != nil {
-			// The merge store is a real store; charge the recorded trace
-			// as a tstore would.
-			rec.NoteTStore()
+		if rt.storeWord(r, i, v, g, &sc.inline) {
+			changed++
 		}
-		if !r.buf.Store(i, v) {
-			rt.stats.silentMerges.Add(1)
-			if rt.check != nil {
-				rt.check.OnSilentStore(g, r.Name(), i, r.buf.Addr(i))
-			}
-			continue
-		}
-		changed++
-		addr := r.buf.Addr(i)
-		if rt.check != nil {
-			// Merge is the visibility point: the happens-before stamp
-			// carries the merging agent's clock.
-			rt.check.OnStore(g, r.Name(), i, addr)
-		}
-		if !rt.reg.Covers(addr) {
-			continue
-		}
-		rt.reg.Each(addr, func(id queue.ThreadID) {
-			rt.fireOne(id, addr, g, &sc.inline)
-		})
 	}
+	rt.stats.mergedUpdates.Add(int64(n))
+	rt.stats.silentMerges.Add(int64(n - changed))
 	rt.stats.merges.Add(1)
 	if rt.tel != nil {
 		rt.tel.MergeLatency.Observe(telemetry.Now() - t0)
@@ -289,14 +257,8 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	}
 	u.mergeMu.Unlock()
 
-	for _, e := range sc.inline {
-		rt.runInline(e)
+	if changed > 0 {
+		rt.afterWrite(sc.inline)
 	}
-	sc.inline = sc.inline[:0]
 	rt.putScratch(sc)
-	if changed > 0 && rt.sched != nil {
-		// The whole merge is ONE preemption point, at its end, so seeded
-		// interleavings replay regardless of how many words merged.
-		rt.seededPoll()
-	}
 }

@@ -248,34 +248,6 @@ func TestSilentMergeSkipsThread(t *testing.T) {
 	}
 }
 
-// TestMergeThresholdEager checks the dirty-word threshold: crossing it
-// merges without any sync point.
-func TestMergeThresholdEager(t *testing.T) {
-	rt := newDeferred(t, func(cfg *Config) { cfg.MergeThreshold = 4 })
-	data := rt.NewRegion("data", 16)
-	for i := 0; i < 3; i++ {
-		data.TUpdate(i, UpdAdd, 1)
-	}
-	if got := rt.Stats().Merges; got != 0 {
-		t.Fatalf("merged below threshold: Merges = %d", got)
-	}
-	data.TUpdate(3, UpdAdd, 1) // 4th distinct dirty word: eager merge
-	s := rt.Stats()
-	if s.Merges != 1 || s.MergedUpdates != 4 {
-		t.Fatalf("after crossing threshold: %+v, want 1 merge of 4 words", s)
-	}
-	if got := data.Load(0); got != 1 {
-		t.Fatalf("word 0 = %d after eager merge, want 1", got)
-	}
-	// Re-dirtying the same words stays below the distinct-word threshold.
-	for i := 0; i < 3; i++ {
-		data.TUpdate(i, UpdAdd, 1)
-	}
-	if got := rt.Stats().Merges; got != 1 {
-		t.Fatalf("re-folding hot words merged again: Merges = %d", got)
-	}
-}
-
 // TestMergeEveryEager checks the per-stripe op cadence: MergeEvery ops on
 // one hot word force a merge even though only one word is dirty.
 func TestMergeEveryEager(t *testing.T) {
@@ -317,7 +289,7 @@ func TestLoadMergesPending(t *testing.T) {
 // source of nondeterminism.
 func TestTUpdateSeededDeterminism(t *testing.T) {
 	run := func(seed uint64) Stats {
-		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed, MergeThreshold: 3})
+		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed, MergeEvery: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

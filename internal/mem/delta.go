@@ -150,9 +150,9 @@ type DeltaPlane struct {
 	stripes []deltaStripe
 
 	// pending approximates the number of distinct dirty (stripe, word)
-	// cells. It is the lock-free "anything to merge?" probe and the
-	// MergeThreshold input; it can transiently lag a concurrent Apply,
-	// which is why Wait/Barrier merge under a blocking lock.
+	// cells. It is the lock-free "anything to merge?" probe; it can
+	// transiently lag a concurrent Apply, which is why Wait/Barrier merge
+	// under a blocking lock.
 	pending atomic.Int64
 
 	// Merge scratch, touched only under the runtime's per-plane merge
@@ -218,16 +218,16 @@ func (p *DeltaPlane) Hint() uint32 {
 }
 
 // Apply folds (op, v) into word i of stripe s (masked into range). It
-// reports whether the cell was newly dirtied and the stripe's op count
-// since its last merge — the MergeThreshold and MergeEvery inputs,
-// returned from here so the caller's fast path reads no extra atomics.
-func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) (newly bool, since int64) {
+// returns the stripe's op count since its last merge — the MergeEvery
+// input, returned from here so the caller's fast path reads no extra
+// atomics.
+func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) (since int64) {
 	st := &p.stripes[s&p.smask]
 	st.mu.Lock()
 	if st.cells == nil {
 		st.cells = make([]deltaCell, p.words) //dtt:escape-ok -- first-touch stripe allocation; steady state re-uses it
 	}
-	newly = st.apply(i, op, v)
+	newly := st.apply(i, op, v)
 	st.ops++
 	st.sinceMerge++
 	since = st.sinceMerge
@@ -235,26 +235,26 @@ func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) (newly bool, si
 	if newly {
 		p.pending.Add(1)
 	}
-	return newly, since
+	return since
 }
 
 // ApplyBatch folds vs[j] into words lo+j of stripe s under one stripe
 // lock, amortizing the lock and the counter maintenance across the span.
-// It returns the count of newly-dirtied cells and the stripe's op count
-// since its last merge.
+// It returns the stripe's op count since its last merge.
 //
 // The op dispatch is hoisted out of the per-word loop: each op gets its
 // own loop whose warm path (cell already accumulating under the same op)
 // is a single combine on the private cell, with cold cells (first touch,
 // op switch) falling back to the generic apply. Hot counter-shaped
 // batches spend the whole loop in the specialized arm.
-func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) (newly int, since int64) {
+func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) (since int64) {
 	st := &p.stripes[s&p.smask]
 	st.mu.Lock()
 	if st.cells == nil {
 		st.cells = make([]deltaCell, p.words) //dtt:escape-ok -- first-touch stripe allocation; steady state re-uses it
 	}
 	cells := st.cells[lo : lo+len(vs)]
+	newly := 0
 	switch op {
 	case UpdAdd:
 		for j, v := range vs {
@@ -316,7 +316,7 @@ func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) (newly
 	if newly != 0 {
 		p.pending.Add(int64(newly))
 	}
-	return newly, since
+	return since
 }
 
 // apply folds one op into one cell; the stripe lock is held.

@@ -112,13 +112,11 @@ func TestDeltaPlaneMixedOpsOrder(t *testing.T) {
 // cells across merge cycles (no repeated lazy allocation).
 func TestDeltaPlaneBatch(t *testing.T) {
 	p := NewDeltaPlane(16, 2)
-	newly, _ := p.ApplyBatch(0, 4, UpdAdd, []Word{1, 2, 3})
-	if newly != 3 {
-		t.Fatalf("ApplyBatch newly = %d, want 3", newly)
+	if since := p.ApplyBatch(0, 4, UpdAdd, []Word{1, 2, 3}); since != 3 || p.Pending() != 3 {
+		t.Fatalf("ApplyBatch: since = %d Pending = %d, want 3 ops and 3 newly dirty cells", since, p.Pending())
 	}
-	newly, _ = p.ApplyBatch(0, 4, UpdAdd, []Word{10, 10, 10})
-	if newly != 0 {
-		t.Fatalf("re-fold newly = %d, want 0", newly)
+	if since := p.ApplyBatch(0, 4, UpdAdd, []Word{10, 10, 10}); since != 6 || p.Pending() != 3 {
+		t.Fatalf("re-fold: since = %d Pending = %d, want 6 ops and no newly dirty cell", since, p.Pending())
 	}
 	n := p.Collect()
 	if n != 3 {

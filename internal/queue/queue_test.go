@@ -16,21 +16,21 @@ func TestRegistryAttachLookup(t *testing.T) {
 	if err := r.Attach(2, 150, 250); err != nil {
 		t.Fatal(err)
 	}
-	got := r.Lookup(175, nil)
+	got := eachIDs(r, 175)
 	if len(got) != 2 {
-		t.Fatalf("Lookup(175) = %v, want both threads", got)
+		t.Fatalf("Each(175) = %v, want both threads", got)
 	}
-	if got := r.Lookup(100, nil); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Lookup(100) = %v, want [1]", got)
+	if got := eachIDs(r, 100); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Each(100) = %v, want [1]", got)
 	}
-	if got := r.Lookup(200, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Lookup(200) = %v (hi is exclusive), want [2]", got)
+	if got := eachIDs(r, 200); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Each(200) = %v (hi is exclusive), want [2]", got)
 	}
-	if got := r.Lookup(99, nil); len(got) != 0 {
-		t.Fatalf("Lookup(99) = %v, want none", got)
+	if got := eachIDs(r, 99); len(got) != 0 {
+		t.Fatalf("Each(99) = %v, want none", got)
 	}
-	if got := r.Lookup(250, nil); len(got) != 0 {
-		t.Fatalf("Lookup(250) = %v, want none", got)
+	if got := eachIDs(r, 250); len(got) != 0 {
+		t.Fatalf("Each(250) = %v, want none", got)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestRegistryDetach(t *testing.T) {
 	if n := r.Detach(1); n != 2 {
 		t.Fatalf("Detach removed %d, want 2", n)
 	}
-	if got := r.Lookup(32, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("after detach, Lookup(32) = %v", got)
+	if got := eachIDs(r, 32); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after detach, Each(32) = %v", got)
 	}
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d after detach", r.Len())
@@ -75,15 +75,15 @@ func TestRegistryLookupAfterLateAttach(t *testing.T) {
 	// Attach after a lookup must re-sort, not serve stale results.
 	r := NewRegistry()
 	r.Attach(1, 500, 600)
-	r.Lookup(550, nil)
+	eachIDs(r, 550)
 	r.Attach(2, 100, 200)
-	if got := r.Lookup(150, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Lookup(150) after late attach = %v", got)
+	if got := eachIDs(r, 150); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Each(150) after late attach = %v", got)
 	}
 }
 
 func TestRegistryLookupProperty(t *testing.T) {
-	// Lookup must agree with a brute-force scan for arbitrary attachments.
+	// Each must agree with a brute-force scan for arbitrary attachments.
 	f := func(ranges []struct{ Lo, Span uint8 }, probe uint8) bool {
 		r := NewRegistry()
 		for i, rg := range ranges {
@@ -91,7 +91,7 @@ func TestRegistryLookupProperty(t *testing.T) {
 			hi := lo + mem.Addr(rg.Span%32) + 1
 			r.Attach(ThreadID(i), lo, hi)
 		}
-		got := r.Lookup(mem.Addr(probe), nil)
+		got := eachIDs(r, mem.Addr(probe))
 		want := 0
 		for i, rg := range ranges {
 			lo := mem.Addr(rg.Lo)
@@ -118,7 +118,7 @@ func TestRegistryLookupProperty(t *testing.T) {
 
 func TestRegistryManyRangesStress(t *testing.T) {
 	// Hundreds of overlapping attachments with interleaved detaches:
-	// Lookup must always agree with a brute-force scan.
+	// Each must always agree with a brute-force scan.
 	r := NewRegistry()
 	type att struct {
 		id     ThreadID
@@ -152,7 +152,7 @@ func TestRegistryManyRangesStress(t *testing.T) {
 			live = kept
 		}
 		probe := mem.Addr(next(4500))
-		got := r.Lookup(probe, nil)
+		got := eachIDs(r, probe)
 		want := 0
 		for _, a := range live {
 			if probe >= a.lo && probe < a.hi {
@@ -160,7 +160,7 @@ func TestRegistryManyRangesStress(t *testing.T) {
 			}
 		}
 		if len(got) != want {
-			t.Fatalf("step %d: Lookup(%d) = %d matches, want %d", step, probe, len(got), want)
+			t.Fatalf("step %d: Each(%d) = %d matches, want %d", step, probe, len(got), want)
 		}
 	}
 }
@@ -475,15 +475,15 @@ func TestRegistryAccessors(t *testing.T) {
 	if r.Attachments()[0].Thread == 99 {
 		t.Fatalf("Attachments aliases internal state")
 	}
-	r.Lookup(40, nil) // 2 matches
-	r.Lookup(0, nil)  // 1 match
+	eachIDs(r, 40) // 2 matches
+	eachIDs(r, 0)  // 1 match
 	if r.Lookups() != 2 || r.Matches() != 3 {
 		t.Fatalf("Lookups=%d Matches=%d, want 2/3", r.Lookups(), r.Matches())
 	}
 }
 
 // TestRegistryConcurrentReads exercises the lock-free read side: Covers and
-// Lookup race against a single mutator (the contract: mutations serialised
+// Each race against a single mutator (the contract: mutations serialised
 // by the caller, reads free). Run under -race this checks the snapshot
 // publication.
 func TestRegistryConcurrentReads(t *testing.T) {
@@ -494,7 +494,6 @@ func TestRegistryConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var dst []ThreadID
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -503,13 +502,11 @@ func TestRegistryConcurrentReads(t *testing.T) {
 				}
 				addr := mem.Addr(i%4096) * 8
 				if r.Covers(addr) {
-					dst = r.Lookup(addr, dst[:0])
-					for _, id := range dst {
+					r.Each(addr, func(id ThreadID) {
 						if id < 0 || id >= 8 {
-							t.Errorf("Lookup returned impossible thread %d", id)
-							return
+							t.Errorf("Each visited impossible thread %d", id)
 						}
-					}
+					})
 				}
 			}
 		}()

@@ -6,11 +6,11 @@
 // The thread queue and TQST carry no locking of their own: the runtime in
 // internal/core instantiates one of each per dispatch shard and serialises
 // access under the shard's lock, just as the hardware structures are
-// accessed from a single pipeline. The registry is
-// different: its read side (Covers, Lookup) is safe to call concurrently
-// with other reads and with Attach/Detach, because every mutation publishes
-// a fresh immutable index snapshot. That lets a triggering store reject
-// unattached addresses without taking any lock at all.
+// accessed from a single pipeline. The registry is different: its read side
+// (Covers, Each, Snapshot) is safe to call concurrently with other reads and
+// with Attach/Detach, because every mutation publishes a fresh immutable
+// index snapshot. That lets a triggering store reject unattached addresses
+// without taking any lock at all.
 package queue
 
 import (
@@ -114,49 +114,55 @@ func (r *Registry) Detach(t ThreadID) int {
 	return removed
 }
 
-// lookup appends the threads idx attaches to addr onto dst.
-func (idx *regIndex) lookup(addr mem.Addr, dst []ThreadID) []ThreadID {
-	// All attachments with Lo <= addr are candidates; they are contiguous
-	// at the front of the sorted slice.
-	n := sort.Search(len(idx.atts), func(i int) bool { return idx.atts[i].Lo > addr })
-	for i := 0; i < n; i++ {
-		if addr < idx.atts[i].Hi {
-			dst = append(dst, idx.atts[i].Thread)
+// searchAtts returns how many attachments of atts (sorted by Lo) have
+// Lo <= addr: every attachment that can cover addr sits in that prefix. It
+// is sort.Search with the closure flattened out: the store paths call it
+// once per changed word, where the indirect predicate call is measurable.
+func searchAtts(atts []Attachment, addr mem.Addr) int {
+	lo, hi := 0, len(atts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if atts[mid].Lo > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return dst
+	return lo
 }
 
-// Lookup appends to dst the threads attached to addr and returns the
-// extended slice. Passing a reused dst keeps the store fast path
-// allocation-free. Each matching thread appears once per matching
-// attachment.
-func (r *Registry) Lookup(addr mem.Addr, dst []ThreadID) []ThreadID {
-	r.lookups.Add(1)
-	was := len(dst)
-	dst = r.idx.Load().lookup(addr, dst)
-	if n := len(dst) - was; n > 0 {
-		r.matches.Add(int64(n))
+// Covers reports whether any attachment covers addr, without recording a
+// lookup or taking any lock. The triggering-store fast path uses it to
+// reject stores to unattached addresses before acquiring any dispatch
+// shard's lock, so such stores never contend.
+func (r *Registry) Covers(addr mem.Addr) bool {
+	idx := r.idx.Load()
+	if addr < idx.lo || addr >= idx.hi {
+		return false
 	}
-	return dst
+	for _, a := range idx.atts[:searchAtts(idx.atts, addr)] {
+		if addr < a.Hi {
+			return true
+		}
+	}
+	return false
 }
 
 // Each invokes fn once for every attachment covering addr, in index order
 // (sorted by range start), against the current published snapshot. Like
-// Covers it takes no lock, and unlike Lookup it needs no destination slice,
-// so the triggering-store dispatch path can walk the matches and go
-// straight to each thread's shard without any shared scratch buffer. The
-// callback must not mutate the registry. Lookup/match counters are
-// maintained exactly as for Lookup.
+// Covers it takes no lock, and it needs no destination slice, so the
+// triggering-store dispatch path can walk the matches and go straight to
+// each thread's shard without any shared scratch buffer. The callback must
+// not mutate the registry. Every call counts one lookup, and one match per
+// attachment visited.
 func (r *Registry) Each(addr mem.Addr, fn func(ThreadID)) {
 	r.lookups.Add(1)
 	idx := r.idx.Load()
-	n := sort.Search(len(idx.atts), func(i int) bool { return idx.atts[i].Lo > addr })
 	matched := 0
-	for i := 0; i < n; i++ {
-		if addr < idx.atts[i].Hi {
+	for _, a := range idx.atts[:searchAtts(idx.atts, addr)] {
+		if addr < a.Hi {
 			matched++
-			fn(idx.atts[i].Thread)
+			fn(a.Thread)
 		}
 	}
 	if matched > 0 {
@@ -181,49 +187,13 @@ type Snapshot struct {
 // Snapshot pins the current published index.
 func (r *Registry) Snapshot() Snapshot { return Snapshot{idx: r.idx.Load()} }
 
-// searchAtts returns how many attachments of atts (sorted by Lo) have
-// Lo <= addr. It is sort.Search with the closure flattened out: the batch
-// store path calls it once per changed word, where the indirect predicate
-// call is measurable.
-func searchAtts(atts []Attachment, addr mem.Addr) int {
-	lo, hi := 0, len(atts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if atts[mid].Lo > addr {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Each invokes fn once for every attachment covering addr in the pinned
-// index, in index order, and returns the number of matches. The callback
-// must not mutate the registry.
-func (s Snapshot) Each(addr mem.Addr, fn func(ThreadID)) int {
-	idx := s.idx
-	if addr < idx.lo || addr >= idx.hi {
-		return 0
-	}
-	n := searchAtts(idx.atts, addr)
-	matched := 0
-	for i := 0; i < n; i++ {
-		if addr < idx.atts[i].Hi {
-			matched++
-			fn(idx.atts[i].Thread)
-		}
-	}
-	return matched
-}
-
 // Overlapping appends onto dst every attachment in the pinned index whose
 // range intersects the span [lo, hi), in index order, and returns the
 // extended slice. A batched triggering store resolves its contiguous span
 // against the index once, then tests each changed word against the (almost
 // always zero or one) candidate ranges — two comparisons per word instead
 // of a search. Candidates appear in index order, so walking them per word
-// yields matches in exactly the order AppendMatches would.
+// yields matches in exactly the order Registry.Each would.
 func (s Snapshot) Overlapping(lo, hi mem.Addr, dst []Attachment) []Attachment {
 	idx := s.idx
 	if hi <= idx.lo || lo >= idx.hi {
@@ -239,42 +209,6 @@ func (s Snapshot) Overlapping(lo, hi mem.Addr, dst []Attachment) []Attachment {
 	return dst
 }
 
-// AppendMatches appends the thread of every attachment covering addr in the
-// pinned index onto dst, in index order, and returns the extended slice.
-// It is Each with the callback replaced by a destination slice: the batched
-// triggering store reuses one scratch slice across the whole batch, so the
-// per-word cost is the range check, the branch-free search and the candidate
-// scan — no indirect calls.
-func (s Snapshot) AppendMatches(addr mem.Addr, dst []ThreadID) []ThreadID {
-	idx := s.idx
-	if addr < idx.lo || addr >= idx.hi {
-		return dst
-	}
-	atts := idx.atts
-	n := searchAtts(atts, addr)
-	for i := 0; i < n; i++ {
-		if addr < atts[i].Hi {
-			dst = append(dst, atts[i].Thread)
-		}
-	}
-	return dst
-}
-
-// Covers reports whether any attachment in the pinned index covers addr.
-func (s Snapshot) Covers(addr mem.Addr) bool {
-	idx := s.idx
-	if addr < idx.lo || addr >= idx.hi {
-		return false
-	}
-	n := sort.Search(len(idx.atts), func(i int) bool { return idx.atts[i].Lo > addr })
-	for i := 0; i < n; i++ {
-		if addr < idx.atts[i].Hi {
-			return true
-		}
-	}
-	return false
-}
-
 // NoteLookups settles lookup/match counts a Snapshot user accumulated
 // locally, preserving the T3 characterisation table's semantics (one
 // lookup per covered probe) at one pair of atomic adds per batch.
@@ -287,24 +221,6 @@ func (r *Registry) NoteLookups(lookups, matches int64) {
 	}
 }
 
-// Covers reports whether any attachment covers addr, without recording a
-// lookup or taking any lock. The triggering-store fast path uses it to
-// reject stores to unattached addresses before acquiring any dispatch
-// shard's lock, so such stores never contend.
-func (r *Registry) Covers(addr mem.Addr) bool {
-	idx := r.idx.Load()
-	if addr < idx.lo || addr >= idx.hi {
-		return false
-	}
-	n := sort.Search(len(idx.atts), func(i int) bool { return idx.atts[i].Lo > addr })
-	for i := 0; i < n; i++ {
-		if addr < idx.atts[i].Hi {
-			return true
-		}
-	}
-	return false
-}
-
 // Attachments returns a copy of the current attachments.
 func (r *Registry) Attachments() []Attachment {
 	out := make([]Attachment, len(r.atts))
@@ -315,8 +231,9 @@ func (r *Registry) Attachments() []Attachment {
 // Len returns the number of attachments.
 func (r *Registry) Len() int { return len(r.atts) }
 
-// Lookups returns the number of Lookup calls served.
+// Lookups returns the number of lookups served: Each calls plus the counts
+// settled through NoteLookups.
 func (r *Registry) Lookups() int64 { return r.lookups.Load() }
 
-// Matches returns the total threads returned across all lookups.
+// Matches returns the total threads matched across all lookups.
 func (r *Registry) Matches() int64 { return r.matches.Load() }

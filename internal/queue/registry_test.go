@@ -7,12 +7,11 @@ import (
 	"dtt/internal/mem"
 )
 
-// The registry's read plane has two generations of API: the per-probe
-// reads (Covers/Lookup/Each against the live published index) and the
-// batch reads (Snapshot pinning one index, then Each/AppendMatches/
-// Overlapping/Covers against it). These tests pin both against a naive
-// scan of Attachments(), including the match order contract (index order
-// = sorted by range start).
+// The registry's read plane is three calls: the per-probe reads (Covers
+// and Each against the live published index) and the batch read (Snapshot
+// pinning one index, then Overlapping against it). These tests pin all
+// three against a naive scan of Attachments(), including the match order
+// contract (index order = sorted by range start).
 
 func testRegistry(t *testing.T) *Registry {
 	t.Helper()
@@ -45,6 +44,23 @@ func naiveMatches(r *Registry, addr mem.Addr) []ThreadID {
 	return out
 }
 
+// eachIDs collects the threads Each visits for addr, in visiting order.
+func eachIDs(r *Registry, addr mem.Addr) []ThreadID {
+	var out []ThreadID
+	r.Each(addr, func(id ThreadID) { out = append(out, id) })
+	return out
+}
+
+// overlapIDs collects the threads of the attachments s.Overlapping returns
+// for the span [lo, hi), in index order.
+func overlapIDs(s Snapshot, lo, hi mem.Addr) []ThreadID {
+	var out []ThreadID
+	for _, a := range s.Overlapping(lo, hi, nil) {
+		out = append(out, a.Thread)
+	}
+	return out
+}
+
 func eqIDs(a, b []ThreadID) bool {
 	if len(a) != len(b) {
 		return false
@@ -66,23 +82,14 @@ func TestRegistryReadsAgreeWithNaiveScan(t *testing.T) {
 		if got := r.Covers(addr); got != (len(want) > 0) {
 			t.Fatalf("Covers(%d) = %v, want %v", addr, got, len(want) > 0)
 		}
-		if got := s.Covers(addr); got != (len(want) > 0) {
-			t.Fatalf("Snapshot.Covers(%d) = %v, want %v", addr, got, len(want) > 0)
+		if got := eachIDs(r, addr); !eqIDs(got, want) {
+			t.Fatalf("Each(%d) = %v, want %v", addr, got, want)
 		}
-		if got := r.Lookup(addr, nil); !eqIDs(got, want) {
-			t.Fatalf("Lookup(%d) = %v, want %v", addr, got, want)
-		}
-		var each []ThreadID
-		r.Each(addr, func(id ThreadID) { each = append(each, id) })
-		if !eqIDs(each, want) {
-			t.Fatalf("Each(%d) = %v, want %v", addr, each, want)
-		}
-		var snapEach []ThreadID
-		if n := s.Each(addr, func(id ThreadID) { snapEach = append(snapEach, id) }); n != len(want) || !eqIDs(snapEach, want) {
-			t.Fatalf("Snapshot.Each(%d) = %v (n=%d), want %v", addr, snapEach, n, want)
-		}
-		if got := s.AppendMatches(addr, nil); !eqIDs(got, want) {
-			t.Fatalf("Snapshot.AppendMatches(%d) = %v, want %v", addr, got, want)
+		// A one-word span resolves to exactly the word's matches, in the
+		// same order: what the batched store's per-word interval test
+		// walks.
+		if got := overlapIDs(s, addr, addr+1); !eqIDs(got, want) {
+			t.Fatalf("Overlapping(%d, %d) = %v, want %v", addr, addr+1, got, want)
 		}
 	}
 }
@@ -97,10 +104,10 @@ func TestRegistrySnapshotPinsOneInstant(t *testing.T) {
 	if err := r.Attach(4, 512, 576); err != nil {
 		t.Fatal(err)
 	}
-	if old.Covers(512) {
-		t.Fatal("pinned snapshot sees an attachment made after it was taken")
+	if got := overlapIDs(old, 512, 520); len(got) != 0 {
+		t.Fatalf("pinned snapshot sees an attachment made after it was taken: %v", got)
 	}
-	if !r.Snapshot().Covers(512) || !r.Covers(512) {
+	if got := overlapIDs(r.Snapshot(), 512, 520); !eqIDs(got, []ThreadID{4}) || !r.Covers(512) {
 		t.Fatal("fresh snapshot / live read misses the new attachment")
 	}
 	if r.Detach(4) != 1 {
@@ -122,31 +129,28 @@ func TestRegistryOverlapping(t *testing.T) {
 		{1 << 20, 1 << 21, nil},       // entirely past the index bounds
 		{200, 512, []ThreadID{3}},     // straddles range 3
 	} {
-		var got []ThreadID
-		for _, a := range s.Overlapping(tc.lo, tc.hi, nil) {
-			got = append(got, a.Thread)
-		}
+		got := overlapIDs(s, tc.lo, tc.hi)
 		if !eqIDs(got, tc.want) {
 			t.Errorf("Overlapping(%d, %d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
 		}
 	}
 }
 
-// TestRegistryLookupAccounting: per-probe reads count one lookup each and
-// one match per returned thread; snapshot reads count nothing until the
-// caller settles them with NoteLookups (zero settles are free).
+// TestRegistryLookupAccounting: Each counts one lookup per call and one
+// match per visited thread; Covers and snapshot reads count nothing until
+// the caller settles them with NoteLookups (zero settles are free).
 func TestRegistryLookupAccounting(t *testing.T) {
 	r := testRegistry(t)
-	r.Lookup(40, nil)              // 2 matches
-	r.Each(300, func(ThreadID) {}) // 1 match
-	r.Each(200, func(ThreadID) {}) // covered-gap probe, 0 matches
+	eachIDs(r, 40)  // 2 matches
+	eachIDs(r, 300) // 1 match
+	eachIDs(r, 200) // covered-gap probe, 0 matches
 	if l, m := r.Lookups(), r.Matches(); l != 3 || m != 3 {
 		t.Fatalf("after per-probe reads: lookups %d matches %d, want 3 and 3", l, m)
 	}
-	s := r.Snapshot()
-	s.AppendMatches(40, nil)
+	r.Covers(40)
+	r.Snapshot().Overlapping(0, 384, nil)
 	if l, m := r.Lookups(), r.Matches(); l != 3 || m != 3 {
-		t.Fatalf("snapshot read touched the counters: lookups %d matches %d", l, m)
+		t.Fatalf("Covers or a snapshot read touched the counters: lookups %d matches %d", l, m)
 	}
 	r.NoteLookups(0, 0)
 	r.NoteLookups(5, 2)
@@ -160,7 +164,7 @@ func TestRegistryLookupAccounting(t *testing.T) {
 // the last attachment returns the registry to the empty index.
 func TestRegistryEmptyAndErrors(t *testing.T) {
 	r := NewRegistry()
-	if r.Covers(0) || r.Snapshot().Covers(0) {
+	if r.Covers(0) || len(eachIDs(r, 0)) != 0 {
 		t.Fatal("empty registry covers an address")
 	}
 	if got := r.Snapshot().Overlapping(0, 1<<30, nil); len(got) != 0 {

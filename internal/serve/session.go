@@ -34,19 +34,24 @@ type msg struct {
 //
 // Replies are never dropped: the client is waiting on them and they are
 // bounded by requests in flight (one each). CHANGE_NOTIFY frames are
-// fire-and-forget and are dropped once the mailbox holds cap entries,
+// fire-and-forget and are dropped once the mailbox holds cap of them,
 // counted in the server's notify-dropped counter — backpressure by
 // shedding, not by stalling the dispatch plane. Shedding is never silent
 // on the wire: every CHANGE_NOTIFY carries the session's cumulative
 // dropped count, stamped at encode time (see writeLoop), so a subscriber
 // that lost notifications learns it from the very next one it receives.
-// A drop can only happen while the mailbox already holds cap entries,
-// and those entries are encoded strictly after the drop, so at least cap
-// post-drop stamps are always on their way to the client.
+// A drop can only happen while the mailbox already holds cap pending
+// notifications, and those are encoded strictly after the drop, so at
+// least cap post-drop stamps are always on their way to the client. The
+// cap therefore counts notifications only: were queued replies to count
+// against it, a burst shed behind cap replies would have no stamp behind
+// it and the gap would stay invisible until the next notification.
 type outbox struct {
-	mu     sync.Mutex
-	buf    []msg //dtt:guards mu
-	spare  []msg //dtt:guards mu
+	mu    sync.Mutex
+	buf   []msg //dtt:guards mu
+	spare []msg //dtt:guards mu
+	// notes counts the droppable messages in buf.
+	notes  int //dtt:guards mu
 	wake   chan struct{}
 	closed bool //dtt:guards mu
 	cap    int
@@ -60,9 +65,12 @@ func newOutbox(capacity int) *outbox {
 // false when the message was dropped or the outbox is closed.
 func (o *outbox) push(m msg, droppable bool) bool {
 	o.mu.Lock()
-	if o.closed || (droppable && len(o.buf) >= o.cap) {
+	if o.closed || (droppable && o.notes >= o.cap) {
 		o.mu.Unlock()
 		return false
+	}
+	if droppable {
+		o.notes++
 	}
 	o.buf = append(o.buf, m)
 	o.mu.Unlock()
@@ -80,6 +88,7 @@ func (o *outbox) swap() (batch []msg, closed bool) {
 	o.mu.Lock()
 	batch, o.buf = o.buf, o.spare[:0]
 	o.spare = batch
+	o.notes = 0
 	closed = o.closed
 	o.mu.Unlock()
 	return batch, closed

@@ -45,8 +45,9 @@ lock-table-check:
 
 # Compiler-level zero-allocation gate for the triggering fast paths: fails
 # if `go build -gcflags=-m` reports new heap allocations inside the pinned
-# functions (TStore*/TUpdate*, queue and delta hot paths). Intentional
-# first-touch allocations are justified with `//dtt:escape-ok -- <reason>`.
+# functions (TStore*/TUpdate*, queue and delta hot paths, the serve
+# plane's notify push and frame encode). Intentional first-touch
+# allocations are justified with `//dtt:escape-ok -- <reason>`.
 escape-gate:
 	$(GO) run ./cmd/escapegate
 
@@ -118,12 +119,13 @@ bench-fastpath:
 
 # Explicit allocation gate for the triggering-store fast paths, telemetry
 # off and on, plus the load generator's arrival tick (on every open-loop
-# request's path, so it is held to the same 0 allocs/op contract). The
-# same tests run inside `make race`, but a dedicated target runs them
-# without -race instrumentation (which changes allocation behaviour) and
-# names the contract in the CI log.
+# request's path, so it is held to the same 0 allocs/op contract) and
+# the serve plane's subscribed request over loopback. The same tests run
+# inside `make race`, but a dedicated target runs them without -race
+# instrumentation (which changes allocation behaviour) and names the
+# contract in the CI log.
 allocs-gate:
-	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate)FastPathAllocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate|ServeNotify)FastPathAllocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 	$(GO) test -count=1 -run 'TestArrivalsFastPathAllocs' -v ./internal/loadgen | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Batched triggering-store benchmarks: the scalar-vs-batch throughput pair

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dtt"
+	"dtt/internal/serve"
 )
 
 // allocRuntime builds the same shape as the BenchmarkTStore* family: one
@@ -224,4 +225,60 @@ func TestTUpdateFastPathAllocs(t *testing.T) {
 
 func TestTUpdateFastPathAllocsTelemetry(t *testing.T) {
 	assertUpdateFastPathAllocs(t, "telemetry on", true)
+}
+
+// TestServeNotifyFastPathAllocs holds the serve plane's subscribed request
+// to the same contract over a real loopback socket, client and server
+// together (AllocsPerRun counts the whole process): a 16-word Batch, the
+// Wait that collects its ranged CHANGE_NOTIFY, and the Notifies drain
+// allocate nothing once the mailbox arenas, the frame buffers and the
+// client's two notify slices have reached their working size.
+func TestServeNotifyFastPathAllocs(t *testing.T) {
+	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	srv := serve.NewServer(rt, serve.Options{})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cs, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	h, err := cs.Attach("hot", 256, 0, 256)
+	if err == nil {
+		err = cs.Subscribe(h)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var vals [16]dtt.Word
+	var v dtt.Word
+	request := func() {
+		for i := range vals {
+			v++
+			vals[i] = v
+		}
+		changed, err := cs.Batch(h, int(v)%(256-len(vals)), vals[:])
+		if err == nil {
+			err = cs.Wait(h)
+		}
+		ns := cs.Notifies()
+		if err != nil || changed != len(vals) || len(ns) != len(vals) {
+			t.Fatalf("request: %d changed, %d notifies, err %v", changed, len(ns), err)
+		}
+	}
+	// Warm-up: both halves of every double buffer, on both ends.
+	for i := 0; i < 64; i++ {
+		request()
+	}
+	if got := testing.AllocsPerRun(200, request); got != 0 {
+		t.Errorf("subscribed 16-word Batch+Wait+Notifies allocates %.2f allocs/op, want 0", got)
+	}
 }

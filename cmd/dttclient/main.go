@@ -204,7 +204,7 @@ func runSmoke(stdout, stderr io.Writer) int {
 	}
 	got := len(cs.Notifies())
 	if got == 0 {
-		return fail("no CHANGE_NOTIFY frames after %d changing batches", batches)
+		return fail("no notifications after %d changing batches", batches)
 	}
 
 	// Scrape the metrics endpoint and re-assert the counter identity from

@@ -81,6 +81,12 @@ var pinned = map[string][]string{
 		"ThreadQueue.countUp",
 		"ThreadQueue.key",
 	},
+	// The serve plane's subscribed request: the notify push every firing
+	// support thread makes, and the writer's per-frame encode.
+	"internal/serve": {
+		"outbox.pushNotify",
+		"appendMsg",
+	},
 }
 
 func main() {

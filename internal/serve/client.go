@@ -8,20 +8,23 @@ import (
 	"dtt/internal/mem"
 )
 
-// Notify is one CHANGE_NOTIFY received from the server: the subscribed
-// handle, the changed word's index in its region, and the value the
-// support thread observed.
+// Notify is one change notification received from the server: the
+// subscribed handle, the changed word's index in its region, and the value
+// the support thread observed. The wire carries runs of adjacent words in
+// one CHANGE_NOTIFY frame; the session expands each frame back into one
+// Notify per word, in index order.
 type Notify struct {
 	Handle uint32
 	Index  int
 	Value  mem.Word
-	// Dropped is the session's cumulative count of notifications the
-	// server shed at the mailbox cap, stamped when this frame was
-	// encoded. A jump between consecutive notifies means notifications
-	// were lost in between: the subscriber's view may be stale and should
-	// be re-established with Read. The count is session-wide, not
-	// per-handle — shedding at the mailbox does not know which handle's
-	// notification it refused.
+	// Dropped is the session's cumulative count of notifications (words)
+	// the server shed at the mailbox cap, stamped when the frame that
+	// carried this word was encoded; every word of one frame shares it. A
+	// jump between consecutive notifies means notifications were lost in
+	// between: the subscriber's view may be stale and should be
+	// re-established with Read. The count is session-wide, not per-handle
+	// — shedding at the mailbox does not know which handle's notification
+	// it refused.
 	Dropped uint32
 }
 
@@ -39,7 +42,11 @@ type Session struct {
 	bw      *bufio.Writer
 	scratch []byte
 	id      uint32
+	// pending collects notifications until Notifies hands them out;
+	// handed is the slice the previous Notifies call returned, reused as
+	// the next pending so a steady drain allocates nothing.
 	pending []Notify
+	handed  []Notify
 	// dropped is the highest cumulative shed count seen on any
 	// CHANGE_NOTIFY; gap is the portion not yet acknowledged via
 	// TakeGap.
@@ -53,6 +60,14 @@ func Dial(addr string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSession(conn)
+}
+
+// newSession performs the HELLO handshake over conn, which it owns from
+// here on (closed on failure). The session's one frameReader is created
+// here and reads the handshake too: read-ahead must never be left behind
+// in a discarded reader.
+func newSession(conn net.Conn) (*Session, error) {
 	s := &Session{conn: conn, fr: newFrameReader(conn), bw: bufio.NewWriter(conn)}
 	reply, err := s.roundTrip(OpHello, func(b []byte) []byte {
 		b = appendU32(b, Magic)
@@ -95,19 +110,14 @@ func (s *Session) roundTrip(op byte, payload func([]byte) []byte) ([]byte, error
 		case op:
 			return rp, nil
 		case OpChangeNotify:
-			c := cursor{b: rp}
-			n := Notify{Handle: c.u32()}
-			n.Index = int(c.u32())
-			n.Value = c.u64()
-			n.Dropped = c.u32()
-			if !c.done() {
-				return nil, fmt.Errorf("serve: malformed CHANGE_NOTIFY of %d bytes", len(rp))
+			var dropped uint32
+			if s.pending, dropped, err = appendNotifies(s.pending, rp); err != nil {
+				return nil, err
 			}
-			if n.Dropped > s.dropped {
-				s.gap += n.Dropped - s.dropped
-				s.dropped = n.Dropped
+			if dropped > s.dropped {
+				s.gap += dropped - s.dropped
+				s.dropped = dropped
 			}
-			s.pending = append(s.pending, n)
 		case OpError:
 			c := cursor{b: rp}
 			text := string(c.take(int(c.u16())))
@@ -119,6 +129,21 @@ func (s *Session) roundTrip(op byte, payload func([]byte) []byte) ([]byte, error
 			return nil, fmt.Errorf("serve: unexpected %s awaiting %s reply", opName(rop), opName(op))
 		}
 	}
+}
+
+// appendNotifies decodes one ranged CHANGE_NOTIFY payload, appending a
+// Notify per word to dst in index order, and returns the frame's dropped
+// stamp. A count that disagrees with the payload length is a decode error.
+func appendNotifies(dst []Notify, payload []byte) ([]Notify, uint32, error) {
+	c := cursor{b: payload}
+	handle, lo, dropped, n := c.u32(), c.u32(), c.u32(), c.u32()
+	if c.bad || n > maxNotifyRun || len(payload)-c.off != int(n)*8 {
+		return dst, 0, fmt.Errorf("serve: malformed CHANGE_NOTIFY of %d bytes", len(payload))
+	}
+	for i := 0; i < int(n); i++ {
+		dst = append(dst, Notify{Handle: handle, Index: int(lo) + i, Value: c.u64(), Dropped: dropped})
+	}
+	return dst, dropped, nil
 }
 
 // u32Reply decodes a single-u32 reply payload.
@@ -270,11 +295,13 @@ func (s *Session) Read(handle uint32, lo, n int) ([]mem.Word, error) {
 
 // Notifies drains and returns the notifications buffered so far, in
 // arrival order. Each notify carries the session's cumulative dropped
-// count as of its encoding; TakeGap folds the same information into a
-// single "how many did I miss since I last asked" answer.
+// count as of its frame's encoding; TakeGap folds the same information
+// into a single "how many did I miss since I last asked" answer. The
+// returned slice is valid until the next Notifies call, which recycles
+// it: copy what must outlive that.
 func (s *Session) Notifies() []Notify {
 	n := s.pending
-	s.pending = nil
+	s.pending, s.handed = s.handed[:0], n
 	return n
 }
 

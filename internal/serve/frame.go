@@ -32,10 +32,13 @@ const (
 	// added the cumulative dropped count to CHANGE_NOTIFY (notification
 	// shedding became detectable in-band instead of a server-side counter
 	// only) and the READ opcode subscribers use to re-establish a
-	// consistent view after a gap. Both sides speak exactly one version;
-	// a version-1 peer is refused at HELLO rather than silently fed
-	// frames whose payload shape it would misparse.
-	Version uint16 = 2
+	// consistent view after a gap. Version 3 made CHANGE_NOTIFY ranged:
+	// one frame carries a run of adjacent changed words of one handle
+	// under a single dropped stamp, so a burst costs one header, not one
+	// per word. Both sides speak exactly one version; an older peer is
+	// refused at HELLO rather than silently fed frames whose payload
+	// shape it would misparse.
+	Version uint16 = 3
 	// MaxFrame bounds length (opcode + payload). A TSTORE_BATCH of
 	// MaxFrame bytes carries ~128k words, far above any batch the span
 	// path can amortise further, and small enough that a hostile length
@@ -43,6 +46,14 @@ const (
 	MaxFrame = 1 << 20
 	// headerLen is the fixed prefix: length u32 + opcode u8.
 	headerLen = 5
+	// readBufSize is the frameReader's read-ahead: one read(2) drains up
+	// to this much of what the kernel holds, so a burst of small frames
+	// costs one syscall instead of two per frame.
+	readBufSize = 4096
+	// notifyFixed is CHANGE_NOTIFY's fixed payload prefix (handle, lo,
+	// dropped, n); maxNotifyRun caps a run so the frame fits MaxFrame.
+	notifyFixed  = 16
+	maxNotifyRun = (MaxFrame - 1 - notifyFixed) / 8
 )
 
 // Opcodes. Replies reuse the request opcode; CHANGE_NOTIFY and ERROR are
@@ -54,7 +65,7 @@ const (
 	OpWait         byte = 4  // req: handle u32 → reply: empty
 	OpBarrier      byte = 5  // req: empty → reply: empty
 	OpSubscribe    byte = 6  // req: handle u32 → reply: empty
-	OpChangeNotify byte = 7  // server→client: handle u32 | index u32 | value u64 | dropped u32
+	OpChangeNotify byte = 7  // server→client: handle u32 | lo u32 | dropped u32 | n u32 | n×8B values
 	OpError        byte = 8  // server→client: msgLen u16 | msg
 	OpTUpdate      byte = 9  // req: handle u32 | op u8 | lo u32 | n u32 | n×8B operands → reply: applied u32
 	OpRead         byte = 10 // req: handle u32 | lo u32 | n u32 → reply: n u32 | n×8B words
@@ -87,45 +98,75 @@ func opName(op byte) string {
 	return fmt.Sprintf("opcode %d", op)
 }
 
-// frameReader decodes frames from a byte stream into a reused buffer. The
-// returned payload aliases the buffer and is valid until the next
-// ReadFrame. The buffer never exceeds MaxFrame bytes: a hostile or
-// corrupt length prefix is rejected before any allocation happens.
+// frameReader decodes frames from a byte stream through a fixed
+// readBufSize read-ahead buffer: one Read on the underlying stream drains
+// everything the kernel has, and every frame already buffered is decoded
+// without touching the stream again. A frame that fits the buffer is
+// returned as a slice of it (no copy) and released by the next ReadFrame;
+// a larger payload is read straight into a reused side buffer that never
+// exceeds MaxFrame bytes — a hostile or corrupt length prefix is rejected
+// before any allocation happens. Either way the returned payload is valid
+// until the next ReadFrame. Read-ahead lives here, so a connection has
+// exactly one frameReader for its whole life, handshake included.
 type frameReader struct {
-	r   io.Reader
-	hdr [headerLen]byte
-	buf []byte
+	br *bufio.Reader
+	// held is the length of the buffered frame the last returned payload
+	// aliases. Peeked bytes are only good until the bufio.Reader's next
+	// read call, so the frame is discarded by the next ReadFrame, not
+	// the one that returned it.
+	held int
+	buf  []byte // payloads larger than the read buffer
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufSize)}
+}
 
 // ReadFrame reads one frame, returning its opcode and payload. io.EOF is
 // returned only on a clean boundary (no bytes of a new frame read);
 // mid-frame truncation is io.ErrUnexpectedEOF.
 func (fr *frameReader) ReadFrame() (op byte, payload []byte, err error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("serve: truncated frame header: %w", err)
+	fr.br.Discard(fr.held) // buffered, so it cannot fail
+	fr.held = 0
+	hdr, err := fr.br.Peek(headerLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			return 0, nil, fmt.Errorf("serve: truncated frame header: %w", io.ErrUnexpectedEOF)
 		}
 		return 0, nil, err
 	}
-	length := binary.BigEndian.Uint32(fr.hdr[:4])
+	length := binary.BigEndian.Uint32(hdr[:4])
 	if length < 1 || length > MaxFrame {
 		return 0, nil, fmt.Errorf("serve: frame length %d outside [1, %d]", length, MaxFrame)
 	}
-	op = fr.hdr[4]
+	op = hdr[4]
 	n := int(length) - 1
+	if headerLen+n <= readBufSize {
+		frame, err := fr.br.Peek(headerLen + n)
+		if err != nil {
+			return 0, nil, truncatedPayload(op, err)
+		}
+		fr.held = len(frame)
+		return op, frame[headerLen:], nil
+	}
+	fr.br.Discard(headerLen)
 	if cap(fr.buf) < n {
 		fr.buf = make([]byte, n)
 	}
 	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("serve: truncated %s payload: %w", opName(op), err)
+	// Past the buffered prefix bufio reads straight into fr.buf, so a
+	// large payload is not copied twice.
+	if _, err := io.ReadFull(fr.br, fr.buf); err != nil {
+		return 0, nil, truncatedPayload(op, err)
 	}
 	return op, fr.buf, nil
+}
+
+func truncatedPayload(op byte, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("serve: truncated %s payload: %w", opName(op), err)
 }
 
 // cursor walks a frame payload. Reads past the end set bad instead of

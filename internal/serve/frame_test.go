@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -122,35 +123,155 @@ func TestCursorOverreadSetsBad(t *testing.T) {
 	}
 }
 
+// countingReader counts the Read calls that reach the underlying stream:
+// each one is a read(2) on a real connection.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// rawFrame builds one frame by hand, independent of the encoder.
+func rawFrame(op byte, payload []byte) []byte {
+	b := make([]byte, headerLen+len(payload))
+	binary.BigEndian.PutUint32(b, uint32(1+len(payload)))
+	b[4] = op
+	copy(b[headerLen:], payload)
+	return b
+}
+
 // TestFrameReaderReusesBuffer pins the decoder's allocation discipline: a
-// stream of equal-size frames must not allocate per frame, and the buffer
-// never exceeds the largest frame seen (which is itself capped by
-// MaxFrame).
+// stream of frames must not allocate per frame, whether they fit the read
+// buffer (the payload aliases it) or exceed it (the payload lands in one
+// reused side buffer, which never exceeds the largest frame seen — itself
+// capped by MaxFrame).
 func TestFrameReaderReusesBuffer(t *testing.T) {
-	var buf bytes.Buffer
-	payload := bytes.Repeat([]byte{0xab}, 512)
-	for i := 0; i < 8; i++ {
-		hdr := make([]byte, headerLen)
-		binary.BigEndian.PutUint32(hdr, uint32(1+len(payload)))
-		hdr[4] = OpTStoreBatch
-		buf.Write(hdr)
-		buf.Write(payload)
-	}
-	fr := newFrameReader(&buf)
-	if _, _, err := fr.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-	first := &fr.buf[0]
-	for i := 1; i < 8; i++ {
+	small := rawFrame(OpTStoreBatch, bytes.Repeat([]byte{0xab}, 512))
+	large := rawFrame(OpTStoreBatch, bytes.Repeat([]byte{0xcd}, 3*readBufSize))
+	const frames = 64
+	stream := bytes.Repeat(append(append([]byte{}, small...), large...), frames+1)
+	fr := newFrameReader(bytes.NewReader(stream))
+	read := func() []byte {
 		_, p, err := fr.ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &p[0] != first {
-			t.Fatalf("frame %d reallocated the decode buffer", i)
+		return p
+	}
+	if p := read(); len(p) != 512 || fr.buf != nil {
+		t.Fatalf("small frame: %d payload bytes, side buffer of %d; want 512 aliasing the read buffer", len(p), cap(fr.buf))
+	}
+	first := &read()[0]
+	if got := testing.AllocsPerRun(frames-1, func() {
+		read()
+		if p := read(); &p[0] != first {
+			t.Fatal("large frame reallocated the side buffer")
+		}
+	}); got != 0 {
+		t.Fatalf("steady-state ReadFrame allocates %.1f allocs per small+large pair, want 0", got)
+	}
+	if cap(fr.buf) != 3*readBufSize {
+		t.Fatalf("side buffer is %d bytes, want the largest payload seen (%d)", cap(fr.buf), 3*readBufSize)
+	}
+}
+
+// TestFrameReaderBatchesReads: frames the kernel already holds cost one
+// Read between them, not two each — the syscall-proportional property the
+// serve plane's request cost rests on.
+func TestFrameReaderBatchesReads(t *testing.T) {
+	var stream []byte
+	const frames = 20
+	for i := 0; i < frames; i++ {
+		stream = append(stream, rawFrame(OpChangeNotify, bytes.Repeat([]byte{byte(i)}, 24))...)
+	}
+	cr := &countingReader{r: bytes.NewReader(stream)}
+	fr := newFrameReader(cr)
+	for i := 0; i < frames; i++ {
+		op, p, err := fr.ReadFrame()
+		if err != nil || op != OpChangeNotify || !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, 24)) {
+			t.Fatalf("frame %d: op %d, payload %x, err %v", i, op, p, err)
 		}
 	}
-	if cap(fr.buf) > MaxFrame {
-		t.Fatalf("decode buffer grew to %d, above MaxFrame", cap(fr.buf))
+	if cr.reads != 1 {
+		t.Fatalf("%d frames delivered together took %d Reads, want 1", frames, cr.reads)
+	}
+	if _, _, err := fr.ReadFrame(); err != io.EOF {
+		t.Fatalf("ReadFrame at stream end: %v, want io.EOF", err)
+	}
+}
+
+// TestFrameReaderFragmentedStream: a stream delivered a byte at a time —
+// small frames, a frame larger than the read buffer, then small frames
+// again — decodes to the same frames, each payload intact until the next
+// ReadFrame, with enough small frames in a row to slide the read buffer.
+func TestFrameReaderFragmentedStream(t *testing.T) {
+	payload := func(i, n int) []byte {
+		b := make([]byte, n)
+		for k := range b {
+			b[k] = byte(i*31 + k)
+		}
+		return b
+	}
+	sizes := []int{0, 1, 100, readBufSize - headerLen, readBufSize - headerLen + 1, 5*readBufSize + 3, 7}
+	for i := 0; i < 100; i++ {
+		sizes = append(sizes, 90+i) // ~14 KiB of small frames: several buffer refills
+	}
+	var stream []byte
+	for i, n := range sizes {
+		stream = append(stream, rawFrame(byte(1+i%10), payload(i, n))...)
+	}
+	for _, chunk := range []int{1, 7, readBufSize, 1 << 20} {
+		fr := newFrameReader(&chunkReader{b: stream, chunk: chunk})
+		for i, n := range sizes {
+			op, p, err := fr.ReadFrame()
+			if err != nil {
+				t.Fatalf("chunk %d: frame %d of %d bytes: %v", chunk, i, n, err)
+			}
+			if op != byte(1+i%10) || !bytes.Equal(p, payload(i, n)) {
+				t.Fatalf("chunk %d: frame %d of %d bytes decoded wrong (op %d, %d payload bytes)", chunk, i, n, op, len(p))
+			}
+		}
+		if _, _, err := fr.ReadFrame(); err != io.EOF {
+			t.Fatalf("chunk %d: ReadFrame at stream end: %v, want io.EOF", chunk, err)
+		}
+	}
+}
+
+// TestFrameReaderEOFBoundaries: io.EOF means a clean frame boundary and
+// nothing else — with read-ahead in play the distinction must survive a
+// boundary that falls inside the buffer.
+func TestFrameReaderEOFBoundaries(t *testing.T) {
+	whole := append(rawFrame(OpBarrier, nil), rawFrame(OpWait, []byte{0, 0, 0, 1})...)
+	large := rawFrame(OpRead, make([]byte, 2*readBufSize))
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		frames int
+		clean  bool
+	}{
+		{"exactly on a boundary", whole, 2, true},
+		{"one byte into a header", append(append([]byte{}, whole...), 0x00), 2, false},
+		{"a whole header, no payload", append(append([]byte{}, whole...), rawFrame(OpWait, []byte{1, 2, 3, 4})[:headerLen]...), 2, false},
+		{"inside a small payload", whole[:len(whole)-1], 1, false},
+		{"inside a large payload", large[:len(large)-1], 0, false},
+		{"after a large payload", large, 1, true},
+	} {
+		fr := newFrameReader(bytes.NewReader(tc.stream))
+		for i := 0; i < tc.frames; i++ {
+			if _, _, err := fr.ReadFrame(); err != nil {
+				t.Fatalf("%s: frame %d: %v", tc.name, i, err)
+			}
+		}
+		_, _, err := fr.ReadFrame()
+		if tc.clean && err != io.EOF {
+			t.Errorf("%s: err = %v, want io.EOF", tc.name, err)
+		}
+		if !tc.clean && (err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF)) {
+			t.Errorf("%s: err = %v, want an io.ErrUnexpectedEOF-wrapping error", tc.name, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -39,13 +38,7 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // are then walked with the same cursor reads the session handlers use,
 // exercising the over-read guard.
 func FuzzFrame(f *testing.F) {
-	frame := func(op byte, payload []byte) []byte {
-		b := make([]byte, headerLen+len(payload))
-		binary.BigEndian.PutUint32(b, uint32(1+len(payload)))
-		b[4] = op
-		copy(b[headerLen:], payload)
-		return b
-	}
+	frame := rawFrame
 	hello := frame(OpHello, []byte{0x44, 0x54, 0x54, 0x31, 0x00, 0x01})
 	f.Add(hello, byte(1))
 	f.Add(hello[:3], byte(2))                                     // truncated header
@@ -60,6 +53,18 @@ func FuzzFrame(f *testing.F) {
 	update := []byte{0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 2}
 	update = append(update, make([]byte, 16)...)
 	f.Add(frame(OpTUpdate, update), byte(6))
+	// Ranged CHANGE_NOTIFY (wire v3): handle 1, lo 4, dropped 9, n 2 and
+	// two words; then the same header claiming more and fewer words than
+	// the payload holds, and one claiming 2^32-1.
+	notify := []byte{0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 9, 0, 0, 0, 2}
+	notify = append(notify, make([]byte, 16)...)
+	f.Add(frame(OpChangeNotify, notify), byte(5))
+	notify[15] = 3
+	f.Add(frame(OpChangeNotify, notify), byte(9))
+	notify[15] = 1
+	f.Add(frame(OpChangeNotify, notify), byte(3))
+	copy(notify[12:16], []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(frame(OpChangeNotify, notify), byte(200))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
 		fr := newFrameReader(&chunkReader{b: data, chunk: int(chunk)})
@@ -103,9 +108,33 @@ func FuzzFrame(f *testing.F) {
 						t.Fatal("exact-size update payload not fully consumed")
 					}
 				}
-			case OpWait, OpSubscribe, OpChangeNotify:
+			case OpWait, OpSubscribe:
 				_, _ = c.u32(), c.u32()
 				_ = c.u64()
+			case OpChangeNotify:
+				// The client's decoder itself: a count that disagrees with
+				// the payload length is an error, never a panic, an
+				// over-read or a short expansion.
+				ns, dropped, err := appendNotifies(nil, payload)
+				if err != nil {
+					if len(ns) != 0 {
+						t.Fatalf("malformed CHANGE_NOTIFY still expanded to %d notifies", len(ns))
+					}
+					break
+				}
+				_, lo := c.u32(), c.u32()
+				if stamp, n := c.u32(), c.u32(); stamp != dropped || int(n) != len(ns) || len(payload) != notifyFixed+8*len(ns) {
+					t.Fatalf("CHANGE_NOTIFY of %d bytes claiming %d words (stamp %d) expanded to %d notifies (stamp %d)",
+						len(payload), n, stamp, len(ns), dropped)
+				}
+				for i, nt := range ns {
+					if nt.Index != int(lo)+i || nt.Value != c.u64() || nt.Dropped != dropped {
+						t.Fatalf("word %d of the run at %d expanded to %+v", i, lo, nt)
+					}
+				}
+				if !c.done() {
+					t.Fatal("exact-size notify payload not fully consumed")
+				}
 			case OpError:
 				_ = c.take(int(c.u16()))
 			}

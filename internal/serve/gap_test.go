@@ -194,19 +194,20 @@ func TestNotifyGapDetectableInBand(t *testing.T) {
 			t.Fatalf("drain after %d replies, %d notifies: %v", replies, gotNotifies, err)
 		}
 		if op == OpChangeNotify {
+			// Wire v3, decoded by hand: handle | lo | dropped | n | n words.
 			c := cursor{b: payload}
 			c.u32() // handle
-			c.u32() // index
-			c.u64() // value
+			lo := c.u32()
 			dropped := c.u32()
-			if !c.done() {
-				t.Fatalf("malformed CHANGE_NOTIFY of %d bytes", len(payload))
+			n := c.u32()
+			if c.bad || n == 0 || n > cap || lo+n > words || len(payload)-c.off != int(n)*8 {
+				t.Fatalf("malformed CHANGE_NOTIFY of %d bytes: lo %d, n %d at MailboxCap %d", len(payload), lo, n, cap)
 			}
 			if dropped < maxDropped {
 				t.Fatalf("cumulative dropped went backwards: %d after %d", dropped, maxDropped)
 			}
 			maxDropped = dropped
-			gotNotifies++
+			gotNotifies += int64(n)
 			continue
 		}
 		if op == OpTStoreBatch {

@@ -451,6 +451,17 @@ func TestServeHandshakeViolations(t *testing.T) {
 		t.Error("bad version still got a reply")
 	}
 
+	// The previous protocol version: its CHANGE_NOTIFY has another shape,
+	// so the peer is refused here rather than fed frames it would misparse.
+	v2Hello := make([]byte, 0, 16)
+	v2Hello, start = appendFrameHeader(v2Hello, OpHello)
+	v2Hello = appendU32(v2Hello, Magic)
+	v2Hello = appendU16(v2Hello, 2)
+	patchFrameLength(v2Hello, start)
+	if err := send(v2Hello); err == nil {
+		t.Error("version-2 HELLO still got a reply")
+	}
+
 	notHello := make([]byte, 0, 16)
 	notHello, start = appendFrameHeader(notHello, OpBarrier)
 	patchFrameLength(notHello, start)
@@ -595,27 +606,100 @@ func TestServeSanitizerClean(t *testing.T) {
 }
 
 // TestOutboxShedsNotifiesAtCap pins the backpressure contract at the
-// unit level: replies always enqueue, notifications shed at capacity.
+// unit level: replies always enqueue, notifications shed at capacity —
+// and capacity counts words, however few frames they coalesced into.
 func TestOutboxShedsNotifiesAtCap(t *testing.T) {
 	o := newOutbox(2)
-	if !o.push(msg{op: OpChangeNotify}, true) || !o.push(msg{op: OpChangeNotify}, true) {
+	if !o.pushNotify(0, 5, 50, 1) || !o.pushNotify(0, 6, 60, 2) {
 		t.Fatal("pushes under cap failed")
 	}
-	if o.push(msg{op: OpChangeNotify}, true) {
+	if o.pushNotify(0, 7, 70, 3) {
 		t.Fatal("droppable push above cap succeeded")
 	}
-	if !o.push(msg{op: OpWait}, false) {
+	if got := o.dropped.Load(); got != 1 {
+		t.Fatalf("dropped = %d after one shed word, want 1", got)
+	}
+	if !o.push(msg{op: OpWait}) {
 		t.Fatal("reply push above cap was dropped")
 	}
-	batch, closed := o.swap()
-	if len(batch) != 3 || closed {
-		t.Fatalf("swap: %d msgs, closed %v; want 3, false", len(batch), closed)
+	batch, vals, closed := o.swap()
+	if len(batch) != 2 || closed {
+		t.Fatalf("swap: %d msgs, closed %v; want 2 (one ranged notify, one reply), false", len(batch), closed)
+	}
+	if m := batch[0]; m.op != OpChangeNotify || m.b != 5 || m.n != 2 || m.t0 != 1 ||
+		len(vals) != 2 || vals[m.off] != 50 || vals[m.off+1] != 60 {
+		t.Fatalf("ranged notify = %+v over %v; want lo 5, n 2, the first word's t0, values [50 60]", m, vals)
+	}
+	// The swap emptied the mailbox: the cap is per pending batch.
+	if !o.pushNotify(0, 7, 71, 4) {
+		t.Fatal("push after swap failed")
 	}
 	o.close()
-	if o.push(msg{op: OpWait}, false) {
+	if o.push(msg{op: OpWait}) || o.pushNotify(0, 8, 80, 5) {
 		t.Fatal("push after close succeeded")
 	}
-	if _, closed := o.swap(); !closed {
-		t.Fatal("swap after close not marked closed")
+	if got := o.dropped.Load(); got != 2 {
+		t.Fatalf("dropped = %d, want 2: a word refused by close is shed too", got)
+	}
+	if batch, _, closed := o.swap(); !closed || len(batch) != 1 {
+		t.Fatalf("swap after close: %d msgs, closed %v; want the queued 1, true", len(batch), closed)
+	}
+}
+
+// TestOutboxCoalescesOnlyAdjacentRuns pins when a word joins the tail
+// frame: same handle, next index, nothing queued in between, run under
+// the frame cap. Everything else starts a new frame, so expanding the
+// frames in order reproduces the push order word for word.
+func TestOutboxCoalescesOnlyAdjacentRuns(t *testing.T) {
+	o := newOutbox(maxNotifyRun + 64)
+	type run struct{ handle, lo, n uint32 }
+	push := func(handle, index uint32) {
+		t.Helper()
+		if !o.pushNotify(handle, index, mem.Word(index), 0) {
+			t.Fatalf("pushNotify(%d, %d) refused", handle, index)
+		}
+	}
+	push(0, 10)
+	push(0, 11) // adjacent: joins
+	push(0, 13) // gap
+	push(0, 12) // descending
+	push(0, 12) // repeated
+	push(0, 13) // adjacent again
+	push(1, 14) // other handle
+	push(1, 15)
+	o.push(msg{op: OpTStoreBatch}) // a reply in between
+	push(1, 16)
+	want := []run{{0, 10, 2}, {0, 13, 1}, {0, 12, 1}, {0, 12, 2}, {1, 14, 2}, {1, 16, 1}}
+	batch, vals, _ := o.swap()
+	var got []run
+	for _, m := range batch {
+		if m.op != OpChangeNotify {
+			continue
+		}
+		got = append(got, run{m.a, m.b, m.n})
+		for i := uint32(0); i < m.n; i++ {
+			if vals[m.off+i] != mem.Word(m.b+i) {
+				t.Errorf("run %+v word %d carries %d", run{m.a, m.b, m.n}, i, vals[m.off+i])
+			}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runs = %v, want %v", got, want)
+	}
+	// A swap ends the tail: the next adjacent word starts a new frame.
+	push(1, 17)
+	if batch, _, _ := o.swap(); len(batch) != 1 || batch[0].b != 17 || batch[0].off != 0 {
+		t.Fatalf("after swap: %+v, want one fresh run at 17", batch)
+	}
+	// A run is cut where its frame would outgrow MaxFrame.
+	for i := uint32(0); i <= maxNotifyRun; i++ {
+		push(0, i)
+	}
+	batch, vals, _ = o.swap()
+	if len(batch) != 2 || batch[0].n != maxNotifyRun || batch[1].n != 1 {
+		t.Fatalf("over-long run split into %d frames, want [%d 1]", len(batch), maxNotifyRun)
+	}
+	if frame := appendMsg(nil, &batch[0], vals, 0); len(frame)-4 > MaxFrame || len(frame)-4 <= MaxFrame-8 {
+		t.Fatalf("longest run encodes to a frame of length %d, want the most that fits MaxFrame %d", len(frame)-4, MaxFrame)
 	}
 }

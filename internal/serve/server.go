@@ -15,12 +15,13 @@ import (
 
 // Options configures a Server. The zero value is usable.
 type Options struct {
-	// MailboxCap bounds each session's pending CHANGE_NOTIFY frames; a
-	// slow client sheds notifications past this (counted in
+	// MailboxCap bounds each session's pending notifications, counted in
+	// changed words however few CHANGE_NOTIFY frames they coalesce into;
+	// a slow client sheds notifications past this (counted in
 	// NotifyDropped) rather than stalling the dispatch plane. Replies
 	// are never shed. Shedding is visible in-band: every CHANGE_NOTIFY
-	// carries the session's cumulative dropped count, so a subscriber
-	// detects the gap from the next notification it receives and can
+	// frame carries the session's cumulative dropped count, so a
+	// subscriber detects the gap from the next frame it receives and can
 	// re-read the region (READ) to recover — NotifyDropped always equals
 	// the sum over sessions of the latest count each put on the wire.
 	// Default 1024.
@@ -46,8 +47,9 @@ type Counters struct {
 	// Updates counts operands folded by TUPDATE requests; their triggers
 	// fire at merge time, so they have no Changed analogue here.
 	Updates int64
-	// Notifies counts CHANGE_NOTIFY frames queued; NotifyDropped counts
-	// notifications shed at the mailbox cap.
+	// Notifies counts notifications queued and NotifyDropped those shed
+	// at the mailbox cap, both in changed words: a ranged CHANGE_NOTIFY
+	// frame carrying n words counts n (frames are in FramesOut).
 	Notifies, NotifyDropped int64
 	// Errors counts ERROR replies (semantic request failures).
 	Errors int64
@@ -200,7 +202,7 @@ func addCounters(c *Counters, sess *session) {
 	c.Changed += sess.changed.Load()
 	c.Updates += sess.updates.Load()
 	c.Notifies += sess.notifies.Load()
-	c.NotifyDropped += sess.notifyDropped.Load()
+	c.NotifyDropped += sess.out.dropped.Load()
 	c.Errors += sess.errors.Load()
 }
 
@@ -264,8 +266,8 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 		telemetry.Metric{Name: "dtt_serve_stores_total", Help: "Words carried by TSTORE_BATCH requests.", Value: c.Stores},
 		telemetry.Metric{Name: "dtt_serve_changed_total", Help: "Value-changing stores among the batched words.", Value: c.Changed},
 		telemetry.Metric{Name: "dtt_serve_updates_total", Help: "Operands folded by TUPDATE requests.", Value: c.Updates},
-		telemetry.Metric{Name: "dtt_serve_notifies_total", Help: "CHANGE_NOTIFY frames queued to clients.", Value: c.Notifies},
-		telemetry.Metric{Name: "dtt_serve_notify_dropped_total", Help: "Notifications shed at the session mailbox cap; equals the sum of the cumulative gap counts carried on CHANGE_NOTIFY frames.", Value: c.NotifyDropped},
+		telemetry.Metric{Name: "dtt_serve_notifies_total", Help: "Notifications (changed words) queued to clients; a ranged CHANGE_NOTIFY frame carries one or more.", Value: c.Notifies},
+		telemetry.Metric{Name: "dtt_serve_notify_dropped_total", Help: "Notifications (changed words) shed at the session mailbox cap; equals the sum of the cumulative gap counts carried on CHANGE_NOTIFY frames.", Value: c.NotifyDropped},
 		telemetry.Metric{Name: "dtt_serve_errors_total", Help: "ERROR replies sent (semantic request failures).", Value: c.Errors},
 		telemetry.Metric{Name: "dtt_serve_sessions_total", Help: "Sessions ever accepted.", Value: c.SessionsTotal},
 	)

@@ -17,9 +17,10 @@ import (
 // allocation, and the writer encodes straight out of the slot.
 type msg struct {
 	op   byte
-	a, b uint32     // first/second u32 payload fields (handle, index, ...)
-	v    uint64     // CHANGE_NOTIFY value
-	t0   int64      // CHANGE_NOTIFY: batch arrival stamp, for the latency histogram
+	a, b uint32     // first/second u32 payload fields (handle, lo, ...)
+	n    uint32     // CHANGE_NOTIFY: words in the run
+	off  uint32     // CHANGE_NOTIFY: the run is vals[off:off+n] of its batch's arena
+	t0   int64      // CHANGE_NOTIFY: batch arrival stamp of the run's first word, for the latency histogram
 	s    string     // ERROR message
 	ws   []mem.Word // READ reply words (reader-owned copy; READ is off the hot path)
 }
@@ -32,66 +33,121 @@ type msg struct {
 // mailbox exemplars use, so a slow client connection never blocks a
 // worker beyond one short critical section.
 //
+// Notifications coalesce in the mailbox, under the lock the push already
+// takes: a changed word that extends the tail CHANGE_NOTIFY's run (same
+// handle, next index) joins that frame — its value goes to the vals
+// arena, which is double-buffered with buf, and the tail's n grows — so a
+// burst of adjacent words costs one slot, one wake, one header and one
+// client decode, not one of each per word. Anything else (another handle,
+// a gap, a descending or repeated index, a reply in between) starts a new
+// frame, so the client's expansion of the frames is exactly the per-word
+// stream in push order.
+//
 // Replies are never dropped: the client is waiting on them and they are
-// bounded by requests in flight (one each). CHANGE_NOTIFY frames are
-// fire-and-forget and are dropped once the mailbox holds cap of them,
-// counted in the server's notify-dropped counter — backpressure by
-// shedding, not by stalling the dispatch plane. Shedding is never silent
-// on the wire: every CHANGE_NOTIFY carries the session's cumulative
-// dropped count, stamped at encode time (see writeLoop), so a subscriber
-// that lost notifications learns it from the very next one it receives.
-// A drop can only happen while the mailbox already holds cap pending
-// notifications, and those are encoded strictly after the drop, so at
-// least cap post-drop stamps are always on their way to the client. The
-// cap therefore counts notifications only: were queued replies to count
-// against it, a burst shed behind cap replies would have no stamp behind
-// it and the gap would stay invisible until the next notification.
+// bounded by requests in flight (one each). Notifications are
+// fire-and-forget and are dropped once the mailbox holds cap words of
+// them, counted in dropped — backpressure by shedding, not by stalling
+// the dispatch plane. Shedding is never silent on the wire: every
+// CHANGE_NOTIFY frame carries the session's cumulative dropped count,
+// stamped once at encode time (see writeLoop), so a subscriber that lost
+// notifications learns it from the very next frame it receives. Before
+// close a word can only be dropped while buf already holds cap >= 1
+// pending words — at least one CHANGE_NOTIFY frame — and the drop is
+// counted under mu before the swap that hands that frame to the writer
+// can take mu, so the frame's stamp, read after the swap, includes the
+// drop: every drop is followed onto the wire by a stamp that counts it.
+// (After close there is no wire left to announce on; those words are
+// counted all the same.) The cap therefore counts notification words
+// only: were queued replies to count against it, a burst shed behind cap
+// replies would have no stamp behind it and the gap would stay invisible
+// until the next notification.
 type outbox struct {
 	mu    sync.Mutex
 	buf   []msg //dtt:guards mu
 	spare []msg //dtt:guards mu
-	// notes counts the droppable messages in buf.
-	notes  int //dtt:guards mu
-	wake   chan struct{}
-	closed bool //dtt:guards mu
-	cap    int
+	// vals is the arena the CHANGE_NOTIFY runs of buf index into;
+	// spareVals is its other half, swapped together with buf/spare.
+	vals      []mem.Word //dtt:guards mu
+	spareVals []mem.Word //dtt:guards mu
+	// notes counts the droppable words in buf.
+	notes int //dtt:guards mu
+	// dropped is the cumulative count of words shed, at cap or after
+	// close. Written under mu (that ordering is the stamp argument
+	// above); atomic because the writer stamps it and Counters reads it
+	// without the lock.
+	dropped atomic.Int64
+	wake    chan struct{}
+	closed  bool //dtt:guards mu
+	cap     int
 }
 
 func newOutbox(capacity int) *outbox {
 	return &outbox{wake: make(chan struct{}, 1), cap: capacity}
 }
 
-// push enqueues m; droppable marks it sheddable at capacity. Returns
-// false when the message was dropped or the outbox is closed.
-func (o *outbox) push(m msg, droppable bool) bool {
+// push enqueues the reply m. Returns false when the outbox is closed.
+func (o *outbox) push(m msg) bool {
 	o.mu.Lock()
-	if o.closed || (droppable && o.notes >= o.cap) {
+	if o.closed {
 		o.mu.Unlock()
 		return false
 	}
-	if droppable {
-		o.notes++
-	}
 	o.buf = append(o.buf, m)
 	o.mu.Unlock()
+	o.signal()
+	return true
+}
+
+// pushNotify enqueues one changed word of handle, extending the tail
+// frame's run when the word is adjacent to it. Returns false when the word
+// was shed — at cap, or because the outbox is closed — and counts it in
+// dropped.
+func (o *outbox) pushNotify(handle, index uint32, v mem.Word, t0 int64) bool {
+	o.mu.Lock()
+	if o.closed || o.notes >= o.cap {
+		o.dropped.Add(1)
+		o.mu.Unlock()
+		return false
+	}
+	o.notes++
+	o.vals = append(o.vals, v)
+	if k := len(o.buf) - 1; k >= 0 {
+		tail := &o.buf[k]
+		if tail.op == OpChangeNotify && tail.a == handle && tail.b+tail.n == index && tail.n < maxNotifyRun {
+			// The tail's wake is still pending or its swap has not
+			// happened yet: no new slot, no second wake.
+			tail.n++
+			o.mu.Unlock()
+			return true
+		}
+	}
+	o.buf = append(o.buf, msg{op: OpChangeNotify, a: handle, b: index, n: 1, off: uint32(len(o.vals) - 1), t0: t0})
+	o.mu.Unlock()
+	o.signal()
+	return true
+}
+
+// signal wakes the writer if it is not already due to wake.
+func (o *outbox) signal() {
 	select {
 	case o.wake <- struct{}{}:
 	default:
 	}
-	return true
 }
 
-// swap hands the writer the pending batch (into its spare buffer) and
-// reports whether the outbox is closed. The returned slice is owned by
-// the writer until the next swap.
-func (o *outbox) swap() (batch []msg, closed bool) {
+// swap hands the writer the pending batch and its value arena (into the
+// spare buffers) and reports whether the outbox is closed. The returned
+// slices are owned by the writer until the next swap.
+func (o *outbox) swap() (batch []msg, vals []mem.Word, closed bool) {
 	o.mu.Lock()
 	batch, o.buf = o.buf, o.spare[:0]
 	o.spare = batch
+	vals, o.vals = o.vals, o.spareVals[:0]
+	o.spareVals = vals
 	o.notes = 0
 	closed = o.closed
 	o.mu.Unlock()
-	return batch, closed
+	return batch, vals, closed
 }
 
 // close marks the outbox closed and wakes the writer so it can drain and
@@ -100,10 +156,7 @@ func (o *outbox) close() {
 	o.mu.Lock()
 	o.closed = true
 	o.mu.Unlock()
-	select {
-	case o.wake <- struct{}{}:
-	default:
-	}
+	o.signal()
 }
 
 // attachHandle is one ATTACH's server-side state: the support thread, the
@@ -138,12 +191,12 @@ type session struct {
 
 	// counters mirrored into Server.Counters on retirement and readable
 	// live; atomics because reader, writer and workers all touch them.
-	framesIn, framesOut   atomic.Int64
-	bytesIn, bytesOut     atomic.Int64
-	batches, stores       atomic.Int64
-	updates               atomic.Int64
-	changed, notifies     atomic.Int64
-	notifyDropped, errors atomic.Int64
+	framesIn, framesOut atomic.Int64
+	bytesIn, bytesOut   atomic.Int64
+	batches, stores     atomic.Int64
+	updates             atomic.Int64
+	changed, notifies   atomic.Int64
+	errors              atomic.Int64
 }
 
 // run is the reader goroutine: handshake, then one frame at a time until
@@ -199,7 +252,7 @@ func (s *session) handshake() error {
 	if version != Version {
 		return fmt.Errorf("serve: handshake: protocol version %d, want %d", version, Version)
 	}
-	s.out.push(msg{op: OpHello, a: uint32(s.id)}, false)
+	s.reply(msg{op: OpHello, a: uint32(s.id)})
 	return nil
 }
 
@@ -286,12 +339,8 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 		if !h.subscribed.Load() {
 			return
 		}
-		m := msg{op: OpChangeNotify, a: handle, b: uint32(tg.Index),
-			v: tg.Region.Load(tg.Index), t0: s.batchT0.Load()}
-		if s.out.push(m, true) {
+		if s.out.pushNotify(handle, uint32(tg.Index), tg.Region.Load(tg.Index), s.batchT0.Load()) {
 			s.notifies.Add(1)
-		} else {
-			s.notifyDropped.Add(1)
 		}
 	})
 	if err != nil {
@@ -406,11 +455,41 @@ func (s *session) lookup(handle uint32, op byte) *attachHandle {
 	return s.handles[handle]
 }
 
-func (s *session) reply(m msg) { s.out.push(m, false) }
+func (s *session) reply(m msg) { s.out.push(m) }
 
 func (s *session) sendErr(text string) {
 	s.errors.Add(1)
-	s.out.push(msg{op: OpError, s: text}, false)
+	s.reply(msg{op: OpError, s: text})
+}
+
+// appendMsg encodes m as one frame onto dst. vals is the arena m's batch
+// was swapped out with; dropped is the stamp a CHANGE_NOTIFY carries.
+func appendMsg(dst []byte, m *msg, vals []mem.Word, dropped uint32) []byte {
+	dst, start := appendFrameHeader(dst, m.op)
+	switch m.op {
+	case OpHello, OpAttach, OpTStoreBatch, OpTUpdate:
+		dst = appendU32(dst, m.a)
+	case OpWait, OpBarrier, OpSubscribe:
+		// empty payload
+	case OpChangeNotify:
+		dst = appendU32(dst, m.a)
+		dst = appendU32(dst, m.b)
+		dst = appendU32(dst, dropped)
+		dst = appendU32(dst, m.n)
+		for _, w := range vals[m.off : m.off+m.n] {
+			dst = appendU64(dst, w)
+		}
+	case OpRead:
+		dst = appendU32(dst, m.a)
+		for _, w := range m.ws {
+			dst = appendU64(dst, w)
+		}
+	case OpError:
+		dst = appendU16(dst, uint16(len(m.s)))
+		dst = append(dst, m.s...)
+	}
+	patchFrameLength(dst, start)
+	return dst
 }
 
 // writeLoop is the writer goroutine: the mailbox's single consumer. It
@@ -422,38 +501,18 @@ func (s *session) writeLoop() {
 	bw := bufio.NewWriter(s.conn)
 	var scratch []byte
 	for {
-		batch, closed := s.out.swap()
+		batch, vals, closed := s.out.swap()
 		for i := range batch {
 			m := &batch[i]
-			var start int
-			scratch, start = appendFrameHeader(scratch[:0], m.op)
-			switch m.op {
-			case OpHello, OpAttach, OpTStoreBatch, OpTUpdate:
-				scratch = appendU32(scratch, m.a)
-			case OpWait, OpBarrier, OpSubscribe:
-				// empty payload
-			case OpChangeNotify:
-				scratch = appendU32(scratch, m.a)
-				scratch = appendU32(scratch, m.b)
-				scratch = appendU64(scratch, m.v)
-				// The cumulative dropped count is stamped at encode time,
-				// not enqueue time: a drop requires cap entries already in
-				// the mailbox, and those entries reach this line strictly
-				// after the drop was counted, so the stamp that announces a
-				// gap always trails it onto the wire. Stamping at enqueue
-				// would race the drop and could leave every in-flight
-				// notify carrying the pre-drop count.
-				scratch = appendU32(scratch, uint32(s.notifyDropped.Load()))
-			case OpRead:
-				scratch = appendU32(scratch, m.a)
-				for _, w := range m.ws {
-					scratch = appendU64(scratch, w)
-				}
-			case OpError:
-				scratch = appendU16(scratch, uint16(len(m.s)))
-				scratch = append(scratch, m.s...)
-			}
-			patchFrameLength(scratch, start)
+			// The cumulative dropped count is stamped at encode time, once
+			// per frame, not at enqueue time: a drop is counted under the
+			// mailbox lock while a CHANGE_NOTIFY frame is pending, and that
+			// frame reaches this line strictly after the swap that followed
+			// the drop, so the stamp that announces a gap always trails it
+			// onto the wire. Stamping at enqueue would race the drop and
+			// could leave every in-flight notify carrying the pre-drop
+			// count.
+			scratch = appendMsg(scratch[:0], m, vals, uint32(s.out.dropped.Load()))
 			n, err := bw.Write(scratch)
 			if err != nil {
 				// Peer gone: swallow queued frames until close.
@@ -484,7 +543,7 @@ func (s *session) writeLoop() {
 // the outbox.
 func (s *session) drainUntilClosed() {
 	for {
-		if _, closed := s.out.swap(); closed {
+		if _, _, closed := s.out.swap(); closed {
 			return
 		}
 		<-s.out.wake

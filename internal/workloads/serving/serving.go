@@ -126,9 +126,9 @@ type Report struct {
 	// after their scheduled instant (coordinated omission, measured).
 	Late      int64 `json:"late_arrivals"`
 	LateMaxNs int64 `json:"late_max_ns"`
-	// Notifies is the CHANGE_NOTIFY volume the run consumed; Gaps is the
-	// notifications shed at the mailbox cap as observed IN-BAND by the
-	// client; Recoveries counts READ re-reads triggered by those gaps.
+	// Notifies is the notifications (changed words) the run consumed;
+	// Gaps is the notifications shed at the mailbox cap as observed
+	// IN-BAND by the client; Recoveries counts READ re-reads triggered by those gaps.
 	// Gaps always equals the server's NotifyDropped counter (asserted at
 	// finish) — that is the bugfix's accounting identity.
 	Notifies   int64 `json:"notifies"`

@@ -10,8 +10,8 @@ import (
 
 // webcache is cache invalidation as a serving workload: the origin
 // (driver) writes batches of fresh values through TSTORE_BATCH, the
-// support thread turns every value-changing word into a CHANGE_NOTIFY,
-// and the client keeps a local cache coherent purely from the
+// support thread turns every value-changing word into a notification
+// (adjacent words share a ranged CHANGE_NOTIFY frame), and the client keeps a local cache coherent purely from the
 // invalidation stream. A shed notification would leave the cache stale
 // forever if it were silent — the in-band gap count on the next notify
 // is what makes the staleness bounded: the client sees the jump, does

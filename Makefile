@@ -109,23 +109,27 @@ cover:
 		|| { rm -f cover.out; exit 1; }
 
 # Dispatch fast-path microbenchmarks; -benchmem prints allocs/op so the
-# numbers quoted in CHANGES.md can be regenerated. TestTStoreFastPathAllocs
-# (run as part of `make race`/`make test`) is what actually fails the build
-# on a regression. The output is teed to bench-fastpath.out (gitignored) so
-# a before/after pair can be compared with benchstat.
+# numbers quoted in CHANGES.md can be regenerated. BenchmarkDispatchDrain
+# (ns/entry) and BenchmarkMergeDispatch (ns/word) price the worker's
+# per-entry bracket and the merge's admission on the immediate backend.
+# TestTStoreFastPathAllocs (run as part of `make race`/`make test`) is what
+# actually fails the build on a regression. The output is teed to
+# bench-fastpath.out (gitignored) so a before/after pair can be compared
+# with benchstat.
 bench-fastpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkTStore|BenchmarkQueuePending' -benchmem . | tee bench-fastpath.out
+	$(GO) test -run '^$$' -bench 'BenchmarkTStore|BenchmarkQueuePending|BenchmarkDispatchDrain|BenchmarkMergeDispatch' -benchmem . | tee bench-fastpath.out
 	@echo "wrote bench-fastpath.out; compare runs with: benchstat <saved-baseline>.out bench-fastpath.out"
 
 # Explicit allocation gate for the triggering-store fast paths, telemetry
 # off and on, plus the load generator's arrival tick (on every open-loop
-# request's path, so it is held to the same 0 allocs/op contract) and
-# the serve plane's subscribed request over loopback. The same tests run
-# inside `make race`, but a dedicated target runs them without -race
-# instrumentation (which changes allocation behaviour) and names the
-# contract in the CI log.
+# request's path, so it is held to the same 0 allocs/op contract), the
+# serve plane's subscribed request over loopback, and the dispatch side
+# (a 4096-entry batch or merge, drained by the worker's claims). The same
+# tests run inside `make race`, but a dedicated target runs them without
+# -race instrumentation (which changes allocation behaviour) and names
+# the contract in the CI log.
 allocs-gate:
-	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate|ServeNotify)FastPathAllocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate|ServeNotify)FastPathAllocs|TestDispatchDrainAllocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 	$(GO) test -count=1 -run 'TestArrivalsFastPathAllocs' -v ./internal/loadgen | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Batched triggering-store benchmarks: the scalar-vs-batch throughput pair

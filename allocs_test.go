@@ -227,6 +227,63 @@ func TestTUpdateFastPathAllocsTelemetry(t *testing.T) {
 	assertUpdateFastPathAllocs(t, "telemetry on", true)
 }
 
+// TestDispatchDrainAllocs holds the dispatch side to the contract: on the
+// immediate backend a 4096-word changing TStoreBatch and the Wait that
+// drains it — the worker's claims, the run-of-n bracket, the settle — and
+// likewise a 3072-word merge admitted through the same dispatch phase,
+// allocate nothing beyond the one waiter channel a Wait that has to block
+// makes.
+func TestDispatchDrainAllocs(t *testing.T) {
+	const words = 4096
+	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 1, QueueCapacity: 2 * words})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	keys := rt.NewRegion("keys", words)
+	ctrs := rt.NewRegion("ctrs", words)
+	id := rt.Register("noop", func(dtt.Trigger) {})
+	if err := rt.Attach(id, keys, 0, words); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Attach(id, ctrs, 0, words); err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]dtt.Word, words)
+	upds := make([]dtt.Word, words)
+	for i := range upds {
+		if i%4 != 0 { // a quarter of the merged words are silent merges
+			upds[i] = 1
+		}
+	}
+	var v dtt.Word
+	batch := func() {
+		v++
+		for i := range vals {
+			vals[i] = v
+		}
+		keys.TStoreBatch(0, vals)
+		rt.Wait(id)
+	}
+	merge := func() {
+		ctrs.TUpdateBatch(0, dtt.UpdAdd, upds)
+		rt.Wait(id) // the merge point: 3072 changing words, one admission walk
+	}
+	for i := 0; i < 4; i++ { // warm the scratch, the delta plane, the waiter slice
+		batch()
+		merge()
+	}
+	if got := testing.AllocsPerRun(50, batch); got > 1 {
+		t.Errorf("TStoreBatch(%d changing)+Wait allocates %.0f allocs/op, want at most the waiter channel", words, got)
+	}
+	if got := testing.AllocsPerRun(50, merge); got > 1 {
+		t.Errorf("merge of %d changing words+Wait allocates %.0f allocs/op, want at most the waiter channel", words*3/4, got)
+	}
+	if st := rt.Stats(); st.Overflowed != 0 || st.FailedRuns != 0 {
+		t.Fatalf("the gate's workload must stay on the queued path: %+v", st)
+	}
+}
+
 // TestServeNotifyFastPathAllocs holds the serve plane's subscribed request
 // to the same contract over a real loopback socket, client and server
 // together (AllocsPerRun counts the whole process): a 16-word Batch, the

@@ -670,6 +670,74 @@ func BenchmarkTUpdateMergeCycle(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/store")
 }
 
+// dispatchBench builds the dispatch-side benchmarks' runtime: the immediate
+// backend with one worker beside the producer (the bench/ workloads' shape),
+// an empty body, and a queue that holds a whole round, so every changing
+// word is one admitted, claimed and settled entry.
+func dispatchBench(b *testing.B, words int) (*dtt.Runtime, *dtt.Region, dtt.ThreadID) {
+	b.Helper()
+	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 1, QueueCapacity: 2 * words})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rt.Close)
+	r := rt.NewRegion("bench", words)
+	id := rt.Register("noop", func(dtt.Trigger) {})
+	if err := rt.Attach(id, r, 0, words); err != nil {
+		b.Fatal(err)
+	}
+	return rt, r, id
+}
+
+// BenchmarkDispatchDrain prices the per-entry dispatch bracket without
+// bench/: one TStoreBatch of 4096 changing words and the Wait that drains
+// it. ns/entry is admission plus the worker's claim, run and settle per
+// dispatched entry, with an empty body.
+func BenchmarkDispatchDrain(b *testing.B) {
+	const words = 4096
+	rt, r, id := dispatchBench(b, words)
+	vals := make([]dtt.Word, words)
+	round := func(v dtt.Word) {
+		for i := range vals {
+			vals[i] = v
+		}
+		r.TStoreBatch(0, vals)
+		rt.Wait(id)
+	}
+	round(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(dtt.Word(i + 2))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/words, "ns/entry")
+}
+
+// BenchmarkMergeDispatch is the same bracket fed by the update plane: 4096
+// folded words, every one changing, merged and admitted at the Wait.
+// ns/word is the merge's fold, store, match and admission plus the drain.
+func BenchmarkMergeDispatch(b *testing.B) {
+	const words = 4096
+	rt, r, id := dispatchBench(b, words)
+	upds := make([]dtt.Word, words)
+	for i := range upds {
+		upds[i] = 1
+	}
+	round := func() {
+		r.TUpdateBatch(0, dtt.UpdAdd, upds)
+		rt.Wait(id)
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/words, "ns/word")
+}
+
 // BenchmarkTUpdateHotContended is the tentpole's acceptance benchmark:
 // 8 producer goroutines hammer the SAME 64-word hot window — the
 // shape that serializes scalar triggering stores on the target words and

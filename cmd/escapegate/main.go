@@ -59,8 +59,12 @@ var pinned = map[string][]string{
 		"Runtime.storeWord",
 		"Runtime.fireOne",
 		"Runtime.admitLocked",
+		"Runtime.dispatchFired",
 		"Runtime.afterWrite",
 		"Runtime.mergePlane",
+		// The dispatch side every admitted entry pays: the worker's claim
+		// loop and the run-of-n bracket.
+		"Runtime.runClaims",
 		"Runtime.beginRunLocked",
 		"Runtime.endRunLocked",
 	},
@@ -76,6 +80,7 @@ var pinned = map[string][]string{
 		"TQST.MarkRunning",
 		"TQST.entry",
 		"ThreadQueue.Dequeue",
+		"ThreadQueue.DequeueRun",
 		"ThreadQueue.Enqueue",
 		"ThreadQueue.at",
 		"ThreadQueue.countUp",

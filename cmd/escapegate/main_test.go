@@ -32,6 +32,8 @@ func TestSyntheticViolation(t *testing.T) {
 	for _, pin := range []struct{ file, fn string }{
 		{"internal/core/runtime.go", "Runtime.tstore"},
 		{"internal/core/runtime.go", "Runtime.admitLocked"},
+		{"internal/core/runtime.go", "Runtime.dispatchFired"},
+		{"internal/core/runtime.go", "Runtime.runClaims"},
 		{"internal/core/runtime.go", "Runtime.endRunLocked"},
 		{"internal/core/update.go", "Runtime.mergePlane"},
 	} {

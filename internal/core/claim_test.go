@@ -1,0 +1,446 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dtt/internal/mem"
+	"dtt/internal/queue"
+)
+
+// Tests of the immediate backend's burst-granular dispatch: a worker claims
+// a run of one thread's entries per critical section (runClaims), producers
+// wake only parked workers (wakeWorker), and the whole thing must not lose a
+// wakeup. Everything here waits on events with a hard deadline; a hang dumps
+// every goroutine's stack.
+
+const claimDeadline = 120 * time.Second
+
+// within runs f on its own goroutine and fails the test, with all stacks,
+// if it has not returned by the deadline.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	await(t, what, done)
+}
+
+func await(t *testing.T, what string, ch <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(claimDeadline):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: not done after %v:\n%s", what, claimDeadline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// claimGeometries are the worker-by-shard shapes the claim tests sweep.
+func claimGeometries(t *testing.T, f func(t *testing.T, workers, shards int)) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 4} {
+			workers, shards := workers, shards
+			t.Run(fmt.Sprintf("w%d_s%d", workers, shards), func(t *testing.T) { f(t, workers, shards) })
+		}
+	}
+}
+
+func assertIdentities(t *testing.T, rt *Runtime, phase string) {
+	t.Helper()
+	st := rt.Stats()
+	if st.Fired != st.Enqueued+st.Squashed+st.Overflowed {
+		t.Fatalf("%s: Fired %d != Enqueued %d + Squashed %d + Overflowed %d", phase, st.Fired, st.Enqueued, st.Squashed, st.Overflowed)
+	}
+	if st.Overflowed != st.InlineRuns+st.Dropped {
+		t.Fatalf("%s: Overflowed %d != InlineRuns %d + Dropped %d", phase, st.Overflowed, st.InlineRuns, st.Dropped)
+	}
+	assertQueueConservation(t, rt, phase)
+}
+
+// runningOf returns thread t's TQST running count: the size of the run a
+// worker has claimed, when read from inside one of its bodies.
+func runningOf(rt *Runtime, t ThreadID) int {
+	sh := rt.shardOf(t)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, running := sh.tqst.InFlight(t)
+	return running
+}
+
+// TestClaimOrderAndExactlyOnce: whatever the claim boundaries, each thread's
+// instances run in enqueue order and every entry runs exactly once. Batches
+// enqueue a whole span in one critical section, so claims of claimMax, of a
+// remainder and of one all occur; scalar stores interleave the threads so
+// runs end at another thread's entry too.
+func TestClaimOrderAndExactlyOnce(t *testing.T) {
+	claimGeometries(t, func(t *testing.T, workers, shards int) {
+		const threads, span, rounds = 6, 40, 25
+		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, Shards: shards, QueueCapacity: threads * span})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		in := rt.NewRegion("in", threads*span)
+		got := make([][]int, threads) // each written only under its thread's token
+		ids := make([]ThreadID, threads)
+		for k := range ids {
+			k := k
+			ids[k] = rt.Register(fmt.Sprintf("t%d", k), func(tg Trigger) { got[k] = append(got[k], tg.Index) })
+			if err := rt.Attach(ids[k], in, k*span, (k+1)*span); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vs := make([]mem.Word, span/2)
+		for r := 1; r <= rounds; r++ {
+			for i := range vs {
+				vs[i] = mem.Word(r)
+			}
+			// Lower halves batched, thread after thread (long runs); upper
+			// halves scalar, round-robin over the threads (runs of one).
+			// Either way thread k's enqueue order is its words ascending.
+			for k := range ids {
+				in.TStoreBatch(k*span, vs)
+			}
+			for i := span / 2; i < span; i++ {
+				for k := range ids {
+					in.TStore(k*span+i, mem.Word(r))
+				}
+			}
+			within(t, "Wait", func() {
+				for _, id := range ids {
+					rt.Wait(id)
+				}
+			})
+			for k := range ids {
+				if len(got[k]) != span {
+					t.Fatalf("round %d: thread %d ran %d instances, want %d (exactly once each)\n got %v", r, k, len(got[k]), span, got[k])
+				}
+				for i, idx := range got[k] {
+					if idx != k*span+i {
+						t.Fatalf("round %d: thread %d instance %d ran word %d, enqueue order says %d\n got %v", r, k, i, idx, k*span+i, got[k])
+					}
+				}
+				got[k] = got[k][:0]
+			}
+		}
+		st := rt.Stats()
+		if want := int64(threads * span * rounds); st.Executed != want || st.Squashed != 0 || st.Overflowed != 0 {
+			t.Fatalf("Executed %d Squashed %d Overflowed %d, want %d 0 0", st.Executed, st.Squashed, st.Overflowed, want)
+		}
+		assertIdentities(t, rt, "order")
+	})
+}
+
+// TestClaimPanicMidRun: a body that panics in the middle of a claimed run is
+// a failed run for that entry only; the rest of the run still executes, and
+// Status reports what the last completed instance did.
+func TestClaimPanicMidRun(t *testing.T) {
+	claimGeometries(t, func(t *testing.T, workers, shards int) {
+		const span = 12
+		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		in := rt.NewRegion("in", span)
+		var bad atomic.Int64
+		var claimed atomic.Int64
+		var th ThreadID
+		th = rt.Register("fragile", func(tg Trigger) {
+			if tg.Index == 0 {
+				claimed.Store(int64(runningOf(rt, th)))
+			}
+			if int64(tg.Index) == bad.Load() {
+				panic("support thread fault")
+			}
+		})
+		if err := rt.Attach(th, in, 0, span); err != nil {
+			t.Fatal(err)
+		}
+		vs := make([]mem.Word, span)
+		for round, c := range []struct {
+			bad  int64
+			want queue.Status
+		}{{5, queue.StatusIdle}, {span - 1, queue.StatusFailed}} {
+			bad.Store(c.bad)
+			for i := range vs {
+				vs[i] = mem.Word(round + 1)
+			}
+			in.TStoreBatch(0, vs)
+			within(t, "Wait", func() { rt.Wait(th) })
+			if got := claimed.Load(); got != span {
+				t.Fatalf("round %d: the worker claimed a run of %d, want the whole batch of %d", round, got, span)
+			}
+			st := rt.Stats()
+			if st.FailedRuns != int64(round+1) || st.Executed != int64((round+1)*(span-1)) {
+				t.Fatalf("round %d: FailedRuns %d Executed %d, want %d and %d", round, st.FailedRuns, st.Executed, round+1, (round+1)*(span-1))
+			}
+			if got := rt.Status(th); got != c.want {
+				t.Fatalf("round %d (panic at entry %d of %d): Status = %v, want %v", round, c.bad+1, span, got, c.want)
+			}
+		}
+		assertIdentities(t, rt, "panic")
+	})
+}
+
+// TestClaimCancelMidRun: a Cancel landing while entry 1 of a claimed run is
+// in its body stops the run — no further body of the thread starts — and
+// Namespace.Close returns only once the run has ended.
+func TestClaimCancelMidRun(t *testing.T) {
+	claimGeometries(t, func(t *testing.T, workers, shards int) {
+		const span = 10
+		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		ns := rt.NewNamespace("tenant")
+		in, err := ns.Region("in", span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, release := make(chan struct{}), make(chan struct{})
+		var runs, ended atomic.Int64
+		th, err := ns.Register("slow", func(tg Trigger) {
+			if runs.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			ended.Add(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.Attach(th, in, 0, span); err != nil {
+			t.Fatal(err)
+		}
+		vs := make([]mem.Word, span)
+		for i := range vs {
+			vs[i] = 1
+		}
+		in.TStoreBatch(0, vs)
+		await(t, "entry 1 to start", started)
+		if got := runningOf(rt, th); got != span {
+			t.Fatalf("claimed run is %d entries, want %d", got, span)
+		}
+
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			ns.Close() // Cancel, then wait for the in-flight run
+		}()
+		// Close cannot finish while the run's first body is blocked: the
+		// token spans the run. Give it a moment to prove it does not.
+		select {
+		case <-closed:
+			t.Fatal("Namespace.Close returned while a claimed run was still in a body")
+		case <-time.After(50 * time.Millisecond):
+		}
+		// Wait for the Cancel itself (it does not block on the run).
+		for rt.Stats().Cancels == 0 {
+			runtime.Gosched()
+		}
+		close(release)
+		await(t, "Namespace.Close", closed)
+		if r, e := runs.Load(), ended.Load(); r != 1 || e != 1 {
+			t.Fatalf("%d bodies started and %d ended across a Cancel mid-run, want 1 and 1", r, e)
+		}
+		st := rt.Stats()
+		if st.Executed != 1 || st.FailedRuns != 0 {
+			t.Fatalf("Executed %d FailedRuns %d, want 1 and 0 (the unstarted rest is cancelled work)", st.Executed, st.FailedRuns)
+		}
+		if got := runningOf(rt, th); got != 0 {
+			t.Fatalf("TQST still counts %d running after the run settled", got)
+		}
+		if qc := rt.QueueCounters(); qc.Dequeued != span || qc.SquashedOut != 0 {
+			t.Fatalf("queue counters %+v: the claimed run had left the queue before the Cancel", qc)
+		}
+		assertIdentities(t, rt, "cancel")
+		within(t, "Barrier", rt.Barrier)
+	})
+}
+
+// TestClaimLeavesOtherThreadsRunnable: a claim takes one thread's token,
+// never two. With two workers on one shard, thread B's entries — interleaved
+// with A's in the queue — all run while A's first body is blocked, whether
+// B's entries sit behind A's run or between A's entries.
+func TestClaimLeavesOtherThreadsRunnable(t *testing.T) {
+	for _, interleaved := range []bool{false, true} {
+		interleaved := interleaved
+		t.Run(fmt.Sprintf("interleaved=%v", interleaved), func(t *testing.T) {
+			const span = 8
+			rt, err := New(Config{Backend: BackendImmediate, Workers: 2, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			in := rt.NewRegion("in", 2*span)
+			bDone := make(chan struct{})
+			var aRuns, bRuns atomic.Int64
+			a := rt.Register("a", func(Trigger) {
+				if aRuns.Add(1) == 1 {
+					<-bDone // A's run is long: it outlasts all of B
+				}
+			})
+			b := rt.Register("b", func(Trigger) {
+				if bRuns.Add(1) == span {
+					close(bDone)
+				}
+			})
+			if err := rt.Attach(a, in, 0, span); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Attach(b, in, span, 2*span); err != nil {
+				t.Fatal(err)
+			}
+			if interleaved {
+				for i := 0; i < span; i++ {
+					in.TStore(i, 1)
+					in.TStore(span+i, 1)
+				}
+			} else {
+				vs := make([]mem.Word, 2*span)
+				for i := range vs {
+					vs[i] = 1
+				}
+				in.TStoreBatch(0, vs)
+			}
+			within(t, "Wait on both threads", func() {
+				rt.Wait(b)
+				rt.Wait(a)
+			})
+			if aRuns.Load() != span || bRuns.Load() != span {
+				t.Fatalf("a ran %d, b ran %d, want %d each", aRuns.Load(), bRuns.Load(), span)
+			}
+			assertIdentities(t, rt, "two threads")
+		})
+	}
+}
+
+// TestNoLostWakeup is the parked-worker protocol's soak: producers that
+// each loop {one changing TStore; Wait} (and the same with Barrier) make a
+// worker park and be woken once per iteration, so a wakeup lost between
+// "found nothing" and "blocked" hangs the loop and trips the deadline.
+func TestNoLostWakeup(t *testing.T) {
+	const producers, iters = 3, 50_000
+	for _, join := range []string{"wait", "barrier"} {
+		for _, workers := range []int{1, 2, 4} {
+			join, workers := join, workers
+			t.Run(fmt.Sprintf("%s_w%d", join, workers), func(t *testing.T) {
+				rt, err := New(Config{Backend: BackendImmediate, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				in := rt.NewRegion("in", producers)
+				var runs atomic.Int64
+				ids := make([]ThreadID, producers)
+				for p := range ids {
+					ids[p] = rt.Register(fmt.Sprintf("p%d", p), func(Trigger) { runs.Add(1) })
+					if err := rt.Attach(ids[p], in, p, p+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				within(t, "producers", func() {
+					var wg sync.WaitGroup
+					for p := range ids {
+						wg.Add(1)
+						go func(p int) {
+							defer wg.Done()
+							for i := 1; i <= iters; i++ {
+								in.TStore(p, mem.Word(i))
+								if join == "wait" {
+									rt.Wait(ids[p])
+								} else {
+									rt.Barrier()
+								}
+							}
+						}(p)
+					}
+					wg.Wait()
+				})
+				if got := runs.Load(); got != producers*iters {
+					t.Fatalf("%d instances ran, want %d: every store was followed by its own sync", got, producers*iters)
+				}
+				assertIdentities(t, rt, "lost wakeup")
+			})
+		}
+	}
+}
+
+// TestCloseRacesParkingWorker: Close must reach a worker in every stage of
+// parking — scanning, announced, blocked — so its token is unconditional.
+func TestCloseRacesParkingWorker(t *testing.T) {
+	base := runtime.NumGoroutine()
+	within(t, "open/close churn", func() {
+		for i := 0; i < 2000; i++ {
+			rt, err := New(Config{Backend: BackendImmediate, Workers: 1 + i%3})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 0 {
+				// A store first: the worker is somewhere between its wakeup
+				// and its next park when Close lands.
+				in := rt.NewRegion("in", 1)
+				th := rt.Register("t", func(Trigger) {})
+				if err := rt.Attach(th, in, 0, 1); err != nil {
+					t.Error(err)
+				}
+				in.TStore(0, 1)
+			}
+			rt.Close()
+		}
+	})
+	expectGoroutines(t, base, "after open/close churn")
+}
+
+// TestInlineOverflowWaitsOutClaimedRun: with a capacity-1 queue, a store
+// that overflows while a worker's claimed run holds the thread's token runs
+// inline once the run settles — the settle must wake the token waiter even
+// though the worker goes straight on to its next claim.
+func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, Shards: 1, QueueCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	in := rt.NewRegion("in", 3)
+	started, release := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int64
+	th := rt.Register("slow", func(Trigger) {
+		if runs.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+	})
+	if err := rt.Attach(th, in, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	in.TStore(0, 1) // claimed; its body blocks
+	await(t, "the claimed body", started)
+	in.TStore(1, 1) // fills the one slot the claim freed
+	stored := make(chan struct{})
+	go func() {
+		defer close(stored)
+		in.TStore(2, 1) // overflows: inline, behind the token
+	}()
+	for rt.Stats().Overflowed == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	await(t, "the overflowing store", stored)
+	within(t, "Wait", func() { rt.Wait(th) })
+	st := rt.Stats()
+	if runs.Load() != 3 || st.Executed != 2 || st.InlineRuns != 1 {
+		t.Fatalf("ran %d (Executed %d, InlineRuns %d), want 3 (2, 1)", runs.Load(), st.Executed, st.InlineRuns)
+	}
+	assertIdentities(t, rt, "inline overflow")
+}

@@ -57,6 +57,14 @@ type threadEntry struct {
 	running int
 	owner   uint64
 
+	// cancelEpoch counts Cancels of this thread. A worker snapshots it when
+	// it claims a run of the thread's entries and re-reads it with one
+	// atomic load before each body: a Cancel landing mid-run bumps it under
+	// the shard lock, and the unstarted rest of the run is dropped rather
+	// than executed after the tcancel. Written (atomically) only under the
+	// shard lock, so a plain read under that lock is exact.
+	cancelEpoch uint32 //dtt:guards dispatchShard.mu
+
 	// tokenWaiters are closed when no instance of this thread is executing
 	// (the run token is free): inline overflow runners block here.
 	// quietWaiters are closed when the thread is fully quiet (no pending,
@@ -80,7 +88,7 @@ func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
 
 // dispatchShard is one slice of the sharded dispatch plane: a colocated
 // ring-buffer queue segment and TQST for the threads mapped to it, plus the
-// shard-local bookkeeping Barrier and the worker wake protocol need. Thread
+// shard-local bookkeeping Barrier and the workers' scan need. Thread
 // t lives in shard uint32(t) & rt.shardMask, so two stores triggering
 // threads in different shards enqueue under different locks and never
 // contend.
@@ -92,21 +100,19 @@ type dispatchShard struct {
 	// of this shard; they hold run tokens but are invisible to the TQST, so
 	// the quiescence predicates must count them separately. Guarded by mu.
 	inlineRunning int //dtt:guards mu
-	// rr rotates worker wake targets so one hot shard does not pin all its
-	// wakeups on one worker. Guarded by mu.
-	rr int //dtt:guards mu
 	// idx is the shard's own index, fixed at construction.
 	idx int
 	// c are the shard's trigger counters, guarded by mu. Stats sums them
 	// under all shard locks for torn-free snapshots (see shardStats).
 	c shardStats
 	// busy mirrors tq.Len() + TQST running + inlineRunning. It is written
-	// only under mu but read lock-free by the Barrier fast check and the
-	// finish-side barrier hint, which sum it across shards.
+	// only under mu but read lock-free by the Barrier fast check, the
+	// finish-side barrier hint and the workers' scan, which skips (and, when
+	// every shard reads zero, parks without locking) shards with no work.
 	busy atomic.Int64
 	// Pad the hot fields out to (at least) two cache lines so neighbouring
 	// shards' locks and busy counters do not false-share.
-	_ [72]byte
+	_ [80]byte
 }
 
 type releaseKey struct {
@@ -170,13 +176,16 @@ type Runtime struct {
 	barrierWaiters []chan struct{} //dtt:guards barMu
 	barWaiting     atomic.Int32
 
-	// workerWake has one capacity-1 channel per immediate-backend worker.
-	// An enqueue deposits a token for a chosen worker (dropped if one is
-	// already pending — the worker will rescan anyway); a woken worker
-	// scans every shard, its own first, so a token in any worker's buffer
-	// is enough to get any shard's work picked up. The channels are never
-	// closed: Close sets the closed flag and deposits one token per worker.
-	workerWake []chan struct{}
+	// wake is where idle immediate-backend workers sleep, and parked counts
+	// the workers that have announced they are about to (see worker for the
+	// protocol and wakeWorker for the ordering argument). Capacity is one
+	// token per worker, so a send to a parked worker is never dropped for
+	// lack of room unless every worker already has a wakeup coming. The
+	// channel is never closed: Close sets the closed flag and deposits one
+	// token per worker. nil on the single-goroutine backends, where parked
+	// stays zero.
+	wake   chan struct{}
+	parked atomic.Int32
 
 	// release maps a pending queue entry to the trace task that released
 	// it (BackendRecorded only). Guarded by relMu, a leaf lock.
@@ -292,10 +301,7 @@ func New(cfg Config) (*Runtime, error) {
 		if rt.sys.Probed() {
 			return nil, fmt.Errorf("core: BackendImmediate cannot run with probes attached; probes are not safe under concurrency")
 		}
-		rt.workerWake = make([]chan struct{}, cfg.Workers)
-		for i := 0; i < cfg.Workers; i++ {
-			rt.workerWake[i] = make(chan struct{}, 1)
-		}
+		rt.wake = make(chan struct{}, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			rt.wg.Add(1)
 			go rt.worker(i)
@@ -472,6 +478,8 @@ func (rt *Runtime) Cancel(t ThreadID) {
 	rt.reg.Detach(t)
 	if known {
 		ths[t].atts = nil
+		// Stop a worker's claimed run of t before its next body.
+		atomic.AddUint32(&ths[t].cancelEpoch, 1)
 	}
 	n := sh.tq.Squash(t)
 	sh.tqst.Cancel(t, n)
@@ -651,11 +659,9 @@ func (rt *Runtime) checkGoid() uint64 {
 	return goid()
 }
 
-// storeWord is one word of a scalar-shaped triggering write: the compare-
-// and-store, noteWrite, and for a changed word inside a trigger range one
-// fireOne per attached thread. Region.TStore and the update-merge plane both
-// write through here, so a merge store is trigger-identical to a scalar
-// triggering store of the merged value. It reports whether the word changed.
+// storeWord is the scalar triggering write: the compare-and-store,
+// noteWrite, and for a changed word inside a trigger range one fireOne per
+// attached thread. It reports whether the word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
 // store is one atomic compare-and-swap; a changing store to an unattached
@@ -680,12 +686,11 @@ func (rt *Runtime) storeWord(r *Region, i int, v mem.Word, g uint64, inline *[]q
 // Region.TStoreF. It returns whether the value changed.
 func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	var inline []queue.Entry
-	changed := rt.storeWord(r, i, v, rt.checkGoid(), &inline)
-	rt.stats.tstores.Add(1)
-	if !changed {
+	if !rt.storeWord(r, i, v, rt.checkGoid(), &inline) {
 		rt.stats.silent.Add(1)
 		return false
 	}
+	rt.stats.changing.Add(1)
 	rt.afterWrite(inline)
 	return true
 }
@@ -717,7 +722,7 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // held. On Enqueued the caller owes the shard its settlement — the busy
 // mirror, a queue-depth sample and a worker wakeup — which stays with the
 // caller because the two dispatch shapes differ exactly there: fireOne
-// settles per entry, the batch walk once per shard, and a shared helper
+// settles per entry, dispatchFired once per shard, and a shared helper
 // measured 4% of a scalar round on the immediate backend.
 func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
 	if te.attachmentAt(addr) == nil {
@@ -763,21 +768,21 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 		if rt.tel != nil {
 			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
 		}
-		rt.signalShardLocked(sh)
+		rt.wakeWorker()
 	}
 	sh.mu.Unlock()
 }
 
-// firedTrigger is one (thread, trigger address) pair a batch collected for
-// dispatch.
+// firedTrigger is one (thread, trigger address) pair a batch or a merge
+// collected for dispatch.
 type firedTrigger struct {
 	id   queue.ThreadID
 	addr mem.Addr
 }
 
-// batchScratch is tstoreBatch's per-call working set: the fired pairs
-// collected during the write phase and the per-shard tally that lets the
-// dispatch phase skip shards with nothing to do. Instances live on the
+// batchScratch is the per-call working set of a batch or a merge: the fired
+// pairs collected during the write phase and the per-shard tally that lets
+// dispatchFired skip shards with nothing to do. Instances live on the
 // Runtime.batchFree list; slices keep their capacity across calls, so a
 // warmed scratch serves any batch the program repeats without allocating.
 type batchScratch struct {
@@ -799,6 +804,12 @@ func (sc *batchScratch) begin(shards int) {
 	for i := range sc.perShard {
 		sc.perShard[i] = 0
 	}
+}
+
+// fire records one fired pair for dispatchFired.
+func (sc *batchScratch) fire(id queue.ThreadID, addr mem.Addr, shardMask uint32) {
+	sc.fired = append(sc.fired, firedTrigger{id: id, addr: addr})
+	sc.perShard[uint32(id)&shardMask]++
 }
 
 // getScratch pops a warmed scratch off the free list, or makes a fresh one
@@ -830,14 +841,7 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 // atomic compares and resolves every changed word against ONE registry
 // snapshot — all words of a batch see the same attachment set, so a
 // concurrent Attach/Detach orders entirely before or after the batch. The
-// dispatch phase groups the fired (thread, addr) pairs by target shard and
-// takes each shard's lock exactly once, walking shards in ascending index
-// order (locks are taken one at a time, never nested, so this matches the
-// documented shard-lock order). Within the critical section each entry
-// still moves fired plus exactly one of enqueued/squashed/overflowed, so
-// the per-shard identity Fired = Enqueued + Squashed + Overflowed holds at
-// every instant, exactly as for scalar tstores; busy and the queue-depth
-// sample settle once per shard rather than once per entry.
+// dispatch phase is dispatchFired.
 //
 // On the seeded backend the whole batch is a single preemption point at
 // its end — the deterministic scheduler cannot observe a half-written
@@ -873,8 +877,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		for _, a := range sc.cands {
 			if a.Lo <= addr && addr < a.Hi {
 				matched++
-				sc.fired = append(sc.fired, firedTrigger{id: a.Thread, addr: addr})
-				sc.perShard[uint32(a.Thread)&rt.shardMask]++
+				sc.fire(a.Thread, addr, rt.shardMask)
 			}
 		}
 		if matched > 0 {
@@ -884,43 +887,18 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 			matches += matched
 		}
 	}
-	rt.stats.tstores.Add(int64(len(vs)))
 	if silent := len(vs) - changed; silent > 0 {
 		rt.stats.silent.Add(int64(silent))
+	}
+	if changed > 0 {
+		rt.stats.changing.Add(int64(changed))
 	}
 	rt.reg.NoteLookups(int64(lookups), int64(matches))
 	if rt.tel != nil {
 		rt.tel.BatchSize.Observe(int64(len(vs)))
 	}
 
-	if len(sc.fired) > 0 {
-		ths := rt.threadsSnap()
-		for s := range rt.shards {
-			if sc.perShard[s] == 0 {
-				continue
-			}
-			sh := &rt.shards[s]
-			enqueued := 0
-			sh.mu.Lock()
-			for _, ft := range sc.fired {
-				if uint32(ft.id)&rt.shardMask == uint32(s) &&
-					rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
-					enqueued++
-				}
-			}
-			if enqueued > 0 {
-				sh.busy.Add(int64(enqueued))
-				if rt.tel != nil {
-					// One depth sample per shard per batch: the depth after
-					// the batch's admissions, not one sample per entry.
-					rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-				}
-				rt.signalShardLocked(sh)
-			}
-			sh.mu.Unlock()
-		}
-	}
-
+	rt.dispatchFired(sc, g)
 	if changed > 0 {
 		rt.afterWrite(sc.inline)
 	}
@@ -928,27 +906,80 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	return changed
 }
 
-// signalShardLocked hands one wake token to a worker for newly dispatchable
-// work in sh. The target rotates per shard so a hot shard spreads its
-// wakeups; dropping the token when the target's buffer is full is safe — a
-// full buffer means that worker already has a pending wakeup, and a woken
-// worker scans every shard before sleeping again. Callers hold sh.mu.
-func (rt *Runtime) signalShardLocked(sh *dispatchShard) {
-	if rt.workerWake == nil {
+// dispatchFired is the batch-shaped dispatch phase, stages three and 3a of
+// the pipeline for a write that collected its fired pairs first: a batch's
+// span or a merge's words. It groups the pairs by target shard and takes
+// each shard's lock exactly once, walking shards in ascending index order
+// (locks are taken one at a time, never nested, so this matches the
+// documented shard-lock order). Within the critical section each pair still
+// moves fired plus exactly one of enqueued/squashed/overflowed through
+// admitLocked, so the per-shard identity Fired = Enqueued + Squashed +
+// Overflowed holds at every instant, exactly as for scalar tstores; busy,
+// the queue-depth sample and the worker wakeup settle once per shard rather
+// than once per entry. Overflowed pairs land in sc.inline for the caller's
+// afterWrite.
+func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
+	if len(sc.fired) == 0 {
 		return
 	}
-	w := (sh.idx + sh.rr) % len(rt.workerWake)
-	sh.rr++
+	// The thread table is loaded after the registry lookups that produced
+	// the pairs, so every id in them is in range.
+	ths := rt.threadsSnap()
+	for s := range rt.shards {
+		if sc.perShard[s] == 0 {
+			continue
+		}
+		sh := &rt.shards[s]
+		enqueued := 0
+		sh.mu.Lock()
+		for _, ft := range sc.fired {
+			if uint32(ft.id)&rt.shardMask == uint32(s) &&
+				rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
+				enqueued++
+			}
+		}
+		if enqueued > 0 {
+			sh.busy.Add(int64(enqueued))
+			if rt.tel != nil {
+				// One depth sample per shard per write: the depth after its
+				// admissions, not one sample per entry.
+				rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
+			}
+			rt.wakeWorker()
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// wakeWorker offers newly dispatchable work to a parked worker, if there is
+// one; with every worker awake it is one atomic load, because a worker
+// re-scans before it parks. Callers hold the shard lock under which they
+// made the work visible — the enqueue and the busy.Add, or the token release
+// — and call this after it. That order is the whole argument: the producer
+// writes busy and then loads parked; a worker adds itself to parked and then
+// loads busy (scanShards), locking every shard that reads non-zero. Both
+// counters are sync/atomic, hence sequentially consistent, so one of the
+// two sees the other: either this load sees the worker parked and sends, or
+// the worker's busy load sees the work and its locked scan — ordered after
+// this critical section by the shard lock — finds it. The send cannot block
+// and is dropped only when the buffer already holds a token per worker, in
+// which case every parked worker is about to wake anyway.
+func (rt *Runtime) wakeWorker() {
+	if rt.parked.Load() == 0 {
+		return
+	}
 	select {
-	case rt.workerWake[w] <- struct{}{}:
+	case rt.wake <- struct{}{}:
 	default:
 	}
 }
 
 // finishShardLocked propagates the consequences of thread t's activity
-// dropping: it frees t's run token waiters, re-offers t's skipped queue
-// entries to workers, completes Wait waiters whose predicate became true,
-// and hints the barrier path. Callers hold sh.mu, where sh is t's shard.
+// dropping: it frees t's run token waiters, completes Wait waiters whose
+// predicate became true, and hints the barrier path. Re-offering t's
+// skipped queue entries is the finisher's business — a worker re-scans the
+// shard itself, an inline run wakes one (endRunLocked). Callers hold sh.mu,
+// where sh is t's shard.
 func (rt *Runtime) finishShardLocked(sh *dispatchShard, t ThreadID, ths []*threadEntry) {
 	if int(t) >= 0 && int(t) < len(ths) {
 		te := ths[t]
@@ -960,15 +991,13 @@ func (rt *Runtime) finishShardLocked(sh *dispatchShard, t ThreadID, ths []*threa
 				}
 				te.tokenWaiters = nil
 			}
-			if sh.tq.Pending(t) {
-				// Entries of t skipped while t was running are
-				// dispatchable again.
-				rt.signalShardLocked(sh)
-			} else if sh.tqst.Quiet(t) && len(te.quietWaiters) > 0 {
+			if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && len(te.quietWaiters) > 0 {
 				for _, ch := range te.quietWaiters {
 					close(ch)
 				}
-				te.quietWaiters = nil
+				// Keep the backing array: a blocking Wait then allocates
+				// its channel and nothing else.
+				te.quietWaiters = te.quietWaiters[:0]
 			}
 		}
 	}
@@ -1085,7 +1114,7 @@ func (rt *Runtime) dropReleases(t ThreadID) {
 // resolveShardLocked builds the Trigger for a queue entry from the thread's
 // own attachment list. Callers hold the entry's shard lock, which guards
 // atts.
-func (rt *Runtime) resolveShardLocked(te *threadEntry, e queue.Entry) (Trigger, ThreadFunc) {
+func (rt *Runtime) resolveShardLocked(te *threadEntry, e queue.Entry) Trigger {
 	a := te.attachmentAt(e.Addr)
 	if a == nil {
 		// An entry can only exist for an attached range: the enqueue side
@@ -1099,7 +1128,7 @@ func (rt *Runtime) resolveShardLocked(te *threadEntry, e queue.Entry) (Trigger, 
 		Region: a.region,
 		Index:  a.region.buf.Index(e.Addr),
 		Addr:   e.Addr,
-	}, te.fn
+	}
 }
 
 // runInstance executes one support-thread instance through invoke,
@@ -1195,53 +1224,69 @@ func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
 	return rt.elig
 }
 
-// beginRunLocked opens the instance-run bracket for entry e: it takes the
-// thread's run token for goroutine g (re-entrantly, when an overflowed
-// cascade re-enters its own thread), moves the TQST slot to running (a
-// queued entry) or counts an inline run in flight (an overflowed trigger,
-// which the TQST never sees), and resolves the trigger. Callers hold
-// sh.mu, release it around runInstance, and close the bracket with
-// endRunLocked.
-func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, e queue.Entry, g uint64, queued bool) (Trigger, ThreadFunc) {
+// beginRunLocked opens the instance-run bracket for a run of n >= 1 entries
+// of thread t, which the caller has already taken off the queue: it takes
+// the thread's run token once for goroutine g (re-entrantly, when an
+// overflowed cascade re-enters its own thread) and moves n TQST instances
+// to running (queued entries) or counts an inline run in flight (an
+// overflowed trigger, which the TQST never sees; n is 1). Only the
+// immediate backend's worker claims n > 1. Callers hold sh.mu, resolve the
+// entries' triggers under it, release it around runInstance, and close the
+// bracket with endRunLocked.
+func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, n int, g uint64, queued bool) {
 	te.running++
 	te.owner = g
-	if queued {
-		sh.tqst.MarkRunning(e.Thread)
-	} else {
+	if !queued {
 		sh.inlineRunning++
 		sh.busy.Add(1)
+		return
 	}
-	return rt.resolveShardLocked(te, e)
+	for ; n > 0; n-- {
+		sh.tqst.MarkRunning(t)
+	}
 }
 
-// endRunLocked closes the bracket beginRunLocked opened: it returns the run
-// token, records the outcome — Executed or FailedRuns for a queued
+// endRunLocked closes the bracket beginRunLocked opened on a run of n
+// entries, in one settle: it returns the run token and records one outcome
+// per started body, in order — Executed or FailedRuns for a queued
 // instance, InlineRuns (and FailedRuns) for an inline one, keeping
-// Overflowed = InlineRuns + Dropped — drops the shard's busy count and
-// propagates the quiescence consequences. Callers hold sh.mu.
-func (rt *Runtime) endRunLocked(sh *dispatchShard, ths []*threadEntry, t ThreadID, queued, ok bool) {
+// Overflowed = InlineRuns + Dropped. The n - len(oks) entries a Cancel
+// stopped the run before leave TQST running as cancelled work, neither
+// executed nor failed. Then it drops the shard's busy count by n and
+// propagates the quiescence consequences once. Callers hold sh.mu.
+func (rt *Runtime) endRunLocked(sh *dispatchShard, ths []*threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
 	te := ths[t]
 	te.running--
 	if te.running == 0 {
 		te.owner = 0
 	}
-	switch {
-	case !queued:
-		sh.inlineRunning--
-		sh.c.inlineRuns++
-		if !ok {
+	for _, ok := range oks {
+		switch {
+		case !queued:
+			sh.inlineRunning--
+			sh.c.inlineRuns++
+			if !ok {
+				sh.c.failedRuns++
+				sh.tqst.NoteFailed(t)
+			}
+		case ok:
+			sh.tqst.MarkDone(t)
+			sh.c.executed++
+		default:
+			sh.tqst.MarkFailed(t)
 			sh.c.failedRuns++
-			sh.tqst.NoteFailed(t)
 		}
-	case ok:
-		sh.tqst.MarkDone(t)
-		sh.c.executed++
-	default:
-		sh.tqst.MarkFailed(t)
-		sh.c.failedRuns++
 	}
-	sh.busy.Add(-1)
+	if n > len(oks) {
+		sh.tqst.CancelRunning(t, n-len(oks))
+	}
+	sh.busy.Add(int64(-n))
 	rt.finishShardLocked(sh, t, ths)
+	if !queued && te.running == 0 && sh.tq.Pending(t) {
+		// Entries of t that workers skipped while this inline run held the
+		// token are dispatchable again, and the finisher is no worker.
+		rt.wakeWorker()
+	}
 }
 
 // seededPoll dispatches queued instances on the seeded backend, entry by
@@ -1267,13 +1312,15 @@ func (rt *Runtime) seededPoll(drain bool) {
 		ref := elig[rt.sched.Pick(len(elig))]
 		sh := &rt.shards[ref.shard]
 		e := sh.tq.DequeueAt(ref.idx)
-		tg, fn := rt.beginRunLocked(sh, ths[e.Thread], e, 0, true)
+		te := ths[e.Thread]
+		rt.beginRunLocked(sh, te, e.Thread, 1, 0, true)
+		tg := rt.resolveShardLocked(te, e)
 		rt.unlockAllShards()
 
-		ok := rt.runInstance(e, fn, tg)
+		ok := rt.runInstance(e, te.fn, tg)
 
 		sh.mu.Lock()
-		rt.endRunLocked(sh, ths, e.Thread, true, ok)
+		rt.endRunLocked(sh, ths, e.Thread, true, 1, ok)
 		sh.mu.Unlock()
 	}
 }
@@ -1317,72 +1364,132 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		<-ch
 		sh.mu.Lock()
 	}
-	tg, fn := rt.beginRunLocked(sh, te, e, g, false)
+	rt.beginRunLocked(sh, te, e.Thread, 1, g, false)
+	tg := rt.resolveShardLocked(te, e)
 	sh.mu.Unlock()
 
-	ok := rt.runInstance(e, fn, tg)
+	ok := rt.runInstance(e, te.fn, tg)
 
 	sh.mu.Lock()
-	rt.endRunLocked(sh, ths, e.Thread, false, ok)
+	rt.endRunLocked(sh, ths, e.Thread, false, 1, ok)
 	sh.mu.Unlock()
 }
 
-// runShardEntry tries to dispatch one queue entry of sh on the immediate
-// backend: dequeue the oldest entry whose thread's token is free, run it
-// with no lock held, and complete it. It reports whether an entry ran.
-func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
+// claimMax bounds how many entries of one thread a worker takes off a shard
+// per critical section. Measured on bench's ingest workload (one producer,
+// one worker, nproc 2, 2 seeds x 5 s, M ops/s): 1 -> 13.2, 4 -> 16.6,
+// 8 -> 17.2, 16 -> 16.7, 64 -> 17.0, 256 -> 18.1. Flat past 4, so it is a
+// constant, not a knob; 16 keeps the redundant instances a re-store to a
+// claimed address can cost (claimMax-1 per claim, see DESIGN.md) and a
+// worker's scratch (about 1 KB) small.
+const claimMax = 16
+
+// claim is a worker's private scratch for one claimed run: the entries, the
+// triggers resolved for them under the shard lock, and each started body's
+// outcome.
+type claim struct {
+	es  [claimMax]queue.Entry
+	tgs [claimMax]Trigger
+	oks [claimMax]bool
+}
+
+// runClaims is the immediate backend's dispatch loop over one shard. In one
+// critical section it finds the oldest entry whose thread's token is free,
+// takes that token once, and claims the entry plus the entries of the same
+// thread directly behind it (up to claimMax), resolving their triggers. It
+// runs the bodies back to back with no lock held, settles the whole run in
+// one endRunLocked, and — still holding the lock — goes straight to the next
+// claim; the lock is dropped only around bodies and when nothing in the
+// shard is eligible. A claim holds one thread's token, never two, so other
+// workers can run the shard's other threads meanwhile; the token spans the
+// run, so a thread's instances stay serial and in enqueue order. Claimed
+// entries have left the queue and released their dedup keys, as the paper
+// frees the queue entry at spawn. It reports whether any body ran.
+func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 	sh.mu.Lock()
-	// Loaded under sh.mu: any entry visible in this shard's queue was
-	// enqueued by a goroutine that saw its thread published first.
-	ths := rt.threadsSnap()
-	e, ok := sh.tq.DequeueFirst(func(e queue.Entry) bool { return ths[e.Thread].running == 0 })
-	if !ok {
+	for {
+		// Loaded under sh.mu: any entry visible in this shard's queue was
+		// enqueued by a goroutine that saw its thread published first.
+		ths := rt.threadsSnap()
+		n := sh.tq.DequeueRun(func(e queue.Entry) bool { return ths[e.Thread].running == 0 }, c.es[:])
+		if n == 0 {
+			sh.mu.Unlock()
+			return ran
+		}
+		ran = true
+		t := c.es[0].Thread
+		te := ths[t]
+		rt.beginRunLocked(sh, te, t, n, g, true)
+		for i := range c.es[:n] {
+			c.tgs[i] = rt.resolveShardLocked(te, c.es[i])
+		}
+		epoch := te.cancelEpoch
+		if sh.tq.Len() > sh.tq.PendingCount(t) {
+			// Other threads' entries stay behind while this worker is busy
+			// with t: offer them to a parked one.
+			rt.wakeWorker()
+		}
 		sh.mu.Unlock()
-		return false
+
+		// A Cancel of t since the claim stops the run: at most the body
+		// already decided on when the tcancel landed executes after it.
+		started := 0
+		for started < n && atomic.LoadUint32(&te.cancelEpoch) == epoch {
+			c.oks[started] = rt.runInstance(c.es[started], te.fn, c.tgs[started])
+			started++
+		}
+
+		sh.mu.Lock()
+		rt.endRunLocked(sh, ths, t, true, n, c.oks[:started]...)
 	}
-	tg, fn := rt.beginRunLocked(sh, ths[e.Thread], e, g, true)
-	sh.mu.Unlock()
+}
 
-	ok = rt.runInstance(e, fn, tg)
-
-	sh.mu.Lock()
-	rt.endRunLocked(sh, ths, e.Thread, true, ok)
-	sh.mu.Unlock()
-	return true
+// scanShards runs the claims of every shard that shows work, worker w's
+// home shard (w mod Shards) first and then the others in ring order, so with
+// Workers >= Shards every shard has an affine worker while any worker can
+// still pick up any shard's backlog. A shard whose busy count reads zero is
+// skipped without taking its lock; wakeWorker's ordering argument covers a
+// trigger admitted just after the read. It reports whether any body ran.
+func (rt *Runtime) scanShards(w int, g uint64, c *claim) (ran bool) {
+	n := len(rt.shards)
+	for k := 0; k < n; k++ {
+		if sh := &rt.shards[(w+k)%n]; sh.busy.Load() != 0 && rt.runClaims(sh, g, c) {
+			ran = true
+		}
+	}
+	return ran
 }
 
 // worker is the BackendImmediate dispatch loop: one goroutine per spare
-// hardware context. Worker w's home shard is w mod Shards; it drains its
-// home first and then steals from the other shards in ring order, so with
-// Workers >= Shards every shard has an affine worker while any worker can
-// still pick up any shard's backlog. An idle worker sleeps on its own
-// capacity-1 wake channel rather than a broadcast condition, so an enqueue
-// wakes exactly one chosen worker.
+// hardware context. It scans until a whole pass runs nothing, then parks:
+// it announces itself in rt.parked, re-checks once — scanShards reads the
+// shards' busy counters and locks only those that show work — and blocks on
+// rt.wake. Producers and finishers send a token only while some worker is
+// announced (wakeWorker), so a worker that is awake costs them one atomic
+// load and no channel operation. There is no spinning before the park: on
+// two vCPUs it cost the ammp kernel 30-60% (the shard lock and ring lines
+// bounce between producer and worker).
 func (rt *Runtime) worker(w int) {
 	defer rt.wg.Done()
 	// goid is stable for the life of this worker goroutine; computing it
 	// once keeps runtime.Stack off the dispatch fast path.
 	g := goid()
-	n := len(rt.shards)
+	var c claim
 	for {
-		ran := false
-		for k := 0; k < n; k++ {
-			sh := &rt.shards[(w+k)%n]
-			for rt.runShardEntry(sh, g) {
-				ran = true
-			}
-		}
-		if ran {
+		if rt.scanShards(w, g, &c) {
 			continue
 		}
 		if rt.closed.Load() {
 			return
 		}
-		// Sleep until a new entry is enqueued somewhere, a completing
-		// thread re-offers skipped entries, or Close deposits the final
-		// token. A token that arrived during the scan above is buffered
-		// and makes the receive immediate.
-		<-rt.workerWake[w]
+		rt.parked.Add(1)
+		if !rt.scanShards(w, g, &c) {
+			// Sleep until a trigger is admitted somewhere, an inline run
+			// or another worker's claim leaves entries for us, or Close
+			// deposits the final token.
+			<-rt.wake
+		}
+		rt.parked.Add(-1)
 	}
 }
 
@@ -1409,13 +1516,15 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 				}
 				progressed = true
 				ths := rt.threadsSnap()
-				tg, fn := rt.beginRunLocked(sh, ths[e.Thread], e, 0, true)
+				te := ths[e.Thread]
+				rt.beginRunLocked(sh, te, e.Thread, 1, 0, true)
+				tg := rt.resolveShardLocked(te, e)
 				sh.mu.Unlock()
 
 				if rec != nil {
-					rec.BeginSupport(ths[e.Thread].name, rt.takeRelease(e))
+					rec.BeginSupport(te.name, rt.takeRelease(e))
 				}
-				ok = rt.runInstance(e, fn, tg)
+				ok = rt.runInstance(e, te.fn, tg)
 				if rec != nil {
 					// A failed instance still closes its trace task:
 					// whatever it charged before panicking was really
@@ -1424,7 +1533,7 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 				}
 
 				sh.mu.Lock()
-				rt.endRunLocked(sh, ths, e.Thread, true, ok)
+				rt.endRunLocked(sh, ths, e.Thread, true, 1, ok)
 			}
 			sh.mu.Unlock()
 		}
@@ -1611,10 +1720,10 @@ func (rt *Runtime) ShardLens() []int {
 }
 
 // Close stops the worker pool. Pending queue entries are not executed; call
-// Barrier first for a clean drain. Close is idempotent. The wake channels
-// are never closed — a concurrent enqueue may be signalling under a shard
-// lock — instead every worker gets one final token and exits after finding
-// all shards empty with the closed flag set.
+// Barrier first for a clean drain. Close is idempotent. The wake channel is
+// never closed — a concurrent enqueue may be signalling under a shard lock —
+// instead it gets one final token per worker, parked or not, and each
+// worker exits after a scan that runs nothing with the closed flag set.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed.Load() {
@@ -1628,9 +1737,9 @@ func (rt *Runtime) Close() {
 		// snapshot reads only take shard locks, which remain valid.
 		rt.metricsSrv.Close()
 	}
-	for _, ch := range rt.workerWake {
+	for i := 0; i < cap(rt.wake); i++ {
 		select {
-		case ch <- struct{}{}:
+		case rt.wake <- struct{}{}:
 		default:
 		}
 	}

@@ -540,10 +540,12 @@ func TestShardedDispatchStress(t *testing.T) {
 	if st.Overflowed != st.InlineRuns+st.Dropped {
 		t.Fatalf("Overflowed %d != InlineRuns %d + Dropped %d", st.Overflowed, st.InlineRuns, st.Dropped)
 	}
-	// Every dequeued entry was executed: no panics in this workload.
+	// Every dequeued entry was executed — no panics in this workload —
+	// except the unstarted rest of a run a worker had claimed when the one
+	// Cancel landed: those left the queue and settled as cancelled work.
 	qc := rt.QueueCounters()
-	if st.Executed != qc.Dequeued {
-		t.Fatalf("Executed %d != Dequeued %d in a panic-free workload", st.Executed, qc.Dequeued)
+	if dropped := qc.Dequeued - st.Executed; dropped < 0 || dropped >= claimMax {
+		t.Fatalf("Executed %d vs Dequeued %d in a panic-free workload with one Cancel: the gap must be in [0, claimMax)", st.Executed, qc.Dequeued)
 	}
 	if st.FailedRuns != 0 {
 		t.Fatalf("FailedRuns = %d in a panic-free workload", st.FailedRuns)

@@ -8,8 +8,10 @@ import "sync/atomic"
 // harmless. Counters that do participate in an identity live in each
 // shard's shardStats instead.
 type statsCounters struct {
-	tstores  atomic.Int64
+	// silent and changing partition the triggering stores, so each store
+	// pays one atomic add; Stats derives TStores as their sum.
 	silent   atomic.Int64
+	changing atomic.Int64
 	waits    atomic.Int64
 	barriers atomic.Int64
 	cancels  atomic.Int64
@@ -164,9 +166,9 @@ func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
 // counter and could tear: a reader interleaving with a firing store saw
 // Fired without the matching Enqueued.
 //
-// The lock-free counters carry no cross-counter identity; Silent is
-// loaded before TStores so that a concurrent silent store can never make
-// Silent exceed TStores in the snapshot.
+// The lock-free counters carry no cross-counter identity; TStores is the
+// sum of the silent and changing counts, so Silent <= TStores by
+// construction.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	rt.lockAllShards()
@@ -183,13 +185,12 @@ func (rt *Runtime) Stats() Stats {
 	}
 	rt.unlockAllShards()
 	s.Silent = rt.stats.silent.Load()
-	s.TStores = rt.stats.tstores.Load()
+	s.TStores = s.Silent + rt.stats.changing.Load()
 	s.Waits = rt.stats.waits.Load()
 	s.Barriers = rt.stats.barriers.Load()
 	s.Cancels = rt.stats.cancels.Load()
-	// SilentMerges loads before MergedUpdates for the same reason Silent
-	// loads before TStores: a concurrent merge can never make the silent
-	// count exceed the total in the snapshot.
+	// SilentMerges loads before MergedUpdates so that a concurrent merge
+	// can never make the silent count exceed the total in the snapshot.
 	s.SilentMerges = rt.stats.silentMerges.Load()
 	s.MergedUpdates = rt.stats.mergedUpdates.Load()
 	s.Merges = rt.stats.merges.Load()

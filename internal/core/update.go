@@ -23,17 +23,19 @@
 //     merge (best-effort TryLock — pending deltas survive a skipped merge
 //     and the next op retries).
 //
-// Merge words are written through the exact pipeline scalar tstores use
-// (storeWord: noteWrite, then fireOne per attached thread — shard lock,
-// coverage re-check, Fired identity), so the trigger-observable semantics
-// match a scalar TStore of the merged value.
-// On the seeded backend the whole merge is one preemption point at its
-// end, like a batch.
+// Merge words go through the pipeline stages every triggering write uses
+// (the compare-and-store, noteWrite, a registry lookup per word, then
+// admitLocked — coverage re-check, Fired identity), so the
+// trigger-observable semantics match a TStore of the merged value. A merge
+// is a bulk operation over privatized deltas, not N scalar stores: it
+// writes its words first and admits the fired pairs once per shard
+// (dispatchFired), the shape a batch has. On the seeded backend the whole
+// merge is one preemption point at its end, like a batch.
 //
 // # Lock order
 //
 // A plane's merge lock (updatePlane.mergeMu) is taken before stripe locks
-// (inside Collect) and before shard locks (inside fireOne), never inside
+// (inside Collect) and before shard locks (inside dispatchFired), never inside
 // either. rt.mu may be held while acquiring mergeMu — releaseRegionLocked
 // does so to kill a plane before freeing its region — which is safe
 // because the converse never happens: a mergeMu holder never acquires
@@ -48,6 +50,7 @@ import (
 	"sync"
 
 	"dtt/internal/mem"
+	"dtt/internal/queue"
 	"dtt/internal/telemetry"
 )
 
@@ -202,11 +205,12 @@ func (rt *Runtime) mergeAllPlanes() {
 }
 
 // mergePlane collects a plane's pending deltas and applies the net effect
-// word by word: each changed word stores and fires exactly like a scalar
-// triggering store of the merged value; a word whose net effect is the
-// value already in memory is a silent merge and fires nothing. block
-// selects a blocking acquisition of the merge lock (sync points) versus
-// try-and-skip (Load, eager producers).
+// word by word: each changed word stores and fires like a triggering store
+// of the merged value; a word whose net effect is the value already in
+// memory is a silent merge and fires nothing. The fired pairs are admitted
+// together at the end, still under the merge lock, each shard's lock taken
+// once. block selects a blocking acquisition of the merge lock (sync points)
+// versus try-and-skip (Load, eager producers).
 func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	if block {
 		u.mergeMu.Lock()
@@ -231,23 +235,32 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	}
 	r := u.r
 	g := rt.checkGoid()
-	// The inline list rides the pooled batch scratch so a steady merge
-	// cadence allocates nothing.
+	// The fired pairs and the inline list ride the pooled batch scratch so
+	// a steady merge cadence allocates nothing.
 	sc := rt.getScratch()
-	sc.inline = sc.inline[:0]
+	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
 	changed := 0
 	for k := 0; k < n; k++ {
 		i := p.MergeIndex(k)
 		// LoadQuiet: folding reads the base value as part of applying a
 		// store, not as a workload load — it must not reach probes. The
 		// merge store itself is a real store on the merging agent's clock
-		// (merge is the visibility point), charged, checked and fired
-		// exactly as a scalar tstore of the merged value.
+		// (merge is the visibility point), charged, checked and fired as a
+		// tstore of the merged value.
 		_, v := p.MergeWord(k, r.buf.LoadQuiet(i))
-		if rt.storeWord(r, i, v, g, &sc.inline) {
-			changed++
+		wrote := r.buf.Store(i, v)
+		rt.noteWrite(r, i, wrote, g)
+		if !wrote {
+			continue
+		}
+		changed++
+		// Merged words are not a contiguous span, so each is matched on its
+		// own; the callback does not escape.
+		if addr := r.buf.Addr(i); rt.reg.Covers(addr) {
+			rt.reg.Each(addr, func(id queue.ThreadID) { sc.fire(id, addr, rt.shardMask) })
 		}
 	}
+	rt.dispatchFired(sc, g)
 	rt.stats.mergedUpdates.Add(int64(n))
 	rt.stats.silentMerges.Add(int64(n - changed))
 	rt.stats.merges.Add(1)

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dtt/internal/mem"
@@ -77,13 +78,20 @@ func (m *qModel) dequeue() (Entry, bool) {
 	return m.removeAt(0), true
 }
 
-func (m *qModel) dequeueFirst(pred func(Entry) bool) (Entry, bool) {
+// dequeueRun models DequeueRun: the oldest entry satisfying pred plus the
+// entries of the same thread directly behind it, at most max in all.
+func (m *qModel) dequeueRun(pred func(Entry) bool, max int) []Entry {
 	for i, e := range m.entries {
-		if pred(e) {
-			return m.removeAt(i), true
+		if !pred(e) {
+			continue
 		}
+		var run []Entry
+		for len(run) < max && i < len(m.entries) && m.entries[i].Thread == e.Thread {
+			run = append(run, m.removeAt(i))
+		}
+		return run
 	}
-	return Entry{}, false
+	return nil
 }
 
 func (m *qModel) squash(t ThreadID) int {
@@ -178,11 +186,14 @@ func TestQueueAgainstModel(t *testing.T) {
 						// Skip one thread, as the immediate backend's
 						// busy-thread filter does.
 						skip := ThreadID(rng.Intn(modelThreads))
+						// A run of up to three: the worker's claim. Runs of
+						// one are the common draw with four threads.
 						pred := func(e Entry) bool { return e.Thread != skip }
-						got, gotOK := q.DequeueFirst(pred)
-						want, wantOK := m.dequeueFirst(pred)
-						if got != want || gotOK != wantOK {
-							t.Fatalf("step %d: DequeueFirst(!=%d) = %+v,%v, model says %+v,%v", step, skip, got, gotOK, want, wantOK)
+						out := make([]Entry, 1+rng.Intn(3))
+						got := out[:q.DequeueRun(pred, out)]
+						want := m.dequeueRun(pred, len(out))
+						if !slices.Equal(got, want) {
+							t.Fatalf("step %d: DequeueRun(!=%d, %d) = %+v, model says %+v", step, skip, len(out), got, want)
 						}
 					case op == 8:
 						if q.Len() == 0 {

@@ -255,7 +255,7 @@ type Counters struct {
 	Squashed int64
 	// Overflowed counts offers that found the ring full.
 	Overflowed int64
-	// Dequeued counts entries removed by Dequeue/DequeueFirst.
+	// Dequeued counts entries removed by Dequeue/DequeueRun/DequeueAt.
 	Dequeued int64
 	// SquashedOut counts pending entries removed by Squash (tcancel).
 	SquashedOut int64
@@ -369,32 +369,51 @@ func (q *ThreadQueue) Dequeue() (e Entry, ok bool) {
 	return e, true
 }
 
-// DequeueFirst removes and returns the oldest entry satisfying pred,
-// preserving the order of the rest. ok is false when no entry matches.
-// The immediate backend uses it to skip over entries whose thread already
-// has a running instance. Removal shifts the entries older than the match
-// — usually none, since dispatchable work clusters at the head — and never
-// allocates.
-func (q *ThreadQueue) DequeueFirst(pred func(Entry) bool) (e Entry, ok bool) {
+// DequeueRun removes the oldest entry satisfying pred together with the
+// entries of the same thread directly behind it, up to len(out), copies them
+// into out oldest first and returns how many it took; the order of the rest
+// is preserved. It returns 0 when no entry matches. The immediate backend's
+// worker claims with it: pred skips entries whose thread already has a
+// running instance, and the run behind the match amortizes one critical
+// section over several instances of that thread. Removal shifts the entries
+// older than the match — usually none, since dispatchable work clusters at
+// the head — and never allocates.
+func (q *ThreadQueue) DequeueRun(pred func(Entry) bool, out []Entry) int {
 	for i := 0; i < q.n; i++ {
-		cand := *q.at(i)
-		if !pred(cand) {
+		first := *q.at(i)
+		if !pred(first) {
 			continue
 		}
-		for j := i; j > 0; j-- {
-			*q.at(j) = *q.at(j - 1)
+		k := 0
+		for k < len(out) && i+k < q.n {
+			e := *q.at(i + k)
+			if e.Thread != first.Thread {
+				break
+			}
+			out[k] = e
+			q.dropKey(e)
+			k++
 		}
-		q.head++
-		if q.head == q.cap {
-			q.head = 0
-		}
-		q.n--
-		q.perThread[cand.Thread]--
-		q.dropKey(cand)
-		q.c.Dequeued++
-		return cand, true
+		q.perThread[first.Thread] -= k
+		q.removeRun(i, k)
+		return k
 	}
-	return Entry{}, false
+	return 0
+}
+
+// removeRun takes the k entries at positions [i, i+k) out of the ring: the i
+// older entries shift back over them and the head advances. Callers have
+// already released the removed entries' dedup keys and per-thread counts.
+func (q *ThreadQueue) removeRun(i, k int) {
+	for j := i - 1; j >= 0; j-- {
+		*q.at(j + k) = *q.at(j)
+	}
+	q.head += k
+	if q.head >= q.cap {
+		q.head -= q.cap
+	}
+	q.n -= k
+	q.c.Dequeued += int64(k)
 }
 
 // EntryAt returns the i-th oldest pending entry without removing it. It
@@ -408,24 +427,16 @@ func (q *ThreadQueue) EntryAt(i int) Entry {
 }
 
 // DequeueAt removes and returns the i-th oldest entry, preserving the order
-// of the rest. It panics if i is out of range. Like DequeueFirst, removal
+// of the rest. It panics if i is out of range. Like DequeueRun, removal
 // shifts the entries older than the target and never allocates.
 func (q *ThreadQueue) DequeueAt(i int) Entry {
 	if i < 0 || i >= q.n {
 		panic(fmt.Sprintf("queue: DequeueAt(%d) with %d pending", i, q.n))
 	}
 	e := *q.at(i)
-	for j := i; j > 0; j-- {
-		*q.at(j) = *q.at(j - 1)
-	}
-	q.head++
-	if q.head == q.cap {
-		q.head = 0
-	}
-	q.n--
 	q.perThread[e.Thread]--
 	q.dropKey(e)
-	q.c.Dequeued++
+	q.removeRun(i, 1)
 	return e
 }
 

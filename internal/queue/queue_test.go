@@ -299,10 +299,11 @@ func TestQueueRingWraparound(t *testing.T) {
 		want := q.PendingCount(id)
 		got := 0
 		for {
-			if _, ok := q.DequeueFirst(func(e Entry) bool { return e.Thread == id }); !ok {
+			n := q.DequeueRun(func(e Entry) bool { return e.Thread == id }, make([]Entry, 2))
+			if n == 0 {
 				break
 			}
-			got++
+			got += n
 		}
 		if got != want || q.PendingCount(id) != 0 {
 			t.Fatalf("thread %d: drained %d entries, PendingCount said %d (now %d)", id, got, want, q.PendingCount(id))
@@ -327,9 +328,9 @@ func TestQueuePendingCount(t *testing.T) {
 	if q.PendingCount(1) != 1 {
 		t.Fatalf("after Dequeue: PendingCount(1) = %d", q.PendingCount(1))
 	}
-	q.DequeueFirst(func(e Entry) bool { return e.Thread == 1 })
+	q.DequeueRun(func(e Entry) bool { return e.Thread == 1 }, make([]Entry, 1))
 	if q.PendingCount(1) != 0 || q.Pending(1) {
-		t.Fatalf("after DequeueFirst: PendingCount(1) = %d", q.PendingCount(1))
+		t.Fatalf("after DequeueRun: PendingCount(1) = %d", q.PendingCount(1))
 	}
 	q.Squash(2)
 	if q.PendingCount(2) != 0 || q.Len() != 0 {
@@ -437,28 +438,66 @@ func TestQueueDequeueFirst(t *testing.T) {
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(1, 0x18)
-	// Skip thread 1: the first match is thread 2, mid-queue.
-	e, ok := q.DequeueFirst(func(e Entry) bool { return e.Thread != 1 })
-	if !ok || e.Thread != 2 {
-		t.Fatalf("DequeueFirst = %v,%v, want thread 2", e, ok)
+	out := make([]Entry, 4)
+	// Skip thread 1: the first match is thread 2, mid-queue, a run of one.
+	if n := q.DequeueRun(func(e Entry) bool { return e.Thread != 1 }, out); n != 1 || out[0].Thread != 2 {
+		t.Fatalf("DequeueRun = %d %v, want one entry of thread 2", n, out[:n])
 	}
 	// Remaining order preserved.
-	e, _ = q.Dequeue()
+	e, _ := q.Dequeue()
 	if e.Thread != 1 || e.Addr != 0x10 {
 		t.Fatalf("order disturbed: %v", e)
 	}
 	// No match: queue untouched.
-	if _, ok := q.DequeueFirst(func(Entry) bool { return false }); ok {
-		t.Fatalf("DequeueFirst matched nothing but returned ok")
+	if n := q.DequeueRun(func(Entry) bool { return false }, out); n != 0 {
+		t.Fatalf("DequeueRun matched nothing but took %d", n)
 	}
 	if q.Len() != 1 {
-		t.Fatalf("Len = %d after failed DequeueFirst", q.Len())
+		t.Fatalf("Len = %d after failed DequeueRun", q.Len())
 	}
-	// The dedup key must be freed by DequeueFirst too.
-	q.Dequeue()
+	// The dedup key must be freed by DequeueRun too.
+	q.DequeueRun(func(Entry) bool { return true }, out)
 	q.Enqueue(2, 0x20)
 	if s := q.Enqueue(2, 0x20); s != Squashed {
-		t.Fatalf("dedup bookkeeping broken after DequeueFirst: %v", s)
+		t.Fatalf("dedup bookkeeping broken after DequeueRun: %v", s)
+	}
+}
+
+// TestQueueDequeueRun pins the claim shape: the run starts at the oldest
+// match, takes only that thread's entries directly behind it, stops at
+// len(out), and leaves older and younger entries in order with their dedup
+// keys intact.
+func TestQueueDequeueRun(t *testing.T) {
+	q := NewThreadQueue(8, DedupPerAddress)
+	for _, e := range []Entry{{Thread: 1, Addr: 0x10}, {Thread: 2, Addr: 0x20}, {Thread: 2, Addr: 0x28},
+		{Thread: 2, Addr: 0x30}, {Thread: 1, Addr: 0x18}, {Thread: 2, Addr: 0x38}} {
+		q.Enqueue(e.Thread, e.Addr)
+	}
+	out := make([]Entry, 2)
+	notOne := func(e Entry) bool { return e.Thread != 1 }
+	if n := q.DequeueRun(notOne, out); n != 2 || out[0].Addr != 0x20 || out[1].Addr != 0x28 {
+		t.Fatalf("first run = %d %v, want thread 2 at 0x20, 0x28 (capped by len(out))", n, out[:n])
+	}
+	if n := q.DequeueRun(notOne, out); n != 1 || out[0].Addr != 0x30 {
+		t.Fatalf("second run = %d %v, want thread 2 at 0x30 alone (thread 1 interrupts the run)", n, out[:n])
+	}
+	if q.PendingCount(2) != 1 || q.PendingCount(1) != 2 || q.Len() != 3 {
+		t.Fatalf("pending after runs: t1=%d t2=%d len=%d", q.PendingCount(1), q.PendingCount(2), q.Len())
+	}
+	if s := q.Enqueue(2, 0x20); s != Enqueued {
+		t.Fatalf("claimed entry's dedup key not released: %v", s)
+	}
+	if s := q.Enqueue(2, 0x38); s != Squashed {
+		t.Fatalf("unclaimed entry's dedup key lost: %v", s)
+	}
+	for i, want := range []mem.Addr{0x10, 0x18, 0x38, 0x20} {
+		if e, _ := q.Dequeue(); e.Addr != want {
+			t.Fatalf("entry %d after runs = %#x, want %#x", i, e.Addr, want)
+		}
+	}
+	c := q.Counters()
+	if c.Dequeued != 7 || c.Enqueued != c.Dequeued+c.SquashedOut+int64(q.Len()) {
+		t.Fatalf("counters %+v with Len %d", c, q.Len())
 	}
 }
 

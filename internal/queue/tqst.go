@@ -145,6 +145,18 @@ func (t *TQST) Cancel(id ThreadID, n int) {
 	t.busy -= n
 }
 
+// CancelRunning drops n running instances of id that never started: a
+// worker marks a whole claimed run of id running, and a tcancel landing
+// mid-run stops it before the rest begin. They neither executed nor failed.
+func (t *TQST) CancelRunning(id ThreadID, n int) {
+	e := t.entry(id)
+	if n > e.running {
+		panic(fmt.Sprintf("queue: TQST CancelRunning(%d, %d) with only %d running", id, n, e.running))
+	}
+	e.running -= n
+	t.busy -= n
+}
+
 // Forget clears id's slot entirely — execution counts and failure colour
 // included — so a recycled thread ID starts with a fresh history. The
 // caller must ensure id is quiet (no pending or running instance);

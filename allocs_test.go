@@ -27,7 +27,7 @@ func allocRuntime(t *testing.T, telemetry bool) (*dtt.Runtime, *dtt.Region, *dtt
 		t.Fatal(err)
 	}
 	// Warm the runtime's internal structures (queue per-thread counters,
-	// TQST slice, lookup scratch, dedup map buckets) so the measurements
+	// lookup scratch, dedup map buckets) so the measurements
 	// below see the steady state the fast-path contract is about.
 	for i := 0; i < 1024; i++ {
 		hot.TStore(i, 1)

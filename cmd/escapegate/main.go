@@ -75,10 +75,6 @@ var pinned = map[string][]string{
 		"deltaStripe.apply",
 	},
 	"internal/queue": {
-		"TQST.MarkDone",
-		"TQST.MarkPending",
-		"TQST.MarkRunning",
-		"TQST.entry",
 		"ThreadQueue.Dequeue",
 		"ThreadQueue.DequeueRun",
 		"ThreadQueue.Enqueue",

@@ -64,14 +64,14 @@ func assertIdentities(t *testing.T, rt *Runtime, phase string) {
 	assertQueueConservation(t, rt, phase)
 }
 
-// runningOf returns thread t's TQST running count: the size of the run a
-// worker has claimed, when read from inside one of its bodies.
+// runningOf returns thread t's dispatched count (its status row's running
+// column): the size of the run a worker has claimed, when read from inside
+// one of its bodies.
 func runningOf(rt *Runtime, t ThreadID) int {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, running := sh.tqst.InFlight(t)
-	return running
+	return rt.threadsSnap()[t].dispatched
 }
 
 // TestClaimOrderAndExactlyOnce: whatever the claim boundaries, each thread's

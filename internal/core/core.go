@@ -127,8 +127,8 @@ type Config struct {
 	// per-shard, not divided — so a thread's overflow behaviour does not
 	// change with the shard count.
 	QueueCapacity int
-	// Shards is the number of dispatch shards the thread queue, TQST and
-	// run tokens are split across. Thread t lives in shard t mod Shards;
+	// Shards is the number of dispatch shards the thread queue and the
+	// per-thread records (status row, run token) are split across. Thread t lives in shard t mod Shards;
 	// stores triggering threads in different shards enqueue under
 	// different locks and scale across producer cores. Values are rounded
 	// up to a power of two. The default is 1 for the single-goroutine

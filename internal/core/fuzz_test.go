@@ -108,6 +108,7 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, drop bool, ops [
 	if st.qc.Enqueued != st.qc.Dequeued+st.qc.SquashedOut {
 		t.Fatalf("queue counter invariant broken after Barrier: %+v", st.qc)
 	}
+	assertQueueConservation(t, rt, "fuzz program")
 	// Every successfully dequeued entry executed; every squashed-out entry
 	// was a cancelled one.
 	if s.Enqueued != s.Executed+st.qc.SquashedOut {

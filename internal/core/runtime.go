@@ -27,14 +27,16 @@ type attachment struct {
 }
 
 // threadEntry is the runtime's per-thread record: the registered body, the
-// thread's trigger ranges, and the thread's run token. The token serialises
-// instances of one thread (the paper's one-instance-at-a-time rule) without
-// involving any other thread: workers executing different threads only meet
-// on a shard lock for queue operations, never on each other's tokens.
+// thread's trigger ranges, the thread's run token and its row of the thread
+// queue status table. The token serialises instances of one thread (the
+// paper's one-instance-at-a-time rule) without involving any other thread:
+// workers executing different threads only meet on a shard lock for queue
+// operations, never on each other's tokens.
 //
-// name and fn are immutable after Register. atts and the token/waiter fields
-// are guarded by the thread's shard lock (shardOf(t).mu); Attach and Cancel
-// additionally hold rt.mu to serialise against registry mutations.
+// name and fn are immutable after Register. atts, the status row and the
+// token/waiter fields are guarded by the thread's shard lock
+// (shardOf(t).mu); Attach and Cancel additionally hold rt.mu to serialise
+// against registry mutations.
 type threadEntry struct {
 	name string
 	fn   ThreadFunc
@@ -57,6 +59,19 @@ type threadEntry struct {
 	running int
 	owner   uint64
 
+	// The thread's row of the status table (TQST). The pending column is the
+	// ring's own sh.tq.PendingCount(t), not a second counter. dispatched is
+	// the running column: entries a run bracket took off the ring and has not
+	// settled, so it is non-zero only while running is. An inline overflow
+	// run holds the token without showing here — Running means a
+	// queue-dispatched instance. lastFailed colours the idle state
+	// StatusFailed until a queue-dispatched instance succeeds. The row goes
+	// with a retired entry, so a recycled ThreadID starts with a fresh history.
+	dispatched int   //dtt:guards dispatchShard.mu
+	executed   int64 //dtt:guards dispatchShard.mu
+	failed     int64 //dtt:guards dispatchShard.mu
+	lastFailed bool  //dtt:guards dispatchShard.mu
+
 	// cancelEpoch counts Cancels of this thread. A worker snapshots it when
 	// it claims a run of the thread's entries and re-reads it with one
 	// atomic load before each body: a Cancel landing mid-run bumps it under
@@ -67,11 +82,20 @@ type threadEntry struct {
 
 	// tokenWaiters are closed when no instance of this thread is executing
 	// (the run token is free): inline overflow runners block here.
-	// quietWaiters are closed when the thread is fully quiet (no pending,
-	// no running, token free): Wait blocks here. Both are targeted wakeups
+	// quietWaiters are closed when the thread is quiet (quietLocked): Wait
+	// blocks here. Both are targeted wakeups
 	// — only goroutines interested in this thread are woken.
 	tokenWaiters []chan struct{}
 	quietWaiters []chan struct{}
+}
+
+// entryOf returns t's record in thread-table snapshot ths, or nil when no
+// thread was ever registered under t.
+func entryOf(ths []*threadEntry, t ThreadID) *threadEntry {
+	if int(t) < 0 || int(t) >= len(ths) {
+		return nil
+	}
+	return ths[t]
 }
 
 // attachmentAt returns the thread's attached trigger range containing addr,
@@ -86,29 +110,28 @@ func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
 	return nil
 }
 
-// dispatchShard is one slice of the sharded dispatch plane: a colocated
-// ring-buffer queue segment and TQST for the threads mapped to it, plus the
-// shard-local bookkeeping Barrier and the workers' scan need. Thread
+// dispatchShard is one slice of the sharded dispatch plane: the ring-buffer
+// queue segment of the threads mapped to it (whose status rows sit in their
+// threadEntry, under this shard's lock), plus the shard-local bookkeeping
+// Barrier and the workers' scan need. Thread
 // t lives in shard uint32(t) & rt.shardMask, so two stores triggering
 // threads in different shards enqueue under different locks and never
 // contend.
 type dispatchShard struct {
-	mu   sync.Mutex
-	tq   *queue.ThreadQueue
-	tqst *queue.TQST
-	// inlineRunning counts inline overflow executions in flight for threads
-	// of this shard; they hold run tokens but are invisible to the TQST, so
-	// the quiescence predicates must count them separately. Guarded by mu.
-	inlineRunning int //dtt:guards mu
+	mu sync.Mutex
+	tq *queue.ThreadQueue
 	// idx is the shard's own index, fixed at construction.
 	idx int
 	// c are the shard's trigger counters, guarded by mu. Stats sums them
 	// under all shard locks for torn-free snapshots (see shardStats).
 	c shardStats
-	// busy mirrors tq.Len() + TQST running + inlineRunning. It is written
-	// only under mu but read lock-free by the Barrier fast check, the
-	// finish-side barrier hint and the workers' scan, which skips (and, when
-	// every shard reads zero, parks without locking) shards with no work.
+	// busy is the shard's quiescence count, the only one: tq.Len() plus the
+	// dispatched entries of the shard's threads plus the inline overflow runs
+	// in flight. It is written only under mu, so a holder of mu reads it
+	// exactly (quietConfirm); it is atomic for its lock-free readers — the
+	// Barrier fast check, the finish-side barrier hint and the workers' scan,
+	// which skips (and, when every shard reads zero, parks without locking)
+	// shards with no work.
 	busy atomic.Int64
 	// Pad the hot fields out to (at least) two cache lines so neighbouring
 	// shards' locks and busy counters do not false-share.
@@ -139,8 +162,8 @@ type releaseKey struct {
 //     registry's immutable index snapshot, and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
-//  2. Shard locks (dispatchShard.mu): thread queue segment, TQST slot,
-//     per-thread records and run tokens of the shard's threads. A store
+//  2. Shard locks (dispatchShard.mu): thread queue segment and per-thread
+//     records — status row and run token — of the shard's threads. A store
 //     that fires takes only the target thread's shard lock, and only for
 //     pointer-sized bookkeeping, never across a thread body. Stores that
 //     trigger threads in different shards proceed in parallel.
@@ -265,7 +288,6 @@ func New(cfg Config) (*Runtime, error) {
 		sh := &rt.shards[s]
 		sh.idx = s
 		sh.tq = queue.NewThreadQueue(cfg.QueueCapacity, cfg.Dedup)
-		sh.tqst = queue.NewTQST()
 	}
 	if cfg.Telemetry {
 		rt.tel = telemetry.New(len(rt.shards))
@@ -332,9 +354,6 @@ func (rt *Runtime) MetricsAddr() string { return rt.metricsAddr }
 // defaulting; Config.Shards reports the effective shard count).
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// ShardCount returns the number of dispatch shards.
-func (rt *Runtime) ShardCount() int { return len(rt.shards) }
-
 // NewRegion allocates a region of n words in the runtime's address space.
 // Allocation is serialised under rt.mu: mem.System carries no lock of its
 // own, and the serving plane creates regions from concurrent sessions.
@@ -344,26 +363,39 @@ func (rt *Runtime) NewRegion(name string, n int) *Region {
 	return &Region{rt: rt, buf: rt.sys.Alloc(name, n)}
 }
 
+// maxThreads bounds live thread IDs: queue.dedupKey packs the thread into 16
+// bits, so an ID at or above 1<<16 would alias a lower thread's pending
+// entries. register hands out every ID and is the one place that checks.
+const maxThreads = 1 << 16
+
 // Register records a support thread body under name and returns its ID.
 // Slots retired by Namespace.Close are reused before the table grows, so
-// steady session churn keeps the thread table at a fixed size.
+// steady session churn keeps the thread table at a fixed size. It panics
+// when maxThreads threads are live — the program's own bug; a tenant's
+// registration goes through Namespace.Register, which returns the error.
 func (rt *Runtime) Register(name string, fn ThreadFunc) ThreadID {
+	id, err := rt.register(name, fn)
+	if err != nil {
+		panic(err.Error())
+	}
+	return id
+}
+
+func (rt *Runtime) register(name string, fn ThreadFunc) (ThreadID, error) {
 	if fn == nil {
 		panic("core: Register with nil ThreadFunc")
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	old := rt.threadsSnap()
-	var id ThreadID
-	var grown []*threadEntry
+	id := ThreadID(len(old)) // grow the table, unless a retired slot is free
 	if n := len(rt.freeIDs); n > 0 {
 		id = rt.freeIDs[n-1]
 		rt.freeIDs = rt.freeIDs[:n-1]
-		grown = make([]*threadEntry, len(old))
-	} else {
-		id = ThreadID(len(old))
-		grown = make([]*threadEntry, len(old)+1)
+	} else if len(old) >= maxThreads {
+		return 0, fmt.Errorf("core: Register of %q: all %d thread ids are live", name, maxThreads)
 	}
+	grown := make([]*threadEntry, max(len(old), int(id)+1))
 	te := &threadEntry{name: name, fn: fn}
 	if rt.tel != nil {
 		te.labels = pprof.WithLabels(context.Background(),
@@ -375,16 +407,15 @@ func (rt *Runtime) Register(name string, fn ThreadFunc) ThreadID {
 	if rt.check != nil {
 		rt.check.RegisterThread(id, name)
 	}
-	return id
+	return id, nil
 }
 
 // ThreadName returns the name thread t was registered under.
 func (rt *Runtime) ThreadName(t ThreadID) string {
-	ths := rt.threadsSnap()
-	if int(t) < 0 || int(t) >= len(ths) {
-		return fmt.Sprintf("thread-%d", t)
+	if te := entryOf(rt.threadsSnap(), t); te != nil {
+		return te.name
 	}
-	return ths[t].name
+	return fmt.Sprintf("thread-%d", t)
 }
 
 // Attach arms thread t to trigger on stores to words [lo, hi) of r. This is
@@ -458,39 +489,36 @@ func (rt *Runtime) CheckErr() error {
 
 // Cancel detaches thread t and squashes its pending instances (tcancel).
 // It takes the management lock and then only t's shard lock: a thread's
-// queue entries, TQST slot and token all live in one shard.
+// queue entries, status row and token all live in one shard.
 func (rt *Runtime) Cancel(t ThreadID) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ths := rt.threadsSnap()
-	known := int(t) >= 0 && int(t) < len(ths)
+	te := entryOf(rt.threadsSnap(), t)
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	if rt.check != nil {
-		_, running := sh.tqst.InFlight(t)
-		if known && ths[t].running > 0 && running == 0 {
-			// An inline overflow run holds the token but is invisible to
-			// the TQST; it is racing this cancel all the same.
-			running = 1
+		running := 0
+		if te != nil {
+			// The token, not the dispatched column: an inline overflow run
+			// shows Idle but races this cancel all the same.
+			running = te.running
 		}
 		rt.check.OnCancel(t, running)
 	}
 	rt.reg.Detach(t)
-	if known {
-		ths[t].atts = nil
+	if te != nil {
+		te.atts = nil
 		// Stop a worker's claimed run of t before its next body.
-		atomic.AddUint32(&ths[t].cancelEpoch, 1)
+		atomic.AddUint32(&te.cancelEpoch, 1)
 	}
-	n := sh.tq.Squash(t)
-	sh.tqst.Cancel(t, n)
-	if n > 0 {
+	if n := sh.tq.Squash(t); n > 0 {
 		sh.busy.Add(int64(-n))
 	}
 	rt.dropReleases(t)
 	rt.stats.cancels.Add(1)
 	rt.chargeMgmt(isa.OpTCancel)
 	// Squashing may have made t — or the whole runtime — quiet.
-	rt.finishShardLocked(sh, t, ths)
+	rt.finishShardLocked(sh, te, t)
 	sh.mu.Unlock()
 }
 
@@ -498,23 +526,20 @@ func (rt *Runtime) Cancel(t ThreadID) {
 // is replaced by an inert tombstone (dropping the registered closure and
 // whatever it captured) and the ID goes on the free list for the next
 // Register, so steady namespace churn keeps the thread table at a fixed
-// size. Only a fully quiet thread retires — no pending or running
-// instance, run token free, no attachments; otherwise the slot is left
-// as-is and the call reports false (a still-running instance finishes
-// against the old entry it captured). Callers hold rt.mu.
+// size. The tombstone also carries a blank status row, so the ID's next
+// owner starts with a fresh history. Only a quiet thread with no
+// attachments retires; otherwise the slot is left as-is and the call
+// reports false (a still-running instance finishes against the old entry it
+// captured). Callers hold rt.mu.
 func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	ths := rt.threadsSnap()
-	if int(t) < 0 || int(t) >= len(ths) {
+	te := entryOf(ths, t)
+	if te == nil {
 		return false
 	}
-	te := ths[t]
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
-	_, running := sh.tqst.InFlight(t)
-	quiet := te.running == 0 && running == 0 && !sh.tq.Pending(t) && sh.tqst.Quiet(t) && len(te.atts) == 0
-	if quiet {
-		sh.tqst.Forget(t)
-	}
+	quiet := sh.quietLocked(te, t) && len(te.atts) == 0
 	sh.mu.Unlock()
 	if !quiet {
 		return false
@@ -532,7 +557,7 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 
 // drainThread blocks until thread t has no pending or running instance:
 // the quiescence loop of Wait on the immediate backend, without Wait's
-// merge point, join edge or stats. The predicate is three O(1) checks
+// merge point, join edge or stats. The predicate (quietLocked) is O(1)
 // against t's own shard-local state — it never scans a queue or touches
 // another shard — and the waiter sleeps on t's own channel, so completions
 // of other threads do not wake it. Namespace.Close also calls it, on every
@@ -548,12 +573,8 @@ func (rt *Runtime) drainThread(t ThreadID) {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	for {
-		ths := rt.threadsSnap()
-		if int(t) < 0 || int(t) >= len(ths) {
-			break
-		}
-		te := ths[t]
-		if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && te.running == 0 {
+		te := entryOf(rt.threadsSnap(), t)
+		if te == nil || sh.quietLocked(te, t) {
 			break
 		}
 		ch := make(chan struct{})
@@ -711,9 +732,11 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 
 // admitLocked is pipeline stage two, admission: it offers one fired
 // (thread, addr) trigger to the thread queue and is the only writer of the
-// Fired = Enqueued + Squashed + Overflowed identity — fired and exactly one
-// decomposition counter move here, in one critical section, so the identity
-// holds under the shard lock at all times. Callers hold sh.mu, where sh is
+// Fired = Enqueued + Squashed + Overflowed identity — fired moves here and
+// exactly one decomposition counter inside tq.Enqueue (the queue's counters
+// are the admission counters), whose only call site this is, in one critical
+// section, so the identity holds under the shard lock at all times. Callers
+// hold sh.mu, where sh is
 // id's shard and te its thread record. A trigger whose range a concurrent
 // Cancel detached between the registry snapshot and this lock never
 // happened; it reports Squashed, like a squash leaving nothing to settle.
@@ -736,21 +759,13 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, 
 		rt.check.OnTrigger(g, id)
 	}
 	st := sh.tq.Enqueue(id, addr)
-	switch st {
-	case queue.Enqueued:
-		sh.tqst.MarkPending(id)
-		sh.c.enqueued++
+	switch {
+	case st != queue.Overflowed:
 		rt.noteRelease(id, addr)
-	case queue.Squashed:
-		sh.c.squashed++
-		rt.noteRelease(id, addr)
-	case queue.Overflowed:
-		sh.c.overflowed++
-		if rt.cfg.Overflow == queue.OverflowInline {
-			*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
-		} else {
-			sh.c.dropped++
-		}
+	case rt.cfg.Overflow == queue.OverflowInline:
+		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
+	default:
+		sh.c.dropped++
 	}
 	return st
 }
@@ -974,43 +989,49 @@ func (rt *Runtime) wakeWorker() {
 	}
 }
 
+// quietLocked is the twait release condition, spelled once: thread t, whose
+// record is te, has no pending entry and no instance in flight. The run token
+// covers every instance in flight, dispatched or inline, so "token free" is
+// te.running == 0 alone. A failed thread is quiet: twait must not wait on a
+// thread that will never run again. Callers hold sh.mu, t's shard's lock.
+func (sh *dispatchShard) quietLocked(te *threadEntry, t ThreadID) bool {
+	return te.running == 0 && !sh.tq.Pending(t)
+}
+
 // finishShardLocked propagates the consequences of thread t's activity
 // dropping: it frees t's run token waiters, completes Wait waiters whose
-// predicate became true, and hints the barrier path. Re-offering t's
+// predicate became true, and hints the barrier path (te is nil when a Cancel
+// names an id never registered). Re-offering t's
 // skipped queue entries is the finisher's business — a worker re-scans the
 // shard itself, an inline run wakes one (endRunLocked). Callers hold sh.mu,
 // where sh is t's shard.
-func (rt *Runtime) finishShardLocked(sh *dispatchShard, t ThreadID, ths []*threadEntry) {
-	if int(t) >= 0 && int(t) < len(ths) {
-		te := ths[t]
-		_, running := sh.tqst.InFlight(t)
-		if te.running == 0 && running == 0 {
-			if len(te.tokenWaiters) > 0 {
-				for _, ch := range te.tokenWaiters {
-					close(ch)
-				}
-				te.tokenWaiters = nil
+func (rt *Runtime) finishShardLocked(sh *dispatchShard, te *threadEntry, t ThreadID) {
+	if te != nil && te.running == 0 {
+		if len(te.tokenWaiters) > 0 {
+			for _, ch := range te.tokenWaiters {
+				close(ch)
 			}
-			if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && len(te.quietWaiters) > 0 {
-				for _, ch := range te.quietWaiters {
-					close(ch)
-				}
-				// Keep the backing array: a blocking Wait then allocates
-				// its channel and nothing else.
-				te.quietWaiters = te.quietWaiters[:0]
+			te.tokenWaiters = nil
+		}
+		if len(te.quietWaiters) > 0 && sh.quietLocked(te, t) {
+			for _, ch := range te.quietWaiters {
+				close(ch)
 			}
+			// Keep the backing array: a blocking Wait then allocates
+			// its channel and nothing else.
+			te.quietWaiters = te.quietWaiters[:0]
 		}
 	}
 	rt.maybeReleaseBarrier()
 }
 
-// busySumRacy sums the shards' busy counters without locks. A zero result
-// is only a hint: a trigger cascading from one shard to another can make
-// the sum read zero transiently (the reader sees the source shard after its
-// decrement and the target shard before its increment). Barrier therefore
-// confirms under all shard locks before returning; the completion-side use
-// only risks a spurious wakeup.
-func (rt *Runtime) busySumRacy() int64 {
+// busySum sums the shards' busy counters. With every shard lock held it is
+// exact (quietConfirm). Without them a zero result is only a hint: a trigger
+// cascading from one shard to another can make the sum read zero transiently
+// (the reader sees the source shard after its decrement and the target shard
+// before its increment). Barrier therefore confirms under all shard locks
+// before returning; the completion-side use only risks a spurious wakeup.
+func (rt *Runtime) busySum() int64 {
 	var sum int64
 	for s := range rt.shards {
 		sum += rt.shards[s].busy.Load()
@@ -1027,7 +1048,7 @@ func (rt *Runtime) maybeReleaseBarrier() {
 	if rt.barWaiting.Load() == 0 {
 		return
 	}
-	if rt.busySumRacy() == 0 {
+	if rt.busySum() == 0 {
 		rt.wakeBarrierWaiters()
 	}
 }
@@ -1058,19 +1079,14 @@ func (rt *Runtime) unlockAllShards() {
 }
 
 // quietConfirm is the authoritative tbarrier predicate: with every shard
-// lock held, no shard has a pending entry, a TQST instance, or an inline
-// run in flight. The racy busy sum cannot substitute for it (see
-// busySumRacy), but each per-shard check is O(1).
+// lock held, every shard's busy count — pending entries, dispatched entries
+// and inline runs in flight — is zero. busy is written only under its
+// shard's lock, so with all of them held the sum is exact; read without them
+// it is not (see busySum).
 func (rt *Runtime) quietConfirm() bool {
 	rt.lockAllShards()
 	defer rt.unlockAllShards()
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		if sh.tq.Len() != 0 || !sh.tqst.AllQuiet() || sh.inlineRunning != 0 {
-			return false
-		}
-	}
-	return true
+	return rt.busySum() == 0
 }
 
 // noteRelease records the current trace position as the release point of the
@@ -1140,19 +1156,16 @@ func (rt *Runtime) resolveShardLocked(te *threadEntry, e queue.Entry) Trigger {
 // one nil check. With telemetry on but tracing off it stays
 // allocation-free: the label context is precomputed at Register and
 // SetGoroutineLabels allocates nothing.
-func (rt *Runtime) runInstance(e queue.Entry, fn ThreadFunc, tg Trigger) bool {
+func (rt *Runtime) runInstance(e queue.Entry, te *threadEntry, tg Trigger) bool {
 	tel := rt.tel
 	if tel == nil {
-		return rt.invoke(e.Thread, fn, tg)
+		return rt.invoke(e.Thread, te.fn, tg)
 	}
 	sm := tel.Shard(int(uint32(e.Thread) & rt.shardMask))
 	if e.T0 != 0 {
 		sm.TriggerLatency.Observe(telemetry.Now() - e.T0)
 	}
-	var labels context.Context
-	if ths := rt.threadsSnap(); int(e.Thread) >= 0 && int(e.Thread) < len(ths) {
-		labels = ths[e.Thread].labels
-	}
+	labels := te.labels
 	if labels != nil {
 		pprof.SetGoroutineLabels(labels)
 	}
@@ -1164,12 +1177,12 @@ func (rt *Runtime) runInstance(e queue.Entry, fn ThreadFunc, tg Trigger) bool {
 			ctx = context.Background()
 		}
 		ctx, task = rtrace.NewTask(ctx, "dtt.instance")
-		rtrace.Log(ctx, "dtt.thread", rt.ThreadName(e.Thread))
+		rtrace.Log(ctx, "dtt.thread", te.name)
 		region = rtrace.StartRegion(ctx, "dtt.run")
 	}
 
 	start := telemetry.Now()
-	ok := rt.invoke(e.Thread, fn, tg)
+	ok := rt.invoke(e.Thread, te.fn, tg)
 	sm.RunDuration.Observe(telemetry.Now() - start)
 
 	if region != nil {
@@ -1225,24 +1238,22 @@ func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
 }
 
 // beginRunLocked opens the instance-run bracket for a run of n >= 1 entries
-// of thread t, which the caller has already taken off the queue: it takes
-// the thread's run token once for goroutine g (re-entrantly, when an
-// overflowed cascade re-enters its own thread) and moves n TQST instances
-// to running (queued entries) or counts an inline run in flight (an
-// overflowed trigger, which the TQST never sees; n is 1). Only the
-// immediate backend's worker claims n > 1. Callers hold sh.mu, resolve the
-// entries' triggers under it, release it around runInstance, and close the
-// bracket with endRunLocked.
-func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, n int, g uint64, queued bool) {
+// of the thread whose record is te, which the caller has already taken off
+// the queue: it takes the thread's run token once for goroutine g
+// (re-entrantly, when an overflowed cascade re-enters its own thread) and
+// moves the n entries from the ring's pending count to the status row's
+// dispatched column (queued entries; busy, which counts both, stands) or
+// counts an inline run in flight in busy (an overflowed trigger, which the
+// status row never shows; n is 1). Only the immediate backend's worker
+// claims n > 1. Callers hold sh.mu, resolve the entries' triggers under it,
+// release it around runInstance, and close the bracket with endRunLocked.
+func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, n int, g uint64, queued bool) {
 	te.running++
 	te.owner = g
-	if !queued {
-		sh.inlineRunning++
+	if queued {
+		te.dispatched += n
+	} else {
 		sh.busy.Add(1)
-		return
-	}
-	for ; n > 0; n-- {
-		sh.tqst.MarkRunning(t)
 	}
 }
 
@@ -1250,38 +1261,43 @@ func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID
 // entries, in one settle: it returns the run token and records one outcome
 // per started body, in order — Executed or FailedRuns for a queued
 // instance, InlineRuns (and FailedRuns) for an inline one, keeping
-// Overflowed = InlineRuns + Dropped. The n - len(oks) entries a Cancel
-// stopped the run before leave TQST running as cancelled work, neither
-// executed nor failed. Then it drops the shard's busy count by n and
+// Overflowed = InlineRuns + Dropped. Outcomes land on the thread's status
+// row and in the shard's counters (which outlive a retired thread's row): a
+// failed run colours the row however it was dispatched, only a
+// queue-dispatched success clears it. The n - len(oks) entries a Cancel
+// stopped the run before leave the dispatched column as cancelled work,
+// neither executed nor failed. Then it drops the shard's busy count by n and
 // propagates the quiescence consequences once. Callers hold sh.mu.
-func (rt *Runtime) endRunLocked(sh *dispatchShard, ths []*threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
-	te := ths[t]
+func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
 	te.running--
 	if te.running == 0 {
 		te.owner = 0
 	}
 	for _, ok := range oks {
-		switch {
-		case !queued:
-			sh.inlineRunning--
+		if !queued {
 			sh.c.inlineRuns++
-			if !ok {
-				sh.c.failedRuns++
-				sh.tqst.NoteFailed(t)
-			}
-		case ok:
-			sh.tqst.MarkDone(t)
-			sh.c.executed++
-		default:
-			sh.tqst.MarkFailed(t)
+		}
+		switch {
+		case !ok:
 			sh.c.failedRuns++
+			te.failed++
+			te.lastFailed = true
+		case queued:
+			sh.c.executed++
+			te.executed++
+			te.lastFailed = false
 		}
 	}
-	if n > len(oks) {
-		sh.tqst.CancelRunning(t, n-len(oks))
+	if queued {
+		// The one assertion on the status row: a bracket settles exactly the
+		// entries it took off the ring.
+		te.dispatched -= n
+		if te.dispatched < 0 {
+			panic(fmt.Sprintf("core: thread %d settled %d dispatched entries more than it took", t, -te.dispatched))
+		}
 	}
 	sh.busy.Add(int64(-n))
-	rt.finishShardLocked(sh, t, ths)
+	rt.finishShardLocked(sh, te, t)
 	if !queued && te.running == 0 && sh.tq.Pending(t) {
 		// Entries of t that workers skipped while this inline run held the
 		// token are dispatchable again, and the finisher is no worker.
@@ -1313,14 +1329,14 @@ func (rt *Runtime) seededPoll(drain bool) {
 		sh := &rt.shards[ref.shard]
 		e := sh.tq.DequeueAt(ref.idx)
 		te := ths[e.Thread]
-		rt.beginRunLocked(sh, te, e.Thread, 1, 0, true)
+		rt.beginRunLocked(sh, te, 1, 0, true)
 		tg := rt.resolveShardLocked(te, e)
 		rt.unlockAllShards()
 
-		ok := rt.runInstance(e, te.fn, tg)
+		ok := rt.runInstance(e, te, tg)
 
 		sh.mu.Lock()
-		rt.endRunLocked(sh, ths, e.Thread, true, 1, ok)
+		rt.endRunLocked(sh, te, e.Thread, true, 1, ok)
 		sh.mu.Unlock()
 	}
 }
@@ -1340,8 +1356,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	if rt.cfg.Backend == BackendImmediate {
 		g = goid()
 	}
-	ths := rt.threadsSnap()
-	te := ths[e.Thread]
+	te := rt.threadsSnap()[e.Thread]
 	sh := rt.shardOf(e.Thread)
 	sh.mu.Lock()
 	for {
@@ -1364,14 +1379,14 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		<-ch
 		sh.mu.Lock()
 	}
-	rt.beginRunLocked(sh, te, e.Thread, 1, g, false)
+	rt.beginRunLocked(sh, te, 1, g, false)
 	tg := rt.resolveShardLocked(te, e)
 	sh.mu.Unlock()
 
-	ok := rt.runInstance(e, te.fn, tg)
+	ok := rt.runInstance(e, te, tg)
 
 	sh.mu.Lock()
-	rt.endRunLocked(sh, ths, e.Thread, false, 1, ok)
+	rt.endRunLocked(sh, te, e.Thread, false, 1, ok)
 	sh.mu.Unlock()
 }
 
@@ -1419,7 +1434,7 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 		ran = true
 		t := c.es[0].Thread
 		te := ths[t]
-		rt.beginRunLocked(sh, te, t, n, g, true)
+		rt.beginRunLocked(sh, te, n, g, true)
 		for i := range c.es[:n] {
 			c.tgs[i] = rt.resolveShardLocked(te, c.es[i])
 		}
@@ -1435,12 +1450,12 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 		// already decided on when the tcancel landed executes after it.
 		started := 0
 		for started < n && atomic.LoadUint32(&te.cancelEpoch) == epoch {
-			c.oks[started] = rt.runInstance(c.es[started], te.fn, c.tgs[started])
+			c.oks[started] = rt.runInstance(c.es[started], te, c.tgs[started])
 			started++
 		}
 
 		sh.mu.Lock()
-		rt.endRunLocked(sh, ths, t, true, n, c.oks[:started]...)
+		rt.endRunLocked(sh, te, t, true, n, c.oks[:started]...)
 	}
 }
 
@@ -1515,16 +1530,15 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 					break
 				}
 				progressed = true
-				ths := rt.threadsSnap()
-				te := ths[e.Thread]
-				rt.beginRunLocked(sh, te, e.Thread, 1, 0, true)
+				te := rt.threadsSnap()[e.Thread]
+				rt.beginRunLocked(sh, te, 1, 0, true)
 				tg := rt.resolveShardLocked(te, e)
 				sh.mu.Unlock()
 
 				if rec != nil {
 					rec.BeginSupport(te.name, rt.takeRelease(e))
 				}
-				ok = rt.runInstance(e, te.fn, tg)
+				ok = rt.runInstance(e, te, tg)
 				if rec != nil {
 					// A failed instance still closes its trace task:
 					// whatever it charged before panicking was really
@@ -1533,7 +1547,7 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 				}
 
 				sh.mu.Lock()
-				rt.endRunLocked(sh, ths, e.Thread, true, 1, ok)
+				rt.endRunLocked(sh, te, e.Thread, true, 1, ok)
 			}
 			sh.mu.Unlock()
 		}
@@ -1636,7 +1650,7 @@ func (rt *Runtime) Barrier() {
 			// sum before our registration became visible will not wake us,
 			// but then its decrement is visible to this sum (both are
 			// sequentially consistent), so we wake ourselves.
-			if rt.busySumRacy() == 0 {
+			if rt.busySum() == 0 {
 				rt.wakeBarrierWaiters()
 			}
 			<-ch
@@ -1658,20 +1672,27 @@ func (rt *Runtime) joinTrace(done []trace.TaskID, op isa.Opcode) {
 	rt.cfg.Recorder.Join(done)
 }
 
-// Status returns thread t's TQST state (tstatus).
+// Status returns thread t's TQST state (tstatus): the "most active" reading
+// of its status row. A thread never registered is idle.
 func (rt *Runtime) Status(t ThreadID) queue.Status {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.tqst.Get(t)
+	switch te := entryOf(rt.threadsSnap(), t); {
+	case te == nil: // never registered: idle
+	case te.dispatched > 0:
+		return queue.StatusRunning
+	case sh.tq.Pending(t):
+		return queue.StatusPending
+	case te.lastFailed:
+		return queue.StatusFailed
+	}
+	return queue.StatusIdle
 }
 
-// Executed returns how many instances of t have completed.
+// Executed returns how many queue-dispatched instances of t have completed.
 func (rt *Runtime) Executed(t ThreadID) int64 {
-	sh := rt.shardOf(t)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tqst.Executed(t)
+	return rt.ThreadStatsFor(t).Executed
 }
 
 // QueueCounters returns the thread queue's lifetime counters aggregated
@@ -1701,19 +1722,6 @@ func (rt *Runtime) ShardCounters() []queue.Counters {
 		sh := &rt.shards[s]
 		sh.mu.Lock()
 		out[s] = sh.tq.Counters()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// ShardLens returns each shard's current pending-entry count, indexed by
-// shard.
-func (rt *Runtime) ShardLens() []int {
-	out := make([]int, len(rt.shards))
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		sh.mu.Lock()
-		out[s] = sh.tq.Len()
 		sh.mu.Unlock()
 	}
 	return out

@@ -257,6 +257,51 @@ func TestRegisterNilPanics(t *testing.T) {
 	rt.Register("bad", nil)
 }
 
+// TestRegisterRefusedAtThreadLimit: queue.dedupKey has 16 bits for the
+// thread, and threads 0 and 1<<16 share a shard at any shard count, so a
+// 65 537th live thread's triggers would be squashed against thread 0's
+// pending entries — lost. Registration must stop at maxThreads: an error
+// through a Namespace (a tenant's ATTACH is input, and its session answers
+// ERROR), a panic through Runtime.Register (the program's own bug). The table
+// is filled by seeding it with tombstones rather than by 65 536 registrations.
+func TestRegisterRefusedAtThreadLimit(t *testing.T) {
+	rt := newDeferred(t, nil)
+	full := make([]*threadEntry, maxThreads)
+	tomb := &threadEntry{name: "seeded"}
+	for i := range full {
+		full[i] = tomb
+	}
+	rt.threads.Store(&full)
+
+	ns := rt.NewNamespace("tenant")
+	if id, err := ns.Register("t", func(Trigger) {}); err == nil {
+		t.Fatalf("Namespace.Register handed out id %d with %d threads live; its dedup keys alias thread %d's", id, maxThreads, int(id)-maxThreads)
+	}
+	if n := ns.Threads(); n != 0 {
+		t.Fatalf("a refused Register left the namespace owning %d threads", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Runtime.Register with %d threads live did not panic", maxThreads)
+			}
+		}()
+		rt.Register("one-too-many", func(Trigger) {})
+	}()
+	if n := len(rt.threadsSnap()); n != maxThreads {
+		t.Fatalf("refused registrations grew the thread table to %d", n)
+	}
+
+	// The bound is on live ids, not on registrations: a retired slot is
+	// still handed out.
+	rt.mu.Lock()
+	rt.freeIDs = append(rt.freeIDs, 7)
+	rt.mu.Unlock()
+	if id, err := ns.Register("reuse", func(Trigger) {}); err != nil || id != 7 {
+		t.Fatalf("Register with a free slot: id %d, err %v, want id 7", id, err)
+	}
+}
+
 func TestThreadName(t *testing.T) {
 	rt := newDeferred(t, nil)
 	id := rt.Register("smvp", func(Trigger) {})

@@ -36,8 +36,8 @@ func TestShardsDefaultsAndRounding(t *testing.T) {
 		if got := rt.Config().Shards; got != tc.want {
 			t.Errorf("Shards for %+v: got %d, want %d", tc.cfg, got, tc.want)
 		}
-		if got := rt.ShardCount(); got != tc.want {
-			t.Errorf("ShardCount for %+v: got %d, want %d", tc.cfg, got, tc.want)
+		if got := len(rt.shards); got != tc.want {
+			t.Errorf("shard count for %+v: got %d, want %d", tc.cfg, got, tc.want)
 		}
 		rt.Close()
 	}
@@ -49,7 +49,7 @@ func TestShardsDefaultsAndRounding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	n := rt.ShardCount()
+	n := len(rt.shards)
 	if n&(n-1) != 0 || n < 1 || n > 64 {
 		t.Fatalf("default immediate shard count %d is not a power of two in [1, 64]", n)
 	}
@@ -397,11 +397,11 @@ func TestShardedCascadesConserveCounters(t *testing.T) {
 }
 
 // TestBarrierCrossShardCascade is the regression test for the barrier
-// wakeup race documented at busySumRacy: a trigger cascading from one shard
+// wakeup race documented at busySum: a trigger cascading from one shard
 // to another can make the lock-free busy sum read zero transiently (the
 // reader sees the source shard after its decrement and the target shard
 // before its increment). The chain here is registered so execution hops
-// through shards in descending index order — the opposite of busySumRacy's
+// through shards in descending index order — the opposite of busySum's
 // ascending scan, the orientation most likely to read a transient zero.
 // Barrier must neither return early (the chain tail would read stale) nor
 // hang on a missed wakeup (the watchdog converts that into a stack dump).
@@ -449,26 +449,40 @@ func TestBarrierCrossShardCascade(t *testing.T) {
 	assertQueueConservation(t, rt, "barrier cascade")
 }
 
-// assertQueueConservation checks Enqueued = Dequeued + SquashedOut + Len for
-// every shard individually and for the cross-shard aggregate.
+// assertQueueConservation checks, at a quiescent point, Enqueued = Dequeued +
+// SquashedOut + Len for every shard individually and for the cross-shard
+// aggregate, and that the single quiescence counts have settled: busy is the
+// shard's pending entries (nothing dispatched, no inline run in flight), and
+// no thread holds its token or has a dispatched entry outstanding.
 func assertQueueConservation(t *testing.T, rt *Runtime, phase string) {
 	t.Helper()
-	shards := rt.ShardCounters()
-	lens := rt.ShardLens()
-	for s, c := range shards {
-		if c.Enqueued != c.Dequeued+c.SquashedOut+int64(lens[s]) {
-			t.Fatalf("%s: shard %d: Enqueued %d != Dequeued %d + SquashedOut %d + Len %d",
-				phase, s, c.Enqueued, c.Dequeued, c.SquashedOut, lens[s])
-		}
-	}
-	total := rt.QueueCounters()
+	rt.lockAllShards()
+	defer rt.unlockAllShards()
+	var total queue.Counters
 	totalLen := 0
-	for _, n := range lens {
+	for s := range rt.shards {
+		sh := &rt.shards[s]
+		c, n := sh.tq.Counters(), sh.tq.Len()
+		if c.Enqueued != c.Dequeued+c.SquashedOut+int64(n) {
+			t.Fatalf("%s: shard %d: Enqueued %d != Dequeued %d + SquashedOut %d + Len %d",
+				phase, s, c.Enqueued, c.Dequeued, c.SquashedOut, n)
+		}
+		if busy := sh.busy.Load(); busy != int64(n) {
+			t.Fatalf("%s: shard %d: busy %d at quiescence with %d pending entries", phase, s, busy, n)
+		}
+		total.Enqueued += c.Enqueued
+		total.Dequeued += c.Dequeued
+		total.SquashedOut += c.SquashedOut
 		totalLen += n
 	}
 	if total.Enqueued != total.Dequeued+total.SquashedOut+int64(totalLen) {
 		t.Fatalf("%s: aggregate: Enqueued %d != Dequeued %d + SquashedOut %d + Len %d",
 			phase, total.Enqueued, total.Dequeued, total.SquashedOut, totalLen)
+	}
+	for id, te := range rt.threadsSnap() {
+		if te.dispatched != 0 || te.running != 0 {
+			t.Fatalf("%s: thread %d: dispatched %d, running %d at quiescence", phase, id, te.dispatched, te.running)
+		}
 	}
 }
 

@@ -40,11 +40,12 @@ type statsCounters struct {
 //	fired = enqueued + squashed + overflowed
 //
 // holds under the lock at all times, per shard and therefore in the sum.
+// The decomposition is the shard queue's own queue.Counters, bumped inside
+// tq.Enqueue in the critical section that bumps fired. executed and
+// failedRuns repeat the threads' status rows per shard because a retired
+// thread's row is discarded and Stats may not regress.
 type shardStats struct {
 	fired      int64
-	enqueued   int64
-	squashed   int64
-	overflowed int64
 	dropped    int64
 	inlineRuns int64
 	executed   int64
@@ -148,13 +149,11 @@ func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ts := ThreadStats{Executed: sh.tqst.Executed(t)}
-	ths := rt.threadsSnap()
-	if int(t) >= 0 && int(t) < len(ths) {
-		ts.Name = ths[t].name
-		ts.Attachments = len(ths[t].atts)
+	te := entryOf(rt.threadsSnap(), t)
+	if te == nil {
+		return ThreadStats{}
 	}
-	return ts
+	return ThreadStats{Name: te.name, Attachments: len(te.atts), Executed: te.executed}
 }
 
 // Stats returns a consistent snapshot of the runtime's counters: the
@@ -173,11 +172,12 @@ func (rt *Runtime) Stats() Stats {
 	var s Stats
 	rt.lockAllShards()
 	for i := range rt.shards {
-		c := &rt.shards[i].c
+		sh := &rt.shards[i]
+		c, q := &sh.c, sh.tq.Counters()
 		s.Fired += c.fired
-		s.Enqueued += c.enqueued
-		s.Squashed += c.squashed
-		s.Overflowed += c.overflowed
+		s.Enqueued += q.Enqueued
+		s.Squashed += q.Squashed
+		s.Overflowed += q.Overflowed
 		s.Dropped += c.dropped
 		s.InlineRuns += c.inlineRuns
 		s.Executed += c.executed

@@ -49,6 +49,7 @@ func TestRandomOpSequencesKeepInvariants(t *testing.T) {
 			}
 		}
 		rt.Barrier()
+		assertQueueConservation(t, rt, "random ops")
 		s := rt.Stats()
 		if s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
 			return false
@@ -108,6 +109,7 @@ func TestImmediateStress(t *testing.T) {
 	if s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
 		t.Fatalf("conservation broken under concurrency: %+v", s)
 	}
+	assertQueueConservation(t, rt, "immediate stress")
 }
 
 // TestCascadeOverflowDoesNotDeadlock is a regression test: a support
@@ -228,6 +230,7 @@ func TestOverflowInlineConcurrentCascades(t *testing.T) {
 	if qc.Enqueued != qc.Dequeued+qc.SquashedOut {
 		t.Fatalf("queue conservation broken after quiesce: %+v", qc)
 	}
+	assertQueueConservation(t, rt, "concurrent inline cascades")
 }
 
 // TestOverflowDropLosesWorkDeliberately documents why OverflowInline is
@@ -287,6 +290,7 @@ func TestCancelWhileWorkInFlight(t *testing.T) {
 	if rt.Status(id) != queue.StatusIdle {
 		t.Fatalf("cancelled thread not idle: %v", rt.Status(id))
 	}
+	assertQueueConservation(t, rt, "cancel in flight")
 }
 
 // TestCloseLeavesPendingUnexecuted documents Close's contract: it stops
@@ -310,6 +314,8 @@ func TestCloseLeavesPendingUnexecuted(t *testing.T) {
 	if s := rt.Stats(); s.Enqueued != 8 || s.Executed != 0 {
 		t.Fatalf("stats after Close: %+v", s)
 	}
+	// Nothing was dispatched: busy is exactly the eight entries left behind.
+	assertQueueConservation(t, rt, "close without drain")
 }
 
 // TestWaitOnForeignThreadReturns ensures Wait on a never-armed thread does

@@ -534,9 +534,11 @@ func summaryVisible(obj types.Object, p *Package) bool {
 
 // entryHeldRounds bounds the call-site held-set inference fixpoint. Each
 // round resolves one link of a "caller holds mu for me" chain; the longest
-// real one (dispatch path → TQST.Mark* → entry → entryGrow, with the shard
-// lock taken two frames above the TQST call) needs six.
-const entryHeldRounds = 6
+// real ones are three links below the frame that takes the shard lock
+// (fireOne → admitLocked → ThreadQueue.Enqueue → at, and runClaims →
+// DequeueRun → removeRun → at), so three rounds make the module self-clean
+// and the fourth is a helper's worth of headroom.
+const entryHeldRounds = 4
 
 // computeEntryHeld infers, for every function, the set of lock keys held
 // at every known call site — the static form of a "caller holds mu"

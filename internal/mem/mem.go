@@ -211,9 +211,6 @@ func (s *System) FreeBytes() int64 {
 	return int64(t)
 }
 
-// Buffers returns the allocated buffers in base-address order.
-func (s *System) Buffers() []*Buffer { return s.bufs }
-
 // Footprint returns the total number of bytes allocated, including
 // line-alignment padding.
 func (s *System) Footprint() int64 { return int64(s.next - LineBytes) }
@@ -367,13 +364,6 @@ func (b *Buffer) PeekF(i int) float64 { return math.Float64frombits(b.data[i]) }
 
 // PokeF writes f's bit pattern without a memory event.
 func (b *Buffer) PokeF(i int, f float64) { b.data[i] = math.Float64bits(f) } //dtt:ignore atomics -- event-free setup write, float view of Poke
-
-// Fill sets every word to v without memory events.
-func (b *Buffer) Fill(v Word) {
-	for i := range b.data {
-		b.data[i] = v //dtt:ignore atomics -- bulk reset before the protocol starts; no threads attached yet
-	}
-}
 
 // Snapshot copies the buffer contents, for validation.
 func (b *Buffer) Snapshot() []Word {

@@ -20,7 +20,6 @@ type qModel struct {
 	cap     int
 	dedup   DedupPolicy
 	entries []Entry
-	seq     int64
 	c       Counters
 }
 
@@ -55,8 +54,7 @@ func (m *qModel) enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 		m.c.Overflowed++
 		return Overflowed
 	}
-	m.seq++
-	m.entries = append(m.entries, Entry{Thread: t, Addr: addr, Seq: m.seq})
+	m.entries = append(m.entries, Entry{Thread: t, Addr: addr})
 	m.c.Enqueued++
 	if len(m.entries) > m.c.Peak {
 		m.c.Peak = len(m.entries)

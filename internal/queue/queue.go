@@ -71,7 +71,6 @@ func (p OverflowPolicy) String() string {
 type Entry struct {
 	Thread ThreadID
 	Addr   mem.Addr // the trigger address that fired
-	Seq    int64    // enqueue sequence number, for observability
 	// T0 is the enqueue timestamp in the queue clock's units, 0 when no
 	// clock is set (telemetry off) or the entry never sat in a queue (an
 	// inline overflow run). A squashed re-trigger keeps the original
@@ -110,11 +109,13 @@ func (s EnqueueStatus) String() string {
 // pending map hashes 8 bytes instead of a 16-byte struct — on the
 // triggering-store hot path the map probe is the dominant cost, and the
 // single-word key roughly halves it. The thread occupies the top 16 bits
-// and the address the low 48; both fit by construction: thread IDs are
-// dense runtime-assigned integers (the runtime caps registration well
-// below 1<<16) and mem.System addresses are arena offsets backed by live
-// slices — reaching 2^48 would take 256 TB of real memory, and
-// mem.System.Alloc enforces the bound.
+// and the address the low 48; both fit because their allocators enforce it:
+// thread IDs are dense runtime-assigned integers and core's register refuses
+// to hand out one at or above 1<<16 (core.maxThreads; two IDs 1<<16 apart
+// map to the same shard and would alias here, squashing — losing — the
+// second thread's trigger), and mem.System addresses are arena offsets
+// backed by live slices — reaching 2^48 would take 256 TB of real memory,
+// and mem.System.Alloc enforces the bound.
 type dedupKey uint64
 
 // pendingTab maps dedupKey -> pending-entry count with open addressing and
@@ -232,7 +233,6 @@ type ThreadQueue struct {
 	// wraps, so the no-squash policy simply never consults the table.
 	pending   *pendingTab
 	perThread []int // pending entries per ThreadID, grown on demand
-	seq       int64
 	// clock stamps Entry.T0 at enqueue when non-nil; the runtime sets it
 	// (to the telemetry clock) only when telemetry is on, so the default
 	// enqueue path never pays for a time read.
@@ -330,8 +330,7 @@ func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 		q.c.Overflowed++
 		return Overflowed
 	}
-	q.seq++
-	e := Entry{Thread: t, Addr: addr, Seq: q.seq}
+	e := Entry{Thread: t, Addr: addr}
 	if q.clock != nil {
 		e.T0 = q.clock()
 	}

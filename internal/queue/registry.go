@@ -1,11 +1,14 @@
 // Package queue implements the hardware structures the DTT paper adds to
 // the processor: the thread registry (trigger address range -> thread), the
-// fixed-capacity thread queue with duplicate squashing, and the thread queue
-// status table (TQST) that synchronisation instructions consult.
+// fixed-capacity thread queue with duplicate squashing, and the states of
+// the thread queue status table (TQST) that synchronisation instructions
+// consult. The TQST's rows themselves are the status columns of the runtime's
+// per-thread record in internal/core, whose pending column is this package's
+// ThreadQueue.PendingCount.
 //
-// The thread queue and TQST carry no locking of their own: the runtime in
-// internal/core instantiates one of each per dispatch shard and serialises
-// access under the shard's lock, just as the hardware structures are
+// The thread queue carries no locking of its own: the runtime in
+// internal/core instantiates one per dispatch shard and serialises
+// access under the shard's lock, just as the hardware structure is
 // accessed from a single pipeline. The registry is different: its read side
 // (Covers, Each, Snapshot) is safe to call concurrently with other reads and
 // with Attach/Detach, because every mutation publishes a fresh immutable

@@ -411,6 +411,54 @@ func TestServeErrorRepliesKeepSessionAlive(t *testing.T) {
 	}
 }
 
+// TestServeRejectedAttachRegistersNothing: an ATTACH whose range the region
+// rejects must not leave a registered thread behind. A peer looping bad
+// ranges used to grow the namespace's thread list and the runtime's thread
+// table (copied on every Register) until its session ended.
+func TestServeRejectedAttachRegistersNothing(t *testing.T) {
+	rt, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
+	defer rt.Close()
+	defer srv.Close()
+
+	cs, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cs.Close()
+
+	const rejected = 64
+	for i := 0; i < rejected; i++ {
+		bad := [][2]int{{0, 16}, {4, 4}, {6, 2}, {8, 9}}[i%4]
+		if _, err := cs.Attach("r", 8, bad[0], bad[1]); err == nil {
+			t.Fatalf("Attach [%d, %d) of an 8-word region did not error", bad[0], bad[1])
+		}
+	}
+	// ThreadName falls back to "thread-<id>" beyond the thread table, so this
+	// reads the table's length: nothing was ever registered.
+	if name := rt.ThreadName(0); name != "thread-0" {
+		t.Fatalf("%d rejected ATTACHes left thread 0 registered as %q", rejected, name)
+	}
+	srv.mu.Lock()
+	for _, sess := range srv.sessions {
+		if n := sess.ns.Threads(); n != 0 {
+			t.Errorf("%d rejected ATTACHes left the session's namespace owning %d threads", rejected, n)
+		}
+	}
+	srv.mu.Unlock()
+
+	h, err := cs.Attach("r", 8, 0, 8)
+	if err != nil || h != 0 {
+		t.Fatalf("first accepted Attach: handle %d, err %v, want handle 0", h, err)
+	}
+	if name := rt.ThreadName(1); name != "thread-1" {
+		t.Fatalf("the accepted ATTACH registered more than one thread: thread 1 is %q", name)
+	}
+	if got := srv.Counters().Errors; got != rejected {
+		t.Errorf("Errors = %d, want %d", got, rejected)
+	}
+}
+
 // TestServeHandshakeViolations: anything but a well-formed HELLO as the
 // first frame closes the connection without a session reply.
 func TestServeHandshakeViolations(t *testing.T) {

@@ -333,6 +333,14 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 		s.sendErr(err.Error())
 		return
 	}
+	// Reject a bad range before Register, not after: a thread registered for
+	// an ATTACH that then fails stays in the namespace — and in the runtime's
+	// thread table — until the session ends, so a peer looping bad ranges
+	// would grow both without bound.
+	if lo >= hi || int(hi) > r.Len() {
+		s.sendErr(fmt.Sprintf("serve: ATTACH range [%d, %d) outside region %q of %d words", lo, hi, name, r.Len()))
+		return
+	}
 	h := &attachHandle{region: r}
 	handle := uint32(len(s.handles))
 	tid, err := s.ns.Register(fmt.Sprintf("%s#%d", name, handle), func(tg core.Trigger) {

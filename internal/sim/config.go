@@ -98,14 +98,9 @@ func (c Config) Validate() error {
 // Contexts returns the total number of hardware contexts.
 func (c Config) Contexts() int { return c.Cores * c.ContextsPerCore }
 
-// tstoreLat and mgmtLat pull the DTT instruction overheads from the ISA
-// definition so the simulator and the ISA table can never disagree.
+// tstoreLat pulls the DTT triggering-store overhead from the ISA definition
+// so the simulator and the ISA table can never disagree.
 func tstoreLat() int64 {
 	ins, _ := isa.Lookup(isa.OpTStoreW)
-	return int64(ins.Latency)
-}
-
-func mgmtLat() int64 {
-	ins, _ := isa.Lookup(isa.OpTSpawn)
 	return int64(ins.Latency)
 }

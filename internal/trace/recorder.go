@@ -78,9 +78,6 @@ func (r *Recorder) NoteMgmt(n int64) { r.cur.Mgmt += n }
 // was broken.
 func (r *Recorder) NoteViolation() { r.cur.Violations++ }
 
-// CurrentMain returns the ID of the open main segment.
-func (r *Recorder) CurrentMain() TaskID { return r.curMain.ID }
-
 // CutMain closes the open main segment and opens a new one that depends on
 // it. The runtime calls this when a trigger fires, so support tasks can be
 // released at the exact point in main-thread progress where their data

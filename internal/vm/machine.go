@@ -104,9 +104,6 @@ func (m *Machine) FuelUsed() int64 {
 	return m.fuel
 }
 
-// Mem returns the machine's memory region, for test setup and inspection.
-func (m *Machine) Mem() *core.Region { return m.mem }
-
 // Run executes the main program from its entry to halt. It returns the
 // first error raised anywhere, including inside support-thread bodies.
 func (m *Machine) Run() error {

@@ -129,17 +129,6 @@ func newAmmpState(sys *mem.System, size Size, alloc func(string, int) *mem.Buffe
 	return st
 }
 
-func ammpChecksum(sum uint64, st *ammpState) uint64 {
-	sum = checksum(sum, uint64(st.total.Peek(0)))
-	for p := range st.tp.pairA {
-		sum = checksum(sum, uint64(st.pairE.Peek(p)))
-	}
-	for a := 0; a < st.tp.atoms; a++ {
-		sum = checksum(sum, uint64(st.pos.Peek(a)))
-	}
-	return sum
-}
-
 func (ammpWorkload) RunBaseline(env *Env, size Size) (Result, error) {
 	size = size.withDefaults()
 	st := newAmmpState(env.Sys, size, env.Sys.Alloc)

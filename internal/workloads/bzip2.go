@@ -113,14 +113,6 @@ func newBzip2State(sys *mem.System, size Size, alloc func(string, int) *mem.Buff
 	return st
 }
 
-func bzip2Checksum(sum uint64, st *bzip2State) uint64 {
-	sum = checksum(sum, uint64(st.total.Peek(0)))
-	for b := 0; b < st.blocks; b++ {
-		sum = checksum(sum, uint64(st.rank.Peek(b)))
-	}
-	return sum
-}
-
 func (bzip2Workload) RunBaseline(env *Env, size Size) (Result, error) {
 	size = size.withDefaults()
 	st := newBzip2State(env.Sys, size, env.Sys.Alloc)

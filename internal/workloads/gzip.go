@@ -117,14 +117,6 @@ func newGzipState(sys *mem.System, size Size, alloc func(string, int) *mem.Buffe
 	return st
 }
 
-func gzipChecksum(sum uint64, st *gzipState) uint64 {
-	sum = checksum(sum, uint64(st.total.Peek(0)))
-	for b := 0; b < st.blocks; b++ {
-		sum = checksum(sum, uint64(st.outSz.Peek(b)))
-	}
-	return sum
-}
-
 func (gzipWorkload) RunBaseline(env *Env, size Size) (Result, error) {
 	size = size.withDefaults()
 	st := newGzipState(env.Sys, size, env.Sys.Alloc)

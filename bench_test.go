@@ -353,18 +353,6 @@ func BenchmarkTStoreUncovered(b *testing.B) {
 	}
 }
 
-func BenchmarkTStoreFiring(b *testing.B) {
-	rt, r, _ := benchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred, QueueCapacity: 4096})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TStore(i%1024, dtt.Word(i+1))
-		if i%1024 == 1023 {
-			rt.Barrier()
-		}
-	}
-}
-
 // The BenchmarkTStoreTelemetry* family re-measures the same fast paths with
 // the telemetry plane on (per-shard histograms, enqueue timestamps, pprof
 // labels). `make bench-telemetry` runs both families side by side; the
@@ -422,8 +410,8 @@ func BenchmarkTStoreTelemetryUncovered(b *testing.B) {
 // multi-producer scaling the sharded dispatch plane exists for. Each
 // producer gets its own support thread and trigger range, and thread IDs
 // are dense, so with Shards >= producers every producer enqueues under its
-// own shard lock. `dttbench -scale-sweep` runs the same workload shape at
-// 1..GOMAXPROCS producers and writes the curve to BENCH_scale.json.
+// own shard lock. `go test -bench TStoreParallel -cpu 1,2,4,8` sweeps the
+// producer count.
 
 // parallelBenchRuntime builds a runtime with one noop thread per potential
 // producer, each attached to its own span-word slice of a shared region.

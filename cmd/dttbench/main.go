@@ -2,17 +2,10 @@
 //
 // Usage:
 //
-//	dttbench                 # run every experiment (T1..T3, F1..F10)
+//	dttbench                 # run every experiment (T1..T4, F1..F14)
 //	dttbench -exp F3,F4      # run selected experiments
 //	dttbench -list           # list experiment IDs and titles
 //	dttbench -iters 80       # scale the workloads
-//	dttbench -fastpath       # microbenchmark the triggering-store fast paths
-//	dttbench -scale-sweep    # producer-scaling curve -> BENCH_scale.json
-//	dttbench -serving-sweep  # open-loop tail-latency suite -> BENCH_serving.json
-//	dttbench -serving-smoke  # short serving run asserting the plane's identities
-//
-// Both committed BENCH_*.json writes are refused on a single-CPU host
-// unless -force-single-core is passed; the report then carries a warning.
 //
 // See DESIGN.md for the experiment-to-paper mapping and EXPERIMENTS.md for
 // recorded results.
@@ -24,11 +17,9 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"dtt/internal/harness"
 	"dtt/internal/workloads"
-	"dtt/internal/workloads/serving"
 )
 
 func main() {
@@ -46,52 +37,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale = fs.Int("scale", 1, "workload data scale factor")
 		iters = fs.Int("iters", 40, "workload outer iterations")
 		seed  = fs.Uint64("seed", 1, "workload input seed")
-		fast  = fs.Bool("fastpath", false, "microbenchmark the triggering-store fast paths and exit")
-		// -scale is taken by the workload data scale factor, so the
-		// producer-scaling sweep gets its own name.
-		sweep    = fs.Bool("scale-sweep", false, "measure triggering-store throughput across producer counts and exit")
-		sweepOut = fs.String("scale-out", "BENCH_scale.json", "output path for the -scale-sweep JSON report")
-		oversub  = fs.Bool("oversubscribe", false, "sweep producer counts past min(GOMAXPROCS, NumCPU), up to 64; recorded in the report")
-
-		servSweep = fs.Bool("serving-sweep", false, "run the open-loop serving suite and write its tail-latency report")
-		servOut   = fs.String("serving-out", "BENCH_serving.json", "output path for the -serving-sweep JSON report")
-		servRate  = fs.Float64("serving-rate", 2000, "per-scenario offered load for -serving-sweep, arrivals/s")
-		servDur   = fs.Duration("serving-dur", 2*time.Second, "per-scenario open-loop duration for -serving-sweep")
-		servSmoke = fs.Bool("serving-smoke", false, "run every serving scenario briefly, asserting the plane's identities, and exit")
-
-		forceSingle = fs.Bool("force-single-core", false, "write BENCH_*.json even on a single-CPU host (warning recorded in the report)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *fast {
-		runFastPath(stdout)
-		return 0
-	}
-
-	if *sweep {
-		if err := runScaleSweep(stdout, *sweepOut, *oversub, *forceSingle); err != nil {
-			fmt.Fprintf(stderr, "dttbench: scale sweep: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *servSmoke {
-		if err := serving.Smoke(stdout); err != nil {
-			fmt.Fprintf(stderr, "dttbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *servSweep {
-		if err := runServingSweep(stdout, *servOut, *servRate, *servDur, *seed, *forceSingle); err != nil {
-			fmt.Fprintf(stderr, "dttbench: serving sweep: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	if *list {

@@ -2,108 +2,27 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
+
+	"dtt/internal/harness"
 )
 
+// TestBenchListSmoke: -list prints exactly one line per registered
+// experiment, in registry order, each starting with its ID.
 func TestBenchListSmoke(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	s := out.String()
-	if !strings.Contains(s, "T1") || !strings.Contains(s, "F1") {
-		t.Fatalf("experiment list missing expected IDs:\n%s", s)
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	exps := harness.Experiments()
+	if len(lines) != len(exps) {
+		t.Fatalf("-list printed %d lines for %d experiments:\n%s", len(lines), len(exps), out.String())
 	}
-}
-
-// TestBenchFastpathSmoke runs the -fastpath microbenchmarks with a single
-// iteration each (via the test binary's registered -test.benchtime flag), so
-// CI exercises the whole path in milliseconds.
-func TestBenchFastpathSmoke(t *testing.T) {
-	bt := flag.Lookup("test.benchtime")
-	if bt == nil {
-		t.Skip("test.benchtime flag not registered")
-	}
-	old := bt.Value.String()
-	if err := bt.Value.Set("1x"); err != nil {
-		t.Fatalf("set benchtime: %v", err)
-	}
-	defer func() {
-		if err := bt.Value.Set(old); err != nil {
-			t.Fatalf("restore benchtime: %v", err)
-		}
-	}()
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-fastpath"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"triggering-store fast paths", "silent", "changing", "squash", "uncovered", "allocs/op"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestScaleReportHostBlock pins the BENCH_scale.json header: the host
-// metadata the curve is meaningless without, no timestamp (regenerating an
-// unchanged curve must not dirty the tree), and the single-core warning
-// wired to GOMAXPROCS/NumCPU.
-func TestScaleReportHostBlock(t *testing.T) {
-	rep := newScaleReport(false)
-	if rep.GOOS == "" || rep.GOARCH == "" || rep.GoVersion == "" {
-		t.Fatalf("host block incomplete: %+v", rep)
-	}
-	if rep.GOMAXPROCS < 1 || rep.NumCPU < 1 || rep.StoresPerProducer != scaleStoresPerProducer {
-		t.Fatalf("host block incomplete: %+v", rep)
-	}
-	if single := rep.GOMAXPROCS < 2 || rep.NumCPU < 2; (rep.Warning != "") != single {
-		t.Fatalf("warning %q on a host with GOMAXPROCS=%d NumCPU=%d", rep.Warning, rep.GOMAXPROCS, rep.NumCPU)
-	}
-	if rep.Oversubscribe {
-		t.Fatalf("oversubscribe recorded without the flag: %+v", rep)
-	}
-	if !newScaleReport(true).Oversubscribe {
-		t.Fatal("-oversubscribe not recorded in the report")
-	}
-	// The committed curve is parsed by schema consumers; pin the JSON keys.
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"num_cpu"`, `"oversubscribe"`, `"stores_per_producer"`} {
-		if !strings.Contains(string(data), key) {
-			t.Fatalf("report JSON missing key %s: %s", key, data)
-		}
-	}
-}
-
-// TestScaleProducerCounts pins the sweep's producer axis: doubling counts,
-// capped at the host's real parallelism by default and pushed to 64 only
-// under -oversubscribe.
-func TestScaleProducerCounts(t *testing.T) {
-	def := scaleProducerCounts(false)
-	limit := runtime.GOMAXPROCS(0)
-	if n := runtime.NumCPU(); n < limit {
-		limit = n
-	}
-	if def[len(def)-1] != limit {
-		t.Fatalf("default sweep tops out at %d, want min(GOMAXPROCS, NumCPU)=%d", def[len(def)-1], limit)
-	}
-	over := scaleProducerCounts(true)
-	if over[len(over)-1] != scaleMaxProducers {
-		t.Fatalf("oversubscribed sweep tops out at %d, want %d", over[len(over)-1], scaleMaxProducers)
-	}
-	for i := 1; i < len(over); i++ {
-		if over[i] <= over[i-1] {
-			t.Fatalf("producer counts not increasing: %v", over)
+	for i, e := range exps {
+		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != e.ID {
+			t.Errorf("line %d = %q, want experiment %s", i, lines[i], e.ID)
 		}
 	}
 }
@@ -118,80 +37,22 @@ func TestBenchBadExperiment(t *testing.T) {
 	}
 }
 
-// TestServingSweepWritesReport runs a short serving sweep into a temp
-// file and pins the BENCH_serving.json schema: host fingerprint, both
-// rounds, every scenario. -force-single-core makes the write
-// unconditional so the test passes on 1-CPU hosts too.
-func TestServingSweepWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_serving.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-serving-sweep", "-serving-rate", "500", "-serving-dur", "100ms",
-		"-serving-out", out, "-force-single-core",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("sweep wrote no report: %v\nstdout: %s", err, stdout.String())
-	}
-	var rep servingReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.GOOS == "" || rep.GoVersion == "" || rep.NumCPU < 1 {
-		t.Fatalf("fingerprint incomplete: %+v", rep.hostFingerprint)
-	}
-	if (rep.Warning != "") != (rep.GOMAXPROCS < 2 || rep.NumCPU < 2) {
-		t.Fatalf("warning %q inconsistent with GOMAXPROCS=%d NumCPU=%d", rep.Warning, rep.GOMAXPROCS, rep.NumCPU)
-	}
-	got := map[string]int{}
-	for _, r := range rep.Runs {
-		got[r.Round+"/"+r.Scenario]++
-		if r.Offered == 0 || r.Completed == 0 {
-			t.Errorf("%s/%s ran nothing: %+v", r.Round, r.Scenario, r)
+// TestBenchRemovedFlags: the sweep-era flags are gone, so a stale script
+// passing one fails with the flag package's usage instead of silently
+// running every experiment.
+func TestBenchRemovedFlags(t *testing.T) {
+	for _, f := range []string{"-scale-sweep", "-serving-sweep", "-serving-smoke", "-fastpath", "-force-single-core"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{f}, &out, &errb); code != 2 {
+			t.Errorf("%s: exit %d, want 2", f, code)
 		}
-	}
-	for _, round := range []string{"uniform", "balanced"} {
-		for _, name := range []string{"webcache", "matview", "pubsub", "leaderboard"} {
-			if got[round+"/"+name] != 1 {
-				t.Errorf("report has %d %s runs of %s, want 1", got[round+"/"+name], round, name)
+		if out.Len() != 0 {
+			t.Errorf("%s: ran something before rejecting the flag:\n%s", f, out.String())
+		}
+		for _, want := range []string{"flag provided but not defined: " + f, "Usage of dttbench", "-exp string"} {
+			if !strings.Contains(errb.String(), want) {
+				t.Errorf("%s: stderr missing %q:\n%s", f, want, errb.String())
 			}
 		}
-	}
-}
-
-// TestSingleCoreRefusal pins the write guard: a 1-CPU fingerprint
-// refuses the committed-report write unless forced, and the refusal is
-// not an error.
-func TestSingleCoreRefusal(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_x.json")
-	fp := newFingerprint()
-	fp.NumCPU = 1
-	var stdout bytes.Buffer
-	if err := writeBenchReport(&stdout, out, fp, false, []byte("{}")); err != nil {
-		t.Fatalf("refusal returned an error: %v", err)
-	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("refused write still created %s", out)
-	}
-	if !strings.Contains(stdout.String(), "refusing") || !strings.Contains(stdout.String(), "-force-single-core") {
-		t.Fatalf("refusal message missing the override hint: %s", stdout.String())
-	}
-	stdout.Reset()
-	if err := writeBenchReport(&stdout, out, fp, true, []byte("{}")); err != nil {
-		t.Fatalf("forced write: %v", err)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Fatalf("forced write created no file: %v", err)
-	}
-	fp.NumCPU = 8
-	out2 := filepath.Join(t.TempDir(), "BENCH_y.json")
-	if err := writeBenchReport(&stdout, out2, fp, false, []byte("{}")); err != nil {
-		t.Fatalf("multi-CPU write: %v", err)
-	}
-	if _, err := os.Stat(out2); err != nil {
-		t.Fatalf("multi-CPU fingerprint refused the write: %v", err)
 	}
 }

@@ -1,8 +1,7 @@
 // Package loadgen is the open-loop load plane of the serving-workload
-// suite: a seeded Poisson arrival generator, a pacer that issues those
+// suite: a seeded Poisson arrival generator and a pacer that issues those
 // arrivals against the wall clock without ever letting the system under
-// test slow the schedule down, and a fitness-driven balancer that shifts
-// offered load toward whichever scenario currently shows the worst tail.
+// test slow the schedule down.
 //
 // Open-loop means the arrival schedule is fixed before the system's
 // responses are seen: an arrival that finds the driver still busy is
@@ -110,90 +109,4 @@ func (p *Pacer) Tick() (scheduled, late int64) {
 // worst lateness, and the summed lateness (all ns).
 func (p *Pacer) Late() (count, max, sum int64) {
 	return p.lateCount, p.lateMax, p.lateSum
-}
-
-// minShare is the floor on any scenario's load share: the balancer
-// shifts load toward the worst tail but never starves a scenario
-// completely, or its p99 would go stale and it could never be found
-// regressing again — the same explore/exploit floor the fitness-driven
-// seed schedulers keep.
-const minShare = 0.05
-
-// Balancer allocates offered load across scenarios by fitness, where
-// fitness is the scenario's most recently observed p99 latency: the
-// worst tail draws the most load, so the suite spends its budget
-// hammering whatever currently looks slowest. With no observations the
-// split is uniform. Not safe for concurrent use.
-type Balancer struct {
-	names   []string
-	fitness []float64
-}
-
-// NewBalancer returns a balancer over the named scenarios.
-func NewBalancer(names ...string) *Balancer {
-	if len(names) == 0 {
-		panic("loadgen: balancer over zero scenarios")
-	}
-	return &Balancer{names: names, fitness: make([]float64, len(names))}
-}
-
-// Names returns the scenario names, in index order.
-func (b *Balancer) Names() []string { return b.names }
-
-// Observe records scenario i's latest p99 (ns). Non-positive values
-// clear the fitness back to "no data".
-func (b *Balancer) Observe(i int, p99 float64) {
-	if p99 < 0 {
-		p99 = 0
-	}
-	b.fitness[i] = p99
-}
-
-// Share returns scenario i's current fraction of the offered load:
-// fitness-proportional, floored at minShare, normalised to sum to 1.
-// Scenarios without an observation share the load uniformly.
-func (b *Balancer) Share(i int) float64 {
-	var sum float64
-	for _, f := range b.fitness {
-		sum += f
-	}
-	n := float64(len(b.fitness))
-	if sum == 0 {
-		return 1 / n
-	}
-	raw := b.fitness[i] / sum
-	// Floor, then renormalise the remaining mass over the raw shares.
-	if raw < minShare {
-		return minShare
-	}
-	// Scale the above-floor shares into the mass the floors left over.
-	var floored float64
-	var above float64
-	for _, f := range b.fitness {
-		r := f / sum
-		if r < minShare {
-			floored += minShare
-		} else {
-			above += r
-		}
-	}
-	if above == 0 {
-		return 1 / n
-	}
-	return raw * (1 - floored) / above
-}
-
-// Pick selects a scenario index from a uniform draw (e.g.
-// sched.Scheduler.Uint64), weighted by Share. Deterministic given the
-// draw, so a whole sweep replays from one seed.
-func (b *Balancer) Pick(draw uint64) int {
-	u := float64(draw>>11) * (1.0 / (1 << 53))
-	var cum float64
-	for i := range b.fitness {
-		cum += b.Share(i)
-		if u < cum {
-			return i
-		}
-	}
-	return len(b.fitness) - 1
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"dtt/internal/sched"
 )
 
 // TestArrivalsDeterministic: the same seed and rate must produce a
@@ -114,57 +112,5 @@ func TestPacerOnTime(t *testing.T) {
 	}
 	if _, max, _ := p.Late(); max > int64(5*time.Millisecond) {
 		t.Errorf("max lateness %d ns on an easy schedule; want < 5ms (timer granularity)", max)
-	}
-}
-
-// TestBalancerShiftsTowardWorstTail: the scenario with the worst p99
-// draws the largest share, shares sum to 1, and no scenario starves
-// below the exploration floor.
-func TestBalancerShiftsTowardWorstTail(t *testing.T) {
-	b := NewBalancer("webcache", "matview", "pubsub", "leaderboard")
-	// No data yet: uniform.
-	for i := 0; i < 4; i++ {
-		if got := b.Share(i); math.Abs(got-0.25) > 1e-9 {
-			t.Errorf("no-data Share(%d) = %v, want 0.25", i, got)
-		}
-	}
-	b.Observe(0, 1e6) // 1ms
-	b.Observe(1, 8e6) // 8ms: the worst tail
-	b.Observe(2, 1e6) // 1ms
-	b.Observe(3, 1e4) // 10µs: nearly idle
-	var sum float64
-	for i := 0; i < 4; i++ {
-		sum += b.Share(i)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("shares sum to %v, want 1", sum)
-	}
-	if b.Share(1) <= b.Share(0) || b.Share(1) <= b.Share(3) {
-		t.Errorf("worst tail did not get the largest share: %v %v %v %v",
-			b.Share(0), b.Share(1), b.Share(2), b.Share(3))
-	}
-	if b.Share(3) < minShare-1e-9 {
-		t.Errorf("Share(3) = %v below the %v exploration floor", b.Share(3), minShare)
-	}
-
-	// Pick follows the shares over the deterministic stream.
-	src := sched.New(11)
-	var picks [4]int
-	const draws = 100_000
-	for i := 0; i < draws; i++ {
-		picks[b.Pick(src.Uint64())]++
-	}
-	for i := 0; i < 4; i++ {
-		got := float64(picks[i]) / draws
-		if math.Abs(got-b.Share(i)) > 0.01 {
-			t.Errorf("Pick frequency of %d = %.3f, share %.3f", i, got, b.Share(i))
-		}
-	}
-	// Deterministic: the same seed re-picks the same sequence.
-	s1, s2 := sched.New(9), sched.New(9)
-	for i := 0; i < 1000; i++ {
-		if b.Pick(s1.Uint64()) != b.Pick(s2.Uint64()) {
-			t.Fatal("Pick not deterministic under the same stream")
-		}
 	}
 }

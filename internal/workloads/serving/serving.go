@@ -97,10 +97,10 @@ func (c Config) withDefaults() Config {
 // extracted from a histogram snapshot (linear interpolation within
 // buckets, open top bucket clamped to its lower bound).
 type LatencySummary struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50_ns"`
-	P99   float64 `json:"p99_ns"`
-	P999  float64 `json:"p999_ns"`
+	Count int64
+	P50   float64
+	P99   float64
+	P999  float64
 }
 
 func summarize(s telemetry.HistogramSnapshot) LatencySummary {
@@ -114,35 +114,29 @@ func summarize(s telemetry.HistogramSnapshot) LatencySummary {
 
 // Report is one scenario run's result.
 type Report struct {
-	Scenario string  `json:"scenario"`
-	Rate     float64 `json:"offered_rate_per_sec"`
-	Seconds  float64 `json:"duration_sec"`
+	Scenario string
 	// Offered counts scheduled arrivals issued; Completed counts the
 	// operations that finished (for pubsub, one per subscriber
 	// delivery).
-	Offered   int64 `json:"offered"`
-	Completed int64 `json:"completed"`
-	// Late/LateMaxNs account open-loop schedule slip: arrivals issued
-	// after their scheduled instant (coordinated omission, measured).
-	Late      int64 `json:"late_arrivals"`
-	LateMaxNs int64 `json:"late_max_ns"`
+	Offered   int64
+	Completed int64
 	// Notifies is the notifications (changed words) the run consumed;
 	// Gaps is the notifications shed at the mailbox cap as observed
 	// IN-BAND by the client; Recoveries counts READ re-reads triggered by those gaps.
 	// Gaps always equals the server's NotifyDropped counter (asserted at
 	// finish) — that is the bugfix's accounting identity.
-	Notifies   int64 `json:"notifies"`
-	Gaps       int64 `json:"gaps"`
-	Recoveries int64 `json:"recoveries"`
+	Notifies   int64
+	Gaps       int64
+	Recoveries int64
 	// Stale counts end-of-run divergences between the client's derived
 	// view and the authoritative region. With gap recovery it must be 0.
-	Stale int64 `json:"stale"`
+	Stale int64
 	// Dispatch is server-side trigger->dispatch latency (the dispatch
 	// plane's own histogram, deltas over this run only). Result is
 	// client-observed trigger->result latency from the scheduled arrival
 	// instant.
-	Dispatch LatencySummary `json:"trigger_to_dispatch"`
-	Result   LatencySummary `json:"trigger_to_result"`
+	Dispatch LatencySummary
+	Result   LatencySummary
 }
 
 // Scenario is one serving workload.
@@ -222,7 +216,7 @@ func newEnv(name string, cfg Config) (*env, error) {
 		addr:       addr,
 		resultHist: telemetry.NewHistogram(telemetry.LatencyBounds),
 		dispatch0:  d0,
-		rep:        Report{Scenario: name, Rate: cfg.Rate, Seconds: cfg.Duration.Seconds()},
+		rep:        Report{Scenario: name},
 	}, nil
 }
 
@@ -287,8 +281,7 @@ func (e *env) drain(cs *serve.Session, apply func(serve.Notify), onGap func() er
 }
 
 // runOpenLoop issues fn once per scheduled Poisson arrival until the
-// configured duration of schedule has been offered, then folds the
-// pacer's lateness accounting into the report. The arrival count is a
+// configured duration of schedule has been offered. The arrival count is a
 // function of (seed, rate, duration) alone — the system under test never
 // shrinks the offered load, it only makes arrivals late.
 func (e *env) runOpenLoop(fn func(scheduledAt int64, k int) error) error {
@@ -304,15 +297,14 @@ func (e *env) runOpenLoop(fn func(scheduledAt int64, k int) error) error {
 			return err
 		}
 	}
-	e.rep.Late, e.rep.LateMaxNs, _ = p.Late()
 	return nil
 }
 
 // Smoke runs every scenario briefly against a loopback server and fails
 // on any broken identity: a dispatch-counter mismatch, an in-band gap
 // count that disagrees with the server's shed counter, a stale client
-// view, or a run that completed nothing. It is the `make serving-smoke`
-// entry point (dttbench -serving-smoke) and the suite's own test body.
+// view, or a run that completed nothing. It is the body of
+// TestServingSmoke, which `make serving-smoke` runs.
 func Smoke(w io.Writer) error {
 	for _, s := range All() {
 		rep, err := s.Run(Config{Rate: 2000, Duration: 250 * time.Millisecond, Seed: 1})

@@ -1,4 +1,5 @@
-# CI entry points. `make ci` is the gate: the static protocol lint, the
+# CI entry points. `make ci` is the gate: the formatting check (fmt-check:
+# gofmt -l prints nothing), the static protocol lint, the
 # lock-table check, the escape gate, vet, build, race-enabled tests, the
 # allocs/op gate (so a fast-path allocation regression fails here, not
 # just in benchmark output), a bounded native-fuzz pass over the dispatch
@@ -28,9 +29,16 @@ COVER_PKGS  := ./internal/core ./internal/queue
 # Bounded fuzz budget for CI. `make fuzz FUZZTIME=5m` explores for real.
 FUZZTIME ?= 10s
 
-.PHONY: ci lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke serving-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-telemetry bench-update
+.PHONY: ci fmt-check lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke serving-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-telemetry bench-update
 
-ci: lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke serving-smoke bench-smoke cover
+ci: fmt-check lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke serving-smoke bench-smoke cover
+
+# Formatting gate: every tracked Go file is gofmt-clean. The linter's
+# fixtures under internal/lint/testdata are inputs, not code, and exempt.
+fmt-check:
+	@test -z "$$(git ls-files '*.go' | grep -v '^internal/lint/testdata/' | xargs gofmt -l | tee /dev/stderr)" \
+		|| { echo "fmt-check: the files above need gofmt"; exit 1; }
+	@echo "fmt-check: gofmt -l prints nothing"
 
 # Static whole-program check (protocol rules + lockorder + atomics) over
 # the whole module (./... skips the linter's own testdata fixtures by

@@ -1,7 +1,7 @@
 package dtt_test
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// ablation benches DESIGN.md calls out. The experiment benches report the
+// One benchmark per table and figure of the paper's evaluation, plus
+// microbenchmarks of the hot structures. The experiment benches report the
 // headline number of their table/figure as a custom metric, so
 // `go test -bench=. -benchmem` regenerates the whole evaluation; the
 // workload benches measure real Go wall-clock for baseline vs DTT.
@@ -99,89 +99,6 @@ func BenchmarkWorkloadDTT(b *testing.B) {
 				}
 				rt.Close()
 			}
-		})
-	}
-}
-
-// Ablation: duplicate-squashing policy. A synthetic trigger stream with
-// heavy per-line and per-address reuse measures enqueue throughput and the
-// squash fraction each policy achieves.
-func BenchmarkAblationDedupPolicy(b *testing.B) {
-	policies := []queue.DedupPolicy{queue.DedupPerAddress, queue.DedupPerLine, queue.DedupPerThread, queue.DedupNone}
-	for _, pol := range policies {
-		pol := pol
-		b.Run(pol.String(), func(b *testing.B) {
-			q := queue.NewThreadQueue(64, pol)
-			h := uint64(1)
-			for i := 0; i < b.N; i++ {
-				h = h*6364136223846793005 + 1442695040888963407
-				t := queue.ThreadID(h % 4)
-				addr := mem.Addr((h >> 8) % 256 * 8)
-				if q.Enqueue(t, addr) == queue.Overflowed {
-					q.Dequeue()
-				}
-				if i%16 == 15 {
-					q.Dequeue()
-				}
-			}
-			c := q.Counters()
-			if c.Enqueued+c.Squashed > 0 {
-				b.ReportMetric(float64(c.Squashed)/float64(c.Enqueued+c.Squashed), "squash-frac")
-			}
-		})
-	}
-}
-
-// Ablation: queue overflow policy. Inline overflow preserves every
-// trigger's computation in the main thread; drop forfeits it. Measured as
-// end-to-end mcf runs with a tiny queue.
-func BenchmarkAblationOverflowPolicy(b *testing.B) {
-	w, _ := workloads.ByName("mcf")
-	for _, pol := range []queue.OverflowPolicy{queue.OverflowInline, queue.OverflowDrop} {
-		pol := pol
-		b.Run(pol.String(), func(b *testing.B) {
-			size := workloads.Size{Scale: 1, Iters: 20, Seed: 1}
-			var inline, dropped int64
-			for i := 0; i < b.N; i++ {
-				rt, err := dtt.New(dtt.Config{Backend: dtt.BackendDeferred, QueueCapacity: 2, Overflow: pol})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.RunDTT(workloads.NewDTTEnv(rt), size); err != nil {
-					b.Fatal(err)
-				}
-				s := rt.Stats()
-				inline, dropped = s.InlineRuns, s.Dropped
-				rt.Close()
-			}
-			b.ReportMetric(float64(inline), "inline-runs")
-			b.ReportMetric(float64(dropped), "dropped")
-		})
-	}
-}
-
-// Ablation: trigger granularity. The same mcf run under word-granular and
-// line-granular squashing; line granularity squashes distinct trigger
-// words that share a line, trading instances for accuracy.
-func BenchmarkAblationTriggerGranularity(b *testing.B) {
-	w, _ := workloads.ByName("mcf")
-	for _, pol := range []queue.DedupPolicy{queue.DedupPerAddress, queue.DedupPerLine} {
-		pol := pol
-		b.Run(pol.String(), func(b *testing.B) {
-			size := workloads.Size{Scale: 1, Iters: 20, Seed: 1}
-			var executed int64
-			for i := 0; i < b.N; i++ {
-				rt, err := dtt.New(dtt.Config{Backend: dtt.BackendDeferred, Dedup: pol})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.RunDTT(workloads.NewDTTEnv(rt), size); err != nil {
-					b.Fatal(err)
-				}
-				executed = rt.Stats().Executed
-				rt.Close()
-			}
-			b.ReportMetric(float64(executed), "instances")
 		})
 	}
 }
@@ -539,7 +456,7 @@ func BenchmarkTStoreParallelUncovered(b *testing.B) {
 // thread t has a pending entry, asked with the queue full of other threads'
 // entries. The ring-buffer queue answers from a per-thread counter in O(1).
 func BenchmarkQueuePending(b *testing.B) {
-	q := queue.NewThreadQueue(4096, queue.DedupPerAddress)
+	q := queue.NewThreadQueue(4096)
 	for i := 0; i < 4096; i++ {
 		q.Enqueue(queue.ThreadID(1), mem.Addr(i)*8)
 	}
@@ -732,8 +649,9 @@ func BenchmarkMergeDispatch(b *testing.B) {
 // their shard locks. The tstorebatch variant issues always-changing
 // TStoreBatch calls (each word compare-and-swaps the shared line and
 // takes the dispatch path); the tupdatebatch variant folds the same
-// traffic into per-stripe privatized deltas with eager merges every 512
-// stripe ops, so triggers still fire during timing. The bar is
+// traffic into per-stripe privatized deltas and reads a word back every
+// 8 batches (512 ops) — Load is a try-lock merge point — so merges and the
+// triggers they fire stay inside the timed region. The bar is
 // tupdatebatch at <= 1/4 of tstorebatch's ns/store (>= 4x per-store
 // throughput at 8 contended producers).
 func BenchmarkTUpdateHotContended(b *testing.B) {
@@ -787,12 +705,15 @@ func BenchmarkTUpdateHotContended(b *testing.B) {
 			})
 	})
 	b.Run("tupdatebatch", func(b *testing.B) {
-		run(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 2, Shards: 8, QueueCapacity: 2048, MergeEvery: 512},
+		run(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 2, Shards: 8, QueueCapacity: 2048},
 			func(r *dtt.Region, vals []dtt.Word, v dtt.Word) {
 				for k := range vals {
 					vals[k] = v + dtt.Word(k)
 				}
 				r.TUpdateBatch(0, dtt.UpdAdd, vals)
+				if v&7 == 0 { // v's low bits count this producer's batches
+					r.Load(0)
+				}
 			})
 	})
 }

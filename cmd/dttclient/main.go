@@ -25,7 +25,6 @@ import (
 
 	"dtt/internal/core"
 	"dtt/internal/mem"
-	"dtt/internal/queue"
 	"dtt/internal/serve"
 )
 
@@ -153,8 +152,7 @@ func runSmoke(stdout, stderr io.Writer) int {
 		return 1
 	}
 	rt, err := core.New(core.Config{
-		Backend: core.BackendImmediate, Workers: 2, Shards: 4,
-		Dedup: queue.DedupPerAddress, Telemetry: true,
+		Backend: core.BackendImmediate, Workers: 2, Shards: 4, Telemetry: true,
 	})
 	if err != nil {
 		return fail("%v", err)

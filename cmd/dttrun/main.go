@@ -24,7 +24,6 @@ import (
 
 	"dtt/internal/core"
 	"dtt/internal/mem"
-	"dtt/internal/queue"
 	"dtt/internal/serve"
 	"dtt/internal/sim"
 	"dtt/internal/trace"
@@ -79,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%s baseline: checksum %#x in %v\n", w.Name(), res.Checksum, time.Since(start))
 	case "dtt":
-		cfg := core.Config{QueueCapacity: *qcap, Shards: *shards, Dedup: queue.DedupPerAddress, MetricsAddr: *metrics}
+		cfg := core.Config{QueueCapacity: *qcap, Shards: *shards, MetricsAddr: *metrics}
 		if *check {
 			cfg.Checker = core.CheckStrict
 		}

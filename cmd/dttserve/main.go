@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"dtt/internal/core"
-	"dtt/internal/queue"
 	"dtt/internal/serve"
 )
 
@@ -52,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Workers:       *workers,
 		Shards:        *shards,
 		QueueCapacity: *qcap,
-		Dedup:         queue.DedupPerAddress,
 		Telemetry:     *metrics != "",
 	}
 	if *check {

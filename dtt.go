@@ -123,31 +123,6 @@ const (
 // Violation is one sanitizer finding. See sanitize.Violation.
 type Violation = core.Violation
 
-// DedupPolicy controls duplicate squashing in the thread queue.
-type DedupPolicy = queue.DedupPolicy
-
-// Dedup policies. DedupPerAddress is the paper's design and the default.
-// DedupPerLine and DedupPerThread squash more aggressively and are only
-// sound for threads whose recomputation does not depend on which word in
-// the squashed set fired.
-const (
-	DedupPerAddress = queue.DedupPerAddress
-	DedupPerLine    = queue.DedupPerLine
-	DedupPerThread  = queue.DedupPerThread
-	DedupNone       = queue.DedupNone
-)
-
-// OverflowPolicy controls what a triggering store does when the thread
-// queue is full.
-type OverflowPolicy = queue.OverflowPolicy
-
-// Overflow policies. OverflowInline preserves correctness by running the
-// thread in the triggering store's context and is the default.
-const (
-	OverflowInline = queue.OverflowInline
-	OverflowDrop   = queue.OverflowDrop
-)
-
 // Status is a thread's state in the thread queue status table.
 type Status = queue.Status
 

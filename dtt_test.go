@@ -56,8 +56,6 @@ func TestFacadeDeferredAndPolicies(t *testing.T) {
 	rt, err := dtt.New(dtt.Config{
 		Backend:       dtt.BackendDeferred,
 		QueueCapacity: 4,
-		Dedup:         dtt.DedupPerAddress,
-		Overflow:      dtt.OverflowInline,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -121,8 +121,8 @@ type Config struct {
 	// Workers is the number of support-thread contexts for
 	// BackendImmediate; ignored otherwise. Defaults to 1.
 	Workers int
-	// QueueCapacity bounds the thread queue. Triggers that overflow fall
-	// back to the Overflow policy. Defaults to 64. With Shards > 1 every
+	// QueueCapacity bounds the thread queue; overflowing triggers run
+	// inline in the storing context. Defaults to 64. With Shards > 1 every
 	// shard gets a full QueueCapacity-sized segment — capacity is
 	// per-shard, not divided — so a thread's overflow behaviour does not
 	// change with the shard count.
@@ -137,17 +137,8 @@ type Config struct {
 	// smallest power of two >= GOMAXPROCS (at most 64) for
 	// BackendImmediate.
 	Shards int
-	// Dedup selects the duplicate-squashing policy. Defaults to the
-	// paper's per-address squashing.
-	Dedup queue.DedupPolicy
-	// Overflow selects what a triggering store does when the queue is
-	// full. Defaults to inline execution.
-	Overflow queue.OverflowPolicy
-	// System is the address space regions are allocated from; a fresh
-	// one is created when nil.
-	System *mem.System
 	// Recorder receives the task DAG for BackendRecorded. The runtime
-	// attaches it to System as a probe; the caller must not.
+	// attaches it to its address space as a probe; the caller must not.
 	Recorder *trace.Recorder
 	// Checker enables the DTT protocol sanitizer. Defaults to CheckOff.
 	Checker CheckMode
@@ -156,13 +147,6 @@ type Config struct {
 	// Re-running the same program with the same seed replays the same
 	// support-thread interleaving.
 	SchedSeed uint64
-	// MergeEvery, when > 0, merges a region's privatized update deltas
-	// eagerly every MergeEvery updates applied through one producer stripe.
-	// The cadence is op-count based, not time based, so the seeded backend
-	// replays eager merges deterministically. Zero (the default) disables
-	// eager merging; deltas then merge at Wait/Barrier/Load. See
-	// Region.TUpdate.
-	MergeEvery int
 	// Telemetry enables the metrics plane: per-shard latency, run-duration
 	// and queue-depth histograms, pprof labels on support-thread instances,
 	// and runtime/trace annotations. Off by default; when off the trigger
@@ -198,9 +182,6 @@ func (c *Config) applyDefaults() {
 			c.Shards = 1024
 		}
 	}
-	if c.System == nil {
-		c.System = mem.NewSystem()
-	}
 	if c.MetricsAddr != "" {
 		c.Telemetry = true
 	}
@@ -216,14 +197,14 @@ func ceilPow2(n int) int {
 }
 
 func (c *Config) validate() error {
+	if c.Backend < BackendDeferred || c.Backend > BackendSeeded {
+		return fmt.Errorf("core: unknown backend %v", c.Backend)
+	}
 	if c.Backend == BackendRecorded && c.Recorder == nil {
 		return fmt.Errorf("core: BackendRecorded requires a Recorder")
 	}
 	if c.Backend != BackendRecorded && c.Recorder != nil {
 		return fmt.Errorf("core: Recorder set but backend is %v", c.Backend)
-	}
-	if c.MergeEvery < 0 {
-		return fmt.Errorf("core: negative MergeEvery %d", c.MergeEvery)
 	}
 	return nil
 }

@@ -74,23 +74,23 @@ func TestPanicRecovered(t *testing.T) {
 // still holds: the failed inline run stays counted as an inline run.
 func TestPanicInlineOverflow(t *testing.T) {
 	var calls atomic.Int64
-	rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 1, Dedup: queue.DedupNone})
+	rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer rt.Close()
-	in := rt.NewRegion("in", 1)
+	in := rt.NewRegion("in", 2) // two trigger words: the second is not squashed
 	th := rt.Register("fragile", func(tg Trigger) {
 		if calls.Add(1) == 1 {
 			panic("inline overflow fault")
 		}
 	})
-	if err := rt.Attach(th, in, 0, 1); err != nil {
+	if err := rt.Attach(th, in, 0, 2); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 
 	in.TStore(0, 1) // enqueued
-	in.TStore(0, 2) // overflows; runs inline and panics (first call)
+	in.TStore(1, 2) // overflows; runs inline and panics (first call)
 	s := rt.Stats()
 	if s.Overflowed != 1 || s.InlineRuns != 1 || s.Dropped != 0 {
 		t.Fatalf("after inline panic: Overflowed=%d InlineRuns=%d Dropped=%d, want 1/1/0", s.Overflowed, s.InlineRuns, s.Dropped)

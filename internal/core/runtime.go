@@ -277,7 +277,7 @@ func New(cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
 	rt := &Runtime{
 		cfg: cfg,
-		sys: cfg.System,
+		sys: mem.NewSystem(),
 		reg: queue.NewRegistry(),
 	}
 	empty := make([]*threadEntry, 0)
@@ -287,7 +287,7 @@ func New(cfg Config) (*Runtime, error) {
 	for s := range rt.shards {
 		sh := &rt.shards[s]
 		sh.idx = s
-		sh.tq = queue.NewThreadQueue(cfg.QueueCapacity, cfg.Dedup)
+		sh.tq = queue.NewThreadQueue(cfg.QueueCapacity)
 	}
 	if cfg.Telemetry {
 		rt.tel = telemetry.New(len(rt.shards))
@@ -320,9 +320,6 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 	if cfg.Backend == BackendImmediate {
-		if rt.sys.Probed() {
-			return nil, fmt.Errorf("core: BackendImmediate cannot run with probes attached; probes are not safe under concurrency")
-		}
 		rt.wake = make(chan struct{}, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			rt.wg.Add(1)
@@ -740,9 +737,9 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // id's shard and te its thread record. A trigger whose range a concurrent
 // Cancel detached between the registry snapshot and this lock never
 // happened; it reports Squashed, like a squash leaving nothing to settle.
-// Under OverflowInline an overflowed trigger is appended to inline for the
-// caller to run after its dispatch completes — never with a shard lock
-// held. On Enqueued the caller owes the shard its settlement — the busy
+// An overflowed trigger is appended to inline for the caller to run after
+// its dispatch completes — never with a shard lock held. On Enqueued the
+// caller owes the shard its settlement — the busy
 // mirror, a queue-depth sample and a worker wakeup — which stays with the
 // caller because the two dispatch shapes differ exactly there: fireOne
 // settles per entry, dispatchFired once per shard, and a shared helper
@@ -759,13 +756,10 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, 
 		rt.check.OnTrigger(g, id)
 	}
 	st := sh.tq.Enqueue(id, addr)
-	switch {
-	case st != queue.Overflowed:
-		rt.noteRelease(id, addr)
-	case rt.cfg.Overflow == queue.OverflowInline:
+	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
-	default:
-		sh.c.dropped++
+	} else {
+		rt.noteRelease(id, addr)
 	}
 	return st
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"dtt/internal/mem"
 	"dtt/internal/queue"
 	"dtt/internal/trace"
 )
@@ -76,8 +79,8 @@ func TestTStoreOutsideAttachedRangeDoesNotFire(t *testing.T) {
 	}
 }
 
-func TestDedupPerAddressSquashes(t *testing.T) {
-	rt := newDeferred(t, nil) // default dedup: per-address
+func TestSameAddressSquashes(t *testing.T) {
+	rt := newDeferred(t, nil)
 	data := rt.NewRegion("data", 4)
 	runs := 0
 	id := rt.Register("r", func(Trigger) { runs++ })
@@ -159,7 +162,7 @@ func TestCascadingTriggers(t *testing.T) {
 	}
 }
 
-func TestOverflowInlineExecutes(t *testing.T) {
+func TestOverflowRunsInline(t *testing.T) {
 	rt := newDeferred(t, func(c *Config) { c.QueueCapacity = 1 })
 	data := rt.NewRegion("data", 8)
 	runs := 0
@@ -179,24 +182,30 @@ func TestOverflowInlineExecutes(t *testing.T) {
 	}
 }
 
-func TestOverflowDropLosesTriggers(t *testing.T) {
-	rt := newDeferred(t, func(c *Config) {
-		c.QueueCapacity = 1
-		c.Overflow = queue.OverflowDrop
-	})
-	data := rt.NewRegion("data", 8)
-	runs := 0
-	id := rt.Register("r", func(Trigger) { runs++ })
-	rt.Attach(id, data, 0, 8)
-	for i := 0; i < 4; i++ {
-		data.TStore(i, 1)
+// TestCancelledOverflowCountsAsDropped reaches the one source of Dropped:
+// an overflowed trigger whose thread a Cancel detached before its inline
+// run. One batch fires four words into a capacity-1 queue — one enqueued,
+// three overflowed; the first inline run cancels its own thread, which
+// squashes the queued entry and leaves the other two overflowed triggers
+// nothing to run.
+func TestCancelledOverflowCountsAsDropped(t *testing.T) {
+	rt := newDeferred(t, func(c *Config) { c.QueueCapacity = 1 })
+	data := rt.NewRegion("data", 4)
+	var id ThreadID
+	id = rt.Register("once", func(Trigger) { rt.Cancel(id) })
+	rt.Attach(id, data, 0, 4)
+
+	data.TStoreBatch(0, []mem.Word{1, 2, 3, 4})
+	rt.Barrier()
+	s := rt.Stats()
+	if s.Overflowed != 3 || s.InlineRuns != 1 || s.Dropped != 2 {
+		t.Fatalf("Overflowed %d InlineRuns %d Dropped %d, want 3 = 1 + 2", s.Overflowed, s.InlineRuns, s.Dropped)
 	}
-	rt.Wait(id)
-	if runs != 1 {
-		t.Fatalf("runs = %d, want 1 under OverflowDrop", runs)
+	if s.Fired != 4 || s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
+		t.Fatalf("Fired identity broken: %+v", s)
 	}
-	if s := rt.Stats(); s.Dropped != 3 {
-		t.Fatalf("stats = %+v", s)
+	if s.Executed != 0 {
+		t.Fatalf("Executed = %d: the queued entry should have been squashed by the Cancel", s.Executed)
 	}
 }
 
@@ -340,6 +349,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownBackend: a Backend outside the four defined values
+// used to build a runtime that started no worker and drained like the
+// deferred backend while reporting itself as "Backend(9)".
+func TestNewRejectsUnknownBackend(t *testing.T) {
+	for _, b := range []Backend{Backend(-1), BackendSeeded + 1, Backend(9)} {
+		if rt, err := New(Config{Backend: b}); err == nil {
+			rt.Close()
+			t.Errorf("New accepted undefined backend %v", b)
+		}
+	}
+}
+
+// TestConfigSurface pins the knob count: a Config field is something a
+// caller varies, so each row names a non-test caller that sets it. Adding a
+// field means adding a row here — and a caller to cite.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"Backend",       // every caller; bench/, cmd/dttrun -backend
+		"Workers",       // cmd/dttserve -workers, bench/, examples
+		"QueueCapacity", // harness/sweeps.go (F6/F10), cmd/dttrun -queue, bench/
+		"Shards",        // cmd/dttserve -shards, cmd/dttrun -shards, workloads/serving
+		"Recorder",      // harness/harness.go, harness/characterize.go
+		"Checker",       // cmd/dttrun -check, cmd/dttserve -check
+		"SchedSeed",     // cmd/dttrun -sched-seed
+		"Telemetry",     // bench/ (-trace), cmd/dttserve, workloads/serving
+		"MetricsAddr",   // cmd/dttrun -metrics
+	}
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config fields:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestBackendString(t *testing.T) {
 	if BackendDeferred.String() != "deferred" || BackendImmediate.String() != "immediate" || BackendRecorded.String() != "recorded" {
 		t.Fatalf("backend names wrong")
@@ -394,12 +440,14 @@ func TestImmediateSilentStoresStillSkip(t *testing.T) {
 }
 
 func TestImmediatePerThreadSerialisation(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, Dedup: queue.DedupNone, QueueCapacity: 256})
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	data := rt.NewRegion("data", 1)
+	// One trigger word per instance: distinct addresses are never squashed,
+	// so all 50 queue up behind the four workers.
+	data := rt.NewRegion("data", 50)
 	var concurrent, maxConcurrent atomic.Int64
 	id := rt.Register("serial", func(Trigger) {
 		c := concurrent.Add(1)
@@ -411,9 +459,9 @@ func TestImmediatePerThreadSerialisation(t *testing.T) {
 		}
 		concurrent.Add(-1)
 	})
-	rt.Attach(id, data, 0, 1)
-	for i := 1; i <= 50; i++ {
-		data.TStore(0, uint64(i))
+	rt.Attach(id, data, 0, 50)
+	for i := 0; i < 50; i++ {
+		data.TStore(i, 1)
 	}
 	rt.Barrier()
 	if maxConcurrent.Load() > 1 {
@@ -440,17 +488,6 @@ func TestImmediateDistinctThreadsRunConcurrently(t *testing.T) {
 	a.TStore(0, 1)
 	b.TStore(0, 1)
 	rt.Barrier()
-}
-
-func TestImmediateRejectsProbedSystem(t *testing.T) {
-	rec := trace.NewRecorder(nil)
-	_ = rec
-	cfg := Config{Backend: BackendImmediate}
-	cfg.applyDefaults()
-	cfg.System.AttachProbe(trace.NewRecorder(nil))
-	if _, err := New(Config{Backend: BackendImmediate, System: cfg.System}); err == nil {
-		t.Fatalf("immediate backend accepted a probed system")
-	}
 }
 
 func TestCloseIdempotent(t *testing.T) {

@@ -115,7 +115,7 @@ func TestShardedEquivalenceMatchesUnsharded(t *testing.T) {
 // enqueue/squash/inline split because a batch is one preemption point where
 // a scalar loop is many — that is the documented semantic difference. The
 // second table adds the update-merge plane as a third writer and pins the
-// shared admission and run bracket under overflow, drop and Cancel.
+// shared admission and run bracket under overflow and Cancel.
 func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 	for _, cfg := range []Config{
 		{Backend: BackendDeferred, Shards: 1},
@@ -161,18 +161,13 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 	for _, row := range []struct {
 		name   string
 		cap    int
-		drop   bool
 		cancel bool
 	}{
-		{"cap4", 4, false, false},
-		{"cap1-inline", 1, false, false},
-		{"cap1-drop", 1, true, false},
-		{"cancel", 32, false, true}, // room for every trigger: the Cancel finds hi's eight pending
+		{"cap4", 4, false},
+		{"cap1-inline", 1, false},
+		{"cancel", 32, true}, // room for every trigger: the Cancel finds hi's eight pending
 	} {
 		cfg := Config{Shards: 1, QueueCapacity: row.cap, Checker: CheckStrict}
-		if row.drop {
-			cfg.Overflow = queue.OverflowDrop
-		}
 		same := func(phase string, a, b planeRun) {
 			t.Helper()
 			if a.dispatch != b.dispatch || a.qc != b.qc {
@@ -195,9 +190,8 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 		// scalar stream is a preemption point per store — the documented
 		// difference — so only what the schedule cannot move is compared:
 		// Fired and the trigger region always, the output region too
-		// unless the row loses triggers (which ones overflow, and which
-		// are still pending when the Cancel lands, is the schedule's
-		// choice).
+		// unless the row cancels (which triggers are still pending when
+		// the Cancel lands is the schedule's choice).
 		cfg.Backend, cfg.SchedSeed = BackendSeeded, 11
 		batch := runWritePlane(t, cfg, writeBatch, row.cancel)
 		same("seeded batch vs merge", batch, runWritePlane(t, cfg, writeMerge, row.cancel))
@@ -206,7 +200,7 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 			t.Fatalf("%s seeded: scalar Fired %d, batch Fired %d", row.name, scalar.dispatch.Fired, batch.dispatch.Fired)
 		}
 		scalar.dispatch, scalar.qc = batch.dispatch, batch.qc
-		if row.drop || row.cancel {
+		if row.cancel {
 			scalar.mem, batch.mem = scalar.mem[:len(scalar.mem)/2], batch.mem[:len(batch.mem)/2]
 		}
 		same("seeded scalar vs batch", scalar, batch)
@@ -350,7 +344,7 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) plan
 }
 
 // TestShardedCascadesConserveCounters is the sharded counterpart of
-// TestOverflowInlineConcurrentCascades: the same cascading chains, but with
+// TestInlineOverflowConcurrentCascades: the same cascading chains, but with
 // every chain's thread in its own shard segment. Cascades now find room in
 // their own capacity-1 segment instead of overflowing on each other, so the
 // test asserts completion and counter conservation rather than overflow.

@@ -89,7 +89,8 @@ type Stats struct {
 	Squashed int64
 	// Overflowed counts triggers that found the queue full.
 	Overflowed int64
-	// Dropped counts overflowed triggers discarded under OverflowDrop.
+	// Dropped counts overflowed triggers whose thread a Cancel detached
+	// before their inline run could start: cancelled work, never executed.
 	Dropped int64
 	// InlineRuns counts overflowed triggers executed in the main thread.
 	InlineRuns int64
@@ -107,8 +108,7 @@ type Stats struct {
 	// TUpdates counts commutative update operations applied to privatized
 	// delta planes (Region.TUpdate/TUpdateBatch).
 	TUpdates int64
-	// Merges counts merge operations (lazy or eager) that found pending
-	// deltas to apply.
+	// Merges counts merge operations that found pending deltas to apply.
 	Merges int64
 	// MergedUpdates counts words a merge applied to memory.
 	MergedUpdates int64

@@ -116,8 +116,9 @@ func (r *statusRig) reattach() {
 	}
 }
 
-// tinyQueue makes every second trigger of a thread overflow and run inline.
-func tinyQueue(c *Config) { c.QueueCapacity, c.Dedup = 1, queue.DedupNone }
+// tinyQueue makes a thread's second pending trigger — at another address,
+// so it is not squashed — overflow and run inline.
+func tinyQueue(c *Config) { c.QueueCapacity = 1 }
 
 // TestStatusLifecycle walks a thread's status row — pending (the ring's
 // count), dispatched, executed, failed, lastFailed, all kept in its
@@ -187,7 +188,7 @@ func TestStatusLifecycle(t *testing.T) {
 			r.hold()
 			r.body = func(Trigger) { panic("inline overflow fault") }
 			r.in.TStore(0, 1) // queued
-			r.in.TStore(0, 2) // overflows: runs here, now, and panics
+			r.in.TStore(1, 2) // overflows: runs here, now, and panics
 			r.expect(queue.StatusPending, "inline run done, first trigger still queued")
 			r.expectRow(r.th, statusRow{pending: 1, failed: 1}, "an inline run is never dispatched")
 			r.rt.Cancel(r.th)
@@ -196,7 +197,7 @@ func TestStatusLifecycle(t *testing.T) {
 			r.reattach()
 			r.body = func(Trigger) {}
 			r.in.TStore(0, 3)
-			r.in.TStore(0, 4) // overflows: runs here and succeeds
+			r.in.TStore(1, 4) // overflows: runs here and succeeds
 			r.rt.Cancel(r.th)
 			r.expect(queue.StatusFailed, "a clean inline run does not clear the colour")
 			if st := r.rt.Stats(); st.InlineRuns != 2 || st.FailedRuns != 1 || st.Executed != 0 {

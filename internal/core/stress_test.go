@@ -166,14 +166,14 @@ func TestCascadeOverflowDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestOverflowInlineConcurrentCascades hammers the overflow-inline path on
+// TestInlineOverflowConcurrentCascades hammers the overflow-inline path on
 // the immediate backend: several cascading chains with a capacity-1 queue,
 // so nearly every cascading store overflows while instances of the same and
 // other threads are executing on workers. Run under -race this covers the
 // run-token handoff between workers and inline runners. Afterwards the
 // accounting invariant from internal/core/stats.go must hold exactly:
 // Overflowed = InlineRuns + Dropped.
-func TestOverflowInlineConcurrentCascades(t *testing.T) {
+func TestInlineOverflowConcurrentCascades(t *testing.T) {
 	// Shards is pinned to 1: the test's premise is that all four chains
 	// fight over one capacity-1 queue so cascades overflow. With the
 	// default shard count on a multi-core box each chain would get its own
@@ -221,7 +221,7 @@ func TestOverflowInlineConcurrentCascades(t *testing.T) {
 		t.Fatalf("Overflowed %d != InlineRuns %d + Dropped %d", s.Overflowed, s.InlineRuns, s.Dropped)
 	}
 	if s.Dropped != 0 {
-		t.Fatalf("OverflowInline dropped %d triggers", s.Dropped)
+		t.Fatalf("inline overflow dropped %d triggers with no Cancel in the program", s.Dropped)
 	}
 	if s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
 		t.Fatalf("conservation broken: %+v", s)
@@ -233,49 +233,23 @@ func TestOverflowInlineConcurrentCascades(t *testing.T) {
 	assertQueueConservation(t, rt, "concurrent inline cascades")
 }
 
-// TestOverflowDropLosesWorkDeliberately documents why OverflowInline is
-// the default: with OverflowDrop and a non-idempotent consumer, dropped
-// triggers are genuinely lost.
-func TestOverflowDropLosesWorkDeliberately(t *testing.T) {
-	run := func(pol queue.OverflowPolicy) int64 {
-		rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 1, Overflow: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		data := rt.NewRegion("d", 8)
-		var count int64
-		id := rt.Register("count", func(Trigger) { count++ })
-		rt.Attach(id, data, 0, 8)
-		for i := 0; i < 8; i++ {
-			data.TStore(i, 1)
-		}
-		rt.Barrier()
-		return count
-	}
-	if got := run(queue.OverflowInline); got != 8 {
-		t.Fatalf("inline overflow ran %d, want all 8", got)
-	}
-	if got := run(queue.OverflowDrop); got >= 8 {
-		t.Fatalf("drop overflow ran %d, expected losses", got)
-	}
-}
-
 // TestCancelWhileWorkInFlight cancels a thread racing with its own
 // triggers on the immediate backend; afterwards the runtime must be quiet
 // and further triggers inert.
 func TestCancelWhileWorkInFlight(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 128, Dedup: queue.DedupNone})
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	data := rt.NewRegion("d", 4)
+	// One word per store up to the Cancel: distinct trigger addresses, so
+	// none of the backlog the Cancel races is squashed away.
+	data := rt.NewRegion("d", 100)
 	var runs atomic.Int64
 	id := rt.Register("r", func(Trigger) { runs.Add(1) })
-	rt.Attach(id, data, 0, 4)
+	rt.Attach(id, data, 0, 100)
 	for i := 1; i <= 200; i++ {
-		data.TStore(i%4, uint64(i))
+		data.TStore(i%100, uint64(i))
 		if i == 100 {
 			rt.Cancel(id)
 		}

@@ -33,7 +33,7 @@ func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 			{Name: "dtt_enqueued_total", Help: "New thread-queue entries.", Value: s.Enqueued},
 			{Name: "dtt_squashed_total", Help: "Triggers absorbed by duplicate squashing.", Value: s.Squashed},
 			{Name: "dtt_overflowed_total", Help: "Triggers that found the queue full.", Value: s.Overflowed},
-			{Name: "dtt_dropped_total", Help: "Overflowed triggers discarded under OverflowDrop.", Value: s.Dropped},
+			{Name: "dtt_dropped_total", Help: "Overflowed triggers whose thread was cancelled before their inline run.", Value: s.Dropped},
 			{Name: "dtt_inline_runs_total", Help: "Overflowed triggers executed inline in the main thread.", Value: s.InlineRuns},
 			{Name: "dtt_executed_total", Help: "Queue-dispatched support instances completed.", Value: s.Executed},
 			{Name: "dtt_failed_runs_total", Help: "Support-thread bodies that panicked.", Value: s.FailedRuns},

@@ -15,13 +15,12 @@
 //
 // A merge is the visibility point of updates: until one runs, neither
 // memory nor any support thread observes pending deltas. Merges happen
+// where the program observes the result, and nowhere else:
 //
-//   - lazily at Wait/Barrier (blocking: the sync point owns the merge) and
-//     at Region.Load (best-effort: a TryLock, skipped when another merge
-//     is in flight);
-//   - eagerly when a stripe applies Config.MergeEvery ops since its last
-//     merge (best-effort TryLock — pending deltas survive a skipped merge
-//     and the next op retries).
+//   - at Wait/Barrier (blocking: the sync point owns the merge);
+//   - at Region.Load (best-effort: a TryLock, skipped when another merge
+//     is in flight — pending deltas survive a skipped merge and the next
+//     merge point applies them).
 //
 // Merge words go through the pipeline stages every triggering write uses
 // (the compare-and-store, noteWrite, a registry lookup per word, then
@@ -73,10 +72,9 @@ type updatePlane struct {
 	r     *Region
 	plane *mem.DeltaPlane
 	// mergeMu admits one merger at a time. Sync points (Wait/Barrier)
-	// block on it; Load and eager producers TryLock and skip — whoever
-	// holds the lock is already merging the deltas they care about, and
-	// anything that slips past a skipped merge is caught at the next
-	// blocking point.
+	// block on it; Load TryLocks and skips — whoever holds the lock is
+	// already merging the deltas it cares about, and anything that slips
+	// past a skipped merge is caught at the next blocking point.
 	mergeMu sync.Mutex
 	// dead marks a plane whose region has been released. Guarded by
 	// mergeMu: releaseRegionLocked sets it (and discards pending deltas)
@@ -147,7 +145,7 @@ func (r *Region) TUpdate(i int, op mem.UpdateOp, v mem.Word) {
 		// the visibility point — on the merging agent's clock.
 		c.OnUpdate(goid(), r.Name(), i, r.buf.Addr(i))
 	}
-	r.rt.maybeEagerMerge(u, u.plane.Apply(u.plane.Hint(), i, op, v))
+	u.plane.Apply(u.plane.Hint(), i, op, v)
 }
 
 // TUpdateBatch folds vs[j] into words lo+j under a single stripe lock,
@@ -175,15 +173,7 @@ func (r *Region) TUpdateBatch(lo int, op mem.UpdateOp, vs []mem.Word) {
 			c.OnUpdate(g, r.Name(), lo+j, r.buf.Addr(lo+j))
 		}
 	}
-	r.rt.maybeEagerMerge(u, u.plane.ApplyBatch(u.plane.Hint(), lo, op, vs))
-}
-
-// maybeEagerMerge applies the eager merge policy after an apply: merge when
-// the producer's stripe has applied MergeEvery ops since its last merge.
-func (rt *Runtime) maybeEagerMerge(u *updatePlane, since int64) {
-	if ev := rt.cfg.MergeEvery; ev > 0 && since >= int64(ev) {
-		rt.mergePlane(u, false)
-	}
+	u.plane.ApplyBatch(u.plane.Hint(), lo, op, vs)
 }
 
 // mergeAllPlanes merges every armed plane with pending deltas, blocking
@@ -210,7 +200,7 @@ func (rt *Runtime) mergeAllPlanes() {
 // memory is a silent merge and fires nothing. The fired pairs are admitted
 // together at the end, still under the merge lock, each shard's lock taken
 // once. block selects a blocking acquisition of the merge lock (sync points)
-// versus try-and-skip (Load, eager producers).
+// versus try-and-skip (Load).
 func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	if block {
 		u.mergeMu.Lock()

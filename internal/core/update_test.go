@@ -248,27 +248,6 @@ func TestSilentMergeSkipsThread(t *testing.T) {
 	}
 }
 
-// TestMergeEveryEager checks the per-stripe op cadence: MergeEvery ops on
-// one hot word force a merge even though only one word is dirty.
-func TestMergeEveryEager(t *testing.T) {
-	rt := newDeferred(t, func(cfg *Config) { cfg.MergeEvery = 8 })
-	data := rt.NewRegion("data", 4)
-	for k := 0; k < 7; k++ {
-		data.TUpdate(0, UpdAdd, 1)
-	}
-	if got := rt.Stats().Merges; got != 0 {
-		t.Fatalf("merged below cadence: Merges = %d", got)
-	}
-	data.TUpdate(0, UpdAdd, 1)
-	s := rt.Stats()
-	if s.Merges != 1 {
-		t.Fatalf("Merges = %d after 8 ops with MergeEvery=8", s.Merges)
-	}
-	if got := data.Load(0); got != 8 {
-		t.Fatalf("word 0 = %d, want 8", got)
-	}
-}
-
 // TestLoadMergesPending checks that Region.Load is a best-effort merge
 // point: a single-threaded Load observes its own pending updates.
 func TestLoadMergesPending(t *testing.T) {
@@ -286,10 +265,11 @@ func TestLoadMergesPending(t *testing.T) {
 
 // TestTUpdateSeededDeterminism replays the same seeded schedule twice and
 // requires identical stats — the merge must be one preemption point, not a
-// source of nondeterminism.
+// source of nondeterminism. A Load every third op is the merge point, so
+// merges interleave with the update stream instead of waiting for Barrier.
 func TestTUpdateSeededDeterminism(t *testing.T) {
 	run := func(seed uint64) Stats {
-		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed, MergeEvery: 3})
+		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,6 +285,9 @@ func TestTUpdateSeededDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for k := 0; k < 200; k++ {
 			data.TUpdate(rng.Intn(8), UpdAdd, mem.Word(rng.Intn(4)))
+			if k%3 == 2 {
+				data.Load(0)
+			}
 		}
 		rt.Barrier()
 		return rt.Stats()
@@ -316,23 +299,34 @@ func TestTUpdateSeededDeterminism(t *testing.T) {
 }
 
 // TestTUpdateConcurrentProducers hammers one hot region from many
-// goroutines with eager merges racing the producers; commutativity must
-// make the final sums exact. Run with -race in CI.
+// goroutines while a reader's Loads — each a try-lock merge point — race
+// the producers; commutativity must make the final sums exact. Run with
+// -race in CI.
 func TestTUpdateConcurrentProducers(t *testing.T) {
 	const (
 		words     = 8
 		producers = 4
 		opsEach   = 5000
 	)
-	rt := newBackend(t, BackendImmediate, func(cfg *Config) {
-		cfg.MergeEvery = 64
-		cfg.Shards = 4
-	})
+	rt := newBackend(t, BackendImmediate, func(cfg *Config) { cfg.Shards = 4 })
 	data := rt.NewRegion("data", words)
 	id := rt.Register("obs", func(tg Trigger) { _ = tg.Region.Load(tg.Index) })
 	if err := rt.Attach(id, data, 0, words); err != nil {
 		t.Fatal(err)
 	}
+	// The reader is running before the first producer starts and merges
+	// until the last one is done.
+	var producing atomic.Bool
+	producing.Store(true)
+	reading, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		close(reading)
+		for i := 0; producing.Load(); i++ {
+			data.Load(i % words)
+		}
+	}()
+	<-reading
 	want := make([]mem.Word, words)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -356,6 +350,8 @@ func TestTUpdateConcurrentProducers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	producing.Store(false)
+	<-readerDone
 	rt.Barrier()
 	for i := range want {
 		if got := data.Load(i); got != want[i] {
@@ -367,7 +363,7 @@ func TestTUpdateConcurrentProducers(t *testing.T) {
 		t.Errorf("TUpdates = %d, want %d", s.TUpdates, producers*opsEach)
 	}
 	if s.Merges == 0 {
-		t.Error("no eager merges despite MergeEvery")
+		t.Error("no merge ran")
 	}
 	if s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
 		t.Errorf("Fired identity broken: %+v", s)

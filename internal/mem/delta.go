@@ -133,14 +133,11 @@ type deltaStripe struct {
 	// walks it instead of scanning cells.
 	dirty []int32      //dtt:guards mu
 	extra []stripePend //dtt:guards mu
-	// ops counts updates applied through this stripe over its lifetime;
-	// sinceMerge counts them since the last Collect (the MergeEvery
-	// cadence input).
-	ops        int64
-	sinceMerge int64
-	// Pad stripes apart so neighbouring producers' locks and counters
-	// never share a cache line.
-	_ [32]byte
+	// ops counts updates applied through this stripe over its lifetime.
+	ops int64
+	// Pad stripes apart (to 128 bytes) so neighbouring producers' locks
+	// and counters never share a cache line.
+	_ [40]byte
 }
 
 // DeltaPlane is the striped privatized replica of one Buffer.
@@ -217,11 +214,8 @@ func (p *DeltaPlane) Hint() uint32 {
 	return uint32((h*0x9E3779B97F4A7C15)>>33) & p.smask
 }
 
-// Apply folds (op, v) into word i of stripe s (masked into range). It
-// returns the stripe's op count since its last merge — the MergeEvery
-// input, returned from here so the caller's fast path reads no extra
-// atomics.
-func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) (since int64) {
+// Apply folds (op, v) into word i of stripe s (masked into range).
+func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) {
 	st := &p.stripes[s&p.smask]
 	st.mu.Lock()
 	if st.cells == nil {
@@ -229,25 +223,21 @@ func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) (since int64) {
 	}
 	newly := st.apply(i, op, v)
 	st.ops++
-	st.sinceMerge++
-	since = st.sinceMerge
 	st.mu.Unlock()
 	if newly {
 		p.pending.Add(1)
 	}
-	return since
 }
 
 // ApplyBatch folds vs[j] into words lo+j of stripe s under one stripe
 // lock, amortizing the lock and the counter maintenance across the span.
-// It returns the stripe's op count since its last merge.
 //
 // The op dispatch is hoisted out of the per-word loop: each op gets its
 // own loop whose warm path (cell already accumulating under the same op)
 // is a single combine on the private cell, with cold cells (first touch,
 // op switch) falling back to the generic apply. Hot counter-shaped
 // batches spend the whole loop in the specialized arm.
-func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) (since int64) {
+func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) {
 	st := &p.stripes[s&p.smask]
 	st.mu.Lock()
 	if st.cells == nil {
@@ -310,13 +300,10 @@ func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) (since
 		}
 	}
 	st.ops += int64(len(vs))
-	st.sinceMerge += int64(len(vs))
-	since = st.sinceMerge
 	st.mu.Unlock()
 	if newly != 0 {
 		p.pending.Add(int64(newly))
 	}
-	return since
 }
 
 // apply folds one op into one cell; the stripe lock is held.
@@ -376,7 +363,6 @@ func (p *DeltaPlane) Collect() int {
 			collected++
 		}
 		st.dirty = st.dirty[:0]
-		st.sinceMerge = 0
 		st.mu.Unlock()
 	}
 	if collected != 0 {
@@ -402,7 +388,6 @@ func (p *DeltaPlane) Discard() {
 			dropped++
 		}
 		st.dirty = st.dirty[:0]
-		st.sinceMerge = 0
 		st.mu.Unlock()
 	}
 	if dropped != 0 {

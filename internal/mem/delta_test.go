@@ -112,11 +112,11 @@ func TestDeltaPlaneMixedOpsOrder(t *testing.T) {
 // cells across merge cycles (no repeated lazy allocation).
 func TestDeltaPlaneBatch(t *testing.T) {
 	p := NewDeltaPlane(16, 2)
-	if since := p.ApplyBatch(0, 4, UpdAdd, []Word{1, 2, 3}); since != 3 || p.Pending() != 3 {
-		t.Fatalf("ApplyBatch: since = %d Pending = %d, want 3 ops and 3 newly dirty cells", since, p.Pending())
+	if p.ApplyBatch(0, 4, UpdAdd, []Word{1, 2, 3}); p.Ops() != 3 || p.Pending() != 3 {
+		t.Fatalf("ApplyBatch: Ops = %d Pending = %d, want 3 ops and 3 newly dirty cells", p.Ops(), p.Pending())
 	}
-	if since := p.ApplyBatch(0, 4, UpdAdd, []Word{10, 10, 10}); since != 6 || p.Pending() != 3 {
-		t.Fatalf("re-fold: since = %d Pending = %d, want 6 ops and no newly dirty cell", since, p.Pending())
+	if p.ApplyBatch(0, 4, UpdAdd, []Word{10, 10, 10}); p.Ops() != 6 || p.Pending() != 3 {
+		t.Fatalf("re-fold: Ops = %d Pending = %d, want 6 ops and no newly dirty cell", p.Ops(), p.Pending())
 	}
 	n := p.Collect()
 	if n != 3 {

@@ -111,9 +111,6 @@ func (s *System) DetachProbes() {
 	}
 }
 
-// Probed reports whether at least one probe is attached.
-func (s *System) Probed() bool { return len(s.probes) > 0 }
-
 // Alloc reserves a Buffer of n words named name. The buffer is zero-filled
 // and line-aligned. Freed ranges (see Free) are reused first-fit before the
 // arena grows. Alloc panics if n is negative.

@@ -6,7 +6,7 @@ import "testing"
 // stamp, a clock stamps at enqueue, and a squashed re-trigger keeps the
 // original entry's stamp.
 func TestEnqueueClockStamp(t *testing.T) {
-	q := NewThreadQueue(4, DedupPerAddress)
+	q := NewThreadQueue(4)
 	if st := q.Enqueue(1, 100); st != Enqueued {
 		t.Fatalf("Enqueue = %v", st)
 	}

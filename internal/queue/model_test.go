@@ -9,45 +9,24 @@ import (
 )
 
 // qModel is a naive reference implementation of the thread queue: a plain
-// slice, linear scans, and its own struct-typed dedup key. The property
-// test below drives it in lock step with the real ring-buffer
-// implementation and fails on the first divergence, so any ring
-// arithmetic or per-thread count bug shows up as a concrete operation
-// trace. Keeping the model's key a plain struct (where the production
-// queue packs thread and address into one word for hashing speed) means
-// the test also verifies the packed key changes no dedup decision.
+// slice and linear scans. The property test below drives it in lock step
+// with the real ring-buffer implementation and fails on the first
+// divergence, so any ring arithmetic or per-thread count bug shows up as a
+// concrete operation trace. The model compares thread and address field by
+// field (where the production queue packs them into one word for hashing
+// speed), so the test also verifies the packed key changes no dedup
+// decision.
 type qModel struct {
 	cap     int
-	dedup   DedupPolicy
 	entries []Entry
 	c       Counters
 }
 
-// modelKey is the model's dedup identity: field-wise equality, no packing.
-type modelKey struct {
-	thread ThreadID
-	addr   mem.Addr
-}
-
-func (m *qModel) key(t ThreadID, addr mem.Addr) modelKey {
-	switch m.dedup {
-	case DedupPerLine:
-		return modelKey{thread: t, addr: addr &^ (mem.LineBytes - 1)}
-	case DedupPerThread:
-		return modelKey{thread: t}
-	default:
-		return modelKey{thread: t, addr: addr}
-	}
-}
-
 func (m *qModel) enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
-	if m.dedup != DedupNone {
-		k := m.key(t, addr)
-		for _, e := range m.entries {
-			if m.key(e.Thread, e.Addr) == k {
-				m.c.Squashed++
-				return Squashed
-			}
+	for _, e := range m.entries {
+		if e.Thread == t && e.Addr == addr {
+			m.c.Squashed++
+			return Squashed
 		}
 	}
 	if len(m.entries) >= m.cap {
@@ -146,102 +125,98 @@ func (m *qModel) checkAgainst(t *testing.T, q *ThreadQueue, step int) {
 const modelThreads = 5
 
 // TestQueueAgainstModel drives the ring-buffer queue and the reference model
-// with the same randomized operation stream across the dedup-policy ×
-// capacity matrix, checking every observable and the lifetime-counter
-// invariant Enqueued = Dequeued + SquashedOut + Len() after each operation.
+// with the same randomized operation stream at each capacity, checking every
+// observable and the lifetime-counter invariant
+// Enqueued = Dequeued + SquashedOut + Len() after each operation.
 func TestQueueAgainstModel(t *testing.T) {
-	policies := []DedupPolicy{DedupPerAddress, DedupPerLine, DedupPerThread, DedupNone}
 	capacities := []int{1, 2, 3, 8}
-	for _, dedup := range policies {
-		for _, capacity := range capacities {
-			dedup, capacity := dedup, capacity
-			name := dedup.String() + "/cap" + string(rune('0'+capacity))
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(capacity)*1007 + int64(dedup)))
-				q := NewThreadQueue(capacity, dedup)
-				m := &qModel{cap: capacity, dedup: dedup}
-				// A small address pool makes dedup hits and line
-				// coalescing common; offsets within one line and across
-				// lines both occur.
-				addrs := []mem.Addr{0, 8, 16, mem.LineBytes, mem.LineBytes + 8, 4 * mem.LineBytes}
-				for step := 0; step < 4000; step++ {
-					switch op := rng.Intn(11); {
-					case op < 5: // enqueue-heavy keeps the ring near full
-						id := ThreadID(rng.Intn(modelThreads))
-						addr := addrs[rng.Intn(len(addrs))]
+	for _, capacity := range capacities {
+		capacity := capacity
+		name := "per-address/cap" + string(rune('0'+capacity))
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity) * 1007))
+			q := NewThreadQueue(capacity)
+			m := &qModel{cap: capacity}
+			// A small address pool makes dedup hits common; offsets
+			// within one line and across lines both occur.
+			addrs := []mem.Addr{0, 8, 16, mem.LineBytes, mem.LineBytes + 8, 4 * mem.LineBytes}
+			for step := 0; step < 4000; step++ {
+				switch op := rng.Intn(11); {
+				case op < 5: // enqueue-heavy keeps the ring near full
+					id := ThreadID(rng.Intn(modelThreads))
+					addr := addrs[rng.Intn(len(addrs))]
+					got := q.Enqueue(id, addr)
+					want := m.enqueue(id, addr)
+					if got != want {
+						t.Fatalf("step %d: Enqueue(%d, %#x) = %v, model says %v", step, id, addr, got, want)
+					}
+				case op < 7:
+					got, gotOK := q.Dequeue()
+					want, wantOK := m.dequeue()
+					if got != want || gotOK != wantOK {
+						t.Fatalf("step %d: Dequeue() = %+v,%v, model says %+v,%v", step, got, gotOK, want, wantOK)
+					}
+				case op == 7:
+					// Skip one thread, as the immediate backend's
+					// busy-thread filter does.
+					skip := ThreadID(rng.Intn(modelThreads))
+					// A run of up to three: the worker's claim. Runs of
+					// one are the common draw with four threads.
+					pred := func(e Entry) bool { return e.Thread != skip }
+					out := make([]Entry, 1+rng.Intn(3))
+					got := out[:q.DequeueRun(pred, out)]
+					want := m.dequeueRun(pred, len(out))
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: DequeueRun(!=%d, %d) = %+v, model says %+v", step, skip, len(out), got, want)
+					}
+				case op == 8:
+					if q.Len() == 0 {
+						continue
+					}
+					i := rng.Intn(q.Len())
+					got := q.DequeueAt(i)
+					want := m.removeAt(i)
+					if got != want {
+						t.Fatalf("step %d: DequeueAt(%d) = %+v, model says %+v", step, i, got, want)
+					}
+				case op == 9:
+					id := ThreadID(rng.Intn(modelThreads))
+					got := q.Squash(id)
+					want := m.squash(id)
+					if got != want {
+						t.Fatalf("step %d: Squash(%d) = %d, model says %d", step, id, got, want)
+					}
+				default:
+					// A batched triggering store: a run of word-stride
+					// enqueues for one thread, issued back to back under
+					// one shard lock (TStoreBatch/TStoreRange). The queue
+					// has no batch entry point by design — the property
+					// pinned here is that a contiguous batch behaves
+					// exactly like N scalar enqueues, which is what the
+					// runtime's counter-identity proof relies on.
+					id := ThreadID(rng.Intn(modelThreads))
+					base := addrs[rng.Intn(len(addrs))]
+					n := 1 + rng.Intn(4)
+					for k := 0; k < n; k++ {
+						addr := base + mem.Addr(k*mem.WordBytes)
 						got := q.Enqueue(id, addr)
 						want := m.enqueue(id, addr)
 						if got != want {
-							t.Fatalf("step %d: Enqueue(%d, %#x) = %v, model says %v", step, id, addr, got, want)
-						}
-					case op < 7:
-						got, gotOK := q.Dequeue()
-						want, wantOK := m.dequeue()
-						if got != want || gotOK != wantOK {
-							t.Fatalf("step %d: Dequeue() = %+v,%v, model says %+v,%v", step, got, gotOK, want, wantOK)
-						}
-					case op == 7:
-						// Skip one thread, as the immediate backend's
-						// busy-thread filter does.
-						skip := ThreadID(rng.Intn(modelThreads))
-						// A run of up to three: the worker's claim. Runs of
-						// one are the common draw with four threads.
-						pred := func(e Entry) bool { return e.Thread != skip }
-						out := make([]Entry, 1+rng.Intn(3))
-						got := out[:q.DequeueRun(pred, out)]
-						want := m.dequeueRun(pred, len(out))
-						if !slices.Equal(got, want) {
-							t.Fatalf("step %d: DequeueRun(!=%d, %d) = %+v, model says %+v", step, skip, len(out), got, want)
-						}
-					case op == 8:
-						if q.Len() == 0 {
-							continue
-						}
-						i := rng.Intn(q.Len())
-						got := q.DequeueAt(i)
-						want := m.removeAt(i)
-						if got != want {
-							t.Fatalf("step %d: DequeueAt(%d) = %+v, model says %+v", step, i, got, want)
-						}
-					case op == 9:
-						id := ThreadID(rng.Intn(modelThreads))
-						got := q.Squash(id)
-						want := m.squash(id)
-						if got != want {
-							t.Fatalf("step %d: Squash(%d) = %d, model says %d", step, id, got, want)
-						}
-					default:
-						// A batched triggering store: a run of word-stride
-						// enqueues for one thread, issued back to back under
-						// one shard lock (TStoreBatch/TStoreRange). The queue
-						// has no batch entry point by design — the property
-						// pinned here is that a contiguous batch behaves
-						// exactly like N scalar enqueues, which is what the
-						// runtime's counter-identity proof relies on.
-						id := ThreadID(rng.Intn(modelThreads))
-						base := addrs[rng.Intn(len(addrs))]
-						n := 1 + rng.Intn(4)
-						for k := 0; k < n; k++ {
-							addr := base + mem.Addr(k*mem.WordBytes)
-							got := q.Enqueue(id, addr)
-							want := m.enqueue(id, addr)
-							if got != want {
-								t.Fatalf("step %d: batch word %d: Enqueue(%d, %#x) = %v, model says %v",
-									step, k, id, addr, got, want)
-							}
+							t.Fatalf("step %d: batch word %d: Enqueue(%d, %#x) = %v, model says %v",
+								step, k, id, addr, got, want)
 						}
 					}
-					m.checkAgainst(t, q, step)
 				}
-			})
-		}
+				m.checkAgainst(t, q, step)
+			}
+		})
 	}
 }
 
 // TestQueueModelDrain empties a full queue through each removal path and
 // checks the counters balance exactly.
 func TestQueueModelDrain(t *testing.T) {
-	q := NewThreadQueue(4, DedupNone)
+	q := NewThreadQueue(4)
 	for i := 0; i < 6; i++ { // 4 admitted, 2 overflowed
 		q.Enqueue(ThreadID(i%2), mem.Addr(8*i))
 	}

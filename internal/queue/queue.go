@@ -6,67 +6,6 @@ import (
 	"dtt/internal/mem"
 )
 
-// DedupPolicy selects how the thread queue squashes duplicate trigger
-// entries. The paper's design enqueues at most one instance per thread and
-// trigger address — the support thread reads the latest data when it runs,
-// so re-executing for every intermediate value is pure waste.
-type DedupPolicy int
-
-const (
-	// DedupPerAddress squashes an enqueue when the same (thread, trigger
-	// address) pair is already pending. This is the paper's policy.
-	DedupPerAddress DedupPolicy = iota
-	// DedupPerLine squashes on the same (thread, cache line): cheaper
-	// comparators than per-address at the cost of coalescing distinct
-	// trigger words within a line. An ablation on trigger granularity.
-	DedupPerLine
-	// DedupPerThread squashes when any instance of the thread is pending,
-	// regardless of address. An ablation: cheaper hardware, coarser.
-	DedupPerThread
-	// DedupNone never squashes. The degenerate ablation baseline.
-	DedupNone
-)
-
-// String returns the policy name.
-func (p DedupPolicy) String() string {
-	switch p {
-	case DedupPerAddress:
-		return "per-address"
-	case DedupPerLine:
-		return "per-line"
-	case DedupPerThread:
-		return "per-thread"
-	case DedupNone:
-		return "none"
-	}
-	return fmt.Sprintf("DedupPolicy(%d)", int(p))
-}
-
-// OverflowPolicy selects what a triggering store does when the thread queue
-// is full.
-type OverflowPolicy int
-
-const (
-	// OverflowInline makes the triggering store execute the support thread
-	// in line in the main thread, as the paper's fallback does. Correctness
-	// is preserved; the store just gets no benefit.
-	OverflowInline OverflowPolicy = iota
-	// OverflowDrop discards the trigger. Only safe for idempotent
-	// recompute-at-wait threads; exposed for failure-injection tests.
-	OverflowDrop
-)
-
-// String returns the policy name.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowInline:
-		return "inline"
-	case OverflowDrop:
-		return "drop"
-	}
-	return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-}
-
 // Entry is one pending thread-queue slot.
 type Entry struct {
 	Thread ThreadID
@@ -87,8 +26,8 @@ const (
 	Enqueued EnqueueStatus = iota
 	// Squashed means a matching entry was already pending.
 	Squashed
-	// Overflowed means the queue was full; the caller must apply the
-	// overflow policy.
+	// Overflowed means the queue was full; the caller runs the thread
+	// inline in the storing context.
 	Overflowed
 )
 
@@ -105,7 +44,7 @@ func (s EnqueueStatus) String() string {
 	return fmt.Sprintf("EnqueueStatus(%d)", int(s))
 }
 
-// dedupKey packs (thread, dedup address) into one machine word so the
+// dedupKey packs (thread, trigger address) into one machine word so the
 // pending map hashes 8 bytes instead of a 16-byte struct — on the
 // triggering-store hot path the map probe is the dominant cost, and the
 // single-word key roughly halves it. The thread occupies the top 16 bits
@@ -118,16 +57,18 @@ func (s EnqueueStatus) String() string {
 // and mem.System.Alloc enforces the bound.
 type dedupKey uint64
 
-// pendingTab maps dedupKey -> pending-entry count with open addressing and
+// pendingTab is the set of pending dedupKeys, with open addressing and
 // linear probing. The ring's capacity bounds the number of live keys, so the
 // table is sized once at construction (2x capacity, rounded up to a power of
 // two, load factor <= 50%) and never grows, never allocates after New, and
 // replaces the generic Go map that dominated the triggering-store profile:
 // a multiplicative hash plus a one-or-two-slot probe is a fraction of the
-// hashed-map machinery. Empty slots are cnts[i] == 0 — key zero is a legal
-// dedup key (per-thread policy zeroes the address), so keys cannot encode
-// emptiness. Deletion uses backward-shift compaction instead of tombstones,
-// keeping probe chains minimal for the lifetime of the queue.
+// hashed-map machinery. A found key always squashes, so a live slot's count
+// is exactly one and cnts is only the presence flag: empty slots are
+// cnts[i] == 0, because the queue does not assume a non-zero address (thread
+// 0 at address 0 is key zero) and keys therefore cannot encode emptiness.
+// Deletion uses backward-shift compaction instead of tombstones, keeping
+// probe chains minimal for the lifetime of the queue.
 type pendingTab struct {
 	keys  []dedupKey
 	cnts  []int32
@@ -175,15 +116,11 @@ func (p *pendingTab) lookup(k dedupKey) (slot uint64, found bool) {
 	}
 }
 
-// dec decrements k's count, removing the slot by backward-shift compaction
-// when it reaches zero so later probes never walk dead slots.
+// dec removes k, closing its slot by backward-shift compaction so later
+// probes never walk dead slots.
 func (p *pendingTab) dec(k dedupKey) {
 	i, found := p.lookup(k)
 	if !found {
-		return
-	}
-	if p.cnts[i] > 1 {
-		p.cnts[i]--
 		return
 	}
 	// Backward-shift deletion: repeatedly pull the next displaced entry of
@@ -220,17 +157,17 @@ func (p *pendingTab) dec(k dedupKey) {
 // runtime's Wait wakeup condition evaluates under a shard lock — O(1)
 // instead of a queue scan.
 type ThreadQueue struct {
-	cap   int
-	dedup DedupPolicy
+	cap int
 	// ring[(head+i)%cap] for i in [0, n) are the pending entries, oldest
 	// first.
 	ring []Entry //dtt:guards dispatchShard.mu
 	head int     //dtt:guards dispatchShard.mu
 	n    int     //dtt:guards dispatchShard.mu
-	// pending counts queue occupancy per dedup key. It is nil under
-	// DedupNone: synthesizing fake keys to disable squashing (as an earlier
-	// revision did with seq<<16) risks colliding with real addresses and
-	// wraps, so the no-squash policy simply never consults the table.
+	// pending holds the (thread, trigger address) key of every entry in
+	// the ring. An offer whose key is already there is squashed — the
+	// paper's one dedup policy: the support thread reads the latest data
+	// when it runs, so re-executing for every intermediate value of a word
+	// is pure waste.
 	pending   *pendingTab
 	perThread []int // pending entries per ThreadID, grown on demand
 	// clock stamps Entry.T0 at enqueue when non-nil; the runtime sets it
@@ -263,26 +200,16 @@ type Counters struct {
 	Peak int
 }
 
-// NewThreadQueue returns a queue with the given capacity and dedup policy.
-// Capacity must be positive.
-func NewThreadQueue(capacity int, dedup DedupPolicy) *ThreadQueue {
+// NewThreadQueue returns a queue with the given capacity. Capacity must be
+// positive.
+func NewThreadQueue(capacity int) *ThreadQueue {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: non-positive thread queue capacity %d", capacity))
 	}
-	q := &ThreadQueue{cap: capacity, dedup: dedup, ring: make([]Entry, capacity)}
-	if dedup != DedupNone {
-		q.pending = newPendingTab(capacity)
-	}
-	return q
+	return &ThreadQueue{cap: capacity, ring: make([]Entry, capacity), pending: newPendingTab(capacity)}
 }
 
 func (q *ThreadQueue) key(t ThreadID, addr mem.Addr) dedupKey {
-	switch q.dedup {
-	case DedupPerLine:
-		addr &^= mem.LineBytes - 1
-	case DedupPerThread:
-		addr = 0
-	}
 	return dedupKey(uint64(t)<<48 | uint64(addr))
 }
 
@@ -308,23 +235,16 @@ func (q *ThreadQueue) countUp(t ThreadID) {
 
 // dropKey releases e's dedup key after e left the ring.
 func (q *ThreadQueue) dropKey(e Entry) {
-	if q.pending == nil {
-		return
-	}
 	q.pending.dec(q.key(e.Thread, e.Addr))
 }
 
 // Enqueue offers a fired trigger to the queue.
 func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
-	var k dedupKey
-	var slot uint64
-	if q.pending != nil {
-		k = q.key(t, addr)
-		var found bool
-		if slot, found = q.pending.lookup(k); found {
-			q.c.Squashed++
-			return Squashed
-		}
+	k := q.key(t, addr)
+	slot, found := q.pending.lookup(k)
+	if found {
+		q.c.Squashed++
+		return Squashed
 	}
 	if q.n >= q.cap {
 		q.c.Overflowed++
@@ -336,12 +256,10 @@ func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 	}
 	*q.at(q.n) = e
 	q.n++
-	if q.pending != nil {
-		// lookup already probed to the insert slot; found entries returned
-		// above, so this is always a fresh key with count one.
-		q.pending.keys[slot] = k
-		q.pending.cnts[slot] = 1
-	}
+	// lookup already probed to the insert slot; a found key returned above,
+	// so this is always a fresh key.
+	q.pending.keys[slot] = k
+	q.pending.cnts[slot] = 1
 	q.countUp(t) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
 	q.c.Enqueued++
 	if q.n > q.c.Peak {

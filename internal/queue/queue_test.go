@@ -166,7 +166,7 @@ func TestRegistryManyRangesStress(t *testing.T) {
 }
 
 func TestQueueFIFO(t *testing.T) {
-	q := NewThreadQueue(4, DedupPerAddress)
+	q := NewThreadQueue(4)
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(3, 0x30)
@@ -181,8 +181,8 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueDedupPerAddress(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerAddress)
+func TestQueueSquashesSameAddress(t *testing.T) {
+	q := NewThreadQueue(8)
 	if s := q.Enqueue(1, 0x10); s != Enqueued {
 		t.Fatalf("first enqueue: %v", s)
 	}
@@ -198,84 +198,12 @@ func TestQueueDedupPerAddress(t *testing.T) {
 	}
 }
 
-func TestQueueDedupPerLine(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerLine)
-	q.Enqueue(1, 0x100)
-	if s := q.Enqueue(1, 0x108); s != Squashed {
-		t.Fatalf("same-line different word gave %v, want squashed", s)
-	}
-	if s := q.Enqueue(1, 0x140); s != Enqueued {
-		t.Fatalf("next line gave %v, want enqueued", s)
-	}
-	q.Dequeue()
-	if s := q.Enqueue(1, 0x118); s != Enqueued {
-		t.Fatalf("re-enqueue after line dequeued gave %v", s)
-	}
-}
-
-func TestQueueDedupPerThread(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerThread)
-	q.Enqueue(1, 0x10)
-	if s := q.Enqueue(1, 0x999); s != Squashed {
-		t.Fatalf("per-thread dedup: different addr gave %v, want squashed", s)
-	}
-	if s := q.Enqueue(2, 0x10); s != Enqueued {
-		t.Fatalf("different thread squashed")
-	}
-}
-
-func TestQueueDedupNone(t *testing.T) {
-	q := NewThreadQueue(8, DedupNone)
-	for i := 0; i < 3; i++ {
-		if s := q.Enqueue(1, 0x10); s != Enqueued {
-			t.Fatalf("enqueue %d: %v", i, s)
-		}
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := q.Dequeue(); !ok {
-			t.Fatalf("dequeue %d failed", i)
-		}
-	}
-}
-
-// TestQueueDedupNoneNeverSquashes churns a DedupNone queue far past the
-// point where the old synthetic-key scheme (seq<<16 masquerading as an
-// address) could collide with real addresses, and checks squashing stays
-// disabled. The policy must not consult the dedup map at all.
-func TestQueueDedupNoneNeverSquashes(t *testing.T) {
-	q := NewThreadQueue(4, DedupNone)
-	// Addresses chosen to collide with small seq<<16 values under the old
-	// scheme.
-	addrs := []mem.Addr{0, 1 << 16, 2 << 16, 3 << 16, 0x10}
-	for i := 0; i < 10000; i++ {
-		a := addrs[i%len(addrs)]
-		switch s := q.Enqueue(1, a); s {
-		case Enqueued, Overflowed:
-		default:
-			t.Fatalf("enqueue %d at %#x: %v (DedupNone must never squash)", i, a, s)
-		}
-		if q.Len() == q.Cap() {
-			q.Dequeue()
-		}
-	}
-	c := q.Counters()
-	if c.Squashed != 0 {
-		t.Fatalf("DedupNone squashed %d entries", c.Squashed)
-	}
-	if c.Enqueued != c.Dequeued+c.SquashedOut+int64(q.Len()) {
-		t.Fatalf("conservation broken: %+v with Len %d", c, q.Len())
-	}
-}
-
 // TestQueueRingWraparound drives the head index around the ring several
 // times and checks FIFO order, per-thread counts and dedup bookkeeping
 // survive the wrap.
 func TestQueueRingWraparound(t *testing.T) {
 	const cap = 4
-	q := NewThreadQueue(cap, DedupPerAddress)
+	q := NewThreadQueue(cap)
 	next := mem.Addr(0)
 	for round := 0; round < 5*cap; round++ {
 		// Keep the queue at 3 entries while the head walks the ring.
@@ -316,7 +244,7 @@ func TestQueueRingWraparound(t *testing.T) {
 // TestQueuePendingCount checks the O(1) per-thread pending counter against
 // every mutation: enqueue, dequeue, filtered dequeue and squash.
 func TestQueuePendingCount(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerAddress)
+	q := NewThreadQueue(8)
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(1, 0x18)
@@ -341,7 +269,7 @@ func TestQueuePendingCount(t *testing.T) {
 }
 
 func TestQueueOverflow(t *testing.T) {
-	q := NewThreadQueue(2, DedupPerAddress)
+	q := NewThreadQueue(2)
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	if s := q.Enqueue(3, 0x30); s != Overflowed {
@@ -359,7 +287,7 @@ func TestQueueOverflow(t *testing.T) {
 }
 
 func TestQueueSquash(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerAddress)
+	q := NewThreadQueue(8)
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(1, 0x18)
@@ -384,7 +312,7 @@ func TestQueueCountersConsistent(t *testing.T) {
 	// squash: every admitted entry leaves through a dequeue or a squash or
 	// is still pending. Squash used to remove entries without accounting
 	// them anywhere, so enqueued != dequeued + Len() after any Cancel.
-	q := NewThreadQueue(4, DedupPerAddress)
+	q := NewThreadQueue(4)
 	f := func(ops []struct {
 		T uint8
 		A uint8
@@ -412,7 +340,7 @@ func TestQueueCountersConsistent(t *testing.T) {
 // squashed-out entries are not Dequeued, and the conservation identity
 // holds through a cancel.
 func TestQueueSquashAccounting(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerAddress)
+	q := NewThreadQueue(8)
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(1, 0x18)
@@ -433,7 +361,7 @@ func TestQueueSquashAccounting(t *testing.T) {
 }
 
 func TestQueueDequeueFirst(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerAddress)
+	q := NewThreadQueue(8)
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(1, 0x18)
@@ -467,7 +395,7 @@ func TestQueueDequeueFirst(t *testing.T) {
 // len(out), and leaves older and younger entries in order with their dedup
 // keys intact.
 func TestQueueDequeueRun(t *testing.T) {
-	q := NewThreadQueue(8, DedupPerAddress)
+	q := NewThreadQueue(8)
 	for _, e := range []Entry{{Thread: 1, Addr: 0x10}, {Thread: 2, Addr: 0x20}, {Thread: 2, Addr: 0x28},
 		{Thread: 2, Addr: 0x30}, {Thread: 1, Addr: 0x18}, {Thread: 2, Addr: 0x38}} {
 		q.Enqueue(e.Thread, e.Addr)
@@ -564,7 +492,7 @@ func TestRegistryConcurrentReads(t *testing.T) {
 }
 
 func TestQueuePendingAndStatusStrings(t *testing.T) {
-	q := NewThreadQueue(4, DedupPerAddress)
+	q := NewThreadQueue(4)
 	if q.Pending(7) {
 		t.Fatalf("empty queue has pending thread")
 	}
@@ -572,7 +500,7 @@ func TestQueuePendingAndStatusStrings(t *testing.T) {
 	if !q.Pending(7) || q.Pending(8) {
 		t.Fatalf("Pending wrong")
 	}
-	if DedupPolicy(42).String() == "" || OverflowPolicy(42).String() == "" || EnqueueStatus(42).String() == "" {
+	if EnqueueStatus(42).String() == "" {
 		t.Fatalf("unknown enum formatting empty")
 	}
 }
@@ -583,20 +511,10 @@ func TestQueuePanicsOnBadCapacity(t *testing.T) {
 			t.Fatalf("NewThreadQueue(0) did not panic")
 		}
 	}()
-	NewThreadQueue(0, DedupPerAddress)
+	NewThreadQueue(0)
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if DedupPerAddress.String() != "per-address" || DedupPerLine.String() != "per-line" ||
-		DedupPerThread.String() != "per-thread" || DedupNone.String() != "none" {
-		t.Fatalf("dedup names: %v %v %v %v", DedupPerAddress, DedupPerLine, DedupPerThread, DedupNone)
-	}
-	if DedupPolicy(9).String() != "DedupPolicy(9)" {
-		t.Fatalf("unknown dedup formatting: %v", DedupPolicy(9))
-	}
-	if OverflowInline.String() != "inline" || OverflowDrop.String() != "drop" {
-		t.Fatalf("overflow names: %v %v", OverflowInline, OverflowDrop)
-	}
 	if Enqueued.String() != "enqueued" || Squashed.String() != "squashed" || Overflowed.String() != "overflowed" {
 		t.Fatalf("status names: %v %v %v", Enqueued, Squashed, Overflowed)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dtt/internal/core"
-	"dtt/internal/queue"
 )
 
 // runBaseline executes w's baseline variant on a fresh system.
@@ -48,14 +47,10 @@ func checkEquivalence(t *testing.T, w Workload) {
 		t.Fatalf("%s baseline checksum is zero; fingerprint too weak", w.Name())
 	}
 
-	// Per-thread dedup is deliberately absent: squashing by thread alone
-	// discards the trigger address, which is only sound for threads whose
-	// work does not depend on which word fired — not these workloads.
 	configs := map[string]func(*core.Config){
 		"deferred":   nil,
 		"immediate":  func(c *core.Config) { c.Backend = core.BackendImmediate; c.Workers = 3 },
 		"tiny-queue": func(c *core.Config) { c.QueueCapacity = 2 },
-		"dedup-none": func(c *core.Config) { c.Dedup = queue.DedupNone; c.QueueCapacity = 4096 },
 	}
 	for name, mut := range configs {
 		got := runDTT(t, w, size, mut)

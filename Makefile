@@ -63,7 +63,9 @@ lock-table-check:
 # if `go build -gcflags=-m` reports new heap allocations inside the pinned
 # functions (TStore*/TUpdate*, queue and delta hot paths, the serve
 # plane's notify push and frame encode). Intentional first-touch
-# allocations are justified with `//dtt:escape-ok -- <reason>`.
+# allocations are justified with `//dtt:escape-ok -- <reason>`. The same
+# run fails when a leaf the per-word paths need inlined (Buffer.Store, the
+# pending-bit helpers, ...) loses its "can inline" diagnostic.
 escape-gate:
 	$(GO) run ./cmd/escapegate
 

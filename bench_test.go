@@ -457,8 +457,9 @@ func BenchmarkTStoreParallelUncovered(b *testing.B) {
 // entries. The ring-buffer queue answers from a per-thread counter in O(1).
 func BenchmarkQueuePending(b *testing.B) {
 	q := queue.NewThreadQueue(4096)
+	pend := queue.NewPendingSet(0, 4096*mem.WordBytes)
 	for i := 0; i < 4096; i++ {
-		q.Enqueue(queue.ThreadID(1), mem.Addr(i)*8)
+		q.Enqueue(queue.ThreadID(1), mem.Addr(i)*mem.WordBytes, &pend)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

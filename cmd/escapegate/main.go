@@ -18,8 +18,13 @@
 // no longer exists fails the gate (exit 2), so a rename cannot silently
 // retire the contract.
 //
-// Exit status: 0 clean, 1 a pinned function gained a heap allocation,
-// 2 usage, build, or pin-table failure.
+// The same diagnostics carry the inliner's verdicts, and a second, smaller
+// table (inlined) names the leaf functions the per-word paths are priced on
+// being inlined: one of them losing its "can inline" line — a statement too
+// many, or the function gone — fails the gate by name.
+//
+// Exit status: 0 clean, 1 a pinned function gained a heap allocation or lost
+// its inlinability, 2 usage, build, or pin-table failure.
 package main
 
 import (
@@ -80,7 +85,8 @@ var pinned = map[string][]string{
 		"ThreadQueue.Enqueue",
 		"ThreadQueue.at",
 		"ThreadQueue.countUp",
-		"ThreadQueue.key",
+		"PendingSet.slot",
+		"clearPending",
 	},
 	// The serve plane's subscribed request: the notify push every firing
 	// support thread makes, and the writer's per-frame encode.
@@ -88,6 +94,16 @@ var pinned = map[string][]string{
 		"outbox.pushNotify",
 		"appendMsg",
 	},
+}
+
+// inlined maps a package directory to the functions that must stay
+// inlinable, named as in pinned: the store and load every word pays, the
+// write-outcome stage's nil tests, the ring slot arithmetic, and the pending
+// bit's test-and-set and clear.
+var inlined = map[string][]string{
+	"internal/core":  {"Runtime.noteWrite"},
+	"internal/mem":   {"Buffer.Load", "Buffer.Store"},
+	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }
 
 func main() {
@@ -111,13 +127,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	diags, err := compilerDiags(*dir, pinned)
+	out, err := compilerOutput(*dir, pinned, inlined)
 	if err != nil {
 		fmt.Fprintf(stderr, "escapegate: %v\n", err)
 		return 2
 	}
+	diags, inlinable := parseDiags(out)
 
 	violations, screened := idx.check(diags)
+	violations = append(violations, notInlinable(inlined, inlinable)...)
 	if *verbose {
 		for _, d := range diags {
 			fmt.Fprintf(stdout, "# %s:%d: %s\n", d.file, d.line, d.msg)
@@ -127,10 +145,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, v)
 	}
 	if len(violations) > 0 {
-		fmt.Fprintf(stderr, "escapegate: %d new heap allocation(s) in pinned fast paths\n", len(violations))
+		fmt.Fprintf(stderr, "escapegate: %d pinned fast-path contract(s) broken\n", len(violations))
 		return 1
 	}
-	fmt.Fprintf(stdout, "escapegate: %d pinned function(s) clean (%d compiler diagnostics screened, %d exempt)\n",
+	fmt.Fprintf(stdout, "escapegate: %d pinned function(s) clean (%d compiler diagnostics screened, %d exempt); inline pins hold\n",
 		idx.pinCount(), len(diags), screened)
 	return 0
 }
@@ -144,13 +162,19 @@ type diag struct {
 
 var diagRE = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.+)$`)
 
-// compilerDiags builds the pinned packages with -gcflags=-m and keeps the
-// heap-traffic lines. The build cache replays diagnostics, so warm runs
-// are cheap.
-func compilerDiags(dir string, pinned map[string][]string) ([]diag, error) {
-	patterns := make([]string, 0, len(pinned))
-	for p := range pinned {
-		patterns = append(patterns, "./"+p)
+// compilerOutput builds the packages of the pin tables with -gcflags=-m and
+// returns everything the compiler printed. The build cache replays
+// diagnostics, so warm runs are cheap.
+func compilerOutput(dir string, tables ...map[string][]string) (string, error) {
+	seen := map[string]bool{}
+	var patterns []string
+	for _, table := range tables {
+		for p := range table {
+			if !seen[p] {
+				seen[p] = true
+				patterns = append(patterns, "./"+p)
+			}
+		}
 	}
 	sort.Strings(patterns)
 	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m"}, patterns...)...)
@@ -160,24 +184,53 @@ func compilerDiags(dir string, pinned map[string][]string) ([]diag, error) {
 	cmd.Stderr = &out
 	if err := cmd.Run(); err != nil {
 		if _, ok := err.(*exec.ExitError); !ok {
-			return nil, fmt.Errorf("go build: %v", err)
+			return "", fmt.Errorf("go build: %v", err)
 		}
-		return nil, fmt.Errorf("go build -gcflags=-m failed:\n%s", out.String())
+		return "", fmt.Errorf("go build -gcflags=-m failed:\n%s", out.String())
 	}
-	var diags []diag
-	for _, line := range strings.Split(out.String(), "\n") {
+	return out.String(), nil
+}
+
+// parseDiags splits the compiler's -m output into the heap-traffic
+// diagnostics and the set of functions it can inline, the latter keyed
+// "<package dir>.<name>" with methods named as in the pin tables.
+func parseDiags(out string) (heap []diag, inlinable map[string]bool) {
+	inlinable = map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
 		m := diagRE.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		msg := m[3]
+		file, msg := filepath.ToSlash(m[1]), m[3]
+		if fn, ok := strings.CutPrefix(msg, "can inline "); ok {
+			// Methods print as (*T).m or T.m; the pin tables drop the
+			// receiver's pointerness.
+			fn = strings.NewReplacer("(*", "", ")", "").Replace(fn)
+			inlinable[filepath.ToSlash(filepath.Dir(file))+"."+fn] = true
+			continue
+		}
 		if !strings.HasSuffix(msg, "escapes to heap") && !strings.HasPrefix(msg, "moved to heap") {
 			continue
 		}
 		n, _ := strconv.Atoi(m[2])
-		diags = append(diags, diag{file: filepath.ToSlash(m[1]), line: n, msg: msg})
+		heap = append(heap, diag{file: file, line: n, msg: msg})
 	}
-	return diags, nil
+	return heap, inlinable
+}
+
+// notInlinable names every function of the inlined table the compiler did
+// not report as inlinable.
+func notInlinable(inlined map[string][]string, inlinable map[string]bool) []string {
+	var violations []string
+	for _, pkgDir := range sortedKeys(inlined) {
+		for _, name := range inlined[pkgDir] {
+			if !inlinable[pkgDir+"."+name] {
+				violations = append(violations,
+					fmt.Sprintf("%s: %s must stay inlinable, and the compiler no longer says \"can inline\" — too complex now, renamed or removed?", pkgDir, name))
+			}
+		}
+	}
+	return violations
 }
 
 // span is an inclusive line range in one file.

@@ -104,3 +104,39 @@ func TestRenameProtection(t *testing.T) {
 		t.Fatalf("err = %v, want pin-table failure naming the function", err)
 	}
 }
+
+// TestInlinePins: a pinned leaf the compiler stops calling inlinable is
+// reported by name, whatever the receiver's spelling, and the real tree's
+// verdicts satisfy the real table (TestGateClean covers that end to end).
+func TestInlinePins(t *testing.T) {
+	table := map[string][]string{
+		"internal/mem":   {"Buffer.Load", "Buffer.Store"},
+		"internal/queue": {"Snapshot.Each", "pendBit"},
+	}
+	const out = `# dtt/internal/mem
+internal/mem/mem.go:293:6: can inline (*Buffer).Load
+internal/mem/mem.go:324:6: can inline (*Buffer).Store
+internal/mem/mem.go:330:6: cannot inline (*Buffer).swap: marked go:noinline
+internal/queue/queue.go:80:6: can inline pendBit
+internal/queue/registry.go:150:6: can inline Snapshot.Each
+internal/queue/queue.go:161:16: make([]int, int(t) + 1) escapes to heap
+`
+	heap, inlinable := parseDiags(out)
+	if len(heap) != 1 || heap[0].file != "internal/queue/queue.go" || heap[0].line != 161 {
+		t.Fatalf("heap diagnostics = %+v, want the one escape line", heap)
+	}
+	if v := notInlinable(table, inlinable); len(v) != 0 {
+		t.Fatalf("every pin has its \"can inline\" line, yet: %v", v)
+	}
+
+	_, inlinable = parseDiags(strings.Replace(out, "can inline (*Buffer).Store", "cannot inline (*Buffer).Store: function too complex: cost 87 exceeds budget 80", 1))
+	v := notInlinable(table, inlinable)
+	if len(v) != 1 || !strings.Contains(v[0], "internal/mem") || !strings.Contains(v[0], "Buffer.Store") {
+		t.Fatalf("violations = %v, want exactly Buffer.Store of internal/mem named", v)
+	}
+	// A same-named function of another package does not satisfy the pin.
+	_, inlinable = parseDiags("internal/core/x.go:1:6: can inline pendBit\n")
+	if v := notInlinable(map[string][]string{"internal/queue": {"pendBit"}}, inlinable); len(v) != 1 {
+		t.Fatalf("violations = %v, want internal/queue's pendBit missing", v)
+	}
+}

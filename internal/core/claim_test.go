@@ -267,6 +267,50 @@ func TestClaimCancelMidRun(t *testing.T) {
 	})
 }
 
+// TestRestoreToClaimedAddressEnqueuesAgain: a claimed entry has left the ring
+// and cleared its pending bit, whether or not its body has started, so a
+// changing store to a claimed-but-unstarted address is admitted as one more
+// instance instead of squashing against the claim — the at most claimMax-1
+// redundant instances per claim DESIGN.md prices. A second re-store of the
+// same word squashes against the first.
+func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
+	const span = 4
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	in := rt.NewRegion("in", span)
+	started, release := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int64
+	th := rt.Register("slow", func(Trigger) {
+		if runs.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+	})
+	if err := rt.Attach(th, in, 0, span); err != nil {
+		t.Fatal(err)
+	}
+	in.TStoreBatch(0, []mem.Word{1, 1, 1, 1})
+	await(t, "entry 1 to start", started)
+	if got := runningOf(rt, th); got != span {
+		t.Fatalf("claimed run is %d entries, want %d", got, span)
+	}
+	in.TStore(2, 2) // word 2 is claimed, its body not yet started
+	in.TStore(2, 3)
+	if st := rt.Stats(); st.Enqueued != span+1 || st.Squashed != 1 {
+		t.Fatalf("Enqueued %d Squashed %d, want %d and 1: the claim cleared word 2's bit and the first re-store set it again",
+			st.Enqueued, st.Squashed, span+1)
+	}
+	close(release)
+	within(t, "Wait", func() { rt.Wait(th) })
+	if got := runs.Load(); got != span+1 {
+		t.Fatalf("%d bodies ran, want %d", got, span+1)
+	}
+	assertIdentities(t, rt, "re-store to a claimed address")
+}
+
 // TestClaimLeavesOtherThreadsRunnable: a claim takes one thread's token,
 // never two. With two workers on one shard, thread B's entries — interleaved
 // with A's in the queue — all run while A's first body is blocked, whether

@@ -72,17 +72,14 @@ func (ns *Namespace) Region(name string, words int) (*Region, error) {
 }
 
 // Register records a support thread owned by this namespace. It fails on a
-// closed namespace and when the runtime has no thread id left (maxThreads).
+// closed namespace.
 func (ns *Namespace) Register(name string, fn ThreadFunc) (ThreadID, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if ns.closed {
 		return 0, fmt.Errorf("core: Register on closed namespace %q", ns.name)
 	}
-	t, err := ns.rt.register(ns.name+"/"+name, fn)
-	if err != nil {
-		return 0, err
-	}
+	t := ns.rt.Register(ns.name+"/"+name, fn)
 	ns.owned = append(ns.owned, t)
 	ns.ownedBy[t] = true
 	return t, nil

@@ -21,9 +21,14 @@ import (
 	"dtt/internal/trace"
 )
 
+// attachment is one attached trigger range of a thread, with the pending bit
+// of each of its words: pend is the attachment's share of the thread queue's
+// pending set (see queue.PendingSet), guarded like atts by the thread's shard
+// lock.
 type attachment struct {
 	region *Region
 	lo, hi mem.Addr
+	pend   queue.PendingSet
 }
 
 // threadEntry is the runtime's per-thread record: the registered body, the
@@ -158,7 +163,7 @@ type releaseKey struct {
 // (see DESIGN.md "Runtime lock hierarchy"):
 //
 //  1. No lock: the value comparison in mem.Buffer.Store, the stats
-//     counters (atomic), the Registry.Covers/Each probes against the
+//     counters (atomic), the Registry.Each probe against the
 //     registry's immutable index snapshot, and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
@@ -360,25 +365,10 @@ func (rt *Runtime) NewRegion(name string, n int) *Region {
 	return &Region{rt: rt, buf: rt.sys.Alloc(name, n)}
 }
 
-// maxThreads bounds live thread IDs: queue.dedupKey packs the thread into 16
-// bits, so an ID at or above 1<<16 would alias a lower thread's pending
-// entries. register hands out every ID and is the one place that checks.
-const maxThreads = 1 << 16
-
 // Register records a support thread body under name and returns its ID.
 // Slots retired by Namespace.Close are reused before the table grows, so
-// steady session churn keeps the thread table at a fixed size. It panics
-// when maxThreads threads are live — the program's own bug; a tenant's
-// registration goes through Namespace.Register, which returns the error.
+// steady session churn keeps the thread table at a fixed size.
 func (rt *Runtime) Register(name string, fn ThreadFunc) ThreadID {
-	id, err := rt.register(name, fn)
-	if err != nil {
-		panic(err.Error())
-	}
-	return id
-}
-
-func (rt *Runtime) register(name string, fn ThreadFunc) (ThreadID, error) {
 	if fn == nil {
 		panic("core: Register with nil ThreadFunc")
 	}
@@ -389,8 +379,6 @@ func (rt *Runtime) register(name string, fn ThreadFunc) (ThreadID, error) {
 	if n := len(rt.freeIDs); n > 0 {
 		id = rt.freeIDs[n-1]
 		rt.freeIDs = rt.freeIDs[:n-1]
-	} else if len(old) >= maxThreads {
-		return 0, fmt.Errorf("core: Register of %q: all %d thread ids are live", name, maxThreads)
 	}
 	grown := make([]*threadEntry, max(len(old), int(id)+1))
 	te := &threadEntry{name: name, fn: fn}
@@ -404,7 +392,7 @@ func (rt *Runtime) register(name string, fn ThreadFunc) (ThreadID, error) {
 	if rt.check != nil {
 		rt.check.RegisterThread(id, name)
 	}
-	return id, nil
+	return id
 }
 
 // ThreadName returns the name thread t was registered under.
@@ -437,7 +425,7 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 	te := ths[t]
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
-	te.atts = append(te.atts, attachment{region: r, lo: loA, hi: hiA})
+	te.atts = append(te.atts, attachment{region: r, lo: loA, hi: hiA, pend: queue.NewPendingSet(loA, hiA)})
 	sh.mu.Unlock()
 	if rt.check != nil {
 		rt.check.OnAttach(t, loA, hiA)
@@ -682,21 +670,21 @@ func (rt *Runtime) checkGoid() uint64 {
 // attached thread. It reports whether the word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
-// store is one atomic compare-and-swap; a changing store to an unattached
-// address adds a lock-free index probe; only a changing store inside a
-// trigger range takes a lock, and then only the target thread's shard lock,
-// for the enqueue bookkeeping.
+// store is one atomic load; a changing store to an unattached address adds
+// the swap and a lock-free index probe (two comparisons when the address is
+// far from every trigger range); only a changing store inside a trigger range
+// takes a lock, and then only the target thread's shard lock, for the enqueue
+// bookkeeping.
 func (rt *Runtime) storeWord(r *Region, i int, v mem.Word, g uint64, inline *[]queue.Entry) bool {
 	changed := r.buf.Store(i, v)
 	rt.noteWrite(r, i, changed, g)
 	if !changed {
 		return false
 	}
-	if addr := r.buf.Addr(i); rt.reg.Covers(addr) {
-		rt.reg.Each(addr, func(id queue.ThreadID) {
-			rt.fireOne(id, addr, g, inline)
-		})
-	}
+	addr := r.buf.Addr(i)
+	rt.reg.Each(addr, func(id queue.ThreadID) {
+		rt.fireOne(id, addr, g, inline)
+	})
 	return true
 }
 
@@ -745,7 +733,8 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // settles per entry, dispatchFired once per shard, and a shared helper
 // measured 4% of a scalar round on the immediate backend.
 func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
-	if te.attachmentAt(addr) == nil {
+	a := te.attachmentAt(addr)
+	if a == nil {
 		return queue.Squashed
 	}
 	sh.c.fired++
@@ -755,7 +744,7 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, 
 		// recorded unconditionally.
 		rt.check.OnTrigger(g, id)
 	}
-	st := sh.tq.Enqueue(id, addr)
+	st := sh.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
 	} else {
@@ -873,7 +862,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	// candidate attachments, in index order — the same matches in the same
 	// order a per-word lookup would produce.
 	sc.cands = rt.reg.Snapshot().Overlapping(r.buf.Addr(lo), r.buf.Addr(lo+len(vs)), sc.cands[:0])
-	changed, lookups, matches := 0, 0, 0
+	changed := 0
 	for j, v := range vs {
 		wrote := r.buf.Store(lo+j, v)
 		rt.noteWrite(r, lo+j, wrote, g)
@@ -882,18 +871,10 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		}
 		changed++
 		addr := r.buf.Addr(lo + j)
-		matched := 0
 		for _, a := range sc.cands {
 			if a.Lo <= addr && addr < a.Hi {
-				matched++
 				sc.fire(a.Thread, addr, rt.shardMask)
 			}
-		}
-		if matched > 0 {
-			// Mirror the scalar path's T3 accounting: a lookup is recorded
-			// only for covered probes (Covers rejections are free there).
-			lookups++
-			matches += matched
 		}
 	}
 	if silent := len(vs) - changed; silent > 0 {
@@ -902,7 +883,6 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	if changed > 0 {
 		rt.stats.changing.Add(int64(changed))
 	}
-	rt.reg.NoteLookups(int64(lookups), int64(matches))
 	if rt.tel != nil {
 		rt.tel.BatchSize.Observe(int64(len(vs)))
 	}
@@ -1412,7 +1392,7 @@ type claim struct {
 // shard is eligible. A claim holds one thread's token, never two, so other
 // workers can run the shard's other threads meanwhile; the token spans the
 // run, so a thread's instances stay serial and in enqueue order. Claimed
-// entries have left the queue and released their dedup keys, as the paper
+// entries have left the queue and cleared their pending bits, as the paper
 // frees the queue entry at spawn. It reports whether any body ran.
 func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 	sh.mu.Lock()

@@ -266,49 +266,122 @@ func TestRegisterNilPanics(t *testing.T) {
 	rt.Register("bad", nil)
 }
 
-// TestRegisterRefusedAtThreadLimit: queue.dedupKey has 16 bits for the
-// thread, and threads 0 and 1<<16 share a shard at any shard count, so a
-// 65 537th live thread's triggers would be squashed against thread 0's
-// pending entries — lost. Registration must stop at maxThreads: an error
-// through a Namespace (a tenant's ATTACH is input, and its session answers
-// ERROR), a panic through Runtime.Register (the program's own bug). The table
-// is filled by seeding it with tombstones rather than by 65 536 registrations.
-func TestRegisterRefusedAtThreadLimit(t *testing.T) {
-	rt := newDeferred(t, nil)
-	full := make([]*threadEntry, maxThreads)
-	tomb := &threadEntry{name: "seeded"}
-	for i := range full {
-		full[i] = tomb
-	}
-	rt.threads.Store(&full)
+// TestThreadIDsFarApartShareNothing: a pending trigger is a bit of its own
+// thread's attachment, so nothing about a thread id is packed, truncated or
+// bounded. Two live threads whose ids are 1<<16 apart — the same shard at
+// every shard count, and one dedup key when the queue packed the thread into
+// 16 bits — attach to one word; one store runs both bodies, and neither
+// trigger is squashed against the other. The table is padded with tombstones
+// rather than by 65 535 registrations.
+func TestThreadIDsFarApartShareNothing(t *testing.T) {
+	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {
+		t.Run(backend.String(), func(t *testing.T) {
+			rt := newBackend(t, backend, func(c *Config) { c.Shards = 4 })
+			data := rt.NewRegion("data", 1)
+			var lowRuns, highRuns atomic.Int64
+			low := rt.Register("low", func(Trigger) { lowRuns.Add(1) })
 
-	ns := rt.NewNamespace("tenant")
-	if id, err := ns.Register("t", func(Trigger) {}); err == nil {
-		t.Fatalf("Namespace.Register handed out id %d with %d threads live; its dedup keys alias thread %d's", id, maxThreads, int(id)-maxThreads)
-	}
-	if n := ns.Threads(); n != 0 {
-		t.Fatalf("a refused Register left the namespace owning %d threads", n)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("Runtime.Register with %d threads live did not panic", maxThreads)
+			padded := make([]*threadEntry, int(low)+1<<16)
+			tomb := &threadEntry{name: "pad"}
+			for i := range padded {
+				padded[i] = tomb
 			}
-		}()
-		rt.Register("one-too-many", func(Trigger) {})
-	}()
-	if n := len(rt.threadsSnap()); n != maxThreads {
-		t.Fatalf("refused registrations grew the thread table to %d", n)
-	}
+			copy(padded, rt.threadsSnap())
+			rt.mu.Lock()
+			rt.threads.Store(&padded)
+			rt.mu.Unlock()
 
-	// The bound is on live ids, not on registrations: a retired slot is
-	// still handed out.
-	rt.mu.Lock()
-	rt.freeIDs = append(rt.freeIDs, 7)
-	rt.mu.Unlock()
-	if id, err := ns.Register("reuse", func(Trigger) {}); err != nil || id != 7 {
-		t.Fatalf("Register with a free slot: id %d, err %v, want id 7", id, err)
+			high := rt.Register("high", func(Trigger) { highRuns.Add(1) })
+			if high-low != 1<<16 || rt.shardOf(high) != rt.shardOf(low) {
+				t.Fatalf("ids %d and %d: want them 1<<16 apart in one shard", low, high)
+			}
+			for _, id := range []ThreadID{low, high} {
+				if err := rt.Attach(id, data, 0, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data.TStore(0, 1)
+			rt.Barrier()
+			if l, h := lowRuns.Load(), highRuns.Load(); l != 1 || h != 1 {
+				t.Fatalf("one store to a word both threads watch ran low %d times and high %d times, want 1 and 1", l, h)
+			}
+			if st := rt.Stats(); st.Fired != 2 || st.Enqueued != 2 || st.Squashed != 0 {
+				t.Fatalf("Fired %d Enqueued %d Squashed %d, want 2, 2 and 0", st.Fired, st.Enqueued, st.Squashed)
+			}
+			assertIdentities(t, rt, "far-apart ids")
+		})
 	}
+}
+
+// TestOverlappingAttachmentsShareOnePendingBit: a thread attached twice over
+// overlapping ranges matches twice on a word of the overlap, and both offers
+// resolve to its first covering attachment's pending bit — so one store is
+// one instance and one squash, as when the pending set was keyed (thread,
+// address). The bit clears at the dequeue: the next changing store to the
+// word enqueues again.
+func TestOverlappingAttachmentsShareOnePendingBit(t *testing.T) {
+	rt := newDeferred(t, nil)
+	data := rt.NewRegion("data", 8)
+	runs := 0
+	id := rt.Register("twice", func(Trigger) { runs++ })
+	for _, r := range [][2]int{{0, 6}, {4, 8}} {
+		if err := rt.Attach(id, data, r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := int64(1); round <= 2; round++ {
+		data.TStore(5, mem.Word(round)) // word 5 is in both ranges
+		if st := rt.Stats(); st.Fired != 2*round || st.Enqueued != round || st.Squashed != round {
+			t.Fatalf("round %d: Fired %d Enqueued %d Squashed %d, want %d, %d and %d",
+				round, st.Fired, st.Enqueued, st.Squashed, 2*round, round, round)
+		}
+		rt.Wait(id)
+		if int64(runs) != round {
+			t.Fatalf("round %d: %d runs, want %d", round, runs, round)
+		}
+	}
+	// Outside the overlap each range answers for its own words.
+	data.TStore(0, 1)
+	data.TStore(7, 1)
+	rt.Wait(id)
+	if st := rt.Stats(); runs != 4 || st.Enqueued != 4 || st.Squashed != 2 {
+		t.Fatalf("runs %d Enqueued %d Squashed %d after one store to each range's own words, want 4, 4 and 2", runs, st.Enqueued, st.Squashed)
+	}
+	assertIdentities(t, rt, "overlapping attachments")
+}
+
+// TestReattachAfterCancelStartsClean: Cancel squashes a thread's pending
+// entries and drops its attachments, pending bits and all; attaching the same
+// range again starts from an empty bitmap, so the first store to a word that
+// was pending at the Cancel enqueues rather than squashing against a stale
+// bit.
+func TestReattachAfterCancelStartsClean(t *testing.T) {
+	rt := newDeferred(t, nil)
+	data := rt.NewRegion("data", 4)
+	runs := 0
+	id := rt.Register("again", func(Trigger) { runs++ })
+	if err := rt.Attach(id, data, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	data.TStore(0, 1)
+	data.TStore(1, 1)
+	rt.Cancel(id)
+	if qc := rt.QueueCounters(); qc.Enqueued != 2 || qc.SquashedOut != 2 {
+		t.Fatalf("queue counters %+v, want both pending entries squashed out by the Cancel", qc)
+	}
+	if err := rt.Attach(id, data, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	data.TStore(0, 2)
+	data.TStore(1, 2)
+	if st := rt.Stats(); st.Enqueued != 4 || st.Squashed != 0 {
+		t.Fatalf("Enqueued %d Squashed %d after re-attach, want 4 and 0: a pending bit outlived the Cancel", st.Enqueued, st.Squashed)
+	}
+	rt.Wait(id)
+	if runs != 2 {
+		t.Fatalf("%d runs, want 2 (the two squashed-out entries never ran)", runs)
+	}
+	assertIdentities(t, rt, "re-attach after cancel")
 }
 
 func TestThreadName(t *testing.T) {

@@ -23,13 +23,15 @@
 //     merge point applies them).
 //
 // Merge words go through the pipeline stages every triggering write uses
-// (the compare-and-store, noteWrite, a registry lookup per word, then
+// (the compare-and-store, noteWrite, a registry match per word, then
 // admitLocked — coverage re-check, Fired identity), so the
 // trigger-observable semantics match a TStore of the merged value. A merge
-// is a bulk operation over privatized deltas, not N scalar stores: it
-// writes its words first and admits the fired pairs once per shard
-// (dispatchFired), the shape a batch has. On the seeded backend the whole
-// merge is one preemption point at its end, like a batch.
+// is a bulk operation over privatized deltas, not N scalar stores: it pins
+// one registry snapshot, writes its words and matches each against that
+// snapshot — so, like a batch, a merge orders wholly before or wholly after
+// a concurrent Attach/Cancel — and admits the fired pairs once per shard
+// (dispatchFired). On the seeded backend the whole merge is one preemption
+// point at its end, like a batch.
 //
 // # Lock order
 //
@@ -229,6 +231,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	// a steady merge cadence allocates nothing.
 	sc := rt.getScratch()
 	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
+	snap := rt.reg.Snapshot()
 	changed := 0
 	for k := 0; k < n; k++ {
 		i := p.MergeIndex(k)
@@ -246,9 +249,8 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		changed++
 		// Merged words are not a contiguous span, so each is matched on its
 		// own; the callback does not escape.
-		if addr := r.buf.Addr(i); rt.reg.Covers(addr) {
-			rt.reg.Each(addr, func(id queue.ThreadID) { sc.fire(id, addr, rt.shardMask) })
-		}
+		addr := r.buf.Addr(i)
+		snap.Each(addr, func(id queue.ThreadID) { sc.fire(id, addr, rt.shardMask) })
 	}
 	rt.dispatchFired(sc, g)
 	rt.stats.mergedUpdates.Add(int64(n))

@@ -138,13 +138,6 @@ func (s *System) Alloc(name string, n int) *Buffer {
 	} else {
 		b.base = s.next
 		s.next += need
-		// Addresses are contractually 48-bit: the thread queue's dedup key
-		// packs an address and a thread ID into one word. The bound is
-		// unreachable without 256 TB of live backing slices, but enforce it
-		// where addresses are minted rather than trust arithmetic elsewhere.
-		if s.next >= 1<<48 {
-			panic(fmt.Sprintf("mem: Alloc %q exhausts the 48-bit address arena", name))
-		}
 	}
 	// Keep bufs sorted by base — BufferAt binary-searches it, and reused
 	// bases land below the bump frontier.
@@ -324,22 +317,30 @@ func (b *Buffer) LoadQuiet(i int) Word { return atomic.LoadUint64(&b.data[i]) }
 
 // Store writes v to word i, notifying probes. It returns true if the stored
 // value differs from the previous contents (i.e. the store was not silent).
-// Like Load, the word update is atomic.
+// Like Load, the word update is atomic. Unprobed, a silent store is a load:
+// when the word already reads v nothing is written — the store linearises at
+// that load — so the line stays shared with the support threads reading it
+// instead of being taken exclusive to rewrite what it holds.
 func (b *Buffer) Store(i int, v Word) bool {
-	if b.probed {
-		return b.storeProbed(i, v)
+	if b.probed || atomic.LoadUint64(&b.data[i]) != v {
+		return b.swap(i, v)
 	}
-	return atomic.SwapUint64(&b.data[i], v) != v
+	return false
 }
 
-// storeProbed is the probed store, outlined whole for the same reason as
-// loadProbed: with it out of line the triggering-store hot path pays one
-// atomic swap and a predicted-not-taken branch, no call.
+// swap is the store that writes: every probed store (probes see silent
+// stores too) and every unprobed one whose word did not already read v. It
+// reports what the swap displaced, so of two racing stores of one new value
+// exactly one changes the word. Outlined for the same reason as loadProbed:
+// with it out of line Store inlines, and a silent triggering store is one
+// atomic load and a predicted branch at the call site, no call.
 //
 //go:noinline
-func (b *Buffer) storeProbed(i int, v Word) bool {
+func (b *Buffer) swap(i int, v Word) bool {
 	old := atomic.SwapUint64(&b.data[i], v)
-	b.sys.onStore(b.Addr(i), old, v, old == v)
+	if b.probed {
+		b.sys.onStore(b.Addr(i), old, v, old == v)
+	}
 	return old != v
 }
 

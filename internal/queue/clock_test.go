@@ -7,7 +7,8 @@ import "testing"
 // original entry's stamp.
 func TestEnqueueClockStamp(t *testing.T) {
 	q := NewThreadQueue(4)
-	if st := q.Enqueue(1, 100); st != Enqueued {
+	o := offers{}
+	if st := o.enqueue(q, 1, 100); st != Enqueued {
 		t.Fatalf("Enqueue = %v", st)
 	}
 	if e, _ := q.Dequeue(); e.T0 != 0 {
@@ -16,17 +17,17 @@ func TestEnqueueClockStamp(t *testing.T) {
 
 	now := int64(1000)
 	q.SetClock(func() int64 { now++; return now })
-	if st := q.Enqueue(1, 100); st != Enqueued {
+	if st := o.enqueue(q, 1, 100); st != Enqueued {
 		t.Fatalf("Enqueue = %v", st)
 	}
-	if st := q.Enqueue(1, 100); st != Squashed {
+	if st := o.enqueue(q, 1, 100); st != Squashed {
 		t.Fatalf("re-trigger = %v, want Squashed", st)
 	}
 	e, ok := q.Dequeue()
 	if !ok || e.T0 != 1001 {
 		t.Fatalf("T0 = %d (ok=%v), want the first enqueue's stamp 1001", e.T0, ok)
 	}
-	if st := q.Enqueue(2, 200); st != Enqueued {
+	if st := o.enqueue(q, 2, 200); st != Enqueued {
 		t.Fatalf("Enqueue = %v", st)
 	}
 	if e := q.DequeueAt(0); e.T0 != 1002 {

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,10 +13,10 @@ import (
 // slice and linear scans. The property test below drives it in lock step
 // with the real ring-buffer implementation and fails on the first
 // divergence, so any ring arithmetic or per-thread count bug shows up as a
-// concrete operation trace. The model compares thread and address field by
-// field (where the production queue packs them into one word for hashing
-// speed), so the test also verifies the packed key changes no dedup
-// decision.
+// concrete operation trace. The model is the dedup oracle: it decides a squash
+// by comparing thread and address field by field against every pending entry,
+// where the production queue tests one bit of the covering attachment's
+// PendingSet, so the test also verifies the bitmap changes no dedup decision.
 type qModel struct {
 	cap     int
 	entries []Entry
@@ -96,16 +97,74 @@ func (m *qModel) pendingCount(t ThreadID) int {
 	return n
 }
 
-// checkAgainst compares every observable of the real queue with the model.
-func (m *qModel) checkAgainst(t *testing.T, q *ThreadQueue, step int) {
+// offers stands in for the runtime's attachments in the queue tests: every
+// thread is attached over the same ranges (one over the low 64 KiB unless the
+// test names others) with a PendingSet of its own per range, and enqueue hands
+// Enqueue the set of the first range covering the address, as admitLocked
+// does.
+type offers struct {
+	ranges [][2]mem.Addr
+	sets   map[ThreadID][]PendingSet
+}
+
+func (o *offers) enqueue(q *ThreadQueue, t ThreadID, addr mem.Addr) EnqueueStatus {
+	if o.ranges == nil {
+		o.ranges = [][2]mem.Addr{{0, 1 << 16}}
+	}
+	if o.sets == nil {
+		o.sets = map[ThreadID][]PendingSet{}
+	}
+	if o.sets[t] == nil {
+		for _, r := range o.ranges {
+			o.sets[t] = append(o.sets[t], NewPendingSet(r[0], r[1]))
+		}
+	}
+	for i, r := range o.ranges {
+		if addr >= r[0] && addr < r[1] {
+			return q.Enqueue(t, addr, &o.sets[t][i])
+		}
+	}
+	panic("offers: address outside the attached ranges")
+}
+
+// bitsSet counts the pending bits set across every range of every thread.
+func (o *offers) bitsSet() int {
+	n := 0
+	for _, sets := range o.sets {
+		for _, p := range sets {
+			for _, w := range p.bits {
+				n += bits.OnesCount64(w)
+			}
+		}
+	}
+	return n
+}
+
+// checkAgainst compares every observable of the real queue with the model,
+// and the pending bitmaps with the ring: one set bit per pending entry, and
+// no vacated ring slot still pointing into a bitmap.
+func (m *qModel) checkAgainst(t *testing.T, q *ThreadQueue, o *offers, step int) {
 	t.Helper()
 	if q.Len() != len(m.entries) {
 		t.Fatalf("step %d: Len() = %d, model has %d", step, q.Len(), len(m.entries))
 	}
 	for i := range m.entries {
-		if got := q.EntryAt(i); got != m.entries[i] {
-			t.Fatalf("step %d: EntryAt(%d) = %+v, model has %+v", step, i, got, m.entries[i])
+		// A pending entry also holds its bitmap word, which the model lacks.
+		if got, want := q.EntryAt(i), m.entries[i]; got.Thread != want.Thread || got.Addr != want.Addr {
+			t.Fatalf("step %d: EntryAt(%d) = %+v, model has %+v", step, i, got, want)
 		}
+	}
+	if got := o.bitsSet(); got != q.Len() {
+		t.Fatalf("step %d: %d pending bits set with %d entries in the ring", step, got, q.Len())
+	}
+	held := 0
+	for i := range q.ring {
+		if q.ring[i].pend != nil {
+			held++
+		}
+	}
+	if held != q.Len() {
+		t.Fatalf("step %d: %d ring slots hold a bitmap word with %d entries pending", step, held, q.Len())
 	}
 	for id := ThreadID(0); id < modelThreads; id++ {
 		if got, want := q.PendingCount(id), m.pendingCount(id); got != want {
@@ -138,14 +197,18 @@ func TestQueueAgainstModel(t *testing.T) {
 			q := NewThreadQueue(capacity)
 			m := &qModel{cap: capacity}
 			// A small address pool makes dedup hits common; offsets
-			// within one line and across lines both occur.
-			addrs := []mem.Addr{0, 8, 16, mem.LineBytes, mem.LineBytes + 8, 4 * mem.LineBytes}
+			// within one line and across lines both occur. Every thread is
+			// attached twice, over adjacent ranges that split the pool, and
+			// the first range straddles a bitmap-word boundary (base+24).
+			const base = pendSpan - 24
+			addrs := []mem.Addr{base, base + 8, base + 16, base + mem.LineBytes, base + mem.LineBytes + 8, base + 4*mem.LineBytes}
+			o := &offers{ranges: [][2]mem.Addr{{base, base + mem.LineBytes}, {base + mem.LineBytes, base + 5*mem.LineBytes}}}
 			for step := 0; step < 4000; step++ {
 				switch op := rng.Intn(11); {
 				case op < 5: // enqueue-heavy keeps the ring near full
 					id := ThreadID(rng.Intn(modelThreads))
 					addr := addrs[rng.Intn(len(addrs))]
-					got := q.Enqueue(id, addr)
+					got := o.enqueue(q, id, addr)
 					want := m.enqueue(id, addr)
 					if got != want {
 						t.Fatalf("step %d: Enqueue(%d, %#x) = %v, model says %v", step, id, addr, got, want)
@@ -199,7 +262,7 @@ func TestQueueAgainstModel(t *testing.T) {
 					n := 1 + rng.Intn(4)
 					for k := 0; k < n; k++ {
 						addr := base + mem.Addr(k*mem.WordBytes)
-						got := q.Enqueue(id, addr)
+						got := o.enqueue(q, id, addr)
 						want := m.enqueue(id, addr)
 						if got != want {
 							t.Fatalf("step %d: batch word %d: Enqueue(%d, %#x) = %v, model says %v",
@@ -207,7 +270,7 @@ func TestQueueAgainstModel(t *testing.T) {
 						}
 					}
 				}
-				m.checkAgainst(t, q, step)
+				m.checkAgainst(t, q, o, step)
 			}
 		})
 	}
@@ -217,8 +280,9 @@ func TestQueueAgainstModel(t *testing.T) {
 // checks the counters balance exactly.
 func TestQueueModelDrain(t *testing.T) {
 	q := NewThreadQueue(4)
+	o := offers{}
 	for i := 0; i < 6; i++ { // 4 admitted, 2 overflowed
-		q.Enqueue(ThreadID(i%2), mem.Addr(8*i))
+		o.enqueue(q, ThreadID(i%2), mem.Addr(8*i))
 	}
 	q.DequeueAt(1)
 	q.Dequeue()

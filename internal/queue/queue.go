@@ -16,6 +16,9 @@ type Entry struct {
 	// entry's stamp: the latency being measured is how long the oldest
 	// unserved trigger waited.
 	T0 int64
+	// pend is the word of its attachment's PendingSet that holds this entry's
+	// pending bit while the entry sits in the ring; nil anywhere else.
+	pend *uint64
 }
 
 // EnqueueStatus reports what Enqueue did with a trigger.
@@ -44,111 +47,37 @@ func (s EnqueueStatus) String() string {
 	return fmt.Sprintf("EnqueueStatus(%d)", int(s))
 }
 
-// dedupKey packs (thread, trigger address) into one machine word so the
-// pending map hashes 8 bytes instead of a 16-byte struct — on the
-// triggering-store hot path the map probe is the dominant cost, and the
-// single-word key roughly halves it. The thread occupies the top 16 bits
-// and the address the low 48; both fit because their allocators enforce it:
-// thread IDs are dense runtime-assigned integers and core's register refuses
-// to hand out one at or above 1<<16 (core.maxThreads; two IDs 1<<16 apart
-// map to the same shard and would alias here, squashing — losing — the
-// second thread's trigger), and mem.System addresses are arena offsets
-// backed by live slices — reaching 2^48 would take 256 TB of real memory,
-// and mem.System.Alloc enforces the bound.
-type dedupKey uint64
-
-// pendingTab is the set of pending dedupKeys, with open addressing and
-// linear probing. The ring's capacity bounds the number of live keys, so the
-// table is sized once at construction (2x capacity, rounded up to a power of
-// two, load factor <= 50%) and never grows, never allocates after New, and
-// replaces the generic Go map that dominated the triggering-store profile:
-// a multiplicative hash plus a one-or-two-slot probe is a fraction of the
-// hashed-map machinery. A found key always squashes, so a live slot's count
-// is exactly one and cnts is only the presence flag: empty slots are
-// cnts[i] == 0, because the queue does not assume a non-zero address (thread
-// 0 at address 0 is key zero) and keys therefore cannot encode emptiness.
-// Deletion uses backward-shift compaction instead of tombstones, keeping
-// probe chains minimal for the lifetime of the queue.
-type pendingTab struct {
-	keys  []dedupKey
-	cnts  []int32
-	mask  uint64
-	shift uint
+// PendingSet is one attachment's share of the queue's pending set: a bit per
+// word of the trigger range, set exactly while an entry for (the attachment's
+// thread, that word) sits in the ring. The runtime keeps one on each
+// attachment and hands it to Enqueue, which has already had to find the
+// attachment to confirm the trigger; "is this trigger already pending?" is
+// then a bit test on a line the producer just touched rather than a probe of a
+// shared table. Bits are laid out by absolute address — bit addr/WordBytes%64
+// of word addr/pendSpan, counted from the range's first word — so an entry
+// needs only the address of its bitmap word to clear its bit when it leaves.
+// Guarded, like the ring, by the lock of the shard the thread lives in.
+type PendingSet struct {
+	first mem.Addr // lo / pendSpan: the address block bits[0] covers
+	bits  []uint64 //dtt:guards dispatchShard.mu
 }
 
-func newPendingTab(capacity int) *pendingTab {
-	size := 8
-	for size < 2*capacity {
-		size *= 2
-	}
-	shift := uint(64)
-	for s := size; s > 1; s /= 2 {
-		shift--
-	}
-	return &pendingTab{
-		keys:  make([]dedupKey, size),
-		cnts:  make([]int32, size),
-		mask:  uint64(size - 1),
-		shift: shift,
-	}
+// pendSpan is the bytes of address space one bitmap word covers.
+const pendSpan = 64 * mem.WordBytes
+
+// NewPendingSet returns the empty pending set of trigger range [lo, hi),
+// lo < hi: (hi-lo)/WordBytes bits, rounded out to whole bitmap words.
+func NewPendingSet(lo, hi mem.Addr) PendingSet {
+	first := lo / pendSpan
+	return PendingSet{first: first, bits: make([]uint64, (hi-1)/pendSpan-first+1)}
 }
 
-// home is the preferred slot for k: a Fibonacci multiplicative hash taking
-// the high bits, which spreads the word-stride address runs that dominate
-// real trigger streams.
-func (p *pendingTab) home(k dedupKey) uint64 {
-	return (uint64(k) * 0x9E3779B97F4A7C15) >> p.shift
+// slot returns the bitmap word holding addr's pending bit, and the bit.
+func (p *PendingSet) slot(addr mem.Addr) (*uint64, uint64) {
+	return &p.bits[addr/pendSpan-p.first], pendBit(addr)
 }
 
-// lookup probes for k. It returns the slot holding k (found=true) or the
-// first empty slot of k's probe chain (found=false), which is exactly where
-// an insert of k must go.
-func (p *pendingTab) lookup(k dedupKey) (slot uint64, found bool) {
-	i := p.home(k)
-	for {
-		if p.cnts[i] == 0 {
-			return i, false
-		}
-		if p.keys[i] == k {
-			return i, true
-		}
-		i = (i + 1) & p.mask
-	}
-}
-
-// dec removes k, closing its slot by backward-shift compaction so later
-// probes never walk dead slots.
-func (p *pendingTab) dec(k dedupKey) {
-	i, found := p.lookup(k)
-	if !found {
-		return
-	}
-	// Backward-shift deletion: repeatedly pull the next displaced entry of
-	// the probe chain into the vacated slot until an empty slot or an entry
-	// already sitting at its home terminates the chain.
-	for {
-		p.cnts[i] = 0
-		j := i
-		for {
-			j = (j + 1) & p.mask
-			if p.cnts[j] == 0 {
-				return
-			}
-			h := p.home(p.keys[j])
-			// The entry at j may move back to i only if i is cyclically
-			// within [h, j): moving it must not place it before its home.
-			if i <= j {
-				if h <= i || h > j {
-					break
-				}
-			} else if h <= i && h > j {
-				break
-			}
-		}
-		p.keys[i], p.cnts[i] = p.keys[j], p.cnts[j]
-		i = j
-	}
-}
+func pendBit(addr mem.Addr) uint64 { return 1 << (addr / mem.WordBytes % 64) }
 
 // ThreadQueue is the fixed-capacity pending-trigger queue. Entries enter in
 // trigger order and leave in FIFO order. Storage is a ring buffer sized at
@@ -160,16 +89,10 @@ type ThreadQueue struct {
 	cap int
 	// ring[(head+i)%cap] for i in [0, n) are the pending entries, oldest
 	// first.
-	ring []Entry //dtt:guards dispatchShard.mu
-	head int     //dtt:guards dispatchShard.mu
-	n    int     //dtt:guards dispatchShard.mu
-	// pending holds the (thread, trigger address) key of every entry in
-	// the ring. An offer whose key is already there is squashed — the
-	// paper's one dedup policy: the support thread reads the latest data
-	// when it runs, so re-executing for every intermediate value of a word
-	// is pure waste.
-	pending   *pendingTab
-	perThread []int // pending entries per ThreadID, grown on demand
+	ring      []Entry //dtt:guards dispatchShard.mu
+	head      int     //dtt:guards dispatchShard.mu
+	n         int     //dtt:guards dispatchShard.mu
+	perThread []int   // pending entries per ThreadID, grown on demand
 	// clock stamps Entry.T0 at enqueue when non-nil; the runtime sets it
 	// (to the telemetry clock) only when telemetry is on, so the default
 	// enqueue path never pays for a time read.
@@ -206,11 +129,7 @@ func NewThreadQueue(capacity int) *ThreadQueue {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: non-positive thread queue capacity %d", capacity))
 	}
-	return &ThreadQueue{cap: capacity, ring: make([]Entry, capacity), pending: newPendingTab(capacity)}
-}
-
-func (q *ThreadQueue) key(t ThreadID, addr mem.Addr) dedupKey {
-	return dedupKey(uint64(t)<<48 | uint64(addr))
+	return &ThreadQueue{cap: capacity, ring: make([]Entry, capacity)}
 }
 
 // at returns the i-th oldest slot. head < cap and i <= n <= cap always hold,
@@ -233,16 +152,23 @@ func (q *ThreadQueue) countUp(t ThreadID) {
 	q.perThread[t]++
 }
 
-// dropKey releases e's dedup key after e left the ring.
-func (q *ThreadQueue) dropKey(e Entry) {
-	q.pending.dec(q.key(e.Thread, e.Addr))
+// clearPending clears the pending bit of the entry in ring slot s, which is
+// leaving the ring, and with it the slot's hold on the attachment's bitmap: a
+// vacated slot must not keep a cancelled attachment's bits reachable.
+func clearPending(s *Entry) {
+	*s.pend &^= pendBit(s.Addr)
+	s.pend = nil
 }
 
-// Enqueue offers a fired trigger to the queue.
-func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
-	k := q.key(t, addr)
-	slot, found := q.pending.lookup(k)
-	if found {
+// Enqueue offers a fired trigger of thread t at addr to the queue. p is the
+// pending set of t's attachment covering addr — the same one for every offer
+// of (t, addr), which is the caller's to guarantee. An offer whose bit is
+// already set is squashed — the paper's one dedup policy: the support thread
+// reads the latest data when it runs, so re-executing for every intermediate
+// value of a word is pure waste.
+func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr, p *PendingSet) EnqueueStatus {
+	w, bit := p.slot(addr)
+	if *w&bit != 0 {
 		q.c.Squashed++
 		return Squashed
 	}
@@ -250,16 +176,13 @@ func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 		q.c.Overflowed++
 		return Overflowed
 	}
-	e := Entry{Thread: t, Addr: addr}
+	*w |= bit
+	e := Entry{Thread: t, Addr: addr, pend: w}
 	if q.clock != nil {
 		e.T0 = q.clock()
 	}
 	*q.at(q.n) = e
 	q.n++
-	// lookup already probed to the insert slot; a found key returned above,
-	// so this is always a fresh key.
-	q.pending.keys[slot] = k
-	q.pending.cnts[slot] = 1
 	q.countUp(t) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
 	q.c.Enqueued++
 	if q.n > q.c.Peak {
@@ -274,16 +197,7 @@ func (q *ThreadQueue) Dequeue() (e Entry, ok bool) {
 	if q.n == 0 {
 		return Entry{}, false
 	}
-	e = q.ring[q.head]
-	q.head++
-	if q.head == q.cap {
-		q.head = 0
-	}
-	q.n--
-	q.perThread[e.Thread]--
-	q.dropKey(e)
-	q.c.Dequeued++
-	return e, true
+	return q.DequeueAt(0), true
 }
 
 // DequeueRun removes the oldest entry satisfying pred together with the
@@ -303,12 +217,12 @@ func (q *ThreadQueue) DequeueRun(pred func(Entry) bool, out []Entry) int {
 		}
 		k := 0
 		for k < len(out) && i+k < q.n {
-			e := *q.at(i + k)
-			if e.Thread != first.Thread {
+			s := q.at(i + k)
+			if s.Thread != first.Thread {
 				break
 			}
-			out[k] = e
-			q.dropKey(e)
+			clearPending(s)
+			out[k] = *s
 			k++
 		}
 		q.perThread[first.Thread] -= k
@@ -320,10 +234,11 @@ func (q *ThreadQueue) DequeueRun(pred func(Entry) bool, out []Entry) int {
 
 // removeRun takes the k entries at positions [i, i+k) out of the ring: the i
 // older entries shift back over them and the head advances. Callers have
-// already released the removed entries' dedup keys and per-thread counts.
+// already cleared the removed entries' pending bits and per-thread counts.
 func (q *ThreadQueue) removeRun(i, k int) {
 	for j := i - 1; j >= 0; j-- {
 		*q.at(j + k) = *q.at(j)
+		q.at(j).pend = nil
 	}
 	q.head += k
 	if q.head >= q.cap {
@@ -350,9 +265,10 @@ func (q *ThreadQueue) DequeueAt(i int) Entry {
 	if i < 0 || i >= q.n {
 		panic(fmt.Sprintf("queue: DequeueAt(%d) with %d pending", i, q.n))
 	}
-	e := *q.at(i)
+	s := q.at(i)
+	clearPending(s)
+	e := *s
 	q.perThread[e.Thread]--
-	q.dropKey(e)
 	q.removeRun(i, 1)
 	return e
 }
@@ -364,13 +280,16 @@ func (q *ThreadQueue) Squash(t ThreadID) int {
 	removed := 0
 	kept := 0
 	for i := 0; i < q.n; i++ {
-		e := *q.at(i)
-		if e.Thread == t {
+		s := q.at(i)
+		if s.Thread == t {
 			removed++
-			q.dropKey(e)
+			clearPending(s)
 			continue
 		}
-		*q.at(kept) = e
+		if kept != i {
+			*q.at(kept) = *s
+			s.pend = nil
+		}
 		kept++
 	}
 	q.n = kept

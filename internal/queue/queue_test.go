@@ -63,11 +63,11 @@ func TestRegistryDetach(t *testing.T) {
 func TestRegistryCovers(t *testing.T) {
 	r := NewRegistry()
 	r.Attach(3, 1000, 2000)
-	if !r.Covers(1000) || !r.Covers(1999) {
-		t.Fatalf("Covers missed in-range addresses")
+	if !covers(r, 1000) || !covers(r, 1999) {
+		t.Fatalf("Each missed in-range addresses")
 	}
-	if r.Covers(999) || r.Covers(2000) {
-		t.Fatalf("Covers matched out-of-range addresses")
+	if covers(r, 999) || covers(r, 2000) {
+		t.Fatalf("Each matched out-of-range addresses")
 	}
 }
 
@@ -167,9 +167,10 @@ func TestRegistryManyRangesStress(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	q := NewThreadQueue(4)
-	q.Enqueue(1, 0x10)
-	q.Enqueue(2, 0x20)
-	q.Enqueue(3, 0x30)
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	o.enqueue(q, 3, 0x30)
 	for want := ThreadID(1); want <= 3; want++ {
 		e, ok := q.Dequeue()
 		if !ok || e.Thread != want {
@@ -183,17 +184,18 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueSquashesSameAddress(t *testing.T) {
 	q := NewThreadQueue(8)
-	if s := q.Enqueue(1, 0x10); s != Enqueued {
+	o := offers{}
+	if s := o.enqueue(q, 1, 0x10); s != Enqueued {
 		t.Fatalf("first enqueue: %v", s)
 	}
-	if s := q.Enqueue(1, 0x10); s != Squashed {
+	if s := o.enqueue(q, 1, 0x10); s != Squashed {
 		t.Fatalf("duplicate (thread,addr): %v, want squashed", s)
 	}
-	if s := q.Enqueue(1, 0x18); s != Enqueued {
+	if s := o.enqueue(q, 1, 0x18); s != Enqueued {
 		t.Fatalf("same thread, new addr: %v, want enqueued", s)
 	}
 	q.Dequeue()
-	if s := q.Enqueue(1, 0x10); s != Enqueued {
+	if s := o.enqueue(q, 1, 0x10); s != Enqueued {
 		t.Fatalf("re-enqueue after dequeue: %v, want enqueued", s)
 	}
 }
@@ -204,11 +206,12 @@ func TestQueueSquashesSameAddress(t *testing.T) {
 func TestQueueRingWraparound(t *testing.T) {
 	const cap = 4
 	q := NewThreadQueue(cap)
+	o := offers{}
 	next := mem.Addr(0)
 	for round := 0; round < 5*cap; round++ {
 		// Keep the queue at 3 entries while the head walks the ring.
 		for q.Len() < 3 {
-			if s := q.Enqueue(ThreadID(int(next)%3), next*8); s != Enqueued {
+			if s := o.enqueue(q, ThreadID(int(next)%3), next*8); s != Enqueued {
 				t.Fatalf("round %d: enqueue at %#x: %v", round, next*8, s)
 			}
 			next++
@@ -245,9 +248,10 @@ func TestQueueRingWraparound(t *testing.T) {
 // every mutation: enqueue, dequeue, filtered dequeue and squash.
 func TestQueuePendingCount(t *testing.T) {
 	q := NewThreadQueue(8)
-	q.Enqueue(1, 0x10)
-	q.Enqueue(2, 0x20)
-	q.Enqueue(1, 0x18)
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	o.enqueue(q, 1, 0x18)
 	if q.PendingCount(1) != 2 || q.PendingCount(2) != 1 || q.PendingCount(3) != 0 {
 		t.Fatalf("PendingCount = %d,%d,%d", q.PendingCount(1), q.PendingCount(2), q.PendingCount(3))
 	}
@@ -270,14 +274,15 @@ func TestQueuePendingCount(t *testing.T) {
 
 func TestQueueOverflow(t *testing.T) {
 	q := NewThreadQueue(2)
-	q.Enqueue(1, 0x10)
-	q.Enqueue(2, 0x20)
-	if s := q.Enqueue(3, 0x30); s != Overflowed {
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	if s := o.enqueue(q, 3, 0x30); s != Overflowed {
 		t.Fatalf("full queue: %v, want overflowed", s)
 	}
 	// A squash is detected before overflow: a duplicate of a pending entry
 	// must not count as overflow even when the queue is full.
-	if s := q.Enqueue(1, 0x10); s != Squashed {
+	if s := o.enqueue(q, 1, 0x10); s != Squashed {
 		t.Fatalf("duplicate on full queue: %v, want squashed", s)
 	}
 	c := q.Counters()
@@ -288,17 +293,18 @@ func TestQueueOverflow(t *testing.T) {
 
 func TestQueueSquash(t *testing.T) {
 	q := NewThreadQueue(8)
-	q.Enqueue(1, 0x10)
-	q.Enqueue(2, 0x20)
-	q.Enqueue(1, 0x18)
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	o.enqueue(q, 1, 0x18)
 	if n := q.Squash(1); n != 2 {
 		t.Fatalf("Squash removed %d, want 2", n)
 	}
 	if q.Pending(1) {
 		t.Fatalf("thread 1 still pending after squash")
 	}
-	// After squashing, the key must be free again.
-	if s := q.Enqueue(1, 0x10); s != Enqueued {
+	// After squashing, the pending bit must be clear again.
+	if s := o.enqueue(q, 1, 0x10); s != Enqueued {
 		t.Fatalf("enqueue after squash: %v", s)
 	}
 	e, ok := q.Dequeue()
@@ -313,13 +319,14 @@ func TestQueueCountersConsistent(t *testing.T) {
 	// is still pending. Squash used to remove entries without accounting
 	// them anywhere, so enqueued != dequeued + Len() after any Cancel.
 	q := NewThreadQueue(4)
+	o := offers{}
 	f := func(ops []struct {
 		T uint8
 		A uint8
 	}) bool {
 		for _, op := range ops {
 			tid := ThreadID(op.T % 4)
-			q.Enqueue(tid, mem.Addr(op.A)*8)
+			o.enqueue(q, tid, mem.Addr(op.A)*8)
 			switch op.A % 5 {
 			case 0:
 				q.Dequeue()
@@ -341,9 +348,10 @@ func TestQueueCountersConsistent(t *testing.T) {
 // holds through a cancel.
 func TestQueueSquashAccounting(t *testing.T) {
 	q := NewThreadQueue(8)
-	q.Enqueue(1, 0x10)
-	q.Enqueue(2, 0x20)
-	q.Enqueue(1, 0x18)
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	o.enqueue(q, 1, 0x18)
 	q.Dequeue() // (1, 0x10)
 	if n := q.Squash(1); n != 1 {
 		t.Fatalf("Squash removed %d, want 1", n)
@@ -362,9 +370,10 @@ func TestQueueSquashAccounting(t *testing.T) {
 
 func TestQueueDequeueFirst(t *testing.T) {
 	q := NewThreadQueue(8)
-	q.Enqueue(1, 0x10)
-	q.Enqueue(2, 0x20)
-	q.Enqueue(1, 0x18)
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	o.enqueue(q, 1, 0x18)
 	out := make([]Entry, 4)
 	// Skip thread 1: the first match is thread 2, mid-queue, a run of one.
 	if n := q.DequeueRun(func(e Entry) bool { return e.Thread != 1 }, out); n != 1 || out[0].Thread != 2 {
@@ -382,23 +391,24 @@ func TestQueueDequeueFirst(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d after failed DequeueRun", q.Len())
 	}
-	// The dedup key must be freed by DequeueRun too.
+	// The pending bit must be cleared by DequeueRun too.
 	q.DequeueRun(func(Entry) bool { return true }, out)
-	q.Enqueue(2, 0x20)
-	if s := q.Enqueue(2, 0x20); s != Squashed {
+	o.enqueue(q, 2, 0x20)
+	if s := o.enqueue(q, 2, 0x20); s != Squashed {
 		t.Fatalf("dedup bookkeeping broken after DequeueRun: %v", s)
 	}
 }
 
 // TestQueueDequeueRun pins the claim shape: the run starts at the oldest
 // match, takes only that thread's entries directly behind it, stops at
-// len(out), and leaves older and younger entries in order with their dedup
-// keys intact.
+// len(out), and leaves older and younger entries in order with their pending
+// bits intact.
 func TestQueueDequeueRun(t *testing.T) {
 	q := NewThreadQueue(8)
+	o := offers{}
 	for _, e := range []Entry{{Thread: 1, Addr: 0x10}, {Thread: 2, Addr: 0x20}, {Thread: 2, Addr: 0x28},
 		{Thread: 2, Addr: 0x30}, {Thread: 1, Addr: 0x18}, {Thread: 2, Addr: 0x38}} {
-		q.Enqueue(e.Thread, e.Addr)
+		o.enqueue(q, e.Thread, e.Addr)
 	}
 	out := make([]Entry, 2)
 	notOne := func(e Entry) bool { return e.Thread != 1 }
@@ -411,11 +421,11 @@ func TestQueueDequeueRun(t *testing.T) {
 	if q.PendingCount(2) != 1 || q.PendingCount(1) != 2 || q.Len() != 3 {
 		t.Fatalf("pending after runs: t1=%d t2=%d len=%d", q.PendingCount(1), q.PendingCount(2), q.Len())
 	}
-	if s := q.Enqueue(2, 0x20); s != Enqueued {
-		t.Fatalf("claimed entry's dedup key not released: %v", s)
+	if s := o.enqueue(q, 2, 0x20); s != Enqueued {
+		t.Fatalf("claimed entry's pending bit not cleared: %v", s)
 	}
-	if s := q.Enqueue(2, 0x38); s != Squashed {
-		t.Fatalf("unclaimed entry's dedup key lost: %v", s)
+	if s := o.enqueue(q, 2, 0x38); s != Squashed {
+		t.Fatalf("unclaimed entry's pending bit lost: %v", s)
 	}
 	for i, want := range []mem.Addr{0x10, 0x18, 0x38, 0x20} {
 		if e, _ := q.Dequeue(); e.Addr != want {
@@ -441,15 +451,10 @@ func TestRegistryAccessors(t *testing.T) {
 	if r.Attachments()[0].Thread == 99 {
 		t.Fatalf("Attachments aliases internal state")
 	}
-	eachIDs(r, 40) // 2 matches
-	eachIDs(r, 0)  // 1 match
-	if r.Lookups() != 2 || r.Matches() != 3 {
-		t.Fatalf("Lookups=%d Matches=%d, want 2/3", r.Lookups(), r.Matches())
-	}
 }
 
-// TestRegistryConcurrentReads exercises the lock-free read side: Covers and
-// Each race against a single mutator (the contract: mutations serialised
+// TestRegistryConcurrentReads exercises the lock-free read side: Each and
+// Snapshot race against a single mutator (the contract: mutations serialised
 // by the caller, reads free). Run under -race this checks the snapshot
 // publication.
 func TestRegistryConcurrentReads(t *testing.T) {
@@ -467,13 +472,13 @@ func TestRegistryConcurrentReads(t *testing.T) {
 				default:
 				}
 				addr := mem.Addr(i%4096) * 8
-				if r.Covers(addr) {
-					r.Each(addr, func(id ThreadID) {
-						if id < 0 || id >= 8 {
-							t.Errorf("Each visited impossible thread %d", id)
-						}
-					})
+				visit := func(id ThreadID) {
+					if id < 0 || id >= 8 {
+						t.Errorf("Each visited impossible thread %d", id)
+					}
 				}
+				r.Each(addr, visit)
+				r.Snapshot().Each(addr, visit)
 			}
 		}()
 	}
@@ -493,10 +498,11 @@ func TestRegistryConcurrentReads(t *testing.T) {
 
 func TestQueuePendingAndStatusStrings(t *testing.T) {
 	q := NewThreadQueue(4)
+	o := offers{}
 	if q.Pending(7) {
 		t.Fatalf("empty queue has pending thread")
 	}
-	q.Enqueue(7, 0x8)
+	o.enqueue(q, 7, 0x8)
 	if !q.Pending(7) || q.Pending(8) {
 		t.Fatalf("Pending wrong")
 	}

@@ -10,7 +10,7 @@
 // internal/core instantiates one per dispatch shard and serialises
 // access under the shard's lock, just as the hardware structure is
 // accessed from a single pipeline. The registry is different: its read side
-// (Covers, Each, Snapshot) is safe to call concurrently with other reads and
+// (Each, Snapshot) is safe to call concurrently with other reads and
 // with Attach/Detach, because every mutation publishes a fresh immutable
 // index snapshot. That lets a triggering store reject unattached addresses
 // without taking any lock at all.
@@ -55,9 +55,6 @@ var emptyIndex = &regIndex{}
 type Registry struct {
 	atts []Attachment
 	idx  atomic.Pointer[regIndex]
-	// lookups and matches drive the T3 characterisation table.
-	lookups atomic.Int64
-	matches atomic.Int64
 }
 
 // NewRegistry returns an empty registry.
@@ -134,44 +131,13 @@ func searchAtts(atts []Attachment, addr mem.Addr) int {
 	return lo
 }
 
-// Covers reports whether any attachment covers addr, without recording a
-// lookup or taking any lock. The triggering-store fast path uses it to
-// reject stores to unattached addresses before acquiring any dispatch
-// shard's lock, so such stores never contend.
-func (r *Registry) Covers(addr mem.Addr) bool {
-	idx := r.idx.Load()
-	if addr < idx.lo || addr >= idx.hi {
-		return false
-	}
-	for _, a := range idx.atts[:searchAtts(idx.atts, addr)] {
-		if addr < a.Hi {
-			return true
-		}
-	}
-	return false
-}
-
 // Each invokes fn once for every attachment covering addr, in index order
-// (sorted by range start), against the current published snapshot. Like
-// Covers it takes no lock, and it needs no destination slice, so the
-// triggering-store dispatch path can walk the matches and go straight to
-// each thread's shard without any shared scratch buffer. The callback must
-// not mutate the registry. Every call counts one lookup, and one match per
-// attachment visited.
-func (r *Registry) Each(addr mem.Addr, fn func(ThreadID)) {
-	r.lookups.Add(1)
-	idx := r.idx.Load()
-	matched := 0
-	for _, a := range idx.atts[:searchAtts(idx.atts, addr)] {
-		if addr < a.Hi {
-			matched++
-			fn(a.Thread)
-		}
-	}
-	if matched > 0 {
-		r.matches.Add(int64(matched))
-	}
-}
+// (sorted by range start), against the current published snapshot. It takes
+// no lock and needs no destination slice, so the triggering-store dispatch
+// path can walk the matches and go straight to each thread's shard without
+// any shared scratch buffer; a store far from every trigger range is rejected
+// by two comparisons. The callback must not mutate the registry.
+func (r *Registry) Each(addr mem.Addr, fn func(ThreadID)) { r.Snapshot().Each(addr, fn) }
 
 // Snapshot is the registry's published index pinned at one instant. All
 // lookups through one snapshot see the same attachment set, which is what
@@ -179,16 +145,27 @@ func (r *Registry) Each(addr mem.Addr, fn func(ThreadID)) {
 // against identical state, so a concurrent Attach/Detach lands entirely
 // before or entirely after the batch. A Snapshot is a value (no
 // allocation) and stays valid indefinitely — the index it pins is
-// immutable. Snapshot lookups do not touch the registry's lookup/match
-// counters; batch callers accumulate locally and settle once via
-// NoteLookups, keeping one pair of atomic adds per batch instead of one
-// per word.
+// immutable.
 type Snapshot struct {
 	idx *regIndex
 }
 
 // Snapshot pins the current published index.
 func (r *Registry) Snapshot() Snapshot { return Snapshot{idx: r.idx.Load()} }
+
+// Each is Registry.Each against the pinned index: a merge, whose words are
+// not one contiguous span, matches each of them with it.
+func (s Snapshot) Each(addr mem.Addr, fn func(ThreadID)) {
+	idx := s.idx
+	if addr < idx.lo || addr >= idx.hi {
+		return
+	}
+	for _, a := range idx.atts[:searchAtts(idx.atts, addr)] {
+		if addr < a.Hi {
+			fn(a.Thread)
+		}
+	}
+}
 
 // Overlapping appends onto dst every attachment in the pinned index whose
 // range intersects the span [lo, hi), in index order, and returns the
@@ -212,18 +189,6 @@ func (s Snapshot) Overlapping(lo, hi mem.Addr, dst []Attachment) []Attachment {
 	return dst
 }
 
-// NoteLookups settles lookup/match counts a Snapshot user accumulated
-// locally, preserving the T3 characterisation table's semantics (one
-// lookup per covered probe) at one pair of atomic adds per batch.
-func (r *Registry) NoteLookups(lookups, matches int64) {
-	if lookups > 0 {
-		r.lookups.Add(lookups)
-	}
-	if matches > 0 {
-		r.matches.Add(matches)
-	}
-}
-
 // Attachments returns a copy of the current attachments.
 func (r *Registry) Attachments() []Attachment {
 	out := make([]Attachment, len(r.atts))
@@ -233,10 +198,3 @@ func (r *Registry) Attachments() []Attachment {
 
 // Len returns the number of attachments.
 func (r *Registry) Len() int { return len(r.atts) }
-
-// Lookups returns the number of lookups served: Each calls plus the counts
-// settled through NoteLookups.
-func (r *Registry) Lookups() int64 { return r.lookups.Load() }
-
-// Matches returns the total threads matched across all lookups.
-func (r *Registry) Matches() int64 { return r.matches.Load() }

@@ -7,11 +7,11 @@ import (
 	"dtt/internal/mem"
 )
 
-// The registry's read plane is three calls: the per-probe reads (Covers
-// and Each against the live published index) and the batch read (Snapshot
-// pinning one index, then Overlapping against it). These tests pin all
-// three against a naive scan of Attachments(), including the match order
-// contract (index order = sorted by range start).
+// The registry's read plane is the per-probe read (Each, against the live
+// published index or a pinned Snapshot) and the batch read (Overlapping
+// against a pinned Snapshot). These tests pin them against a naive scan of
+// Attachments(), including the match order contract (index order = sorted by
+// range start).
 
 func testRegistry(t *testing.T) *Registry {
 	t.Helper()
@@ -51,6 +51,9 @@ func eachIDs(r *Registry, addr mem.Addr) []ThreadID {
 	return out
 }
 
+// covers reports whether Each visits any thread for addr.
+func covers(r *Registry, addr mem.Addr) bool { return len(eachIDs(r, addr)) > 0 }
+
 // overlapIDs collects the threads of the attachments s.Overlapping returns
 // for the span [lo, hi), in index order.
 func overlapIDs(s Snapshot, lo, hi mem.Addr) []ThreadID {
@@ -79,11 +82,13 @@ func TestRegistryReadsAgreeWithNaiveScan(t *testing.T) {
 	for addr := mem.Addr(0); addr < 384; addr += 8 {
 		want := naiveMatches(r, addr)
 
-		if got := r.Covers(addr); got != (len(want) > 0) {
-			t.Fatalf("Covers(%d) = %v, want %v", addr, got, len(want) > 0)
-		}
 		if got := eachIDs(r, addr); !eqIDs(got, want) {
 			t.Fatalf("Each(%d) = %v, want %v", addr, got, want)
+		}
+		var pinned []ThreadID
+		s.Each(addr, func(id ThreadID) { pinned = append(pinned, id) })
+		if !eqIDs(pinned, want) {
+			t.Fatalf("Snapshot.Each(%d) = %v, want %v", addr, pinned, want)
 		}
 		// A one-word span resolves to exactly the word's matches, in the
 		// same order: what the batched store's per-word interval test
@@ -107,7 +112,7 @@ func TestRegistrySnapshotPinsOneInstant(t *testing.T) {
 	if got := overlapIDs(old, 512, 520); len(got) != 0 {
 		t.Fatalf("pinned snapshot sees an attachment made after it was taken: %v", got)
 	}
-	if got := overlapIDs(r.Snapshot(), 512, 520); !eqIDs(got, []ThreadID{4}) || !r.Covers(512) {
+	if got := overlapIDs(r.Snapshot(), 512, 520); !eqIDs(got, []ThreadID{4}) || !covers(r, 512) {
 		t.Fatal("fresh snapshot / live read misses the new attachment")
 	}
 	if r.Detach(4) != 1 {
@@ -136,35 +141,12 @@ func TestRegistryOverlapping(t *testing.T) {
 	}
 }
 
-// TestRegistryLookupAccounting: Each counts one lookup per call and one
-// match per visited thread; Covers and snapshot reads count nothing until
-// the caller settles them with NoteLookups (zero settles are free).
-func TestRegistryLookupAccounting(t *testing.T) {
-	r := testRegistry(t)
-	eachIDs(r, 40)  // 2 matches
-	eachIDs(r, 300) // 1 match
-	eachIDs(r, 200) // covered-gap probe, 0 matches
-	if l, m := r.Lookups(), r.Matches(); l != 3 || m != 3 {
-		t.Fatalf("after per-probe reads: lookups %d matches %d, want 3 and 3", l, m)
-	}
-	r.Covers(40)
-	r.Snapshot().Overlapping(0, 384, nil)
-	if l, m := r.Lookups(), r.Matches(); l != 3 || m != 3 {
-		t.Fatalf("Covers or a snapshot read touched the counters: lookups %d matches %d", l, m)
-	}
-	r.NoteLookups(0, 0)
-	r.NoteLookups(5, 2)
-	if l, m := r.Lookups(), r.Matches(); l != 8 || m != 5 {
-		t.Fatalf("after NoteLookups: lookups %d matches %d, want 8 and 5", l, m)
-	}
-}
-
 // TestRegistryEmptyAndErrors: the empty index rejects every probe with
 // the bounds pre-check, inverted ranges are attach errors, and detaching
 // the last attachment returns the registry to the empty index.
 func TestRegistryEmptyAndErrors(t *testing.T) {
 	r := NewRegistry()
-	if r.Covers(0) || len(eachIDs(r, 0)) != 0 {
+	if covers(r, 0) {
 		t.Fatal("empty registry covers an address")
 	}
 	if got := r.Snapshot().Overlapping(0, 1<<30, nil); len(got) != 0 {
@@ -179,8 +161,8 @@ func TestRegistryEmptyAndErrors(t *testing.T) {
 	if err := r.Attach(1, 0, 64); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 1 || !r.Covers(8) {
-		t.Fatalf("Len %d Covers(8) %v after one attach", r.Len(), r.Covers(8))
+	if r.Len() != 1 || !covers(r, 8) {
+		t.Fatalf("Len %d covers(8) %v after one attach", r.Len(), covers(r, 8))
 	}
 	if n := r.Detach(1); n != 1 {
 		t.Fatalf("Detach removed %d, want 1", n)
@@ -188,7 +170,7 @@ func TestRegistryEmptyAndErrors(t *testing.T) {
 	if r.Detach(1) != 0 {
 		t.Fatal("second Detach removed something")
 	}
-	if r.Covers(8) || r.Len() != 0 {
+	if covers(r, 8) || r.Len() != 0 {
 		t.Fatal("registry not empty after detaching everything")
 	}
 }

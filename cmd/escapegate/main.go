@@ -61,17 +61,21 @@ var pinned = map[string][]string{
 		// pinned bodies only, so the callees carrying the 0 allocs/op
 		// contract are named too.
 		"Runtime.noteWrite",
-		"Runtime.storeWord",
 		"Runtime.fireOne",
 		"Runtime.admitLocked",
 		"Runtime.dispatchFired",
+		"batchScratch.fire",
 		"Runtime.afterWrite",
 		"Runtime.mergePlane",
 		// The dispatch side every admitted entry pays: the worker's claim
-		// loop and the run-of-n bracket.
+		// loop, the run-of-n bracket, and the run itself — whose one
+		// deferred recover must not move the worker's claim to the heap.
 		"Runtime.runClaims",
 		"Runtime.beginRunLocked",
+		"threadEntry.resolveLocked",
+		"Runtime.runBodies",
 		"Runtime.endRunLocked",
+		"dispatchShard.addBusy",
 	},
 	"internal/mem": {
 		"DeltaPlane.Apply",
@@ -98,10 +102,11 @@ var pinned = map[string][]string{
 
 // inlined maps a package directory to the functions that must stay
 // inlinable, named as in pinned: the store and load every word pays, the
-// write-outcome stage's nil tests, the ring slot arithmetic, and the pending
-// bit's test-and-set and clear.
+// write-outcome stage's nil tests, the quiescence count's add and the hinted
+// attachment lookup every admitted trigger pays, the ring slot arithmetic,
+// and the pending bit's test-and-set and clear.
 var inlined = map[string][]string{
-	"internal/core":  {"Runtime.noteWrite"},
+	"internal/core":  {"Runtime.noteWrite", "dispatchShard.addBusy", "threadEntry.attachmentNear"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }

@@ -103,9 +103,9 @@ func entryOf(ths []*threadEntry, t ThreadID) *threadEntry {
 	return ths[t]
 }
 
-// attachmentAt returns the thread's attached trigger range containing addr,
-// or nil. Callers hold the thread's shard lock; a nil result after a
-// matching registry snapshot means a Cancel raced the store.
+// attachmentAt returns the first of the thread's attached trigger ranges
+// containing addr, or nil. Callers hold the thread's shard lock; a nil result
+// after a matching registry snapshot means a Cancel raced the store.
 func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
 	for i := range te.atts {
 		if a := &te.atts[i]; addr >= a.lo && addr < a.hi {
@@ -113,6 +113,19 @@ func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
 		}
 	}
 	return nil
+}
+
+// attachmentNear is attachmentAt for a run of lookups on one thread inside one
+// critical section: hint is what the run's previous lookup returned (nil for
+// the first), and the search is skipped when hint still answers. The answer
+// must be the FIRST covering attachment — its pending bit is the dedup key
+// where a thread's ranges overlap — so only atts[0], which nothing precedes,
+// is reused: a later attachment covering addr proves nothing about earlier ones.
+func (te *threadEntry) attachmentNear(hint *attachment, addr mem.Addr) *attachment {
+	if hint != nil && hint == &te.atts[0] && addr >= hint.lo && addr < hint.hi {
+		return hint
+	}
+	return te.attachmentAt(addr)
 }
 
 // dispatchShard is one slice of the sharded dispatch plane: the ring-buffer
@@ -132,15 +145,25 @@ type dispatchShard struct {
 	c shardStats
 	// busy is the shard's quiescence count, the only one: tq.Len() plus the
 	// dispatched entries of the shard's threads plus the inline overflow runs
-	// in flight. It is written only under mu, so a holder of mu reads it
-	// exactly (quietConfirm); it is atomic for its lock-free readers — the
-	// Barrier fast check, the finish-side barrier hint and the workers' scan,
-	// which skips (and, when every shard reads zero, parks without locking)
-	// shards with no work.
-	busy atomic.Int64
+	// in flight, a plain number under mu. work is busy != 0 for the lock-free
+	// readers — the Barrier fast check, the finish-side barrier hint and the
+	// workers' scan, which skips (and, when every shard reads false, parks
+	// without locking) shards with no work. addBusy stores it only when busy
+	// crosses zero, so a producer ahead of the worker pays nothing locked.
+	busy int64 //dtt:guards dispatchShard.mu
+	work atomic.Bool
 	// Pad the hot fields out to (at least) two cache lines so neighbouring
 	// shards' locks and busy counters do not false-share.
-	_ [80]byte
+	_ [64]byte
+}
+
+// addBusy moves the shard's quiescence count by d and keeps work equal to
+// busy != 0, storing it only when it changes. Callers hold sh.mu.
+func (sh *dispatchShard) addBusy(d int64) {
+	sh.busy += d
+	if idle := sh.busy == 0; idle == sh.work.Load() {
+		sh.work.Store(!idle)
+	}
 }
 
 type releaseKey struct {
@@ -163,7 +186,7 @@ type releaseKey struct {
 // (see DESIGN.md "Runtime lock hierarchy"):
 //
 //  1. No lock: the value comparison in mem.Buffer.Store, the stats
-//     counters (atomic), the Registry.Each probe against the
+//     counters (atomic), the Snapshot.Prefix probe against the
 //     registry's immutable index snapshot, and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
@@ -497,7 +520,7 @@ func (rt *Runtime) Cancel(t ThreadID) {
 		atomic.AddUint32(&te.cancelEpoch, 1)
 	}
 	if n := sh.tq.Squash(t); n > 0 {
-		sh.busy.Add(int64(-n))
+		sh.addBusy(int64(-n))
 	}
 	rt.dropReleases(t)
 	rt.stats.cancels.Add(1)
@@ -665,38 +688,37 @@ func (rt *Runtime) checkGoid() uint64 {
 	return goid()
 }
 
-// storeWord is the scalar triggering write: the compare-and-store,
-// noteWrite, and for a changed word inside a trigger range one fireOne per
-// attached thread. It reports whether the word changed.
+// tstore is the scalar triggering write behind Region.TStore and TStoreF: the
+// compare-and-store, noteWrite, and for a changed word inside a trigger range
+// one fireOne per attached thread. It reports whether the word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
 // store is one atomic load; a changing store to an unattached address adds
 // the swap and a lock-free index probe (two comparisons when the address is
-// far from every trigger range); only a changing store inside a trigger range
-// takes a lock, and then only the target thread's shard lock, for the enqueue
-// bookkeeping.
-func (rt *Runtime) storeWord(r *Region, i int, v mem.Word, g uint64, inline *[]queue.Entry) bool {
+// far from every trigger range), either plus its counter's atomic add; only a
+// changing store inside a trigger range takes a lock — the target thread's
+// shard lock, for the enqueue bookkeeping — and counts itself under it: three
+// locked instructions, the swap, the lock and the unlock.
+func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
+	g := rt.checkGoid()
 	changed := r.buf.Store(i, v)
 	rt.noteWrite(r, i, changed, g)
 	if !changed {
-		return false
-	}
-	addr := r.buf.Addr(i)
-	rt.reg.Each(addr, func(id queue.ThreadID) {
-		rt.fireOne(id, addr, g, inline)
-	})
-	return true
-}
-
-// tstore is the triggering-store implementation shared by Region.TStore and
-// Region.TStoreF. It returns whether the value changed.
-func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
-	var inline []queue.Entry
-	if !rt.storeWord(r, i, v, rt.checkGoid(), &inline) {
 		rt.stats.silent.Add(1)
 		return false
 	}
-	rt.stats.changing.Add(1)
+	addr := r.buf.Addr(i)
+	var inline []queue.Entry
+	counted := false
+	for _, a := range rt.reg.Snapshot().Prefix(addr) {
+		if addr < a.Hi {
+			rt.fireOne(a.Thread, addr, g, &inline, !counted)
+			counted = true
+		}
+	}
+	if !counted {
+		rt.stats.changing.Add(1)
+	}
 	rt.afterWrite(inline)
 	return true
 }
@@ -721,19 +743,18 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // exactly one decomposition counter inside tq.Enqueue (the queue's counters
 // are the admission counters), whose only call site this is, in one critical
 // section, so the identity holds under the shard lock at all times. Callers
-// hold sh.mu, where sh is
-// id's shard and te its thread record. A trigger whose range a concurrent
-// Cancel detached between the registry snapshot and this lock never
-// happened; it reports Squashed, like a squash leaving nothing to settle.
-// An overflowed trigger is appended to inline for the caller to run after
-// its dispatch completes — never with a shard lock held. On Enqueued the
-// caller owes the shard its settlement — the busy
-// mirror, a queue-depth sample and a worker wakeup — which stays with the
+// hold sh.mu, where sh is id's shard, and pass a, what attachmentAt answers for
+// addr on id's record under that lock: its pending set is the dedup key. A nil
+// a is a trigger whose range a concurrent Cancel detached between the registry
+// snapshot and this lock: it never happened, and reports Squashed, like a
+// squash leaving nothing to settle. An overflowed trigger is appended to
+// inline for the caller to run after its dispatch completes — never with a
+// shard lock held. On Enqueued the caller owes the shard its settlement — the
+// busy count, a queue-depth sample and a worker wakeup — which stays with the
 // caller because the two dispatch shapes differ exactly there: fireOne
 // settles per entry, dispatchFired once per shard, and a shared helper
 // measured 4% of a scalar round on the immediate backend.
-func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
-	a := te.attachmentAt(addr)
+func (rt *Runtime) admitLocked(sh *dispatchShard, a *attachment, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
 	if a == nil {
 		return queue.Squashed
 	}
@@ -747,22 +768,27 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id ThreadID, 
 	st := sh.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
-	} else {
+	} else if rt.release != nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (BackendRecorded); never reassigned
 		rt.noteRelease(id, addr)
 	}
 	return st
 }
 
 // fireOne admits one fired trigger under its thread's shard lock: the
-// scalar-shaped dispatch, one lock acquisition per (store, thread) pair.
-func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) {
+// scalar-shaped dispatch, one lock acquisition per (store, thread) pair. A
+// store's first pair also counts the store (counts), in the shard it fires
+// into and under the lock it takes anyway.
+func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry, counts bool) {
 	// The thread table is loaded after the registry snapshot, so an id
 	// the registry knows is always in range here.
 	te := rt.threadsSnap()[id]
 	sh := rt.shardOf(id)
 	sh.mu.Lock()
-	if rt.admitLocked(sh, te, id, addr, g, inline) == queue.Enqueued {
-		sh.busy.Add(1)
+	if counts {
+		sh.c.changing++
+	}
+	if rt.admitLocked(sh, te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
+		sh.addBusy(1)
 		if rt.tel != nil {
 			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
 		}
@@ -787,14 +813,15 @@ type batchScratch struct {
 	fired    []firedTrigger
 	perShard []int32
 	inline   []queue.Entry
-	// cands holds the attachments overlapping the batch span, resolved once
-	// per batch; it is truncated before each use, so begin need not reset it.
+	// cands holds the attachments overlapping the write's span — a batch's
+	// words, a merge's region — resolved once per write, by begin.
 	cands []queue.Attachment
 }
 
-func (sc *batchScratch) begin(shards int) {
+func (sc *batchScratch) begin(shards int, snap queue.Snapshot, lo, hi mem.Addr) {
 	sc.fired = sc.fired[:0]
 	sc.inline = sc.inline[:0]
+	sc.cands = snap.Overlapping(lo, hi, sc.cands[:0])
 	if cap(sc.perShard) < shards {
 		sc.perShard = make([]int32, shards) //dtt:escape-ok -- warms a fresh scratch once; the free list retains it
 	}
@@ -804,10 +831,16 @@ func (sc *batchScratch) begin(shards int) {
 	}
 }
 
-// fire records one fired pair for dispatchFired.
-func (sc *batchScratch) fire(id queue.ThreadID, addr mem.Addr, shardMask uint32) {
-	sc.fired = append(sc.fired, firedTrigger{id: id, addr: addr})
-	sc.perShard[uint32(id)&shardMask]++
+// fire records a fired pair for each of sc.cands covering changed word addr.
+// Candidates are in index order, so the pairs are the matches a per-word
+// registry lookup would produce, in its order.
+func (sc *batchScratch) fire(addr mem.Addr, shardMask uint32) {
+	for _, a := range sc.cands {
+		if a.Lo <= addr && addr < a.Hi {
+			sc.fired = append(sc.fired, firedTrigger{id: a.Thread, addr: addr})
+			sc.perShard[uint32(a.Thread)&shardMask]++
+		}
+	}
 }
 
 // getScratch pops a warmed scratch off the free list, or makes a fresh one
@@ -856,25 +889,16 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	}
 	g := rt.checkGoid()
 	sc := rt.getScratch()
-	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
-	// One index resolution for the whole contiguous span: per word, trigger
-	// matching is then an interval test against the (usually zero or one)
-	// candidate attachments, in index order — the same matches in the same
-	// order a per-word lookup would produce.
-	sc.cands = rt.reg.Snapshot().Overlapping(r.buf.Addr(lo), r.buf.Addr(lo+len(vs)), sc.cands[:0])
+	// One index resolution for the whole span: per word, trigger matching is
+	// then an interval test against the (usually zero or one) candidates.
+	sc.begin(len(rt.shards), rt.reg.Snapshot(), r.buf.Addr(lo), r.buf.Addr(lo+len(vs))) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
 	changed := 0
 	for j, v := range vs {
 		wrote := r.buf.Store(lo+j, v)
 		rt.noteWrite(r, lo+j, wrote, g)
-		if !wrote {
-			continue
-		}
-		changed++
-		addr := r.buf.Addr(lo + j)
-		for _, a := range sc.cands {
-			if a.Lo <= addr && addr < a.Hi {
-				sc.fire(a.Thread, addr, rt.shardMask)
-			}
+		if wrote {
+			changed++
+			sc.fire(r.buf.Addr(lo+j), rt.shardMask)
 		}
 	}
 	if silent := len(vs) - changed; silent > 0 {
@@ -903,10 +927,11 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 // documented shard-lock order). Within the critical section each pair still
 // moves fired plus exactly one of enqueued/squashed/overflowed through
 // admitLocked, so the per-shard identity Fired = Enqueued + Squashed +
-// Overflowed holds at every instant, exactly as for scalar tstores; busy,
-// the queue-depth sample and the worker wakeup settle once per shard rather
-// than once per entry. Overflowed pairs land in sc.inline for the caller's
-// afterWrite.
+// Overflowed holds at every instant, exactly as for scalar tstores; the
+// thread record and attachment are resolved once per run of one thread's
+// pairs, and busy, the queue-depth sample and the worker wakeup settle once
+// per shard rather than once per entry. Overflowed pairs land in sc.inline for
+// the caller's afterWrite.
 func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 	if len(sc.fired) == 0 {
 		return
@@ -920,15 +945,23 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 		}
 		sh := &rt.shards[s]
 		enqueued := 0
+		var te *threadEntry
+		var a *attachment
 		sh.mu.Lock()
 		for _, ft := range sc.fired {
-			if uint32(ft.id)&rt.shardMask == uint32(s) &&
-				rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
+			if uint32(ft.id)&rt.shardMask != uint32(s) {
+				continue
+			}
+			if ths[ft.id] != te { // a new run of one thread's pairs
+				te, a = ths[ft.id], nil
+			}
+			a = te.attachmentNear(a, ft.addr)
+			if rt.admitLocked(sh, a, ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
 				enqueued++
 			}
 		}
 		if enqueued > 0 {
-			sh.busy.Add(int64(enqueued))
+			sh.addBusy(int64(enqueued))
 			if rt.tel != nil {
 				// One depth sample per shard per write: the depth after its
 				// admissions, not one sample per entry.
@@ -943,16 +976,17 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 // wakeWorker offers newly dispatchable work to a parked worker, if there is
 // one; with every worker awake it is one atomic load, because a worker
 // re-scans before it parks. Callers hold the shard lock under which they
-// made the work visible — the enqueue and the busy.Add, or the token release
+// made the work visible — the enqueue and the addBusy, or the token release
 // — and call this after it. That order is the whole argument: the producer
-// writes busy and then loads parked; a worker adds itself to parked and then
-// loads busy (scanShards), locking every shard that reads non-zero. Both
-// counters are sync/atomic, hence sequentially consistent, so one of the
-// two sees the other: either this load sees the worker parked and sends, or
-// the worker's busy load sees the work and its locked scan — ordered after
-// this critical section by the shard lock — finds it. The send cannot block
-// and is dropped only when the buffer already holds a token per worker, in
-// which case every parked worker is about to wake anyway.
+// raises the shard's work flag (or finds it raised, and then whoever lowers it
+// does so under this lock, later, with this entry settled) and then loads
+// parked; a worker adds itself to parked and then loads the flags
+// (scanShards), locking every shard that reads true. Both are sync/atomic,
+// hence sequentially consistent, so one of the two sees the other: either
+// this load sees the worker parked and sends, or the worker's flag load sees
+// the work and its locked scan — ordered after this critical section by the
+// shard lock — finds it. The send cannot block and is dropped only when the
+// buffer already holds a token per worker: every parked one is about to wake.
 func (rt *Runtime) wakeWorker() {
 	if rt.parked.Load() == 0 {
 		return
@@ -996,35 +1030,26 @@ func (rt *Runtime) finishShardLocked(sh *dispatchShard, te *threadEntry, t Threa
 			te.quietWaiters = te.quietWaiters[:0]
 		}
 	}
-	rt.maybeReleaseBarrier()
-}
-
-// busySum sums the shards' busy counters. With every shard lock held it is
-// exact (quietConfirm). Without them a zero result is only a hint: a trigger
-// cascading from one shard to another can make the sum read zero transiently
-// (the reader sees the source shard after its decrement and the target shard
-// before its increment). Barrier therefore confirms under all shard locks
-// before returning; the completion-side use only risks a spurious wakeup.
-func (rt *Runtime) busySum() int64 {
-	var sum int64
-	for s := range rt.shards {
-		sum += rt.shards[s].busy.Load()
-	}
-	return sum
-}
-
-// maybeReleaseBarrier wakes barrier waiters when the racy busy sum reads
-// zero. It is called from completion paths that hold one shard lock, so it
-// must not take the other shards' locks; waiters treat the wakeup as a hint
-// and re-confirm. Checking barWaiting first keeps the common no-waiter case
-// to one atomic load.
-func (rt *Runtime) maybeReleaseBarrier() {
-	if rt.barWaiting.Load() == 0 {
-		return
-	}
-	if rt.busySum() == 0 {
+	// The barrier hint: this path holds one shard lock and may not take the
+	// others, so waiters re-confirm; with none waiting it is one atomic load.
+	if rt.barWaiting.Load() != 0 && !rt.anyBusy() {
 		rt.wakeBarrierWaiters()
 	}
+}
+
+// anyBusy reports whether any shard's work flag is raised. With every shard
+// lock held it is exact (quietConfirm). Without them false is only a hint: a
+// trigger cascading from one shard to another can make every flag read false
+// transiently (source shard read after it went idle, target before it went
+// busy). Barrier therefore confirms under all shard locks before returning;
+// the completion-side use only risks a spurious wakeup.
+func (rt *Runtime) anyBusy() bool {
+	for s := range rt.shards {
+		if rt.shards[s].work.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // wakeBarrierWaiters releases every registered barrier waiter.
@@ -1053,22 +1078,19 @@ func (rt *Runtime) unlockAllShards() {
 }
 
 // quietConfirm is the authoritative tbarrier predicate: with every shard
-// lock held, every shard's busy count — pending entries, dispatched entries
-// and inline runs in flight — is zero. busy is written only under its
-// shard's lock, so with all of them held the sum is exact; read without them
-// it is not (see busySum).
+// lock held, no shard has work — no pending entry, dispatched entry or inline
+// run in flight. busy and its flag change only under their shard's lock, so
+// with all of them held the reading is exact; without them it is not (see
+// anyBusy).
 func (rt *Runtime) quietConfirm() bool {
 	rt.lockAllShards()
 	defer rt.unlockAllShards()
-	return rt.busySum() == 0
+	return !rt.anyBusy()
 }
 
 // noteRelease records the current trace position as the release point of the
 // pending entry for (t, addr). BackendRecorded only.
 func (rt *Runtime) noteRelease(t ThreadID, addr mem.Addr) {
-	if rt.release == nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (BackendRecorded); never reassigned
-		return
-	}
 	rt.relMu.Lock()
 	rt.release[releaseKey{thread: t, addr: addr}] = rt.cfg.Recorder.ReleasePoint()
 	rt.relMu.Unlock()
@@ -1101,96 +1123,114 @@ func (rt *Runtime) dropReleases(t ThreadID) {
 	rt.relMu.Unlock()
 }
 
-// resolveShardLocked builds the Trigger for a queue entry from the thread's
-// own attachment list. Callers hold the entry's shard lock, which guards
-// atts.
-func (rt *Runtime) resolveShardLocked(te *threadEntry, e queue.Entry) Trigger {
-	a := te.attachmentAt(e.Addr)
-	if a == nil {
-		// An entry can only exist for an attached range: the enqueue side
-		// re-checks the attachment under the shard lock, and Cancel
-		// squashes entries under the same lock when detaching. Reaching
-		// here is a runtime bug.
-		panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
-	}
-	return Trigger{
-		Thread: e.Thread,
-		Region: a.region,
-		Index:  a.region.buf.Index(e.Addr),
-		Addr:   e.Addr,
+// resolveLocked builds the Triggers of the run c.es[:n] — entries of one
+// thread, te's — from the thread's own attachment list: the attachment is
+// looked up for the first entry and again only when an address leaves it.
+// Callers hold the entries' shard lock, which guards atts.
+func (te *threadEntry) resolveLocked(c *claim, n int) {
+	var a *attachment
+	for i := range c.es[:n] {
+		e := &c.es[i]
+		if a = te.attachmentNear(a, e.Addr); a == nil {
+			// An entry can only exist for an attached range: the enqueue side
+			// re-checks the attachment under the shard lock, and Cancel
+			// squashes entries under the same lock when detaching. Reaching
+			// here is a runtime bug.
+			panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
+		}
+		// Attach checked [a.lo, a.hi) lies in the region: no second validation.
+		c.tgs[i] = Trigger{Thread: e.Thread, Region: a.region, Index: int((e.Addr - a.region.buf.Base()) / mem.WordBytes), Addr: e.Addr}
 	}
 }
 
-// runInstance executes one support-thread instance through invoke,
-// surrounding it with the telemetry plane when it is on: the
-// trigger->dispatch latency observation (for entries that sat in a
-// queue), pprof goroutine labels so CPU profiles attribute samples to the
-// thread, a runtime/trace task+region when tracing is active, and the
-// run-duration observation. With telemetry off it is exactly invoke —
-// one nil check. With telemetry on but tracing off it stays
-// allocation-free: the label context is precomputed at Register and
-// SetGoroutineLabels allocates nothing.
-func (rt *Runtime) runInstance(e queue.Entry, te *threadEntry, tg Trigger) bool {
-	tel := rt.tel
-	if tel == nil {
-		return rt.invoke(e.Thread, te.fn, tg)
-	}
-	sm := tel.Shard(int(uint32(e.Thread) & rt.shardMask))
-	if e.T0 != 0 {
-		sm.TriggerLatency.Observe(telemetry.Now() - e.T0)
-	}
-	labels := te.labels
-	if labels != nil {
-		pprof.SetGoroutineLabels(labels)
-	}
-	var task *rtrace.Task
-	var region *rtrace.Region
-	if rtrace.IsEnabled() {
-		ctx := labels
-		if ctx == nil {
-			ctx = context.Background()
+// instance is what the observers keep across the body a run has in flight.
+type instance struct {
+	start  int64
+	task   *rtrace.Task
+	region *rtrace.Region
+}
+
+// enterInstance opens the observers' bracket around one body, run on
+// goroutine g: with telemetry on, the trigger->dispatch latency observation
+// (for entries that sat in a queue), pprof goroutine labels so CPU profiles
+// attribute samples to the thread, a runtime/trace task+region when tracing
+// is active, and the run-duration clock; then the sanitizer's instance entry.
+// With tracing off it allocates nothing: the labels are built at Register.
+func (rt *Runtime) enterInstance(te *threadEntry, e *queue.Entry, g uint64) (in instance) {
+	if tel := rt.tel; tel != nil {
+		if e.T0 != 0 {
+			tel.Shard(int(uint32(e.Thread) & rt.shardMask)).TriggerLatency.Observe(telemetry.Now() - e.T0)
 		}
-		ctx, task = rtrace.NewTask(ctx, "dtt.instance")
-		rtrace.Log(ctx, "dtt.thread", te.name)
-		region = rtrace.StartRegion(ctx, "dtt.run")
+		pprof.SetGoroutineLabels(te.labels)
+		if rtrace.IsEnabled() {
+			var ctx context.Context
+			ctx, in.task = rtrace.NewTask(te.labels, "dtt.instance")
+			rtrace.Log(ctx, "dtt.thread", te.name)
+			in.region = rtrace.StartRegion(ctx, "dtt.run")
+		}
+		in.start = telemetry.Now()
 	}
-
-	start := telemetry.Now()
-	ok := rt.invoke(e.Thread, te.fn, tg)
-	sm.RunDuration.Observe(telemetry.Now() - start)
-
-	if region != nil {
-		region.End()
-		task.End()
+	if rt.check != nil {
+		rt.check.EnterSupport(g, e.Thread)
 	}
-	if labels != nil {
+	return in
+}
+
+// exitInstance closes enterInstance's bracket, body returned or panicked.
+func (rt *Runtime) exitInstance(te *threadEntry, t ThreadID, g uint64, in instance) {
+	if rt.check != nil {
+		rt.check.ExitSupport(g, t)
+	}
+	if tel := rt.tel; tel != nil {
+		tel.Shard(int(uint32(t) & rt.shardMask)).RunDuration.Observe(telemetry.Now() - in.start)
+		if in.region != nil {
+			in.region.End()
+			in.task.End()
+		}
 		// Shed the instance labels so worker idle time (or the caller's
 		// own samples, for inline runs) is not attributed to this thread.
 		pprof.SetGoroutineLabels(context.Background())
 	}
-	return ok
 }
 
-// invoke runs a support-thread body, bracketing it with sanitizer
-// entry/exit and converting a panic into a failed-run outcome instead of
-// tearing down the process (the paper's hardware squashes a faulting
-// support thread; it never takes down the main thread). ok reports whether
-// the body returned normally.
-func (rt *Runtime) invoke(t ThreadID, fn ThreadFunc, tg Trigger) (ok bool) {
-	if rt.check != nil {
-		g := goid()
-		rt.check.EnterSupport(g, t)
-		defer rt.check.ExitSupport(g, t)
-	}
-	// Registered after the sanitizer exit so it runs first: the panic is
-	// recovered before ExitSupport unwinds the instance.
+// runBodies executes the bodies of the run c.es[i:n] — entries of the thread
+// whose record is te, triggers resolved — back to back under ONE deferred
+// recover, and returns the index after the last body it started. A body that
+// panics is a failed run for its entry instead of tearing down the process
+// (the paper's hardware squashes a faulting support thread; it never takes
+// down the main thread): its outcome in c.oks stays false and the call
+// returns there, for the caller to resume the run behind it. A Cancel since
+// epoch was read (under the claim's lock) stops the run between bodies; a run
+// of one never consults epoch.
+func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) (next int) {
+	observed, g := rt.tel != nil || rt.check != nil, rt.checkGoid()
+	var in instance
+	inBody := false // a panic outside a body is the runtime's own: not recovered
+	next = i
 	defer func() {
-		if r := recover(); r != nil {
-			ok = false
+		if inBody && recover() != nil && observed {
+			rt.exitInstance(te, c.es[next-1].Thread, g, in)
 		}
 	}()
-	fn(tg)
-	return true
+	for {
+		k := next
+		next++ // before the body: a panic in it returns past it
+		e := &c.es[k]
+		c.oks[k] = false
+		if observed {
+			in = rt.enterInstance(te, e, g)
+		}
+		inBody = true
+		te.fn(c.tgs[k])
+		inBody = false
+		c.oks[k] = true
+		if observed {
+			rt.exitInstance(te, e.Thread, g, in)
+		}
+		if next == n || atomic.LoadUint32(&te.cancelEpoch) != epoch {
+			return next
+		}
+	}
 }
 
 // eligibleAllLocked collects into rt.elig the (shard, index) pairs of queue
@@ -1219,15 +1259,16 @@ func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
 // dispatched column (queued entries; busy, which counts both, stands) or
 // counts an inline run in flight in busy (an overflowed trigger, which the
 // status row never shows; n is 1). Only the immediate backend's worker
-// claims n > 1. Callers hold sh.mu, resolve the entries' triggers under it,
-// release it around runInstance, and close the bracket with endRunLocked.
+// claims n > 1. Callers hold sh.mu, resolve the entries' triggers under it
+// (resolveLocked), release it around runBodies, and close the bracket with
+// endRunLocked.
 func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, n int, g uint64, queued bool) {
 	te.running++
 	te.owner = g
 	if queued {
 		te.dispatched += n
 	} else {
-		sh.busy.Add(1)
+		sh.addBusy(1)
 	}
 }
 
@@ -1270,7 +1311,7 @@ func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, 
 			panic(fmt.Sprintf("core: thread %d settled %d dispatched entries more than it took", t, -te.dispatched))
 		}
 	}
-	sh.busy.Add(int64(-n))
+	sh.addBusy(int64(-n))
 	rt.finishShardLocked(sh, te, t)
 	if !queued && te.running == 0 && sh.tq.Pending(t) {
 		// Entries of t that workers skipped while this inline run held the
@@ -1291,6 +1332,7 @@ func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, 
 // whose triggering store re-enters here) see the enclosing thread's token
 // and skip it, preserving one-instance-at-a-time.
 func (rt *Runtime) seededPoll(drain bool) {
+	var c claim
 	for {
 		rt.lockAllShards()
 		ths := rt.threadsSnap()
@@ -1301,16 +1343,16 @@ func (rt *Runtime) seededPoll(drain bool) {
 		}
 		ref := elig[rt.sched.Pick(len(elig))]
 		sh := &rt.shards[ref.shard]
-		e := sh.tq.DequeueAt(ref.idx)
-		te := ths[e.Thread]
+		c.es[0] = sh.tq.DequeueAt(ref.idx)
+		te := ths[c.es[0].Thread]
 		rt.beginRunLocked(sh, te, 1, 0, true)
-		tg := rt.resolveShardLocked(te, e)
+		te.resolveLocked(&c, 1)
 		rt.unlockAllShards()
 
-		ok := rt.runInstance(e, te, tg)
+		rt.runBodies(te, &c, 0, 1, 0)
 
 		sh.mu.Lock()
-		rt.endRunLocked(sh, te, e.Thread, true, 1, ok)
+		rt.endRunLocked(sh, te, c.es[0].Thread, true, 1, c.oks[0])
 		sh.mu.Unlock()
 	}
 }
@@ -1354,13 +1396,14 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		sh.mu.Lock()
 	}
 	rt.beginRunLocked(sh, te, 1, g, false)
-	tg := rt.resolveShardLocked(te, e)
+	c := claim{es: [claimMax]queue.Entry{e}}
+	te.resolveLocked(&c, 1)
 	sh.mu.Unlock()
 
-	ok := rt.runInstance(e, te, tg)
+	rt.runBodies(te, &c, 0, 1, 0)
 
 	sh.mu.Lock()
-	rt.endRunLocked(sh, te, e.Thread, false, 1, ok)
+	rt.endRunLocked(sh, te, e.Thread, false, 1, c.oks[0])
 	sh.mu.Unlock()
 }
 
@@ -1409,9 +1452,7 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 		t := c.es[0].Thread
 		te := ths[t]
 		rt.beginRunLocked(sh, te, n, g, true)
-		for i := range c.es[:n] {
-			c.tgs[i] = rt.resolveShardLocked(te, c.es[i])
-		}
+		te.resolveLocked(c, n)
 		epoch := te.cancelEpoch
 		if sh.tq.Len() > sh.tq.PendingCount(t) {
 			// Other threads' entries stay behind while this worker is busy
@@ -1420,12 +1461,11 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 		}
 		sh.mu.Unlock()
 
-		// A Cancel of t since the claim stops the run: at most the body
-		// already decided on when the tcancel landed executes after it.
+		// One call is the whole run, unless a body panics (resume behind
+		// it) or a Cancel of t since the claim stops it.
 		started := 0
 		for started < n && atomic.LoadUint32(&te.cancelEpoch) == epoch {
-			c.oks[started] = rt.runInstance(c.es[started], te, c.tgs[started])
-			started++
+			started = rt.runBodies(te, c, started, n, epoch)
 		}
 
 		sh.mu.Lock()
@@ -1436,13 +1476,13 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 // scanShards runs the claims of every shard that shows work, worker w's
 // home shard (w mod Shards) first and then the others in ring order, so with
 // Workers >= Shards every shard has an affine worker while any worker can
-// still pick up any shard's backlog. A shard whose busy count reads zero is
+// still pick up any shard's backlog. A shard whose work flag reads false is
 // skipped without taking its lock; wakeWorker's ordering argument covers a
 // trigger admitted just after the read. It reports whether any body ran.
 func (rt *Runtime) scanShards(w int, g uint64, c *claim) (ran bool) {
 	n := len(rt.shards)
 	for k := 0; k < n; k++ {
-		if sh := &rt.shards[(w+k)%n]; sh.busy.Load() != 0 && rt.runClaims(sh, g, c) {
+		if sh := &rt.shards[(w+k)%n]; sh.work.Load() && rt.runClaims(sh, g, c) {
 			ran = true
 		}
 	}
@@ -1452,7 +1492,7 @@ func (rt *Runtime) scanShards(w int, g uint64, c *claim) (ran bool) {
 // worker is the BackendImmediate dispatch loop: one goroutine per spare
 // hardware context. It scans until a whole pass runs nothing, then parks:
 // it announces itself in rt.parked, re-checks once — scanShards reads the
-// shards' busy counters and locks only those that show work — and blocks on
+// shards' work flags and locks only those that show work — and blocks on
 // rt.wake. Producers and finishers send a token only while some worker is
 // announced (wakeWorker), so a worker that is awake costs them one atomic
 // load and no channel operation. There is no spinning before the park: on
@@ -1493,6 +1533,7 @@ func (rt *Runtime) worker(w int) {
 func (rt *Runtime) drainAll() []trace.TaskID {
 	rec := rt.cfg.Recorder
 	var done []trace.TaskID
+	var c claim
 	for {
 		progressed := false
 		for s := range rt.shards {
@@ -1506,13 +1547,14 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 				progressed = true
 				te := rt.threadsSnap()[e.Thread]
 				rt.beginRunLocked(sh, te, 1, 0, true)
-				tg := rt.resolveShardLocked(te, e)
+				c.es[0] = e
+				te.resolveLocked(&c, 1)
 				sh.mu.Unlock()
 
 				if rec != nil {
 					rec.BeginSupport(te.name, rt.takeRelease(e))
 				}
-				ok = rt.runInstance(e, te, tg)
+				rt.runBodies(te, &c, 0, 1, 0)
 				if rec != nil {
 					// A failed instance still closes its trace task:
 					// whatever it charged before panicking was really
@@ -1521,7 +1563,7 @@ func (rt *Runtime) drainAll() []trace.TaskID {
 				}
 
 				sh.mu.Lock()
-				rt.endRunLocked(sh, te, e.Thread, true, 1, ok)
+				rt.endRunLocked(sh, te, e.Thread, true, 1, c.oks[0])
 			}
 			sh.mu.Unlock()
 		}
@@ -1597,10 +1639,9 @@ func (rt *Runtime) noteJoin(edge func(g uint64)) {
 // Barrier blocks until every shard's queue is empty and every thread is
 // idle (tbarrier). On the immediate backend the waiter first confirms
 // quiescence under all shard locks (each shard's check is O(1)); while not
-// quiet it sleeps on a barrier channel, woken by the completion that drives
-// the lock-free busy sum to zero. Spurious wakeups are possible — the
-// completion side only reads the racy sum — and are absorbed by
-// re-confirming.
+// quiet it sleeps on a barrier channel, woken by the completion that lowers
+// the last shard's work flag. Spurious wakeups are possible — the completion
+// side only reads the flags lock-free — and are absorbed by re-confirming.
 func (rt *Runtime) Barrier() {
 	rt.stats.barriers.Add(1)
 	if rt.tel != nil && rtrace.IsEnabled() {
@@ -1620,11 +1661,11 @@ func (rt *Runtime) Barrier() {
 			rt.barrierWaiters = append(rt.barrierWaiters, ch)
 			rt.barWaiting.Store(int32(len(rt.barrierWaiters)))
 			rt.barMu.Unlock()
-			// Re-check after registering: a completion that read the busy
-			// sum before our registration became visible will not wake us,
-			// but then its decrement is visible to this sum (both are
+			// Re-check after registering: a completion that read barWaiting
+			// before our registration became visible will not wake us, but
+			// then the flag it lowered is visible to this read (both are
 			// sequentially consistent), so we wake ourselves.
-			if rt.busySum() == 0 {
+			if !rt.anyBusy() {
 				rt.wakeBarrierWaiters()
 			}
 			<-ch

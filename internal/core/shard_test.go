@@ -391,12 +391,12 @@ func TestShardedCascadesConserveCounters(t *testing.T) {
 }
 
 // TestBarrierCrossShardCascade is the regression test for the barrier
-// wakeup race documented at busySum: a trigger cascading from one shard
-// to another can make the lock-free busy sum read zero transiently (the
-// reader sees the source shard after its decrement and the target shard
-// before its increment). The chain here is registered so execution hops
-// through shards in descending index order — the opposite of busySum's
-// ascending scan, the orientation most likely to read a transient zero.
+// wakeup race documented at anyBusy: a trigger cascading from one shard
+// to another can make every lock-free work flag read false transiently (the
+// reader sees the source shard after it went idle and the target shard
+// before it went busy). The chain here is registered so execution hops
+// through shards in descending index order — the opposite of anyBusy's
+// ascending scan, the orientation most likely to read a transient idle.
 // Barrier must neither return early (the chain tail would read stale) nor
 // hang on a missed wakeup (the watchdog converts that into a stack dump).
 func TestBarrierCrossShardCascade(t *testing.T) {
@@ -445,8 +445,9 @@ func TestBarrierCrossShardCascade(t *testing.T) {
 
 // assertQueueConservation checks, at a quiescent point, Enqueued = Dequeued +
 // SquashedOut + Len for every shard individually and for the cross-shard
-// aggregate, and that the single quiescence counts have settled: busy is the
-// shard's pending entries (nothing dispatched, no inline run in flight), and
+// aggregate, and that the single quiescence counts have settled: busy, read
+// as a number under the shard lock, is the shard's pending entries (nothing
+// dispatched, no inline run in flight) with its lock-free flag agreeing, and
 // no thread holds its token or has a dispatched entry outstanding.
 func assertQueueConservation(t *testing.T, rt *Runtime, phase string) {
 	t.Helper()
@@ -461,8 +462,8 @@ func assertQueueConservation(t *testing.T, rt *Runtime, phase string) {
 			t.Fatalf("%s: shard %d: Enqueued %d != Dequeued %d + SquashedOut %d + Len %d",
 				phase, s, c.Enqueued, c.Dequeued, c.SquashedOut, n)
 		}
-		if busy := sh.busy.Load(); busy != int64(n) {
-			t.Fatalf("%s: shard %d: busy %d at quiescence with %d pending entries", phase, s, busy, n)
+		if sh.busy != int64(n) || sh.work.Load() != (n > 0) {
+			t.Fatalf("%s: shard %d: busy %d (work flag %v) at quiescence with %d pending entries", phase, s, sh.busy, sh.work.Load(), n)
 		}
 		total.Enqueued += c.Enqueued
 		total.Dequeued += c.Dequeued

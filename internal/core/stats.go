@@ -8,8 +8,10 @@ import "sync/atomic"
 // harmless. Counters that do participate in an identity live in each
 // shard's shardStats instead.
 type statsCounters struct {
-	// silent and changing partition the triggering stores, so each store
-	// pays one atomic add; Stats derives TStores as their sum.
+	// silent, changing and the shards' changing counts partition the
+	// triggering stores; Stats derives TStores as their sum. The stores that
+	// take no lock — silent, or matching no thread — pay one atomic add here;
+	// a scalar store that fired counts itself in shardStats.changing.
 	silent   atomic.Int64
 	changing atomic.Int64
 	waits    atomic.Int64
@@ -45,6 +47,9 @@ type statsCounters struct {
 // failedRuns repeat the threads' status rows per shard because a retired
 // thread's row is discarded and Stats may not regress.
 type shardStats struct {
+	// changing counts the scalar stores whose first match fired into this
+	// shard, under the lock fireOne holds; it is in no per-shard identity.
+	changing   int64
 	fired      int64
 	dropped    int64
 	inlineRuns int64
@@ -55,7 +60,7 @@ type shardStats struct {
 // Stats is a point-in-time snapshot of runtime activity. The relationships
 // the counters obey:
 //
-//	TStores   = Silent + value-changing tstores
+//	TStores   = Silent + value-changing tstores (counted lock-free, or by a scalar store that fires in the first shard it fires into)
 //	Fired     = triggers offered to the queue (per attached thread)
 //	Fired     = Enqueued + Squashed + Overflowed
 //	Overflowed = InlineRuns + Dropped   (once the run has quiesced)
@@ -166,14 +171,15 @@ func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
 // Fired without the matching Enqueued.
 //
 // The lock-free counters carry no cross-counter identity; TStores is the
-// sum of the silent and changing counts, so Silent <= TStores by
-// construction.
+// sum of the silent count and the changing counts, lock-free and per shard,
+// so Silent <= TStores by construction.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	rt.lockAllShards()
 	for i := range rt.shards {
 		sh := &rt.shards[i]
 		c, q := &sh.c, sh.tq.Counters()
+		s.TStores += c.changing
 		s.Fired += c.fired
 		s.Enqueued += q.Enqueued
 		s.Squashed += q.Squashed
@@ -185,7 +191,7 @@ func (rt *Runtime) Stats() Stats {
 	}
 	rt.unlockAllShards()
 	s.Silent = rt.stats.silent.Load()
-	s.TStores = s.Silent + rt.stats.changing.Load()
+	s.TStores += s.Silent + rt.stats.changing.Load()
 	s.Waits = rt.stats.waits.Load()
 	s.Barriers = rt.stats.barriers.Load()
 	s.Cancels = rt.stats.cancels.Load()

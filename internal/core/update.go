@@ -23,13 +23,14 @@
 //     merge point applies them).
 //
 // Merge words go through the pipeline stages every triggering write uses
-// (the compare-and-store, noteWrite, a registry match per word, then
+// (the compare-and-store, noteWrite, an interval test per word, then
 // admitLocked — coverage re-check, Fired identity), so the
 // trigger-observable semantics match a TStore of the merged value. A merge
-// is a bulk operation over privatized deltas, not N scalar stores: it pins
-// one registry snapshot, writes its words and matches each against that
-// snapshot — so, like a batch, a merge orders wholly before or wholly after
-// a concurrent Attach/Cancel — and admits the fired pairs once per shard
+// is a bulk operation over privatized deltas, not N scalar stores: it
+// resolves the attachments overlapping its region against one registry
+// snapshot, once, writes its words and tests each against those candidates
+// — so, like a batch, a merge orders wholly before or wholly after a
+// concurrent Attach/Cancel — and admits the fired pairs once per shard
 // (dispatchFired). On the seeded backend the whole merge is one preemption
 // point at its end, like a batch.
 //
@@ -51,7 +52,6 @@ import (
 	"sync"
 
 	"dtt/internal/mem"
-	"dtt/internal/queue"
 	"dtt/internal/telemetry"
 )
 
@@ -230,8 +230,9 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	// The fired pairs and the inline list ride the pooled batch scratch so
 	// a steady merge cadence allocates nothing.
 	sc := rt.getScratch()
-	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
-	snap := rt.reg.Snapshot()
+	// One index resolution per merge: every word of the plane lies in r, so
+	// the attachments overlapping r's span are the candidates of each.
+	sc.begin(len(rt.shards), rt.reg.Snapshot(), r.buf.Addr(0), r.buf.Addr(r.buf.Len())) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
 	changed := 0
 	for k := 0; k < n; k++ {
 		i := p.MergeIndex(k)
@@ -243,14 +244,10 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		_, v := p.MergeWord(k, r.buf.LoadQuiet(i))
 		wrote := r.buf.Store(i, v)
 		rt.noteWrite(r, i, wrote, g)
-		if !wrote {
-			continue
+		if wrote {
+			changed++
+			sc.fire(r.buf.Addr(i), rt.shardMask)
 		}
-		changed++
-		// Merged words are not a contiguous span, so each is matched on its
-		// own; the callback does not escape.
-		addr := r.buf.Addr(i)
-		snap.Each(addr, func(id queue.ThreadID) { sc.fire(id, addr, rt.shardMask) })
 	}
 	rt.dispatchFired(sc, g)
 	rt.stats.mergedUpdates.Add(int64(n))

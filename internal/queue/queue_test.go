@@ -472,13 +472,11 @@ func TestRegistryConcurrentReads(t *testing.T) {
 				default:
 				}
 				addr := mem.Addr(i%4096) * 8
-				visit := func(id ThreadID) {
-					if id < 0 || id >= 8 {
-						t.Errorf("Each visited impossible thread %d", id)
+				for _, a := range r.Snapshot().Prefix(addr) {
+					if a.Thread < 0 || a.Thread >= 8 || a.Lo > addr {
+						t.Errorf("Prefix(%d) holds impossible attachment %+v", addr, a)
 					}
 				}
-				r.Each(addr, visit)
-				r.Snapshot().Each(addr, visit)
 			}
 		}()
 	}

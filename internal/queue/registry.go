@@ -10,7 +10,7 @@
 // internal/core instantiates one per dispatch shard and serialises
 // access under the shard's lock, just as the hardware structure is
 // accessed from a single pipeline. The registry is different: its read side
-// (Each, Snapshot) is safe to call concurrently with other reads and
+// (Snapshot and its lookups) is safe to call concurrently with other reads and
 // with Attach/Detach, because every mutation publishes a fresh immutable
 // index snapshot. That lets a triggering store reject unattached addresses
 // without taking any lock at all.
@@ -116,7 +116,7 @@ func (r *Registry) Detach(t ThreadID) int {
 
 // searchAtts returns how many attachments of atts (sorted by Lo) have
 // Lo <= addr: every attachment that can cover addr sits in that prefix. It
-// is sort.Search with the closure flattened out: the store paths call it
+// is sort.Search with the closure flattened out: the scalar store calls it
 // once per changed word, where the indirect predicate call is measurable.
 func searchAtts(atts []Attachment, addr mem.Addr) int {
 	lo, hi := 0, len(atts)
@@ -130,14 +130,6 @@ func searchAtts(atts []Attachment, addr mem.Addr) int {
 	}
 	return lo
 }
-
-// Each invokes fn once for every attachment covering addr, in index order
-// (sorted by range start), against the current published snapshot. It takes
-// no lock and needs no destination slice, so the triggering-store dispatch
-// path can walk the matches and go straight to each thread's shard without
-// any shared scratch buffer; a store far from every trigger range is rejected
-// by two comparisons. The callback must not mutate the registry.
-func (r *Registry) Each(addr mem.Addr, fn func(ThreadID)) { r.Snapshot().Each(addr, fn) }
 
 // Snapshot is the registry's published index pinned at one instant. All
 // lookups through one snapshot see the same attachment set, which is what
@@ -153,18 +145,18 @@ type Snapshot struct {
 // Snapshot pins the current published index.
 func (r *Registry) Snapshot() Snapshot { return Snapshot{idx: r.idx.Load()} }
 
-// Each is Registry.Each against the pinned index: a merge, whose words are
-// not one contiguous span, matches each of them with it.
-func (s Snapshot) Each(addr mem.Addr, fn func(ThreadID)) {
+// Prefix returns the pinned index's attachments with Lo <= addr, in index
+// order (sorted by range start): every attachment covering addr is among
+// them, and the ones that do are those with addr < Hi. It takes no lock,
+// copies nothing and calls nothing back, so the scalar triggering store walks
+// its matches and goes straight to each thread's shard; a store far from every
+// trigger range is rejected by two comparisons. The result is immutable.
+func (s Snapshot) Prefix(addr mem.Addr) []Attachment {
 	idx := s.idx
 	if addr < idx.lo || addr >= idx.hi {
-		return
+		return nil
 	}
-	for _, a := range idx.atts[:searchAtts(idx.atts, addr)] {
-		if addr < a.Hi {
-			fn(a.Thread)
-		}
-	}
+	return idx.atts[:searchAtts(idx.atts, addr)]
 }
 
 // Overlapping appends onto dst every attachment in the pinned index whose
@@ -173,7 +165,7 @@ func (s Snapshot) Each(addr mem.Addr, fn func(ThreadID)) {
 // against the index once, then tests each changed word against the (almost
 // always zero or one) candidate ranges — two comparisons per word instead
 // of a search. Candidates appear in index order, so walking them per word
-// yields matches in exactly the order Registry.Each would.
+// yields matches in exactly the order Prefix would.
 func (s Snapshot) Overlapping(lo, hi mem.Addr, dst []Attachment) []Attachment {
 	idx := s.idx
 	if hi <= idx.lo || lo >= idx.hi {

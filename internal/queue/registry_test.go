@@ -44,14 +44,22 @@ func naiveMatches(r *Registry, addr mem.Addr) []ThreadID {
 	return out
 }
 
-// eachIDs collects the threads Each visits for addr, in visiting order.
-func eachIDs(r *Registry, addr mem.Addr) []ThreadID {
+// eachIDs collects the threads attached over addr in r's current snapshot.
+func eachIDs(r *Registry, addr mem.Addr) []ThreadID { return snapIDs(r.Snapshot(), addr) }
+
+// snapIDs collects the threads of the attachments covering addr as the scalar
+// store walks them: the members of s.Prefix(addr) that reach addr, in order.
+func snapIDs(s Snapshot, addr mem.Addr) []ThreadID {
 	var out []ThreadID
-	r.Each(addr, func(id ThreadID) { out = append(out, id) })
+	for _, a := range s.Prefix(addr) {
+		if addr < a.Hi {
+			out = append(out, a.Thread)
+		}
+	}
 	return out
 }
 
-// covers reports whether Each visits any thread for addr.
+// covers reports whether any attachment covers addr.
 func covers(r *Registry, addr mem.Addr) bool { return len(eachIDs(r, addr)) > 0 }
 
 // overlapIDs collects the threads of the attachments s.Overlapping returns
@@ -83,12 +91,10 @@ func TestRegistryReadsAgreeWithNaiveScan(t *testing.T) {
 		want := naiveMatches(r, addr)
 
 		if got := eachIDs(r, addr); !eqIDs(got, want) {
-			t.Fatalf("Each(%d) = %v, want %v", addr, got, want)
+			t.Fatalf("Prefix(%d) of a fresh snapshot covers %v, want %v", addr, got, want)
 		}
-		var pinned []ThreadID
-		s.Each(addr, func(id ThreadID) { pinned = append(pinned, id) })
-		if !eqIDs(pinned, want) {
-			t.Fatalf("Snapshot.Each(%d) = %v, want %v", addr, pinned, want)
+		if pinned := snapIDs(s, addr); !eqIDs(pinned, want) {
+			t.Fatalf("Prefix(%d) of the pinned snapshot covers %v, want %v", addr, pinned, want)
 		}
 		// A one-word span resolves to exactly the word's matches, in the
 		// same order: what the batched store's per-word interval test

@@ -8,6 +8,8 @@
 //	dttrun -workload equake -mode baseline
 //	dttrun -workload mcf -check                      # protocol sanitizer on
 //	dttrun -workload mcf -backend seeded -sched-seed 7
+//	dttrun -workload mcf -timeline                   # recorded, simulated schedule
+//	dttrun -workload mcf -backend seeded -sched-seed 7 -timeline
 //	dttrun -workload mcf -backend immediate -iters 4000 \
 //	    -metrics 127.0.0.1:9090 -metrics-hold 30s    # scrape while it runs
 //	dttrun -workload mcf -backend immediate \
@@ -51,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Uint64("seed", 1, "workload input seed")
 		check     = fs.Bool("check", false, "run the DTT protocol sanitizer (CheckStrict) and exit 1 on violations")
 		schedSeed = fs.Uint64("sched-seed", 0, "deterministic-scheduler seed for the seeded backend")
-		showTL    = fs.Bool("timeline", false, "simulate the run and print the per-context schedule (dtt mode)")
+		showTL    = fs.Bool("timeline", false, "record the run, simulate it and print the per-context schedule (dtt mode; deferred or seeded backend)")
 		metrics   = fs.String("metrics", "", "serve /metrics and /debug/vars on this address during the run (dtt mode), e.g. 127.0.0.1:9090")
 		hold      = fs.Duration("metrics-hold", 0, "keep the process (and the metrics endpoint) alive this long after the workload finishes")
 		serveAddr = fs.String("serve", "", "expose the runtime as a network trigger plane on this address (dtt mode), e.g. 127.0.0.1:7171")
@@ -82,22 +84,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *check {
 			cfg.Checker = core.CheckStrict
 		}
-		switch {
-		case *showTL:
-			// Timeline needs the recorded backend; it overrides -backend.
-			cfg.Backend = core.BackendRecorded
-			cfg.Recorder = trace.NewRecorder(mem.NewHierarchy(mem.DefaultHierarchy()))
-		case *backend == "deferred":
+		ran := *backend // what the result line says executed
+		switch *backend {
+		case "deferred":
 			cfg.Backend = core.BackendDeferred
-		case *backend == "immediate":
+		case "immediate":
 			cfg.Backend = core.BackendImmediate
 			cfg.Workers = *workers
-		case *backend == "seeded":
+		case "seeded":
 			cfg.Backend = core.BackendSeeded
 			cfg.SchedSeed = *schedSeed
+			ran = fmt.Sprintf("seeded(%d)", *schedSeed)
 		default:
 			fmt.Fprintf(stderr, "dttrun: unknown backend %q\n", *backend)
 			return 2
+		}
+		if *showTL {
+			// The timeline is simulated from the recorded task DAG, and a
+			// recorder needs the run on one goroutine.
+			if cfg.Backend == core.BackendImmediate {
+				fmt.Fprintln(stderr, "dttrun: -timeline records the run, which -backend immediate cannot; use -backend deferred or seeded")
+				return 2
+			}
+			cfg.Recorder = trace.NewRecorder(mem.NewHierarchy(mem.DefaultHierarchy()))
+			ran += "+recorder"
 		}
 		rt, err := core.New(cfg)
 		if err != nil {
@@ -126,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		s := rt.Stats()
-		fmt.Fprintf(stdout, "%s dtt (%s): checksum %#x in %v\n", w.Name(), cfg.Backend, res.Checksum, time.Since(start))
+		fmt.Fprintf(stdout, "%s dtt (%s): checksum %#x in %v\n", w.Name(), ran, res.Checksum, time.Since(start))
 		fmt.Fprintf(stdout, "  tstores %d (silent %d, %.1f%%)\n", s.TStores, s.Silent, 100*s.SilentFraction())
 		fmt.Fprintf(stdout, "  triggers fired %d: enqueued %d, squashed %d, overflowed %d\n", s.Fired, s.Enqueued, s.Squashed, s.Overflowed)
 		fmt.Fprintf(stdout, "  support instances: %d queued + %d inline\n", s.Executed, s.InlineRuns)

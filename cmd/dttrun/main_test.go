@@ -50,7 +50,7 @@ func TestRunSeededBackendSmoke(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	if !strings.Contains(out, "mcf dtt (seeded): checksum") {
+	if !strings.Contains(out, "mcf dtt (seeded(7)): checksum") {
 		t.Fatalf("output missing seeded checksum line:\n%s", out)
 	}
 }
@@ -72,14 +72,40 @@ func TestRunCheckClean(t *testing.T) {
 	}
 }
 
+// TestRunTimelineSmoke: -timeline attaches a recorder to the single-goroutine
+// backend that was asked for — deferred by default, and a seeded one replays
+// — and refuses the immediate backend before building a runtime instead of
+// silently running something else.
 func TestRunTimelineSmoke(t *testing.T) {
-	code, out, errb := runCLI(t, "-workload", "mcf", "-iters", "2", "-timeline")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
+	for _, row := range []struct {
+		args []string
+		ran  string
+	}{
+		{nil, "deferred+recorder"},
+		{[]string{"-backend", "seeded", "-sched-seed", "7"}, "seeded(7)+recorder"},
+	} {
+		args := append([]string{"-workload", "mcf", "-iters", "2", "-timeline"}, row.args...)
+		code, out, errb := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb)
+		}
+		if !strings.Contains(out, "mcf dtt ("+row.ran+"): checksum") || !strings.Contains(out, "timeline: ") {
+			t.Fatalf("%v: output missing the %s checksum line or the timeline:\n%s", args, row.ran, out)
+		}
+		if _, again, _ := runCLI(t, args...); stripWall(again) != stripWall(out) {
+			t.Fatalf("%v: a second run printed a different timeline:\n%s\n%s", args, out, again)
+		}
 	}
-	if !strings.Contains(out, "mcf dtt (recorded): checksum") {
-		t.Fatalf("output missing recorded checksum line:\n%s", out)
+	code, out, errb := runCLI(t, "-workload", "mcf", "-iters", "2", "-timeline", "-backend", "immediate")
+	if code != 2 || out != "" || !strings.Contains(errb, "-timeline") {
+		t.Fatalf("-timeline -backend immediate: exit %d, stdout %q, stderr %q; want a usage error", code, out, errb)
 	}
+}
+
+// stripWall drops the result line, the only one carrying a wall time.
+func stripWall(out string) string {
+	_, rest, _ := strings.Cut(out, "\n")
+	return rest
 }
 
 // lockedBuf is a bytes.Buffer safe to read while run is still writing.

@@ -32,14 +32,15 @@
 // trigger and the matching Wait or Barrier; that is the paper's
 // synchronisation discipline, enforced by convention here as there.
 //
-// Four backends cover different uses: BackendImmediate executes support
-// threads on a goroutine pool (real parallelism; use this in programs);
-// BackendDeferred runs them inline at Wait (pure redundancy elimination,
-// deterministic, good for tests); BackendRecorded additionally captures a
-// task DAG for the timing simulator in internal/sim (used by the paper's
-// experiments — see cmd/dttbench); BackendSeeded dispatches instances at
-// seed-chosen points on a single goroutine, so any interleaving it explores
-// can be replayed exactly from its Config.SchedSeed.
+// There are two execution models. BackendImmediate executes support threads
+// on a goroutine pool (real parallelism; use this in programs);
+// BackendDeferred runs them inline at Wait, in FIFO order (pure redundancy
+// elimination, deterministic, good for tests). The inline model takes two
+// attachments: BackendSeeded is the same model under a schedule — instances
+// dispatch at seed-chosen points and in seed-chosen order, so any
+// interleaving it explores replays exactly from its Config.SchedSeed — and a
+// Config.Recorder captures the run's task DAG for the timing simulator in
+// internal/sim (used by the paper's experiments — see cmd/dttbench).
 //
 // # Protocol sanitizer
 //
@@ -88,7 +89,6 @@ type Word = mem.Word
 const (
 	BackendDeferred  = core.BackendDeferred
 	BackendImmediate = core.BackendImmediate
-	BackendRecorded  = core.BackendRecorded
 	BackendSeeded    = core.BackendSeeded
 )
 

@@ -10,22 +10,23 @@
 // subject to duplicate squashing. The main thread consumes support-thread
 // results after Wait (the paper's twait) or Barrier (tbarrier).
 //
-// Four execution backends cover the evaluation space:
+// There are two execution models, the paper's two: a support thread runs
+// overlapped on a spare context, or it does not overlap at all.
 //
 //   - BackendImmediate runs support threads on a pool of goroutines,
 //     modelling spare hardware contexts with real parallelism. This is the
 //     software-DTT configuration and what examples use.
-//   - BackendDeferred runs queued instances inline at Wait/Barrier: all
-//     redundancy elimination, no parallelism. It is the ablation that
-//     separates the paper's two benefit channels.
-//   - BackendRecorded is BackendDeferred plus task-DAG recording through a
-//     trace.Recorder, feeding the SMT timing simulator.
-//   - BackendSeeded runs queued instances on the calling goroutine like
-//     BackendDeferred, but lets a seeded deterministic scheduler
-//     (internal/sched) choose when and in what order they dispatch. Every
-//     interleaving it produces is legal under the paper's model, and the
-//     same seed replays the same interleaving — the backend exists to
-//     drive the protocol sanitizer through many schedules reproducibly.
+//   - BackendDeferred runs queued instances on the calling goroutine at
+//     Wait/Barrier, in FIFO order: all redundancy elimination, no parallelism
+//     — the ablation that separates the paper's two benefit channels.
+//
+// The single-goroutine model takes two attachments. A schedule —
+// BackendSeeded, the same model with a seeded deterministic scheduler
+// (internal/sched) choosing when and in what order instances dispatch —
+// produces only interleavings legal under the paper's model and replays the
+// same one from the same seed; it drives the protocol sanitizer through many
+// schedules reproducibly. A Config.Recorder captures the task DAG that feeds
+// the SMT timing simulator. The two compose: a recorded run can be seeded.
 package core
 
 import (
@@ -69,13 +70,10 @@ const (
 	// BackendImmediate dispatches instances to a worker pool as soon as
 	// they are enqueued.
 	BackendImmediate
-	// BackendRecorded behaves like BackendDeferred and records the task
-	// DAG into Config.Recorder.
-	BackendRecorded
-	// BackendSeeded dispatches queued instances on the calling goroutine
-	// at seed-chosen preemption points and in seed-chosen order. Given the
-	// same program and the same Config.SchedSeed the interleaving is
-	// exactly reproducible.
+	// BackendSeeded is BackendDeferred under a schedule: queued instances
+	// dispatch on the calling goroutine at seed-chosen preemption points and
+	// in seed-chosen order. Given the same program and the same
+	// Config.SchedSeed the interleaving is exactly reproducible.
 	BackendSeeded
 )
 
@@ -86,8 +84,6 @@ func (b Backend) String() string {
 		return "deferred"
 	case BackendImmediate:
 		return "immediate"
-	case BackendRecorded:
-		return "recorded"
 	case BackendSeeded:
 		return "seeded"
 	}
@@ -118,8 +114,8 @@ type Violation = sanitize.Violation
 type Config struct {
 	// Backend selects the execution model.
 	Backend Backend
-	// Workers is the number of support-thread contexts for
-	// BackendImmediate; ignored otherwise. Defaults to 1.
+	// Workers is the number of support-thread contexts of BackendImmediate;
+	// the single-goroutine backends ignore it. Defaults to 1.
 	Workers int
 	// QueueCapacity bounds the thread queue; overflowing triggers run
 	// inline in the storing context. Defaults to 64. With Shards > 1 every
@@ -131,19 +127,20 @@ type Config struct {
 	// per-thread records (status row, run token) are split across. Thread t lives in shard t mod Shards;
 	// stores triggering threads in different shards enqueue under
 	// different locks and scale across producer cores. Values are rounded
-	// up to a power of two. The default is 1 for the single-goroutine
-	// backends (deferred, recorded, seeded) — keeping their drain and
-	// replay order bit-identical to the unsharded runtime — and the
-	// smallest power of two >= GOMAXPROCS (at most 64) for
-	// BackendImmediate.
+	// up to a power of two. The default is 1 on the single-goroutine
+	// backends — keeping their drain and replay order bit-identical to the
+	// unsharded runtime — and the smallest power of two >= GOMAXPROCS (at
+	// most 64) on BackendImmediate.
 	Shards int
-	// Recorder receives the task DAG for BackendRecorded. The runtime
+	// Recorder, when set, receives the run's task DAG: every support
+	// instance becomes a trace task released by the store that triggered it.
+	// It needs a single-goroutine backend (deferred or seeded). The runtime
 	// attaches it to its address space as a probe; the caller must not.
 	Recorder *trace.Recorder
 	// Checker enables the DTT protocol sanitizer. Defaults to CheckOff.
 	Checker CheckMode
-	// SchedSeed seeds the deterministic scheduler of BackendSeeded;
-	// ignored by the other backends. Any value is valid, including zero.
+	// SchedSeed seeds the schedule of BackendSeeded; the other backends
+	// have none and ignore it. Any value is valid, including zero.
 	// Re-running the same program with the same seed replays the same
 	// support-thread interleaving.
 	SchedSeed uint64
@@ -168,23 +165,24 @@ func (c *Config) applyDefaults() {
 		c.QueueCapacity = 64
 	}
 	if c.Shards <= 0 {
-		if c.Backend == BackendImmediate {
-			c.Shards = ceilPow2(runtime.GOMAXPROCS(0))
-			if c.Shards > 64 {
-				c.Shards = 64
-			}
-		} else {
-			c.Shards = 1
-		}
+		c.Shards = defaultParallelism(c.Backend == BackendImmediate)
 	} else {
-		c.Shards = ceilPow2(c.Shards)
-		if c.Shards > 1024 {
-			c.Shards = 1024
-		}
+		c.Shards = min(ceilPow2(c.Shards), 1024)
 	}
 	if c.MetricsAddr != "" {
 		c.Telemetry = true
 	}
+}
+
+// defaultParallelism is how many ways a runtime splits what producers share —
+// dispatch shards, and the stripes of an update plane — unless told: 1 on a
+// single-goroutine backend, else the smallest power of two >= GOMAXPROCS, at
+// most 64.
+func defaultParallelism(immediate bool) int {
+	if !immediate {
+		return 1
+	}
+	return min(ceilPow2(runtime.GOMAXPROCS(0)), 64)
 }
 
 // ceilPow2 returns the smallest power of two >= n (n >= 1).
@@ -200,11 +198,8 @@ func (c *Config) validate() error {
 	if c.Backend < BackendDeferred || c.Backend > BackendSeeded {
 		return fmt.Errorf("core: unknown backend %v", c.Backend)
 	}
-	if c.Backend == BackendRecorded && c.Recorder == nil {
-		return fmt.Errorf("core: BackendRecorded requires a Recorder")
-	}
-	if c.Backend != BackendRecorded && c.Recorder != nil {
-		return fmt.Errorf("core: Recorder set but backend is %v", c.Backend)
+	if c.Recorder != nil && c.Backend == BackendImmediate {
+		return fmt.Errorf("core: a Recorder needs a single-goroutine backend, not %v", c.Backend)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"dtt/internal/mem"
@@ -11,7 +13,7 @@ import (
 func newRecorded(t *testing.T) (*Runtime, *trace.Recorder) {
 	t.Helper()
 	rec := trace.NewRecorder(nil)
-	rt, err := New(Config{Backend: BackendRecorded, Recorder: rec})
+	rt, err := New(Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestRecordedDTTBeatsBaselineWhenRedundant(t *testing.T) {
 	const iters = 20
 	runDTT := func() float64 {
 		rec := trace.NewRecorder(nil)
-		rt, err := New(Config{Backend: BackendRecorded, Recorder: rec})
+		rt, err := New(Config{Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,5 +210,99 @@ func TestRecordedCascadeReleaseEdges(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordedUnderSchedule: a recorder composes with a schedule. On the
+// equivalence workload under BackendSeeded the trace is valid, has one support
+// task per queue-dispatched instance, replays identically from one seed, and
+// orders its support tasks differently under another.
+func TestRecordedUnderSchedule(t *testing.T) {
+	record := func(seed uint64) *trace.Trace {
+		rec := trace.NewRecorder(nil)
+		run := runEquivalenceWorkload(t, Config{Backend: BackendSeeded, SchedSeed: seed, Recorder: rec})
+		tr, err := rec.Finish()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := int64(tr.SupportTasks()); got == 0 || got != run.stats.Executed {
+			t.Fatalf("seed %d: %d support tasks in the trace, Stats.Executed = %d", seed, got, run.stats.Executed)
+		}
+		return tr
+	}
+	order := func(tr *trace.Trace) (labels []string) {
+		for _, task := range tr.Tasks {
+			if task.Kind == trace.KindSupport {
+				labels = append(labels, task.Label)
+			}
+		}
+		return labels
+	}
+	a, b, c := record(3), record(3), record(11)
+	if !reflect.DeepEqual(a.Tasks, b.Tasks) {
+		t.Fatalf("two recorded runs of seed 3 differ:\n%v\n%v", order(a), order(b))
+	}
+	if slices.Equal(order(a), order(c)) {
+		t.Fatalf("seeds 3 and 11 recorded the same support-task order: %v", order(a))
+	}
+}
+
+// TestRecordedNestedDispatch: under a schedule a body's store is a preemption
+// point, so an instance can run nested inside another's body and at a store of
+// the main thread, outside any Wait. Each is still one support task with its
+// release edge, every one of them is joined by the next synchronisation
+// point, and no body is mistaken for a failed run.
+func TestRecordedNestedDispatch(t *testing.T) {
+	const words = 4
+	nested := false
+	for seed := uint64(0); seed < 8; seed++ {
+		rec := trace.NewRecorder(nil)
+		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, mid := rt.NewRegion("src", words), rt.NewRegion("mid", words)
+		depth := 0
+		first := rt.Register("first", func(tg Trigger) {
+			depth++
+			mid.TStore(tg.Index, tg.Region.Load(tg.Index)+1)
+			depth--
+		})
+		second := rt.Register("second", func(Trigger) { nested = nested || depth > 0 })
+		rt.Attach(first, src, 0, words)
+		rt.Attach(second, mid, 0, words)
+		for i := 0; i < words; i++ {
+			src.TStore(i, seed+5)
+		}
+		rt.Barrier()
+		st := rt.Stats()
+		rt.Close()
+		tr, err := rec.Finish()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if st.Executed != 2*words || st.FailedRuns != 0 || tr.SupportTasks() != 2*words {
+			t.Fatalf("seed %d: Executed %d FailedRuns %d, %d support tasks; want %d, 0, %d", seed, st.Executed, st.FailedRuns, tr.SupportTasks(), 2*words, 2*words)
+		}
+		joined := map[trace.TaskID]bool{}
+		for _, id := range tr.Main {
+			for _, d := range tr.Task(id).Deps {
+				joined[d] = true
+			}
+		}
+		for _, task := range tr.Tasks {
+			if task.Kind != trace.KindSupport {
+				continue
+			}
+			if len(task.Deps) != 1 || (task.Label == "second" && tr.Task(task.Deps[0]).Label != "first") {
+				t.Fatalf("seed %d: support task %d (%s) has release edges %v", seed, task.ID, task.Label, task.Deps)
+			}
+			if !joined[task.ID] {
+				t.Fatalf("seed %d: support task %d (%s) ran at a preemption point and no Wait or Barrier joins it", seed, task.ID, task.Label)
+			}
+		}
+	}
+	if !nested {
+		t.Fatal("no seed dispatched an instance inside another's body: the test lost its subject")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,17 +107,21 @@ func TestFirstCoveringAttachmentThroughHoistedLookups(t *testing.T) {
 	}
 }
 
-// runBackends are the four execution models with the sanitizer on.
+// runBackends are the two execution models, the single-goroutine one also
+// under a recorder and under a schedule, with the sanitizer on.
 func runBackends(t *testing.T, f func(t *testing.T, cfg Config)) {
-	for _, cfg := range []Config{
-		{Backend: BackendDeferred},
-		{Backend: BackendRecorded, Recorder: trace.NewRecorder(nil)},
-		{Backend: BackendSeeded, SchedSeed: 7},
-		{Backend: BackendImmediate, Workers: 1},
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"deferred", Config{}},
+		{"recorded", Config{Recorder: trace.NewRecorder(nil)}},
+		{"seeded", Config{Backend: BackendSeeded, SchedSeed: 7}},
+		{"immediate", Config{Backend: BackendImmediate, Workers: 1}},
 	} {
-		cfg := cfg
+		cfg := row.cfg
 		cfg.Checker = CheckStrict
-		t.Run(cfg.Backend.String(), func(t *testing.T) { f(t, cfg) })
+		t.Run(row.name, func(t *testing.T) { f(t, cfg) })
 	}
 }
 
@@ -188,6 +193,17 @@ func TestRunRecoversPerBody(t *testing.T) {
 			t.Fatalf("sanitizer after recovered panics: %v", err)
 		}
 		assertIdentities(t, rt, "recover per run")
+		if cfg.Recorder != nil {
+			// A failed instance still closes its trace task: every started
+			// body, recovered or not, is one support task of a valid trace.
+			tr, err := cfg.Recorder.Finish()
+			if err != nil {
+				t.Fatalf("trace after recovered panics: %v", err)
+			}
+			if got := int64(tr.SupportTasks()); got != executed {
+				t.Fatalf("trace has %d support tasks, %d bodies started", got, executed)
+			}
+		}
 	})
 }
 
@@ -323,4 +339,45 @@ func TestScalarStoreCountsExactUnderConcurrency(t *testing.T) {
 		t.Fatalf("Fired %d Squashed %d: the store mix never reached the attached words", st.Fired, st.Squashed)
 	}
 	assertIdentities(t, rt, "concurrent scalar stores")
+}
+
+// TestDeferredDrainIsFIFO pins the unscheduled pick: with one shard the
+// deferred backend runs instances in enqueue order whichever threads they
+// belong to, and an instance a body enqueues mid-drain (a cascade) runs after
+// everything that was already queued.
+func TestDeferredDrainIsFIFO(t *testing.T) {
+	rt := newDeferred(t, func(c *Config) { c.Shards = 1 })
+	const words = 3
+	in, next := rt.NewRegion("in", 3*words), rt.NewRegion("next", words)
+	var got []string
+	for k, name := range []string{"a", "b", "c"} {
+		th := rt.Register(name, func(tg Trigger) {
+			got = append(got, fmt.Sprintf("%s%d", name, tg.Index))
+			if name == "a" {
+				next.TStore(tg.Index-k*words, 1) // cascades while b's and c's entries wait
+			}
+		})
+		if err := rt.Attach(th, in, k*words, (k+1)*words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := rt.Register("tail", func(tg Trigger) { got = append(got, fmt.Sprintf("tail%d", tg.Index)) })
+	if err := rt.Attach(tail, next, 0, words); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < words; i++ { // interleaved: a0 b3 c6 a1 b4 c7 ...
+		for k, name := range []string{"a", "b", "c"} {
+			in.TStore(k*words+i, 1)
+			want = append(want, fmt.Sprintf("%s%d", name, k*words+i))
+		}
+	}
+	if len(got) != 0 {
+		t.Fatalf("the deferred backend ran %v before any Wait", got)
+	}
+	rt.Barrier()
+	want = append(want, "tail0", "tail1", "tail2")
+	if !slices.Equal(got, want) {
+		t.Fatalf("drain order:\n got %v\nwant %v", got, want)
+	}
 }

@@ -234,12 +234,13 @@ type Runtime struct {
 	// lack of room unless every worker already has a wakeup coming. The
 	// channel is never closed: Close sets the closed flag and deposits one
 	// token per worker. nil on the single-goroutine backends, where parked
-	// stays zero.
+	// stays zero: wake != nil is how the runtime asks which of the two
+	// execution models it is.
 	wake   chan struct{}
 	parked atomic.Int32
 
-	// release maps a pending queue entry to the trace task that released
-	// it (BackendRecorded only). Guarded by relMu, a leaf lock.
+	// release maps a pending queue entry to the trace task that released it;
+	// nil without a Config.Recorder. Guarded by relMu, a leaf lock.
 	relMu   sync.Mutex
 	release map[releaseKey]trace.TaskID //dtt:guards relMu
 
@@ -250,12 +251,11 @@ type Runtime struct {
 	// CheckOff. It carries its own lock and never calls back into the
 	// runtime, so it may be invoked with or without runtime locks held.
 	check *sanitize.Checker
-	// sched drives BackendSeeded's dispatch decisions; nil otherwise.
+	// sched is the schedule drain picks by, BackendSeeded's; nil means FIFO.
 	// Only the runtime's single driving goroutine consults it.
 	sched *sched.Scheduler
-	// elig is the reusable eligible-entry scratch for seeded dispatch.
-	// Only the single driving goroutine touches it, with all shard locks
-	// held.
+	// elig is the reusable eligible-entry scratch of a scheduled pick. Only
+	// the single driving goroutine touches it, with all shard locks held.
 	elig []eligRef
 
 	// batchMu/batchFree recycle tstoreBatch's grouping scratch. Unlike
@@ -291,7 +291,7 @@ type Runtime struct {
 	stats statsCounters
 }
 
-// eligRef locates one dispatch-eligible queue entry for the seeded backend:
+// eligRef locates one dispatch-eligible queue entry for a scheduled pick:
 // queue index idx of shard shard.
 type eligRef struct {
 	shard, idx int
@@ -339,11 +339,10 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Backend == BackendSeeded {
 		rt.sched = sched.New(cfg.SchedSeed)
 	}
-	if cfg.Backend == BackendRecorded {
+	if rec := cfg.Recorder; rec != nil {
 		rt.release = make(map[releaseKey]trace.TaskID)
-		rt.sys.AttachProbe(cfg.Recorder)
+		rt.sys.AttachProbe(rec)
 		if rt.check != nil {
-			rec := cfg.Recorder
 			rt.check.SetReporter(func(sanitize.Violation) { rec.NoteViolation() })
 		}
 	}
@@ -637,8 +636,8 @@ func (rt *Runtime) releaseRegionLocked(r *Region) {
 	}
 }
 
-// chargeMgmt accounts a management instruction in recorded mode. Callers
-// are on the single driver goroutine (the recorded backend's contract).
+// chargeMgmt accounts a management instruction to the recorder, if there is
+// one. Callers are on the single driver goroutine (a recorder's contract).
 func (rt *Runtime) chargeMgmt(op isa.Opcode) {
 	if rt.cfg.Recorder == nil {
 		return
@@ -733,7 +732,7 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 		rt.runInline(e)
 	}
 	if rt.sched != nil {
-		rt.seededPoll(false)
+		rt.drain(false)
 	}
 }
 
@@ -768,7 +767,7 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, a *attachment, id ThreadID, ad
 	st := sh.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
-	} else if rt.release != nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (BackendRecorded); never reassigned
+	} else if rt.release != nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (Config.Recorder); never reassigned
 		rt.noteRelease(id, addr)
 	}
 	return st
@@ -1089,7 +1088,7 @@ func (rt *Runtime) quietConfirm() bool {
 }
 
 // noteRelease records the current trace position as the release point of the
-// pending entry for (t, addr). BackendRecorded only.
+// pending entry for (t, addr). Only with a recorder.
 func (rt *Runtime) noteRelease(t ThreadID, addr mem.Addr) {
 	rt.relMu.Lock()
 	rt.release[releaseKey{thread: t, addr: addr}] = rt.cfg.Recorder.ReleasePoint()
@@ -1097,7 +1096,7 @@ func (rt *Runtime) noteRelease(t ThreadID, addr mem.Addr) {
 }
 
 // takeRelease pops the recorded release point for an entry, or trace.NoTask.
-// BackendRecorded only.
+// Only with a recorder.
 func (rt *Runtime) takeRelease(e queue.Entry) trace.TaskID {
 	rt.relMu.Lock()
 	defer rt.relMu.Unlock()
@@ -1233,24 +1232,6 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 	}
 }
 
-// eligibleAllLocked collects into rt.elig the (shard, index) pairs of queue
-// entries whose thread has no running instance, shard by shard, oldest
-// first within a shard. With one shard the enumeration order is exactly the
-// queue order, which keeps seeded replay identical to the unsharded
-// runtime. Callers hold every shard lock.
-func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
-	rt.elig = rt.elig[:0]
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		for i := 0; i < sh.tq.Len(); i++ {
-			if ths[sh.tq.EntryAt(i).Thread].running == 0 {
-				rt.elig = append(rt.elig, eligRef{shard: s, idx: i})
-			}
-		}
-	}
-	return rt.elig
-}
-
 // beginRunLocked opens the instance-run bracket for a run of n >= 1 entries
 // of the thread whose record is te, which the caller has already taken off
 // the queue: it takes the thread's run token once for goroutine g
@@ -1320,41 +1301,84 @@ func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, 
 	}
 }
 
-// seededPoll dispatches queued instances on the seeded backend, entry by
-// entry, in seed-chosen order. As a preemption point (drain false) the
-// scheduler also decides before each entry whether to dispatch at all; as
-// the Wait/Barrier drain it runs until nothing is eligible, leaving the
-// queue empty except for entries of threads still running in an enclosing
-// frame — impossible from the main thread, the only legal caller of
-// Wait/Barrier. Enumeration and pick happen with every shard lock held so
-// the decision is deterministic; the picked entry runs on the calling
-// goroutine with the run token held and no lock, so nested polls (a body
-// whose triggering store re-enters here) see the enclosing thread's token
-// and skip it, preserving one-instance-at-a-time.
-func (rt *Runtime) seededPoll(drain bool) {
+// drain is the single-goroutine execution model: it runs queued instances on
+// the calling goroutine, entry by entry — pick, begin, resolve, run, end —
+// until pickLocked has nothing to run now. Wait and Barrier drain with all set
+// and leave the queue empty except for entries of threads still running in an
+// enclosing frame (impossible from the main thread, their only legal caller);
+// under a schedule every changing write is also a preemption point
+// (afterWrite, all false). The settle and the next pick share one hold of the
+// shard locks; a body runs with its thread's token held and no lock, so a
+// nested drain — a body whose store re-enters here — sees the enclosing
+// thread's token and skips it, preserving one-instance-at-a-time. With a
+// recorder each instance is a support task, which the recorder's next Join
+// takes.
+func (rt *Runtime) drain(all bool) {
+	rec := rt.cfg.Recorder
 	var c claim
+	rt.lockAllShards()
 	for {
-		rt.lockAllShards()
 		ths := rt.threadsSnap()
-		elig := rt.eligibleAllLocked(ths)
-		if len(elig) == 0 || (!drain && !rt.sched.RunNow()) {
+		sh := rt.pickLocked(ths, all, &c.es[0])
+		if sh == nil {
 			rt.unlockAllShards()
 			return
 		}
-		ref := elig[rt.sched.Pick(len(elig))]
-		sh := &rt.shards[ref.shard]
-		c.es[0] = sh.tq.DequeueAt(ref.idx)
-		te := ths[c.es[0].Thread]
+		t := c.es[0].Thread
+		te := ths[t]
 		rt.beginRunLocked(sh, te, 1, 0, true)
 		te.resolveLocked(&c, 1)
 		rt.unlockAllShards()
 
+		if rec != nil {
+			rec.BeginSupport(te.name, rt.takeRelease(c.es[0]))
+		}
 		rt.runBodies(te, &c, 0, 1, 0)
+		if rec != nil {
+			// A failed instance still closes its trace task: whatever it
+			// charged before panicking was really executed.
+			rec.EndSupport()
+		}
 
-		sh.mu.Lock()
-		rt.endRunLocked(sh, te, c.es[0].Thread, true, 1, c.oks[0])
-		sh.mu.Unlock()
+		rt.lockAllShards()
+		rt.endRunLocked(sh, te, t, true, 1, c.oks[0])
 	}
+}
+
+// pickLocked is the one part of drain that varies: it takes the entry to run
+// next off its ring into *e and returns the entry's shard, or nil to stop.
+// With no schedule the pick is FIFO — the head of the lowest non-empty shard,
+// O(1); with one shard, the enqueue order. With one it is the schedule's,
+// among the entries whose thread has no running instance, enumerated shard by
+// shard and oldest first (with one shard the queue order, which keeps replay
+// identical to the unsharded runtime), and unless all is set only if the
+// schedule dispatches at this point. Callers hold every shard lock, so the
+// choice is deterministic.
+func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) *dispatchShard {
+	if rt.sched == nil {
+		for s := range rt.shards {
+			if head, ok := rt.shards[s].tq.Dequeue(); ok {
+				*e = head
+				return &rt.shards[s]
+			}
+		}
+		return nil
+	}
+	rt.elig = rt.elig[:0]
+	for s := range rt.shards {
+		tq := rt.shards[s].tq
+		for i := 0; i < tq.Len(); i++ {
+			if ths[tq.EntryAt(i).Thread].running == 0 {
+				rt.elig = append(rt.elig, eligRef{shard: s, idx: i})
+			}
+		}
+	}
+	if len(rt.elig) == 0 || (!all && !rt.sched.RunNow()) {
+		return nil
+	}
+	ref := rt.elig[rt.sched.Pick(len(rt.elig))]
+	*e = rt.shards[ref.shard].tq.DequeueAt(ref.idx)
+	return &rt.shards[ref.shard]
 }
 
 // runInline executes an overflowed trigger synchronously in the triggering
@@ -1369,7 +1393,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	// inside its own body. Only the immediate backend pays for goroutine
 	// identity, and only on this overflow path.
 	var g uint64
-	if rt.cfg.Backend == BackendImmediate {
+	if rt.wake != nil {
 		g = goid()
 	}
 	te := rt.threadsSnap()[e.Thread]
@@ -1384,7 +1408,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 			sh.mu.Unlock()
 			return
 		}
-		if te.running == 0 || rt.cfg.Backend != BackendImmediate || te.owner == g {
+		if te.running == 0 || rt.wake == nil || te.owner == g {
 			// The run token is free — or ours already, and the bracket
 			// re-enters the body nested on this goroutine.
 			break
@@ -1522,57 +1546,6 @@ func (rt *Runtime) worker(w int) {
 	}
 }
 
-// drainAll executes queued instances inline until every shard's queue is
-// empty, for the deferred and recorded backends. Shards are drained in
-// index order, looping until a full pass makes no progress (a body's
-// cascading trigger may refill an already-drained shard). It returns the
-// trace IDs of the executed support tasks. With one shard — the default on
-// these backends — the execution order is exactly the unsharded FIFO
-// order. No locks are held on entry or return; the shard lock is released
-// around thread bodies.
-func (rt *Runtime) drainAll() []trace.TaskID {
-	rec := rt.cfg.Recorder
-	var done []trace.TaskID
-	var c claim
-	for {
-		progressed := false
-		for s := range rt.shards {
-			sh := &rt.shards[s]
-			sh.mu.Lock()
-			for {
-				e, ok := sh.tq.Dequeue()
-				if !ok {
-					break
-				}
-				progressed = true
-				te := rt.threadsSnap()[e.Thread]
-				rt.beginRunLocked(sh, te, 1, 0, true)
-				c.es[0] = e
-				te.resolveLocked(&c, 1)
-				sh.mu.Unlock()
-
-				if rec != nil {
-					rec.BeginSupport(te.name, rt.takeRelease(e))
-				}
-				rt.runBodies(te, &c, 0, 1, 0)
-				if rec != nil {
-					// A failed instance still closes its trace task:
-					// whatever it charged before panicking was really
-					// executed.
-					done = append(done, rec.EndSupport())
-				}
-
-				sh.mu.Lock()
-				rt.endRunLocked(sh, te, e.Thread, true, 1, c.oks[0])
-			}
-			sh.mu.Unlock()
-		}
-		if !progressed {
-			return done
-		}
-	}
-}
-
 // goid returns the current goroutine's id, parsed from the stack header.
 // The unchecked fast paths never call it: a worker resolves its id once at
 // start, an inline overflow run on the immediate backend pays for it next
@@ -1601,7 +1574,7 @@ func goid() uint64 {
 }
 
 // Wait blocks until thread t has no pending or running instances (twait).
-// The single-goroutine backends execute the queue inline first; the
+// The single-goroutine backends run the queue on the caller (drain); the
 // immediate backend sleeps in drainThread.
 func (rt *Runtime) Wait(t ThreadID) {
 	rt.stats.waits.Add(1)
@@ -1613,17 +1586,13 @@ func (rt *Runtime) Wait(t ThreadID) {
 	// is evaluated, so the post-Wait state reflects every TUpdate this
 	// goroutine issued.
 	rt.mergeAllPlanes()
-	var done []trace.TaskID
-	switch rt.cfg.Backend {
-	case BackendSeeded:
-		rt.seededPoll(true)
-	case BackendImmediate:
+	if rt.wake == nil {
+		rt.drain(true)
+	} else {
 		rt.drainThread(t)
-	default:
-		done = rt.drainAll()
 	}
 	rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
-	rt.joinTrace(done, isa.OpTWait)
+	rt.joinTrace(isa.OpTWait)
 }
 
 // noteJoin invokes a sanitizer join edge (Wait/Barrier) for the calling
@@ -1650,11 +1619,9 @@ func (rt *Runtime) Barrier() {
 	// Like Wait, Barrier merges pending commutative deltas (blocking)
 	// before confirming quiescence.
 	rt.mergeAllPlanes()
-	var done []trace.TaskID
-	switch rt.cfg.Backend {
-	case BackendSeeded:
-		rt.seededPoll(true)
-	case BackendImmediate:
+	if rt.wake == nil {
+		rt.drain(true)
+	} else {
 		for !rt.quietConfirm() {
 			ch := make(chan struct{})
 			rt.barMu.Lock()
@@ -1670,21 +1637,19 @@ func (rt *Runtime) Barrier() {
 			}
 			<-ch
 		}
-	default:
-		done = rt.drainAll()
 	}
 	rt.noteJoin(rt.check.OnBarrier)
-	rt.joinTrace(done, isa.OpTBarrier)
+	rt.joinTrace(isa.OpTBarrier)
 }
 
-// joinTrace closes the synchronisation point in the recorded trace; a no-op
-// on the other backends.
-func (rt *Runtime) joinTrace(done []trace.TaskID, op isa.Opcode) {
+// joinTrace closes the synchronisation point in the recorded trace, joining
+// the support tasks run since the last one; a no-op without a recorder.
+func (rt *Runtime) joinTrace(op isa.Opcode) {
 	if rt.cfg.Recorder == nil {
 		return
 	}
 	rt.chargeMgmt(op)
-	rt.cfg.Recorder.Join(done)
+	rt.cfg.Recorder.Join()
 }
 
 // Status returns thread t's TQST state (tstatus): the "most active" reading

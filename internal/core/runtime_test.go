@@ -3,8 +3,10 @@ package core
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dtt/internal/mem"
 	"dtt/internal/queue"
@@ -414,15 +416,27 @@ func TestThreadStatsFor(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Backend: BackendRecorded}); err == nil {
-		t.Errorf("recorded backend without recorder accepted")
-	}
-	if _, err := New(Config{Backend: BackendDeferred, Recorder: trace.NewRecorder(nil)}); err == nil {
-		t.Errorf("recorder on non-recorded backend accepted")
+	for _, row := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Recorder: trace.NewRecorder(nil)}, true},
+		{Config{Backend: BackendSeeded, Recorder: trace.NewRecorder(nil)}, true},
+		{Config{Backend: BackendImmediate, Recorder: trace.NewRecorder(nil)}, false},
+		{Config{Backend: Backend(3)}, false},
+		{Config{Backend: Backend(-1)}, false},
+	} {
+		rt, err := New(row.cfg)
+		if err == nil {
+			rt.Close()
+		}
+		if (err == nil) != row.ok {
+			t.Errorf("New(%v, recorder %v): err = %v, want accepted = %v", row.cfg.Backend, row.cfg.Recorder != nil, err, row.ok)
+		}
 	}
 }
 
-// TestNewRejectsUnknownBackend: a Backend outside the four defined values
+// TestNewRejectsUnknownBackend: a Backend outside the three defined values
 // used to build a runtime that started no worker and drained like the
 // deferred backend while reporting itself as "Backend(9)".
 func TestNewRejectsUnknownBackend(t *testing.T) {
@@ -460,8 +474,43 @@ func TestConfigSurface(t *testing.T) {
 }
 
 func TestBackendString(t *testing.T) {
-	if BackendDeferred.String() != "deferred" || BackendImmediate.String() != "immediate" || BackendRecorded.String() != "recorded" {
+	if BackendDeferred.String() != "deferred" || BackendImmediate.String() != "immediate" || BackendSeeded.String() != "seeded" {
 		t.Fatalf("backend names wrong")
+	}
+}
+
+// TestBackendSurface pins the enum the way TestConfigSurface pins the knobs:
+// walking Backend(0..) until String falls through to the numeric form must
+// name exactly the two execution models and the one schedule.
+func TestBackendSurface(t *testing.T) {
+	var got []string
+	for b := Backend(0); !strings.HasPrefix(b.String(), "Backend("); b++ {
+		got = append(got, b.String())
+	}
+	if want := []string{"deferred", "immediate", "seeded"}; !slices.Equal(got, want) {
+		t.Fatalf("backends:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestRuntimesShareOneCacheLineLayout: Runtime is not padded — producers,
+// workers and waiters share its lines by design of the field order — so how
+// its fields fall against 64-byte lines must at least be the same for every
+// Runtime. It is while the allocator's size class for the struct is a
+// multiple of 64 (448 today). A field that grows it into a class that is not
+// (472 bytes -> class 480) makes successive Runtimes alternate between two
+// layouts, and a benchmark that builds several reads a different machine from
+// one instance, and one run, to the next.
+func TestRuntimesShareOneCacheLineLayout(t *testing.T) {
+	var first uintptr
+	for i := 0; i < 8; i++ {
+		rt := newDeferred(t, nil)
+		off := uintptr(unsafe.Pointer(rt)) % 64
+		if i == 0 {
+			first = off
+		} else if off != first {
+			t.Fatalf("Runtime %d sits at %d mod 64, the first at %d (unsafe.Sizeof(Runtime{}) = %d)",
+				i, off, first, unsafe.Sizeof(Runtime{}))
+		}
 	}
 }
 

@@ -205,10 +205,12 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 		}
 		same("seeded scalar vs batch", scalar, batch)
 
-		// Recorded: the trace must charge the same number of triggering
-		// stores and release the same number of support tasks.
-		cfg.Backend, cfg.SchedSeed = BackendRecorded, 0
+		// With a recorder: the trace must charge the same number of
+		// triggering stores and release the same number of support tasks.
+		cfg.Backend, cfg.SchedSeed = BackendDeferred, 0
+		cfg.Recorder = trace.NewRecorder(nil)
 		scalar = runWritePlane(t, cfg, writeScalar, row.cancel)
+		cfg.Recorder = trace.NewRecorder(nil)
 		batch = runWritePlane(t, cfg, writeBatch, row.cancel)
 		same("recorded scalar vs batch", scalar, batch)
 		if scalar.tstores != batch.tstores || scalar.released != batch.released {
@@ -229,7 +231,7 @@ const (
 
 // planeRun is what runWritePlane observed: final memory (trigger region
 // then output region), the dispatch counters every plane must agree on,
-// and on the recorded backend the trace's tstore and released-task counts.
+// and with a recorder the trace's tstore and released-task counts.
 type planeRun struct {
 	mem      []mem.Word
 	dispatch Stats
@@ -248,11 +250,7 @@ type planeRun struct {
 // the Cancel squashes them. The run must be sanitizer-clean.
 func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) planeRun {
 	t.Helper()
-	var rec *trace.Recorder
-	if cfg.Backend == BackendRecorded {
-		rec = trace.NewRecorder(nil)
-		cfg.Recorder = rec
-	}
+	rec := cfg.Recorder
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New(%+v): %v", cfg, err)
@@ -607,7 +605,6 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	}
 	runOne(Config{Backend: BackendDeferred})
 	runOne(Config{Backend: BackendImmediate, Workers: 4, Shards: 4})
-	runOne(Config{Backend: BackendRecorded, Recorder: trace.NewRecorder(nil)})
 	runOne(Config{Backend: BackendSeeded, SchedSeed: 9})
 	expectGoroutines(t, base, "after clean Close on all backends")
 

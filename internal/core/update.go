@@ -48,7 +48,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"dtt/internal/mem"
@@ -87,25 +86,16 @@ type updatePlane struct {
 	dead bool //dtt:guards mergeMu
 }
 
-// armUpdates creates the region's update plane on first TUpdate. Stripe
-// count follows the dispatch-shard defaulting rule: 1 for the
-// single-goroutine backends (their merges are deterministic and a single
-// stripe keeps producer-order folding exact), GOMAXPROCS rounded up to a
-// power of two (capped at 64) for the concurrent immediate backend.
+// armUpdates creates the region's update plane on first TUpdate. The stripe
+// count is the dispatch-shard default (defaultParallelism): a single stripe
+// keeps producer-order folding exact where merges are deterministic.
 func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if u := r.upd.Load(); u != nil {
 		return u
 	}
-	stripes := 1
-	if rt.cfg.Backend == BackendImmediate {
-		stripes = ceilPow2(runtime.GOMAXPROCS(0))
-		if stripes > 64 {
-			stripes = 64
-		}
-	}
-	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), stripes)}
+	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), defaultParallelism(rt.wake != nil))}
 	var grown []*updatePlane
 	if ps := rt.updPlanes.Load(); ps != nil {
 		grown = append(grown, *ps...)

@@ -44,7 +44,7 @@ func synthSpeedupSplit(sy workloads.Synthetic, opts Options) (full, elim float64
 	}
 
 	recD := trace.NewRecorder(mem.NewHierarchy(mem.DefaultHierarchy()))
-	rt, err := core.New(core.Config{Backend: core.BackendRecorded, Recorder: recD})
+	rt, err := core.New(core.Config{Recorder: recD})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -157,11 +157,11 @@ func recordBaseline(w workloads.Workload, size workloads.Size) (runInfo, error) 
 	return runInfo{trace: tr, res: res}, nil
 }
 
-// recordDTT runs w's DTT variant under the recorded backend. mut may adjust
-// the runtime configuration (queue capacity, dedup policy, ...).
+// recordDTT runs w's DTT variant on the deferred backend under a recorder.
+// mut may adjust the runtime configuration (queue capacity, ...).
 func recordDTT(w workloads.Workload, size workloads.Size, mut func(*core.Config)) (runInfo, error) {
 	rec := trace.NewRecorder(mem.NewHierarchy(mem.DefaultHierarchy()))
-	cfg := core.Config{Backend: core.BackendRecorded, Recorder: rec}
+	cfg := core.Config{Recorder: rec}
 	if mut != nil {
 		mut(&cfg)
 	}

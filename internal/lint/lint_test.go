@@ -169,6 +169,22 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestConfigMisuseNamesBackend: the Workers finding names the backend by
+// core's own constant, so the golden seeded row must say "seeded" whatever
+// number the enum gives it.
+func TestConfigMisuseNamesBackend(t *testing.T) {
+	var named []string
+	for _, d := range runGolden(t, []string{"config-misuse"}).Diagnostics {
+		if _, rest, ok := strings.Cut(d.Message, "has no effect: the "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			named = append(named, name)
+		}
+	}
+	if want := []string{"seeded", "deferred"}; !reflect.DeepEqual(named, want) {
+		t.Fatalf("Workers findings name the backends %v, want %v", named, want)
+	}
+}
+
 // TestRuleToggle runs each rule in isolation and requires it to produce
 // exactly its own want set — and nothing when disabled. A rule that stops
 // firing (or fires into another rule's territory) fails here by name.

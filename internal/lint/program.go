@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -532,21 +534,21 @@ func summaryVisible(obj types.Object, p *Package) bool {
 	return v.Parent() == p.Types.Scope()
 }
 
-// entryHeldRounds bounds the call-site held-set inference fixpoint. Each
-// round resolves one link of a "caller holds mu for me" chain; the longest
-// real ones are three links below the frame that takes the shard lock
-// (fireOne → admitLocked → ThreadQueue.Enqueue → at, and runClaims →
-// DequeueRun → removeRun → at), so three rounds make the module self-clean
-// and the fourth is a helper's worth of headroom.
-const entryHeldRounds = 4
-
 // computeEntryHeld infers, for every function, the set of lock keys held
 // at every known call site — the static form of a "caller holds mu"
 // contract comment. defer/go call sites contribute the empty set (the call
 // runs at an unknowable point); method-value references make the function
 // unknown (checked leniently).
+//
+// Each round proves one more link of a "caller holds mu for me" chain, and a
+// larger held set at a function's entry can only enlarge the sets at its call
+// sites, so the inference is monotone and runs until no set changes. No chain
+// is longer than the program has functions: passing that is a bug, and panics.
 func (pr *program) computeEntryHeld() {
-	for round := 0; round < entryHeldRounds; round++ {
+	for round := 0; ; round++ {
+		if round > len(pr.keys)+1 {
+			panic(fmt.Sprintf("lint: entry-held inference did not converge in %d rounds over %d functions", round, len(pr.keys)))
+		}
 		next := map[string]map[string]bool{}
 		seen := map[string]bool{}
 		for _, k := range pr.keys {
@@ -579,16 +581,21 @@ func (pr *program) computeEntryHeld() {
 			}
 			lw.walkDecl(fi.decl, entry)
 		}
+		changed := false
 		for _, k := range pr.keys {
 			fi := pr.funcs[k]
+			known, held := seen[k], next[k]
 			if len(fi.methodRefs) > 0 && contains(fi.methodRefs, fi.key) {
 				// escapes as a value: entry context unknowable
-				fi.entryHeldKnown = false
-				fi.entryHeld = nil
-				continue
+				known, held = false, nil
 			}
-			fi.entryHeldKnown = seen[k]
-			fi.entryHeld = next[k]
+			if known != fi.entryHeldKnown || !maps.Equal(held, fi.entryHeld) {
+				changed = true
+			}
+			fi.entryHeldKnown, fi.entryHeld = known, held
+		}
+		if !changed {
+			return
 		}
 	}
 }

@@ -3,7 +3,9 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/types"
+	"strings"
 )
 
 // Rule config-misuse: mechanical mistakes in wiring a runtime up, each of
@@ -209,8 +211,8 @@ func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
 		return
 	}
 
-	// Backend: 0 deferred (also the zero value), 1 immediate, 2 recorded,
-	// 3 seeded. Only a constant field pins it; a variable leaves it unknown.
+	// Backend: the zero value unless the field is set. Only a constant pins
+	// it; a variable leaves it unknown.
 	backend, backendKnown := int64(0), true
 	var fields = map[string]ast.Expr{}
 	for _, el := range cl.Elts {
@@ -242,15 +244,27 @@ func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
 		}
 	}
 
-	if w, ok := fields["Workers"]; ok && backendKnown && backend != 1 {
-		if v, isConst := constIntOf(info, w); isConst && v > 0 {
-			name := map[int64]string{0: "deferred", 2: "recorded", 3: "seeded"}[backend]
-			if name == "" {
-				name = fmt.Sprintf("Backend(%d)", backend)
-			}
+	if w, ok := fields["Workers"]; ok && backendKnown {
+		name := backendName(named.Obj().Pkg(), backend)
+		if v, isConst := constIntOf(info, w); isConst && v > 0 && name != "immediate" {
 			rep.report(w.Pos(), "config-misuse",
 				fmt.Sprintf("Workers: %d has no effect: the %s backend runs support threads on a single goroutine", v, name),
 				"drop the Workers field, or select BackendImmediate if parallel dispatch was intended")
 		}
 	}
+}
+
+// backendName names Backend value v as core.Backend.String does, from the
+// constants of core itself (pkg declares Config): BackendSeeded is "seeded".
+// The enum lives once, so renumbering it cannot mislabel a finding here.
+func backendName(pkg *types.Package, v int64) string {
+	for _, id := range pkg.Scope().Names() {
+		c, ok := pkg.Scope().Lookup(id).(*types.Const)
+		if ok && strings.HasPrefix(id, "Backend") && strings.HasSuffix(c.Type().String(), ".Backend") {
+			if cv, exact := constant.Int64Val(c.Val()); exact && cv == v {
+				return strings.ToLower(strings.TrimPrefix(id, "Backend"))
+			}
+		}
+	}
+	return fmt.Sprintf("Backend(%d)", v)
 }

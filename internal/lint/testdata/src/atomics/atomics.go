@@ -63,8 +63,14 @@ func (l *leaky) Bad() int64 { return l.v } // want: atomics
 func DriveLeaky(l *leaky) int64 { return l.Bad() }
 
 // locked relies on its caller's lock — the "caller holds l.mu" contract,
-// inferred from the call sites rather than trusted from a comment.
-func (l *leaky) locked() int64 { return l.v }
+// inferred from the call sites rather than trusted from a comment. The read
+// is five calls below the frame taking the lock; inference proves one link a
+// round, so it must run to a fixpoint, not for a fixed number of rounds.
+func (l *leaky) locked() int64  { return l.locked2() }
+func (l *leaky) locked2() int64 { return l.locked3() }
+func (l *leaky) locked3() int64 { return l.locked4() }
+func (l *leaky) locked4() int64 { return l.locked5() }
+func (l *leaky) locked5() int64 { return l.v }
 
 func (l *leaky) ViaLocked() int64 {
 	l.mu.Lock()

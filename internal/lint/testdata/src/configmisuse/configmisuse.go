@@ -72,8 +72,10 @@ func BadShards() {
 }
 
 // IgnoredWorkers: Workers only exists on BackendImmediate; the deferred
-// backend (the zero value here) runs support threads on one goroutine.
+// backend (the zero value here) runs support threads on one goroutine, as it
+// does under a schedule (that finding says "seeded", from core's constant).
 func IgnoredWorkers() {
+	_ = dtt.Config{Backend: dtt.BackendSeeded, Workers: 2} // want: config-misuse
 	rt, err := dtt.New(dtt.Config{
 		Workers: 2, // want: config-misuse
 	})

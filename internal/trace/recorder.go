@@ -18,11 +18,17 @@ type Recorder struct {
 	hier  *mem.Hierarchy
 	tasks []*Task
 	main  []TaskID
-	// cur is the task receiving probe events: the open support task while
-	// one is being executed, otherwise the open main segment.
+	// cur is the task receiving probe events: the innermost open support
+	// task while one is being executed, otherwise the open main segment.
 	cur     *Task
 	curMain *Task
-	support *Task
+	// open are the support tasks being executed, innermost last. It is deeper
+	// than one only under a schedule, which may dispatch an instance at a
+	// store inside another's body.
+	open []*Task
+	// ended are the support tasks closed since the last Join, which the next
+	// one takes, whichever drain ran them.
+	ended []TaskID
 }
 
 // NewRecorder returns a Recorder with an open initial main segment.
@@ -83,7 +89,7 @@ func (r *Recorder) NoteViolation() { r.cur.Violations++ }
 // released at the exact point in main-thread progress where their data
 // changed. It returns the ID of the segment that was closed.
 func (r *Recorder) CutMain() TaskID {
-	if r.support != nil {
+	if len(r.open) > 0 {
 		panic("trace: CutMain while a support task is open")
 	}
 	closed := r.curMain
@@ -97,51 +103,55 @@ func (r *Recorder) CutMain() TaskID {
 // ReleasePoint returns the task a trigger fired just now should be released
 // by. On the main thread this cuts the open main segment (the trigger marks
 // an exact point in main-thread progress); inside a support task — a
-// cascading trigger — it is the open support task itself, uncut.
+// cascading trigger — it is the innermost open support task itself, uncut.
 func (r *Recorder) ReleasePoint() TaskID {
-	if r.support != nil {
-		return r.support.ID
+	if n := len(r.open); n > 0 {
+		return r.open[n-1].ID
 	}
 	return r.CutMain()
 }
 
 // BeginSupport opens a support task labelled label, released by task
 // release (NoTask for no release edge). Probe events are charged to it
-// until EndSupport. Support tasks cannot nest.
+// until EndSupport, or until a nested BeginSupport: a task opened inside
+// another's body suspends the outer one, which resumes when the inner ends.
 func (r *Recorder) BeginSupport(label string, release TaskID) {
-	if r.support != nil {
-		panic("trace: BeginSupport while another support task is open")
-	}
 	var deps []TaskID
 	if release != NoTask {
 		deps = []TaskID{release}
 	}
-	r.support = r.newTask(KindSupport, label, deps)
-	r.cur = r.support
+	r.cur = r.newTask(KindSupport, label, deps)
+	r.open = append(r.open, r.cur)
 }
 
-// EndSupport closes the open support task and returns its ID.
+// EndSupport closes the innermost open support task and returns its ID.
 func (r *Recorder) EndSupport() TaskID {
-	if r.support == nil {
+	n := len(r.open)
+	if n == 0 {
 		panic("trace: EndSupport without BeginSupport")
 	}
-	id := r.support.ID
-	r.support = nil
+	id := r.open[n-1].ID
+	r.open = r.open[:n-1]
+	r.ended = append(r.ended, id)
 	r.cur = r.curMain
+	if n > 1 {
+		r.cur = r.open[n-2]
+	}
 	return id
 }
 
 // Join closes the open main segment and opens a new one that depends on the
-// closed segment and on every task in deps. The runtime calls this at twait
-// and tbarrier.
-func (r *Recorder) Join(deps []TaskID) {
-	if r.support != nil {
+// closed segment and on every support task ended since the last Join, in the
+// order they ended. The runtime calls this at twait and tbarrier.
+func (r *Recorder) Join() {
+	if len(r.open) > 0 {
 		panic("trace: Join while a support task is open")
 	}
 	closed := r.curMain
-	all := make([]TaskID, 0, len(deps)+1)
+	all := make([]TaskID, 0, len(r.ended)+1)
 	all = append(all, closed.ID)
-	all = append(all, deps...)
+	all = append(all, r.ended...)
+	r.ended = r.ended[:0]
 	next := r.newTask(KindMain, "main", all)
 	r.main = append(r.main, next.ID)
 	r.curMain = next
@@ -151,7 +161,7 @@ func (r *Recorder) Join(deps []TaskID) {
 // Finish validates and returns the recorded trace. The recorder must not be
 // used afterwards.
 func (r *Recorder) Finish() (*Trace, error) {
-	if r.support != nil {
+	if len(r.open) > 0 {
 		return nil, fmt.Errorf("trace: Finish with an open support task")
 	}
 	tr := &Trace{Tasks: r.tasks, Main: r.main}

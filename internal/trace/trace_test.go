@@ -39,7 +39,7 @@ func TestRecorderCutAndSupport(t *testing.T) {
 	sup := r.EndSupport()
 
 	r.OnCompute(3) // back on main
-	r.Join([]TaskID{sup})
+	r.Join()
 	r.OnCompute(1)
 
 	tr, err := r.Finish()
@@ -66,9 +66,9 @@ func TestRecorderCutAndSupport(t *testing.T) {
 	}
 	last := tr.Task(tr.Main[2])
 	// The post-join segment depends on the previous main segment and the
-	// support task.
-	if len(last.Deps) != 2 {
-		t.Fatalf("post-join deps = %v", last.Deps)
+	// support task ended before the Join.
+	if len(last.Deps) != 2 || last.Deps[0] != tr.Main[1] || last.Deps[1] != sup {
+		t.Fatalf("post-join deps = %v, want [%d %d]", last.Deps, tr.Main[1], sup)
 	}
 }
 
@@ -109,10 +109,9 @@ func TestRecorderCacheClassification(t *testing.T) {
 
 func TestRecorderPanicsOnMisuse(t *testing.T) {
 	cases := map[string]func(*Recorder){
-		"nested-support":      func(r *Recorder) { r.BeginSupport("a", NoTask); r.BeginSupport("b", NoTask) },
 		"end-without-begin":   func(r *Recorder) { r.EndSupport() },
 		"cut-during-support":  func(r *Recorder) { r.BeginSupport("a", NoTask); r.CutMain() },
-		"join-during-support": func(r *Recorder) { r.BeginSupport("a", NoTask); r.Join(nil) },
+		"join-during-support": func(r *Recorder) { r.BeginSupport("a", NoTask); r.Join() },
 	}
 	for name, f := range cases {
 		func() {
@@ -123,6 +122,44 @@ func TestRecorderPanicsOnMisuse(t *testing.T) {
 			}()
 			f(NewRecorder(nil))
 		}()
+	}
+}
+
+// TestRecorderNestedSupport: a support task opened inside another's body (a
+// scheduled dispatch at a store in that body) takes the probe events and the
+// cascade release edges until it ends, and then the outer task resumes.
+func TestRecorderNestedSupport(t *testing.T) {
+	r := NewRecorder(nil)
+	r.BeginSupport("outer", r.ReleasePoint())
+	r.OnCompute(1)
+	outer := r.ReleasePoint()
+	r.BeginSupport("inner", outer)
+	r.OnCompute(10)
+	if got := r.ReleasePoint(); got == outer {
+		t.Fatalf("a trigger inside the nested task is released by the outer task %d", got)
+	}
+	inner := r.EndSupport()
+	r.OnCompute(100)
+	if got := r.ReleasePoint(); got != outer {
+		t.Fatalf("after the nested task ended the release point is %d, want the outer task %d", got, outer)
+	}
+	if got := r.EndSupport(); got != outer {
+		t.Fatalf("EndSupport = %d, want the outer task %d", got, outer)
+	}
+	r.Join()
+	r.Join()
+	tr, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first Join takes both tasks in the order they ended; the second has
+	// none left to take.
+	j1, j2 := tr.Task(tr.Main[len(tr.Main)-2]), tr.Task(tr.Main[len(tr.Main)-1])
+	if len(j1.Deps) != 3 || j1.Deps[1] != inner || j1.Deps[2] != outer || len(j2.Deps) != 1 {
+		t.Fatalf("join deps = %v then %v, want [_ %d %d] then the closed segment alone", j1.Deps, j2.Deps, inner, outer)
+	}
+	if o, i := tr.Task(outer), tr.Task(inner); o.Ops != 101 || i.Ops != 10 || len(i.Deps) != 1 || i.Deps[0] != outer {
+		t.Fatalf("outer ops %d (want 101), inner ops %d (want 10), inner deps %v (want [%d])", o.Ops, i.Ops, i.Deps, outer)
 	}
 }
 
@@ -154,8 +191,8 @@ func TestTraceInstructionsSums(t *testing.T) {
 	rel := r.CutMain()
 	r.BeginSupport("s", rel)
 	r.OnCompute(20)
-	id := r.EndSupport()
-	r.Join([]TaskID{id})
+	r.EndSupport()
+	r.Join()
 	tr, _ := r.Finish()
 	if tr.Instructions() != 30 {
 		t.Fatalf("Instructions = %d, want 30", tr.Instructions())
@@ -169,8 +206,8 @@ func TestSerializePreservesWork(t *testing.T) {
 	r.BeginSupport("s", rel)
 	r.OnCompute(20)
 	r.OnLoad(0x40, 0)
-	id := r.EndSupport()
-	r.Join([]TaskID{id})
+	r.EndSupport()
+	r.Join()
 	r.OnCompute(5)
 	tr, err := r.Finish()
 	if err != nil {

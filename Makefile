@@ -64,7 +64,8 @@ lock-table-check:
 # functions (TStore*/TUpdate*, queue and delta hot paths, the serve
 # plane's notify push and frame encode). Intentional first-touch
 # allocations are justified with `//dtt:escape-ok -- <reason>`. The same
-# run fails when a leaf the per-word paths need inlined (Buffer.Store, the
+# run fails when a leaf the per-word paths need inlined (Buffer.Load,
+# Buffer.Store and System.Compute — the probe seam's three accessors — the
 # pending-bit helpers, ...) loses its "can inline" diagnostic.
 escape-gate:
 	$(GO) run ./cmd/escapegate
@@ -129,13 +130,14 @@ cover:
 # Dispatch fast-path microbenchmarks; -benchmem prints allocs/op so the
 # numbers quoted in CHANGES.md can be regenerated. BenchmarkDispatchDrain
 # (ns/entry) and BenchmarkMergeDispatch (ns/word) price the worker's
-# per-entry bracket and the merge's admission on the immediate backend.
+# per-entry bracket and the merge's admission on the immediate backend;
+# BenchmarkComputeUnprobed/Probed price the probe seam per arithmetic op.
 # TestTStoreFastPathAllocs (run as part of `make race`/`make test`) is what
 # actually fails the build on a regression. The output is teed to
 # bench-fastpath.out (gitignored) so a before/after pair can be compared
 # with benchstat.
 bench-fastpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkTStore|BenchmarkQueuePending|BenchmarkDispatchDrain|BenchmarkMergeDispatch' -benchmem . | tee bench-fastpath.out
+	$(GO) test -run '^$$' -bench 'BenchmarkTStore|BenchmarkQueuePending|BenchmarkDispatchDrain|BenchmarkMergeDispatch|BenchmarkCompute(Unprobed|Probed)$$' -benchmem . | tee bench-fastpath.out
 	@echo "wrote bench-fastpath.out; compare runs with: benchstat <saved-baseline>.out bench-fastpath.out"
 
 # Explicit allocation gate for the triggering-store fast paths, telemetry

@@ -470,6 +470,35 @@ func BenchmarkQueuePending(b *testing.B) {
 	}
 }
 
+// computeSink keeps the multiply-accumulate of benchCompute live.
+var computeSink float64
+
+// benchCompute prices System.Compute where the kernels call it: once per
+// multiply-accumulate of an inner loop. ns/op minus the bare loop's (a
+// fraction of a nanosecond) is what the probe seam charges an arithmetic op.
+func benchCompute(b *testing.B, sys *mem.System) {
+	acc, w := 0.0, 1.0000001
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc += w * float64(i&7)
+		sys.Compute(1)
+	}
+	computeSink = acc
+}
+
+// BenchmarkComputeUnprobed: no probe attached, so Compute is a flag test
+// inlined into the loop (cmd/escapegate pins the inlining).
+func BenchmarkComputeUnprobed(b *testing.B) { benchCompute(b, mem.NewSystem()) }
+
+// BenchmarkComputeProbed: one NopProbe attached — the outlined fan-out and
+// one interface call, what every simulated experiment pays per Compute.
+func BenchmarkComputeProbed(b *testing.B) {
+	sys := mem.NewSystem()
+	sys.AttachProbe(mem.NopProbe{})
+	benchCompute(b, sys)
+}
+
 func BenchmarkCacheHierarchy(b *testing.B) {
 	h := mem.NewHierarchy(mem.DefaultHierarchy())
 	b.ResetTimer()

@@ -20,8 +20,9 @@
 //
 // The same diagnostics carry the inliner's verdicts, and a second, smaller
 // table (inlined) names the leaf functions the per-word paths are priced on
-// being inlined: one of them losing its "can inline" line — a statement too
-// many, or the function gone — fails the gate by name.
+// being inlined (Buffer.Load, Buffer.Store and System.Compute, the probe
+// seam's three accessors, among them): one of them losing its "can inline"
+// line — a statement too many, or the function gone — fails the gate by name.
 //
 // Exit status: 0 clean, 1 a pinned function gained a heap allocation or lost
 // its inlinability, 2 usage, build, or pin-table failure.
@@ -101,13 +102,14 @@ var pinned = map[string][]string{
 }
 
 // inlined maps a package directory to the functions that must stay
-// inlinable, named as in pinned: the store and load every word pays, the
-// write-outcome stage's nil tests, the quiescence count's add and the hinted
-// attachment lookup every admitted trigger pays, the ring slot arithmetic,
-// and the pending bit's test-and-set and clear.
+// inlinable, named as in pinned: the store and load every word pays and the
+// Compute every kernel arithmetic op pays, the write-outcome stage's nil
+// tests, the quiescence count's add and the hinted attachment lookup every
+// admitted trigger pays, the ring slot arithmetic, and the pending bit's
+// test-and-set and clear.
 var inlined = map[string][]string{
 	"internal/core":  {"Runtime.noteWrite", "dispatchShard.addBusy", "threadEntry.attachmentNear"},
-	"internal/mem":   {"Buffer.Load", "Buffer.Store"},
+	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }
 

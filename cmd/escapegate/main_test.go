@@ -110,10 +110,12 @@ func TestRenameProtection(t *testing.T) {
 // verdicts satisfy the real table (TestGateClean covers that end to end).
 func TestInlinePins(t *testing.T) {
 	table := map[string][]string{
-		"internal/mem":   {"Buffer.Load", "Buffer.Store"},
+		"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 		"internal/queue": {"Snapshot.Each", "pendBit"},
 	}
 	const out = `# dtt/internal/mem
+internal/mem/mem.go:235:6: can inline (*System).Compute
+internal/mem/mem.go:246:6: cannot inline (*System).computeProbed: marked go:noinline
 internal/mem/mem.go:293:6: can inline (*Buffer).Load
 internal/mem/mem.go:324:6: can inline (*Buffer).Store
 internal/mem/mem.go:330:6: cannot inline (*Buffer).swap: marked go:noinline
@@ -133,6 +135,13 @@ internal/queue/queue.go:161:16: make([]int, int(t) + 1) escapes to heap
 	v := notInlinable(table, inlinable)
 	if len(v) != 1 || !strings.Contains(v[0], "internal/mem") || !strings.Contains(v[0], "Buffer.Store") {
 		t.Fatalf("violations = %v, want exactly Buffer.Store of internal/mem named", v)
+	}
+	// System.Compute before it was split: the fan-out in its body priced it
+	// out, and every kernel arithmetic op paid a call.
+	_, inlinable = parseDiags(strings.Replace(out, "can inline (*System).Compute", "cannot inline (*System).Compute: function too complex: cost 136 exceeds budget 80", 1))
+	v = notInlinable(table, inlinable)
+	if len(v) != 1 || !strings.Contains(v[0], "internal/mem") || !strings.Contains(v[0], "System.Compute") {
+		t.Fatalf("violations = %v, want exactly System.Compute of internal/mem named", v)
 	}
 	// A same-named function of another package does not satisfy the pin.
 	_, inlinable = parseDiags("internal/core/x.go:1:6: can inline pendBit\n")

@@ -67,6 +67,10 @@ type System struct {
 	// probe is the single active probe fan-out target when exactly one
 	// probe is attached; it lets the hot path skip slice iteration.
 	probe Probe
+	// probed is len(probes) != 0, kept as a flag so Compute tests one byte
+	// and inlines; every Buffer carries a copy for Load and Store. setProbed
+	// is the only writer of either.
+	probed bool
 	// free holds address ranges returned by Free, sorted by base and
 	// coalesced, so namespace churn (allocate, close, allocate again)
 	// reuses the arena instead of growing it without bound.
@@ -97,17 +101,23 @@ func (s *System) AttachProbe(p Probe) {
 	} else {
 		s.probe = nil
 	}
-	for _, b := range s.bufs {
-		b.probed = true
-	}
+	s.setProbed(true)
 }
 
 // DetachProbes removes all probes.
 func (s *System) DetachProbes() {
 	s.probes = nil
 	s.probe = nil
+	s.setProbed(false)
+}
+
+// setProbed writes the system's probed flag and every live buffer's copy of
+// it. The flags are plain bools: probes attach and detach only while no
+// support thread runs.
+func (s *System) setProbed(on bool) {
+	s.probed = on
 	for _, b := range s.bufs {
-		b.probed = false
+		b.probed = on
 	}
 }
 
@@ -125,7 +135,7 @@ func (s *System) Alloc(name string, n int) *Buffer {
 	if need == 0 {
 		need = LineBytes
 	}
-	b := &Buffer{name: name, data: make([]Word, n), sys: s, probed: len(s.probes) != 0}
+	b := &Buffer{name: name, data: make([]Word, n), sys: s, probed: s.probed}
 	if i := s.fit(need); i >= 0 {
 		// Carve the front of the free span; an exact fit removes it.
 		fs := &s.free[i]
@@ -220,8 +230,19 @@ func (s *System) BufferAt(addr Addr) *Buffer {
 
 // Compute accounts n abstract ALU operations against attached probes.
 // Workloads call this (via their workload context) to describe non-memory
-// work so the timing model can charge it.
+// work so the timing model can charge it. With no probe attached it is a
+// flag test at the call site.
 func (s *System) Compute(n int64) {
+	if s.probed {
+		s.computeProbed(n)
+	}
+}
+
+// computeProbed is Compute's fan-out, outlined like loadProbed so Compute
+// inlines into the kernels' innermost loops.
+//
+//go:noinline
+func (s *System) computeProbed(n int64) {
 	if s.probe != nil {
 		s.probe.OnCompute(n)
 		return
@@ -257,9 +278,9 @@ type Buffer struct {
 	base Addr
 	data []Word
 	sys  *System
-	// probed mirrors len(sys.probes) != 0. Load and Store test it instead
-	// of chasing the sys pointer so both fit the compiler's inlining
-	// budget; System keeps it in sync on probe attach/detach.
+	// probed mirrors sys.probed. Load and Store test it instead of chasing
+	// the sys pointer so both fit the compiler's inlining budget;
+	// System.setProbed keeps it in step on probe attach/detach.
 	probed bool
 }
 

@@ -127,6 +127,110 @@ func TestMultipleProbesAllNotified(t *testing.T) {
 	}
 }
 
+// seamEvent is one probe callback as seamProbe logs it; probe is the
+// attach-order index of the probe that received it.
+type seamEvent struct {
+	probe    int
+	kind     string
+	addr     Addr
+	old, val Word
+	silent   bool
+	n        int64
+}
+
+// seamProbe appends every callback to a log shared by all probes of one
+// System, so the order across probes is observable.
+type seamProbe struct {
+	id  int
+	log *[]seamEvent
+}
+
+func (p seamProbe) OnLoad(addr Addr, val Word) {
+	*p.log = append(*p.log, seamEvent{probe: p.id, kind: "load", addr: addr, val: val})
+}
+func (p seamProbe) OnStore(addr Addr, old, val Word, silent bool) {
+	*p.log = append(*p.log, seamEvent{probe: p.id, kind: "store", addr: addr, old: old, val: val, silent: silent})
+}
+func (p seamProbe) OnCompute(n int64) {
+	*p.log = append(*p.log, seamEvent{probe: p.id, kind: "compute", n: n})
+}
+
+// TestProbeSeam pins the probe seam's contract across its three accessors:
+// with 0, 1 or 2 probes attached, every Load, Store and Compute reaches each
+// attached probe exactly once, in attach order, with the same arguments —
+// through a buffer allocated before the attach and one allocated after — and
+// none of them reaches a probe after DetachProbes. System.probed and every
+// Buffer.probed agree at each step, including on a buffer allocated after
+// the detach.
+func TestProbeSeam(t *testing.T) {
+	for _, probes := range []int{0, 1, 2} {
+		s := NewSystem()
+		var log []seamEvent
+		bufs := []*Buffer{s.Alloc("before", 2)}
+		flags := func(step string, want bool) {
+			t.Helper()
+			if s.probed != want {
+				t.Fatalf("%d probes, %s: System.probed = %v, want %v", probes, step, s.probed, want)
+			}
+			for _, b := range bufs {
+				if b.probed != want {
+					t.Fatalf("%d probes, %s: buffer %q probed = %v, want %v", probes, step, b.Name(), b.probed, want)
+				}
+			}
+		}
+		// expect runs op and requires exactly the events want, once per
+		// attached probe and in attach order (none when live is 0).
+		expect := func(step string, live int, want seamEvent, op func()) {
+			t.Helper()
+			log = log[:0]
+			op()
+			if len(log) != live {
+				t.Fatalf("%d probes, %s: %d events %+v, want %d", probes, step, len(log), log, live)
+			}
+			for i, got := range log {
+				want.probe = i
+				if got != want {
+					t.Fatalf("%d probes, %s: event %d = %+v, want %+v", probes, step, i, got, want)
+				}
+			}
+		}
+		traffic := func(step string, live int) {
+			t.Helper()
+			for _, b := range bufs {
+				b.Poke(1, 5)
+				expect(step+" load "+b.Name(), live, seamEvent{kind: "load", addr: b.Addr(1), val: 5}, func() { b.Load(1) })
+				expect(step+" store "+b.Name(), live, seamEvent{kind: "store", addr: b.Addr(1), old: 5, val: 9}, func() {
+					if !b.Store(1, 9) {
+						t.Fatalf("%d probes, %s: changing store reported silent", probes, step)
+					}
+				})
+				expect(step+" silent store "+b.Name(), live, seamEvent{kind: "store", addr: b.Addr(1), old: 9, val: 9, silent: true}, func() {
+					if b.Store(1, 9) {
+						t.Fatalf("%d probes, %s: silent store reported a change", probes, step)
+					}
+				})
+			}
+			expect(step+" compute", live, seamEvent{kind: "compute", n: 17}, func() { s.Compute(17) })
+		}
+
+		flags("fresh", false)
+		traffic("fresh", 0)
+		for i := 0; i < probes; i++ {
+			s.AttachProbe(seamProbe{id: i, log: &log})
+			flags("attached", true)
+		}
+		s.AttachProbe(nil) // ignored: attaches nothing, flips nothing
+		bufs = append(bufs, s.Alloc("after", 2))
+		flags("attached+alloc", probes > 0)
+		traffic("attached", probes)
+
+		s.DetachProbes()
+		bufs = append(bufs, s.Alloc("post", 2))
+		flags("detached", false)
+		traffic("detached", 0)
+	}
+}
+
 func TestPeekPokeDoNotProbe(t *testing.T) {
 	s := NewSystem()
 	b := s.Alloc("buf", 2)

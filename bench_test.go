@@ -499,6 +499,29 @@ func BenchmarkComputeProbed(b *testing.B) {
 	benchCompute(b, sys)
 }
 
+// BenchmarkBufferStoreChanging prices one changing, unprobed store — the
+// outlined Buffer.swap — in each sharing class: a locked XCHG on a shared
+// buffer (trigger data), a plain load and store on a private one (a kernel's
+// outputs). The difference is what a body saves per changed output word.
+func BenchmarkBufferStoreChanging(b *testing.B) {
+	sys := mem.NewSystem()
+	for _, bc := range []struct {
+		name string
+		buf  *mem.Buffer
+	}{
+		{"shared", sys.AllocShared("shared", 1024)},
+		{"private", sys.Alloc("private", 1024)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.buf.Store(i&1023, mem.Word(i)+1)
+			}
+		})
+	}
+}
+
 func BenchmarkCacheHierarchy(b *testing.B) {
 	h := mem.NewHierarchy(mem.DefaultHierarchy())
 	b.ResetTimer()

@@ -77,6 +77,27 @@ func TestTStoreBatchPanics(t *testing.T) {
 	}
 }
 
+// TestRegionBuffersAreShared pins the one line that decides which words
+// keep atomic stores: a thread can be attached to a region's words, so
+// Runtime.NewRegion and Namespace.Region allocate shared buffers, while a
+// kernel's own System.Alloc — its outputs — stays private.
+func TestRegionBuffersAreShared(t *testing.T) {
+	rt := newDeferred(t, nil)
+	if !rt.NewRegion("region", 4).Buffer().Shared() {
+		t.Fatalf("Runtime.NewRegion returned a private buffer")
+	}
+	r, err := rt.NewNamespace("tenant").Region("words", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Buffer().Shared() {
+		t.Fatalf("Namespace.Region returned a private buffer")
+	}
+	if rt.System().Alloc("output", 4).Shared() {
+		t.Fatalf("a runtime's System.Alloc returned a shared buffer")
+	}
+}
+
 func TestRegionTStoreFBitPattern(t *testing.T) {
 	rt := newDeferred(t, nil)
 	r := rt.NewRegion("f", 2)

@@ -384,7 +384,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 func (rt *Runtime) NewRegion(name string, n int) *Region {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return &Region{rt: rt, buf: rt.sys.Alloc(name, n)}
+	return &Region{rt: rt, buf: rt.sys.AllocShared(name, n)}
 }
 
 // Register records a support thread body under name and returns its ID.

@@ -87,3 +87,24 @@ type typo struct {
 }
 
 func (t *typo) Set(v int64) { t.v = v }
+
+// classed is mem.Buffer's shape: the words are stored atomically while
+// readers may be attached (shared) and plainly while one goroutine owns
+// them. The rule cannot see the ownership hand-off that makes the plain arm
+// safe, so the read and the write are both reported; the real Buffer.swap
+// carries a //dtt:ignore naming the class and the join, and without one
+// the shape stays a finding.
+type classed struct {
+	data   []uint64
+	shared bool
+}
+
+func (c *classed) swap(i int, v uint64) uint64 {
+	var old uint64
+	if c.shared {
+		old = atomic.SwapUint64(&c.data[i], v)
+	} else {
+		old, c.data[i] = c.data[i], v // want: atomics atomics
+	}
+	return old
+}

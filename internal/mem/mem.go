@@ -7,6 +7,16 @@
 // A Buffer is a word-granular array with a stable logical base address, so
 // the cache model and the redundancy profiler see a realistic address stream
 // while the workload code stays ordinary Go.
+//
+// A Buffer has one of two sharing classes, fixed when it is allocated.
+// A shared buffer (AllocShared; every core.Region is one) holds trigger
+// data: a thread can be attached to its words, so a support thread may read
+// a word while the main thread rewrites it, and its stores are atomic. A
+// private buffer (Alloc) holds everything else — a kernel's inputs and the
+// outputs its bodies compute. One goroutine at a time owns it, ownership
+// moves only across the runtime's synchronising edges (enqueue to claim,
+// settle to Wait/Barrier), and its stores are plain stores, as a support
+// thread's are in the paper.
 package mem
 
 import (
@@ -57,9 +67,9 @@ func (NopProbe) OnStore(Addr, Word, Word, bool) {}
 func (NopProbe) OnCompute(int64)                {}
 
 // System is a simulated address space. It hands out line-aligned Buffers and
-// fans memory events out to attached probes. A System is not safe for
-// concurrent mutation of the same Buffer; the DTT runtime serialises
-// conflicting accesses at a higher level.
+// fans memory events out to attached probes. Allocation and probe attachment
+// are not safe for concurrent use (core.Runtime serialises them); word access
+// is, to the extent the buffer's sharing class says.
 type System struct {
 	next   Addr
 	bufs   []*Buffer
@@ -121,10 +131,17 @@ func (s *System) setProbed(on bool) {
 	}
 }
 
-// Alloc reserves a Buffer of n words named name. The buffer is zero-filled
-// and line-aligned. Freed ranges (see Free) are reused first-fit before the
-// arena grows. Alloc panics if n is negative.
-func (s *System) Alloc(name string, n int) *Buffer {
+// Alloc reserves a private Buffer of n words named name: no two goroutines
+// touch it without a synchronising edge between them, so its stores are plain
+// stores. The buffer is zero-filled and line-aligned. Freed ranges (see Free)
+// are reused first-fit before the arena grows. Alloc panics if n is negative.
+func (s *System) Alloc(name string, n int) *Buffer { return s.alloc(name, n, false) }
+
+// AllocShared is Alloc for a buffer whose words may be read while they are
+// rewritten — trigger data. Its stores are atomic swaps.
+func (s *System) AllocShared(name string, n int) *Buffer { return s.alloc(name, n, true) }
+
+func (s *System) alloc(name string, n int, shared bool) *Buffer {
 	if n < 0 {
 		panic(fmt.Sprintf("mem: Alloc %q with negative size %d", name, n))
 	}
@@ -135,7 +152,7 @@ func (s *System) Alloc(name string, n int) *Buffer {
 	if need == 0 {
 		need = LineBytes
 	}
-	b := &Buffer{name: name, data: make([]Word, n), sys: s, probed: s.probed}
+	b := &Buffer{name: name, data: make([]Word, n), sys: s, probed: s.probed, shared: shared}
 	if i := s.fit(need); i >= 0 {
 		// Carve the front of the free span; an exact fit removes it.
 		fs := &s.free[i]
@@ -282,6 +299,11 @@ type Buffer struct {
 	// the sys pointer so both fit the compiler's inlining budget;
 	// System.setProbed keeps it in step on probe attach/detach.
 	probed bool
+	// shared is the sharing class, set by the allocator and never flipped:
+	// true when a word can be read while it is rewritten (AllocShared),
+	// false when accesses from different goroutines are always ordered by a
+	// hand-off (Alloc). Only swap reads it.
+	shared bool
 }
 
 // Name returns the allocation name.
@@ -292,6 +314,10 @@ func (b *Buffer) Base() Addr { return b.base }
 
 // Len returns the number of words in the buffer.
 func (b *Buffer) Len() int { return len(b.data) }
+
+// Shared reports the buffer's sharing class: true for AllocShared, whose
+// stores are atomic, false for Alloc, whose stores are plain.
+func (b *Buffer) Shared() bool { return b.shared }
 
 // Addr returns the logical byte address of word i.
 func (b *Buffer) Addr(i int) Addr { return b.base + Addr(i)*WordBytes }
@@ -307,10 +333,12 @@ func (b *Buffer) Index(addr Addr) int {
 	return i
 }
 
-// Load returns word i, notifying probes. Word access is atomic so that a
-// support thread may read trigger data the main thread is concurrently
-// rewriting — the overlap the DTT execution model is built on — without a
-// Go-level data race.
+// Load returns word i, notifying probes. The load is atomic in both sharing
+// classes — a plain MOV on amd64 — so that a support thread may read trigger
+// data (a shared buffer) the main thread is concurrently rewriting, the
+// overlap the DTT execution model is built on, without a Go-level data race.
+// On a private buffer the atomicity buys nothing and promises nothing: a Load
+// that is not ordered after the last Store by a hand-off races with it.
 func (b *Buffer) Load(i int) Word {
 	v := atomic.LoadUint64(&b.data[i])
 	if b.probed {
@@ -338,9 +366,10 @@ func (b *Buffer) LoadQuiet(i int) Word { return atomic.LoadUint64(&b.data[i]) }
 
 // Store writes v to word i, notifying probes. It returns true if the stored
 // value differs from the previous contents (i.e. the store was not silent).
-// Like Load, the word update is atomic. Unprobed, a silent store is a load:
-// when the word already reads v nothing is written — the store linearises at
-// that load — so the line stays shared with the support threads reading it
+// On a shared buffer the word update is atomic, like Load; on a private one
+// it is a plain store (see swap). Unprobed, a silent store is a load: when
+// the word already reads v nothing is written — the store linearises at that
+// load — so the line stays shared with the support threads reading it
 // instead of being taken exclusive to rewrite what it holds.
 func (b *Buffer) Store(i int, v Word) bool {
 	if b.probed || atomic.LoadUint64(&b.data[i]) != v {
@@ -350,15 +379,26 @@ func (b *Buffer) Store(i int, v Word) bool {
 }
 
 // swap is the store that writes: every probed store (probes see silent
-// stores too) and every unprobed one whose word did not already read v. It
-// reports what the swap displaced, so of two racing stores of one new value
-// exactly one changes the word. Outlined for the same reason as loadProbed:
-// with it out of line Store inlines, and a silent triggering store is one
-// atomic load and a predicted branch at the call site, no call.
+// stores too) and every unprobed one whose word did not already read v.
+// On a shared buffer it is an atomic swap and reports what the swap
+// displaced, so of two racing stores of one new value exactly one changes the
+// word. On a private buffer it reads and writes the word plainly: nobody can
+// be reading it, so there is nothing for a locked XCHG to order, and a body's
+// results become visible at the join as a support thread's do in the paper.
+// The shared arm is tested first; a triggering store pays one predicted
+// branch for the class. Outlined for the same reason as loadProbed: with it
+// out of line Store inlines, and a silent triggering store is one atomic load
+// and a predicted branch at the call site, no call.
 //
 //go:noinline
 func (b *Buffer) swap(i int, v Word) bool {
-	old := atomic.SwapUint64(&b.data[i], v)
+	var old Word
+	if b.shared {
+		old = atomic.SwapUint64(&b.data[i], v)
+	} else {
+		//dtt:ignore atomics -- private class: one goroutine owns the buffer between hand-offs (enqueue to claim under the shard mutex, settle to Wait/Barrier), so the join orders this plain read and write
+		old, b.data[i] = b.data[i], v
+	}
 	if b.probed {
 		b.sys.onStore(b.Addr(i), old, v, old == v)
 	}

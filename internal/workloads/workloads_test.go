@@ -38,7 +38,12 @@ func runDTT(t *testing.T, w Workload, size Size, mut func(*core.Config)) Result 
 
 // checkEquivalence is the central workload correctness property: the DTT
 // variant must compute exactly what the baseline computes, under every
-// backend and policy knob.
+// backend and policy knob. The immediate variants are also the race
+// detector's view of the memory model (DESIGN.md): a kernel's outputs are
+// private buffers with plain stores, so a body read before its Wait, or two
+// threads' bodies sharing an output, is a report under `make race`. A full
+// two-entry queue runs the overflow bodies inline on the producer beside the
+// workers — the schedule in which a private buffer changes hands most often.
 func checkEquivalence(t *testing.T, w Workload) {
 	t.Helper()
 	size := Size{Scale: 1, Iters: 12, Seed: 7}
@@ -51,6 +56,15 @@ func checkEquivalence(t *testing.T, w Workload) {
 		"deferred":   nil,
 		"immediate":  func(c *core.Config) { c.Backend = core.BackendImmediate; c.Workers = 3 },
 		"tiny-queue": func(c *core.Config) { c.QueueCapacity = 2 },
+		"immediate-one-worker": func(c *core.Config) {
+			c.Backend = core.BackendImmediate
+			c.Workers = 1
+		},
+		"immediate-tiny-queue": func(c *core.Config) {
+			c.Backend = core.BackendImmediate
+			c.Workers = 3
+			c.QueueCapacity = 2
+		},
 	}
 	for name, mut := range configs {
 		got := runDTT(t, w, size, mut)

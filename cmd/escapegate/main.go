@@ -60,8 +60,8 @@ var pinned = map[string][]string{
 		"Runtime.tstoreBatch",
 		// The pipeline stages every write plane shares: the gate checks
 		// pinned bodies only, so the callees carrying the 0 allocs/op
-		// contract are named too.
-		"Runtime.noteWrite",
+		// contract are named too. observers.write is stage one's hook.
+		"observers.write",
 		"Runtime.fireOne",
 		"Runtime.admitLocked",
 		"Runtime.dispatchFired",
@@ -103,12 +103,14 @@ var pinned = map[string][]string{
 
 // inlined maps a package directory to the functions that must stay
 // inlinable, named as in pinned: the store and load every word pays and the
-// Compute every kernel arithmetic op pays, the write-outcome stage's nil
-// tests, the quiescence count's add and the hinted attachment lookup every
+// Compute every kernel arithmetic op pays, the observer hooks' gates on the
+// per-word, per-trigger and per-body paths (one test of the attached
+// observers each, and no call with none attached), the quiescence count's add and the hinted attachment lookup every
 // admitted trigger pays, the ring slot arithmetic, and the pending bit's
 // test-and-set and clear.
 var inlined = map[string][]string{
-	"internal/core":  {"Runtime.noteWrite", "dispatchShard.addBusy", "threadEntry.attachmentNear"},
+	"internal/core": {"observers.write", "observers.access", "observers.admit", "observers.queueDepth",
+		"observers.enter", "observers.exit", "dispatchShard.addBusy", "threadEntry.attachmentNear"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }

@@ -35,7 +35,6 @@ import (
 
 	"dtt/internal/mem"
 	"dtt/internal/queue"
-	"dtt/internal/sanitize"
 	"dtt/internal/trace"
 )
 
@@ -90,25 +89,6 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// CheckMode selects the protocol sanitizer mode. See internal/sanitize.
-type CheckMode = sanitize.Mode
-
-// Sanitizer modes.
-const (
-	// CheckOff disables the sanitizer (the default); accesses pay a
-	// nil-check only.
-	CheckOff = sanitize.CheckOff
-	// CheckStrict threads a vector-clock happens-before layer through
-	// triggering stores, Wait/Barrier, support-thread entry/exit and
-	// region accesses, and records protocol violations (see
-	// Runtime.Violations). Region accesses become substantially slower;
-	// intended for tests and debugging, not production runs.
-	CheckStrict = sanitize.CheckStrict
-)
-
-// Violation is a sanitizer diagnostic. See sanitize.Violation.
-type Violation = sanitize.Violation
-
 // Config configures a Runtime. The zero value selects the deferred backend
 // with default hardware-structure sizes.
 type Config struct {
@@ -147,7 +127,7 @@ type Config struct {
 	// Telemetry enables the metrics plane: per-shard latency, run-duration
 	// and queue-depth histograms, pprof labels on support-thread instances,
 	// and runtime/trace annotations. Off by default; when off the trigger
-	// fast paths pay a single nil check and no time reads.
+	// fast paths pay one test and no time reads.
 	Telemetry bool
 	// MetricsAddr, when non-empty, starts an HTTP exporter on the address
 	// serving /metrics (Prometheus text) and /debug/vars (expvar JSON).

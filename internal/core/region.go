@@ -49,9 +49,7 @@ func (r *Region) Load(i int) mem.Word {
 		r.rt.mergePlane(u, false)
 	}
 	v := r.buf.Load(i)
-	if c := r.rt.check; c != nil {
-		c.OnLoad(goid(), r.Name(), i, r.buf.Addr(i))
-	}
+	r.rt.obs.access(r, i, 1, accLoad)
 	return v
 }
 
@@ -67,13 +65,7 @@ func (r *Region) LoadF(i int) float64 { return math.Float64frombits(r.Load(i)) }
 // code.
 func (r *Region) Store(i int, v mem.Word) bool {
 	changed := r.buf.Store(i, v)
-	if c := r.rt.check; c != nil {
-		if changed {
-			c.OnStore(goid(), r.Name(), i, r.buf.Addr(i))
-		} else {
-			c.OnSilentStore(goid(), r.Name(), i, r.buf.Addr(i))
-		}
-	}
+	r.rt.obs.access(r, i, 1, written(changed))
 	return changed
 }
 

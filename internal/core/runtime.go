@@ -3,22 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"dtt/internal/isa"
 	"dtt/internal/mem"
 	"dtt/internal/queue"
-	"dtt/internal/sanitize"
 	"dtt/internal/sched"
-	"dtt/internal/telemetry"
-	"dtt/internal/trace"
 )
 
 // attachment is one attached trigger range of a thread, with the pending bit
@@ -47,10 +39,8 @@ type threadEntry struct {
 	fn   ThreadFunc
 	atts []attachment
 
-	// labels is the precomputed pprof label context for this thread's
-	// instances (dtt_thread=name, dtt_thread_id=id), nil with telemetry
-	// off. Building it once at Register keeps per-instance labelling to
-	// two allocation-free SetGoroutineLabels calls. Immutable after
+	// labels is the pprof label context of this thread's instances, nil
+	// with telemetry off (see observers.register). Immutable after
 	// Register.
 	labels context.Context
 
@@ -166,11 +156,6 @@ func (sh *dispatchShard) addBusy(d int64) {
 	}
 }
 
-type releaseKey struct {
-	thread ThreadID
-	addr   mem.Addr
-}
-
 // Runtime is a data-triggered threads runtime instance.
 //
 // The main thread (the goroutine that created the runtime) allocates
@@ -198,7 +183,7 @@ type releaseKey struct {
 //  3. rt.mu, the management lock: Register/Attach/Cancel/Close and registry
 //     mutations. Never taken on the store path. Lock order is rt.mu →
 //     shard locks (ascending index when more than one) → leaf locks
-//     (barMu, relMu); the reverse order is never taken.
+//     (barMu, batchMu, recording.mu); the reverse order is never taken.
 type Runtime struct {
 	cfg Config
 	sys *mem.System
@@ -239,18 +224,14 @@ type Runtime struct {
 	wake   chan struct{}
 	parked atomic.Int32
 
-	// release maps a pending queue entry to the trace task that released it;
-	// nil without a Config.Recorder. Guarded by relMu, a leaf lock.
-	relMu   sync.Mutex
-	release map[releaseKey]trace.TaskID //dtt:guards relMu
-
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	// check is the protocol sanitizer, nil when Config.Checker is
-	// CheckOff. It carries its own lock and never calls back into the
-	// runtime, so it may be invoked with or without runtime locks held.
-	check *sanitize.Checker
+	// obs are the observers — sanitizer, telemetry, recorder — behind the
+	// hooks of observe.go. The sanitizer carries its own lock and never
+	// calls back into the runtime, so hooks may run with or without runtime
+	// locks held.
+	obs observers
 	// sched is the schedule drain picks by, BackendSeeded's; nil means FIFO.
 	// Only the runtime's single driving goroutine consults it.
 	sched *sched.Scheduler
@@ -278,10 +259,6 @@ type Runtime struct {
 	// Register reuses them before growing the table. Guarded by rt.mu.
 	freeIDs []ThreadID //dtt:guards mu
 
-	// tel is the telemetry plane, nil when Config.Telemetry is off. Every
-	// hot-path use is behind a nil check, so the disabled configuration
-	// pays one predictable branch and no time reads.
-	tel *telemetry.T
 	// metricsSrv serves /metrics and /debug/vars when Config.MetricsAddr
 	// is set; metricsAddr is the bound listen address (resolved, so
 	// ":0"-style configs report the real port).
@@ -317,34 +294,11 @@ func New(cfg Config) (*Runtime, error) {
 		sh.idx = s
 		sh.tq = queue.NewThreadQueue(cfg.QueueCapacity)
 	}
-	if cfg.Telemetry {
-		rt.tel = telemetry.New(len(rt.shards))
-		for s := range rt.shards {
-			// Stamp enqueues with the telemetry clock so dispatch can
-			// observe trigger->dispatch latency.
-			rt.shards[s].tq.SetClock(telemetry.Now)
-		}
-	}
-	if cfg.MetricsAddr != "" {
-		ln, err := net.Listen("tcp", cfg.MetricsAddr)
-		if err != nil {
-			return nil, fmt.Errorf("core: metrics listener: %w", err)
-		}
-		rt.metricsAddr = ln.Addr().String()
-		rt.metricsSrv = telemetry.Serve(ln, rt)
-	}
-	if cfg.Checker != CheckOff {
-		rt.check = sanitize.NewChecker()
+	if err := rt.attachObservers(); err != nil {
+		return nil, err
 	}
 	if cfg.Backend == BackendSeeded {
 		rt.sched = sched.New(cfg.SchedSeed)
-	}
-	if rec := cfg.Recorder; rec != nil {
-		rt.release = make(map[releaseKey]trace.TaskID)
-		rt.sys.AttachProbe(rec)
-		if rt.check != nil {
-			rt.check.SetReporter(func(sanitize.Violation) { rec.NoteViolation() })
-		}
 	}
 	if cfg.Backend == BackendImmediate {
 		rt.wake = make(chan struct{}, cfg.Workers)
@@ -403,17 +357,9 @@ func (rt *Runtime) Register(name string, fn ThreadFunc) ThreadID {
 		rt.freeIDs = rt.freeIDs[:n-1]
 	}
 	grown := make([]*threadEntry, max(len(old), int(id)+1))
-	te := &threadEntry{name: name, fn: fn}
-	if rt.tel != nil {
-		te.labels = pprof.WithLabels(context.Background(),
-			pprof.Labels("dtt_thread", name, "dtt_thread_id", strconv.Itoa(int(id))))
-	}
 	copy(grown, old)
-	grown[id] = te
+	grown[id] = &threadEntry{name: name, fn: fn, labels: rt.obs.register(id, name)}
 	rt.threads.Store(&grown)
-	if rt.check != nil {
-		rt.check.RegisterThread(id, name)
-	}
 	return id
 }
 
@@ -449,10 +395,7 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 	sh.mu.Lock()
 	te.atts = append(te.atts, attachment{region: r, lo: loA, hi: hiA, pend: queue.NewPendingSet(loA, hiA)})
 	sh.mu.Unlock()
-	if rt.check != nil {
-		rt.check.OnAttach(t, loA, hiA)
-	}
-	rt.chargeMgmt(isa.OpTSpawn)
+	rt.obs.attach(t, loA, hiA)
 	return nil
 }
 
@@ -470,28 +413,8 @@ func (rt *Runtime) AllowWrites(t ThreadID, r *Region, lo, hi int) error {
 	if lo < 0 || hi > r.Len() || lo >= hi {
 		return fmt.Errorf("core: AllowWrites range [%d, %d) outside region %q of %d words", lo, hi, r.Name(), r.Len())
 	}
-	if rt.check != nil {
-		rt.check.Grant(t, r.buf.Addr(lo), r.buf.Addr(hi))
-	}
+	rt.obs.grant(t, r.buf.Addr(lo), r.buf.Addr(hi))
 	return nil
-}
-
-// Violations returns the protocol violations the sanitizer has recorded so
-// far, in detection order. It returns nil when the checker is off.
-func (rt *Runtime) Violations() []sanitize.Violation {
-	if rt.check == nil {
-		return nil
-	}
-	return rt.check.Violations()
-}
-
-// CheckErr returns nil if the sanitizer is off or recorded no violations,
-// otherwise an error carrying the first violation and the total count.
-func (rt *Runtime) CheckErr() error {
-	if rt.check == nil {
-		return nil
-	}
-	return rt.check.Err()
 }
 
 // Cancel detaches thread t and squashes its pending instances (tcancel).
@@ -503,15 +426,7 @@ func (rt *Runtime) Cancel(t ThreadID) {
 	te := entryOf(rt.threadsSnap(), t)
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
-	if rt.check != nil {
-		running := 0
-		if te != nil {
-			// The token, not the dispatched column: an inline overflow run
-			// shows Idle but races this cancel all the same.
-			running = te.running
-		}
-		rt.check.OnCancel(t, running)
-	}
+	rt.obs.cancel(t, te)
 	rt.reg.Detach(t)
 	if te != nil {
 		te.atts = nil
@@ -521,9 +436,7 @@ func (rt *Runtime) Cancel(t ThreadID) {
 	if n := sh.tq.Squash(t); n > 0 {
 		sh.addBusy(int64(-n))
 	}
-	rt.dropReleases(t)
 	rt.stats.cancels.Add(1)
-	rt.chargeMgmt(isa.OpTCancel)
 	// Squashing may have made t — or the whole runtime — quiet.
 	rt.finishShardLocked(sh, te, t)
 	sh.mu.Unlock()
@@ -556,9 +469,7 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	grown[t] = &threadEntry{name: te.name + " (retired)"}
 	rt.threads.Store(&grown)
 	rt.freeIDs = append(rt.freeIDs, t)
-	if rt.check != nil {
-		rt.check.RetireThread(t)
-	}
+	rt.obs.retire(t)
 	return true
 }
 
@@ -626,70 +537,13 @@ func (rt *Runtime) releaseRegionLocked(r *Region) {
 		u.plane.Discard()
 		u.mergeMu.Unlock()
 	}
-	lo := r.buf.Base()
-	hi := lo + mem.Addr(r.buf.Len())*mem.WordBytes
 	rt.sys.Free(r.buf)
-	if rt.check != nil {
-		// Drop stale write stamps so a later tenant reusing the range does
-		// not inherit the old tenant's happens-before obligations.
-		rt.check.ReleaseRange(lo, hi)
-	}
-}
-
-// chargeMgmt accounts a management instruction to the recorder, if there is
-// one. Callers are on the single driver goroutine (a recorder's contract).
-func (rt *Runtime) chargeMgmt(op isa.Opcode) {
-	if rt.cfg.Recorder == nil {
-		return
-	}
-	ins, _ := isa.Lookup(op)
-	rt.cfg.Recorder.NoteMgmt(int64(ins.Latency))
-}
-
-// noteWrite is pipeline stage one, the store outcome: every triggering
-// write — scalar, batched, merged — reports each word here and nowhere
-// else. It is split so the common configuration (no recorder, no sanitizer)
-// inlines to two nil tests in the caller's per-word loop; noteWriteChecked
-// does the reporting. The stats counters stay with the caller — a batch
-// settles them once per span.
-func (rt *Runtime) noteWrite(r *Region, i int, changed bool, g uint64) {
-	if rt.cfg.Recorder != nil || rt.check != nil {
-		rt.noteWriteChecked(r, i, changed, g)
-	}
-}
-
-// noteWriteChecked charges the recorded trace and hands the write to the
-// sanitizer. A silent store still counts against write confinement (where a
-// thread stores is decided by the instruction, not by the value already in
-// memory) but publishes nothing, so it gets no happens-before stamp. g is
-// the writer's goroutine id, resolved by the caller only when the sanitizer
-// is on: goid costs a stack read the unchecked fast path must not pay.
-func (rt *Runtime) noteWriteChecked(r *Region, i int, changed bool, g uint64) {
-	if rec := rt.cfg.Recorder; rec != nil {
-		rec.NoteTStore()
-	}
-	if rt.check == nil {
-		return
-	}
-	if changed {
-		rt.check.OnStore(g, r.Name(), i, r.buf.Addr(i))
-	} else {
-		rt.check.OnSilentStore(g, r.Name(), i, r.buf.Addr(i))
-	}
-}
-
-// checkGoid returns the calling goroutine's id when the sanitizer is on and
-// zero otherwise (see noteWrite).
-func (rt *Runtime) checkGoid() uint64 {
-	if rt.check == nil {
-		return 0
-	}
-	return goid()
+	rt.obs.free(r.buf.Base(), r.buf.Addr(r.buf.Len()))
 }
 
 // tstore is the scalar triggering write behind Region.TStore and TStoreF: the
-// compare-and-store, noteWrite, and for a changed word inside a trigger range
-// one fireOne per attached thread. It reports whether the word changed.
+// compare-and-store, the write hook, and for a changed word inside a trigger
+// range one fireOne per attached thread. It reports whether the word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
 // store is one atomic load; a changing store to an unattached address adds
@@ -699,9 +553,9 @@ func (rt *Runtime) checkGoid() uint64 {
 // shard lock, for the enqueue bookkeeping — and counts itself under it: three
 // locked instructions, the swap, the lock and the unlock.
 func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
-	g := rt.checkGoid()
+	g := rt.obs.checkGoid()
 	changed := r.buf.Store(i, v)
-	rt.noteWrite(r, i, changed, g)
+	rt.obs.write(r, i, changed, g)
 	if !changed {
 		rt.stats.silent.Add(1)
 		return false
@@ -758,18 +612,11 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, a *attachment, id ThreadID, ad
 		return queue.Squashed
 	}
 	sh.c.fired++
-	if rt.check != nil {
-		// Every outcome — enqueued, squashed, overflowed — ends in an
-		// instance that observes this store, so the release edge is
-		// recorded unconditionally.
-		rt.check.OnTrigger(g, id)
-	}
 	st := sh.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
-	} else if rt.release != nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (Config.Recorder); never reassigned
-		rt.noteRelease(id, addr)
 	}
+	rt.obs.admit(g, id, addr, st)
 	return st
 }
 
@@ -788,9 +635,7 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 	}
 	if rt.admitLocked(sh, te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
 		sh.addBusy(1)
-		if rt.tel != nil {
-			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-		}
+		rt.obs.queueDepth(sh)
 		rt.wakeWorker()
 	}
 	sh.mu.Unlock()
@@ -886,7 +731,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		panic(fmt.Sprintf("core: TStoreBatch [%d, %d) out of range of %q (%d words)",
 			lo, lo+len(vs), r.Name(), r.buf.Len()))
 	}
-	g := rt.checkGoid()
+	g := rt.obs.checkGoid()
 	sc := rt.getScratch()
 	// One index resolution for the whole span: per word, trigger matching is
 	// then an interval test against the (usually zero or one) candidates.
@@ -894,7 +739,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	changed := 0
 	for j, v := range vs {
 		wrote := r.buf.Store(lo+j, v)
-		rt.noteWrite(r, lo+j, wrote, g)
+		rt.obs.write(r, lo+j, wrote, g)
 		if wrote {
 			changed++
 			sc.fire(r.buf.Addr(lo+j), rt.shardMask)
@@ -906,9 +751,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	if changed > 0 {
 		rt.stats.changing.Add(int64(changed))
 	}
-	if rt.tel != nil {
-		rt.tel.BatchSize.Observe(int64(len(vs)))
-	}
+	rt.obs.batchSize(len(vs))
 
 	rt.dispatchFired(sc, g)
 	if changed > 0 {
@@ -961,11 +804,9 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 		}
 		if enqueued > 0 {
 			sh.addBusy(int64(enqueued))
-			if rt.tel != nil {
-				// One depth sample per shard per write: the depth after its
-				// admissions, not one sample per entry.
-				rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-			}
+			// One depth sample per shard per write: the depth after its
+			// admissions, not one sample per entry.
+			rt.obs.queueDepth(sh)
 			rt.wakeWorker()
 		}
 		sh.mu.Unlock()
@@ -1087,41 +928,6 @@ func (rt *Runtime) quietConfirm() bool {
 	return !rt.anyBusy()
 }
 
-// noteRelease records the current trace position as the release point of the
-// pending entry for (t, addr). Only with a recorder.
-func (rt *Runtime) noteRelease(t ThreadID, addr mem.Addr) {
-	rt.relMu.Lock()
-	rt.release[releaseKey{thread: t, addr: addr}] = rt.cfg.Recorder.ReleasePoint()
-	rt.relMu.Unlock()
-}
-
-// takeRelease pops the recorded release point for an entry, or trace.NoTask.
-// Only with a recorder.
-func (rt *Runtime) takeRelease(e queue.Entry) trace.TaskID {
-	rt.relMu.Lock()
-	defer rt.relMu.Unlock()
-	k := releaseKey{thread: e.Thread, addr: e.Addr}
-	if rel, ok := rt.release[k]; ok {
-		delete(rt.release, k)
-		return rel
-	}
-	return trace.NoTask
-}
-
-// dropReleases discards the recorded release points of thread t (tcancel).
-func (rt *Runtime) dropReleases(t ThreadID) {
-	if rt.release == nil { //dtt:ignore atomics -- nil-gate on a map set once at construction; never reassigned
-		return
-	}
-	rt.relMu.Lock()
-	for k := range rt.release {
-		if k.thread == t {
-			delete(rt.release, k)
-		}
-	}
-	rt.relMu.Unlock()
-}
-
 // resolveLocked builds the Triggers of the run c.es[:n] — entries of one
 // thread, te's — from the thread's own attachment list: the attachment is
 // looked up for the first entry and again only when an address leaves it.
@@ -1142,56 +948,6 @@ func (te *threadEntry) resolveLocked(c *claim, n int) {
 	}
 }
 
-// instance is what the observers keep across the body a run has in flight.
-type instance struct {
-	start  int64
-	task   *rtrace.Task
-	region *rtrace.Region
-}
-
-// enterInstance opens the observers' bracket around one body, run on
-// goroutine g: with telemetry on, the trigger->dispatch latency observation
-// (for entries that sat in a queue), pprof goroutine labels so CPU profiles
-// attribute samples to the thread, a runtime/trace task+region when tracing
-// is active, and the run-duration clock; then the sanitizer's instance entry.
-// With tracing off it allocates nothing: the labels are built at Register.
-func (rt *Runtime) enterInstance(te *threadEntry, e *queue.Entry, g uint64) (in instance) {
-	if tel := rt.tel; tel != nil {
-		if e.T0 != 0 {
-			tel.Shard(int(uint32(e.Thread) & rt.shardMask)).TriggerLatency.Observe(telemetry.Now() - e.T0)
-		}
-		pprof.SetGoroutineLabels(te.labels)
-		if rtrace.IsEnabled() {
-			var ctx context.Context
-			ctx, in.task = rtrace.NewTask(te.labels, "dtt.instance")
-			rtrace.Log(ctx, "dtt.thread", te.name)
-			in.region = rtrace.StartRegion(ctx, "dtt.run")
-		}
-		in.start = telemetry.Now()
-	}
-	if rt.check != nil {
-		rt.check.EnterSupport(g, e.Thread)
-	}
-	return in
-}
-
-// exitInstance closes enterInstance's bracket, body returned or panicked.
-func (rt *Runtime) exitInstance(te *threadEntry, t ThreadID, g uint64, in instance) {
-	if rt.check != nil {
-		rt.check.ExitSupport(g, t)
-	}
-	if tel := rt.tel; tel != nil {
-		tel.Shard(int(uint32(t) & rt.shardMask)).RunDuration.Observe(telemetry.Now() - in.start)
-		if in.region != nil {
-			in.region.End()
-			in.task.End()
-		}
-		// Shed the instance labels so worker idle time (or the caller's
-		// own samples, for inline runs) is not attributed to this thread.
-		pprof.SetGoroutineLabels(context.Background())
-	}
-}
-
 // runBodies executes the bodies of the run c.es[i:n] — entries of the thread
 // whose record is te, triggers resolved — back to back under ONE deferred
 // recover, and returns the index after the last body it started. A body that
@@ -1202,13 +958,13 @@ func (rt *Runtime) exitInstance(te *threadEntry, t ThreadID, g uint64, in instan
 // epoch was read (under the claim's lock) stops the run between bodies; a run
 // of one never consults epoch.
 func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) (next int) {
-	observed, g := rt.tel != nil || rt.check != nil, rt.checkGoid()
+	g := rt.obs.checkGoid()
 	var in instance
 	inBody := false // a panic outside a body is the runtime's own: not recovered
 	next = i
 	defer func() {
-		if inBody && recover() != nil && observed {
-			rt.exitInstance(te, c.es[next-1].Thread, g, in)
+		if inBody && recover() != nil {
+			rt.obs.exit(c.es[next-1].Thread, g, in)
 		}
 	}()
 	for {
@@ -1216,16 +972,12 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 		next++ // before the body: a panic in it returns past it
 		e := &c.es[k]
 		c.oks[k] = false
-		if observed {
-			in = rt.enterInstance(te, e, g)
-		}
+		in = rt.obs.enter(te, e, g)
 		inBody = true
 		te.fn(c.tgs[k])
 		inBody = false
 		c.oks[k] = true
-		if observed {
-			rt.exitInstance(te, e.Thread, g, in)
-		}
+		rt.obs.exit(e.Thread, g, in)
 		if next == n || atomic.LoadUint32(&te.cancelEpoch) != epoch {
 			return next
 		}
@@ -1314,7 +1066,6 @@ func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, 
 // recorder each instance is a support task, which the recorder's next Join
 // takes.
 func (rt *Runtime) drain(all bool) {
-	rec := rt.cfg.Recorder
 	var c claim
 	rt.lockAllShards()
 	for {
@@ -1330,15 +1081,9 @@ func (rt *Runtime) drain(all bool) {
 		te.resolveLocked(&c, 1)
 		rt.unlockAllShards()
 
-		if rec != nil {
-			rec.BeginSupport(te.name, rt.takeRelease(c.es[0]))
-		}
+		rt.obs.beginSupport(te, c.es[0])
 		rt.runBodies(te, &c, 0, 1, 0)
-		if rec != nil {
-			// A failed instance still closes its trace task: whatever it
-			// charged before panicking was really executed.
-			rec.EndSupport()
-		}
+		rt.obs.endSupport()
 
 		rt.lockAllShards()
 		rt.endRunLocked(sh, te, t, true, 1, c.oks[0])
@@ -1578,9 +1323,7 @@ func goid() uint64 {
 // immediate backend sleeps in drainThread.
 func (rt *Runtime) Wait(t ThreadID) {
 	rt.stats.waits.Add(1)
-	if rt.tel != nil && rtrace.IsEnabled() {
-		defer rtrace.StartRegion(context.Background(), "dtt.Wait").End()
-	}
+	j := rt.obs.beginJoin("dtt.Wait")
 	// Wait is a blocking merge point: pending commutative deltas reach
 	// memory — and fire their triggers — before the quiescence predicate
 	// is evaluated, so the post-Wait state reflects every TUpdate this
@@ -1591,18 +1334,7 @@ func (rt *Runtime) Wait(t ThreadID) {
 	} else {
 		rt.drainThread(t)
 	}
-	rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
-	rt.joinTrace(isa.OpTWait)
-}
-
-// noteJoin invokes a sanitizer join edge (Wait/Barrier) for the calling
-// goroutine, after the runtime has actually reached quiescence for it.
-// No-op when the checker is off.
-func (rt *Runtime) noteJoin(edge func(g uint64)) {
-	if rt.check == nil {
-		return
-	}
-	edge(goid())
+	rt.obs.join(j, t, false)
 }
 
 // Barrier blocks until every shard's queue is empty and every thread is
@@ -1613,9 +1345,7 @@ func (rt *Runtime) noteJoin(edge func(g uint64)) {
 // side only reads the flags lock-free — and are absorbed by re-confirming.
 func (rt *Runtime) Barrier() {
 	rt.stats.barriers.Add(1)
-	if rt.tel != nil && rtrace.IsEnabled() {
-		defer rtrace.StartRegion(context.Background(), "dtt.Barrier").End()
-	}
+	j := rt.obs.beginJoin("dtt.Barrier")
 	// Like Wait, Barrier merges pending commutative deltas (blocking)
 	// before confirming quiescence.
 	rt.mergeAllPlanes()
@@ -1638,18 +1368,7 @@ func (rt *Runtime) Barrier() {
 			<-ch
 		}
 	}
-	rt.noteJoin(rt.check.OnBarrier)
-	rt.joinTrace(isa.OpTBarrier)
-}
-
-// joinTrace closes the synchronisation point in the recorded trace, joining
-// the support tasks run since the last one; a no-op without a recorder.
-func (rt *Runtime) joinTrace(op isa.Opcode) {
-	if rt.cfg.Recorder == nil {
-		return
-	}
-	rt.chargeMgmt(op)
-	rt.cfg.Recorder.Join()
+	rt.obs.join(j, 0, true)
 }
 
 // Status returns thread t's TQST state (tstatus): the "most active" reading

@@ -55,9 +55,7 @@ func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 		sh.mu.Unlock()
 		snap.Shards[i] = shardSampleFrom(c, depth)
 	}
-	if rt.tel != nil {
-		snap.Histograms = rt.tel.Histograms()
-	}
+	snap.Histograms = rt.obs.histograms()
 	return snap
 }
 

@@ -210,7 +210,7 @@ func TestMetricsEndpointDuringLoad(t *testing.T) {
 	if addr == "" || strings.HasSuffix(addr, ":0") {
 		t.Fatalf("MetricsAddr = %q, want a resolved host:port", addr)
 	}
-	if rt.tel == nil {
+	if len(rt.TelemetrySnapshot().Histograms) == 0 {
 		t.Fatal("MetricsAddr did not imply Telemetry")
 	}
 	// Enough stores that several scrapes land while producers are firing.

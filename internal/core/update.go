@@ -23,7 +23,7 @@
 //     merge point applies them).
 //
 // Merge words go through the pipeline stages every triggering write uses
-// (the compare-and-store, noteWrite, an interval test per word, then
+// (the compare-and-store, the write hook, an interval test per word, then
 // admitLocked — coverage re-check, Fired identity), so the
 // trigger-observable semantics match a TStore of the merged value. A merge
 // is a bulk operation over privatized deltas, not N scalar stores: it
@@ -51,7 +51,6 @@ import (
 	"sync"
 
 	"dtt/internal/mem"
-	"dtt/internal/telemetry"
 )
 
 // UpdateOp re-exports the commutative op set (see mem.UpdateOp).
@@ -131,12 +130,7 @@ func (r *Region) TUpdate(i int, op mem.UpdateOp, v mem.Word) {
 	if u == nil {
 		u = r.rt.armUpdates(r)
 	}
-	if c := r.rt.check; c != nil {
-		// Write confinement only: where a thread updates is a property of
-		// the instruction. The happens-before stamp lands at merge time —
-		// the visibility point — on the merging agent's clock.
-		c.OnUpdate(goid(), r.Name(), i, r.buf.Addr(i))
-	}
+	r.rt.obs.access(r, i, 1, accUpdate)
 	u.plane.Apply(u.plane.Hint(), i, op, v)
 }
 
@@ -159,12 +153,7 @@ func (r *Region) TUpdateBatch(lo int, op mem.UpdateOp, vs []mem.Word) {
 	if u == nil {
 		u = r.rt.armUpdates(r)
 	}
-	if c := r.rt.check; c != nil {
-		g := goid()
-		for j := range vs {
-			c.OnUpdate(g, r.Name(), lo+j, r.buf.Addr(lo+j))
-		}
-	}
+	r.rt.obs.access(r, lo, len(vs), accUpdate)
 	u.plane.ApplyBatch(u.plane.Hint(), lo, op, vs)
 }
 
@@ -205,10 +194,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		u.mergeMu.Unlock()
 		return
 	}
-	var t0 int64
-	if rt.tel != nil {
-		t0 = telemetry.Now()
-	}
+	t0 := rt.obs.clock()
 	p := u.plane
 	n := p.Collect()
 	if n == 0 {
@@ -216,7 +202,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		return
 	}
 	r := u.r
-	g := rt.checkGoid()
+	g := rt.obs.checkGoid()
 	// The fired pairs and the inline list ride the pooled batch scratch so
 	// a steady merge cadence allocates nothing.
 	sc := rt.getScratch()
@@ -233,7 +219,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		// tstore of the merged value.
 		_, v := p.MergeWord(k, r.buf.LoadQuiet(i))
 		wrote := r.buf.Store(i, v)
-		rt.noteWrite(r, i, wrote, g)
+		rt.obs.write(r, i, wrote, g)
 		if wrote {
 			changed++
 			sc.fire(r.buf.Addr(i), rt.shardMask)
@@ -243,10 +229,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	rt.stats.mergedUpdates.Add(int64(n))
 	rt.stats.silentMerges.Add(int64(n - changed))
 	rt.stats.merges.Add(1)
-	if rt.tel != nil {
-		rt.tel.MergeLatency.Observe(telemetry.Now() - t0)
-		rt.tel.DeltaOccupancy.Observe(int64(n))
-	}
+	rt.obs.merged(t0, n)
 	u.mergeMu.Unlock()
 
 	if changed > 0 {

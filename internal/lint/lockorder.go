@@ -53,7 +53,7 @@ var lockOrderTable = []lockRank{
 	{5, "deltaStripe.mu", true, "privatized delta stripes; taken by Collect under mergeMu"},
 	{6, "dispatchShard.mu", true, "dispatch shards; multi-shard holders iterate ascending"},
 	{7, "Runtime.barMu", false, "barrier waiter list (leaf)"},
-	{7, "Runtime.relMu", false, "release-note buffer (leaf)"},
+	{7, "recording.mu", false, "the recorder's release map, in the observer seam (leaf)"},
 	{7, "Runtime.batchMu", false, "batch scratch free list (leaf)"},
 	{7, "outbox.mu", false, "per-session reply mailbox (leaf)"},
 	{7, "Checker.mu", false, "sanitizer state (leaf; runtime locks may be held around checker calls, never the reverse)"},

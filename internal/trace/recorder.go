@@ -3,13 +3,15 @@ package trace
 import (
 	"fmt"
 
+	"dtt/internal/isa"
 	"dtt/internal/mem"
 )
 
 // Recorder builds a Trace from an instrumented run. It implements mem.Probe:
 // attach it to the workload's mem.System and every load, store and compute
 // event is charged to the currently open task. The DTT runtime drives the
-// structural calls (CutMain, BeginSupport, EndSupport, Join).
+// structural calls (ReleasePoint, BeginSupport, EndSupport, Wait, Barrier)
+// and charges its management instructions (NoteSpawn, NoteCancel).
 //
 // A Recorder may optionally classify loads through a cache hierarchy; with a
 // nil hierarchy every load is charged as an L1 hit, which is useful in unit
@@ -76,8 +78,20 @@ func (r *Recorder) NoteTStore() {
 	r.cur.TStores++
 }
 
-// NoteMgmt charges n management/synchronisation instruction slots.
-func (r *Recorder) NoteMgmt(n int64) { r.cur.Mgmt += n }
+// NoteSpawn and NoteCancel charge a tspawn or a tcancel, at its ISA latency,
+// to the current task: the runtime calls them at Attach and Cancel.
+func (r *Recorder) NoteSpawn()  { r.noteMgmt(isa.OpTSpawn) }
+func (r *Recorder) NoteCancel() { r.noteMgmt(isa.OpTCancel) }
+
+// Wait and Barrier charge a twait or a tbarrier and then Join: the runtime
+// calls them once the synchronisation point has been reached.
+func (r *Recorder) Wait()    { r.noteMgmt(isa.OpTWait); r.Join() }
+func (r *Recorder) Barrier() { r.noteMgmt(isa.OpTBarrier); r.Join() }
+
+func (r *Recorder) noteMgmt(op isa.Opcode) {
+	ins, _ := isa.Lookup(op)
+	r.cur.Mgmt += int64(ins.Latency)
+}
 
 // NoteViolation marks a protocol-sanitizer violation against the current
 // task, so a recorded trace localises where in the task DAG the discipline
@@ -142,7 +156,7 @@ func (r *Recorder) EndSupport() TaskID {
 
 // Join closes the open main segment and opens a new one that depends on the
 // closed segment and on every support task ended since the last Join, in the
-// order they ended. The runtime calls this at twait and tbarrier.
+// order they ended. Wait and Barrier call it.
 func (r *Recorder) Join() {
 	if len(r.open) > 0 {
 		panic("trace: Join while a support task is open")

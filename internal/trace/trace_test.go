@@ -88,10 +88,15 @@ func TestRecorderTStoreReclassification(t *testing.T) {
 
 func TestRecorderMgmtCharge(t *testing.T) {
 	r := NewRecorder(nil)
-	r.NoteMgmt(4)
+	r.NoteSpawn()  // tspawn: 4
+	r.NoteCancel() // tcancel: 4
+	r.Wait()       // twait: 2, then a Join
 	tr, _ := r.Finish()
-	if tr.Task(tr.Main[0]).Mgmt != 4 {
-		t.Fatalf("mgmt not charged")
+	if got := tr.Task(tr.Main[0]).Mgmt; got != 10 {
+		t.Fatalf("mgmt charged %d, want 10", got)
+	}
+	if len(tr.Main) != 2 {
+		t.Fatalf("Wait did not join: main chain %v", tr.Main)
 	}
 }
 

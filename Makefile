@@ -3,7 +3,7 @@
 # lock-table check, the escape gate, vet, build, race-enabled tests, the
 # allocs/op gate (so a fast-path allocation regression fails here, not
 # just in benchmark output), a bounded native-fuzz pass over the dispatch
-# path and the frame decoder, the serve and serving smokes, the repository
+# path and the frame decoder, the serve smoke, the repository
 # benchmark's own vet and tests (bench-smoke, the one benchmark leg), and
 # the coverage floor for the runtime-critical packages. The bench-*
 # `go test -bench` targets are developer microbenchmarks and gate nothing;
@@ -29,9 +29,9 @@ COVER_PKGS  := ./internal/core ./internal/queue
 # Bounded fuzz budget for CI. `make fuzz FUZZTIME=5m` explores for real.
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke serving-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-telemetry bench-update
+.PHONY: ci fmt-check lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-telemetry bench-update
 
-ci: fmt-check lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke serving-smoke bench-smoke cover
+ci: fmt-check lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke bench-smoke cover
 
 # Formatting gate: every tracked Go file is gofmt-clean. The linter's
 # fixtures under internal/lint/testdata are inputs, not code, and exempt.
@@ -100,14 +100,6 @@ fuzz: fuzz-smoke
 serve-smoke:
 	$(GO) run ./cmd/dttclient -smoke
 
-# End-to-end acceptance of the serving-workload suite: every scenario
-# (webcache, matview, pubsub, leaderboard) runs briefly under open-loop
-# Poisson load over a loopback server, asserting the dispatch-counter
-# identity, the in-band notify-gap accounting (client gap count ==
-# server's shed counter), and zero stale client words after recovery.
-serving-smoke:
-	$(GO) test -count=1 -run TestServingSmoke ./internal/workloads/serving
-
 # The repository benchmark (bench/, declared by BENCHMARK.json) is its own
 # module, so `go vet ./...` and `go test ./...` from the root never see it
 # and a signature change in internal/core would break it silently until
@@ -141,16 +133,13 @@ bench-fastpath:
 	@echo "wrote bench-fastpath.out; compare runs with: benchstat <saved-baseline>.out bench-fastpath.out"
 
 # Explicit allocation gate for the triggering-store fast paths, telemetry
-# off and on, plus the load generator's arrival tick (on every open-loop
-# request's path, so it is held to the same 0 allocs/op contract), the
-# serve plane's subscribed request over loopback, and the dispatch side
-# (a 4096-entry batch or merge, drained by the worker's claims). The same
-# tests run inside `make race`, but a dedicated target runs them without
-# -race instrumentation (which changes allocation behaviour) and names
-# the contract in the CI log.
+# off and on, the serve plane's subscribed request over loopback, and the
+# dispatch side (a 4096-entry batch or merge, drained by the worker's
+# claims). The same tests run inside `make race`, but a dedicated target
+# runs them without -race instrumentation (which changes allocation
+# behaviour) and names the contract in the CI log.
 allocs-gate:
 	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate|ServeNotify)FastPathAllocs|TestDispatchDrainAllocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
-	$(GO) test -count=1 -run 'TestArrivalsFastPathAllocs' -v ./internal/loadgen | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Batched triggering-store benchmarks: the scalar-vs-batch throughput pair
 # plus the silent and squash batch paths, with allocation reporting. The

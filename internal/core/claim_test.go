@@ -42,6 +42,24 @@ func await(t *testing.T, what string, ch <-chan struct{}) {
 	}
 }
 
+// gate parks a body until the test opens it. open closes the channel at most
+// once, and newGate registers it as a cleanup too, so a failed assertion
+// cannot leave a worker parked: registered after t.Cleanup(rt.Close), it
+// runs before the Close that waits for that worker (cleanups run last in,
+// first out).
+type gate struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newGate(t *testing.T) *gate {
+	g := &gate{ch: make(chan struct{})}
+	t.Cleanup(g.open)
+	return g
+}
+
+func (g *gate) open() { g.once.Do(func() { close(g.ch) }) }
+
 // claimGeometries are the worker-by-shard shapes the claim tests sweep.
 func claimGeometries(t *testing.T, f func(t *testing.T, workers, shards int)) {
 	for _, workers := range []int{1, 2, 4} {
@@ -200,18 +218,18 @@ func TestClaimCancelMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rt.Close()
+		t.Cleanup(rt.Close)
 		ns := rt.NewNamespace("tenant")
 		in, err := ns.Region("in", span)
 		if err != nil {
 			t.Fatal(err)
 		}
-		started, release := make(chan struct{}), make(chan struct{})
+		started, release := make(chan struct{}), newGate(t)
 		var runs, ended atomic.Int64
 		th, err := ns.Register("slow", func(tg Trigger) {
 			if runs.Add(1) == 1 {
 				close(started)
-				<-release
+				<-release.ch
 			}
 			ended.Add(1)
 		})
@@ -244,10 +262,12 @@ func TestClaimCancelMidRun(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 		// Wait for the Cancel itself (it does not block on the run).
-		for rt.Stats().Cancels == 0 {
-			runtime.Gosched()
-		}
-		close(release)
+		within(t, "the Cancel", func() {
+			for rt.Stats().Cancels == 0 {
+				runtime.Gosched()
+			}
+		})
+		release.open()
 		await(t, "Namespace.Close", closed)
 		if r, e := runs.Load(), ended.Load(); r != 1 || e != 1 {
 			t.Fatalf("%d bodies started and %d ended across a Cancel mid-run, want 1 and 1", r, e)
@@ -279,14 +299,14 @@ func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
 	in := rt.NewRegion("in", span)
-	started, release := make(chan struct{}), make(chan struct{})
+	started, release := make(chan struct{}), newGate(t)
 	var runs atomic.Int64
 	th := rt.Register("slow", func(Trigger) {
 		if runs.Add(1) == 1 {
 			close(started)
-			<-release
+			<-release.ch
 		}
 	})
 	if err := rt.Attach(th, in, 0, span); err != nil {
@@ -303,7 +323,7 @@ func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
 		t.Fatalf("Enqueued %d Squashed %d, want %d and 1: the claim cleared word 2's bit and the first re-store set it again",
 			st.Enqueued, st.Squashed, span+1)
 	}
-	close(release)
+	release.open()
 	within(t, "Wait", func() { rt.Wait(th) })
 	if got := runs.Load(); got != span+1 {
 		t.Fatalf("%d bodies ran, want %d", got, span+1)
@@ -455,14 +475,14 @@ func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
 	in := rt.NewRegion("in", 3)
-	started, release := make(chan struct{}), make(chan struct{})
+	started, release := make(chan struct{}), newGate(t)
 	var runs atomic.Int64
 	th := rt.Register("slow", func(Trigger) {
 		if runs.Add(1) == 1 {
 			close(started)
-			<-release
+			<-release.ch
 		}
 	})
 	if err := rt.Attach(th, in, 0, 3); err != nil {
@@ -476,10 +496,12 @@ func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 		defer close(stored)
 		in.TStore(2, 1) // overflows: inline, behind the token
 	}()
-	for rt.Stats().Overflowed == 0 {
-		runtime.Gosched()
-	}
-	close(release)
+	within(t, "the overflow", func() {
+		for rt.Stats().Overflowed == 0 {
+			runtime.Gosched()
+		}
+	})
+	release.open()
 	await(t, "the overflowing store", stored)
 	within(t, "Wait", func() { rt.Wait(th) })
 	st := rt.Stats()

@@ -220,11 +220,10 @@ func TestNamespaceCloseDrainsRunningInstances(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Region: %v", err)
 	}
-	started := make(chan struct{})
-	release := make(chan struct{})
+	started, release := make(chan struct{}), newGate(t)
 	id, err := ns.Register("slow", func(Trigger) {
 		close(started)
-		<-release
+		<-release.ch
 		r.Poke(1, r.Peek(0)+1) // the region must still be live here
 	})
 	if err != nil {
@@ -234,7 +233,7 @@ func TestNamespaceCloseDrainsRunningInstances(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	r.TStore(0, 1)
-	<-started
+	await(t, "the instance to start", started)
 
 	freeBefore := rt.sys.FreeBytes()
 	closed := make(chan struct{})
@@ -247,8 +246,8 @@ func TestNamespaceCloseDrainsRunningInstances(t *testing.T) {
 	if got := rt.sys.FreeBytes(); got != freeBefore {
 		t.Fatalf("Close freed memory (free %d -> %d) before the instance drained", freeBefore, got)
 	}
-	close(release)
-	<-closed
+	release.open()
+	await(t, "Namespace.Close", closed)
 	if got := rt.sys.FreeBytes(); got <= freeBefore {
 		t.Fatalf("Close freed nothing after the drain (free %d -> %d)", freeBefore, got)
 	}

@@ -217,9 +217,9 @@ func TestRunPanicThenCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
 	in := rt.NewRegion("in", span)
-	inBody, release := make(chan struct{}), make(chan struct{})
+	inBody, release := make(chan struct{}), newGate(t)
 	var started atomic.Int64
 	th := rt.Register("fragile", func(tg Trigger) {
 		started.Add(1)
@@ -228,7 +228,7 @@ func TestRunPanicThenCancel(t *testing.T) {
 			panic("support thread fault")
 		case 1:
 			close(inBody)
-			<-release
+			<-release.ch
 		}
 	})
 	if err := rt.Attach(th, in, 0, span); err != nil {
@@ -244,7 +244,7 @@ func TestRunPanicThenCancel(t *testing.T) {
 		t.Fatalf("claimed run is %d entries, want %d", got, span)
 	}
 	rt.Cancel(th)
-	close(release)
+	release.open()
 	within(t, "drain", func() { rt.drainThread(th) })
 	st := rt.Stats()
 	if got := started.Load(); got != 2 || st.FailedRuns != 1 || st.Executed != 1 {

@@ -456,11 +456,11 @@ func TestConfigSurface(t *testing.T) {
 		"Backend",       // every caller; bench/, cmd/dttrun -backend
 		"Workers",       // cmd/dttserve -workers, bench/, examples
 		"QueueCapacity", // harness/sweeps.go (F6/F10), cmd/dttrun -queue, bench/
-		"Shards",        // cmd/dttserve -shards, cmd/dttrun -shards, workloads/serving
+		"Shards",        // cmd/dttserve -shards, cmd/dttrun -shards
 		"Recorder",      // harness/harness.go, harness/characterize.go
 		"Checker",       // cmd/dttrun -check, cmd/dttserve -check
 		"SchedSeed",     // cmd/dttrun -sched-seed
-		"Telemetry",     // bench/ (-trace), cmd/dttserve, workloads/serving
+		"Telemetry",     // bench/ (-trace), cmd/dttserve
 		"MetricsAddr",   // cmd/dttrun -metrics
 	}
 	typ := reflect.TypeOf(Config{})

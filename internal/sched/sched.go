@@ -59,10 +59,9 @@ func (s *Scheduler) next() uint64 {
 
 // Uint64 returns the next raw draw from the splitmix64 stream. It exists
 // for consumers that need seeded determinism outside scheduling decisions
-// — the open-loop load generator (internal/loadgen) derives its Poisson
-// arrival schedule from this stream, so a load run replays byte-identically
-// from its seed just like a schedule does. Like every draw it advances
-// Draws.
+// — bench/'s ingest and serve drivers draw their inputs from it, so a run
+// replays from its seed just like a schedule does. Like every draw it
+// advances Draws.
 func (s *Scheduler) Uint64() uint64 { return s.next() }
 
 // RunNow decides whether to dispatch a pending instance at the current

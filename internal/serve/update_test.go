@@ -12,7 +12,9 @@ import (
 // commutative adds fold server-side into the region's privatized deltas,
 // nothing fires until WAIT forces the merge, and the CHANGE_NOTIFY the
 // merge produces carries the fully merged value. A second, net-zero round
-// must be a silent merge: no further notification.
+// must be a silent merge: no further notification. On the monotone folds
+// only a record notifies: an UpdMax or UpdMin that does not move the
+// watermark merges silently, and one that does fires exactly one notify.
 func TestServeUpdateEndToEnd(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
@@ -83,16 +85,45 @@ func TestServeUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("max-update notifications = %+v, want one with index 0 value 9", notes)
 	}
 
+	// Watermark round: word 0 holds 9, so max(9, 4) and min(9, 12) leave it
+	// where it is and notify nothing; min(9, 2) is a record and notifies once.
+	t.Run("watermark_records", func(t *testing.T) {
+		if _, err := cs.Update(h, 0, mem.UpdMax, []mem.Word{4}); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		if _, err := cs.Update(h, 0, mem.UpdMin, []mem.Word{12}); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		if err := cs.Wait(h); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		if notes := cs.Notifies(); len(notes) != 0 {
+			t.Fatalf("non-record max/min updates produced notifications: %+v", notes)
+		}
+		if _, err := cs.Update(h, 0, mem.UpdMin, []mem.Word{2}); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		if err := cs.Wait(h); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		if notes := cs.Notifies(); len(notes) != 1 || notes[0].Index != 0 || notes[0].Value != 2 {
+			t.Fatalf("record min-update notifications = %+v, want one with index 0 value 2", notes)
+		}
+		if ws, err := cs.Read(h, 0, 1); err != nil || ws[0] != 2 {
+			t.Fatalf("Read after the watermark round = %v, err %v; want [2]", ws, err)
+		}
+	})
+
 	c := srv.Counters()
-	if c.Updates != 5 {
-		t.Errorf("Counters.Updates = %d, want 5", c.Updates)
+	if c.Updates != 8 {
+		t.Errorf("Counters.Updates = %d, want 8", c.Updates)
 	}
 	if c.Errors != 2 {
 		t.Errorf("Counters.Errors = %d, want 2", c.Errors)
 	}
 	s := rt.Stats()
-	if s.TUpdates != 5 {
-		t.Errorf("Stats.TUpdates = %d, want 5", s.TUpdates)
+	if s.TUpdates != 8 {
+		t.Errorf("Stats.TUpdates = %d, want 8", s.TUpdates)
 	}
 	if s.SilentMerges == 0 {
 		t.Error("Stats.SilentMerges = 0, want at least the net-zero merge")

@@ -271,7 +271,7 @@ func BenchmarkTStoreUncovered(b *testing.B) {
 }
 
 // The BenchmarkTStoreTelemetry* family re-measures the same fast paths with
-// the telemetry plane on (per-shard histograms, enqueue timestamps, pprof
+// the telemetry plane on (histograms, enqueue timestamps, pprof
 // labels). `make bench-telemetry` runs both families side by side; the
 // deltas are the whole cost of observability, and allocs/op must stay 0
 // (TestTStoreFastPathAllocsTelemetry enforces that in plain `go test`).
@@ -323,12 +323,10 @@ func BenchmarkTStoreTelemetryUncovered(b *testing.B) {
 }
 
 // The BenchmarkTStoreParallel* family measures aggregate triggering-store
-// throughput with one producer goroutine per core (b.RunParallel), the
-// multi-producer scaling the sharded dispatch plane exists for. Each
-// producer gets its own support thread and trigger range, and thread IDs
-// are dense, so with Shards >= producers every producer enqueues under its
-// own shard lock. `go test -bench TStoreParallel -cpu 1,2,4,8` sweeps the
-// producer count.
+// throughput with one producer goroutine per core (b.RunParallel). Each
+// producer gets its own support thread and trigger range; every firing
+// store meets the others on the one dispatch lock. `go test -bench
+// TStoreParallel -cpu 1,2,4,8` sweeps the producer count.
 
 // parallelBenchRuntime builds a runtime with one noop thread per potential
 // producer, each attached to its own span-word slice of a shared region.
@@ -349,22 +347,12 @@ func parallelBenchRuntime(b *testing.B, cfg dtt.Config, producers, span int) (*d
 	return rt, r
 }
 
-// ceilPow2 returns the smallest power of two >= n, mirroring the runtime's
-// shard rounding so benches can pin Shards = producers explicitly.
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // BenchmarkTStoreParallelSilent: every producer repeatedly silent-stores its
 // own word. Silent stores never touch the dispatch plane, so this is the
 // memory-side scaling ceiling.
 func BenchmarkTStoreParallelSilent(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	_, r := parallelBenchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred, Shards: ceilPow2(procs)}, procs, 64)
+	_, r := parallelBenchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred}, procs, 64)
 	for p := 0; p < procs; p++ {
 		r.TStore(p*64, 1)
 	}
@@ -379,17 +367,15 @@ func BenchmarkTStoreParallelSilent(b *testing.B) {
 	})
 }
 
-// BenchmarkTStoreParallelChanging: the tentpole's headline number. Every
-// producer cycles changing stores over its own trigger range on the
-// immediate backend, so enqueues hit disjoint shard locks and the worker
-// pool drains shards in parallel.
+// BenchmarkTStoreParallelChanging: every producer cycles changing stores
+// over its own trigger range on the immediate backend, with a worker per
+// producer draining the queue.
 func BenchmarkTStoreParallelChanging(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
 	const span = 1024
 	rt, r := parallelBenchRuntime(b, dtt.Config{
 		Backend:       dtt.BackendImmediate,
 		Workers:       procs,
-		Shards:        ceilPow2(procs),
 		QueueCapacity: 2048,
 	}, procs, span)
 	var next atomic.Int64
@@ -410,10 +396,10 @@ func BenchmarkTStoreParallelChanging(b *testing.B) {
 
 // BenchmarkTStoreParallelSquash: each producer keeps one pending entry
 // planted at its word and hammers changing stores into it, so every store
-// is a duplicate squash under the producer's own shard lock.
+// is a duplicate squash under the dispatch lock.
 func BenchmarkTStoreParallelSquash(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	rt, r := parallelBenchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred, Shards: ceilPow2(procs)}, procs, 64)
+	rt, r := parallelBenchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred}, procs, 64)
 	for p := 0; p < procs; p++ {
 		r.TStore(p*64, 1) // plant the pending entry
 	}
@@ -437,7 +423,7 @@ func BenchmarkTStoreParallelSquash(b *testing.B) {
 // only shared state.
 func BenchmarkTStoreParallelUncovered(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	rt, _ := parallelBenchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred, Shards: ceilPow2(procs)}, procs, 64)
+	rt, _ := parallelBenchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred}, procs, 64)
 	cold := rt.NewRegion("cold", procs*8)
 	var next atomic.Int64
 	b.ReportAllocs()
@@ -699,7 +685,7 @@ func BenchmarkMergeDispatch(b *testing.B) {
 // BenchmarkTUpdateHotContended is the tentpole's acceptance benchmark:
 // 8 producer goroutines hammer the SAME 64-word hot window — the
 // shape that serializes scalar triggering stores on the target words and
-// their shard locks. The tstorebatch variant issues always-changing
+// the dispatch lock. The tstorebatch variant issues always-changing
 // TStoreBatch calls (each word compare-and-swaps the shared line and
 // takes the dispatch path); the tupdatebatch variant folds the same
 // traffic into per-stripe privatized deltas and reads a word back every
@@ -749,7 +735,7 @@ func BenchmarkTUpdateHotContended(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/store")
 	}
 	b.Run("tstorebatch", func(b *testing.B) {
-		run(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 2, Shards: 8, QueueCapacity: 2048},
+		run(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 2, QueueCapacity: 2048},
 			func(r *dtt.Region, vals []dtt.Word, v dtt.Word) {
 				for k := range vals {
 					vals[k] = v + dtt.Word(k)
@@ -758,7 +744,7 @@ func BenchmarkTUpdateHotContended(b *testing.B) {
 			})
 	})
 	b.Run("tupdatebatch", func(b *testing.B) {
-		run(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 2, Shards: 8, QueueCapacity: 2048},
+		run(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 2, QueueCapacity: 2048},
 			func(r *dtt.Region, vals []dtt.Word, v dtt.Word) {
 				for k := range vals {
 					vals[k] = v + dtt.Word(k)

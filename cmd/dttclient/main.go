@@ -152,7 +152,7 @@ func runSmoke(stdout, stderr io.Writer) int {
 		return 1
 	}
 	rt, err := core.New(core.Config{
-		Backend: core.BackendImmediate, Workers: 2, Shards: 4, Telemetry: true,
+		Backend: core.BackendImmediate, Workers: 2, Telemetry: true,
 	})
 	if err != nil {
 		return fail("%v", err)

@@ -30,7 +30,7 @@ func TestSmokeMode(t *testing.T) {
 }
 
 func TestLoadDriverAgainstServer(t *testing.T) {
-	rt, err := core.New(core.Config{Backend: core.BackendImmediate, Workers: 2, Shards: 4})
+	rt, err := core.New(core.Config{Backend: core.BackendImmediate, Workers: 2})
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}

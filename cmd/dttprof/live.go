@@ -19,9 +19,6 @@ type liveVars struct {
 		Counters   map[string]int64                       `json:"counters"`
 		Gauges     map[string]int64                       `json:"gauges"`
 		Histograms map[string]telemetry.HistogramSnapshot `json:"histograms"`
-		Shards     []struct {
-			Depth int `json:"depth"`
-		} `json:"shards"`
 	} `json:"dtt"`
 }
 
@@ -126,10 +123,6 @@ func runLive(stdout, stderr io.Writer, target string, interval time.Duration, sa
 			}
 			return fmt.Sprintf("%.1f", 100*part/whole)
 		}
-		depth := 0
-		for _, sh := range cur.DTT.Shards {
-			depth += sh.Depth
-		}
 		p50, p99 := "-", "-"
 		if ch, ok := cur.DTT.Histograms[liveDispatchKey]; ok {
 			d := ch.Sub(prev.DTT.Histograms[liveDispatchKey])
@@ -148,7 +141,7 @@ func runLive(stdout, stderr io.Writer, target string, interval time.Duration, sa
 			pct(squashed, fired),
 			fmt.Sprintf("%.0f", rate("executed")),
 			p50, p99,
-			depth)
+			cur.DTT.Gauges["queue_len"])
 		prev, prevAt = cur, now
 	}
 	fmt.Fprint(stdout, tb.String())

@@ -152,7 +152,7 @@ func TestLiveSurvivesTransientPollFailure(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 			return
 		}
-		fmt.Fprintf(w, `{"dtt":{"counters":{"tstores":%d,"silent":0,"fired":%d,"squashed":0,"executed":%d},"gauges":{},"histograms":{"trigger_dispatch_latency_ns":{"bounds":[1000,32000],"counts":[%d,%d,0],"sum":0}},"shards":[{"depth":0}]}}`,
+		fmt.Fprintf(w, `{"dtt":{"counters":{"tstores":%d,"silent":0,"fired":%d,"squashed":0,"executed":%d},"gauges":{"queue_len":0},"histograms":{"trigger_dispatch_latency_ns":{"bounds":[1000,32000],"counts":[%d,%d,0],"sum":0}}}}`,
 			n*1000, n*100, n*100, n*50, n*10)
 	}))
 	defer srv.Close()

@@ -46,8 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode      = fs.String("mode", "dtt", "baseline or dtt")
 		backend   = fs.String("backend", "deferred", "dtt backend: deferred, immediate or seeded")
 		workers   = fs.Int("workers", 2, "support-thread contexts for the immediate backend")
-		shards    = fs.Int("shards", 0, "dispatch shards, rounded up to a power of two (0 = backend default)")
-		qcap      = fs.Int("queue", 64, "thread queue capacity per shard")
+		qcap      = fs.Int("queue", 64, "thread queue capacity")
 		scale     = fs.Int("scale", 1, "workload data scale factor")
 		iters     = fs.Int("iters", 40, "workload outer iterations")
 		seed      = fs.Uint64("seed", 1, "workload input seed")
@@ -80,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%s baseline: checksum %#x in %v\n", w.Name(), res.Checksum, time.Since(start))
 	case "dtt":
-		cfg := core.Config{QueueCapacity: *qcap, Shards: *shards, MetricsAddr: *metrics}
+		cfg := core.Config{QueueCapacity: *qcap, MetricsAddr: *metrics}
 		if *check {
 			cfg.Checker = core.CheckStrict
 		}

@@ -7,7 +7,7 @@
 //
 //	dttserve -listen 127.0.0.1:7171
 //	dttserve -listen 127.0.0.1:0 -metrics 127.0.0.1:0 -hold 30s
-//	dttserve -workers 4 -shards 8 -queue 256
+//	dttserve -workers 4 -queue 256
 //
 // The bound listen address is printed on the first stdout line, so
 // scripts can run `-listen 127.0.0.1:0` and scrape the ephemeral port.
@@ -36,8 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		listen  = fs.String("listen", "127.0.0.1:0", "TCP address to serve the trigger plane on")
 		workers = fs.Int("workers", 2, "support-thread contexts")
-		shards  = fs.Int("shards", 0, "dispatch shards, rounded up to a power of two (0 = default)")
-		qcap    = fs.Int("queue", 64, "thread queue capacity per shard")
+		qcap    = fs.Int("queue", 64, "thread queue capacity")
 		mailbox = fs.Int("mailbox", 0, "per-session notify mailbox capacity (0 = default)")
 		check   = fs.Bool("check", false, "run the DTT protocol sanitizer (CheckStrict) and exit 1 on violations")
 		metrics = fs.String("metrics", "", "serve /metrics and /debug/vars on this address, e.g. 127.0.0.1:9090")
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := core.Config{
 		Backend:       core.BackendImmediate,
 		Workers:       *workers,
-		Shards:        *shards,
 		QueueCapacity: *qcap,
 		Telemetry:     *metrics != "",
 	}

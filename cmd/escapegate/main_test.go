@@ -57,34 +57,35 @@ func TestSyntheticViolation(t *testing.T) {
 
 // TestExemptions: panic-argument allocations and //dtt:escape-ok lines are
 // screened, not flagged. Both sites exist in the real tree: tstoreBatch's
-// range panic and its scratch warm-up.
+// range panic and DeltaPlane.Apply's first-touch stripe allocation.
 func TestExemptions(t *testing.T) {
 	idx, err := buildIndex("../..", pinned)
 	if err != nil {
 		t.Fatalf("buildIndex: %v", err)
 	}
-	file := "internal/core/runtime.go"
+	panicFile, okFile := "internal/core/runtime.go", "internal/mem/delta.go"
 	var panicLine, okLine int
-	sp := idx.funcs[file]["Runtime.tstoreBatch"]
-	for _, ps := range idx.panics[file] {
+	sp := idx.funcs[panicFile]["Runtime.tstoreBatch"]
+	for _, ps := range idx.panics[panicFile] {
 		if sp.contains(ps.lo) {
 			panicLine = ps.lo
 			break
 		}
 	}
-	for l := range idx.okLine[file] {
+	sp = idx.funcs[okFile]["DeltaPlane.Apply"]
+	for l := range idx.okLine[okFile] {
 		if sp.contains(l) {
 			okLine = l
 			break
 		}
 	}
 	if panicLine == 0 || okLine == 0 {
-		t.Fatalf("expected a panic and an escape-ok line inside tstoreBatch (got %d, %d)", panicLine, okLine)
+		t.Fatalf("expected a panic inside tstoreBatch and an escape-ok line inside DeltaPlane.Apply (got %d, %d)", panicLine, okLine)
 	}
 	violations, screened := idx.check([]diag{
-		{file: file, line: panicLine, msg: "fmt.Sprintf(...) escapes to heap"},
-		{file: file, line: okLine, msg: "make([]int32, shards) escapes to heap"},
-		{file: file, line: okLine + 1, msg: "moved to heap: y"}, // comment on the line above also exempts
+		{file: panicFile, line: panicLine, msg: "fmt.Sprintf(...) escapes to heap"},
+		{file: okFile, line: okLine, msg: "make([]deltaCell, p.words) escapes to heap"},
+		{file: okFile, line: okLine + 1, msg: "moved to heap: y"}, // comment on the line above also exempts
 	})
 	if len(violations) != 0 {
 		t.Fatalf("exempt diagnostics flagged: %v", violations)

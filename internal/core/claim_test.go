@@ -60,14 +60,55 @@ func newGate(t *testing.T) *gate {
 
 func (g *gate) open() { g.once.Do(func() { close(g.ch) }) }
 
-// claimGeometries are the worker-by-shard shapes the claim tests sweep.
-func claimGeometries(t *testing.T, f func(t *testing.T, workers, shards int)) {
+// claimGeometries are the shapes the claim tests sweep: w workers, and s
+// threads sharing the one queue — the test's own plus s-1 bystanders (see
+// crowd) whose entries sit in the ring ahead of the test's stores.
+func claimGeometries(t *testing.T, f func(t *testing.T, workers, sharers int)) {
 	for _, workers := range []int{1, 2, 4} {
-		for _, shards := range []int{1, 4} {
-			workers, shards := workers, shards
-			t.Run(fmt.Sprintf("w%d_s%d", workers, shards), func(t *testing.T) { f(t, workers, shards) })
+		for _, sharers := range []int{1, 4} {
+			workers, sharers := workers, sharers
+			t.Run(fmt.Sprintf("w%d_s%d", workers, sharers), func(t *testing.T) { f(t, workers, sharers) })
 		}
 	}
+}
+
+// bystanders are the n-1 threads crowd registers beside a claim test's own.
+type bystanders struct {
+	rt  *Runtime
+	in  *Region
+	ids []ThreadID
+	n   int64 // rounds queued
+}
+
+// crowd registers sharers-1 bystander threads, each attached to its own word.
+func crowd(t *testing.T, rt *Runtime, sharers int) *bystanders {
+	t.Helper()
+	b := &bystanders{rt: rt, in: rt.NewRegion("bystanders", sharers)}
+	for k := 1; k < sharers; k++ {
+		id := rt.Register(fmt.Sprintf("bystander%d", k), func(Trigger) {})
+		if err := rt.Attach(id, b.in, k, k+1); err != nil {
+			t.Fatal(err)
+		}
+		b.ids = append(b.ids, id)
+	}
+	return b
+}
+
+// queue enqueues one entry of every bystander.
+func (b *bystanders) queue() {
+	b.n++
+	for k := range b.ids {
+		b.in.TStore(k+1, mem.Word(b.n))
+	}
+}
+
+// wait returns once every bystander entry has run, and reports how many
+// have: one per bystander per queue call.
+func (b *bystanders) wait() int64 {
+	for _, id := range b.ids {
+		b.rt.Wait(id)
+	}
+	return b.n * int64(len(b.ids))
 }
 
 func assertIdentities(t *testing.T, rt *Runtime, phase string) {
@@ -86,7 +127,7 @@ func assertIdentities(t *testing.T, rt *Runtime, phase string) {
 // column): the size of the run a worker has claimed, when read from inside
 // one of its bodies.
 func runningOf(rt *Runtime, t ThreadID) int {
-	sh := rt.shardOf(t)
+	sh := rt.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return rt.threadsSnap()[t].dispatched
@@ -98,13 +139,14 @@ func runningOf(rt *Runtime, t ThreadID) int {
 // remainder and of one all occur; scalar stores interleave the threads so
 // runs end at another thread's entry too.
 func TestClaimOrderAndExactlyOnce(t *testing.T) {
-	claimGeometries(t, func(t *testing.T, workers, shards int) {
+	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const threads, span, rounds = 6, 40, 25
-		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, Shards: shards, QueueCapacity: threads * span})
+		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, QueueCapacity: threads*span + sharers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
+		others := crowd(t, rt, sharers)
 		in := rt.NewRegion("in", threads*span)
 		got := make([][]int, threads) // each written only under its thread's token
 		ids := make([]ThreadID, threads)
@@ -123,6 +165,7 @@ func TestClaimOrderAndExactlyOnce(t *testing.T) {
 			// Lower halves batched, thread after thread (long runs); upper
 			// halves scalar, round-robin over the threads (runs of one).
 			// Either way thread k's enqueue order is its words ascending.
+			others.queue()
 			for k := range ids {
 				in.TStoreBatch(k*span, vs)
 			}
@@ -135,6 +178,7 @@ func TestClaimOrderAndExactlyOnce(t *testing.T) {
 				for _, id := range ids {
 					rt.Wait(id)
 				}
+				others.wait()
 			})
 			for k := range ids {
 				if len(got[k]) != span {
@@ -149,7 +193,7 @@ func TestClaimOrderAndExactlyOnce(t *testing.T) {
 			}
 		}
 		st := rt.Stats()
-		if want := int64(threads * span * rounds); st.Executed != want || st.Squashed != 0 || st.Overflowed != 0 {
+		if want := int64(threads*span*rounds) + others.wait(); st.Executed != want || st.Squashed != 0 || st.Overflowed != 0 {
 			t.Fatalf("Executed %d Squashed %d Overflowed %d, want %d 0 0", st.Executed, st.Squashed, st.Overflowed, want)
 		}
 		assertIdentities(t, rt, "order")
@@ -160,13 +204,14 @@ func TestClaimOrderAndExactlyOnce(t *testing.T) {
 // a failed run for that entry only; the rest of the run still executes, and
 // Status reports what the last completed instance did.
 func TestClaimPanicMidRun(t *testing.T) {
-	claimGeometries(t, func(t *testing.T, workers, shards int) {
+	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const span = 12
-		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, Shards: shards})
+		rt, err := New(Config{Backend: BackendImmediate, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
+		others := crowd(t, rt, sharers)
 		in := rt.NewRegion("in", span)
 		var bad atomic.Int64
 		var claimed atomic.Int64
@@ -191,14 +236,16 @@ func TestClaimPanicMidRun(t *testing.T) {
 			for i := range vs {
 				vs[i] = mem.Word(round + 1)
 			}
+			others.queue()
 			in.TStoreBatch(0, vs)
-			within(t, "Wait", func() { rt.Wait(th) })
+			var crowdRan int64
+			within(t, "Wait", func() { rt.Wait(th); crowdRan = others.wait() })
 			if got := claimed.Load(); got != span {
 				t.Fatalf("round %d: the worker claimed a run of %d, want the whole batch of %d", round, got, span)
 			}
 			st := rt.Stats()
-			if st.FailedRuns != int64(round+1) || st.Executed != int64((round+1)*(span-1)) {
-				t.Fatalf("round %d: FailedRuns %d Executed %d, want %d and %d", round, st.FailedRuns, st.Executed, round+1, (round+1)*(span-1))
+			if want := int64((round+1)*(span-1)) + crowdRan; st.FailedRuns != int64(round+1) || st.Executed != want {
+				t.Fatalf("round %d: FailedRuns %d Executed %d, want %d and %d", round, st.FailedRuns, st.Executed, round+1, want)
 			}
 			if got := rt.Status(th); got != c.want {
 				t.Fatalf("round %d (panic at entry %d of %d): Status = %v, want %v", round, c.bad+1, span, got, c.want)
@@ -212,13 +259,14 @@ func TestClaimPanicMidRun(t *testing.T) {
 // in its body stops the run — no further body of the thread starts — and
 // Namespace.Close returns only once the run has ended.
 func TestClaimCancelMidRun(t *testing.T) {
-	claimGeometries(t, func(t *testing.T, workers, shards int) {
+	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const span = 10
-		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, Shards: shards})
+		rt, err := New(Config{Backend: BackendImmediate, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(rt.Close)
+		others := crowd(t, rt, sharers)
 		ns := rt.NewNamespace("tenant")
 		in, err := ns.Region("in", span)
 		if err != nil {
@@ -243,6 +291,7 @@ func TestClaimCancelMidRun(t *testing.T) {
 		for i := range vs {
 			vs[i] = 1
 		}
+		others.queue()
 		in.TStoreBatch(0, vs)
 		await(t, "entry 1 to start", started)
 		if got := runningOf(rt, th); got != span {
@@ -272,14 +321,16 @@ func TestClaimCancelMidRun(t *testing.T) {
 		if r, e := runs.Load(), ended.Load(); r != 1 || e != 1 {
 			t.Fatalf("%d bodies started and %d ended across a Cancel mid-run, want 1 and 1", r, e)
 		}
+		var crowdRan int64
+		within(t, "the bystanders", func() { crowdRan = others.wait() })
 		st := rt.Stats()
-		if st.Executed != 1 || st.FailedRuns != 0 {
-			t.Fatalf("Executed %d FailedRuns %d, want 1 and 0 (the unstarted rest is cancelled work)", st.Executed, st.FailedRuns)
+		if st.Executed != 1+crowdRan || st.FailedRuns != 0 {
+			t.Fatalf("Executed %d FailedRuns %d, want %d and 0 (the unstarted rest is cancelled work)", st.Executed, st.FailedRuns, 1+crowdRan)
 		}
 		if got := runningOf(rt, th); got != 0 {
 			t.Fatalf("TQST still counts %d running after the run settled", got)
 		}
-		if qc := rt.QueueCounters(); qc.Dequeued != span || qc.SquashedOut != 0 {
+		if qc := rt.QueueCounters(); qc.Dequeued != span+crowdRan || qc.SquashedOut != 0 {
 			t.Fatalf("queue counters %+v: the claimed run had left the queue before the Cancel", qc)
 		}
 		assertIdentities(t, rt, "cancel")
@@ -295,7 +346,7 @@ func TestClaimCancelMidRun(t *testing.T) {
 // same word squashes against the first.
 func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
 	const span = 4
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, Shards: 1})
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +383,7 @@ func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
 }
 
 // TestClaimLeavesOtherThreadsRunnable: a claim takes one thread's token,
-// never two. With two workers on one shard, thread B's entries — interleaved
+// never two. With two workers, thread B's entries — interleaved
 // with A's in the queue — all run while A's first body is blocked, whether
 // B's entries sit behind A's run or between A's entries.
 func TestClaimLeavesOtherThreadsRunnable(t *testing.T) {
@@ -340,7 +391,7 @@ func TestClaimLeavesOtherThreadsRunnable(t *testing.T) {
 		interleaved := interleaved
 		t.Run(fmt.Sprintf("interleaved=%v", interleaved), func(t *testing.T) {
 			const span = 8
-			rt, err := New(Config{Backend: BackendImmediate, Workers: 2, Shards: 1})
+			rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,7 +522,7 @@ func TestCloseRacesParkingWorker(t *testing.T) {
 // inline once the run settles — the settle must wake the token waiter even
 // though the worker goes straight on to its next claim.
 func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, Shards: 1, QueueCapacity: 1})
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,21 +97,9 @@ type Config struct {
 	// Workers is the number of support-thread contexts of BackendImmediate;
 	// the single-goroutine backends ignore it. Defaults to 1.
 	Workers int
-	// QueueCapacity bounds the thread queue; overflowing triggers run
-	// inline in the storing context. Defaults to 64. With Shards > 1 every
-	// shard gets a full QueueCapacity-sized segment — capacity is
-	// per-shard, not divided — so a thread's overflow behaviour does not
-	// change with the shard count.
+	// QueueCapacity bounds the runtime's one thread queue; overflowing
+	// triggers run inline in the storing context. Defaults to 64.
 	QueueCapacity int
-	// Shards is the number of dispatch shards the thread queue and the
-	// per-thread records (status row, run token) are split across. Thread t lives in shard t mod Shards;
-	// stores triggering threads in different shards enqueue under
-	// different locks and scale across producer cores. Values are rounded
-	// up to a power of two. The default is 1 on the single-goroutine
-	// backends — keeping their drain and replay order bit-identical to the
-	// unsharded runtime — and the smallest power of two >= GOMAXPROCS (at
-	// most 64) on BackendImmediate.
-	Shards int
 	// Recorder, when set, receives the run's task DAG: every support
 	// instance becomes a trace task released by the store that triggered it.
 	// It needs a single-goroutine backend (deferred or seeded). The runtime
@@ -124,8 +112,8 @@ type Config struct {
 	// Re-running the same program with the same seed replays the same
 	// support-thread interleaving.
 	SchedSeed uint64
-	// Telemetry enables the metrics plane: per-shard latency, run-duration
-	// and queue-depth histograms, pprof labels on support-thread instances,
+	// Telemetry enables the metrics plane: latency, run-duration and
+	// queue-depth histograms, pprof labels on support-thread instances,
 	// and runtime/trace annotations. Off by default; when off the trigger
 	// fast paths pay one test and no time reads.
 	Telemetry bool
@@ -144,20 +132,14 @@ func (c *Config) applyDefaults() {
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 64
 	}
-	if c.Shards <= 0 {
-		c.Shards = defaultParallelism(c.Backend == BackendImmediate)
-	} else {
-		c.Shards = min(ceilPow2(c.Shards), 1024)
-	}
 	if c.MetricsAddr != "" {
 		c.Telemetry = true
 	}
 }
 
-// defaultParallelism is how many ways a runtime splits what producers share —
-// dispatch shards, and the stripes of an update plane — unless told: 1 on a
-// single-goroutine backend, else the smallest power of two >= GOMAXPROCS, at
-// most 64.
+// defaultParallelism is how many stripes an update plane splits its
+// producers across: 1 on a single-goroutine backend, else the smallest power
+// of two >= GOMAXPROCS, at most 64.
 func defaultParallelism(immediate bool) int {
 	if !immediate {
 		return 1

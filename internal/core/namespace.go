@@ -16,7 +16,7 @@ import (
 // tenant's work even by guessing thread IDs.
 //
 // A Namespace adds nothing to the store fast path: once attached, stores
-// and dispatch go straight through the runtime's sharded plane. Only the
+// and dispatch go straight through the runtime's dispatch plane. Only the
 // management calls (Region/Register/Attach/Wait/Barrier/Close) take the
 // namespace lock.
 type Namespace struct {
@@ -126,7 +126,7 @@ func (ns *Namespace) Wait(t ThreadID) error {
 		return fmt.Errorf("core: namespace %q does not own thread %d", ns.name, t)
 	}
 	ns.mu.Unlock()
-	// Outside ns.mu: Wait blocks until the shard drains, and holding the
+	// Outside ns.mu: Wait blocks until the thread drains, and holding the
 	// namespace lock across it would stall the session's other calls.
 	ns.rt.Wait(t)
 	return nil

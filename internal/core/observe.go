@@ -65,7 +65,7 @@ const (
 
 // recording is the recorder and its release map: the trace task that
 // released each pending queue entry, from its admission to its dispatch.
-// mu is a leaf lock (admission holds a shard lock).
+// mu is a leaf lock (admission holds the dispatch lock).
 type recording struct {
 	*trace.Recorder
 	mu      sync.Mutex
@@ -88,10 +88,8 @@ func (rt *Runtime) attachObservers() error {
 		o.on, o.check = o.on|withChecker, sanitize.NewChecker()
 	}
 	if rt.cfg.Telemetry {
-		o.on, o.tel = o.on|withTelemetry, telemetry.New(len(rt.shards))
-		for s := range rt.shards {
-			rt.shards[s].tq.SetClock(telemetry.Now)
-		}
+		o.on, o.tel = o.on|withTelemetry, telemetry.New()
+		rt.sh.tq.SetClock(telemetry.Now)
 	}
 	if rec := rt.cfg.Recorder; rec != nil {
 		o.on |= withRecorder
@@ -172,7 +170,7 @@ func written(changed bool) accessKind {
 	return (*sanitize.Checker).OnSilentStore
 }
 
-// admit is the admission hook, under t's shard lock: the queue's verdict st
+// admit is the admission hook, under the dispatch lock: the queue's verdict st
 // on trigger (t, addr) of g's write. The sanitizer records the release edge
 // on every outcome, each of which ends in an instance that observes the
 // store; the recorder notes where the entry was released, unless it
@@ -195,11 +193,11 @@ func (o *observers) admitSlow(g uint64, t ThreadID, addr mem.Addr, st queue.Enqu
 }
 
 // queueDepth, batchSize, clock and merged are telemetry's samples: the
-// depth of shard sh after an admission settled into it, a batch's span, and
+// depth of queue tq after an admission settled into it, a batch's span, and
 // the latency (from clock's t0) and word count n of a merge.
-func (o *observers) queueDepth(sh *dispatchShard) {
+func (o *observers) queueDepth(tq *queue.ThreadQueue) {
 	if o.on&withTelemetry != 0 {
-		o.queueDepthSlow(sh)
+		o.queueDepthSlow(tq)
 	}
 }
 
@@ -207,8 +205,8 @@ func (o *observers) queueDepth(sh *dispatchShard) {
 // the inliner's budget.
 //
 //go:noinline
-func (o *observers) queueDepthSlow(sh *dispatchShard) {
-	o.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
+func (o *observers) queueDepthSlow(tq *queue.ThreadQueue) {
+	o.tel.QueueDepth.Observe(int64(tq.Len()))
 }
 
 func (o *observers) batchSize(n int) {
@@ -259,7 +257,7 @@ func (o *observers) enter(te *threadEntry, e *queue.Entry, g uint64) instance {
 func (o *observers) enterSlow(te *threadEntry, e *queue.Entry, g uint64) (in instance) {
 	if o.tel != nil {
 		if e.T0 != 0 {
-			o.shard(e.Thread).TriggerLatency.Observe(telemetry.Now() - e.T0)
+			o.tel.TriggerLatency.Observe(telemetry.Now() - e.T0)
 		}
 		pprof.SetGoroutineLabels(te.labels)
 		if rtrace.IsEnabled() {
@@ -287,7 +285,7 @@ func (o *observers) exitSlow(t ThreadID, g uint64, in instance) {
 		o.check.ExitSupport(g, t)
 	}
 	if o.tel != nil {
-		o.shard(t).RunDuration.Observe(telemetry.Now() - in.start)
+		o.tel.RunDuration.Observe(telemetry.Now() - in.start)
 		if in.region != nil {
 			in.region.End()
 			in.task.End()
@@ -296,11 +294,6 @@ func (o *observers) exitSlow(t ThreadID, g uint64, in instance) {
 		// attributed to this thread.
 		pprof.SetGoroutineLabels(context.Background())
 	}
-}
-
-// shard is thread t's shard of telemetry, which is split like dispatch.
-func (o *observers) shard(t ThreadID) *telemetry.ShardMetrics {
-	return o.tel.Shard(int(uint32(t) & uint32(o.tel.Shards()-1)))
 }
 
 // beginSupport and endSupport bracket an instance drain dispatches off the
@@ -391,7 +384,7 @@ func (o *observers) registerSlow(t ThreadID, name string) context.Context {
 		pprof.Labels("dtt_thread", name, "dtt_thread_id", strconv.Itoa(int(t))))
 }
 
-// attach (Attach) and cancel (Cancel, under t's shard lock; te nil for an id
+// attach (Attach) and cancel (Cancel, under the dispatch lock; te nil for an id
 // never registered) are charged a tspawn and a tcancel by the recorder,
 // which also drops t's release points. The sanitizer widens t's write
 // windows, and checks the cancel against the run token: an inline overflow

@@ -82,9 +82,9 @@ func (r *Region) StoreF(i int, f float64) bool { return r.Store(i, wordOf(f)) }
 // stores to addresses no thread is attached to never take any dispatch
 // lock: the attachment check is a lock-free read of the registry's
 // published interval index, so unrelated hot stores do not contend with
-// dispatch. A firing store takes only the target thread's shard lock, so
-// stores triggering threads in different shards scale across producer
-// cores. allocs_test.go and the BenchmarkTStore* families enforce this.
+// dispatch. A firing store takes the dispatch lock once per attached thread
+// it fires, for pointer-sized bookkeeping. allocs_test.go and the
+// BenchmarkTStore* families enforce this.
 func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 
 // TStoreBatch is the vectorized form of TStore: it writes vs to words
@@ -93,8 +93,8 @@ func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 // scalar TStores — each changing word fires the threads attached to its
 // address, with duplicate squashing — but the dispatch cost is amortized:
 // the batch resolves attachments against one registry snapshot and takes
-// each target shard's lock once, enqueueing all of that shard's fired
-// entries under the single acquisition. Like TStore it is allocation-free
+// the dispatch lock once, enqueueing all of its fired entries under the
+// single acquisition. Like TStore it is allocation-free
 // in the steady state (the grouping scratch is pooled by the runtime),
 // and on the seeded backend the whole batch is one preemption point where
 // a scalar loop would be len(vs) of them.

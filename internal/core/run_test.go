@@ -15,7 +15,7 @@ import (
 // Tests of the run as the unit of work on both sides of the thread queue: the
 // hinted attachment lookup must answer what attachmentAt answers, one deferred
 // recover must serve a whole run of bodies, and a scalar store that counts
-// itself in a shard must not make Stats lose or tear a store.
+// itself under the dispatch lock must not make Stats lose or tear a store.
 
 // coverRun is what one first-covering scenario leaves behind.
 type coverRun struct {
@@ -254,20 +254,20 @@ func TestRunPanicThenCancel(t *testing.T) {
 }
 
 // TestScalarStoreCountsExactUnderConcurrency: a changing scalar store that
-// fires counts itself in a shard, one that matches nothing in a lock-free
+// fires counts itself under the dispatch lock, one that matches nothing in a lock-free
 // counter, and Stats sums the two kinds — so under concurrent producers no
 // store may be lost or counted per matched thread, and no snapshot may tear.
 func TestScalarStoreCountsExactUnderConcurrency(t *testing.T) {
 	const producers, perProducer, words = 4, 4000, 48
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, Shards: 4})
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	data := rt.NewRegion("data", words)
-	// Words [0,16) fire one thread; [16,32) fire two threads in different
-	// shards and, over [24,32), one of them through two overlapping
-	// attachments; [32,48) fire nothing.
+	// Words [0,16) fire one thread; [16,32) fire two threads and, over
+	// [24,32), one of them through two overlapping attachments; [32,48)
+	// fire nothing.
 	var ids [2]ThreadID
 	for k := range ids {
 		ids[k] = rt.Register(fmt.Sprintf("t%d", k), func(Trigger) {})
@@ -341,12 +341,11 @@ func TestScalarStoreCountsExactUnderConcurrency(t *testing.T) {
 	assertIdentities(t, rt, "concurrent scalar stores")
 }
 
-// TestDeferredDrainIsFIFO pins the unscheduled pick: with one shard the
-// deferred backend runs instances in enqueue order whichever threads they
+// TestDeferredDrainIsFIFO pins the unscheduled pick: the deferred backend runs instances in enqueue order whichever threads they
 // belong to, and an instance a body enqueues mid-drain (a cascade) runs after
 // everything that was already queued.
 func TestDeferredDrainIsFIFO(t *testing.T) {
-	rt := newDeferred(t, func(c *Config) { c.Shards = 1 })
+	rt := newDeferred(t, nil)
 	const words = 3
 	in, next := rt.NewRegion("in", 3*words), rt.NewRegion("next", words)
 	var got []string

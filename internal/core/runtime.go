@@ -15,8 +15,7 @@ import (
 
 // attachment is one attached trigger range of a thread, with the pending bit
 // of each of its words: pend is the attachment's share of the thread queue's
-// pending set (see queue.PendingSet), guarded like atts by the thread's shard
-// lock.
+// pending set (see queue.PendingSet), guarded like atts by the dispatch lock.
 type attachment struct {
 	region *Region
 	lo, hi mem.Addr
@@ -27,13 +26,13 @@ type attachment struct {
 // thread's trigger ranges, the thread's run token and its row of the thread
 // queue status table. The token serialises instances of one thread (the
 // paper's one-instance-at-a-time rule) without involving any other thread:
-// workers executing different threads only meet on a shard lock for queue
-// operations, never on each other's tokens.
+// workers executing different threads only meet on the dispatch lock for
+// queue operations, never on each other's tokens.
 //
 // name and fn are immutable after Register. atts, the status row and the
-// token/waiter fields are guarded by the thread's shard lock
-// (shardOf(t).mu); Attach and Cancel additionally hold rt.mu to serialise
-// against registry mutations.
+// token/waiter fields are guarded by the dispatch lock (rt.sh.mu); Attach
+// and Cancel additionally hold rt.mu to serialise against registry
+// mutations.
 type threadEntry struct {
 	name string
 	fn   ThreadFunc
@@ -55,7 +54,7 @@ type threadEntry struct {
 	owner   uint64
 
 	// The thread's row of the status table (TQST). The pending column is the
-	// ring's own sh.tq.PendingCount(t), not a second counter. dispatched is
+	// ring's own rt.sh.tq.PendingCount(t), not a second counter. dispatched is
 	// the running column: entries a run bracket took off the ring and has not
 	// settled, so it is non-zero only while running is. An inline overflow
 	// run holds the token without showing here — Running means a
@@ -70,9 +69,9 @@ type threadEntry struct {
 	// cancelEpoch counts Cancels of this thread. A worker snapshots it when
 	// it claims a run of the thread's entries and re-reads it with one
 	// atomic load before each body: a Cancel landing mid-run bumps it under
-	// the shard lock, and the unstarted rest of the run is dropped rather
+	// the dispatch lock, and the unstarted rest of the run is dropped rather
 	// than executed after the tcancel. Written (atomically) only under the
-	// shard lock, so a plain read under that lock is exact.
+	// dispatch lock, so a plain read under that lock is exact.
 	cancelEpoch uint32 //dtt:guards dispatchShard.mu
 
 	// tokenWaiters are closed when no instance of this thread is executing
@@ -94,7 +93,7 @@ func entryOf(ths []*threadEntry, t ThreadID) *threadEntry {
 }
 
 // attachmentAt returns the first of the thread's attached trigger ranges
-// containing addr, or nil. Callers hold the thread's shard lock; a nil result
+// containing addr, or nil. Callers hold the dispatch lock; a nil result
 // after a matching registry snapshot means a Cancel raced the store.
 func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
 	for i := range te.atts {
@@ -118,36 +117,34 @@ func (te *threadEntry) attachmentNear(hint *attachment, addr mem.Addr) *attachme
 	return te.attachmentAt(addr)
 }
 
-// dispatchShard is one slice of the sharded dispatch plane: the ring-buffer
-// queue segment of the threads mapped to it (whose status rows sit in their
-// threadEntry, under this shard's lock), plus the shard-local bookkeeping
-// Barrier and the workers' scan need. Thread
-// t lives in shard uint32(t) & rt.shardMask, so two stores triggering
-// threads in different shards enqueue under different locks and never
-// contend.
+// dispatchShard is the dispatch plane, one per runtime as the paper's
+// hardware has one thread queue and one status table: the ring-buffer
+// thread queue (whose status rows sit in each threadEntry, under this lock),
+// the trigger counters, the quiescence count and the Barrier waiters. One
+// mutex guards all of it.
 type dispatchShard struct {
 	mu sync.Mutex
 	tq *queue.ThreadQueue
-	// idx is the shard's own index, fixed at construction.
-	idx int
-	// c are the shard's trigger counters, guarded by mu. Stats sums them
-	// under all shard locks for torn-free snapshots (see shardStats).
+	// c are the trigger counters, guarded by mu, so a Stats snapshot taken
+	// under it is torn-free (see shardStats).
 	c shardStats
-	// busy is the shard's quiescence count, the only one: tq.Len() plus the
-	// dispatched entries of the shard's threads plus the inline overflow runs
-	// in flight, a plain number under mu. work is busy != 0 for the lock-free
-	// readers — the Barrier fast check, the finish-side barrier hint and the
-	// workers' scan, which skips (and, when every shard reads false, parks
-	// without locking) shards with no work. addBusy stores it only when busy
-	// crosses zero, so a producer ahead of the worker pays nothing locked.
+	// busy is the quiescence count, the only one: tq.Len() plus the
+	// dispatched entries plus the inline overflow runs in flight, a plain
+	// number under mu. work is busy != 0 for the workers' lock-free check,
+	// which parks without locking when it reads false. addBusy stores it
+	// only when busy crosses zero, so a producer ahead of the worker pays
+	// nothing locked.
 	busy int64 //dtt:guards dispatchShard.mu
 	work atomic.Bool
-	// Pad the hot fields out to (at least) two cache lines so neighbouring
-	// shards' locks and busy counters do not false-share.
-	_ [64]byte
+	// barrierWaiters are closed when busy reaches zero: Barrier blocks here.
+	barrierWaiters []chan struct{} //dtt:guards dispatchShard.mu
+	// Pad to 128 bytes, a size class whose objects fill two whole cache
+	// lines, so the dispatch lock and busy count share no line with another
+	// allocation.
+	_ [24]byte
 }
 
-// addBusy moves the shard's quiescence count by d and keeps work equal to
+// addBusy moves the quiescence count by d and keeps work equal to
 // busy != 0, storing it only when it changes. Callers hold sh.mu.
 func (sh *dispatchShard) addBusy(d int64) {
 	sh.busy += d
@@ -175,15 +172,14 @@ func (sh *dispatchShard) addBusy(d int64) {
 //     registry's immutable index snapshot, and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
-//  2. Shard locks (dispatchShard.mu): thread queue segment and per-thread
-//     records — status row and run token — of the shard's threads. A store
-//     that fires takes only the target thread's shard lock, and only for
-//     pointer-sized bookkeeping, never across a thread body. Stores that
-//     trigger threads in different shards proceed in parallel.
+//  2. The dispatch lock (dispatchShard.mu): the thread queue, the
+//     per-thread records — status row and run token — and the quiescence
+//     count. A store that fires takes it once, and only for pointer-sized
+//     bookkeeping, never across a thread body.
 //  3. rt.mu, the management lock: Register/Attach/Cancel/Close and registry
 //     mutations. Never taken on the store path. Lock order is rt.mu →
-//     shard locks (ascending index when more than one) → leaf locks
-//     (barMu, batchMu, recording.mu); the reverse order is never taken.
+//     the dispatch lock → leaf locks (batchMu, recording.mu); the reverse
+//     order is never taken.
 type Runtime struct {
 	cfg Config
 	sys *mem.System
@@ -198,19 +194,13 @@ type Runtime struct {
 	// in any snapshot stays valid in every later one.
 	threads atomic.Pointer[[]*threadEntry]
 
-	// shards is the dispatch plane, sized to cfg.Shards (a power of two).
-	shards    []dispatchShard
-	shardMask uint32
+	// sh is the dispatch plane: the thread queue and everything its lock
+	// guards, in an allocation of its own.
+	sh *dispatchShard
 
 	// mu is the management lock: Register/Attach/Cancel/Close and registry
 	// mutations. The store fast path never takes it.
 	mu sync.Mutex
-
-	// barMu guards barrierWaiters; barWaiting mirrors len(barrierWaiters)
-	// so the completion path can skip barMu entirely while nobody waits.
-	barMu          sync.Mutex
-	barrierWaiters []chan struct{} //dtt:guards barMu
-	barWaiting     atomic.Int32
 
 	// wake is where idle immediate-backend workers sleep, and parked counts
 	// the workers that have announced they are about to (see worker for the
@@ -235,9 +225,10 @@ type Runtime struct {
 	// sched is the schedule drain picks by, BackendSeeded's; nil means FIFO.
 	// Only the runtime's single driving goroutine consults it.
 	sched *sched.Scheduler
-	// elig is the reusable eligible-entry scratch of a scheduled pick. Only
-	// the single driving goroutine touches it, with all shard locks held.
-	elig []eligRef
+	// elig is the reusable eligible-entry scratch of a scheduled pick: queue
+	// indices. Only the single driving goroutine touches it, with the
+	// dispatch lock held.
+	elig []int
 
 	// batchMu/batchFree recycle tstoreBatch's grouping scratch. Unlike
 	// elig the scratch must serve concurrent producers, so it is a free
@@ -268,12 +259,6 @@ type Runtime struct {
 	stats statsCounters
 }
 
-// eligRef locates one dispatch-eligible queue entry for a scheduled pick:
-// queue index idx of shard shard.
-type eligRef struct {
-	shard, idx int
-}
-
 // New builds a Runtime from cfg.
 func New(cfg Config) (*Runtime, error) {
 	if err := cfg.validate(); err != nil {
@@ -287,13 +272,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	empty := make([]*threadEntry, 0)
 	rt.threads.Store(&empty)
-	rt.shards = make([]dispatchShard, cfg.Shards)
-	rt.shardMask = uint32(cfg.Shards - 1)
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		sh.idx = s
-		sh.tq = queue.NewThreadQueue(cfg.QueueCapacity)
-	}
+	rt.sh = &dispatchShard{tq: queue.NewThreadQueue(cfg.QueueCapacity)}
 	if err := rt.attachObservers(); err != nil {
 		return nil, err
 	}
@@ -304,21 +283,16 @@ func New(cfg Config) (*Runtime, error) {
 		rt.wake = make(chan struct{}, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			rt.wg.Add(1)
-			go rt.worker(i)
+			go rt.worker()
 		}
 	}
 	return rt, nil
 }
 
 // threadsSnap returns the current thread-table snapshot. The result is
-// immutable; callers needing consistency with a shard's queue contents must
-// load it after acquiring that shard's lock.
+// immutable; callers needing consistency with the queue's contents must
+// load it after acquiring the dispatch lock.
 func (rt *Runtime) threadsSnap() []*threadEntry { return *rt.threads.Load() }
-
-// shardOf returns the dispatch shard thread t maps to.
-func (rt *Runtime) shardOf(t ThreadID) *dispatchShard {
-	return &rt.shards[uint32(t)&rt.shardMask]
-}
 
 // System returns the runtime's address space.
 func (rt *Runtime) System() *mem.System { return rt.sys }
@@ -328,8 +302,8 @@ func (rt *Runtime) System() *mem.System { return rt.sys }
 // the real ephemeral port.
 func (rt *Runtime) MetricsAddr() string { return rt.metricsAddr }
 
-// Config returns the configuration the runtime was built with (after
-// defaulting; Config.Shards reports the effective shard count).
+// Config returns the configuration the runtime was built with, after
+// defaulting.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // NewRegion allocates a region of n words in the runtime's address space.
@@ -391,10 +365,9 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 		return err
 	}
 	te := ths[t]
-	sh := rt.shardOf(t)
-	sh.mu.Lock()
+	rt.sh.mu.Lock()
 	te.atts = append(te.atts, attachment{region: r, lo: loA, hi: hiA, pend: queue.NewPendingSet(loA, hiA)})
-	sh.mu.Unlock()
+	rt.sh.mu.Unlock()
 	rt.obs.attach(t, loA, hiA)
 	return nil
 }
@@ -418,13 +391,12 @@ func (rt *Runtime) AllowWrites(t ThreadID, r *Region, lo, hi int) error {
 }
 
 // Cancel detaches thread t and squashes its pending instances (tcancel).
-// It takes the management lock and then only t's shard lock: a thread's
-// queue entries, status row and token all live in one shard.
+// It takes the management lock and then the dispatch lock.
 func (rt *Runtime) Cancel(t ThreadID) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	te := entryOf(rt.threadsSnap(), t)
-	sh := rt.shardOf(t)
+	sh := rt.sh
 	sh.mu.Lock()
 	rt.obs.cancel(t, te)
 	rt.reg.Detach(t)
@@ -438,7 +410,7 @@ func (rt *Runtime) Cancel(t ThreadID) {
 	}
 	rt.stats.cancels.Add(1)
 	// Squashing may have made t — or the whole runtime — quiet.
-	rt.finishShardLocked(sh, te, t)
+	rt.finishShardLocked(te, t)
 	sh.mu.Unlock()
 }
 
@@ -457,10 +429,9 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	if te == nil {
 		return false
 	}
-	sh := rt.shardOf(t)
-	sh.mu.Lock()
-	quiet := sh.quietLocked(te, t) && len(te.atts) == 0
-	sh.mu.Unlock()
+	rt.sh.mu.Lock()
+	quiet := rt.sh.quietLocked(te, t) && len(te.atts) == 0
+	rt.sh.mu.Unlock()
 	if !quiet {
 		return false
 	}
@@ -476,19 +447,18 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 // drainThread blocks until thread t has no pending or running instance:
 // the quiescence loop of Wait on the immediate backend, without Wait's
 // merge point, join edge or stats. The predicate (quietLocked) is O(1)
-// against t's own shard-local state — it never scans a queue or touches
-// another shard — and the waiter sleeps on t's own channel, so completions
-// of other threads do not wake it. Namespace.Close also calls it, on every
+// against t's own state — it never scans the queue — and the waiter sleeps
+// on t's own channel, so completions of other threads do not wake it. Namespace.Close also calls it, on every
 // backend, after Cancel, to let an in-flight instance finish before the
 // namespace's regions are freed — a cancelled instance keeps executing
 // against the entries it captured, and a store it issues through a freed
 // region would land in an address range the arena may already have handed
 // to another tenant. On the single-goroutine backends a running instance
 // cannot coexist with the caller, so the predicate holds immediately. Must
-// not be called with rt.mu or any shard lock held, nor from a
+// not be called with rt.mu or the dispatch lock held, nor from a
 // support-thread body of t.
 func (rt *Runtime) drainThread(t ThreadID) {
-	sh := rt.shardOf(t)
+	sh := rt.sh
 	sh.mu.Lock()
 	for {
 		te := entryOf(rt.threadsSnap(), t)
@@ -549,9 +519,9 @@ func (rt *Runtime) releaseRegionLocked(r *Region) {
 // store is one atomic load; a changing store to an unattached address adds
 // the swap and a lock-free index probe (two comparisons when the address is
 // far from every trigger range), either plus its counter's atomic add; only a
-// changing store inside a trigger range takes a lock — the target thread's
-// shard lock, for the enqueue bookkeeping — and counts itself under it: three
-// locked instructions, the swap, the lock and the unlock.
+// changing store inside a trigger range takes a lock — the dispatch lock, for
+// the enqueue bookkeeping — and counts itself under it: three locked
+// instructions, the swap, the lock and the unlock.
 func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	g := rt.obs.checkGoid()
 	changed := r.buf.Store(i, v)
@@ -595,24 +565,24 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // Fired = Enqueued + Squashed + Overflowed identity — fired moves here and
 // exactly one decomposition counter inside tq.Enqueue (the queue's counters
 // are the admission counters), whose only call site this is, in one critical
-// section, so the identity holds under the shard lock at all times. Callers
-// hold sh.mu, where sh is id's shard, and pass a, what attachmentAt answers for
-// addr on id's record under that lock: its pending set is the dedup key. A nil
-// a is a trigger whose range a concurrent Cancel detached between the registry
+// section, so the identity holds under the dispatch lock at all times.
+// Callers hold rt.sh.mu and pass a, what attachmentAt answers for addr on
+// id's record under that lock: its pending set is the dedup key. A nil a is a
+// trigger whose range a concurrent Cancel detached between the registry
 // snapshot and this lock: it never happened, and reports Squashed, like a
 // squash leaving nothing to settle. An overflowed trigger is appended to
-// inline for the caller to run after its dispatch completes — never with a
-// shard lock held. On Enqueued the caller owes the shard its settlement — the
-// busy count, a queue-depth sample and a worker wakeup — which stays with the
-// caller because the two dispatch shapes differ exactly there: fireOne
-// settles per entry, dispatchFired once per shard, and a shared helper
+// inline for the caller to run after its dispatch completes — never with the
+// dispatch lock held. On Enqueued the caller owes the queue its settlement —
+// the busy count, a queue-depth sample and a worker wakeup — which stays with
+// the caller because the two dispatch shapes differ exactly there: fireOne
+// settles per entry, dispatchFired once per write, and a shared helper
 // measured 4% of a scalar round on the immediate backend.
-func (rt *Runtime) admitLocked(sh *dispatchShard, a *attachment, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
+func (rt *Runtime) admitLocked(a *attachment, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
 	if a == nil {
 		return queue.Squashed
 	}
-	sh.c.fired++
-	st := sh.tq.Enqueue(id, addr, &a.pend)
+	rt.sh.c.fired++
+	st := rt.sh.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
 	}
@@ -620,22 +590,22 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, a *attachment, id ThreadID, ad
 	return st
 }
 
-// fireOne admits one fired trigger under its thread's shard lock: the
+// fireOne admits one fired trigger under the dispatch lock: the
 // scalar-shaped dispatch, one lock acquisition per (store, thread) pair. A
-// store's first pair also counts the store (counts), in the shard it fires
-// into and under the lock it takes anyway.
+// store's first pair also counts the store (counts), under the lock it takes
+// anyway.
 func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry, counts bool) {
 	// The thread table is loaded after the registry snapshot, so an id
 	// the registry knows is always in range here.
 	te := rt.threadsSnap()[id]
-	sh := rt.shardOf(id)
+	sh := rt.sh
 	sh.mu.Lock()
 	if counts {
 		sh.c.changing++
 	}
-	if rt.admitLocked(sh, te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
+	if rt.admitLocked(te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
 		sh.addBusy(1)
-		rt.obs.queueDepth(sh)
+		rt.obs.queueDepth(sh.tq)
 		rt.wakeWorker()
 	}
 	sh.mu.Unlock()
@@ -649,40 +619,30 @@ type firedTrigger struct {
 }
 
 // batchScratch is the per-call working set of a batch or a merge: the fired
-// pairs collected during the write phase and the per-shard tally that lets
-// dispatchFired skip shards with nothing to do. Instances live on the
+// pairs collected during the write phase. Instances live on the
 // Runtime.batchFree list; slices keep their capacity across calls, so a
 // warmed scratch serves any batch the program repeats without allocating.
 type batchScratch struct {
-	fired    []firedTrigger
-	perShard []int32
-	inline   []queue.Entry
+	fired  []firedTrigger
+	inline []queue.Entry
 	// cands holds the attachments overlapping the write's span — a batch's
 	// words, a merge's region — resolved once per write, by begin.
 	cands []queue.Attachment
 }
 
-func (sc *batchScratch) begin(shards int, snap queue.Snapshot, lo, hi mem.Addr) {
+func (sc *batchScratch) begin(snap queue.Snapshot, lo, hi mem.Addr) {
 	sc.fired = sc.fired[:0]
 	sc.inline = sc.inline[:0]
 	sc.cands = snap.Overlapping(lo, hi, sc.cands[:0])
-	if cap(sc.perShard) < shards {
-		sc.perShard = make([]int32, shards) //dtt:escape-ok -- warms a fresh scratch once; the free list retains it
-	}
-	sc.perShard = sc.perShard[:shards]
-	for i := range sc.perShard {
-		sc.perShard[i] = 0
-	}
 }
 
 // fire records a fired pair for each of sc.cands covering changed word addr.
 // Candidates are in index order, so the pairs are the matches a per-word
 // registry lookup would produce, in its order.
-func (sc *batchScratch) fire(addr mem.Addr, shardMask uint32) {
+func (sc *batchScratch) fire(addr mem.Addr) {
 	for _, a := range sc.cands {
 		if a.Lo <= addr && addr < a.Hi {
 			sc.fired = append(sc.fired, firedTrigger{id: a.Thread, addr: addr})
-			sc.perShard[uint32(a.Thread)&shardMask]++
 		}
 	}
 }
@@ -735,14 +695,14 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	sc := rt.getScratch()
 	// One index resolution for the whole span: per word, trigger matching is
 	// then an interval test against the (usually zero or one) candidates.
-	sc.begin(len(rt.shards), rt.reg.Snapshot(), r.buf.Addr(lo), r.buf.Addr(lo+len(vs))) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
+	sc.begin(rt.reg.Snapshot(), r.buf.Addr(lo), r.buf.Addr(lo+len(vs)))
 	changed := 0
 	for j, v := range vs {
 		wrote := r.buf.Store(lo+j, v)
 		rt.obs.write(r, lo+j, wrote, g)
 		if wrote {
 			changed++
-			sc.fire(r.buf.Addr(lo+j), rt.shardMask)
+			sc.fire(r.buf.Addr(lo + j))
 		}
 	}
 	if silent := len(vs) - changed; silent > 0 {
@@ -763,17 +723,14 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 
 // dispatchFired is the batch-shaped dispatch phase, stages three and 3a of
 // the pipeline for a write that collected its fired pairs first: a batch's
-// span or a merge's words. It groups the pairs by target shard and takes
-// each shard's lock exactly once, walking shards in ascending index order
-// (locks are taken one at a time, never nested, so this matches the
-// documented shard-lock order). Within the critical section each pair still
-// moves fired plus exactly one of enqueued/squashed/overflowed through
-// admitLocked, so the per-shard identity Fired = Enqueued + Squashed +
-// Overflowed holds at every instant, exactly as for scalar tstores; the
-// thread record and attachment are resolved once per run of one thread's
-// pairs, and busy, the queue-depth sample and the worker wakeup settle once
-// per shard rather than once per entry. Overflowed pairs land in sc.inline for
-// the caller's afterWrite.
+// span or a merge's words. It takes the dispatch lock exactly once for all
+// of them. Within the critical section each pair still moves fired plus
+// exactly one of enqueued/squashed/overflowed through admitLocked, so the
+// identity Fired = Enqueued + Squashed + Overflowed holds at every instant,
+// exactly as for scalar tstores; the thread record and attachment are
+// resolved once per run of one thread's pairs, and busy, the queue-depth
+// sample and the worker wakeup settle once per write rather than once per
+// entry. Overflowed pairs land in sc.inline for the caller's afterWrite.
 func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 	if len(sc.fired) == 0 {
 		return
@@ -781,52 +738,44 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 	// The thread table is loaded after the registry lookups that produced
 	// the pairs, so every id in them is in range.
 	ths := rt.threadsSnap()
-	for s := range rt.shards {
-		if sc.perShard[s] == 0 {
-			continue
+	sh := rt.sh
+	enqueued := 0
+	var te *threadEntry
+	var a *attachment
+	sh.mu.Lock()
+	for _, ft := range sc.fired {
+		if ths[ft.id] != te { // a new run of one thread's pairs
+			te, a = ths[ft.id], nil
 		}
-		sh := &rt.shards[s]
-		enqueued := 0
-		var te *threadEntry
-		var a *attachment
-		sh.mu.Lock()
-		for _, ft := range sc.fired {
-			if uint32(ft.id)&rt.shardMask != uint32(s) {
-				continue
-			}
-			if ths[ft.id] != te { // a new run of one thread's pairs
-				te, a = ths[ft.id], nil
-			}
-			a = te.attachmentNear(a, ft.addr)
-			if rt.admitLocked(sh, a, ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
-				enqueued++
-			}
+		a = te.attachmentNear(a, ft.addr)
+		if rt.admitLocked(a, ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
+			enqueued++
 		}
-		if enqueued > 0 {
-			sh.addBusy(int64(enqueued))
-			// One depth sample per shard per write: the depth after its
-			// admissions, not one sample per entry.
-			rt.obs.queueDepth(sh)
-			rt.wakeWorker()
-		}
-		sh.mu.Unlock()
 	}
+	if enqueued > 0 {
+		sh.addBusy(int64(enqueued))
+		// One depth sample per write: the depth after its admissions, not
+		// one sample per entry.
+		rt.obs.queueDepth(sh.tq)
+		rt.wakeWorker()
+	}
+	sh.mu.Unlock()
 }
 
 // wakeWorker offers newly dispatchable work to a parked worker, if there is
 // one; with every worker awake it is one atomic load, because a worker
-// re-scans before it parks. Callers hold the shard lock under which they
+// re-scans before it parks. Callers hold the dispatch lock under which they
 // made the work visible — the enqueue and the addBusy, or the token release
 // — and call this after it. That order is the whole argument: the producer
-// raises the shard's work flag (or finds it raised, and then whoever lowers it
-// does so under this lock, later, with this entry settled) and then loads
-// parked; a worker adds itself to parked and then loads the flags
-// (scanShards), locking every shard that reads true. Both are sync/atomic,
-// hence sequentially consistent, so one of the two sees the other: either
-// this load sees the worker parked and sends, or the worker's flag load sees
-// the work and its locked scan — ordered after this critical section by the
-// shard lock — finds it. The send cannot block and is dropped only when the
-// buffer already holds a token per worker: every parked one is about to wake.
+// raises the work flag (or finds it raised, and then whoever lowers it does
+// so under this lock, later, with this entry settled) and then loads parked;
+// a worker adds itself to parked and then loads the flag (runClaims), locking
+// the queue when it reads true. Both are sync/atomic, hence sequentially
+// consistent, so one of the two sees the other: either this load sees the
+// worker parked and sends, or the worker's flag load sees the work and its
+// locked claim — ordered after this critical section by the dispatch lock —
+// finds it. The send cannot block and is dropped only when the buffer
+// already holds a token per worker: every parked one is about to wake.
 func (rt *Runtime) wakeWorker() {
 	if rt.parked.Load() == 0 {
 		return
@@ -841,104 +790,55 @@ func (rt *Runtime) wakeWorker() {
 // record is te, has no pending entry and no instance in flight. The run token
 // covers every instance in flight, dispatched or inline, so "token free" is
 // te.running == 0 alone. A failed thread is quiet: twait must not wait on a
-// thread that will never run again. Callers hold sh.mu, t's shard's lock.
+// thread that will never run again. Callers hold sh.mu.
 func (sh *dispatchShard) quietLocked(te *threadEntry, t ThreadID) bool {
 	return te.running == 0 && !sh.tq.Pending(t)
 }
 
 // finishShardLocked propagates the consequences of thread t's activity
 // dropping: it frees t's run token waiters, completes Wait waiters whose
-// predicate became true, and hints the barrier path (te is nil when a Cancel
-// names an id never registered). Re-offering t's
-// skipped queue entries is the finisher's business — a worker re-scans the
-// shard itself, an inline run wakes one (endRunLocked). Callers hold sh.mu,
-// where sh is t's shard.
-func (rt *Runtime) finishShardLocked(sh *dispatchShard, te *threadEntry, t ThreadID) {
+// predicate became true, and completes Barrier waiters once the quiescence
+// count is zero (te is nil when a Cancel names an id never registered).
+// Re-offering t's skipped queue entries is the finisher's business — a
+// worker re-claims itself, an inline run wakes one (endRunLocked). Callers
+// hold rt.sh.mu.
+func (rt *Runtime) finishShardLocked(te *threadEntry, t ThreadID) {
+	sh := rt.sh
 	if te != nil && te.running == 0 {
-		if len(te.tokenWaiters) > 0 {
-			for _, ch := range te.tokenWaiters {
-				close(ch)
-			}
-			te.tokenWaiters = nil
-		}
+		wakeAll(&te.tokenWaiters)
 		if len(te.quietWaiters) > 0 && sh.quietLocked(te, t) {
-			for _, ch := range te.quietWaiters {
-				close(ch)
-			}
-			// Keep the backing array: a blocking Wait then allocates
-			// its channel and nothing else.
-			te.quietWaiters = te.quietWaiters[:0]
+			wakeAll(&te.quietWaiters)
 		}
 	}
-	// The barrier hint: this path holds one shard lock and may not take the
-	// others, so waiters re-confirm; with none waiting it is one atomic load.
-	if rt.barWaiting.Load() != 0 && !rt.anyBusy() {
-		rt.wakeBarrierWaiters()
+	if sh.busy == 0 {
+		wakeAll(&sh.barrierWaiters)
 	}
 }
 
-// anyBusy reports whether any shard's work flag is raised. With every shard
-// lock held it is exact (quietConfirm). Without them false is only a hint: a
-// trigger cascading from one shard to another can make every flag read false
-// transiently (source shard read after it went idle, target before it went
-// busy). Barrier therefore confirms under all shard locks before returning;
-// the completion-side use only risks a spurious wakeup.
-func (rt *Runtime) anyBusy() bool {
-	for s := range rt.shards {
-		if rt.shards[s].work.Load() {
-			return true
-		}
+// wakeAll closes every channel in waiters and empties the list, keeping its
+// backing array so the next sleeper allocates its channel and nothing else.
+// Callers hold the dispatch lock.
+func wakeAll(waiters *[]chan struct{}) {
+	if len(*waiters) == 0 {
+		return
 	}
-	return false
-}
-
-// wakeBarrierWaiters releases every registered barrier waiter.
-func (rt *Runtime) wakeBarrierWaiters() {
-	rt.barMu.Lock()
-	for _, ch := range rt.barrierWaiters {
+	for _, ch := range *waiters {
 		close(ch)
 	}
-	rt.barrierWaiters = rt.barrierWaiters[:0]
-	rt.barWaiting.Store(0)
-	rt.barMu.Unlock()
-}
-
-// lockAllShards acquires every shard lock in ascending index order — the
-// only legal order; unlockAllShards releases them.
-func (rt *Runtime) lockAllShards() {
-	for s := range rt.shards {
-		rt.shards[s].mu.Lock()
-	}
-}
-
-func (rt *Runtime) unlockAllShards() {
-	for s := range rt.shards {
-		rt.shards[s].mu.Unlock()
-	}
-}
-
-// quietConfirm is the authoritative tbarrier predicate: with every shard
-// lock held, no shard has work — no pending entry, dispatched entry or inline
-// run in flight. busy and its flag change only under their shard's lock, so
-// with all of them held the reading is exact; without them it is not (see
-// anyBusy).
-func (rt *Runtime) quietConfirm() bool {
-	rt.lockAllShards()
-	defer rt.unlockAllShards()
-	return !rt.anyBusy()
+	*waiters = (*waiters)[:0]
 }
 
 // resolveLocked builds the Triggers of the run c.es[:n] — entries of one
 // thread, te's — from the thread's own attachment list: the attachment is
 // looked up for the first entry and again only when an address leaves it.
-// Callers hold the entries' shard lock, which guards atts.
+// Callers hold the dispatch lock, which guards atts.
 func (te *threadEntry) resolveLocked(c *claim, n int) {
 	var a *attachment
 	for i := range c.es[:n] {
 		e := &c.es[i]
 		if a = te.attachmentNear(a, e.Addr); a == nil {
 			// An entry can only exist for an attached range: the enqueue side
-			// re-checks the attachment under the shard lock, and Cancel
+			// re-checks the attachment under the dispatch lock, and Cancel
 			// squashes entries under the same lock when detaching. Reaching
 			// here is a runtime bug.
 			panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
@@ -992,16 +892,16 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 // dispatched column (queued entries; busy, which counts both, stands) or
 // counts an inline run in flight in busy (an overflowed trigger, which the
 // status row never shows; n is 1). Only the immediate backend's worker
-// claims n > 1. Callers hold sh.mu, resolve the entries' triggers under it
-// (resolveLocked), release it around runBodies, and close the bracket with
-// endRunLocked.
-func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, n int, g uint64, queued bool) {
+// claims n > 1. Callers hold rt.sh.mu, resolve the entries' triggers under
+// it (resolveLocked), release it around runBodies, and close the bracket
+// with endRunLocked.
+func (rt *Runtime) beginRunLocked(te *threadEntry, n int, g uint64, queued bool) {
 	te.running++
 	te.owner = g
 	if queued {
 		te.dispatched += n
 	} else {
-		sh.addBusy(1)
+		rt.sh.addBusy(1)
 	}
 }
 
@@ -1010,13 +910,14 @@ func (rt *Runtime) beginRunLocked(sh *dispatchShard, te *threadEntry, n int, g u
 // per started body, in order — Executed or FailedRuns for a queued
 // instance, InlineRuns (and FailedRuns) for an inline one, keeping
 // Overflowed = InlineRuns + Dropped. Outcomes land on the thread's status
-// row and in the shard's counters (which outlive a retired thread's row): a
-// failed run colours the row however it was dispatched, only a
+// row and in the runtime's counters (which outlive a retired thread's row):
+// a failed run colours the row however it was dispatched, only a
 // queue-dispatched success clears it. The n - len(oks) entries a Cancel
 // stopped the run before leave the dispatched column as cancelled work,
-// neither executed nor failed. Then it drops the shard's busy count by n and
-// propagates the quiescence consequences once. Callers hold sh.mu.
-func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
+// neither executed nor failed. Then it drops the busy count by n and
+// propagates the quiescence consequences once. Callers hold rt.sh.mu.
+func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
+	sh := rt.sh
 	te.running--
 	if te.running == 0 {
 		te.owner = 0
@@ -1045,7 +946,7 @@ func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, 
 		}
 	}
 	sh.addBusy(int64(-n))
-	rt.finishShardLocked(sh, te, t)
+	rt.finishShardLocked(te, t)
 	if !queued && te.running == 0 && sh.tq.Pending(t) {
 		// Entries of t that workers skipped while this inline run held the
 		// token are dispatchable again, and the finisher is no worker.
@@ -1060,70 +961,60 @@ func (rt *Runtime) endRunLocked(sh *dispatchShard, te *threadEntry, t ThreadID, 
 // enclosing frame (impossible from the main thread, their only legal caller);
 // under a schedule every changing write is also a preemption point
 // (afterWrite, all false). The settle and the next pick share one hold of the
-// shard locks; a body runs with its thread's token held and no lock, so a
+// dispatch lock; a body runs with its thread's token held and no lock, so a
 // nested drain — a body whose store re-enters here — sees the enclosing
 // thread's token and skips it, preserving one-instance-at-a-time. With a
 // recorder each instance is a support task, which the recorder's next Join
 // takes.
 func (rt *Runtime) drain(all bool) {
 	var c claim
-	rt.lockAllShards()
+	sh := rt.sh
+	sh.mu.Lock()
 	for {
 		ths := rt.threadsSnap()
-		sh := rt.pickLocked(ths, all, &c.es[0])
-		if sh == nil {
-			rt.unlockAllShards()
+		if !rt.pickLocked(ths, all, &c.es[0]) {
+			sh.mu.Unlock()
 			return
 		}
 		t := c.es[0].Thread
 		te := ths[t]
-		rt.beginRunLocked(sh, te, 1, 0, true)
+		rt.beginRunLocked(te, 1, 0, true)
 		te.resolveLocked(&c, 1)
-		rt.unlockAllShards()
+		sh.mu.Unlock()
 
 		rt.obs.beginSupport(te, c.es[0])
 		rt.runBodies(te, &c, 0, 1, 0)
 		rt.obs.endSupport()
 
-		rt.lockAllShards()
-		rt.endRunLocked(sh, te, t, true, 1, c.oks[0])
+		sh.mu.Lock()
+		rt.endRunLocked(te, t, true, 1, c.oks[0])
 	}
 }
 
 // pickLocked is the one part of drain that varies: it takes the entry to run
-// next off its ring into *e and returns the entry's shard, or nil to stop.
-// With no schedule the pick is FIFO — the head of the lowest non-empty shard,
-// O(1); with one shard, the enqueue order. With one it is the schedule's,
-// among the entries whose thread has no running instance, enumerated shard by
-// shard and oldest first (with one shard the queue order, which keeps replay
-// identical to the unsharded runtime), and unless all is set only if the
-// schedule dispatches at this point. Callers hold every shard lock, so the
-// choice is deterministic.
-func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) *dispatchShard {
+// next off the ring into *e, or reports false to stop. With no schedule the
+// pick is FIFO — the head, O(1). With one it is the schedule's, among the
+// entries whose thread has no running instance, oldest first, and unless
+// all is set only if the schedule dispatches at this point. Callers hold the
+// dispatch lock, so the choice is deterministic.
+func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) bool {
+	tq := rt.sh.tq
 	if rt.sched == nil {
-		for s := range rt.shards {
-			if head, ok := rt.shards[s].tq.Dequeue(); ok {
-				*e = head
-				return &rt.shards[s]
-			}
-		}
-		return nil
+		head, ok := tq.Dequeue()
+		*e = head
+		return ok
 	}
 	rt.elig = rt.elig[:0]
-	for s := range rt.shards {
-		tq := rt.shards[s].tq
-		for i := 0; i < tq.Len(); i++ {
-			if ths[tq.EntryAt(i).Thread].running == 0 {
-				rt.elig = append(rt.elig, eligRef{shard: s, idx: i})
-			}
+	for i := 0; i < tq.Len(); i++ {
+		if ths[tq.EntryAt(i).Thread].running == 0 {
+			rt.elig = append(rt.elig, i)
 		}
 	}
 	if len(rt.elig) == 0 || (!all && !rt.sched.RunNow()) {
-		return nil
+		return false
 	}
-	ref := rt.elig[rt.sched.Pick(len(rt.elig))]
-	*e = rt.shards[ref.shard].tq.DequeueAt(ref.idx)
-	return &rt.shards[ref.shard]
+	*e = tq.DequeueAt(rt.elig[rt.sched.Pick(len(rt.elig))])
+	return true
 }
 
 // runInline executes an overflowed trigger synchronously in the triggering
@@ -1142,7 +1033,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		g = goid()
 	}
 	te := rt.threadsSnap()[e.Thread]
-	sh := rt.shardOf(e.Thread)
+	sh := rt.sh
 	sh.mu.Lock()
 	for {
 		if te.attachmentAt(e.Addr) == nil {
@@ -1164,7 +1055,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		<-ch
 		sh.mu.Lock()
 	}
-	rt.beginRunLocked(sh, te, 1, g, false)
+	rt.beginRunLocked(te, 1, g, false)
 	c := claim{es: [claimMax]queue.Entry{e}}
 	te.resolveLocked(&c, 1)
 	sh.mu.Unlock()
@@ -1172,12 +1063,12 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	rt.runBodies(te, &c, 0, 1, 0)
 
 	sh.mu.Lock()
-	rt.endRunLocked(sh, te, e.Thread, false, 1, c.oks[0])
+	rt.endRunLocked(te, e.Thread, false, 1, c.oks[0])
 	sh.mu.Unlock()
 }
 
-// claimMax bounds how many entries of one thread a worker takes off a shard
-// per critical section. Measured on bench's ingest workload (one producer,
+// claimMax bounds how many entries of one thread a worker takes off the
+// queue per critical section. Measured on bench's ingest workload (one producer,
 // one worker, nproc 2, 2 seeds x 5 s, M ops/s): 1 -> 13.2, 4 -> 16.6,
 // 8 -> 17.2, 16 -> 16.7, 64 -> 17.0, 256 -> 18.1. Flat past 4, so it is a
 // constant, not a knob; 16 keeps the redundant instances a re-store to a
@@ -1186,31 +1077,37 @@ func (rt *Runtime) runInline(e queue.Entry) {
 const claimMax = 16
 
 // claim is a worker's private scratch for one claimed run: the entries, the
-// triggers resolved for them under the shard lock, and each started body's
-// outcome.
+// triggers resolved for them under the dispatch lock, and each started
+// body's outcome.
 type claim struct {
 	es  [claimMax]queue.Entry
 	tgs [claimMax]Trigger
 	oks [claimMax]bool
 }
 
-// runClaims is the immediate backend's dispatch loop over one shard. In one
-// critical section it finds the oldest entry whose thread's token is free,
-// takes that token once, and claims the entry plus the entries of the same
-// thread directly behind it (up to claimMax), resolving their triggers. It
-// runs the bodies back to back with no lock held, settles the whole run in
-// one endRunLocked, and — still holding the lock — goes straight to the next
+// runClaims is the immediate backend's dispatch loop. A work flag that reads
+// false returns at once, without the lock (wakeWorker's ordering argument
+// covers a trigger admitted just after the read). Otherwise, in one critical
+// section it finds the oldest entry whose thread's token is free, takes that
+// token once, and claims the entry plus the entries of the same thread
+// directly behind it (up to claimMax), resolving their triggers. It runs the
+// bodies back to back with no lock held, settles the whole run in one
+// endRunLocked, and — still holding the lock — goes straight to the next
 // claim; the lock is dropped only around bodies and when nothing in the
-// shard is eligible. A claim holds one thread's token, never two, so other
-// workers can run the shard's other threads meanwhile; the token spans the
-// run, so a thread's instances stay serial and in enqueue order. Claimed
-// entries have left the queue and cleared their pending bits, as the paper
-// frees the queue entry at spawn. It reports whether any body ran.
-func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
+// queue is eligible. A claim holds one thread's token, never two, so other
+// workers can run other threads meanwhile; the token spans the run, so a
+// thread's instances stay serial and in enqueue order. Claimed entries have
+// left the queue and cleared their pending bits, as the paper frees the
+// queue entry at spawn. It reports whether any body ran.
+func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
+	sh := rt.sh
+	if !sh.work.Load() {
+		return false
+	}
 	sh.mu.Lock()
 	for {
-		// Loaded under sh.mu: any entry visible in this shard's queue was
-		// enqueued by a goroutine that saw its thread published first.
+		// Loaded under sh.mu: any entry visible in the queue was enqueued
+		// by a goroutine that saw its thread published first.
 		ths := rt.threadsSnap()
 		n := sh.tq.DequeueRun(func(e queue.Entry) bool { return ths[e.Thread].running == 0 }, c.es[:])
 		if n == 0 {
@@ -1220,7 +1117,7 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 		ran = true
 		t := c.es[0].Thread
 		te := ths[t]
-		rt.beginRunLocked(sh, te, n, g, true)
+		rt.beginRunLocked(te, n, g, true)
 		te.resolveLocked(c, n)
 		epoch := te.cancelEpoch
 		if sh.tq.Len() > sh.tq.PendingCount(t) {
@@ -1238,50 +1135,34 @@ func (rt *Runtime) runClaims(sh *dispatchShard, g uint64, c *claim) (ran bool) {
 		}
 
 		sh.mu.Lock()
-		rt.endRunLocked(sh, te, t, true, n, c.oks[:started]...)
+		rt.endRunLocked(te, t, true, n, c.oks[:started]...)
 	}
-}
-
-// scanShards runs the claims of every shard that shows work, worker w's
-// home shard (w mod Shards) first and then the others in ring order, so with
-// Workers >= Shards every shard has an affine worker while any worker can
-// still pick up any shard's backlog. A shard whose work flag reads false is
-// skipped without taking its lock; wakeWorker's ordering argument covers a
-// trigger admitted just after the read. It reports whether any body ran.
-func (rt *Runtime) scanShards(w int, g uint64, c *claim) (ran bool) {
-	n := len(rt.shards)
-	for k := 0; k < n; k++ {
-		if sh := &rt.shards[(w+k)%n]; sh.work.Load() && rt.runClaims(sh, g, c) {
-			ran = true
-		}
-	}
-	return ran
 }
 
 // worker is the BackendImmediate dispatch loop: one goroutine per spare
-// hardware context. It scans until a whole pass runs nothing, then parks:
-// it announces itself in rt.parked, re-checks once — scanShards reads the
-// shards' work flags and locks only those that show work — and blocks on
-// rt.wake. Producers and finishers send a token only while some worker is
-// announced (wakeWorker), so a worker that is awake costs them one atomic
-// load and no channel operation. There is no spinning before the park: on
-// two vCPUs it cost the ammp kernel 30-60% (the shard lock and ring lines
-// bounce between producer and worker).
-func (rt *Runtime) worker(w int) {
+// hardware context. It claims until a pass runs nothing, then parks: it
+// announces itself in rt.parked, re-checks once — runClaims reads the work
+// flag and locks only when it shows work — and blocks on rt.wake. Producers
+// and finishers send a token only while some worker is announced
+// (wakeWorker), so a worker that is awake costs them one atomic load and no
+// channel operation. There is no spinning before the park: on two vCPUs it
+// cost the ammp kernel 30-60% (the dispatch lock and ring lines bounce
+// between producer and worker).
+func (rt *Runtime) worker() {
 	defer rt.wg.Done()
 	// goid is stable for the life of this worker goroutine; computing it
 	// once keeps runtime.Stack off the dispatch fast path.
 	g := goid()
 	var c claim
 	for {
-		if rt.scanShards(w, g, &c) {
+		if rt.runClaims(g, &c) {
 			continue
 		}
 		if rt.closed.Load() {
 			return
 		}
 		rt.parked.Add(1)
-		if !rt.scanShards(w, g, &c) {
+		if !rt.runClaims(g, &c) {
 			// Sleep until a trigger is admitted somewhere, an inline run
 			// or another worker's claim leaves entries for us, or Close
 			// deposits the final token.
@@ -1337,12 +1218,12 @@ func (rt *Runtime) Wait(t ThreadID) {
 	rt.obs.join(j, t, false)
 }
 
-// Barrier blocks until every shard's queue is empty and every thread is
-// idle (tbarrier). On the immediate backend the waiter first confirms
-// quiescence under all shard locks (each shard's check is O(1)); while not
-// quiet it sleeps on a barrier channel, woken by the completion that lowers
-// the last shard's work flag. Spurious wakeups are possible — the completion
-// side only reads the flags lock-free — and are absorbed by re-confirming.
+// Barrier blocks until the queue is empty and every thread is idle
+// (tbarrier). The single-goroutine backends run the queue on the caller
+// (drain); on the immediate backend the waiter checks the quiescence count
+// under the dispatch lock and, while it is not zero, sleeps on a channel
+// that finishShardLocked closes when it reaches zero — Wait's shape, with
+// the whole runtime as the thread.
 func (rt *Runtime) Barrier() {
 	rt.stats.barriers.Add(1)
 	j := rt.obs.beginJoin("dtt.Barrier")
@@ -1352,21 +1233,16 @@ func (rt *Runtime) Barrier() {
 	if rt.wake == nil {
 		rt.drain(true)
 	} else {
-		for !rt.quietConfirm() {
+		sh := rt.sh
+		sh.mu.Lock()
+		for sh.busy != 0 {
 			ch := make(chan struct{})
-			rt.barMu.Lock()
-			rt.barrierWaiters = append(rt.barrierWaiters, ch)
-			rt.barWaiting.Store(int32(len(rt.barrierWaiters)))
-			rt.barMu.Unlock()
-			// Re-check after registering: a completion that read barWaiting
-			// before our registration became visible will not wake us, but
-			// then the flag it lowered is visible to this read (both are
-			// sequentially consistent), so we wake ourselves.
-			if !rt.anyBusy() {
-				rt.wakeBarrierWaiters()
-			}
+			sh.barrierWaiters = append(sh.barrierWaiters, ch)
+			sh.mu.Unlock()
 			<-ch
+			sh.mu.Lock()
 		}
+		sh.mu.Unlock()
 	}
 	rt.obs.join(j, 0, true)
 }
@@ -1374,7 +1250,7 @@ func (rt *Runtime) Barrier() {
 // Status returns thread t's TQST state (tstatus): the "most active" reading
 // of its status row. A thread never registered is idle.
 func (rt *Runtime) Status(t ThreadID) queue.Status {
-	sh := rt.shardOf(t)
+	sh := rt.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	switch te := entryOf(rt.threadsSnap(), t); {
@@ -1394,43 +1270,25 @@ func (rt *Runtime) Executed(t ThreadID) int64 {
 	return rt.ThreadStatsFor(t).Executed
 }
 
-// QueueCounters returns the thread queue's lifetime counters aggregated
-// across shards (see queue.Counters for the invariant they obey; summing
-// preserves it). Peak is the maximum per-shard occupancy ever observed, not
-// a simultaneous global occupancy — with one shard the two coincide.
+// QueueCounters returns the thread queue's lifetime counters (see
+// queue.Counters for the invariant they obey).
 func (rt *Runtime) QueueCounters() queue.Counters {
-	var c queue.Counters
-	for _, sc := range rt.ShardCounters() {
-		c.Enqueued += sc.Enqueued
-		c.Squashed += sc.Squashed
-		c.Overflowed += sc.Overflowed
-		c.Dequeued += sc.Dequeued
-		c.SquashedOut += sc.SquashedOut
-		if sc.Peak > c.Peak {
-			c.Peak = sc.Peak
-		}
-	}
-	return c
+	rt.sh.mu.Lock()
+	defer rt.sh.mu.Unlock()
+	return rt.sh.tq.Counters()
 }
 
-// ShardCounters returns each shard's queue counters, indexed by shard. Each
-// element independently obeys the queue.Counters conservation invariant.
+// ShardCounters returns QueueCounters as a one-element slice, the shape of
+// the per-shard breakdown the runtime reported when its queue was split.
 func (rt *Runtime) ShardCounters() []queue.Counters {
-	out := make([]queue.Counters, len(rt.shards))
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		sh.mu.Lock()
-		out[s] = sh.tq.Counters()
-		sh.mu.Unlock()
-	}
-	return out
+	return []queue.Counters{rt.QueueCounters()}
 }
 
 // Close stops the worker pool. Pending queue entries are not executed; call
 // Barrier first for a clean drain. Close is idempotent. The wake channel is
-// never closed — a concurrent enqueue may be signalling under a shard lock —
-// instead it gets one final token per worker, parked or not, and each
-// worker exits after a scan that runs nothing with the closed flag set.
+// never closed — a concurrent enqueue may be signalling under the dispatch
+// lock — instead it gets one final token per worker, parked or not, and
+// each worker exits after a pass that runs nothing with the closed flag set.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed.Load() {
@@ -1441,7 +1299,7 @@ func (rt *Runtime) Close() {
 	rt.mu.Unlock()
 	if rt.metricsSrv != nil {
 		// Stop scrapes before the dispatch plane winds down; in-flight
-		// snapshot reads only take shard locks, which remain valid.
+		// snapshot reads only take the dispatch lock, which remains valid.
 		rt.metricsSrv.Close()
 	}
 	for i := 0; i < cap(rt.wake); i++ {

@@ -270,15 +270,14 @@ func TestRegisterNilPanics(t *testing.T) {
 
 // TestThreadIDsFarApartShareNothing: a pending trigger is a bit of its own
 // thread's attachment, so nothing about a thread id is packed, truncated or
-// bounded. Two live threads whose ids are 1<<16 apart — the same shard at
-// every shard count, and one dedup key when the queue packed the thread into
-// 16 bits — attach to one word; one store runs both bodies, and neither
+// bounded. Two live threads whose ids are 1<<16 apart — one dedup key when
+// the queue packed the thread into 16 bits — attach to one word; one store runs both bodies, and neither
 // trigger is squashed against the other. The table is padded with tombstones
 // rather than by 65 535 registrations.
 func TestThreadIDsFarApartShareNothing(t *testing.T) {
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {
 		t.Run(backend.String(), func(t *testing.T) {
-			rt := newBackend(t, backend, func(c *Config) { c.Shards = 4 })
+			rt := newBackend(t, backend)
 			data := rt.NewRegion("data", 1)
 			var lowRuns, highRuns atomic.Int64
 			low := rt.Register("low", func(Trigger) { lowRuns.Add(1) })
@@ -294,8 +293,8 @@ func TestThreadIDsFarApartShareNothing(t *testing.T) {
 			rt.mu.Unlock()
 
 			high := rt.Register("high", func(Trigger) { highRuns.Add(1) })
-			if high-low != 1<<16 || rt.shardOf(high) != rt.shardOf(low) {
-				t.Fatalf("ids %d and %d: want them 1<<16 apart in one shard", low, high)
+			if high-low != 1<<16 {
+				t.Fatalf("ids %d and %d: want them 1<<16 apart", low, high)
 			}
 			for _, id := range []ThreadID{low, high} {
 				if err := rt.Attach(id, data, 0, 1); err != nil {
@@ -456,7 +455,6 @@ func TestConfigSurface(t *testing.T) {
 		"Backend",       // every caller; bench/, cmd/dttrun -backend
 		"Workers",       // cmd/dttserve -workers, bench/, examples
 		"QueueCapacity", // harness/sweeps.go (F6/F10), cmd/dttrun -queue, bench/
-		"Shards",        // cmd/dttserve -shards, cmd/dttrun -shards
 		"Recorder",      // harness/harness.go, harness/characterize.go
 		"Checker",       // cmd/dttrun -check, cmd/dttserve -check
 		"SchedSeed",     // cmd/dttrun -sched-seed
@@ -496,7 +494,7 @@ func TestBackendSurface(t *testing.T) {
 // workers and waiters share its lines by design of the field order — so how
 // its fields fall against 64-byte lines must at least be the same for every
 // Runtime. It is while the allocator's size class for the struct is a
-// multiple of 64 (448 today). A field that grows it into a class that is not
+// multiple of 64 (384 today). A field that grows it into a class that is not
 // (472 bytes -> class 480) makes successive Runtimes alternate between two
 // layouts, and a benchmark that builds several reads a different machine from
 // one instance, and one run, to the next.

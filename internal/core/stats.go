@@ -5,11 +5,11 @@ import "sync/atomic"
 // statsCounters are the runtime's lock-free counters: the ones updated on
 // paths that hold no lock (the silent-store fast path, Wait/Barrier entry)
 // and bound by no cross-counter identity, so a torn read across them is
-// harmless. Counters that do participate in an identity live in each
-// shard's shardStats instead.
+// harmless. Counters that do participate in an identity live in the
+// dispatch plane's shardStats instead.
 type statsCounters struct {
-	// silent, changing and the shards' changing counts partition the
-	// triggering stores; Stats derives TStores as their sum. The stores that
+	// silent, changing and shardStats.changing partition the triggering
+	// stores; Stats derives TStores as their sum. The stores that
 	// take no lock — silent, or matching no thread — pay one atomic add here;
 	// a scalar store that fired counts itself in shardStats.changing.
 	silent   atomic.Int64
@@ -30,25 +30,22 @@ type statsCounters struct {
 	retiredUpdates atomic.Int64
 }
 
-// shardStats are one dispatch shard's trigger counters: plain int64s
-// guarded by the shard lock, which the paths that update them already
-// hold (or take briefly, on the inline-overflow slow path). Keeping them
-// per shard preserves the fast path — a plain add under a lock already
-// held is cheaper than the process-wide atomic it replaces — and lets
-// Stats build a torn-free snapshot by summing under all shard locks:
-// within one shard, fired and its decomposition move together in the same
-// critical section, so the identity
+// shardStats are the dispatch plane's trigger counters: plain int64s
+// guarded by the dispatch lock, which the paths that update them already
+// hold (or take briefly, on the inline-overflow slow path). A plain add
+// under a lock already held is cheaper than a process-wide atomic, and
+// Stats reads them under the same lock for a torn-free snapshot: fired and
+// its decomposition move together in one critical section, so the identity
 //
 //	fired = enqueued + squashed + overflowed
 //
-// holds under the lock at all times, per shard and therefore in the sum.
-// The decomposition is the shard queue's own queue.Counters, bumped inside
-// tq.Enqueue in the critical section that bumps fired. executed and
-// failedRuns repeat the threads' status rows per shard because a retired
-// thread's row is discarded and Stats may not regress.
+// holds under the lock at all times. The decomposition is the queue's own
+// queue.Counters, bumped inside tq.Enqueue in the critical section that
+// bumps fired. executed and failedRuns repeat the threads' status rows
+// because a retired thread's row is discarded and Stats may not regress.
 type shardStats struct {
-	// changing counts the scalar stores whose first match fired into this
-	// shard, under the lock fireOne holds; it is in no per-shard identity.
+	// changing counts the scalar stores that fired, under the lock fireOne
+	// holds; it is in no identity.
 	changing   int64
 	fired      int64
 	dropped    int64
@@ -60,7 +57,7 @@ type shardStats struct {
 // Stats is a point-in-time snapshot of runtime activity. The relationships
 // the counters obey:
 //
-//	TStores   = Silent + value-changing tstores (counted lock-free, or by a scalar store that fires in the first shard it fires into)
+//	TStores   = Silent + value-changing tstores (counted lock-free, or under the dispatch lock by a scalar store that fires)
 //	Fired     = triggers offered to the queue (per attached thread)
 //	Fired     = Enqueued + Squashed + Overflowed
 //	Overflowed = InlineRuns + Dropped   (once the run has quiesced)
@@ -151,9 +148,8 @@ type ThreadStats struct {
 
 // ThreadStatsFor returns thread t's activity snapshot.
 func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
-	sh := rt.shardOf(t)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	rt.sh.mu.Lock()
+	defer rt.sh.mu.Unlock()
 	te := entryOf(rt.threadsSnap(), t)
 	if te == nil {
 		return ThreadStats{}
@@ -162,34 +158,31 @@ func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
 }
 
 // Stats returns a consistent snapshot of the runtime's counters: the
-// dispatch counters are summed under every shard lock (taken in the legal
-// ascending order), so a snapshot concurrent with producers and workers
-// still satisfies Fired = Enqueued + Squashed + Overflowed — the identity
-// the runtime documents and the polling metrics exporter re-asserts on
-// every scrape. An earlier revision loaded one process-wide atomic per
-// counter and could tear: a reader interleaving with a firing store saw
-// Fired without the matching Enqueued.
+// dispatch counters are read under the dispatch lock, so a snapshot
+// concurrent with producers and workers still satisfies Fired = Enqueued +
+// Squashed + Overflowed — the identity the runtime documents and the
+// polling metrics exporter re-asserts on every scrape. An earlier revision
+// loaded one process-wide atomic per counter and could tear: a reader
+// interleaving with a firing store saw Fired without the matching Enqueued.
 //
 // The lock-free counters carry no cross-counter identity; TStores is the
-// sum of the silent count and the changing counts, lock-free and per shard,
+// sum of the silent count and the changing counts, lock-free and locked,
 // so Silent <= TStores by construction.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
-	rt.lockAllShards()
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		c, q := &sh.c, sh.tq.Counters()
-		s.TStores += c.changing
-		s.Fired += c.fired
-		s.Enqueued += q.Enqueued
-		s.Squashed += q.Squashed
-		s.Overflowed += q.Overflowed
-		s.Dropped += c.dropped
-		s.InlineRuns += c.inlineRuns
-		s.Executed += c.executed
-		s.FailedRuns += c.failedRuns
-	}
-	rt.unlockAllShards()
+	sh := rt.sh
+	sh.mu.Lock()
+	c, q := &sh.c, sh.tq.Counters()
+	s.TStores = c.changing
+	s.Fired = c.fired
+	s.Enqueued = q.Enqueued
+	s.Squashed = q.Squashed
+	s.Overflowed = q.Overflowed
+	s.Dropped = c.dropped
+	s.InlineRuns = c.inlineRuns
+	s.Executed = c.executed
+	s.FailedRuns = c.failedRuns
+	sh.mu.Unlock()
 	s.Silent = rt.stats.silent.Load()
 	s.TStores += s.Silent + rt.stats.changing.Load()
 	s.Waits = rt.stats.waits.Load()

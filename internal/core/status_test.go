@@ -17,8 +17,8 @@ type statusRig struct {
 	in *Region
 	th ThreadID
 	// body is what the next instance of th does. The main goroutine sets it
-	// before the store that triggers the instance; the shard lock the store
-	// and the dispatch both take orders the two.
+	// before the store that triggers the instance; the dispatch lock the
+	// store and the dispatch both take orders the two.
 	body func(Trigger)
 
 	holds            uint64
@@ -27,7 +27,7 @@ type statusRig struct {
 
 func newStatusRig(t *testing.T, backend Backend, mut func(*Config)) *statusRig {
 	t.Helper()
-	cfg := Config{Backend: backend, Workers: 1, Shards: 2}
+	cfg := Config{Backend: backend, Workers: 1}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -38,8 +38,8 @@ func newStatusRig(t *testing.T, backend Backend, mut func(*Config)) *statusRig {
 	t.Cleanup(rt.Close)
 	r := &statusRig{t: t, rt: rt, in: rt.NewRegion("in", 5), body: func(Trigger) {}}
 	r.th = rt.Register("under-test", func(tg Trigger) { r.body(tg) })
-	// The blocker's id is th+1: the other shard, so a capacity-1 queue of
-	// th's shard is never shared with it.
+	// The blocker's entry has left the queue by the time its body holds the
+	// worker, so a capacity-1 queue is th's alone while the worker is held.
 	blocker := rt.Register("blocker", func(Trigger) {
 		// Both fields are read before the close that lets hold return, so
 		// the main goroutine's later writes to them are ordered after.
@@ -95,7 +95,7 @@ type statusRow struct {
 }
 
 func (r *statusRig) row(th ThreadID) statusRow {
-	sh := r.rt.shardOf(th)
+	sh := r.rt.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	te := r.rt.threadsSnap()[th]
@@ -285,7 +285,7 @@ func TestStatusLifecycle(t *testing.T) {
 			}
 		}},
 		{name: "settling_more_than_dispatched_panics", run: func(t *testing.T, r *statusRig) {
-			sh := r.rt.shardOf(r.th)
+			sh := r.rt.sh
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			defer func() {
@@ -295,7 +295,7 @@ func TestStatusLifecycle(t *testing.T) {
 			}()
 			te := r.rt.threadsSnap()[r.th]
 			te.running++ // the token, as beginRunLocked takes it; dispatched stays 0
-			r.rt.endRunLocked(sh, te, r.th, true, 1, true)
+			r.rt.endRunLocked(te, r.th, true, 1, true)
 		}, corrupts: true},
 	}
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {

@@ -174,12 +174,9 @@ func TestCascadeOverflowDoesNotDeadlock(t *testing.T) {
 // accounting invariant from internal/core/stats.go must hold exactly:
 // Overflowed = InlineRuns + Dropped.
 func TestInlineOverflowConcurrentCascades(t *testing.T) {
-	// Shards is pinned to 1: the test's premise is that all four chains
-	// fight over one capacity-1 queue so cascades overflow. With the
-	// default shard count on a multi-core box each chain would get its own
-	// segment and simply enqueue (see TestShardedCascadesConserveCounters
-	// for that configuration).
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 1, Shards: 1})
+	// All four chains fight over one capacity-1 queue so cascades overflow
+	// (see TestConcurrentCascadesConserveCounters for a queue with room).
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,25 @@
 package core
 
-import (
-	"dtt/internal/queue"
-	"dtt/internal/telemetry"
-)
+import "dtt/internal/telemetry"
 
 // TelemetrySnapshot assembles the exporter's view of the runtime. It
 // implements telemetry.Source, so a Runtime can be handed straight to
-// telemetry.Serve/Handler. The counters come from Stats, which sums under
-// every shard lock, so the documented identity
+// telemetry.Serve/Handler. The counters come from Stats, which reads them
+// under the dispatch lock, so the documented identity
 //
 //	dtt_fired_total = dtt_enqueued_total + dtt_squashed_total + dtt_overflowed_total
 //
-// holds on every scrape, not just at quiescence. The per-shard samples are
-// read one shard lock at a time: each sample is internally consistent, and
-// cross-shard skew only affects the per-shard breakdown, never the totals.
+// holds on every scrape, not just at quiescence.
 //
 // It is safe to call with Telemetry off (histograms are simply absent), but
 // the exporter only exists when Config.MetricsAddr is set, which implies
 // Telemetry.
 func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 	s := rt.Stats()
-	snap := telemetry.Snapshot{
+	rt.sh.mu.Lock()
+	depth := rt.sh.tq.Len()
+	rt.sh.mu.Unlock()
+	return telemetry.Snapshot{
 		Counters: []telemetry.Metric{
 			{Name: "dtt_tstores_total", Help: "Triggering stores issued.", Value: s.TStores},
 			{Name: "dtt_silent_total", Help: "Triggering stores that wrote an unchanged value (redundant computation skipped).", Value: s.Silent},
@@ -42,31 +40,9 @@ func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 			{Name: "dtt_cancels_total", Help: "Cancel (tcancel) operations.", Value: s.Cancels},
 		},
 		Gauges: []telemetry.Metric{
-			{Name: "dtt_shards", Help: "Dispatch shards.", Value: int64(len(rt.shards))},
 			{Name: "dtt_threads", Help: "Registered support threads.", Value: int64(len(rt.threadsSnap()))},
+			{Name: "dtt_queue_len", Help: "Pending entries in the thread queue.", Value: int64(depth)},
 		},
-		Shards: make([]telemetry.ShardSample, len(rt.shards)),
-	}
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		sh.mu.Lock()
-		c := sh.tq.Counters()
-		depth := sh.tq.Len()
-		sh.mu.Unlock()
-		snap.Shards[i] = shardSampleFrom(c, depth)
-	}
-	snap.Histograms = rt.obs.histograms()
-	return snap
-}
-
-func shardSampleFrom(c queue.Counters, depth int) telemetry.ShardSample {
-	return telemetry.ShardSample{
-		Enqueued:    c.Enqueued,
-		Squashed:    c.Squashed,
-		Overflowed:  c.Overflowed,
-		Dequeued:    c.Dequeued,
-		SquashedOut: c.SquashedOut,
-		Depth:       depth,
-		Peak:        c.Peak,
+		Histograms: rt.obs.histograms(),
 	}
 }

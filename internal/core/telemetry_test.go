@@ -18,7 +18,7 @@ import (
 )
 
 // startStatsWorkload spins up an immediate-backend runtime with producers
-// hammering trigger ranges across shards, stores triggering stores each. The
+// hammering the trigger ranges of eight threads, stores triggering stores each. The
 // returned done channel closes when the producers finish; the caller still
 // owns Barrier/Close.
 func startStatsWorkload(t *testing.T, rt *Runtime, stores int) <-chan struct{} {
@@ -55,11 +55,11 @@ func startStatsWorkload(t *testing.T, rt *Runtime, stores int) <-chan struct{} {
 // TestStatsSnapshotNotTorn is the regression test for the torn-snapshot bug:
 // Stats used to load one process-wide atomic per counter, so a reader
 // interleaving with a firing store could observe Fired without the matching
-// Enqueued. Now the dispatch counters are summed under every shard lock, and
+// Enqueued. Now the dispatch counters are read under the dispatch lock, and
 // this test polls Stats concurrently with producers, asserting the
 // documented identity on every single read — not just at quiescence.
 func TestStatsSnapshotNotTorn(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, Shards: 4, QueueCapacity: 8})
+	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestStatsSnapshotNotTorn(t *testing.T) {
 
 // TestTelemetrySnapshotConsistency drives a deterministic deferred workload
 // and checks the exporter snapshot against the runtime's own accounting:
-// counter identity, per-shard samples summing to the global counters, and
+// counter identity, the queue-length gauge reading the drained queue, and
 // the histogram counts matching the dispatch counts they observe.
 func TestTelemetrySnapshotConsistency(t *testing.T) {
-	rt, err := New(Config{Backend: BackendDeferred, Shards: 4, Telemetry: true})
+	rt, err := New(Config{Backend: BackendDeferred, Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +138,12 @@ func TestTelemetrySnapshotConsistency(t *testing.T) {
 		t.Fatalf("dtt_executed_total = %d, body ran %d times", got, runs)
 	}
 
-	if len(snap.Shards) != 4 {
-		t.Fatalf("got %d shard samples, want 4", len(snap.Shards))
+	for _, g := range snap.Gauges {
+		if g.Name == "dtt_queue_len" && g.Value != 0 {
+			t.Fatalf("dtt_queue_len = %d after Barrier, want 0", g.Value)
+		}
 	}
-	var enq, deq int64
-	for _, ss := range snap.Shards {
-		enq += ss.Enqueued
-		deq += ss.Dequeued
-	}
-	if enq != counters["dtt_enqueued_total"] {
-		t.Fatalf("shard Enqueued sum %d != dtt_enqueued_total %d", enq, counters["dtt_enqueued_total"])
-	}
+	deq := rt.QueueCounters().Dequeued
 
 	hists := make(map[string]telemetry.HistogramSnapshot)
 	for _, h := range snap.Histograms {
@@ -199,7 +194,7 @@ func parsePromCounters(t *testing.T, body string) map[string]int64 {
 // exporter must be gone.
 func TestMetricsEndpointDuringLoad(t *testing.T) {
 	rt, err := New(Config{
-		Backend: BackendImmediate, Workers: 2, Shards: 4, QueueCapacity: 8,
+		Backend: BackendImmediate, Workers: 2, QueueCapacity: 8,
 		MetricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -251,7 +246,7 @@ func TestMetricsEndpointDuringLoad(t *testing.T) {
 			for _, want := range []string{
 				"# TYPE dtt_trigger_dispatch_latency_ns histogram",
 				"dtt_run_duration_ns_count",
-				"dtt_shard_enqueued_total{shard=\"0\"}",
+				"# TYPE dtt_queue_len gauge",
 			} {
 				if !strings.Contains(body, want) {
 					t.Errorf("final scrape missing %q", want)

@@ -30,20 +30,20 @@
 // resolves the attachments overlapping its region against one registry
 // snapshot, once, writes its words and tests each against those candidates
 // — so, like a batch, a merge orders wholly before or wholly after a
-// concurrent Attach/Cancel — and admits the fired pairs once per shard
-// (dispatchFired). On the seeded backend the whole merge is one preemption
+// concurrent Attach/Cancel — and admits the fired pairs under one hold of
+// the dispatch lock (dispatchFired). On the seeded backend the whole merge is one preemption
 // point at its end, like a batch.
 //
 // # Lock order
 //
 // A plane's merge lock (updatePlane.mergeMu) is taken before stripe locks
-// (inside Collect) and before shard locks (inside dispatchFired), never inside
-// either. rt.mu may be held while acquiring mergeMu — releaseRegionLocked
-// does so to kill a plane before freeing its region — which is safe
-// because the converse never happens: a mergeMu holder never acquires
-// rt.mu (armUpdates takes rt.mu but never merges; mergePlane touches only
-// stripe locks, shard locks and leaf locks). Inline overflow runs execute
-// after the merge lock is released.
+// (inside Collect) and before the dispatch lock (inside dispatchFired), never
+// inside either. rt.mu may be held while acquiring mergeMu —
+// releaseRegionLocked does so to kill a plane before freeing its region —
+// which is safe because the converse never happens: a mergeMu holder never
+// acquires rt.mu (armUpdates takes rt.mu but never merges; mergePlane
+// touches only stripe locks, the dispatch lock and leaf locks). Inline
+// overflow runs execute after the merge lock is released.
 package core
 
 import (
@@ -86,8 +86,8 @@ type updatePlane struct {
 }
 
 // armUpdates creates the region's update plane on first TUpdate. The stripe
-// count is the dispatch-shard default (defaultParallelism): a single stripe
-// keeps producer-order folding exact where merges are deterministic.
+// count is defaultParallelism's: a single stripe keeps producer-order
+// folding exact where merges are deterministic.
 func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -179,7 +179,7 @@ func (rt *Runtime) mergeAllPlanes() {
 // word by word: each changed word stores and fires like a triggering store
 // of the merged value; a word whose net effect is the value already in
 // memory is a silent merge and fires nothing. The fired pairs are admitted
-// together at the end, still under the merge lock, each shard's lock taken
+// together at the end, still under the merge lock, the dispatch lock taken
 // once. block selects a blocking acquisition of the merge lock (sync points)
 // versus try-and-skip (Load).
 func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
@@ -208,7 +208,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	sc := rt.getScratch()
 	// One index resolution per merge: every word of the plane lies in r, so
 	// the attachments overlapping r's span are the candidates of each.
-	sc.begin(len(rt.shards), rt.reg.Snapshot(), r.buf.Addr(0), r.buf.Addr(r.buf.Len())) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
+	sc.begin(rt.reg.Snapshot(), r.buf.Addr(0), r.buf.Addr(r.buf.Len()))
 	changed := 0
 	for k := 0; k < n; k++ {
 		i := p.MergeIndex(k)
@@ -222,7 +222,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		rt.obs.write(r, i, wrote, g)
 		if wrote {
 			changed++
-			sc.fire(r.buf.Addr(i), rt.shardMask)
+			sc.fire(r.buf.Addr(i))
 		}
 	}
 	rt.dispatchFired(sc, g)

@@ -10,7 +10,7 @@ import (
 	"dtt/internal/mem"
 )
 
-func newBackend(t *testing.T, b Backend, mut func(*Config)) *Runtime {
+func newBackend(t *testing.T, b Backend) *Runtime {
 	t.Helper()
 	cfg := Config{Backend: b}
 	if b == BackendImmediate {
@@ -18,9 +18,6 @@ func newBackend(t *testing.T, b Backend, mut func(*Config)) *Runtime {
 	}
 	if b == BackendSeeded {
 		cfg.SchedSeed = 1
-	}
-	if mut != nil {
-		mut(&cfg)
 	}
 	rt, err := New(cfg)
 	if err != nil {
@@ -103,13 +100,14 @@ func TestTUpdatePanics(t *testing.T) {
 // op sequence folded through the update plane must leave memory exactly
 // where the scalar model (sequential fold in plain Go) puts it, and the
 // values attached threads observe at the sync point must match a scalar
-// TStore of the final state — on every backend, across shard counts.
+// TStore of the final state — on every backend, across the update plane's
+// shard counts (a stripe is one producer shard of the privatized replica).
 func TestTUpdateEquivalence(t *testing.T) {
 	const words = 16
 	backends := []Backend{BackendDeferred, BackendSeeded, BackendImmediate}
 	for _, b := range backends {
-		for _, shards := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%v-shards%d", b, shards), func(t *testing.T) {
+		for _, stripes := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%v-shards%d", b, stripes), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42))
 				type opRec struct {
 					i  int
@@ -132,6 +130,7 @@ func TestTUpdateEquivalence(t *testing.T) {
 
 				observe := func(rt *Runtime, play func(data *Region)) ([]mem.Word, map[int]mem.Word) {
 					data := rt.NewRegion("data", words)
+					rt.armUpdates(data).plane = mem.NewDeltaPlane(words, stripes)
 					var mu sync.Mutex
 					seen := make(map[int]mem.Word)
 					id := rt.Register("obs", func(tg Trigger) {
@@ -147,13 +146,12 @@ func TestTUpdateEquivalence(t *testing.T) {
 					return data.Snapshot(), seen
 				}
 
-				mut := func(cfg *Config) { cfg.Shards = shards }
-				gotMem, gotSeen := observe(newBackend(t, b, mut), func(data *Region) {
+				gotMem, gotSeen := observe(newBackend(t, b), func(data *Region) {
 					for _, o := range seq {
 						data.TUpdate(o.i, o.op, o.v)
 					}
 				})
-				wantMem, wantSeen := observe(newBackend(t, b, mut), func(data *Region) {
+				wantMem, wantSeen := observe(newBackend(t, b), func(data *Region) {
 					for i, v := range want {
 						data.TStore(i, v)
 					}
@@ -308,7 +306,7 @@ func TestTUpdateConcurrentProducers(t *testing.T) {
 		producers = 4
 		opsEach   = 5000
 	)
-	rt := newBackend(t, BackendImmediate, func(cfg *Config) { cfg.Shards = 4 })
+	rt := newBackend(t, BackendImmediate)
 	data := rt.NewRegion("data", words)
 	id := rt.Register("obs", func(tg Trigger) { _ = tg.Region.Load(tg.Index) })
 	if err := rt.Attach(id, data, 0, words); err != nil {
@@ -429,7 +427,7 @@ func TestTUpdateSanitizerClean(t *testing.T) {
 // Barrier) must not merge into a plane whose region was released by
 // Namespace.Close — the address range may already belong to a new tenant.
 func TestMergeSkipsReleasedPlane(t *testing.T) {
-	rt := newBackend(t, BackendImmediate, nil)
+	rt := newBackend(t, BackendImmediate)
 	ns := rt.NewNamespace("a")
 	r, err := ns.Region("hot", 4)
 	if err != nil {
@@ -469,7 +467,7 @@ func TestMergeSkipsReleasedPlane(t *testing.T) {
 // against another goroutine's Barrier merge points; under -race this
 // covers the stale-snapshot merge path against releaseRegionLocked.
 func TestTUpdateChurnAgainstBarrier(t *testing.T) {
-	rt := newBackend(t, BackendImmediate, nil)
+	rt := newBackend(t, BackendImmediate)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -505,7 +503,7 @@ func TestTUpdateChurnAgainstBarrier(t *testing.T) {
 // steps must never see the plane's ops in neither (a dip) — the snapshot
 // is taken under rt.mu.
 func TestTUpdatesStatMonotoneUnderChurn(t *testing.T) {
-	rt := newBackend(t, BackendImmediate, nil)
+	rt := newBackend(t, BackendImmediate)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

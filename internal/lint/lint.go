@@ -23,12 +23,11 @@
 //	trigger-capture    a ThreadFunc closure capturing a loop variable or
 //	                   a local reassigned after registration
 //	config-misuse      discarded Register/Attach results, New without
-//	                   Close, non-power-of-two Shards, Workers on a
-//	                   single-goroutine backend
+//	                   Close, Workers on a single-goroutine backend
 //	lockorder          acquiring a lower-ranked lock while holding a
 //	                   higher-ranked one (lattice in lockorder.go, printed
-//	                   by dttlint -locktable), descending shard-lock
-//	                   loops, re-acquiring a held singleton lock
+//	                   by dttlint -locktable), re-acquiring a held
+//	                   singleton lock
 //	atomics            a field accessed both via sync/atomic and plainly,
 //	                   unless the plain side holds the mutex declared by
 //	                   a //dtt:guards annotation

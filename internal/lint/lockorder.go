@@ -26,16 +26,15 @@ import (
 // are modelled — and applies callee acquisition summaries at call sites,
 // so an inversion hidden one call deep is reported at the call with the
 // full acquisition path. Re-acquiring a singleton lock already held is
-// reported as self-deadlock; multi-instance locks (shard, stripe) are
-// exempt from that check but shard-lock loops must iterate in ascending
-// index order, which is checked syntactically.
+// reported as self-deadlock; multi-instance locks (stripe, plane, session)
+// are exempt from that check.
 
 // lockRank is one row of the lattice.
 type lockRank struct {
 	rank int
 	key  string // Type.field
-	// multi marks locks with many instances (per shard / stripe / plane /
-	// session): re-acquiring the same key can be a different instance, so
+	// multi marks locks with many instances (per stripe / plane / session):
+	// re-acquiring the same key can be a different instance, so
 	// the self-deadlock check does not apply.
 	multi bool
 	role  string
@@ -51,8 +50,7 @@ var lockOrderTable = []lockRank{
 	{3, "Runtime.mu", false, "runtime management: region create/release, thread retire"},
 	{4, "updatePlane.mergeMu", true, "one merger per plane; taken under rt.mu by release, never the reverse"},
 	{5, "deltaStripe.mu", true, "privatized delta stripes; taken by Collect under mergeMu"},
-	{6, "dispatchShard.mu", true, "dispatch shards; multi-shard holders iterate ascending"},
-	{7, "Runtime.barMu", false, "barrier waiter list (leaf)"},
+	{6, "dispatchShard.mu", false, "the dispatch lock: thread queue, status rows, run tokens, Wait and Barrier waiters"},
 	{7, "recording.mu", false, "the recorder's release map, in the observer seam (leaf)"},
 	{7, "Runtime.batchMu", false, "batch scratch free list (leaf)"},
 	{7, "outbox.mu", false, "per-session reply mailbox (leaf)"},
@@ -142,10 +140,10 @@ type lockWalker struct {
 	// exit accumulates the held-set join over every function exit; after
 	// walkDecl it is the net "still held by my caller's lights" set (with
 	// deferred releases applied), exported as the summary's exitHeld so
-	// lock helpers like lockAllShards propagate their effect to callers.
+	// lock helpers propagate their effect to callers.
 	exit lockState
 	// released records keys unlocked while not locally held — releases of
-	// the caller's locks (unlockAllShards seen from quietConfirm).
+	// the caller's locks by a release helper.
 	released map[string]bool
 	// deferredRelease records keys released by deferred Unlocks or
 	// deferred calls to releasing helpers; they apply at function exit.
@@ -255,8 +253,8 @@ func (lw *lockWalker) stmt(s ast.Stmt, st lockState) lockState {
 	case *ast.RangeStmt:
 		st = lw.scan(s.X, st)
 		// Assume at least one iteration: the ranges that matter here walk
-		// shard and stripe arrays that are non-empty by construction, and a
-		// helper like lockAllShards must export the lock its loop takes.
+		// stripe arrays that are non-empty by construction, and a helper
+		// that locks in a loop must export the lock its loop takes.
 		// Three-clause loops keep the zero-iteration join below.
 		out := lw.stmt(s.Body, st.clone())
 		return mergeLock(out, lw.stmt(s.Body, out.clone()))
@@ -568,7 +566,6 @@ func runLockOrder(pr *program, f *facts, rep *reporter) {
 				},
 			}
 			lw.walkDecl(fd, lockState{held: map[string]lockAcq{}})
-			checkShardLoops(f, fd, rep)
 		}
 	}
 }
@@ -611,74 +608,4 @@ func reportLockOrder(rep *reporter, f *facts, key string, pos token.Pos, via str
 func (f *facts) posString(pos token.Pos) string {
 	p := f.pkg.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
-// checkShardLoops flags loops that acquire dispatchShard.mu indexed by a
-// loop variable that counts down: multi-shard holders must lock in
-// ascending index order or two of them deadlock. Range loops are always
-// ascending; only three-clause loops with a decrementing post are flagged.
-func checkShardLoops(f *facts, fd *ast.FuncDecl, rep *reporter) {
-	info := f.pkg.Info
-	ast.Inspect(fd, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		dec, ok := loop.Post.(*ast.IncDecStmt)
-		if !ok || dec.Tok != token.DEC {
-			return true
-		}
-		iv, ok := unparen(dec.X).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		ivObj := info.Uses[iv]
-		if ivObj == nil {
-			ivObj = info.Defs[iv]
-		}
-		if ivObj == nil {
-			return true
-		}
-		ast.Inspect(loop.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "TryLock") {
-				return true
-			}
-			if lockKeyOf(info, sel.X) != "dispatchShard.mu" {
-				return true
-			}
-			if !mentionsIndexBy(info, sel.X, ivObj) {
-				return true
-			}
-			rep.report(call.Pos(), "lockorder",
-				"shard locks must be acquired in ascending index order; this loop iterates descending",
-				"iterate shards with a range loop or an incrementing index")
-			return true
-		})
-		return true
-	})
-}
-
-// mentionsIndexBy reports whether e contains an index expression whose
-// index uses obj.
-func mentionsIndexBy(info *types.Info, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		ix, ok := n.(*ast.IndexExpr)
-		if !ok {
-			return true
-		}
-		ast.Inspect(ix.Index, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-				found = true
-			}
-			return !found
-		})
-		return !found
-	})
-	return found
 }

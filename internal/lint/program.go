@@ -63,10 +63,10 @@ type funcSummary struct {
 	// acquires is the transitive set of named mutex acquisitions.
 	acquires []lockAcq
 	// exitHeld are lock keys held on every path at exit and not released
-	// by a defer — the net effect of a lock helper (lockAllShards).
+	// by a defer — the net effect of a lock helper.
 	exitHeld []string
 	// exitReleased are lock keys the function unlocks without holding —
-	// releases of the caller's locks (unlockAllShards).
+	// releases of the caller's locks by a release helper.
 	exitReleased []string
 }
 

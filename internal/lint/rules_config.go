@@ -18,8 +18,6 @@ import (
 //     means the thread never fires, and the program runs wrong silently;
 //   - a runtime built with New and never Closed in the same function
 //     (when it does not escape) — worker goroutines leak;
-//   - a Shards literal that is not a power of two — the runtime rounds up
-//     silently, so the program's stated geometry is not the real one;
 //   - a Workers literal with a single-goroutine backend — Workers only
 //     exists on BackendImmediate; anywhere else the value is ignored.
 //
@@ -195,8 +193,8 @@ func checkNewWithoutClose(info *types.Info, stack []ast.Node, call *ast.CallExpr
 	}
 }
 
-// checkConfigLiteral inspects a core.Config composite literal for geometry
-// and backend mistakes that the runtime accepts silently.
+// checkConfigLiteral inspects a core.Config composite literal for backend
+// mistakes that the runtime accepts silently.
 func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
 	tv, ok := info.Types[cl]
 	if !ok {
@@ -229,18 +227,6 @@ func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
 			backend = v
 		} else {
 			backendKnown = false
-		}
-	}
-
-	if sh, ok := fields["Shards"]; ok {
-		if v, isConst := constIntOf(info, sh); isConst && v > 0 && v&(v-1) != 0 {
-			rounded := int64(1)
-			for rounded < v {
-				rounded <<= 1
-			}
-			rep.report(sh.Pos(), "config-misuse",
-				fmt.Sprintf("Shards: %d is not a power of two; the runtime silently rounds it up to %d", v, rounded),
-				fmt.Sprintf("write Shards: %d (the geometry the runtime will actually use)", rounded))
 		}
 	}
 

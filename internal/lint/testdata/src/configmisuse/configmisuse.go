@@ -1,6 +1,6 @@
 // Package configmisuse is golden-file input for dttlint's config-misuse
-// rule: discarded results, leaked runtimes, and silently-corrected Config
-// geometry.
+// rule: discarded results, leaked runtimes, and Config fields the backend
+// ignores.
 package configmisuse
 
 import "dtt"
@@ -58,19 +58,6 @@ func EscapesOK(sink func(*dtt.Runtime)) {
 	sink(rt)
 }
 
-// BadShards: the runtime rounds 3 up to 4 silently, so the program's stated
-// geometry is a lie.
-func BadShards() {
-	rt, err := dtt.New(dtt.Config{
-		Backend: dtt.BackendImmediate,
-		Shards:  3, // want: config-misuse
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer rt.Close()
-}
-
 // IgnoredWorkers: Workers only exists on BackendImmediate; the deferred
 // backend (the zero value here) runs support threads on one goroutine, as it
 // does under a schedule (that finding says "seeded", from core's constant).
@@ -85,12 +72,11 @@ func IgnoredWorkers() {
 	defer rt.Close()
 }
 
-// GoodConfig: power-of-two shards and Workers on the parallel backend.
+// GoodConfig: Workers on the parallel backend.
 func GoodConfig() {
 	rt, err := dtt.New(dtt.Config{
 		Backend: dtt.BackendImmediate,
 		Workers: 4,
-		Shards:  8,
 	})
 	if err != nil {
 		panic(err)

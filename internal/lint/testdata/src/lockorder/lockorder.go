@@ -8,33 +8,38 @@ package lockorder
 import "sync"
 
 type Runtime struct {
-	mu     sync.Mutex // rank 3 in the lattice
-	shards []dispatchShard
-	n      int
+	mu      sync.Mutex // rank 3 in the lattice
+	sh      *dispatchShard
+	stripes []deltaStripe
+	n       int
 }
 
 type dispatchShard struct {
-	mu   sync.Mutex // rank 6, multi-instance
+	mu   sync.Mutex // rank 6, the one dispatch lock
 	busy int
 }
 
-// Good: outermost-first. Runtime.mu (rank 3) then a shard lock (rank 6).
+type deltaStripe struct {
+	mu sync.Mutex // rank 5, multi-instance
+}
+
+// Good: outermost-first. Runtime.mu (rank 3) then the dispatch lock (rank 6).
 func Good(rt *Runtime) {
 	rt.mu.Lock()
-	rt.shards[0].mu.Lock()
+	rt.sh.mu.Lock()
 	rt.n++
-	rt.shards[0].mu.Unlock()
+	rt.sh.mu.Unlock()
 	rt.mu.Unlock()
 }
 
-// Bad: a shard lock is held while taking Runtime.mu — the inversion the
-// ISSUE seeds: shard (rank 6) then rt.mu (rank 3).
+// Bad: the dispatch lock is held while taking Runtime.mu — the inversion
+// the rule exists for: dispatch (rank 6) then rt.mu (rank 3).
 func Bad(rt *Runtime) {
-	rt.shards[0].mu.Lock()
+	rt.sh.mu.Lock()
 	rt.mu.Lock() // want: lockorder
 	rt.n++
 	rt.mu.Unlock()
-	rt.shards[0].mu.Unlock()
+	rt.sh.mu.Unlock()
 }
 
 // lockRT hides the Runtime.mu acquisition one call deep.
@@ -45,10 +50,10 @@ func lockRT(rt *Runtime) {
 // BadDeep: the same inversion through the call graph. The diagnostic names
 // the acquisition path (lockRT) at the call site.
 func BadDeep(rt *Runtime) {
-	rt.shards[1].mu.Lock()
+	rt.sh.mu.Lock()
 	lockRT(rt) // want: lockorder
 	rt.mu.Unlock()
-	rt.shards[1].mu.Unlock()
+	rt.sh.mu.Unlock()
 }
 
 // GoodDeep: the helper's acquisition is fine when nothing lower is held.
@@ -58,35 +63,14 @@ func GoodDeep(rt *Runtime) {
 	rt.mu.Unlock()
 }
 
-// GoodLoop: multi-shard holders lock in ascending index order.
-func GoodLoop(rt *Runtime) {
-	for s := 0; s < len(rt.shards); s++ {
-		rt.shards[s].mu.Lock()
-	}
-	for s := 0; s < len(rt.shards); s++ {
-		rt.shards[s].mu.Unlock()
-	}
-}
-
-// BadLoop: a descending shard-lock loop deadlocks against any ascending
-// holder.
-func BadLoop(rt *Runtime) {
-	for s := len(rt.shards) - 1; s >= 0; s-- {
-		rt.shards[s].mu.Lock() // want: lockorder
-	}
-	for s := 0; s < len(rt.shards); s++ {
-		rt.shards[s].mu.Unlock()
-	}
-}
-
 // TryBad: both TryLock if-forms track the held set; the inversion inside
 // the success arm is real.
 func TryBad(rt *Runtime) bool {
-	if rt.shards[0].mu.TryLock() {
+	if rt.sh.mu.TryLock() {
 		rt.mu.Lock() // want: lockorder
 		rt.n++
 		rt.mu.Unlock()
-		rt.shards[0].mu.Unlock()
+		rt.sh.mu.Unlock()
 		return true
 	}
 	return false
@@ -98,8 +82,8 @@ func TryGood(rt *Runtime) {
 	if !rt.mu.TryLock() {
 		return
 	}
-	rt.shards[0].mu.Lock()
-	rt.shards[0].mu.Unlock()
+	rt.sh.mu.Lock()
+	rt.sh.mu.Unlock()
 	rt.mu.Unlock()
 }
 
@@ -110,11 +94,18 @@ func SelfDeadlock(rt *Runtime) {
 	rt.mu.Unlock()
 }
 
-// MultiReacquire: shard locks are multi-instance — locking two different
-// shards is the normal ascending pattern, not a self-deadlock.
+// DispatchReacquire: the dispatch lock is a singleton too.
+func DispatchReacquire(rt *Runtime) {
+	rt.sh.mu.Lock()
+	rt.sh.mu.Lock() // want: lockorder
+	rt.sh.mu.Unlock()
+}
+
+// MultiReacquire: stripe locks are multi-instance — locking two different
+// stripes is not a self-deadlock.
 func MultiReacquire(rt *Runtime) {
-	rt.shards[0].mu.Lock()
-	rt.shards[1].mu.Lock()
-	rt.shards[1].mu.Unlock()
-	rt.shards[0].mu.Unlock()
+	rt.stripes[0].mu.Lock()
+	rt.stripes[1].mu.Lock()
+	rt.stripes[1].mu.Unlock()
+	rt.stripes[0].mu.Unlock()
 }

@@ -4,7 +4,7 @@
 // producers fold commutative operations (add, min, max, and, or,
 // set-last-wins) into their own stripe under a stripe-local lock, so hot
 // counter-shaped regions stop serializing every producer through the
-// buffer word and its dispatch shard. Nothing reaches the real Buffer —
+// buffer word and the dispatch lock. Nothing reaches the real Buffer —
 // and so nothing can trigger a support thread — until a *merge* collects
 // the net pending effect of every stripe and applies it word by word.
 // That generalizes the triggering store's dedup from "value unchanged"

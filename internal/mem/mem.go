@@ -396,7 +396,7 @@ func (b *Buffer) swap(i int, v Word) bool {
 	if b.shared {
 		old = atomic.SwapUint64(&b.data[i], v)
 	} else {
-		//dtt:ignore atomics -- private class: one goroutine owns the buffer between hand-offs (enqueue to claim under the shard mutex, settle to Wait/Barrier), so the join orders this plain read and write
+		//dtt:ignore atomics -- private class: one goroutine owns the buffer between hand-offs (enqueue to claim under the dispatch mutex, settle to Wait/Barrier), so the join orders this plain read and write
 		old, b.data[i] = b.data[i], v
 	}
 	if b.probed {

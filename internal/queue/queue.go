@@ -56,7 +56,7 @@ func (s EnqueueStatus) String() string {
 // shared table. Bits are laid out by absolute address — bit addr/WordBytes%64
 // of word addr/pendSpan, counted from the range's first word — so an entry
 // needs only the address of its bitmap word to clear its bit when it leaves.
-// Guarded, like the ring, by the lock of the shard the thread lives in.
+// Guarded, like the ring, by the runtime's dispatch lock.
 type PendingSet struct {
 	first mem.Addr // lo / pendSpan: the address block bits[0] covers
 	bits  []uint64 //dtt:guards dispatchShard.mu
@@ -83,7 +83,7 @@ func pendBit(addr mem.Addr) uint64 { return 1 << (addr / mem.WordBytes % 64) }
 // trigger order and leave in FIFO order. Storage is a ring buffer sized at
 // construction, so Enqueue and Dequeue move no entries and allocate nothing;
 // a per-thread pending count makes the Pending predicate — which the
-// runtime's Wait wakeup condition evaluates under a shard lock — O(1)
+// runtime's Wait wakeup condition evaluates under the dispatch lock — O(1)
 // instead of a queue scan.
 type ThreadQueue struct {
 	cap int

@@ -7,8 +7,8 @@
 // ThreadQueue.PendingCount.
 //
 // The thread queue carries no locking of its own: the runtime in
-// internal/core instantiates one per dispatch shard and serialises
-// access under the shard's lock, just as the hardware structure is
+// internal/core instantiates one and serialises access under its
+// dispatch lock, just as the hardware structure is
 // accessed from a single pipeline. The registry is different: its read side
 // (Snapshot and its lookups) is safe to call concurrently with other reads and
 // with Attach/Detach, because every mutation publishes a fresh immutable
@@ -149,7 +149,7 @@ func (r *Registry) Snapshot() Snapshot { return Snapshot{idx: r.idx.Load()} }
 // order (sorted by range start): every attachment covering addr is among
 // them, and the ones that do are those with addr < Hi. It takes no lock,
 // copies nothing and calls nothing back, so the scalar triggering store walks
-// its matches and goes straight to each thread's shard; a store far from every
+// its matches and goes straight to dispatch; a store far from every
 // trigger range is rejected by two comparisons. The result is immutable.
 func (s Snapshot) Prefix(addr mem.Addr) []Attachment {
 	idx := s.idx

@@ -7,7 +7,7 @@ type Status int
 
 // TQST states. A thread may have several in-flight instances; the runtime's
 // per-thread record holds the instance counts (the status row lives in
-// core.threadEntry, beside the run token, under the thread's shard lock) and
+// core.threadEntry, beside the run token, under the dispatch lock) and
 // reports the "most active" state, which is what twait spins on.
 const (
 	// StatusIdle means no pending or running instance.

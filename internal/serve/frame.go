@@ -54,6 +54,10 @@ const (
 	// dropped, n); maxNotifyRun caps a run so the frame fits MaxFrame.
 	notifyFixed  = 16
 	maxNotifyRun = (MaxFrame - 1 - notifyFixed) / 8
+	// maxReadWords is the most words one READ reply (opcode, count u32 and
+	// the words) carries whole under MaxFrame, and so the largest region an
+	// ATTACH may ask for.
+	maxReadWords = (MaxFrame - 5) / 8
 )
 
 // Opcodes. Replies reuse the request opcode; CHANGE_NOTIFY and ERROR are

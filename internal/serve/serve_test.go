@@ -64,7 +64,7 @@ func TestServeSessionsEndToEnd(t *testing.T) {
 	)
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 4, Shards: 8}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 4}, Options{})
 
 	// Concurrent snapshot sampler: the identity must hold on every read,
 	// not just at quiescence.
@@ -414,7 +414,9 @@ func TestServeErrorRepliesKeepSessionAlive(t *testing.T) {
 // TestServeRejectedAttachRegistersNothing: an ATTACH whose range the region
 // rejects must not leave a registered thread behind. A peer looping bad
 // ranges used to grow the namespace's thread list and the runtime's thread
-// table (copied on every Register) until its session ended.
+// table (copied on every Register) until its session ended. An ATTACH of
+// 2^32-1 words is refused before anything is allocated: the server used to
+// make the 32 GiB region, a fatal out-of-memory for every session.
 func TestServeRejectedAttachRegistersNothing(t *testing.T) {
 	rt, srv, addr := newServerPair(t,
 		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
@@ -427,12 +429,15 @@ func TestServeRejectedAttachRegistersNothing(t *testing.T) {
 	}
 	defer cs.Close()
 
-	const rejected = 64
-	for i := 0; i < rejected; i++ {
+	const rejected = 65
+	for i := 0; i < rejected-1; i++ {
 		bad := [][2]int{{0, 16}, {4, 4}, {6, 2}, {8, 9}}[i%4]
 		if _, err := cs.Attach("r", 8, bad[0], bad[1]); err == nil {
 			t.Fatalf("Attach [%d, %d) of an 8-word region did not error", bad[0], bad[1])
 		}
+	}
+	if _, err := cs.Attach("huge", 1<<32-1, 0, 1); err == nil {
+		t.Fatal("Attach of a 2^32-1-word region did not error")
 	}
 	// ThreadName falls back to "thread-<id>" beyond the thread table, so this
 	// reads the table's length: nothing was ever registered.
@@ -564,7 +569,7 @@ func TestServeSubscribeGating(t *testing.T) {
 func TestServeCloseRacesInFlightBatches(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 4, Shards: 4}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 4}, Options{})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {

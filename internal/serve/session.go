@@ -25,8 +25,8 @@ type msg struct {
 	ws   []mem.Word // READ reply words (reader-owned copy; READ is off the hot path)
 }
 
-// outbox is a session's mailbox: the per-session dual of a dispatch
-// shard's thread queue. Producers (the session's reader goroutine and any
+// outbox is a session's mailbox: the per-session dual of the runtime's
+// thread queue. Producers (the session's reader goroutine and any
 // support-thread worker firing a notification) append under the mailbox
 // lock; the single writer goroutine swaps the full buffer out and encodes
 // it without holding the lock — the same double-buffer discipline the
@@ -311,7 +311,7 @@ func (s *session) handle(op byte, payload []byte) bool {
 	case OpRead:
 		handle, lo, n := c.u32(), c.u32(), c.u32()
 		// The reply (count u32 + n words) must itself fit under MaxFrame.
-		if !c.done() || n > (MaxFrame-5)/8 {
+		if !c.done() || n > maxReadWords {
 			return false
 		}
 		s.handleRead(handle, lo, int(n))
@@ -328,6 +328,13 @@ func (s *session) handle(op byte, payload []byte) bool {
 // The thread body publishes the changed word as a CHANGE_NOTIFY when the
 // handle is subscribed.
 func (s *session) handleAttach(words, lo, hi uint32, name string) {
+	// words is the peer's u32, and the region is allocated whole: refuse
+	// before allocating what one READ could not return, or a single frame
+	// asking for 2^32 words kills the process with every session in it.
+	if words > maxReadWords {
+		s.sendErr(fmt.Sprintf("serve: ATTACH region %q of %d words exceeds %d", name, words, maxReadWords))
+		return
+	}
 	r, err := s.ns.Region(name, int(words))
 	if err != nil {
 		s.sendErr(err.Error())
@@ -365,8 +372,8 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 }
 
 // handleBatch decodes the span into the session's reused word buffer and
-// funnels it through TStoreBatch — one registry snapshot and one lock
-// acquisition per target shard for the whole wire batch.
+// funnels it through TStoreBatch — one registry snapshot and one dispatch
+// lock acquisition for the whole wire batch.
 func (s *session) handleBatch(handle, lo uint32, n int, c *cursor) {
 	h := s.lookup(handle, OpTStoreBatch)
 	if h == nil {

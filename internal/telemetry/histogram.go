@@ -18,7 +18,7 @@ var LatencyBounds = []int64{
 }
 
 // DepthBounds are the upper bucket bounds of the queue-depth histogram:
-// powers of two through the largest per-shard capacities in use.
+// powers of two through the largest queue capacities in use.
 var DepthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // BatchBounds are the upper bucket bounds of the batched-store size
@@ -29,7 +29,7 @@ var BatchBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 409
 // Histogram is a fixed-bucket histogram safe for concurrent observation.
 // Observe is a short bounds scan plus two atomic adds and never
 // allocates; there is no lock anywhere. The zero value is not usable;
-// histograms are initialised by New as part of a ShardMetrics block.
+// histograms are initialised by New (as part of a T) or NewHistogram.
 type Histogram struct {
 	bounds []int64
 	// counts[i] counts observations v <= bounds[i] (and > bounds[i-1]);
@@ -40,9 +40,9 @@ type Histogram struct {
 
 // NewHistogram returns a standalone histogram over the given ascending
 // bucket bounds (the last implicit bucket is +Inf). Subsystems outside the
-// per-shard ShardMetrics blocks — the serving plane's trigger-to-notify
-// latency, for one — build their histograms this way and fold them into a
-// Snapshot via Histogram.Snapshot.
+// runtime's T — the serving plane's trigger-to-notify latency, for one —
+// build their histograms this way and fold them into a Snapshot via
+// Histogram.Snapshot.
 func NewHistogram(bounds []int64) *Histogram {
 	h := &Histogram{}
 	h.init(bounds)

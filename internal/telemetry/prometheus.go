@@ -7,12 +7,10 @@ import (
 )
 
 // WritePrometheus renders s in the Prometheus text exposition format
-// (version 0.0.4): counters and gauges as single series, per-shard queue
-// counters as shard-labelled series, histograms with cumulative le
-// buckets. The identities the runtime documents — Fired = Enqueued +
-// Squashed + Overflowed among the global counters, the queue conservation
-// law per shard — hold within every scrape because the snapshot was built
-// consistently.
+// (version 0.0.4): counters and gauges as single series, histograms with
+// cumulative le buckets. The identities the runtime documents — Fired =
+// Enqueued + Squashed + Overflowed among the counters — hold within every
+// scrape because the snapshot was built consistently.
 func WritePrometheus(w io.Writer, s Snapshot) {
 	for _, m := range s.Counters {
 		writeMeta(w, m.Name, m.Help, "counter")
@@ -22,7 +20,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 		writeMeta(w, m.Name, m.Help, "gauge")
 		fmt.Fprintf(w, "%s %d\n", m.Name, m.Value)
 	}
-	writeShardSeries(w, s.Shards)
 	for _, h := range s.Histograms {
 		writeMeta(w, h.Name, h.Help, "histogram")
 		cum := int64(0)
@@ -34,39 +31,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.Name, cum)
 		fmt.Fprintf(w, "%s_sum %d\n", h.Name, h.Sum)
 		fmt.Fprintf(w, "%s_count %d\n", h.Name, cum)
-	}
-}
-
-// writeShardSeries renders the per-shard queue counters and depth gauge
-// as shard-labelled families.
-func writeShardSeries(w io.Writer, shards []ShardSample) {
-	if len(shards) == 0 {
-		return
-	}
-	series := []struct {
-		name, help, typ string
-		value           func(ShardSample) int64
-	}{
-		{"dtt_shard_enqueued_total", "Thread-queue entries admitted, per dispatch shard", "counter",
-			func(s ShardSample) int64 { return s.Enqueued }},
-		{"dtt_shard_squashed_total", "Trigger offers absorbed by duplicate squashing, per dispatch shard", "counter",
-			func(s ShardSample) int64 { return s.Squashed }},
-		{"dtt_shard_overflowed_total", "Trigger offers that found the shard queue full, per dispatch shard", "counter",
-			func(s ShardSample) int64 { return s.Overflowed }},
-		{"dtt_shard_dequeued_total", "Thread-queue entries dispatched, per dispatch shard", "counter",
-			func(s ShardSample) int64 { return s.Dequeued }},
-		{"dtt_shard_squashed_out_total", "Pending entries removed by tcancel, per dispatch shard", "counter",
-			func(s ShardSample) int64 { return s.SquashedOut }},
-		{"dtt_shard_queue_depth", "Current pending entries, per dispatch shard", "gauge",
-			func(s ShardSample) int64 { return int64(s.Depth) }},
-		{"dtt_shard_queue_peak", "Maximum pending entries ever observed, per dispatch shard", "gauge",
-			func(s ShardSample) int64 { return int64(s.Peak) }},
-	}
-	for _, sr := range series {
-		writeMeta(w, sr.name, sr.help, sr.typ)
-		for i, sh := range shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", sr.name, i, sr.value(sh))
-		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 type varsPayload struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
-	Shards     []ShardSample                `json:"shards"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
@@ -31,7 +30,6 @@ func varsDoc(s Snapshot) varsPayload {
 	p := varsPayload{
 		Counters:   make(map[string]int64, len(s.Counters)),
 		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Shards:     s.Shards,
 		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
 	}
 	for _, m := range s.Counters {

@@ -4,14 +4,11 @@
 // over HTTP.
 //
 // The package deliberately knows nothing about the runtime. The runtime
-// owns a T — a set of per-shard metric blocks sized to its dispatch-shard
-// count — and observes into the block of the shard it is already touching,
-// so telemetry adds no cross-shard cache-line traffic to stores that were
-// sharded apart on purpose. Exporters consume a Snapshot the runtime
-// builds (see the Source interface); counter consistency is the runtime's
-// contract (core.Runtime.Stats sums per-shard counters under the shard
-// locks), histogram consistency is handled here by deriving each
-// histogram's count from its bucket sums.
+// owns a T — one block of histograms — and observes into it. Exporters
+// consume a Snapshot the runtime builds (see the Source interface); counter
+// consistency is the runtime's contract (core.Runtime.Stats reads its
+// counters under the dispatch lock), histogram consistency is handled here
+// by deriving each histogram's count from its bucket sums.
 package telemetry
 
 import "time"
@@ -24,29 +21,18 @@ var base = time.Now()
 // the runtime stamps queue entries with and never allocates.
 func Now() int64 { return int64(time.Since(base)) }
 
-// ShardMetrics is one dispatch shard's histogram block. The runtime
-// observes into the block of the shard whose lock it already holds (or
-// whose thread it is already dispatching), so concurrent producers on
-// different shards never contend on a bucket counter.
-type ShardMetrics struct {
+// T is a runtime's telemetry, its histograms. The zero value is not usable;
+// use New.
+type T struct {
 	// TriggerLatency is trigger->dispatch latency in nanoseconds: from the
 	// triggering store's enqueue to the instance leaving the queue.
 	TriggerLatency Histogram
 	// RunDuration is support-body execution time in nanoseconds.
 	RunDuration Histogram
-	// QueueDepth is the shard's pending-entry count sampled at each
-	// enqueue (after the entry was admitted).
+	// QueueDepth is the thread queue's pending-entry count sampled at each
+	// admission (after the write's entries were admitted).
 	QueueDepth Histogram
-}
-
-// T is a runtime's telemetry: per-shard metric blocks merged at snapshot
-// time. The zero value is not usable; use New.
-type T struct {
-	shards []ShardMetrics
 	// BatchSize is the words-per-call histogram of TStoreBatch/TStoreRange.
-	// It is runtime-global rather than per-shard: a batch spans shards, and
-	// one atomic observation per batch call (amortized over the whole span)
-	// adds no meaningful cross-core traffic.
 	BatchSize Histogram
 	// MergeLatency is nanoseconds per update-plane merge (collect + apply
 	// + dispatch), observed once per merge by the merging goroutine.
@@ -56,55 +42,37 @@ type T struct {
 	DeltaOccupancy Histogram
 }
 
-// New returns a T with one metric block per dispatch shard.
-func New(shards int) *T {
-	t := &T{shards: make([]ShardMetrics, shards)}
-	for i := range t.shards {
-		sm := &t.shards[i]
-		sm.TriggerLatency.init(LatencyBounds)
-		sm.RunDuration.init(LatencyBounds)
-		sm.QueueDepth.init(DepthBounds)
-	}
+// New returns a T with every histogram initialised.
+func New() *T {
+	t := &T{}
+	t.TriggerLatency.init(LatencyBounds)
+	t.RunDuration.init(LatencyBounds)
+	t.QueueDepth.init(DepthBounds)
 	t.BatchSize.init(BatchBounds)
 	t.MergeLatency.init(LatencyBounds)
 	t.DeltaOccupancy.init(BatchBounds)
 	return t
 }
 
-// Shard returns shard i's metric block.
-func (t *T) Shard(i int) *ShardMetrics { return &t.shards[i] }
-
-// Shards returns the number of per-shard blocks.
-func (t *T) Shards() int { return len(t.shards) }
-
 // Histograms returns the histograms in a fixed order — trigger latency,
-// run duration, queue depth merged across shards, then the global batch
-// size, merge latency and delta occupancy — with their exported metric
-// names attached. New histograms append at the end; consumers index into
-// the prefix.
+// run duration, queue depth, batch size, merge latency and delta
+// occupancy — with their exported metric names attached. New histograms
+// append at the end; consumers index into the prefix.
 func (t *T) Histograms() []HistogramSnapshot {
-	lat := newHistogramSnapshot("dtt_trigger_dispatch_latency_ns",
-		"Nanoseconds from a trigger entering the thread queue to its instance dispatching", LatencyBounds)
-	run := newHistogramSnapshot("dtt_run_duration_ns",
-		"Support-thread body execution time in nanoseconds", LatencyBounds)
-	depth := newHistogramSnapshot("dtt_queue_depth",
-		"Shard thread-queue occupancy sampled at enqueue", DepthBounds)
-	for i := range t.shards {
-		sm := &t.shards[i]
-		sm.TriggerLatency.addTo(&lat)
-		sm.RunDuration.addTo(&run)
-		sm.QueueDepth.addTo(&depth)
+	return []HistogramSnapshot{
+		t.TriggerLatency.Snapshot("dtt_trigger_dispatch_latency_ns",
+			"Nanoseconds from a trigger entering the thread queue to its instance dispatching"),
+		t.RunDuration.Snapshot("dtt_run_duration_ns",
+			"Support-thread body execution time in nanoseconds"),
+		t.QueueDepth.Snapshot("dtt_queue_depth",
+			"Thread-queue occupancy sampled at enqueue"),
+		t.BatchSize.Snapshot("dtt_tstore_batch_size",
+			"Words written per TStoreBatch/TStoreRange call"),
+		t.MergeLatency.Snapshot("dtt_merge_latency_ns",
+			"Nanoseconds per update-plane merge (collect, apply, dispatch)"),
+		t.DeltaOccupancy.Snapshot("dtt_merge_delta_words",
+			"Distinct dirty words drained per update-plane merge"),
 	}
-	batch := newHistogramSnapshot("dtt_tstore_batch_size",
-		"Words written per TStoreBatch/TStoreRange call", BatchBounds)
-	t.BatchSize.addTo(&batch)
-	merge := newHistogramSnapshot("dtt_merge_latency_ns",
-		"Nanoseconds per update-plane merge (collect, apply, dispatch)", LatencyBounds)
-	t.MergeLatency.addTo(&merge)
-	occ := newHistogramSnapshot("dtt_merge_delta_words",
-		"Distinct dirty words drained per update-plane merge", BatchBounds)
-	t.DeltaOccupancy.addTo(&occ)
-	return []HistogramSnapshot{lat, run, depth, batch, merge, occ}
 }
 
 // Metric is one exported counter or gauge sample.
@@ -117,20 +85,6 @@ type Metric struct {
 	Value int64
 }
 
-// ShardSample is one dispatch shard's queue counters and current depth.
-// Each sample independently obeys the thread-queue conservation invariant
-// Enqueued = Dequeued + SquashedOut + Depth (it is read under that
-// shard's lock).
-type ShardSample struct {
-	Enqueued    int64 `json:"enqueued"`
-	Squashed    int64 `json:"squashed"`
-	Overflowed  int64 `json:"overflowed"`
-	Dequeued    int64 `json:"dequeued"`
-	SquashedOut int64 `json:"squashed_out"`
-	Depth       int   `json:"depth"`
-	Peak        int   `json:"peak"`
-}
-
 // Snapshot is one consistent export of a runtime's metrics; exporters
 // render it as Prometheus text (WritePrometheus) or expvar JSON
 // (WriteVars). Counters must be internally consistent — the runtime
@@ -140,11 +94,9 @@ type Snapshot struct {
 	// Counters are the runtime's global monotonic counters, in render
 	// order.
 	Counters []Metric
-	// Gauges are point-in-time values (shard count, queue capacity, ...).
+	// Gauges are point-in-time values (thread count, queue length, ...).
 	Gauges []Metric
-	// Shards are the per-shard queue counters, indexed by shard.
-	Shards []ShardSample
-	// Histograms are the merged latency/duration/depth histograms.
+	// Histograms are the latency/duration/depth histograms.
 	Histograms []HistogramSnapshot
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 func TestHistogramBuckets(t *testing.T) {
-	tel := New(1)
-	h := &tel.Shard(0).QueueDepth // bounds 1,2,4,...
+	tel := New()
+	h := &tel.QueueDepth // bounds 1,2,4,...
 	for _, v := range []int64{0, 1, 2, 3, 5000, -7} {
 		h.Observe(v)
 	}
@@ -45,29 +45,15 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAcrossShards(t *testing.T) {
-	tel := New(4)
-	for i := 0; i < tel.Shards(); i++ {
-		tel.Shard(i).RunDuration.Observe(int64(1000 * (i + 1)))
-	}
-	run := tel.Histograms()[1]
-	if got, want := run.Count(), int64(4); got != want {
-		t.Fatalf("merged Count = %d, want %d", got, want)
-	}
-	if got, want := run.Sum, int64(1000+2000+3000+4000); got != want {
-		t.Fatalf("merged Sum = %d, want %d", got, want)
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
-	tel := New(2)
+	tel := New()
 	const perG, gs = 5000, 8
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := &tel.Shard(g % 2).TriggerLatency
+			h := &tel.TriggerLatency
 			for i := 0; i < perG; i++ {
 				h.Observe(int64(i))
 			}
@@ -85,20 +71,16 @@ type staticSource struct{ snap Snapshot }
 func (s staticSource) TelemetrySnapshot() Snapshot { return s.snap }
 
 func testSnapshot() Snapshot {
-	tel := New(2)
-	tel.Shard(0).TriggerLatency.Observe(700)
-	tel.Shard(1).TriggerLatency.Observe(70_000)
-	tel.Shard(0).QueueDepth.Observe(3)
+	tel := New()
+	tel.TriggerLatency.Observe(700)
+	tel.TriggerLatency.Observe(70_000)
+	tel.QueueDepth.Observe(3)
 	return Snapshot{
 		Counters: []Metric{
 			{Name: "dtt_tstores_total", Help: "triggering stores issued", Value: 42},
 			{Name: "dtt_fired_total", Help: "triggers fired", Value: 7},
 		},
-		Gauges: []Metric{{Name: "dtt_shards", Help: "dispatch shards", Value: 2}},
-		Shards: []ShardSample{
-			{Enqueued: 5, Dequeued: 4, Depth: 1, Peak: 2},
-			{Enqueued: 2, Dequeued: 2, SquashedOut: 0, Depth: 0, Peak: 1},
-		},
+		Gauges:     []Metric{{Name: "dtt_queue_len", Help: "pending entries", Value: 2}},
 		Histograms: tel.Histograms(),
 	}
 }
@@ -111,11 +93,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"# HELP dtt_tstores_total triggering stores issued",
 		"# TYPE dtt_tstores_total counter",
 		"dtt_tstores_total 42",
-		"# TYPE dtt_shards gauge",
-		"dtt_shards 2",
-		"dtt_shard_enqueued_total{shard=\"0\"} 5",
-		"dtt_shard_enqueued_total{shard=\"1\"} 2",
-		"dtt_shard_queue_depth{shard=\"0\"} 1",
+		"# TYPE dtt_queue_len gauge",
+		"dtt_queue_len 2",
 		"# TYPE dtt_trigger_dispatch_latency_ns histogram",
 		"dtt_trigger_dispatch_latency_ns_bucket{le=\"1000\"} 1",
 		"dtt_trigger_dispatch_latency_ns_bucket{le=\"+Inf\"} 2",
@@ -161,11 +140,8 @@ func TestWriteVarsParses(t *testing.T) {
 	if p.Counters["tstores"] != 42 {
 		t.Errorf("counters.tstores = %d, want 42", p.Counters["tstores"])
 	}
-	if p.Gauges["shards"] != 2 {
-		t.Errorf("gauges.shards = %d, want 2", p.Gauges["shards"])
-	}
-	if len(p.Shards) != 2 || p.Shards[0].Enqueued != 5 {
-		t.Errorf("shards = %+v, want 2 samples with shard0 enqueued 5", p.Shards)
+	if p.Gauges["queue_len"] != 2 {
+		t.Errorf("gauges.queue_len = %d, want 2", p.Gauges["queue_len"])
 	}
 	h, ok := p.Histograms["trigger_dispatch_latency_ns"]
 	if !ok || h.Sum != 70700 {

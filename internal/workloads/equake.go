@@ -194,7 +194,7 @@ func (equakeWorkload) RunDTT(env *Env, size Size) (Result, error) {
 	// One reusable span for the whole-vector write: the batched triggering
 	// store performs the same word-at-a-time comparison as the scalar loop
 	// (same silent/changed decisions, same per-word tstore accounting) but
-	// amortizes snapshotting and shard locking over the vector.
+	// amortizes snapshotting and dispatch locking over the vector.
 	span := make([]mem.Word, st.m.n)
 	for step := 1; step <= size.Iters; step++ {
 		// Same whole-vector write; the triggering store detects that most

@@ -231,8 +231,8 @@ func TestTUpdateFastPathAllocsTelemetry(t *testing.T) {
 // immediate backend a 4096-word changing TStoreBatch and the Wait that
 // drains it — the worker's claims, the run-of-n bracket, the settle — and
 // likewise a 3072-word merge admitted through the same dispatch phase,
-// allocate nothing beyond the one waiter channel a Wait that has to block
-// makes.
+// allocate nothing — not even when the Wait has to sleep, because its wake
+// channel is a recycled one from the dispatch plane's free list.
 func TestDispatchDrainAllocs(t *testing.T) {
 	const words = 4096
 	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 1, QueueCapacity: 2 * words})
@@ -269,15 +269,15 @@ func TestDispatchDrainAllocs(t *testing.T) {
 		ctrs.TUpdateBatch(0, dtt.UpdAdd, upds)
 		rt.Wait(id) // the merge point: 3072 changing words, one admission walk
 	}
-	for i := 0; i < 4; i++ { // warm the scratch, the delta plane, the waiter slice
+	for i := 0; i < 4; i++ { // warm the scratch, the delta plane, the waiter slice and its channel
 		batch()
 		merge()
 	}
-	if got := testing.AllocsPerRun(50, batch); got > 1 {
-		t.Errorf("TStoreBatch(%d changing)+Wait allocates %.0f allocs/op, want at most the waiter channel", words, got)
+	if got := testing.AllocsPerRun(50, batch); got != 0 {
+		t.Errorf("TStoreBatch(%d changing)+Wait allocates %.0f allocs/op, want 0", words, got)
 	}
-	if got := testing.AllocsPerRun(50, merge); got > 1 {
-		t.Errorf("merge of %d changing words+Wait allocates %.0f allocs/op, want at most the waiter channel", words*3/4, got)
+	if got := testing.AllocsPerRun(50, merge); got != 0 {
+		t.Errorf("merge of %d changing words+Wait allocates %.0f allocs/op, want 0", words*3/4, got)
 	}
 	if st := rt.Stats(); st.Overflowed != 0 || st.FailedRuns != 0 {
 		t.Fatalf("the gate's workload must stay on the queued path: %+v", st)

@@ -91,7 +91,7 @@ func TestLintLockTable(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0 (stderr: %s)", code, errb)
 	}
-	for _, want := range []string{"| rank | lock | role |", "Runtime.mu", "dispatchShard.mu"} {
+	for _, want := range []string{"| rank | lock | role |", "Runtime.mu", "dispatcher.mu"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("lock table missing %q:\n%s", want, out)
 		}

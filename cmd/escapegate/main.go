@@ -76,7 +76,7 @@ var pinned = map[string][]string{
 		"threadEntry.resolveLocked",
 		"Runtime.runBodies",
 		"Runtime.endRunLocked",
-		"dispatchShard.addBusy",
+		"dispatcher.addBusy",
 	},
 	"internal/mem": {
 		"DeltaPlane.Apply",
@@ -110,7 +110,7 @@ var pinned = map[string][]string{
 // test-and-set and clear.
 var inlined = map[string][]string{
 	"internal/core": {"observers.write", "observers.access", "observers.admit", "observers.queueDepth",
-		"observers.enter", "observers.exit", "dispatchShard.addBusy", "threadEntry.attachmentNear"},
+		"observers.enter", "observers.exit", "dispatcher.addBusy", "threadEntry.attachmentNear"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }

@@ -1,6 +1,7 @@
 package dtt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dtt"
@@ -97,5 +98,56 @@ func TestFacadeFloatTriggers(t *testing.T) {
 	}
 	if data.LoadF(0) != 1.5 {
 		t.Fatalf("LoadF = %v", data.LoadF(0))
+	}
+}
+
+// TestLoopVarCaptureIsPerIteration: a body registered inside a loop and
+// reading the loop variable sees its own iteration's value, because the
+// module's go 1.22 binds one variable per iteration. Lane i therefore writes
+// out[i] — not out[4], the value a single shared loop variable would hold
+// by the time any trigger fires — on every backend and schedule alike.
+// This is why dttlint's trigger-capture rule flags only a captured variable
+// that is reassigned after Register.
+func TestLoopVarCaptureIsPerIteration(t *testing.T) {
+	const lanes = 4
+	cfgs := []dtt.Config{{Backend: dtt.BackendDeferred}, {Backend: dtt.BackendImmediate, Workers: 2}}
+	for _, seed := range []uint64{0, 7, 12345} {
+		cfgs = append(cfgs, dtt.Config{Backend: dtt.BackendSeeded, SchedSeed: seed})
+	}
+	for _, cfg := range cfgs {
+		name := cfg.Backend.String()
+		if cfg.Backend == dtt.BackendSeeded {
+			name = fmt.Sprintf("%s(%d)", name, cfg.SchedSeed)
+		}
+		t.Run(name, func(t *testing.T) {
+			rt, err := dtt.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			data := rt.NewRegion("data", 2*lanes)
+			out := rt.NewRegion("out", 2*lanes)
+			for i := 0; i < lanes; i++ {
+				id := rt.Register("lane", func(tg dtt.Trigger) {
+					out.Store(i, 1)
+				})
+				if err := rt.Attach(id, data, i, i+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < lanes; i++ {
+				data.TStore(i, 1)
+			}
+			rt.Barrier()
+			for i := 0; i < 2*lanes; i++ {
+				want := dtt.Word(0)
+				if i < lanes {
+					want = 1
+				}
+				if got := out.Load(i); got != want {
+					t.Errorf("out[%d] = %d, want %d", i, got, want)
+				}
+			}
+		})
 	}
 }

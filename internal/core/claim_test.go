@@ -127,9 +127,9 @@ func assertIdentities(t *testing.T, rt *Runtime, phase string) {
 // column): the size of the run a worker has claimed, when read from inside
 // one of its bodies.
 func runningOf(rt *Runtime, t ThreadID) int {
-	sh := rt.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	d := rt.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return rt.threadsSnap()[t].dispatched
 }
 

@@ -352,16 +352,16 @@ func TestBarrierWaitsOutCascade(t *testing.T) {
 // no thread holds its token or has a dispatched entry outstanding.
 func assertQueueConservation(t *testing.T, rt *Runtime, phase string) {
 	t.Helper()
-	sh := rt.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c, n := sh.tq.Counters(), sh.tq.Len()
+	d := rt.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c, n := d.tq.Counters(), d.tq.Len()
 	if c.Enqueued != c.Dequeued+c.SquashedOut+int64(n) {
 		t.Fatalf("%s: Enqueued %d != Dequeued %d + SquashedOut %d + Len %d",
 			phase, c.Enqueued, c.Dequeued, c.SquashedOut, n)
 	}
-	if sh.busy != int64(n) || sh.work.Load() != (n > 0) {
-		t.Fatalf("%s: busy %d (work flag %v) at quiescence with %d pending entries", phase, sh.busy, sh.work.Load(), n)
+	if d.busy != int64(n) || d.work.Load() != (n > 0) {
+		t.Fatalf("%s: busy %d (work flag %v) at quiescence with %d pending entries", phase, d.busy, d.work.Load(), n)
 	}
 	for id, te := range rt.threadsSnap() {
 		if te.dispatched != 0 || te.running != 0 {

@@ -89,7 +89,7 @@ func (rt *Runtime) attachObservers() error {
 	}
 	if rt.cfg.Telemetry {
 		o.on, o.tel = o.on|withTelemetry, telemetry.New()
-		rt.sh.tq.SetClock(telemetry.Now)
+		rt.d.tq.SetClock(telemetry.Now)
 	}
 	if rec := rt.cfg.Recorder; rec != nil {
 		o.on |= withRecorder

@@ -30,7 +30,7 @@ type attachment struct {
 // queue operations, never on each other's tokens.
 //
 // name and fn are immutable after Register. atts, the status row and the
-// token/waiter fields are guarded by the dispatch lock (rt.sh.mu); Attach
+// token/waiter fields are guarded by the dispatch lock (rt.d.mu); Attach
 // and Cancel additionally hold rt.mu to serialise against registry
 // mutations.
 type threadEntry struct {
@@ -54,17 +54,17 @@ type threadEntry struct {
 	owner   uint64
 
 	// The thread's row of the status table (TQST). The pending column is the
-	// ring's own rt.sh.tq.PendingCount(t), not a second counter. dispatched is
+	// ring's own rt.d.tq.PendingCount(t), not a second counter. dispatched is
 	// the running column: entries a run bracket took off the ring and has not
 	// settled, so it is non-zero only while running is. An inline overflow
 	// run holds the token without showing here — Running means a
 	// queue-dispatched instance. lastFailed colours the idle state
 	// StatusFailed until a queue-dispatched instance succeeds. The row goes
 	// with a retired entry, so a recycled ThreadID starts with a fresh history.
-	dispatched int   //dtt:guards dispatchShard.mu
-	executed   int64 //dtt:guards dispatchShard.mu
-	failed     int64 //dtt:guards dispatchShard.mu
-	lastFailed bool  //dtt:guards dispatchShard.mu
+	dispatched int   //dtt:guards dispatcher.mu
+	executed   int64 //dtt:guards dispatcher.mu
+	failed     int64 //dtt:guards dispatcher.mu
+	lastFailed bool  //dtt:guards dispatcher.mu
 
 	// cancelEpoch counts Cancels of this thread. A worker snapshots it when
 	// it claims a run of the thread's entries and re-reads it with one
@@ -72,13 +72,13 @@ type threadEntry struct {
 	// the dispatch lock, and the unstarted rest of the run is dropped rather
 	// than executed after the tcancel. Written (atomically) only under the
 	// dispatch lock, so a plain read under that lock is exact.
-	cancelEpoch uint32 //dtt:guards dispatchShard.mu
+	cancelEpoch uint32 //dtt:guards dispatcher.mu
 
-	// tokenWaiters are closed when no instance of this thread is executing
-	// (the run token is free): inline overflow runners block here.
-	// quietWaiters are closed when the thread is quiet (quietLocked): Wait
-	// blocks here. Both are targeted wakeups
-	// — only goroutines interested in this thread are woken.
+	// tokenWaiters are woken when no instance of this thread is executing
+	// (the run token is free): inline overflow runners sleep here.
+	// quietWaiters are woken when the thread is quiet (quietLocked): Wait
+	// sleeps here. Both are targeted wakeups — only goroutines interested
+	// in this thread are woken.
 	tokenWaiters []chan struct{}
 	quietWaiters []chan struct{}
 }
@@ -117,40 +117,62 @@ func (te *threadEntry) attachmentNear(hint *attachment, addr mem.Addr) *attachme
 	return te.attachmentAt(addr)
 }
 
-// dispatchShard is the dispatch plane, one per runtime as the paper's
-// hardware has one thread queue and one status table: the ring-buffer
-// thread queue (whose status rows sit in each threadEntry, under this lock),
-// the trigger counters, the quiescence count and the Barrier waiters. One
-// mutex guards all of it.
-type dispatchShard struct {
+// dispatcher is the dispatch plane, one per runtime as the paper's hardware
+// has one thread queue and one status table: the ring-buffer thread queue
+// (whose status rows sit in each threadEntry, under this lock), the trigger
+// counters, the quiescence count and the Barrier waiters. One mutex guards
+// all of it. Its 128 bytes fill two whole cache lines, so the dispatch lock
+// and busy count share no line with another allocation.
+type dispatcher struct {
 	mu sync.Mutex
 	tq *queue.ThreadQueue
 	// c are the trigger counters, guarded by mu, so a Stats snapshot taken
-	// under it is torn-free (see shardStats).
-	c shardStats
+	// under it is torn-free (see dispatchStats).
+	c dispatchStats
 	// busy is the quiescence count, the only one: tq.Len() plus the
 	// dispatched entries plus the inline overflow runs in flight, a plain
 	// number under mu. work is busy != 0 for the workers' lock-free check,
 	// which parks without locking when it reads false. addBusy stores it
 	// only when busy crosses zero, so a producer ahead of the worker pays
 	// nothing locked.
-	busy int64 //dtt:guards dispatchShard.mu
+	busy int64 //dtt:guards dispatcher.mu
 	work atomic.Bool
-	// barrierWaiters are closed when busy reaches zero: Barrier blocks here.
-	barrierWaiters []chan struct{} //dtt:guards dispatchShard.mu
-	// Pad to 128 bytes, a size class whose objects fill two whole cache
-	// lines, so the dispatch lock and busy count share no line with another
-	// allocation.
-	_ [24]byte
+	// barrierWaiters are woken when busy reaches zero: Barrier sleeps here.
+	barrierWaiters []chan struct{} //dtt:guards dispatcher.mu
+	// spare holds sleepLocked's empty wake channels, for reuse.
+	spare []chan struct{} //dtt:guards dispatcher.mu
 }
 
-// addBusy moves the quiescence count by d and keeps work equal to
-// busy != 0, storing it only when it changes. Callers hold sh.mu.
-func (sh *dispatchShard) addBusy(d int64) {
-	sh.busy += d
-	if idle := sh.busy == 0; idle == sh.work.Load() {
-		sh.work.Store(!idle)
+// addBusy moves the quiescence count by n and keeps work equal to
+// busy != 0, storing it only when it changes. Callers hold d.mu.
+func (d *dispatcher) addBusy(n int64) {
+	d.busy += n
+	if idle := d.busy == 0; idle == d.work.Load() {
+		d.work.Store(!idle)
 	}
+}
+
+// sleepLocked is the one way to sleep on the dispatch lock, called by the
+// twait, tbarrier and run-token joins in a loop over their predicate.
+// Entered with d.mu held, it parks on waiters until wakeAll empties that
+// list, and returns with d.mu held. Its cap-1 channel comes from d.spare and
+// is made only when that list is empty. wakeAll sends on it instead of
+// closing it, and the sleeper returns it to d.spare only after receiving
+// that send, so a recycled channel never carries a stale wakeup: a sleeper
+// that leaves without receiving must never put its channel back.
+func (d *dispatcher) sleepLocked(waiters *[]chan struct{}) {
+	var ch chan struct{}
+	if n := len(d.spare); n > 0 {
+		ch = d.spare[n-1]
+		d.spare = d.spare[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
+	}
+	*waiters = append(*waiters, ch)
+	d.mu.Unlock()
+	<-ch
+	d.mu.Lock()
+	d.spare = append(d.spare, ch)
 }
 
 // Runtime is a data-triggered threads runtime instance.
@@ -172,7 +194,7 @@ func (sh *dispatchShard) addBusy(d int64) {
 //     registry's immutable index snapshot, and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
-//  2. The dispatch lock (dispatchShard.mu): the thread queue, the
+//  2. The dispatch lock (dispatcher.mu): the thread queue, the
 //     per-thread records — status row and run token — and the quiescence
 //     count. A store that fires takes it once, and only for pointer-sized
 //     bookkeeping, never across a thread body.
@@ -194,9 +216,9 @@ type Runtime struct {
 	// in any snapshot stays valid in every later one.
 	threads atomic.Pointer[[]*threadEntry]
 
-	// sh is the dispatch plane: the thread queue and everything its lock
+	// d is the dispatch plane: the thread queue and everything its lock
 	// guards, in an allocation of its own.
-	sh *dispatchShard
+	d *dispatcher
 
 	// mu is the management lock: Register/Attach/Cancel/Close and registry
 	// mutations. The store fast path never takes it.
@@ -272,7 +294,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	empty := make([]*threadEntry, 0)
 	rt.threads.Store(&empty)
-	rt.sh = &dispatchShard{tq: queue.NewThreadQueue(cfg.QueueCapacity)}
+	rt.d = &dispatcher{tq: queue.NewThreadQueue(cfg.QueueCapacity)}
 	if err := rt.attachObservers(); err != nil {
 		return nil, err
 	}
@@ -365,9 +387,9 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 		return err
 	}
 	te := ths[t]
-	rt.sh.mu.Lock()
+	rt.d.mu.Lock()
 	te.atts = append(te.atts, attachment{region: r, lo: loA, hi: hiA, pend: queue.NewPendingSet(loA, hiA)})
-	rt.sh.mu.Unlock()
+	rt.d.mu.Unlock()
 	rt.obs.attach(t, loA, hiA)
 	return nil
 }
@@ -396,8 +418,8 @@ func (rt *Runtime) Cancel(t ThreadID) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	te := entryOf(rt.threadsSnap(), t)
-	sh := rt.sh
-	sh.mu.Lock()
+	d := rt.d
+	d.mu.Lock()
 	rt.obs.cancel(t, te)
 	rt.reg.Detach(t)
 	if te != nil {
@@ -405,13 +427,13 @@ func (rt *Runtime) Cancel(t ThreadID) {
 		// Stop a worker's claimed run of t before its next body.
 		atomic.AddUint32(&te.cancelEpoch, 1)
 	}
-	if n := sh.tq.Squash(t); n > 0 {
-		sh.addBusy(int64(-n))
+	if n := d.tq.Squash(t); n > 0 {
+		d.addBusy(int64(-n))
 	}
 	rt.stats.cancels.Add(1)
 	// Squashing may have made t — or the whole runtime — quiet.
-	rt.finishShardLocked(te, t)
-	sh.mu.Unlock()
+	rt.finishLocked(te, t)
+	d.mu.Unlock()
 }
 
 // retireThreadLocked recycles cancelled thread t's table slot: the entry
@@ -429,9 +451,9 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	if te == nil {
 		return false
 	}
-	rt.sh.mu.Lock()
-	quiet := rt.sh.quietLocked(te, t) && len(te.atts) == 0
-	rt.sh.mu.Unlock()
+	rt.d.mu.Lock()
+	quiet := rt.d.quietLocked(te, t) && len(te.atts) == 0
+	rt.d.mu.Unlock()
 	if !quiet {
 		return false
 	}
@@ -448,30 +470,26 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 // the quiescence loop of Wait on the immediate backend, without Wait's
 // merge point, join edge or stats. The predicate (quietLocked) is O(1)
 // against t's own state — it never scans the queue — and the waiter sleeps
-// on t's own channel, so completions of other threads do not wake it. Namespace.Close also calls it, on every
-// backend, after Cancel, to let an in-flight instance finish before the
-// namespace's regions are freed — a cancelled instance keeps executing
-// against the entries it captured, and a store it issues through a freed
-// region would land in an address range the arena may already have handed
-// to another tenant. On the single-goroutine backends a running instance
-// cannot coexist with the caller, so the predicate holds immediately. Must
-// not be called with rt.mu or the dispatch lock held, nor from a
-// support-thread body of t.
+// on t's own waiter list, so completions of other threads do not wake it.
+// Namespace.Close also calls it, on every backend, after Cancel, to let an
+// in-flight instance finish before the namespace's regions are freed — a
+// cancelled instance keeps executing against the entries it captured, and a
+// store it issues through a freed region would land in an address range the
+// arena may already have handed to another tenant. On the single-goroutine
+// backends a running instance cannot coexist with the caller, so the
+// predicate holds immediately. Must not be called with rt.mu or the
+// dispatch lock held, nor from a support-thread body of t.
 func (rt *Runtime) drainThread(t ThreadID) {
-	sh := rt.sh
-	sh.mu.Lock()
+	d := rt.d
+	d.mu.Lock()
 	for {
 		te := entryOf(rt.threadsSnap(), t)
-		if te == nil || sh.quietLocked(te, t) {
+		if te == nil || d.quietLocked(te, t) {
 			break
 		}
-		ch := make(chan struct{})
-		te.quietWaiters = append(te.quietWaiters, ch)
-		sh.mu.Unlock()
-		<-ch
-		sh.mu.Lock()
+		d.sleepLocked(&te.quietWaiters)
 	}
-	sh.mu.Unlock()
+	d.mu.Unlock()
 }
 
 // releaseRegionLocked returns r's backing range to the arena free list and
@@ -566,7 +584,7 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // exactly one decomposition counter inside tq.Enqueue (the queue's counters
 // are the admission counters), whose only call site this is, in one critical
 // section, so the identity holds under the dispatch lock at all times.
-// Callers hold rt.sh.mu and pass a, what attachmentAt answers for addr on
+// Callers hold rt.d.mu and pass a, what attachmentAt answers for addr on
 // id's record under that lock: its pending set is the dedup key. A nil a is a
 // trigger whose range a concurrent Cancel detached between the registry
 // snapshot and this lock: it never happened, and reports Squashed, like a
@@ -581,8 +599,8 @@ func (rt *Runtime) admitLocked(a *attachment, id ThreadID, addr mem.Addr, g uint
 	if a == nil {
 		return queue.Squashed
 	}
-	rt.sh.c.fired++
-	st := rt.sh.tq.Enqueue(id, addr, &a.pend)
+	rt.d.c.fired++
+	st := rt.d.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
 		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
 	}
@@ -598,17 +616,17 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 	// The thread table is loaded after the registry snapshot, so an id
 	// the registry knows is always in range here.
 	te := rt.threadsSnap()[id]
-	sh := rt.sh
-	sh.mu.Lock()
+	d := rt.d
+	d.mu.Lock()
 	if counts {
-		sh.c.changing++
+		d.c.changing++
 	}
 	if rt.admitLocked(te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
-		sh.addBusy(1)
-		rt.obs.queueDepth(sh.tq)
+		d.addBusy(1)
+		rt.obs.queueDepth(d.tq)
 		rt.wakeWorker()
 	}
-	sh.mu.Unlock()
+	d.mu.Unlock()
 }
 
 // firedTrigger is one (thread, trigger address) pair a batch or a merge
@@ -738,11 +756,11 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 	// The thread table is loaded after the registry lookups that produced
 	// the pairs, so every id in them is in range.
 	ths := rt.threadsSnap()
-	sh := rt.sh
+	d := rt.d
 	enqueued := 0
 	var te *threadEntry
 	var a *attachment
-	sh.mu.Lock()
+	d.mu.Lock()
 	for _, ft := range sc.fired {
 		if ths[ft.id] != te { // a new run of one thread's pairs
 			te, a = ths[ft.id], nil
@@ -753,13 +771,13 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 		}
 	}
 	if enqueued > 0 {
-		sh.addBusy(int64(enqueued))
+		d.addBusy(int64(enqueued))
 		// One depth sample per write: the depth after its admissions, not
 		// one sample per entry.
-		rt.obs.queueDepth(sh.tq)
+		rt.obs.queueDepth(d.tq)
 		rt.wakeWorker()
 	}
-	sh.mu.Unlock()
+	d.mu.Unlock()
 }
 
 // wakeWorker offers newly dispatchable work to a parked worker, if there is
@@ -790,40 +808,41 @@ func (rt *Runtime) wakeWorker() {
 // record is te, has no pending entry and no instance in flight. The run token
 // covers every instance in flight, dispatched or inline, so "token free" is
 // te.running == 0 alone. A failed thread is quiet: twait must not wait on a
-// thread that will never run again. Callers hold sh.mu.
-func (sh *dispatchShard) quietLocked(te *threadEntry, t ThreadID) bool {
-	return te.running == 0 && !sh.tq.Pending(t)
+// thread that will never run again. Callers hold d.mu.
+func (d *dispatcher) quietLocked(te *threadEntry, t ThreadID) bool {
+	return te.running == 0 && !d.tq.Pending(t)
 }
 
-// finishShardLocked propagates the consequences of thread t's activity
+// finishLocked propagates the consequences of thread t's activity
 // dropping: it frees t's run token waiters, completes Wait waiters whose
 // predicate became true, and completes Barrier waiters once the quiescence
 // count is zero (te is nil when a Cancel names an id never registered).
 // Re-offering t's skipped queue entries is the finisher's business — a
 // worker re-claims itself, an inline run wakes one (endRunLocked). Callers
-// hold rt.sh.mu.
-func (rt *Runtime) finishShardLocked(te *threadEntry, t ThreadID) {
-	sh := rt.sh
+// hold rt.d.mu.
+func (rt *Runtime) finishLocked(te *threadEntry, t ThreadID) {
+	d := rt.d
 	if te != nil && te.running == 0 {
 		wakeAll(&te.tokenWaiters)
-		if len(te.quietWaiters) > 0 && sh.quietLocked(te, t) {
+		if len(te.quietWaiters) > 0 && d.quietLocked(te, t) {
 			wakeAll(&te.quietWaiters)
 		}
 	}
-	if sh.busy == 0 {
-		wakeAll(&sh.barrierWaiters)
+	if d.busy == 0 {
+		wakeAll(&d.barrierWaiters)
 	}
 }
 
-// wakeAll closes every channel in waiters and empties the list, keeping its
-// backing array so the next sleeper allocates its channel and nothing else.
-// Callers hold the dispatch lock.
+// wakeAll sends once on each sleepLocked channel in waiters — never
+// blocking, since a channel is on one list at a time and only this send
+// fills it — and empties the list, keeping its backing array. Callers hold
+// the dispatch lock.
 func wakeAll(waiters *[]chan struct{}) {
 	if len(*waiters) == 0 {
-		return
+		return // every run end calls this: leave an empty list's line clean
 	}
 	for _, ch := range *waiters {
-		close(ch)
+		ch <- struct{}{}
 	}
 	*waiters = (*waiters)[:0]
 }
@@ -892,7 +911,7 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 // dispatched column (queued entries; busy, which counts both, stands) or
 // counts an inline run in flight in busy (an overflowed trigger, which the
 // status row never shows; n is 1). Only the immediate backend's worker
-// claims n > 1. Callers hold rt.sh.mu, resolve the entries' triggers under
+// claims n > 1. Callers hold rt.d.mu, resolve the entries' triggers under
 // it (resolveLocked), release it around runBodies, and close the bracket
 // with endRunLocked.
 func (rt *Runtime) beginRunLocked(te *threadEntry, n int, g uint64, queued bool) {
@@ -901,7 +920,7 @@ func (rt *Runtime) beginRunLocked(te *threadEntry, n int, g uint64, queued bool)
 	if queued {
 		te.dispatched += n
 	} else {
-		rt.sh.addBusy(1)
+		rt.d.addBusy(1)
 	}
 }
 
@@ -915,24 +934,24 @@ func (rt *Runtime) beginRunLocked(te *threadEntry, n int, g uint64, queued bool)
 // queue-dispatched success clears it. The n - len(oks) entries a Cancel
 // stopped the run before leave the dispatched column as cancelled work,
 // neither executed nor failed. Then it drops the busy count by n and
-// propagates the quiescence consequences once. Callers hold rt.sh.mu.
+// propagates the quiescence consequences once. Callers hold rt.d.mu.
 func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
-	sh := rt.sh
+	d := rt.d
 	te.running--
 	if te.running == 0 {
 		te.owner = 0
 	}
 	for _, ok := range oks {
 		if !queued {
-			sh.c.inlineRuns++
+			d.c.inlineRuns++
 		}
 		switch {
 		case !ok:
-			sh.c.failedRuns++
+			d.c.failedRuns++
 			te.failed++
 			te.lastFailed = true
 		case queued:
-			sh.c.executed++
+			d.c.executed++
 			te.executed++
 			te.lastFailed = false
 		}
@@ -945,9 +964,9 @@ func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int,
 			panic(fmt.Sprintf("core: thread %d settled %d dispatched entries more than it took", t, -te.dispatched))
 		}
 	}
-	sh.addBusy(int64(-n))
-	rt.finishShardLocked(te, t)
-	if !queued && te.running == 0 && sh.tq.Pending(t) {
+	d.addBusy(int64(-n))
+	rt.finishLocked(te, t)
+	if !queued && te.running == 0 && d.tq.Pending(t) {
 		// Entries of t that workers skipped while this inline run held the
 		// token are dispatchable again, and the finisher is no worker.
 		rt.wakeWorker()
@@ -968,25 +987,25 @@ func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int,
 // takes.
 func (rt *Runtime) drain(all bool) {
 	var c claim
-	sh := rt.sh
-	sh.mu.Lock()
+	d := rt.d
+	d.mu.Lock()
 	for {
 		ths := rt.threadsSnap()
 		if !rt.pickLocked(ths, all, &c.es[0]) {
-			sh.mu.Unlock()
+			d.mu.Unlock()
 			return
 		}
 		t := c.es[0].Thread
 		te := ths[t]
 		rt.beginRunLocked(te, 1, 0, true)
 		te.resolveLocked(&c, 1)
-		sh.mu.Unlock()
+		d.mu.Unlock()
 
 		rt.obs.beginSupport(te, c.es[0])
 		rt.runBodies(te, &c, 0, 1, 0)
 		rt.obs.endSupport()
 
-		sh.mu.Lock()
+		d.mu.Lock()
 		rt.endRunLocked(te, t, true, 1, c.oks[0])
 	}
 }
@@ -998,7 +1017,7 @@ func (rt *Runtime) drain(all bool) {
 // all is set only if the schedule dispatches at this point. Callers hold the
 // dispatch lock, so the choice is deterministic.
 func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) bool {
-	tq := rt.sh.tq
+	tq := rt.d.tq
 	if rt.sched == nil {
 		head, ok := tq.Dequeue()
 		*e = head
@@ -1033,15 +1052,15 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		g = goid()
 	}
 	te := rt.threadsSnap()[e.Thread]
-	sh := rt.sh
-	sh.mu.Lock()
+	d := rt.d
+	d.mu.Lock()
 	for {
 		if te.attachmentAt(e.Addr) == nil {
 			// A Cancel raced in between the overflow and this run; the
 			// work it would have done is cancelled work. Counting it as
 			// dropped keeps Overflowed = InlineRuns + Dropped.
-			sh.c.dropped++
-			sh.mu.Unlock()
+			d.c.dropped++
+			d.mu.Unlock()
 			return
 		}
 		if te.running == 0 || rt.wake == nil || te.owner == g {
@@ -1049,22 +1068,18 @@ func (rt *Runtime) runInline(e queue.Entry) {
 			// re-enters the body nested on this goroutine.
 			break
 		}
-		ch := make(chan struct{})
-		te.tokenWaiters = append(te.tokenWaiters, ch)
-		sh.mu.Unlock()
-		<-ch
-		sh.mu.Lock()
+		d.sleepLocked(&te.tokenWaiters)
 	}
 	rt.beginRunLocked(te, 1, g, false)
 	c := claim{es: [claimMax]queue.Entry{e}}
 	te.resolveLocked(&c, 1)
-	sh.mu.Unlock()
+	d.mu.Unlock()
 
 	rt.runBodies(te, &c, 0, 1, 0)
 
-	sh.mu.Lock()
+	d.mu.Lock()
 	rt.endRunLocked(te, e.Thread, false, 1, c.oks[0])
-	sh.mu.Unlock()
+	d.mu.Unlock()
 }
 
 // claimMax bounds how many entries of one thread a worker takes off the
@@ -1100,18 +1115,18 @@ type claim struct {
 // left the queue and cleared their pending bits, as the paper frees the
 // queue entry at spawn. It reports whether any body ran.
 func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
-	sh := rt.sh
-	if !sh.work.Load() {
+	d := rt.d
+	if !d.work.Load() {
 		return false
 	}
-	sh.mu.Lock()
+	d.mu.Lock()
 	for {
-		// Loaded under sh.mu: any entry visible in the queue was enqueued
+		// Loaded under d.mu: any entry visible in the queue was enqueued
 		// by a goroutine that saw its thread published first.
 		ths := rt.threadsSnap()
-		n := sh.tq.DequeueRun(func(e queue.Entry) bool { return ths[e.Thread].running == 0 }, c.es[:])
+		n := d.tq.DequeueRun(func(e queue.Entry) bool { return ths[e.Thread].running == 0 }, c.es[:])
 		if n == 0 {
-			sh.mu.Unlock()
+			d.mu.Unlock()
 			return ran
 		}
 		ran = true
@@ -1120,12 +1135,12 @@ func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
 		rt.beginRunLocked(te, n, g, true)
 		te.resolveLocked(c, n)
 		epoch := te.cancelEpoch
-		if sh.tq.Len() > sh.tq.PendingCount(t) {
+		if d.tq.Len() > d.tq.PendingCount(t) {
 			// Other threads' entries stay behind while this worker is busy
 			// with t: offer them to a parked one.
 			rt.wakeWorker()
 		}
-		sh.mu.Unlock()
+		d.mu.Unlock()
 
 		// One call is the whole run, unless a body panics (resume behind
 		// it) or a Cancel of t since the claim stops it.
@@ -1134,7 +1149,7 @@ func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
 			started = rt.runBodies(te, c, started, n, epoch)
 		}
 
-		sh.mu.Lock()
+		d.mu.Lock()
 		rt.endRunLocked(te, t, true, n, c.oks[:started]...)
 	}
 }
@@ -1221,9 +1236,9 @@ func (rt *Runtime) Wait(t ThreadID) {
 // Barrier blocks until the queue is empty and every thread is idle
 // (tbarrier). The single-goroutine backends run the queue on the caller
 // (drain); on the immediate backend the waiter checks the quiescence count
-// under the dispatch lock and, while it is not zero, sleeps on a channel
-// that finishShardLocked closes when it reaches zero — Wait's shape, with
-// the whole runtime as the thread.
+// under the dispatch lock and, while it is not zero, sleeps on
+// barrierWaiters, which finishLocked wakes when it reaches zero — Wait's
+// shape, with the whole runtime as the thread.
 func (rt *Runtime) Barrier() {
 	rt.stats.barriers.Add(1)
 	j := rt.obs.beginJoin("dtt.Barrier")
@@ -1233,16 +1248,12 @@ func (rt *Runtime) Barrier() {
 	if rt.wake == nil {
 		rt.drain(true)
 	} else {
-		sh := rt.sh
-		sh.mu.Lock()
-		for sh.busy != 0 {
-			ch := make(chan struct{})
-			sh.barrierWaiters = append(sh.barrierWaiters, ch)
-			sh.mu.Unlock()
-			<-ch
-			sh.mu.Lock()
+		d := rt.d
+		d.mu.Lock()
+		for d.busy != 0 {
+			d.sleepLocked(&d.barrierWaiters)
 		}
-		sh.mu.Unlock()
+		d.mu.Unlock()
 	}
 	rt.obs.join(j, 0, true)
 }
@@ -1250,14 +1261,14 @@ func (rt *Runtime) Barrier() {
 // Status returns thread t's TQST state (tstatus): the "most active" reading
 // of its status row. A thread never registered is idle.
 func (rt *Runtime) Status(t ThreadID) queue.Status {
-	sh := rt.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	d := rt.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	switch te := entryOf(rt.threadsSnap(), t); {
 	case te == nil: // never registered: idle
 	case te.dispatched > 0:
 		return queue.StatusRunning
-	case sh.tq.Pending(t):
+	case d.tq.Pending(t):
 		return queue.StatusPending
 	case te.lastFailed:
 		return queue.StatusFailed
@@ -1273,9 +1284,9 @@ func (rt *Runtime) Executed(t ThreadID) int64 {
 // QueueCounters returns the thread queue's lifetime counters (see
 // queue.Counters for the invariant they obey).
 func (rt *Runtime) QueueCounters() queue.Counters {
-	rt.sh.mu.Lock()
-	defer rt.sh.mu.Unlock()
-	return rt.sh.tq.Counters()
+	rt.d.mu.Lock()
+	defer rt.d.mu.Unlock()
+	return rt.d.tq.Counters()
 }
 
 // ShardCounters returns QueueCounters as a one-element slice, the shape of
@@ -1284,11 +1295,16 @@ func (rt *Runtime) ShardCounters() []queue.Counters {
 	return []queue.Counters{rt.QueueCounters()}
 }
 
-// Close stops the worker pool. Pending queue entries are not executed; call
-// Barrier first for a clean drain. Close is idempotent. The wake channel is
-// never closed — a concurrent enqueue may be signalling under the dispatch
-// lock — instead it gets one final token per worker, parked or not, and
-// each worker exits after a pass that runs nothing with the closed flag set.
+// Close stops the worker pool; it is idempotent. The wake channel is never
+// closed — a concurrent enqueue may be signalling under the dispatch lock —
+// instead it gets one final token per worker, parked or not, and each
+// worker exits after a pass that runs nothing with the closed flag set, so
+// every entry claimable before then runs. Entries that pass could not claim
+// — admitted after it (a changing TStore to an attached word after Close),
+// or behind a run token an inline run held — never run on the immediate
+// backend, and a Wait or Barrier on them blocks forever. On the
+// single-goroutine backends a later Wait or Barrier still drains the queue
+// on the caller. Call Barrier before Close for a clean drain.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed.Load() {

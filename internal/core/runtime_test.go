@@ -512,6 +512,16 @@ func TestRuntimesShareOneCacheLineLayout(t *testing.T) {
 	}
 }
 
+// TestDispatcherSize: the dispatch plane is its own 128-byte allocation, a
+// size class whose objects fill two whole cache lines, so the dispatch lock
+// and busy count share no line with another object. There is no padding
+// field, so a field added moves it to the next size class.
+func TestDispatcherSize(t *testing.T) {
+	if got := unsafe.Sizeof(dispatcher{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(dispatcher{}) = %d, want 128", got)
+	}
+}
+
 func TestImmediateBackendParallelExecution(t *testing.T) {
 	rt, err := New(Config{Backend: BackendImmediate, Workers: 4})
 	if err != nil {

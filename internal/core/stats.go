@@ -6,12 +6,12 @@ import "sync/atomic"
 // paths that hold no lock (the silent-store fast path, Wait/Barrier entry)
 // and bound by no cross-counter identity, so a torn read across them is
 // harmless. Counters that do participate in an identity live in the
-// dispatch plane's shardStats instead.
+// dispatch plane's dispatchStats instead.
 type statsCounters struct {
-	// silent, changing and shardStats.changing partition the triggering
+	// silent, changing and dispatchStats.changing partition the triggering
 	// stores; Stats derives TStores as their sum. The stores that
 	// take no lock — silent, or matching no thread — pay one atomic add here;
-	// a scalar store that fired counts itself in shardStats.changing.
+	// a scalar store that fired counts itself in dispatchStats.changing.
 	silent   atomic.Int64
 	changing atomic.Int64
 	waits    atomic.Int64
@@ -30,7 +30,7 @@ type statsCounters struct {
 	retiredUpdates atomic.Int64
 }
 
-// shardStats are the dispatch plane's trigger counters: plain int64s
+// dispatchStats are the dispatch plane's trigger counters: plain int64s
 // guarded by the dispatch lock, which the paths that update them already
 // hold (or take briefly, on the inline-overflow slow path). A plain add
 // under a lock already held is cheaper than a process-wide atomic, and
@@ -43,7 +43,7 @@ type statsCounters struct {
 // queue.Counters, bumped inside tq.Enqueue in the critical section that
 // bumps fired. executed and failedRuns repeat the threads' status rows
 // because a retired thread's row is discarded and Stats may not regress.
-type shardStats struct {
+type dispatchStats struct {
 	// changing counts the scalar stores that fired, under the lock fireOne
 	// holds; it is in no identity.
 	changing   int64
@@ -148,8 +148,8 @@ type ThreadStats struct {
 
 // ThreadStatsFor returns thread t's activity snapshot.
 func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
-	rt.sh.mu.Lock()
-	defer rt.sh.mu.Unlock()
+	rt.d.mu.Lock()
+	defer rt.d.mu.Unlock()
 	te := entryOf(rt.threadsSnap(), t)
 	if te == nil {
 		return ThreadStats{}
@@ -170,9 +170,9 @@ func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
 // so Silent <= TStores by construction.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
-	sh := rt.sh
-	sh.mu.Lock()
-	c, q := &sh.c, sh.tq.Counters()
+	d := rt.d
+	d.mu.Lock()
+	c, q := &d.c, d.tq.Counters()
 	s.TStores = c.changing
 	s.Fired = c.fired
 	s.Enqueued = q.Enqueued
@@ -182,7 +182,7 @@ func (rt *Runtime) Stats() Stats {
 	s.InlineRuns = c.inlineRuns
 	s.Executed = c.executed
 	s.FailedRuns = c.failedRuns
-	sh.mu.Unlock()
+	d.mu.Unlock()
 	s.Silent = rt.stats.silent.Load()
 	s.TStores += s.Silent + rt.stats.changing.Load()
 	s.Waits = rt.stats.waits.Load()

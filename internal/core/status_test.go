@@ -95,11 +95,11 @@ type statusRow struct {
 }
 
 func (r *statusRig) row(th ThreadID) statusRow {
-	sh := r.rt.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	d := r.rt.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	te := r.rt.threadsSnap()[th]
-	return statusRow{sh.tq.PendingCount(th), te.dispatched, te.executed, te.failed}
+	return statusRow{d.tq.PendingCount(th), te.dispatched, te.executed, te.failed}
 }
 
 func (r *statusRig) expectRow(th ThreadID, want statusRow, when string) {
@@ -285,9 +285,9 @@ func TestStatusLifecycle(t *testing.T) {
 			}
 		}},
 		{name: "settling_more_than_dispatched_panics", run: func(t *testing.T, r *statusRig) {
-			sh := r.rt.sh
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
+			d := r.rt.d
+			d.mu.Lock()
+			defer d.mu.Unlock()
 			defer func() {
 				if recover() == nil {
 					t.Fatal("endRunLocked settled a queued entry no bracket had dispatched without panicking")

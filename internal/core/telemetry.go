@@ -16,9 +16,9 @@ import "dtt/internal/telemetry"
 // Telemetry.
 func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 	s := rt.Stats()
-	rt.sh.mu.Lock()
-	depth := rt.sh.tq.Len()
-	rt.sh.mu.Unlock()
+	rt.d.mu.Lock()
+	depth := rt.d.tq.Len()
+	rt.d.mu.Unlock()
 	return telemetry.Snapshot{
 		Counters: []telemetry.Metric{
 			{Name: "dtt_tstores_total", Help: "Triggering stores issued.", Value: s.TStores},

@@ -19,7 +19,7 @@ import (
 // may be accessed plainly only where the named mutex is held (the atomic
 // side stays free — that is the point of the mix: lock-free readers, a
 // locked writer). The annotation names a sibling field ("mu") or a
-// qualified lock of another type ("dispatchShard.mu") for state whose
+// qualified lock of another type ("dispatcher.mu") for state whose
 // guard lives in the caller; held-ness is established lexically by the
 // lock walker, or inferred at function entry when every known call site
 // holds the lock (the static form of a "caller holds mu" comment).

@@ -50,7 +50,7 @@ var lockOrderTable = []lockRank{
 	{3, "Runtime.mu", false, "runtime management: region create/release, thread retire"},
 	{4, "updatePlane.mergeMu", true, "one merger per plane; taken under rt.mu by release, never the reverse"},
 	{5, "deltaStripe.mu", true, "privatized delta stripes; taken by Collect under mergeMu"},
-	{6, "dispatchShard.mu", false, "the dispatch lock: thread queue, status rows, run tokens, Wait and Barrier waiters"},
+	{6, "dispatcher.mu", false, "the dispatch lock: thread queue, status rows, run tokens, Wait and Barrier waiters"},
 	{7, "recording.mu", false, "the recorder's release map, in the observer seam (leaf)"},
 	{7, "Runtime.batchMu", false, "batch scratch free list (leaf)"},
 	{7, "outbox.mu", false, "per-session reply mailbox (leaf)"},
@@ -520,12 +520,19 @@ func (lw *lockWalker) tryLockCall(cond ast.Expr, negated bool) (string, token.Po
 // participate in an ordering violation), the keys still held at every exit
 // (net effect of a lock helper), and the keys released without being held
 // (a release helper dropping its caller's locks).
+//
+// A direct acquisition of a key the function already released while not
+// holding it is the condition-wait shape — the caller's lock, dropped
+// around a sleep and taken back — and is not an acquisition: the key stays
+// in exitReleased and exitHeld, so the caller's held set is unchanged
+// across the call.
 func (pr *program) collectLockFacts(fi *funcInfo) (acquires []lockAcq, exitHeld, exitReleased []string) {
 	byKey := map[string]lockAcq{}
-	lw := &lockWalker{
+	var lw *lockWalker
+	lw = &lockWalker{
 		f: fi.f, pr: pr,
 		onAcquire: func(key string, pos token.Pos, via string, held map[string]lockAcq) {
-			if key == "" || rankOf(key) == 0 {
+			if key == "" || rankOf(key) == 0 || (via == "" && lw.released[key]) {
 				return
 			}
 			if _, ok := byKey[key]; !ok {

@@ -147,8 +147,11 @@ func TestInterprocVsIntra(t *testing.T) {
 	}
 }
 
-// TestAcquisitionPath: a lock-order inversion reached through a helper
-// names the full acquisition path, not just the call site.
+// TestAcquisitionPath: a lock-order inversion or a self-deadlock reached
+// through a helper names the full acquisition path, not just the call site
+// — the self-deadlock through relock included, which the condition-wait
+// exemption (a helper that releases its caller's lock and takes it back)
+// must not hide.
 func TestAcquisitionPath(t *testing.T) {
 	res, err := Run(Options{Dir: moduleRoot,
 		Patterns: []string{"./internal/lint/testdata/src/lockorder"},
@@ -156,14 +159,14 @@ func TestAcquisitionPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
-	found := false
-	for _, d := range res.Diagnostics {
-		if strings.Contains(d.Message, "acquisition path") && strings.Contains(d.Message, "lockRT") {
-			found = true
+	for _, want := range []string{"lock-order inversion; acquisition path: lockRT", "self-deadlock; acquisition path: relock"} {
+		found := false
+		for _, d := range res.Diagnostics {
+			found = found || strings.Contains(d.Message, want)
 		}
-	}
-	if !found {
-		t.Errorf("no lockorder diagnostic names the acquisition path through lockRT; got: %v", res.Diagnostics)
+		if !found {
+			t.Errorf("no lockorder diagnostic reads %q; got: %v", want, res.Diagnostics)
+		}
 	}
 }
 

@@ -115,16 +115,18 @@ func runWriteEscape(pr *program, f *facts, rep *reporter) {
 	}
 }
 
-// Rule trigger-capture: a ThreadFunc literal captures a loop variable or a
-// local that is reassigned after registration. A support body does not run
-// where it is written — it runs at dispatch time (immediate backend), at
-// the consuming Wait (deferred), or at a seed-chosen preemption point
-// (seeded). A captured mutable observes whatever value it holds at that
-// moment, so the body computes different results under different backends
-// and schedules, breaking the deterministic replay the seeded backend
-// exists to provide. Captured values that never change after registration
-// (regions, runtime handles, configuration) are the normal idiom and are
-// not flagged.
+// Rule trigger-capture: a ThreadFunc literal captures a local that is
+// reassigned after registration. A support body does not run where it is
+// written — it runs at dispatch time (immediate backend), at the consuming
+// Wait (deferred), or at a seed-chosen preemption point (seeded). A
+// captured mutable observes whatever value it holds at that moment, so the
+// body computes different results under different backends and schedules,
+// breaking the deterministic replay the seeded backend exists to provide.
+// Captured values that never change after registration (regions, runtime
+// handles, configuration) are the normal idiom and are not flagged, and
+// neither is a loop variable: since Go 1.22 (this module's go directive)
+// each iteration binds its own, so a body registered in the loop reads its
+// iteration's value unless the body of the loop reassigns it.
 func runTriggerCapture(_ *program, f *facts, rep *reporter) {
 	info := f.pkg.Info
 	for body, tf := range f.bodies {
@@ -149,19 +151,11 @@ func runTriggerCapture(_ *program, f *facts, rep *reporter) {
 				(obj.Pos() >= lit.Pos() && obj.Pos() < lit.End()) {
 				return true
 			}
-			if loop := enclosingLoopVar(info, tf.stack, obj); loop != "" {
-				reported[obj] = true
-				rep.report(id.Pos(), "trigger-capture",
-					fmt.Sprintf("ThreadFunc captures %s variable %q: the body reads it at dispatch time, not registration time", loop, obj.Name()),
-					"pass the value through trigger data, or bind it to a fresh variable before Register")
-				return true
-			}
 			if enclosing != nil && assignedAfter(info, enclosing, obj, lit.End()) {
 				reported[obj] = true
 				rep.report(id.Pos(), "trigger-capture",
 					fmt.Sprintf("ThreadFunc captures %q, which is reassigned after registration: instances observe the value at dispatch time, nondeterministic under deferred/seeded replay", obj.Name()),
 					"bind the value to a variable that is not reassigned, or carry it in trigger data")
-				return true
 			}
 			return true
 		})
@@ -177,33 +171,6 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 		}
 	}
 	return nil
-}
-
-// enclosingLoopVar reports whether obj is the iteration variable of a loop
-// enclosing the registration site, returning "range" or "for" for the
-// diagnostic (or "" if not a loop variable).
-func enclosingLoopVar(info *types.Info, stack []ast.Node, obj types.Object) string {
-	defines := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && info.Defs[id] == obj
-	}
-	for _, n := range stack {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if (n.Key != nil && defines(n.Key)) || (n.Value != nil && defines(n.Value)) {
-				return "range"
-			}
-		case *ast.ForStmt:
-			if init, ok := n.Init.(*ast.AssignStmt); ok {
-				for _, l := range init.Lhs {
-					if defines(l) {
-						return "for-loop"
-					}
-				}
-			}
-		}
-	}
-	return ""
 }
 
 // assignedAfter reports whether obj is assigned (x = ..., x++) anywhere in

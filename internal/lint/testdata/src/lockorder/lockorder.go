@@ -1,6 +1,6 @@
 // Package lockorder is golden-file input for dttlint's lockorder rule.
 // The fixture types reuse the runtime's type and field names on purpose:
-// lock keys are name-based ("Runtime.mu", "dispatchShard.mu"), which is
+// lock keys are name-based ("Runtime.mu", "dispatcher.mu"), which is
 // what lets a golden package exercise the real lattice without importing
 // the runtime's unexported types.
 package lockorder
@@ -9,12 +9,12 @@ import "sync"
 
 type Runtime struct {
 	mu      sync.Mutex // rank 3 in the lattice
-	sh      *dispatchShard
+	d       *dispatcher
 	stripes []deltaStripe
 	n       int
 }
 
-type dispatchShard struct {
+type dispatcher struct {
 	mu   sync.Mutex // rank 6, the one dispatch lock
 	busy int
 }
@@ -26,20 +26,20 @@ type deltaStripe struct {
 // Good: outermost-first. Runtime.mu (rank 3) then the dispatch lock (rank 6).
 func Good(rt *Runtime) {
 	rt.mu.Lock()
-	rt.sh.mu.Lock()
+	rt.d.mu.Lock()
 	rt.n++
-	rt.sh.mu.Unlock()
+	rt.d.mu.Unlock()
 	rt.mu.Unlock()
 }
 
 // Bad: the dispatch lock is held while taking Runtime.mu — the inversion
 // the rule exists for: dispatch (rank 6) then rt.mu (rank 3).
 func Bad(rt *Runtime) {
-	rt.sh.mu.Lock()
+	rt.d.mu.Lock()
 	rt.mu.Lock() // want: lockorder
 	rt.n++
 	rt.mu.Unlock()
-	rt.sh.mu.Unlock()
+	rt.d.mu.Unlock()
 }
 
 // lockRT hides the Runtime.mu acquisition one call deep.
@@ -50,10 +50,10 @@ func lockRT(rt *Runtime) {
 // BadDeep: the same inversion through the call graph. The diagnostic names
 // the acquisition path (lockRT) at the call site.
 func BadDeep(rt *Runtime) {
-	rt.sh.mu.Lock()
+	rt.d.mu.Lock()
 	lockRT(rt) // want: lockorder
 	rt.mu.Unlock()
-	rt.sh.mu.Unlock()
+	rt.d.mu.Unlock()
 }
 
 // GoodDeep: the helper's acquisition is fine when nothing lower is held.
@@ -66,11 +66,11 @@ func GoodDeep(rt *Runtime) {
 // TryBad: both TryLock if-forms track the held set; the inversion inside
 // the success arm is real.
 func TryBad(rt *Runtime) bool {
-	if rt.sh.mu.TryLock() {
+	if rt.d.mu.TryLock() {
 		rt.mu.Lock() // want: lockorder
 		rt.n++
 		rt.mu.Unlock()
-		rt.sh.mu.Unlock()
+		rt.d.mu.Unlock()
 		return true
 	}
 	return false
@@ -82,8 +82,8 @@ func TryGood(rt *Runtime) {
 	if !rt.mu.TryLock() {
 		return
 	}
-	rt.sh.mu.Lock()
-	rt.sh.mu.Unlock()
+	rt.d.mu.Lock()
+	rt.d.mu.Unlock()
 	rt.mu.Unlock()
 }
 
@@ -96,9 +96,9 @@ func SelfDeadlock(rt *Runtime) {
 
 // DispatchReacquire: the dispatch lock is a singleton too.
 func DispatchReacquire(rt *Runtime) {
-	rt.sh.mu.Lock()
-	rt.sh.mu.Lock() // want: lockorder
-	rt.sh.mu.Unlock()
+	rt.d.mu.Lock()
+	rt.d.mu.Lock() // want: lockorder
+	rt.d.mu.Unlock()
 }
 
 // MultiReacquire: stripe locks are multi-instance — locking two different
@@ -108,4 +108,36 @@ func MultiReacquire(rt *Runtime) {
 	rt.stripes[1].mu.Lock()
 	rt.stripes[1].mu.Unlock()
 	rt.stripes[0].mu.Unlock()
+}
+
+// sleep is the condition-wait shape: entered with the caller's dispatch
+// lock held, it drops it around the wait and takes it back before
+// returning. It is not an acquisition, so its caller's held set is the
+// same after the call as before.
+func sleep(d *dispatcher, ch chan struct{}) {
+	d.mu.Unlock()
+	<-ch
+	d.mu.Lock()
+}
+
+// CondWait: calling the condition wait with the dispatch lock held is legal.
+func CondWait(rt *Runtime, ch chan struct{}) {
+	rt.d.mu.Lock()
+	for rt.d.busy != 0 {
+		sleep(rt.d, ch)
+	}
+	rt.d.mu.Unlock()
+}
+
+// relock only takes the dispatch lock: its caller must not hold it.
+func relock(d *dispatcher) {
+	d.mu.Lock()
+}
+
+// RelockHelper: a helper that re-acquires without releasing first is still
+// a self-deadlock, reported at the call with the acquisition path.
+func RelockHelper(rt *Runtime) {
+	rt.d.mu.Lock()
+	relock(rt.d) // want: lockorder
+	rt.d.mu.Unlock()
 }

@@ -59,7 +59,7 @@ func (s EnqueueStatus) String() string {
 // Guarded, like the ring, by the runtime's dispatch lock.
 type PendingSet struct {
 	first mem.Addr // lo / pendSpan: the address block bits[0] covers
-	bits  []uint64 //dtt:guards dispatchShard.mu
+	bits  []uint64 //dtt:guards dispatcher.mu
 }
 
 // pendSpan is the bytes of address space one bitmap word covers.
@@ -89,9 +89,9 @@ type ThreadQueue struct {
 	cap int
 	// ring[(head+i)%cap] for i in [0, n) are the pending entries, oldest
 	// first.
-	ring      []Entry //dtt:guards dispatchShard.mu
-	head      int     //dtt:guards dispatchShard.mu
-	n         int     //dtt:guards dispatchShard.mu
+	ring      []Entry //dtt:guards dispatcher.mu
+	head      int     //dtt:guards dispatcher.mu
+	n         int     //dtt:guards dispatcher.mu
 	perThread []int   // pending entries per ThreadID, grown on demand
 	// clock stamps Entry.T0 at enqueue when non-nil; the runtime sets it
 	// (to the telemetry clock) only when telemetry is on, so the default

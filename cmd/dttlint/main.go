@@ -8,7 +8,6 @@
 //	dttlint ./...
 //	dttlint -json ./examples/... ./cmd/...
 //	dttlint -rules read-before-wait,config-misuse ./...
-//	dttlint -intra ./...   (intra-procedural core only, for comparison)
 //	dttlint -locktable     (print the lock-order lattice and exit)
 //
 // Findings are suppressed one at a time with a justified comment:
@@ -43,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rules     = fs.String("rules", "", "comma-separated rules to run (default: all of "+strings.Join(lint.RuleNames(), ",")+")")
 		dir       = fs.String("C", "", "resolve package patterns from this directory")
 		quiet     = fs.Bool("q", false, "suppress the clean-run summary line")
-		intra     = fs.Bool("intra", false, "disable the whole-program layer (call graph, summaries); for comparing against the interprocedural run")
 		locktable = fs.Bool("locktable", false, "print the lock-order lattice as a markdown table and exit (CI diffs this against DESIGN.md)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -55,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := lint.Options{Dir: *dir, Patterns: fs.Args(), IntraOnly: *intra}
+	opts := lint.Options{Dir: *dir, Patterns: fs.Args()}
 	if *rules != "" {
 		for _, r := range strings.Split(*rules, ",") {
 			if r = strings.TrimSpace(r); r != "" {

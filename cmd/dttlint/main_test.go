@@ -98,20 +98,6 @@ func TestLintLockTable(t *testing.T) {
 	}
 }
 
-func TestLintIntraFlag(t *testing.T) {
-	// The interproc corpus is built so every read-before-wait hazard is
-	// hidden one call deep: the full run flags it, -intra goes silent.
-	pkg := "./internal/lint/testdata/src/interproc"
-	code, _, errb := runCLI(t, "-C", "../..", "-rules", "readwait", pkg)
-	if code != 1 {
-		t.Fatalf("full run: exit %d, want 1 (stderr: %s)", code, errb)
-	}
-	code, _, errb = runCLI(t, "-C", "../..", "-rules", "readwait", "-intra", "-q", pkg)
-	if code != 0 {
-		t.Fatalf("-intra run: exit %d, want 0 (stderr: %s)", code, errb)
-	}
-}
-
 func TestLintBadUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-not-a-flag"},

@@ -12,8 +12,6 @@
 //	dttrun -workload mcf -backend seeded -sched-seed 7 -timeline
 //	dttrun -workload mcf -backend immediate -iters 4000 \
 //	    -metrics 127.0.0.1:9090 -metrics-hold 30s    # scrape while it runs
-//	dttrun -workload mcf -backend immediate \
-//	    -serve 127.0.0.1:7171 -serve-hold 60s        # then serve remote triggers
 package main
 
 import (
@@ -26,7 +24,6 @@ import (
 
 	"dtt/internal/core"
 	"dtt/internal/mem"
-	"dtt/internal/serve"
 	"dtt/internal/sim"
 	"dtt/internal/trace"
 	"dtt/internal/workloads"
@@ -55,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		showTL    = fs.Bool("timeline", false, "record the run, simulate it and print the per-context schedule (dtt mode; deferred or seeded backend)")
 		metrics   = fs.String("metrics", "", "serve /metrics and /debug/vars on this address during the run (dtt mode), e.g. 127.0.0.1:9090")
 		hold      = fs.Duration("metrics-hold", 0, "keep the process (and the metrics endpoint) alive this long after the workload finishes")
-		serveAddr = fs.String("serve", "", "expose the runtime as a network trigger plane on this address (dtt mode), e.g. 127.0.0.1:7171")
-		serveHold = fs.Duration("serve-hold", 0, "keep serving this long after the workload finishes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -117,18 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if addr := rt.MetricsAddr(); addr != "" {
 			fmt.Fprintf(stderr, "dttrun: serving metrics on http://%s/metrics (expvar at /debug/vars)\n", addr)
 		}
-		var srv *serve.Server
-		if *serveAddr != "" {
-			srv = serve.NewServer(rt, serve.Options{})
-			addr, err := srv.Start(*serveAddr)
-			if err != nil {
-				fmt.Fprintf(stderr, "dttrun: %v\n", err)
-				return 1
-			}
-			// LIFO defers: the trigger plane closes before the runtime.
-			defer srv.Close()
-			fmt.Fprintf(stderr, "dttrun: serving the trigger plane on %s\n", addr)
-		}
 		res, err := w.RunDTT(workloads.NewDTTEnv(rt), size)
 		if err != nil {
 			fmt.Fprintf(stderr, "dttrun: %v\n", err)
@@ -155,13 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *hold > 0 && rt.MetricsAddr() != "" {
 			fmt.Fprintf(stderr, "dttrun: holding %v for scrapes (ctrl-c to stop early)\n", *hold)
 			time.Sleep(*hold)
-		}
-		if *serveHold > 0 && srv != nil {
-			fmt.Fprintf(stderr, "dttrun: serving triggers for %v (ctrl-c to stop early)\n", *serveHold)
-			time.Sleep(*serveHold)
-			c := srv.Counters()
-			fmt.Fprintf(stdout, "  served %d sessions: %d batches, %d stores, %d notifies\n",
-				c.SessionsTotal, c.Batches, c.Stores, c.Notifies)
 		}
 		if *check {
 			vs := rt.Violations()

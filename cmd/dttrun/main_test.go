@@ -8,9 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dtt/internal/mem"
-	"dtt/internal/serve"
 )
 
 // Smoke tests: every exposed mode of the binary parses, runs a small
@@ -167,57 +164,6 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	}
 	if code := <-done; code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-}
-
-// TestRunServeEndpoint: -serve announces the trigger plane's bound address
-// on stderr, a remote session can batch triggering stores into the same
-// runtime the workload used, and the summary accounts for the session.
-func TestRunServeEndpoint(t *testing.T) {
-	var out, errb lockedBuf
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{
-			"-workload", "mcf", "-backend", "immediate", "-iters", "3",
-			"-serve", "127.0.0.1:0", "-serve-hold", "3s",
-		}, &out, &errb)
-	}()
-
-	const marker = "serving the trigger plane on "
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("trigger-plane address never announced; stderr: %s", errb.String())
-		}
-		if s := errb.String(); strings.Contains(s, marker) {
-			addr = strings.Fields(s[strings.Index(s, marker)+len(marker):])[0]
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	cs, err := serve.Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial %s: %v", addr, err)
-	}
-	h, err := cs.Attach("r", 4, 0, 4)
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	if _, err := cs.Batch(h, 0, []mem.Word{1, 2, 3, 4}); err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if err := cs.Wait(h); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if code := <-done; code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "served 1 sessions: 1 batches, 4 stores") {
-		t.Fatalf("summary missing session accounting:\n%s", out.String())
 	}
 }
 

@@ -28,7 +28,10 @@ func newBackend(t *testing.T, b Backend) *Runtime {
 }
 
 // TestTUpdateOps checks each op's merge semantics against a non-trivial
-// base value already in memory.
+// base value already in memory, folding the operands once through scalar
+// TUpdate calls and once through one-word TUpdateBatch calls: every batch
+// call after a case's first finds its cell accumulating under the same op,
+// so the batch mode drives ApplyBatch's warm path for each op.
 func TestTUpdateOps(t *testing.T) {
 	cases := []struct {
 		op    UpdateOp
@@ -50,27 +53,33 @@ func TestTUpdateOps(t *testing.T) {
 	}
 	for ci, c := range cases {
 		t.Run(fmt.Sprintf("%d-%v", ci, c.op), func(t *testing.T) {
-			rt := newDeferred(t, nil)
-			data := rt.NewRegion("data", 4)
-			data.Poke(1, c.base)
-			runs := 0
-			id := rt.Register("obs", func(Trigger) { runs++ })
-			if err := rt.Attach(id, data, 0, 4); err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range c.vs {
-				data.TUpdate(1, c.op, v)
-			}
-			rt.Wait(id)
-			if got := data.Load(1); got != c.want {
-				t.Fatalf("word = %d, want %d", got, c.want)
-			}
-			wantRuns := 0
-			if c.fires {
-				wantRuns = 1
-			}
-			if runs != wantRuns {
-				t.Fatalf("thread ran %d times, want %d", runs, wantRuns)
+			for _, batch := range []bool{false, true} {
+				rt := newDeferred(t, nil)
+				data := rt.NewRegion("data", 4)
+				data.Poke(1, c.base)
+				runs := 0
+				id := rt.Register("obs", func(Trigger) { runs++ })
+				if err := rt.Attach(id, data, 0, 4); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range c.vs {
+					if batch {
+						data.TUpdateBatch(1, c.op, []mem.Word{v})
+					} else {
+						data.TUpdate(1, c.op, v)
+					}
+				}
+				rt.Wait(id)
+				if got := data.Load(1); got != c.want {
+					t.Fatalf("batch=%v: word = %d, want %d", batch, got, c.want)
+				}
+				wantRuns := 0
+				if c.fires {
+					wantRuns = 1
+				}
+				if runs != wantRuns {
+					t.Fatalf("batch=%v: thread ran %d times, want %d", batch, runs, wantRuns)
+				}
 			}
 		})
 	}

@@ -55,8 +55,7 @@ type guardSpec struct {
 const guardsPrefix = "//dtt:guards"
 
 // collectGuardSpecs parses a package's field annotations. mutexFields is
-// the whole-program mutex index for validating qualified lock paths; nil
-// degrades to rank-table-only validation.
+// the whole-program mutex index for validating qualified lock paths.
 func collectGuardSpecs(p *Package, mutexFields map[string]bool) map[string]guardSpec {
 	specs := map[string]guardSpec{}
 	for _, file := range p.Files {
@@ -144,7 +143,7 @@ func parseGuardSpec(owner, text string, siblings map[string]types.Type, mutexFie
 		spec.lockKey = owner + "." + path
 		return spec
 	}
-	if mutexFields != nil && mutexFields[path] {
+	if mutexFields[path] {
 		spec.lockKey = path
 		return spec
 	}
@@ -170,11 +169,7 @@ type fieldAccess struct {
 func runAtomics(pr *program, f *facts, rep *reporter) {
 	p := f.pkg
 	info := p.Info
-	var mutexIndex map[string]bool
-	if pr != nil {
-		mutexIndex = pr.mutexFields
-	}
-	specs := collectGuardSpecs(p, mutexIndex)
+	specs := collectGuardSpecs(p, pr.mutexFields)
 
 	// Malformed annotations are findings themselves: an unchecked guard
 	// comment is worse than none.
@@ -302,22 +297,19 @@ func checkGuardedAccesses(pr *program, f *facts, specs map[string]guardSpec, acc
 	}
 	for decl, as := range byDecl {
 		entry := lockState{held: map[string]lockAcq{}}
-		if pr != nil {
-			if fn, _ := f.pkg.Info.Defs[decl.Name].(*types.Func); fn != nil {
-				if fi := pr.funcs[funcKeyFor(fn)]; fi != nil {
-					if !fi.entryHeldKnown {
-						// No analysable call sites: the entry contract is
-						// unknowable, so lexical evidence alone decides —
-						// leniently.
-						for _, a := range as {
-							a.ok = true
-						}
-						continue
-					}
-					for key := range fi.entryHeld {
-						entry.held[key] = lockAcq{key: key, pos: decl.Pos()}
-					}
+		fn, _ := f.pkg.Info.Defs[decl.Name].(*types.Func)
+		if fi := pr.lookup(fn); fi != nil {
+			if !fi.entryHeldKnown {
+				// No analysable call sites: the entry contract is
+				// unknowable, so lexical evidence alone decides —
+				// leniently.
+				for _, a := range as {
+					a.ok = true
 				}
+				continue
+			}
+			for key := range fi.entryHeld {
+				entry.held[key] = lockAcq{key: key, pos: decl.Pos()}
 			}
 		}
 		constructed := constructedTypes(f.pkg.Info, decl)

@@ -53,10 +53,10 @@ func mergeFlow(a, b flowState) flowState {
 type flowAnalyzer struct {
 	f   *facts
 	rep *reporter
-	// prog enables the interprocedural transfer: at a call to an
+	// prog drives the interprocedural transfer: at a call to an
 	// in-program function, the callee's summary moves the bit and
-	// surfaces its entry-sensitive output reads. nil keeps the walk
-	// intra-procedural (Options.IntraOnly, and the summary bootstrap).
+	// surfaces its entry-sensitive output reads. During the summary
+	// fixpoint those are the summaries of the round so far.
 	prog *program
 	// sumReads, when non-nil, puts the analyzer in summary-collection
 	// mode: hazardous reads are recorded here instead of reported.

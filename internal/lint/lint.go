@@ -42,8 +42,7 @@
 // the standard library is needed. A bottom-up fixpoint over the call graph
 // summarises every function (trigger/wait transfer, output reads, region
 // writes, lock effects), and the rules consume call sites through those
-// summaries — see program.go; Options.IntraOnly reverts to the
-// single-function core. Everything is an approximation chosen to keep
+// summaries — see program.go. Everything is an approximation chosen to keep
 // false positives near zero on idiomatic DTT code; the dynamic sanitizer
 // remains the authority on what actually raced.
 package lint
@@ -56,7 +55,7 @@ import (
 )
 
 // rule is one named check over a package's facts, with the whole-program
-// context (call graph, summaries) alongside; pr is nil in intra-only runs.
+// context (call graph, summaries) alongside.
 type rule struct {
 	name string
 	run  func(pr *program, f *facts, rep *reporter)
@@ -106,11 +105,6 @@ type Options struct {
 	// Rules restricts the run to a subset of rule names; nil runs all.
 	// Aliases ("readwait") resolve to their canonical names.
 	Rules []string
-	// IntraOnly disables the whole-program layer (call graph, function
-	// summaries), reverting every rule to its intra-procedural core.
-	// Exists so tests can demonstrate what the summaries catch; real runs
-	// leave it false.
-	IntraOnly bool
 }
 
 // Result is one lint run's findings.
@@ -159,12 +153,9 @@ func Run(opts Options) (*Result, error) {
 	for _, p := range pkgs {
 		factsOf[p] = collectFacts(p)
 	}
-	var pr *program
-	if !opts.IntraOnly {
-		pr = buildProgram(fset, pkgs, factsOf)
-		pr.computeSummaries()
-		pr.computeEntryHeld()
-	}
+	pr := buildProgram(fset, pkgs, factsOf)
+	pr.computeSummaries()
+	pr.computeEntryHeld()
 
 	// Phase 2: rules run per package (reporting and //dtt:ignore scoping
 	// stay file-local) against the global program.

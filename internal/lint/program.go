@@ -139,7 +139,7 @@ func displayNameFor(fn *types.Func) string {
 
 // lookup resolves a called function to its in-program info, or nil.
 func (pr *program) lookup(fn *types.Func) *funcInfo {
-	if pr == nil || fn == nil {
+	if fn == nil {
 		return nil
 	}
 	return pr.funcs[funcKeyFor(fn)]
@@ -356,7 +356,7 @@ func contains(ss []string, s string) bool {
 // supportOnlyFunc reports whether the declaration enclosing a node runs
 // only in support-thread context.
 func (pr *program) supportOnlyFunc(fn *types.Func) bool {
-	if pr == nil || fn == nil {
+	if fn == nil {
 		return false
 	}
 	fi := pr.funcs[funcKeyFor(fn)]

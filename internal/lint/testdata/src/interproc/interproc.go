@@ -1,8 +1,8 @@
 // Package interproc is golden-file input for dttlint's whole-program
 // layer. Every protocol step here is hidden one call (or one recursion)
-// deep: the intra-procedural walk sees nothing, the function summaries see
-// everything. TestInterprocVsIntra runs this package both ways and pins
-// the difference.
+// deep: a single-function walk would see nothing, the function summaries
+// see everything. TestInterprocFindsHiddenHazards pins what the
+// whole-program run reports here.
 //
 // Regions live in struct fields — the summary layer identifies regions by
 // field or package variable, so the `p.out.Load(...)` method idiom
@@ -128,9 +128,9 @@ type chain struct {
 
 // passOn is referenced only inside sq's body, so the whole-program layer
 // proves it support-only: its plain store to the attached region b is
-// stage-1 output, not a missed trigger. With the program layer off
-// (dttlint -intra) this store is an untriggered-write false positive —
-// TestInterprocVsIntra pins both behaviours.
+// stage-1 output, not a missed trigger. Without that inference this store
+// would be an untriggered-write false positive —
+// TestInterprocFindsHiddenHazards pins that it is not.
 func passOn(ch *chain, i int, v dtt.Word) {
 	ch.b.Store(i, v)
 }

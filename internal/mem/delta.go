@@ -232,11 +232,12 @@ func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) {
 // ApplyBatch folds vs[j] into words lo+j of stripe s under one stripe
 // lock, amortizing the lock and the counter maintenance across the span.
 //
-// The op dispatch is hoisted out of the per-word loop: each op gets its
-// own loop whose warm path (cell already accumulating under the same op)
-// is a single combine on the private cell, with cold cells (first touch,
-// op switch) falling back to the generic apply. Hot counter-shaped
-// batches spend the whole loop in the specialized arm.
+// The op dispatch is hoisted out of the per-word loop. In both loops the
+// warm path (cell already accumulating under the same op) is one combine
+// on the private cell, and cold cells (first touch, op switch) fall back
+// to the generic apply. UpdAdd, the op counter-shaped batches fold, gets
+// its own loop whose warm path is a plain add; every other op combines
+// through UpdateOp.Combine.
 func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) {
 	st := &p.stripes[s&p.smask]
 	st.mu.Lock()
@@ -254,43 +255,7 @@ func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) {
 				newly++
 			}
 		}
-	case UpdMin:
-		for j, v := range vs {
-			if c := &cells[j]; c.set && c.op == UpdMin {
-				if v < c.val {
-					c.val = v
-				}
-			} else if st.apply(lo+j, op, v) {
-				newly++
-			}
-		}
-	case UpdMax:
-		for j, v := range vs {
-			if c := &cells[j]; c.set && c.op == UpdMax {
-				if v > c.val {
-					c.val = v
-				}
-			} else if st.apply(lo+j, op, v) {
-				newly++
-			}
-		}
-	case UpdAnd:
-		for j, v := range vs {
-			if c := &cells[j]; c.set && c.op == UpdAnd {
-				c.val &= v
-			} else if st.apply(lo+j, op, v) {
-				newly++
-			}
-		}
-	case UpdOr:
-		for j, v := range vs {
-			if c := &cells[j]; c.set && c.op == UpdOr {
-				c.val |= v
-			} else if st.apply(lo+j, op, v) {
-				newly++
-			}
-		}
-	default: // UpdSet and any future op without a specialized arm.
+	default:
 		for j, v := range vs {
 			if c := &cells[j]; c.set && c.op == op {
 				c.val = op.Combine(c.val, v)

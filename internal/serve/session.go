@@ -404,8 +404,8 @@ func (s *session) handleBatch(handle, lo uint32, n int, c *cursor) {
 
 // handleUpdate decodes the operand span and folds it through TUpdateBatch:
 // the commutative-update analogue of handleBatch. The reply acknowledges
-// the n operands folded; triggers fire later, at the merge (Wait/Barrier
-// or the runtime's eager merge policy), so unlike TSTORE_BATCH there is no
+// the n operands folded; triggers fire later, at the merge (Wait/Barrier,
+// or a Load or READ of the region), so unlike TSTORE_BATCH there is no
 // changed count to report yet.
 func (s *session) handleUpdate(handle uint32, uop byte, lo uint32, n int, c *cursor) {
 	h := s.lookup(handle, OpTUpdate)

@@ -71,12 +71,11 @@ var pinned = map[string][]string{
 		// The dispatch side every admitted entry pays: the worker's claim
 		// loop, the run-of-n bracket, and the run itself — whose one
 		// deferred recover must not move the worker's claim to the heap.
-		"Runtime.runClaims",
+		"Runtime.worker",
 		"Runtime.beginRunLocked",
 		"threadEntry.resolveLocked",
 		"Runtime.runBodies",
 		"Runtime.endRunLocked",
-		"dispatcher.addBusy",
 	},
 	"internal/mem": {
 		"DeltaPlane.Apply",
@@ -105,12 +104,12 @@ var pinned = map[string][]string{
 // inlinable, named as in pinned: the store and load every word pays and the
 // Compute every kernel arithmetic op pays, the observer hooks' gates on the
 // per-word, per-trigger and per-body paths (one test of the attached
-// observers each, and no call with none attached), the quiescence count's add and the hinted attachment lookup every
-// admitted trigger pays, the ring slot arithmetic, and the pending bit's
-// test-and-set and clear.
+// observers each, and no call with none attached), the hinted attachment
+// lookup every admitted trigger pays, the ring slot arithmetic, and the
+// pending bit's test-and-set and clear.
 var inlined = map[string][]string{
 	"internal/core": {"observers.write", "observers.access", "observers.admit", "observers.queueDepth",
-		"observers.enter", "observers.exit", "dispatcher.addBusy", "threadEntry.attachmentNear"},
+		"observers.enter", "observers.exit", "threadEntry.attachmentNear"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }

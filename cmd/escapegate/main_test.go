@@ -33,7 +33,7 @@ func TestSyntheticViolation(t *testing.T) {
 		{"internal/core/runtime.go", "Runtime.tstore"},
 		{"internal/core/runtime.go", "Runtime.admitLocked"},
 		{"internal/core/runtime.go", "Runtime.dispatchFired"},
-		{"internal/core/runtime.go", "Runtime.runClaims"},
+		{"internal/core/runtime.go", "Runtime.worker"},
 		{"internal/core/runtime.go", "Runtime.endRunLocked"},
 		{"internal/core/update.go", "Runtime.mergePlane"},
 	} {

@@ -13,9 +13,10 @@ import (
 )
 
 // Tests of the immediate backend's burst-granular dispatch: a worker claims
-// a run of one thread's entries per critical section (runClaims), producers
-// wake only parked workers (wakeWorker), and the whole thing must not lose a
-// wakeup. Everything here waits on events with a hard deadline; a hang dumps
+// a run of one thread's entries per critical section (worker), a worker with
+// nothing to claim sleeps on the idle list in the same hold of the dispatch
+// lock, producers wake one from it (wakeWorker), and the whole thing must not
+// lose a wakeup. Everything here waits on events with a hard deadline; a hang dumps
 // every goroutine's stack.
 
 const claimDeadline = 120 * time.Second
@@ -24,27 +25,38 @@ const claimDeadline = 120 * time.Second
 // if it has not returned by the deadline.
 func within(t *testing.T, what string, f func()) {
 	t.Helper()
+	withinFor(t, claimDeadline, what, f)
+}
+
+// withinFor is within with its own deadline.
+func withinFor(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		f()
 	}()
-	await(t, what, done)
+	awaitFor(t, d, what, done)
 }
 
 func await(t *testing.T, what string, ch <-chan struct{}) {
 	t.Helper()
+	awaitFor(t, claimDeadline, what, ch)
+}
+
+func awaitFor(t *testing.T, d time.Duration, what string, ch <-chan struct{}) {
+	t.Helper()
 	select {
 	case <-ch:
-	case <-time.After(claimDeadline):
+	case <-time.After(d):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("%s: not done after %v:\n%s", what, claimDeadline, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("%s: not done after %v:\n%s", what, d, buf[:runtime.Stack(buf, true)])
 	}
 }
 
 // gate parks a body until the test opens it. open closes the channel at most
 // once, and newGate registers it as a cleanup too, so a failed assertion
-// cannot leave a worker parked: registered after t.Cleanup(rt.Close), it
+// cannot leave a worker blocked: registered after t.Cleanup(rt.Close), it
 // runs before the Close that waits for that worker (cleanups run last in,
 // first out).
 type gate struct {
@@ -439,10 +451,10 @@ func TestClaimLeavesOtherThreadsRunnable(t *testing.T) {
 	}
 }
 
-// TestNoLostWakeup is the parked-worker protocol's soak: producers that
-// each loop {one changing TStore; Wait} (and the same with Barrier) make a
-// worker park and be woken once per iteration, so a wakeup lost between
-// "found nothing" and "blocked" hangs the loop and trips the deadline.
+// TestNoLostWakeup is the idle worker's soak: producers that each loop {one
+// changing TStore; Wait} (and the same with Barrier) make a worker go idle
+// and be woken once per iteration, so a wakeup lost between "found nothing"
+// and "asleep" hangs the loop and trips the deadline.
 func TestNoLostWakeup(t *testing.T) {
 	const producers, iters = 3, 50_000
 	for _, join := range []string{"wait", "barrier"} {
@@ -490,8 +502,11 @@ func TestNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestCloseRacesParkingWorker: Close must reach a worker in every stage of
-// parking — scanning, announced, blocked — so its token is unconditional.
+// TestCloseRacesParkingWorker: Close must reach a worker whether it is
+// claiming, running a body or asleep on the idle list: the seal and the
+// idle list's wakeup share the dispatch lock with the worker's look, and a
+// worker exits at the first look after the seal that finds the runtime
+// quiescent.
 func TestCloseRacesParkingWorker(t *testing.T) {
 	base := runtime.NumGoroutine()
 	within(t, "open/close churn", func() {

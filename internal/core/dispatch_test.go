@@ -360,8 +360,8 @@ func assertQueueConservation(t *testing.T, rt *Runtime, phase string) {
 		t.Fatalf("%s: Enqueued %d != Dequeued %d + SquashedOut %d + Len %d",
 			phase, c.Enqueued, c.Dequeued, c.SquashedOut, n)
 	}
-	if d.busy != int64(n) || d.work.Load() != (n > 0) {
-		t.Fatalf("%s: busy %d (work flag %v) at quiescence with %d pending entries", phase, d.busy, d.work.Load(), n)
+	if d.busy != int64(n) {
+		t.Fatalf("%s: busy %d at quiescence with %d pending entries", phase, d.busy, n)
 	}
 	for id, te := range rt.threadsSnap() {
 		if te.dispatched != 0 || te.running != 0 {

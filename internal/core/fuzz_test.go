@@ -18,8 +18,10 @@ type fuzzState struct {
 // returns its final state. The interpreter is protocol-correct by
 // construction — support threads only read their trigger word and write
 // granted output words; the main thread reads outputs only after the final
-// Barrier — so any sanitizer violation it produces is a runtime bug.
-func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte) fuzzState {
+// Barrier — so any sanitizer violation it produces is a runtime bug. With
+// closeMid the runtime is closed at the midpoint of ops, and the rest of the
+// program runs against the sealed queue.
+func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, closeMid bool) fuzzState {
 	t.Helper()
 	rt, err := New(Config{
 		Backend:       backend,
@@ -53,6 +55,9 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte) fuzz
 	}
 
 	for pc, op := range ops {
+		if closeMid && pc == len(ops)/2 {
+			rt.Close()
+		}
 		i := int(op) % (2 * half)
 		switch (op >> 3) % 6 {
 		case 0, 1: // changing store (value depends on position, so replays agree)
@@ -113,10 +118,10 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte) fuzz
 }
 
 // FuzzDispatch feeds arbitrary operation streams — triggering stores (silent
-// and changing), Wait, Barrier, Cancel/re-Attach — through the tstore
-// dispatch path on both the deferred and the seeded backend, asserting the
-// sanitizer stays clean, the stats identities hold, and seeded runs replay
-// deterministically. Run `make fuzz-smoke` for a bounded CI pass or
+// and changing), Wait, Barrier, Cancel/re-Attach, and with bit 1 of cfg a
+// Close at the stream's midpoint — through the tstore dispatch path on both
+// the deferred and the seeded backend, asserting the sanitizer stays clean,
+// the stats identities hold, and seeded runs replay deterministically. Run `make fuzz-smoke` for a bounded CI pass or
 // `go test -fuzz FuzzDispatch ./internal/core` to explore.
 func FuzzDispatch(f *testing.F) {
 	f.Add(byte(0), uint64(0), []byte{})
@@ -128,15 +133,16 @@ func FuzzDispatch(f *testing.F) {
 		if len(ops) > 512 {
 			ops = ops[:512] // bound run time, not coverage
 		}
-		// Only bit 0 of cfg is read; the byte keeps its place in the
-		// signature so the committed corpus files still load.
+		// Bit 0 of cfg picks the backend and bit 1 closes the runtime
+		// midway; the other bits are unread.
 		backend := BackendDeferred
 		if cfg&1 == 1 {
 			backend = BackendSeeded
 		}
-		st := runFuzzProgram(t, backend, seed, ops)
+		closeMid := cfg&2 != 0
+		st := runFuzzProgram(t, backend, seed, ops, closeMid)
 		if backend == BackendSeeded {
-			replay := runFuzzProgram(t, backend, seed, ops)
+			replay := runFuzzProgram(t, backend, seed, ops, closeMid)
 			if replay != st {
 				t.Fatalf("seed %d is not deterministic:\nfirst  %+v\nreplay %+v", seed, st, replay)
 			}

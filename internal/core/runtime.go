@@ -121,8 +121,9 @@ func (te *threadEntry) attachmentNear(hint *attachment, addr mem.Addr) *attachme
 // has one thread queue and one status table: the ring-buffer thread queue
 // (whose status rows sit in each threadEntry, under this lock), the trigger
 // counters, the quiescence count and the Barrier waiters. One mutex guards
-// all of it. Its 128 bytes fill two whole cache lines, so the dispatch lock
-// and busy count share no line with another allocation.
+// all of it. It is allocated in the 128-byte size class, whose objects fill
+// two whole cache lines, so the dispatch lock and busy count share no line
+// with another allocation.
 type dispatcher struct {
 	mu sync.Mutex
 	tq *queue.ThreadQueue
@@ -130,36 +131,23 @@ type dispatcher struct {
 	// under it is torn-free (see dispatchStats).
 	c dispatchStats
 	// busy is the quiescence count, the only one: tq.Len() plus the
-	// dispatched entries plus the inline overflow runs in flight, a plain
-	// number under mu. work is busy != 0 for the workers' lock-free check,
-	// which parks without locking when it reads false. addBusy stores it
-	// only when busy crosses zero, so a producer ahead of the worker pays
-	// nothing locked.
+	// dispatched entries plus the inline overflow runs in flight.
 	busy int64 //dtt:guards dispatcher.mu
-	work atomic.Bool
 	// barrierWaiters are woken when busy reaches zero: Barrier sleeps here.
 	barrierWaiters []chan struct{} //dtt:guards dispatcher.mu
 	// spare holds sleepLocked's empty wake channels, for reuse.
 	spare []chan struct{} //dtt:guards dispatcher.mu
 }
 
-// addBusy moves the quiescence count by n and keeps work equal to
-// busy != 0, storing it only when it changes. Callers hold d.mu.
-func (d *dispatcher) addBusy(n int64) {
-	d.busy += n
-	if idle := d.busy == 0; idle == d.work.Load() {
-		d.work.Store(!idle)
-	}
-}
-
 // sleepLocked is the one way to sleep on the dispatch lock, called by the
-// twait, tbarrier and run-token joins in a loop over their predicate.
-// Entered with d.mu held, it parks on waiters until wakeAll empties that
-// list, and returns with d.mu held. Its cap-1 channel comes from d.spare and
-// is made only when that list is empty. wakeAll sends on it instead of
-// closing it, and the sleeper returns it to d.spare only after receiving
-// that send, so a recycled channel never carries a stale wakeup: a sleeper
-// that leaves without receiving must never put its channel back.
+// twait, tbarrier and run-token joins and by an idle worker, each in a loop
+// over its predicate. Entered with d.mu held, it parks on waiters until
+// wakeAll empties that list or wakeWorker pops it off, and returns with d.mu
+// held. Its cap-1 channel comes from d.spare and is made only when that list
+// is empty. The waker sends on it instead of closing it, and the sleeper
+// returns it to d.spare only after receiving that send, so a recycled channel
+// never carries a stale wakeup: a sleeper that leaves without receiving must
+// never put its channel back.
 func (d *dispatcher) sleepLocked(waiters *[]chan struct{}) {
 	var ch chan struct{}
 	if n := len(d.spare); n > 0 {
@@ -198,7 +186,7 @@ func (d *dispatcher) sleepLocked(waiters *[]chan struct{}) {
 //     per-thread records — status row and run token — and the quiescence
 //     count. A store that fires takes it once, and only for pointer-sized
 //     bookkeeping, never across a thread body.
-//  3. rt.mu, the management lock: Register/Attach/Cancel/Close and registry
+//  3. rt.mu, the management lock: Register/Attach/Cancel and registry
 //     mutations. Never taken on the store path. Lock order is rt.mu →
 //     the dispatch lock → leaf locks (batchMu, recording.mu); the reverse
 //     order is never taken.
@@ -220,24 +208,15 @@ type Runtime struct {
 	// guards, in an allocation of its own.
 	d *dispatcher
 
-	// mu is the management lock: Register/Attach/Cancel/Close and registry
+	// mu is the management lock: Register/Attach/Cancel and registry
 	// mutations. The store fast path never takes it.
 	mu sync.Mutex
 
-	// wake is where idle immediate-backend workers sleep, and parked counts
-	// the workers that have announced they are about to (see worker for the
-	// protocol and wakeWorker for the ordering argument). Capacity is one
-	// token per worker, so a send to a parked worker is never dropped for
-	// lack of room unless every worker already has a wakeup coming. The
-	// channel is never closed: Close sets the closed flag and deposits one
-	// token per worker. nil on the single-goroutine backends, where parked
-	// stays zero: wake != nil is how the runtime asks which of the two
-	// execution models it is.
-	wake   chan struct{}
-	parked atomic.Int32
-
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	// idle is the waiter list of the immediate backend's workers asleep in
+	// sleepLocked with nothing to claim. It lives here rather than in d to
+	// keep the dispatcher in its size class.
+	idle []chan struct{} //dtt:guards dispatcher.mu
+	wg   sync.WaitGroup
 
 	// obs are the observers — sanitizer, telemetry, recorder — behind the
 	// hooks of observe.go. The sanitizer carries its own lock and never
@@ -302,7 +281,6 @@ func New(cfg Config) (*Runtime, error) {
 		rt.sched = sched.New(cfg.SchedSeed)
 	}
 	if cfg.Backend == BackendImmediate {
-		rt.wake = make(chan struct{}, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			rt.wg.Add(1)
 			go rt.worker()
@@ -427,9 +405,7 @@ func (rt *Runtime) Cancel(t ThreadID) {
 		// Stop a worker's claimed run of t before its next body.
 		atomic.AddUint32(&te.cancelEpoch, 1)
 	}
-	if n := d.tq.Squash(t); n > 0 {
-		d.addBusy(int64(-n))
-	}
+	d.busy -= int64(d.tq.Squash(t))
 	rt.stats.cancels.Add(1)
 	// Squashing may have made t — or the whole runtime — quiet.
 	rt.finishLocked(te, t)
@@ -622,7 +598,7 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 		d.c.changing++
 	}
 	if rt.admitLocked(te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
-		d.addBusy(1)
+		d.busy++
 		rt.obs.queueDepth(d.tq)
 		rt.wakeWorker()
 	}
@@ -771,7 +747,7 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 		}
 	}
 	if enqueued > 0 {
-		d.addBusy(int64(enqueued))
+		d.busy += int64(enqueued)
 		// One depth sample per write: the depth after its admissions, not
 		// one sample per entry.
 		rt.obs.queueDepth(d.tq)
@@ -780,27 +756,15 @@ func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
 	d.mu.Unlock()
 }
 
-// wakeWorker offers newly dispatchable work to a parked worker, if there is
-// one; with every worker awake it is one atomic load, because a worker
-// re-scans before it parks. Callers hold the dispatch lock under which they
-// made the work visible — the enqueue and the addBusy, or the token release
-// — and call this after it. That order is the whole argument: the producer
-// raises the work flag (or finds it raised, and then whoever lowers it does
-// so under this lock, later, with this entry settled) and then loads parked;
-// a worker adds itself to parked and then loads the flag (runClaims), locking
-// the queue when it reads true. Both are sync/atomic, hence sequentially
-// consistent, so one of the two sees the other: either this load sees the
-// worker parked and sends, or the worker's flag load sees the work and its
-// locked claim — ordered after this critical section by the dispatch lock —
-// finds it. The send cannot block and is dropped only when the buffer
-// already holds a token per worker: every parked one is about to wake.
+// wakeWorker wakes one idle worker, if there is one, for work its caller
+// made claimable under the dispatch lock it still holds: an enqueue, or a
+// token release that left entries behind. A worker decides to sleep in the
+// same hold of that lock in which it found nothing to claim, so it is either
+// on rt.idle here or will see the work when it next looks.
 func (rt *Runtime) wakeWorker() {
-	if rt.parked.Load() == 0 {
-		return
-	}
-	select {
-	case rt.wake <- struct{}{}:
-	default:
+	if n := len(rt.idle); n > 0 {
+		rt.idle[n-1] <- struct{}{}
+		rt.idle = rt.idle[:n-1]
 	}
 }
 
@@ -815,8 +779,9 @@ func (d *dispatcher) quietLocked(te *threadEntry, t ThreadID) bool {
 
 // finishLocked propagates the consequences of thread t's activity
 // dropping: it frees t's run token waiters, completes Wait waiters whose
-// predicate became true, and completes Barrier waiters once the quiescence
-// count is zero (te is nil when a Cancel names an id never registered).
+// predicate became true, and completes Barrier waiters — and, once Close has
+// sealed the queue, the idle workers, to exit — when the quiescence count is
+// zero (te is nil when a Cancel names an id never registered).
 // Re-offering t's skipped queue entries is the finisher's business — a
 // worker re-claims itself, an inline run wakes one (endRunLocked). Callers
 // hold rt.d.mu.
@@ -830,6 +795,9 @@ func (rt *Runtime) finishLocked(te *threadEntry, t ThreadID) {
 	}
 	if d.busy == 0 {
 		wakeAll(&d.barrierWaiters)
+		if d.tq.Sealed() {
+			wakeAll(&rt.idle)
+		}
 	}
 }
 
@@ -920,7 +888,7 @@ func (rt *Runtime) beginRunLocked(te *threadEntry, n int, g uint64, queued bool)
 	if queued {
 		te.dispatched += n
 	} else {
-		rt.d.addBusy(1)
+		rt.d.busy++
 	}
 }
 
@@ -964,7 +932,7 @@ func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int,
 			panic(fmt.Sprintf("core: thread %d settled %d dispatched entries more than it took", t, -te.dispatched))
 		}
 	}
-	d.addBusy(int64(-n))
+	d.busy -= int64(n)
 	rt.finishLocked(te, t)
 	if !queued && te.running == 0 && d.tq.Pending(t) {
 		// Entries of t that workers skipped while this inline run held the
@@ -1047,8 +1015,9 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	// thread is busy while we are issuing a store, we are necessarily
 	// inside its own body. Only the immediate backend pays for goroutine
 	// identity, and only on this overflow path.
+	immediate := rt.cfg.Backend == BackendImmediate
 	var g uint64
-	if rt.wake != nil {
+	if immediate {
 		g = goid()
 	}
 	te := rt.threadsSnap()[e.Thread]
@@ -1063,7 +1032,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 			d.mu.Unlock()
 			return
 		}
-		if te.running == 0 || rt.wake == nil || te.owner == g {
+		if te.running == 0 || !immediate || te.owner == g {
 			// The run token is free — or ours already, and the bracket
 			// re-enters the body nested on this goroutine.
 			break
@@ -1100,25 +1069,29 @@ type claim struct {
 	oks [claimMax]bool
 }
 
-// runClaims is the immediate backend's dispatch loop. A work flag that reads
-// false returns at once, without the lock (wakeWorker's ordering argument
-// covers a trigger admitted just after the read). Otherwise, in one critical
-// section it finds the oldest entry whose thread's token is free, takes that
-// token once, and claims the entry plus the entries of the same thread
-// directly behind it (up to claimMax), resolving their triggers. It runs the
-// bodies back to back with no lock held, settles the whole run in one
-// endRunLocked, and — still holding the lock — goes straight to the next
-// claim; the lock is dropped only around bodies and when nothing in the
-// queue is eligible. A claim holds one thread's token, never two, so other
-// workers can run other threads meanwhile; the token spans the run, so a
-// thread's instances stay serial and in enqueue order. Claimed entries have
-// left the queue and cleared their pending bits, as the paper frees the
-// queue entry at spawn. It reports whether any body ran.
-func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
+// worker is the BackendImmediate dispatch loop, one goroutine per spare
+// hardware context. In one critical section it finds the oldest entry whose
+// thread's token is free, takes that token once, and claims the entry plus
+// the entries of the same thread directly behind it (up to claimMax),
+// resolving their triggers. It runs the bodies back to back with no lock
+// held, settles the whole run in one endRunLocked, and — still holding the
+// lock — goes straight to the next claim. A claim holds one thread's token,
+// never two, so other workers can run other threads meanwhile; the token
+// spans the run, so a thread's instances stay serial and in enqueue order.
+// Claimed entries have left the queue and cleared their pending bits, as the
+// paper frees the queue entry at spawn. When nothing is claimable the worker
+// sleeps on rt.idle in the same hold of the lock (wakeWorker), and once Close
+// has sealed the queue it exits at the first look that finds the runtime
+// quiescent: nothing queued, nothing running. There is no spinning before
+// the sleep: on two vCPUs it cost the ammp kernel 30-60% (the dispatch lock
+// and ring lines bounce between producer and worker).
+func (rt *Runtime) worker() {
+	defer rt.wg.Done()
+	// goid is stable for the life of this worker goroutine; computing it
+	// once keeps runtime.Stack off the dispatch fast path.
+	g := goid()
+	var c claim
 	d := rt.d
-	if !d.work.Load() {
-		return false
-	}
 	d.mu.Lock()
 	for {
 		// Loaded under d.mu: any entry visible in the queue was enqueued
@@ -1126,18 +1099,21 @@ func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
 		ths := rt.threadsSnap()
 		n := d.tq.DequeueRun(func(e queue.Entry) bool { return ths[e.Thread].running == 0 }, c.es[:])
 		if n == 0 {
-			d.mu.Unlock()
-			return ran
+			if d.tq.Sealed() && d.busy == 0 {
+				d.mu.Unlock()
+				return
+			}
+			d.sleepLocked(&rt.idle)
+			continue
 		}
-		ran = true
 		t := c.es[0].Thread
 		te := ths[t]
 		rt.beginRunLocked(te, n, g, true)
-		te.resolveLocked(c, n)
+		te.resolveLocked(&c, n)
 		epoch := te.cancelEpoch
 		if d.tq.Len() > d.tq.PendingCount(t) {
 			// Other threads' entries stay behind while this worker is busy
-			// with t: offer them to a parked one.
+			// with t: offer them to an idle one.
 			rt.wakeWorker()
 		}
 		d.mu.Unlock()
@@ -1146,44 +1122,11 @@ func (rt *Runtime) runClaims(g uint64, c *claim) (ran bool) {
 		// it) or a Cancel of t since the claim stops it.
 		started := 0
 		for started < n && atomic.LoadUint32(&te.cancelEpoch) == epoch {
-			started = rt.runBodies(te, c, started, n, epoch)
+			started = rt.runBodies(te, &c, started, n, epoch)
 		}
 
 		d.mu.Lock()
 		rt.endRunLocked(te, t, true, n, c.oks[:started]...)
-	}
-}
-
-// worker is the BackendImmediate dispatch loop: one goroutine per spare
-// hardware context. It claims until a pass runs nothing, then parks: it
-// announces itself in rt.parked, re-checks once — runClaims reads the work
-// flag and locks only when it shows work — and blocks on rt.wake. Producers
-// and finishers send a token only while some worker is announced
-// (wakeWorker), so a worker that is awake costs them one atomic load and no
-// channel operation. There is no spinning before the park: on two vCPUs it
-// cost the ammp kernel 30-60% (the dispatch lock and ring lines bounce
-// between producer and worker).
-func (rt *Runtime) worker() {
-	defer rt.wg.Done()
-	// goid is stable for the life of this worker goroutine; computing it
-	// once keeps runtime.Stack off the dispatch fast path.
-	g := goid()
-	var c claim
-	for {
-		if rt.runClaims(g, &c) {
-			continue
-		}
-		if rt.closed.Load() {
-			return
-		}
-		rt.parked.Add(1)
-		if !rt.runClaims(g, &c) {
-			// Sleep until a trigger is admitted somewhere, an inline run
-			// or another worker's claim leaves entries for us, or Close
-			// deposits the final token.
-			<-rt.wake
-		}
-		rt.parked.Add(-1)
 	}
 }
 
@@ -1225,10 +1168,10 @@ func (rt *Runtime) Wait(t ThreadID) {
 	// is evaluated, so the post-Wait state reflects every TUpdate this
 	// goroutine issued.
 	rt.mergeAllPlanes()
-	if rt.wake == nil {
-		rt.drain(true)
-	} else {
+	if rt.cfg.Backend == BackendImmediate {
 		rt.drainThread(t)
+	} else {
+		rt.drain(true)
 	}
 	rt.obs.join(j, t, false)
 }
@@ -1245,15 +1188,15 @@ func (rt *Runtime) Barrier() {
 	// Like Wait, Barrier merges pending commutative deltas (blocking)
 	// before confirming quiescence.
 	rt.mergeAllPlanes()
-	if rt.wake == nil {
-		rt.drain(true)
-	} else {
+	if rt.cfg.Backend == BackendImmediate {
 		d := rt.d
 		d.mu.Lock()
 		for d.busy != 0 {
 			d.sleepLocked(&d.barrierWaiters)
 		}
 		d.mu.Unlock()
+	} else {
+		rt.drain(true)
 	}
 	rt.obs.join(j, 0, true)
 }
@@ -1295,34 +1238,20 @@ func (rt *Runtime) ShardCounters() []queue.Counters {
 	return []queue.Counters{rt.QueueCounters()}
 }
 
-// Close stops the worker pool; it is idempotent. The wake channel is never
-// closed — a concurrent enqueue may be signalling under the dispatch lock —
-// instead it gets one final token per worker, parked or not, and each
-// worker exits after a pass that runs nothing with the closed flag set, so
-// every entry claimable before then runs. Entries that pass could not claim
-// — admitted after it (a changing TStore to an attached word after Close),
-// or behind a run token an inline run held — never run on the immediate
-// backend, and a Wait or Barrier on them blocks forever. On the
-// single-goroutine backends a later Wait or Barrier still drains the queue
-// on the caller. Call Barrier before Close for a clean drain.
+// Close seals the thread queue, so every later trigger that is not squashed
+// overflows and runs inline on the storing goroutine, on every backend. It
+// strands nothing admitted before it: on the immediate backend it returns
+// once the workers have run the queue dry and the runtime is quiescent; on
+// the single-goroutine backends the next Wait or Barrier drains the queue on
+// the caller. It is idempotent.
 func (rt *Runtime) Close() {
-	rt.mu.Lock()
-	if rt.closed.Load() {
-		rt.mu.Unlock()
-		return
-	}
-	rt.closed.Store(true)
-	rt.mu.Unlock()
+	d := rt.d
+	d.mu.Lock()
+	d.tq.Seal()
+	wakeAll(&rt.idle)
+	d.mu.Unlock()
 	if rt.metricsSrv != nil {
-		// Stop scrapes before the dispatch plane winds down; in-flight
-		// snapshot reads only take the dispatch lock, which remains valid.
 		rt.metricsSrv.Close()
-	}
-	for i := 0; i < cap(rt.wake); i++ {
-		select {
-		case rt.wake <- struct{}{}:
-		default:
-		}
 	}
 	rt.wg.Wait()
 }

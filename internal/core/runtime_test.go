@@ -512,13 +512,14 @@ func TestRuntimesShareOneCacheLineLayout(t *testing.T) {
 	}
 }
 
-// TestDispatcherSize: the dispatch plane is its own 128-byte allocation, a
-// size class whose objects fill two whole cache lines, so the dispatch lock
-// and busy count share no line with another object. There is no padding
-// field, so a field added moves it to the next size class.
+// TestDispatcherSize: the dispatch plane is its own allocation in the
+// 128-byte size class (113 to 128 bytes; the class below is 112), whose
+// objects fill two whole cache lines, so the dispatch lock and busy count
+// share no line with another object. There is no padding field, so a field
+// that grows it past 128 bytes moves it to the 144-byte class, which does not.
 func TestDispatcherSize(t *testing.T) {
-	if got := unsafe.Sizeof(dispatcher{}); got != 128 {
-		t.Fatalf("unsafe.Sizeof(dispatcher{}) = %d, want 128", got)
+	if got := unsafe.Sizeof(dispatcher{}); got <= 112 || got > 128 {
+		t.Fatalf("unsafe.Sizeof(dispatcher{}) = %d, want the 128-byte size class (113 to 128)", got)
 	}
 }
 

@@ -89,7 +89,8 @@ type Stats struct {
 	Enqueued int64
 	// Squashed counts triggers absorbed by duplicate squashing.
 	Squashed int64
-	// Overflowed counts triggers that found the queue full.
+	// Overflowed counts triggers that found the queue full (a queue Close
+	// has sealed is always full).
 	Overflowed int64
 	// Dropped counts overflowed triggers whose thread a Cancel detached
 	// before their inline run could start: cancelled work, never executed.

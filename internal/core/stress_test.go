@@ -264,8 +264,10 @@ func TestCancelWhileWorkInFlight(t *testing.T) {
 	assertQueueConservation(t, rt, "cancel in flight")
 }
 
-// TestCloseLeavesPendingUnexecuted documents Close's contract: it stops
-// workers without draining.
+// TestCloseLeavesPendingUnexecuted documents Close's contract on the
+// single-goroutine backends: it seals the queue without draining it, and the
+// next Wait or Barrier runs what it holds (TestCloseStrandsNothing). On the
+// immediate backend Close returns only once the workers have run it dry.
 func TestCloseLeavesPendingUnexecuted(t *testing.T) {
 	rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 64})
 	if err != nil {

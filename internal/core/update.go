@@ -94,7 +94,7 @@ func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 	if u := r.upd.Load(); u != nil {
 		return u
 	}
-	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), defaultParallelism(rt.wake != nil))}
+	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), defaultParallelism(rt.cfg.Backend == BackendImmediate))}
 	var grown []*updatePlane
 	if ps := rt.updPlanes.Load(); ps != nil {
 		grown = append(grown, *ps...)

@@ -29,8 +29,8 @@ const (
 	Enqueued EnqueueStatus = iota
 	// Squashed means a matching entry was already pending.
 	Squashed
-	// Overflowed means the queue was full; the caller runs the thread
-	// inline in the storing context.
+	// Overflowed means the queue was full or sealed; the caller runs the
+	// thread inline in the storing context.
 	Overflowed
 )
 
@@ -93,6 +93,8 @@ type ThreadQueue struct {
 	head      int     //dtt:guards dispatcher.mu
 	n         int     //dtt:guards dispatcher.mu
 	perThread []int   // pending entries per ThreadID, grown on demand
+	// sealed makes the queue read as full to every later offer (Seal).
+	sealed bool //dtt:guards dispatcher.mu
 	// clock stamps Entry.T0 at enqueue when non-nil; the runtime sets it
 	// (to the telemetry clock) only when telemetry is on, so the default
 	// enqueue path never pays for a time read.
@@ -113,7 +115,7 @@ type Counters struct {
 	Enqueued int64
 	// Squashed counts offers absorbed by duplicate squashing.
 	Squashed int64
-	// Overflowed counts offers that found the ring full.
+	// Overflowed counts offers that found the ring full or sealed.
 	Overflowed int64
 	// Dequeued counts entries removed by Dequeue/DequeueRun/DequeueAt.
 	Dequeued int64
@@ -172,7 +174,7 @@ func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr, p *PendingSet) EnqueueS
 		q.c.Squashed++
 		return Squashed
 	}
-	if q.n >= q.cap {
+	if q.n >= q.cap || q.sealed {
 		q.c.Overflowed++
 		return Overflowed
 	}
@@ -299,6 +301,14 @@ func (q *ThreadQueue) Squash(t ThreadID) int {
 	}
 	return removed
 }
+
+// Seal makes the queue always full: from now on every offer that is not
+// squashed overflows, and the entries already queued still dequeue. It is
+// the runtime's closed state; a sealed queue stays sealed.
+func (q *ThreadQueue) Seal() { q.sealed = true }
+
+// Sealed reports whether Seal was called.
+func (q *ThreadQueue) Sealed() bool { return q.sealed }
 
 // Len returns the number of pending entries.
 func (q *ThreadQueue) Len() int { return q.n }

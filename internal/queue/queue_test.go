@@ -291,6 +291,39 @@ func TestQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestQueueSeal: a sealed queue reads as full to every later offer. An offer
+// whose pending bit is set still squashes, every other offer overflows, even
+// with room in the ring, and the entries queued before the seal still
+// dequeue in order.
+func TestQueueSeal(t *testing.T) {
+	q := NewThreadQueue(4)
+	o := offers{}
+	o.enqueue(q, 1, 0x10)
+	o.enqueue(q, 2, 0x20)
+	q.Seal()
+	if !q.Sealed() {
+		t.Fatal("Sealed() = false after Seal")
+	}
+	if s := o.enqueue(q, 1, 0x10); s != Squashed {
+		t.Fatalf("pending duplicate on a sealed queue: %v, want squashed", s)
+	}
+	if s := o.enqueue(q, 1, 0x18); s != Overflowed {
+		t.Fatalf("new offer on a sealed queue with room: %v, want overflowed", s)
+	}
+	for want := ThreadID(1); want <= 2; want++ {
+		if e, ok := q.Dequeue(); !ok || e.Thread != want {
+			t.Fatalf("dequeue after Seal = %v,%v, want thread %d", e, ok, want)
+		}
+	}
+	// The bit cleared with its entry: the same offer now overflows.
+	if s := o.enqueue(q, 1, 0x10); s != Overflowed {
+		t.Fatalf("offer of a dequeued address on a sealed queue: %v, want overflowed", s)
+	}
+	if c := q.Counters(); c.Enqueued != 2 || c.Squashed != 1 || c.Overflowed != 2 || c.Dequeued != 2 || q.Len() != 0 {
+		t.Fatalf("counters %+v with %d pending, want 2 enqueued, 1 squashed, 2 overflowed, 2 dequeued, 0 pending", c, q.Len())
+	}
+}
+
 func TestQueueSquash(t *testing.T) {
 	q := NewThreadQueue(8)
 	o := offers{}

@@ -36,8 +36,9 @@ func allocRuntime(t *testing.T, telemetry bool) (*dtt.Runtime, *dtt.Region, *dtt
 	return rt, hot, cold
 }
 
-// assertFastPathAllocs measures the four fast paths against the runtime
-// label (telemetry off/on): both configurations promise 0 allocs/op.
+// assertFastPathAllocs measures the four fast paths, and a changing store
+// that fires three threads, against the runtime label (telemetry off/on):
+// both configurations promise 0 allocs/op.
 func assertFastPathAllocs(t *testing.T, label string, telemetry bool) {
 	rt, hot, cold := allocRuntime(t, telemetry)
 
@@ -78,9 +79,29 @@ func assertFastPathAllocs(t *testing.T, label string, telemetry bool) {
 	}); got != 0 {
 		t.Errorf("%s: uncovered tstore allocates %.1f allocs/op, want 0", label, got)
 	}
+
+	// Changing store to a word three threads' overlapping ranges cover: one
+	// hold of the dispatch lock admits all three pairs, and the drain runs
+	// three bodies, still without allocating.
+	tri := rt.NewRegion("tri", 8)
+	for k, name := range []string{"tri0", "tri1", "tri2"} {
+		if err := rt.Attach(rt.Register(name, func(dtt.Trigger) {}), tri, k, 8-k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tri.TStore(3, 1)
+	rt.Barrier()
+	var x dtt.Word = 1
+	if got := testing.AllocsPerRun(200, func() {
+		x++
+		tri.TStore(3, x)
+		rt.Barrier()
+	}); got != 0 {
+		t.Errorf("%s: tstore covered by three threads+drain allocates %.1f allocs/op, want 0", label, got)
+	}
 }
 
-// assertBatchFastPathAllocs holds TStoreBatch/TStoreRange to the same
+// assertBatchFastPathAllocs holds TStoreBatch to the same
 // 0 allocs/op contract on every outcome: all-silent batches, all-changing
 // batches (with drain), and batches whose every word squashes into a
 // pending entry. The grouping scratch comes from the runtime's pool, so
@@ -111,7 +132,7 @@ func assertBatchFastPathAllocs(t *testing.T, label string, telemetry bool) {
 			vals[i] = v
 		}
 		for lo := 0; lo < 1024; lo += batch {
-			hot.TStoreRange(lo, lo+batch, vals[:])
+			hot.TStoreBatch(lo, vals[:])
 		}
 		rt.Barrier()
 	}); got != 0 {

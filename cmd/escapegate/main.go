@@ -53,7 +53,6 @@ var pinned = map[string][]string{
 		"Region.Store",
 		"Region.TStore",
 		"Region.TStoreBatch",
-		"Region.TStoreRange",
 		"Region.TUpdate",
 		"Region.TUpdateBatch",
 		"Runtime.tstore",
@@ -62,10 +61,8 @@ var pinned = map[string][]string{
 		// pinned bodies only, so the callees carrying the 0 allocs/op
 		// contract are named too. observers.write is stage one's hook.
 		"observers.write",
-		"Runtime.fireOne",
 		"Runtime.admitLocked",
 		"Runtime.dispatchFired",
-		"batchScratch.fire",
 		"Runtime.afterWrite",
 		"Runtime.mergePlane",
 		// The dispatch side every admitted entry pays: the worker's claim
@@ -104,12 +101,13 @@ var pinned = map[string][]string{
 // inlinable, named as in pinned: the store and load every word pays and the
 // Compute every kernel arithmetic op pays, the observer hooks' gates on the
 // per-word, per-trigger and per-body paths (one test of the attached
-// observers each, and no call with none attached), the hinted attachment
-// lookup every admitted trigger pays, the ring slot arithmetic, and the
-// pending bit's test-and-set and clear.
+// observers each, and no call with none attached), the coverage test every
+// changed word pays, the hinted attachment lookup every admitted trigger
+// pays, the ring slot arithmetic, and the pending bit's test-and-set and
+// clear.
 var inlined = map[string][]string{
 	"internal/core": {"observers.write", "observers.access", "observers.admit", "observers.queueDepth",
-		"observers.enter", "observers.exit", "threadEntry.attachmentNear"},
+		"observers.enter", "observers.exit", "covers", "threadEntry.attachmentNear"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
 }

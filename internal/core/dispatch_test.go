@@ -14,7 +14,7 @@ import (
 
 // TestBatchEquivalenceMatchesScalar is the semantic acceptance gate for
 // batched triggering stores: the equivalence workload issued through
-// TStoreBatch/TStoreRange must land on the same final memory as the scalar
+// TStoreBatch must land on the same final memory as the scalar
 // TStore stream on every backend, with identical store-stream counters
 // (TStores, Silent, Fired — properties of the value stream, not the
 // schedule) and the identity Fired = Enqueued + Squashed + Overflowed
@@ -24,7 +24,8 @@ import (
 // enqueue/squash/inline split because a batch is one preemption point where
 // a scalar loop is many — that is the documented semantic difference. The
 // second table adds the update-merge plane as a third writer and pins the
-// shared admission and run bracket under overflow and Cancel.
+// shared admission and run bracket under overflow, Cancel and a word three
+// threads cover.
 func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 	for _, cfg := range []Config{
 		{Backend: BackendDeferred},
@@ -60,19 +61,21 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 	}
 
 	// Three writers, one outcome: the scalar store, the batched store and
-	// the update-merge plane all admit through admitLocked and run through
+	// the update-merge plane all admit through dispatchFired and run through
 	// the same instance bracket, so the same value stream must leave the
 	// same memory and move the same dispatch counters whichever plane
-	// wrote it — including when the queue overflows on every store and
-	// when a Cancel lands between the write and the drain.
+	// wrote it — including when the queue overflows on every store, when
+	// a Cancel lands between the write and the drain, and when one word
+	// fires three threads in one dispatch.
 	for _, row := range []struct {
-		name   string
-		cap    int
-		cancel bool
+		name             string
+		cap              int
+		cancel, overlap3 bool
 	}{
-		{"cap4", 4, false},
-		{"cap1-inline", 1, false},
-		{"cancel", 32, true}, // room for every trigger: the Cancel finds hi's eight pending
+		{"cap4", 4, false, false},
+		{"cap1-inline", 1, false, false},
+		{"cancel", 32, true, false}, // room for every trigger: the Cancel finds hi's eight pending
+		{"overlap3", 4, false, true},
 	} {
 		cfg := Config{QueueCapacity: row.cap, Checker: CheckStrict}
 		same := func(phase string, a, b planeRun) {
@@ -88,9 +91,9 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 		}
 
 		cfg.Backend = BackendDeferred
-		scalar := runWritePlane(t, cfg, writeScalar, row.cancel)
-		same("deferred scalar vs batch", scalar, runWritePlane(t, cfg, writeBatch, row.cancel))
-		same("deferred scalar vs merge", scalar, runWritePlane(t, cfg, writeMerge, row.cancel))
+		scalar := runWritePlane(t, cfg, writeScalar, row.cancel, row.overlap3)
+		same("deferred scalar vs batch", scalar, runWritePlane(t, cfg, writeBatch, row.cancel, row.overlap3))
+		same("deferred scalar vs merge", scalar, runWritePlane(t, cfg, writeMerge, row.cancel, row.overlap3))
 
 		// Seeded: a batch and a merge are each ONE preemption point, so
 		// they replay the same schedule and must agree on everything. A
@@ -100,9 +103,9 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 		// unless the row cancels (which triggers are still pending when
 		// the Cancel lands is the schedule's choice).
 		cfg.Backend, cfg.SchedSeed = BackendSeeded, 11
-		batch := runWritePlane(t, cfg, writeBatch, row.cancel)
-		same("seeded batch vs merge", batch, runWritePlane(t, cfg, writeMerge, row.cancel))
-		scalar = runWritePlane(t, cfg, writeScalar, row.cancel)
+		batch := runWritePlane(t, cfg, writeBatch, row.cancel, row.overlap3)
+		same("seeded batch vs merge", batch, runWritePlane(t, cfg, writeMerge, row.cancel, row.overlap3))
+		scalar = runWritePlane(t, cfg, writeScalar, row.cancel, row.overlap3)
 		if scalar.dispatch.Fired != batch.dispatch.Fired {
 			t.Fatalf("%s seeded: scalar Fired %d, batch Fired %d", row.name, scalar.dispatch.Fired, batch.dispatch.Fired)
 		}
@@ -116,9 +119,9 @@ func TestBatchEquivalenceMatchesScalar(t *testing.T) {
 		// triggering stores and release the same number of support tasks.
 		cfg.Backend, cfg.SchedSeed = BackendDeferred, 0
 		cfg.Recorder = trace.NewRecorder(nil)
-		scalar = runWritePlane(t, cfg, writeScalar, row.cancel)
+		scalar = runWritePlane(t, cfg, writeScalar, row.cancel, row.overlap3)
 		cfg.Recorder = trace.NewRecorder(nil)
-		batch = runWritePlane(t, cfg, writeBatch, row.cancel)
+		batch = runWritePlane(t, cfg, writeBatch, row.cancel, row.overlap3)
 		same("recorded scalar vs batch", scalar, batch)
 		if scalar.tstores != batch.tstores || scalar.released != batch.released {
 			t.Fatalf("%s recorded: scalar trace has %d tstores / %d released tasks, batch %d / %d",
@@ -132,7 +135,7 @@ type writePlane int
 
 const (
 	writeScalar writePlane = iota // Region.TStore per word
-	writeBatch                    // one TStoreBatch/TStoreRange per round
+	writeBatch                    // one TStoreBatch per round
 	writeMerge                    // Region.TUpdate(UpdSet) per word; the sync point merges
 )
 
@@ -154,8 +157,11 @@ type planeRun struct {
 // With cancel, the hi thread is cancelled in round 1 between the write and
 // the drain; the merge plane publishes through a Load first (Load is a
 // merge point), so its triggers, like the other planes', are pending when
-// the Cancel squashes them. The run must be sanitizer-clean.
-func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) planeRun {
+// the Cancel squashes them. With overlap3, two more threads attach over the
+// middle two words and over the whole region, so each middle word is covered
+// by three threads' overlapping ranges; they write a third region, appended
+// to the memory observed. The run must be sanitizer-clean.
+func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel, overlap3 bool) planeRun {
 	t.Helper()
 	rec := cfg.Recorder
 	rt, err := New(cfg)
@@ -177,6 +183,22 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) plan
 			t.Fatalf("AllowWrites: %v", err)
 		}
 	}
+	var side *Region
+	if overlap3 {
+		side = rt.NewRegion("side", 4*half)
+		for k, lohi := range [][2]int{{half - 1, half + 1}, {0, 2 * half}} {
+			base := k * 2 * half
+			th := rt.Register(fmt.Sprintf("overlap%d", k), func(tg Trigger) {
+				side.Store(base+tg.Index, tg.Region.Load(tg.Index)+uint64(base)+5)
+			})
+			if err := rt.Attach(th, in, lohi[0], lohi[1]); err != nil {
+				t.Fatalf("Attach: %v", err)
+			}
+			if err := rt.AllowWrites(th, side, base, base+2*half); err != nil {
+				t.Fatalf("AllowWrites: %v", err)
+			}
+		}
+	}
 
 	for round := 0; round < 5; round++ {
 		r := round
@@ -193,11 +215,7 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) plan
 				in.TStore(i, v)
 			}
 		case writeBatch:
-			if round%2 == 0 {
-				in.TStoreBatch(0, vals[:])
-			} else {
-				in.TStoreRange(0, 2*half, vals[:])
-			}
+			in.TStoreBatch(0, vals[:])
 		case writeMerge:
 			for i, v := range vals {
 				in.TUpdate(i, UpdSet, v)
@@ -226,6 +244,9 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel bool) plan
 		dispatch: Stats{Fired: st.Fired, Enqueued: st.Enqueued, Squashed: st.Squashed, Overflowed: st.Overflowed,
 			InlineRuns: st.InlineRuns, Dropped: st.Dropped, Executed: st.Executed},
 		qc: rt.QueueCounters(),
+	}
+	if side != nil {
+		run.mem = append(run.mem, side.Snapshot()...)
 	}
 	if st.Fired != st.Enqueued+st.Squashed+st.Overflowed || st.Overflowed != st.InlineRuns+st.Dropped || st.FailedRuns != 0 {
 		t.Fatalf("%v plane %d: counter identities broken: %+v", cfg.Backend, plane, st)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -82,9 +81,9 @@ func (r *Region) StoreF(i int, f float64) bool { return r.Store(i, wordOf(f)) }
 // stores to addresses no thread is attached to never take any dispatch
 // lock: the attachment check is a lock-free read of the registry's
 // published interval index, so unrelated hot stores do not contend with
-// dispatch. A firing store takes the dispatch lock once per attached thread
-// it fires, for pointer-sized bookkeeping. allocs_test.go and the
-// BenchmarkTStore* families enforce this.
+// dispatch. A firing store takes the dispatch lock once per store, however
+// many attached threads it fires, for pointer-sized bookkeeping.
+// allocs_test.go and the BenchmarkTStore* families enforce this.
 func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 
 // TStoreBatch is the vectorized form of TStore: it writes vs to words
@@ -100,21 +99,6 @@ func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 // a scalar loop would be len(vs) of them.
 func (r *Region) TStoreBatch(lo int, vs []mem.Word) int {
 	return r.rt.tstoreBatch(r, lo, vs)
-}
-
-// TStoreRange writes src[0:hi-lo] to words [lo, hi) with TStoreBatch
-// semantics. It panics if src holds fewer than hi-lo words or the range is
-// inverted or out of bounds.
-func (r *Region) TStoreRange(lo, hi int, src []mem.Word) {
-	if hi < lo {
-		panic("core: TStoreRange with inverted range")
-	}
-	// An explicit length check: src[:hi-lo] alone would re-slice into spare
-	// capacity and silently store words the caller never passed.
-	if len(src) < hi-lo {
-		panic(fmt.Sprintf("core: TStoreRange [%d, %d) with only %d source words", lo, hi, len(src)))
-	}
-	r.rt.tstoreBatch(r, lo, src[:hi-lo])
 }
 
 // TStoreF is the float64 form of TStore; change detection compares IEEE-754

@@ -507,14 +507,15 @@ func (rt *Runtime) releaseRegionLocked(r *Region) {
 
 // tstore is the scalar triggering write behind Region.TStore and TStoreF: the
 // compare-and-store, the write hook, and for a changed word inside a trigger
-// range one fireOne per attached thread. It reports whether the word changed.
+// range dispatchFired, with the registry's zero-copy prefix of candidates and
+// the one word on the stack. It reports whether the word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
 // store is one atomic load; a changing store to an unattached address adds
 // the swap and a lock-free index probe (two comparisons when the address is
 // far from every trigger range), either plus its counter's atomic add; only a
-// changing store inside a trigger range takes a lock — the dispatch lock, for
-// the enqueue bookkeeping — and counts itself under it: three locked
+// changing store inside a trigger range takes a lock — the dispatch lock, once
+// however many threads it fires — and counts itself under it: three locked
 // instructions, the swap, the lock and the unlock.
 func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	g := rt.obs.checkGoid()
@@ -524,18 +525,14 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 		rt.stats.silent.Add(1)
 		return false
 	}
-	addr := r.buf.Addr(i)
+	word := [1]mem.Addr{r.buf.Addr(i)}
+	cands := rt.reg.Snapshot().Prefix(word[0])
+	n := 0
+	if covers(cands, word[0]) {
+		n = 1
+	}
 	var inline []queue.Entry
-	counted := false
-	for _, a := range rt.reg.Snapshot().Prefix(addr) {
-		if addr < a.Hi {
-			rt.fireOne(a.Thread, addr, g, &inline, !counted)
-			counted = true
-		}
-	}
-	if !counted {
-		rt.stats.changing.Add(1)
-	}
+	rt.dispatchFired(cands, word[:n], &inline, g, 1)
 	rt.afterWrite(inline)
 	return true
 }
@@ -567,10 +564,13 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // squash leaving nothing to settle. An overflowed trigger is appended to
 // inline for the caller to run after its dispatch completes — never with the
 // dispatch lock held. On Enqueued the caller owes the queue its settlement —
-// the busy count, a queue-depth sample and a worker wakeup — which stays with
-// the caller because the two dispatch shapes differ exactly there: fireOne
-// settles per entry, dispatchFired once per write, and a shared helper
-// measured 4% of a scalar round on the immediate backend.
+// the busy count, a queue-depth sample and a worker wakeup — which
+// dispatchFired, the only caller, pays once per write. Moving the scalar
+// store from a settle per entry to this one moved no end-to-end metric
+// outside the old code's quartile spread, in ten alternating 20 s runs of
+// each bench/run.sh workload on a 2-core Xeon; in two traced runs each,
+// where baseline and DTT alternate within a pass, kernels_fine's speedup
+// read 0.27x against 0.25x.
 func (rt *Runtime) admitLocked(a *attachment, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
 	if a == nil {
 		return queue.Squashed
@@ -584,61 +584,33 @@ func (rt *Runtime) admitLocked(a *attachment, id ThreadID, addr mem.Addr, g uint
 	return st
 }
 
-// fireOne admits one fired trigger under the dispatch lock: the
-// scalar-shaped dispatch, one lock acquisition per (store, thread) pair. A
-// store's first pair also counts the store (counts), under the lock it takes
-// anyway.
-func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry, counts bool) {
-	// The thread table is loaded after the registry snapshot, so an id
-	// the registry knows is always in range here.
-	te := rt.threadsSnap()[id]
-	d := rt.d
-	d.mu.Lock()
-	if counts {
-		d.c.changing++
-	}
-	if rt.admitLocked(te.attachmentAt(addr), id, addr, g, inline) == queue.Enqueued {
-		d.busy++
-		rt.obs.queueDepth(d.tq)
-		rt.wakeWorker()
-	}
-	d.mu.Unlock()
-}
-
-// firedTrigger is one (thread, trigger address) pair a batch or a merge
-// collected for dispatch.
-type firedTrigger struct {
-	id   queue.ThreadID
-	addr mem.Addr
-}
-
-// batchScratch is the per-call working set of a batch or a merge: the fired
-// pairs collected during the write phase. Instances live on the
-// Runtime.batchFree list; slices keep their capacity across calls, so a
-// warmed scratch serves any batch the program repeats without allocating.
+// batchScratch is the per-call working set of a batch or a merge: the
+// attachments overlapping the write's span — a batch's words, a merge's
+// region — resolved once per write by begin, and the changed words they cover,
+// collected during the write phase. Instances live on the Runtime.batchFree
+// list; slices keep their capacity across calls, so a warmed scratch serves
+// any batch the program repeats without allocating.
 type batchScratch struct {
-	fired  []firedTrigger
+	cands  []queue.Attachment
+	words  []mem.Addr
 	inline []queue.Entry
-	// cands holds the attachments overlapping the write's span — a batch's
-	// words, a merge's region — resolved once per write, by begin.
-	cands []queue.Attachment
 }
 
 func (sc *batchScratch) begin(snap queue.Snapshot, lo, hi mem.Addr) {
-	sc.fired = sc.fired[:0]
-	sc.inline = sc.inline[:0]
 	sc.cands = snap.Overlapping(lo, hi, sc.cands[:0])
+	sc.words = sc.words[:0]
+	sc.inline = sc.inline[:0]
 }
 
-// fire records a fired pair for each of sc.cands covering changed word addr.
-// Candidates are in index order, so the pairs are the matches a per-word
-// registry lookup would produce, in its order.
-func (sc *batchScratch) fire(addr mem.Addr) {
-	for _, a := range sc.cands {
+// covers reports whether an attachment in cands covers addr: the one
+// coverage test every triggering write makes outside the dispatch lock.
+func covers(cands []queue.Attachment, addr mem.Addr) bool {
+	for _, a := range cands {
 		if a.Lo <= addr && addr < a.Hi {
-			sc.fired = append(sc.fired, firedTrigger{id: a.Thread, addr: addr})
+			return true
 		}
 	}
+	return false
 }
 
 // getScratch pops a warmed scratch off the free list, or makes a fresh one
@@ -661,10 +633,9 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 	rt.batchMu.Unlock()
 }
 
-// tstoreBatch is the batched triggering store behind Region.TStoreBatch and
-// Region.TStoreRange: semantically len(vs) scalar tstores, with the
-// dispatch overhead amortized over the span. It returns how many words
-// changed.
+// tstoreBatch is the batched triggering store behind Region.TStoreBatch:
+// semantically len(vs) scalar tstores, with the dispatch overhead amortized
+// over the span. It returns how many words changed.
 //
 // The batch runs in two phases. The write phase performs the word-at-a-time
 // atomic compares and resolves every changed word against ONE registry
@@ -696,18 +667,17 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		rt.obs.write(r, lo+j, wrote, g)
 		if wrote {
 			changed++
-			sc.fire(r.buf.Addr(lo + j))
+			if addr := r.buf.Addr(lo + j); covers(sc.cands, addr) {
+				sc.words = append(sc.words, addr)
+			}
 		}
 	}
 	if silent := len(vs) - changed; silent > 0 {
 		rt.stats.silent.Add(int64(silent))
 	}
-	if changed > 0 {
-		rt.stats.changing.Add(int64(changed))
-	}
 	rt.obs.batchSize(len(vs))
 
-	rt.dispatchFired(sc, g)
+	rt.dispatchFired(sc.cands, sc.words, &sc.inline, g, changed)
 	if changed > 0 {
 		rt.afterWrite(sc.inline)
 	}
@@ -715,35 +685,50 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	return changed
 }
 
-// dispatchFired is the batch-shaped dispatch phase, stages three and 3a of
-// the pipeline for a write that collected its fired pairs first: a batch's
-// span or a merge's words. It takes the dispatch lock exactly once for all
-// of them. Within the critical section each pair still moves fired plus
-// exactly one of enqueued/squashed/overflowed through admitLocked, so the
-// identity Fired = Enqueued + Squashed + Overflowed holds at every instant,
-// exactly as for scalar tstores; the thread record and attachment are
+// dispatchFired is the dispatch phase of every triggering write — a scalar
+// store, a batch, a merge — stages three and 3a of the pipeline. words are
+// the write's changed words that some attachment in cands covers, cands the
+// attachments the write resolved against one registry snapshot, in index
+// order, and stores the write's changed tstore words (0 for a merge).
+//
+// A write that covers nothing takes no lock: it counts its stores lock-free.
+// Any other takes the dispatch lock exactly once, counts its stores under it,
+// and walks words × cands in index order, offering each covering (thread,
+// word) pair to admitLocked — the matches a per-word registry lookup would
+// produce, in its order — so each pair moves fired plus exactly one of
+// enqueued/squashed/overflowed and the identity Fired = Enqueued + Squashed +
+// Overflowed holds at every instant. The thread record and attachment are
 // resolved once per run of one thread's pairs, and busy, the queue-depth
 // sample and the worker wakeup settle once per write rather than once per
-// entry. Overflowed pairs land in sc.inline for the caller's afterWrite.
-func (rt *Runtime) dispatchFired(sc *batchScratch, g uint64) {
-	if len(sc.fired) == 0 {
+// entry. Overflowed pairs land in inline for the caller's afterWrite.
+func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inline *[]queue.Entry, g uint64, stores int) {
+	if len(words) == 0 {
+		if stores > 0 {
+			rt.stats.changing.Add(int64(stores))
+		}
 		return
 	}
-	// The thread table is loaded after the registry lookups that produced
-	// the pairs, so every id in them is in range.
+	// The thread table is loaded after the registry snapshot that produced
+	// cands, so every id in them is in range.
 	ths := rt.threadsSnap()
 	d := rt.d
 	enqueued := 0
 	var te *threadEntry
 	var a *attachment
 	d.mu.Lock()
-	for _, ft := range sc.fired {
-		if ths[ft.id] != te { // a new run of one thread's pairs
-			te, a = ths[ft.id], nil
-		}
-		a = te.attachmentNear(a, ft.addr)
-		if rt.admitLocked(a, ft.id, ft.addr, g, &sc.inline) == queue.Enqueued {
-			enqueued++
+	d.c.changing += int64(stores)
+	for _, addr := range words {
+		for _, c := range cands {
+			if addr < c.Lo || addr >= c.Hi {
+				continue
+			}
+			if ths[c.Thread] != te { // a new run of one thread's pairs
+				te, a = ths[c.Thread], nil
+			}
+			a = te.attachmentNear(a, addr)
+			if rt.admitLocked(a, c.Thread, addr, g, inline) == queue.Enqueued {
+				enqueued++
+			}
 		}
 	}
 	if enqueued > 0 {

@@ -9,9 +9,10 @@ import "sync/atomic"
 // dispatch plane's dispatchStats instead.
 type statsCounters struct {
 	// silent, changing and dispatchStats.changing partition the triggering
-	// stores; Stats derives TStores as their sum. The stores that
-	// take no lock — silent, or matching no thread — pay one atomic add here;
-	// a scalar store that fired counts itself in dispatchStats.changing.
+	// stores; Stats derives TStores as their sum. The writes that take no
+	// lock — silent words, or changed words covering no thread — pay one
+	// atomic add here; a write that admits something counts its changed
+	// words in dispatchStats.changing, under the dispatch lock it holds.
 	silent   atomic.Int64
 	changing atomic.Int64
 	waits    atomic.Int64
@@ -44,8 +45,8 @@ type statsCounters struct {
 // bumps fired. executed and failedRuns repeat the threads' status rows
 // because a retired thread's row is discarded and Stats may not regress.
 type dispatchStats struct {
-	// changing counts the scalar stores that fired, under the lock fireOne
-	// holds; it is in no identity.
+	// changing counts the changed tstore words of the writes that admit
+	// something, under the lock dispatchFired holds; it is in no identity.
 	changing   int64
 	fired      int64
 	dropped    int64
@@ -57,7 +58,7 @@ type dispatchStats struct {
 // Stats is a point-in-time snapshot of runtime activity. The relationships
 // the counters obey:
 //
-//	TStores   = Silent + value-changing tstores (counted lock-free, or under the dispatch lock by a scalar store that fires)
+//	TStores   = Silent + value-changing tstores (counted lock-free, or under the dispatch lock by a write that admits something)
 //	Fired     = triggers offered to the queue (per attached thread)
 //	Fired     = Enqueued + Squashed + Overflowed
 //	Overflowed = InlineRuns + Dropped   (once the run has quiesced)

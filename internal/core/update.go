@@ -30,9 +30,10 @@
 // resolves the attachments overlapping its region against one registry
 // snapshot, once, writes its words and tests each against those candidates
 // — so, like a batch, a merge orders wholly before or wholly after a
-// concurrent Attach/Cancel — and admits the fired pairs under one hold of
-// the dispatch lock (dispatchFired). On the seeded backend the whole merge is one preemption
-// point at its end, like a batch.
+// concurrent Attach/Cancel — and admits the covered words under one hold of
+// the dispatch lock (dispatchFired, as every triggering write does). On the
+// seeded backend the whole merge is one preemption point at its end, like a
+// batch.
 //
 // # Lock order
 //
@@ -178,9 +179,9 @@ func (rt *Runtime) mergeAllPlanes() {
 // mergePlane collects a plane's pending deltas and applies the net effect
 // word by word: each changed word stores and fires like a triggering store
 // of the merged value; a word whose net effect is the value already in
-// memory is a silent merge and fires nothing. The fired pairs are admitted
-// together at the end, still under the merge lock, the dispatch lock taken
-// once. block selects a blocking acquisition of the merge lock (sync points)
+// memory is a silent merge and fires nothing. The covered changed words are
+// admitted together at the end, still under the merge lock, the dispatch lock
+// taken once. block selects a blocking acquisition of the merge lock (sync points)
 // versus try-and-skip (Load).
 func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	if block {
@@ -203,8 +204,8 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	}
 	r := u.r
 	g := rt.obs.checkGoid()
-	// The fired pairs and the inline list ride the pooled batch scratch so
-	// a steady merge cadence allocates nothing.
+	// The candidates, the covered words and the inline list ride the pooled
+	// batch scratch so a steady merge cadence allocates nothing.
 	sc := rt.getScratch()
 	// One index resolution per merge: every word of the plane lies in r, so
 	// the attachments overlapping r's span are the candidates of each.
@@ -222,10 +223,12 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		rt.obs.write(r, i, wrote, g)
 		if wrote {
 			changed++
-			sc.fire(r.buf.Addr(i))
+			if addr := r.buf.Addr(i); covers(sc.cands, addr) {
+				sc.words = append(sc.words, addr)
+			}
 		}
 	}
-	rt.dispatchFired(sc, g)
+	rt.dispatchFired(sc.cands, sc.words, &sc.inline, g, 0)
 	rt.stats.mergedUpdates.Add(int64(n))
 	rt.stats.silentMerges.Add(int64(n - changed))
 	rt.stats.merges.Add(1)

@@ -292,7 +292,7 @@ func collectFacts(p *Package) *facts {
 			if !ok {
 				return true
 			}
-			if fn := calleeOf(info, call); isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TStoreRange", "TUpdate", "TUpdateBatch") {
+			if fn := calleeOf(info, call); isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch") {
 				if o := rootObj(info, recvExpr(call)); o != nil {
 					f.outputs[o] = true
 				}

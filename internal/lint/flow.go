@@ -237,7 +237,7 @@ func (fa *flowAnalyzer) exprEvents(n ast.Node, st flowState) flowState {
 		}
 		fn := calleeOf(info, call)
 		switch {
-		case isCoreMethod(fn, "Region", "TStore", "TStoreF", "TStoreBatch", "TStoreRange", "TUpdate", "TUpdateBatch"):
+		case isCoreMethod(fn, "Region", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch"):
 			if fa.regionTriggers(rootObj(info, recvExpr(call))) {
 				st.triggered = true
 			}

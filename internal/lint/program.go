@@ -448,7 +448,7 @@ func (pr *program) collectWrites(fi *funcInfo) []writeSite {
 			return true
 		}
 		fn := calleeOf(info, call)
-		if isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TStoreRange", "TUpdate", "TUpdateBatch") {
+		if isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch") {
 			if obj := rootObj(info, recvExpr(call)); obj != nil && summaryVisible(obj, fi.pkg) {
 				if _, ok := byObj[obj]; !ok {
 					byObj[obj] = writeSite{obj: obj, region: obj.Name()}

@@ -83,7 +83,7 @@ func runWriteEscape(pr *program, f *facts, rep *reporter) {
 			if name == "" {
 				name = "support thread"
 			}
-			if !isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TStoreRange", "TUpdate", "TUpdateBatch") {
+			if !isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch") {
 				if callee := pr.lookup(fn); callee != nil && callee.pkg == f.pkg {
 					for _, w := range callee.sum.writes {
 						if tf.atts[w.obj] || tf.grants[w.obj] {

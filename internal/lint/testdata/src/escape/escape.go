@@ -67,7 +67,7 @@ func ConfinedBatch() {
 	scratch := rt.NewRegion("scratch", 8)
 	th := rt.Register("th", func(tg dtt.Trigger) {
 		out.TStoreBatch(0, []dtt.Word{1, 2})
-		scratch.TStoreRange(0, 2, []dtt.Word{3, 4}) // want: write-escape
+		scratch.TStoreBatch(0, []dtt.Word{3, 4}) // want: write-escape
 	})
 	if err := rt.Attach(th, data, 0, 8); err != nil {
 		panic(err)

@@ -159,7 +159,7 @@ func BatchPositive() dtt.Word {
 	return out.Load(0) // want: read-before-wait
 }
 
-// BatchNegative: a Barrier after a TStoreRange clears the outstanding bit,
+// BatchNegative: a Barrier after a TStoreBatch clears the outstanding bit,
 // matching the scalar contract word for word.
 func BatchNegative() dtt.Word {
 	rt := newRT()
@@ -173,7 +173,7 @@ func BatchNegative() dtt.Word {
 		panic(err)
 	}
 	src := []dtt.Word{1, 2, 3}
-	data.TStoreRange(0, 3, src)
+	data.TStoreBatch(0, src)
 	rt.Barrier()
 	return out.Load(0)
 }

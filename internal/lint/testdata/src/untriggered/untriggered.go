@@ -71,9 +71,9 @@ func UnattachedOK() {
 	rt.Barrier()
 }
 
-// BatchOK: TStoreBatch and TStoreRange are triggering writes — attached
-// threads see every changed word — so neither trips the rule the way a
-// plain Store does.
+// BatchOK: TStoreBatch is a triggering write — attached threads see every
+// changed word, from a literal or a named slice — so neither batch trips the
+// rule the way a plain Store does.
 func BatchOK() {
 	rt := newRT()
 	defer rt.Close()
@@ -84,7 +84,7 @@ func BatchOK() {
 	}
 	data.TStoreBatch(0, []dtt.Word{1, 2})
 	src := []dtt.Word{3, 4}
-	data.TStoreRange(2, 4, src)
+	data.TStoreBatch(2, src)
 	rt.Barrier()
 }
 

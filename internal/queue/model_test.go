@@ -252,7 +252,7 @@ func TestQueueAgainstModel(t *testing.T) {
 				default:
 					// A batched triggering store: a run of word-stride
 					// enqueues for one thread, issued back to back under
-					// one dispatch lock (TStoreBatch/TStoreRange). The queue
+					// one dispatch lock (TStoreBatch). The queue
 					// has no batch entry point by design — the property
 					// pinned here is that a contiguous batch behaves
 					// exactly like N scalar enqueues, which is what the

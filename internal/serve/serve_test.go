@@ -615,6 +615,91 @@ func TestServeCloseRacesInFlightBatches(t *testing.T) {
 	expectGoroutines(t, base, "after Close racing batches")
 }
 
+// TestServeCloseWithSessionInWait: Server.Close with a session blocked in
+// WAIT on a thread triggered just before the close. A runtime-level thread
+// holds the only worker, so the session's triggered entry stays queued and
+// its WAIT cannot finish. Close severs the connection at once, so the client
+// sees it end while the server-side Wait is still blocked, and Close returns
+// once the entry runs, which the test allows by releasing the worker. Every
+// step has a 2 s watchdog.
+func TestServeCloseWithSessionInWait(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rt, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 1}, Options{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer func() { // a failed step must not leave the worker held
+		unblock()
+		srv.Close()
+		rt.Close()
+	}()
+	gate := rt.NewRegion("gate", 1)
+	gid := rt.Register("gate", func(core.Trigger) {
+		close(entered)
+		<-release
+	})
+	if err := rt.Attach(gid, gate, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	gate.TStore(0, 1)
+	within := func(what string, done <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: still blocked after 2 s:\n%s", what, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	within("gate body start", entered)
+
+	cs, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	h, err := cs.Attach("r", 8, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Batch(h, 0, []mem.Word{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- cs.Wait(h) }()
+	for deadline := time.Now().Add(2 * time.Second); rt.Stats().Waits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the session never entered WAIT")
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		if err := srv.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	select {
+	case err := <-waitErr:
+		if err == nil {
+			t.Fatal("WAIT answered while its thread could not run")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the client did not see its connection end within 2 s of Close")
+	}
+	unblock()
+	within("Server.Close", closed)
+
+	s := rt.Stats()
+	if s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
+		t.Errorf("identity after Close: %+v", s)
+	}
+	rt.Close()
+	expectGoroutines(t, base, "after Close with a session in WAIT")
+}
+
 // TestServeSanitizerClean runs a full session against a CheckStrict
 // runtime: the serving plane must be protocol-clean under the sanitizer.
 func TestServeSanitizerClean(t *testing.T) {

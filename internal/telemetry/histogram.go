@@ -23,7 +23,7 @@ var DepthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 409
 
 // BatchBounds are the upper bucket bounds of the batched-store size
 // histogram: powers of two through the largest spans the workloads write
-// in one TStoreBatch/TStoreRange call.
+// in one TStoreBatch call.
 var BatchBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // Histogram is a fixed-bucket histogram safe for concurrent observation.

@@ -32,7 +32,7 @@ type T struct {
 	// QueueDepth is the thread queue's pending-entry count sampled at each
 	// admission (after the write's entries were admitted).
 	QueueDepth Histogram
-	// BatchSize is the words-per-call histogram of TStoreBatch/TStoreRange.
+	// BatchSize is the words-per-call histogram of TStoreBatch.
 	BatchSize Histogram
 	// MergeLatency is nanoseconds per update-plane merge (collect + apply
 	// + dispatch), observed once per merge by the merging goroutine.
@@ -67,7 +67,7 @@ func (t *T) Histograms() []HistogramSnapshot {
 		t.QueueDepth.Snapshot("dtt_queue_depth",
 			"Thread-queue occupancy sampled at enqueue"),
 		t.BatchSize.Snapshot("dtt_tstore_batch_size",
-			"Words written per TStoreBatch/TStoreRange call"),
+			"Words written per TStoreBatch call"),
 		t.MergeLatency.Snapshot("dtt_merge_latency_ns",
 			"Nanoseconds per update-plane merge (collect, apply, dispatch)"),
 		t.DeltaOccupancy.Snapshot("dtt_merge_delta_words",

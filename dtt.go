@@ -46,12 +46,11 @@
 //
 // Setting Config.Checker to CheckStrict turns on a happens-before checker
 // that watches every region access and protocol operation and reports
-// violations of the synchronisation discipline — a main-thread read of a
-// support thread's output with no intervening Wait/Barrier, a support
-// thread writing outside its attached or granted windows, a Cancel racing a
-// running instance, or unsynchronised cross-thread access. Violations carry
-// the thread, region and word offset involved; collect them with
-// Runtime.Violations or fail fast with Runtime.CheckErr.
+// violations of the synchronisation discipline — a main-thread read or
+// write of a support thread's output with no intervening Wait/Barrier, a
+// Cancel racing a running instance, or unsynchronised cross-thread access.
+// Violations carry the thread, region and word offset involved; collect
+// them with Runtime.Violations or fail fast with Runtime.CheckErr.
 package dtt
 
 import (

@@ -179,9 +179,6 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel, overlap3 
 		if err := rt.Attach(th, in, lohi[0], lohi[1]); err != nil {
 			t.Fatalf("Attach: %v", err)
 		}
-		if err := rt.AllowWrites(th, out, lohi[0], lohi[1]); err != nil {
-			t.Fatalf("AllowWrites: %v", err)
-		}
 	}
 	var side *Region
 	if overlap3 {
@@ -193,9 +190,6 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel, overlap3 
 			})
 			if err := rt.Attach(th, in, lohi[0], lohi[1]); err != nil {
 				t.Fatalf("Attach: %v", err)
-			}
-			if err := rt.AllowWrites(th, side, base, base+2*half); err != nil {
-				t.Fatalf("AllowWrites: %v", err)
 			}
 		}
 	}

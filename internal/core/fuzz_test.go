@@ -17,7 +17,7 @@ type fuzzState struct {
 // runFuzzProgram interprets ops as a program over a two-thread runtime and
 // returns its final state. The interpreter is protocol-correct by
 // construction — support threads only read their trigger word and write
-// granted output words; the main thread reads outputs only after the final
+// their own output words; the main thread reads outputs only after the final
 // Barrier — so any sanitizer violation it produces is a runtime bug. With
 // closeMid the runtime is closed at the midpoint of ops, and the rest of the
 // program runs against the sealed queue.
@@ -49,9 +49,6 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, clos
 		if err := rt.Attach(th, in, k*half, (k+1)*half); err != nil {
 			t.Fatalf("Attach: %v", err)
 		}
-		if err := rt.AllowWrites(th, out, k*half, (k+1)*half); err != nil {
-			t.Fatalf("AllowWrites: %v", err)
-		}
 	}
 
 	for pc, op := range ops {
@@ -77,9 +74,6 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, clos
 			rt.Cancel(th)
 			if err := rt.Attach(th, in, k*half, (k+1)*half); err != nil {
 				t.Fatalf("re-Attach after Cancel: %v", err)
-			}
-			if err := rt.AllowWrites(th, out, k*half, (k+1)*half); err != nil {
-				t.Fatalf("AllowWrites after Cancel: %v", err)
 			}
 		}
 	}

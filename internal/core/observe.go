@@ -122,9 +122,7 @@ func (o *observers) checkGoid() uint64 {
 
 // write is pipeline stage one, the outcome of each word of a triggering
 // write by goroutine g. The recorder reclassifies the store as a tstore. The
-// sanitizer stamps a changing store; a silent one publishes nothing but
-// still counts against write confinement (where a thread stores is decided
-// by the instruction, not by the value in memory).
+// sanitizer stamps a changing store; a silent one publishes nothing.
 func (o *observers) write(r *Region, i int, changed bool, g uint64) {
 	if o.on&(withChecker|withRecorder) != 0 {
 		o.writeSlow(r, i, changed, g)
@@ -135,40 +133,28 @@ func (o *observers) writeSlow(r *Region, i int, changed bool, g uint64) {
 	if o.rec != nil {
 		o.rec.NoteTStore()
 	}
-	if o.check != nil {
-		written(changed)(o.check, g, r.Name(), i, r.buf.Addr(i))
+	if o.check != nil && changed {
+		o.check.OnStore(g, r.Name(), i, r.buf.Addr(i))
 	}
 }
 
-// access is the sanitizer's hook for the accesses to words [lo, lo+n) that
-// are no triggering write: Load, Store and TUpdate. An update is checked for
-// confinement only; its happens-before stamp lands at the merge, through
-// write.
-func (o *observers) access(r *Region, lo, n int, k accessKind) {
+// access is the sanitizer's hook for an access to word i that is no
+// triggering write: a Load, or a Store that changed the word. A TUpdate
+// publishes nothing until its merge, which reports through write.
+func (o *observers) access(r *Region, i int, k accessKind) {
 	if o.on&withChecker != 0 {
-		o.accessSlow(r, lo, n, k)
+		o.accessSlow(r, i, k)
 	}
 }
 
-func (o *observers) accessSlow(r *Region, lo, n int, k accessKind) {
-	g := goid()
-	for i := lo; i < lo+n; i++ {
-		k(o.check, g, r.Name(), i, r.buf.Addr(i))
-	}
+func (o *observers) accessSlow(r *Region, i int, k accessKind) {
+	k(o.check, goid(), r.Name(), i, r.buf.Addr(i))
 }
 
-// accessKind is the sanitizer's event for an access; written is a store's,
-// silent when it left the word as it was.
+// accessKind is the sanitizer's event for an access.
 type accessKind = func(*sanitize.Checker, uint64, string, int, mem.Addr)
 
-var accLoad, accUpdate accessKind = (*sanitize.Checker).OnLoad, (*sanitize.Checker).OnUpdate
-
-func written(changed bool) accessKind {
-	if changed {
-		return (*sanitize.Checker).OnStore
-	}
-	return (*sanitize.Checker).OnSilentStore
-}
+var accLoad, accStore accessKind = (*sanitize.Checker).OnLoad, (*sanitize.Checker).OnStore
 
 // admit is the admission hook, under the dispatch lock: the queue's verdict st
 // on trigger (t, addr) of g's write. The sanitizer records the release edge
@@ -386,20 +372,11 @@ func (o *observers) registerSlow(t ThreadID, name string) context.Context {
 
 // attach (Attach) and cancel (Cancel, under the dispatch lock; te nil for an id
 // never registered) are charged a tspawn and a tcancel by the recorder,
-// which also drops t's release points. The sanitizer widens t's write
-// windows, and checks the cancel against the run token: an inline overflow
-// run shows Idle but races the cancel all the same.
-func (o *observers) attach(t ThreadID, lo, hi mem.Addr) {
-	if o.on&(withChecker|withRecorder) != 0 {
-		o.attachSlow(t, lo, hi)
-	}
-}
-
-func (o *observers) attachSlow(t ThreadID, lo, hi mem.Addr) {
-	if o.check != nil {
-		o.check.OnAttach(t, lo, hi)
-	}
-	if o.rec != nil {
+// which also drops t's release points. The sanitizer checks the cancel
+// against the run token: an inline overflow run shows Idle but races the
+// cancel all the same.
+func (o *observers) attach() {
+	if o.on&withRecorder != 0 {
 		o.rec.NoteSpawn()
 	}
 }
@@ -430,21 +407,8 @@ func (o *observers) cancelSlow(t ThreadID, te *threadEntry) {
 	}
 }
 
-// grant (AllowWrites), retire (a retired thread) and free (a released
-// region's range, whose next tenant must not inherit write stamps) are the
-// sanitizer's.
-func (o *observers) grant(t ThreadID, lo, hi mem.Addr) {
-	if o.on&withChecker != 0 {
-		o.check.Grant(t, lo, hi)
-	}
-}
-
-func (o *observers) retire(t ThreadID) {
-	if o.on&withChecker != 0 {
-		o.check.RetireThread(t)
-	}
-}
-
+// free is the sanitizer's: a released region's range, whose next tenant
+// must not inherit write stamps.
 func (o *observers) free(lo, hi mem.Addr) {
 	if o.on&withChecker != 0 {
 		o.check.ReleaseRange(lo, hi)

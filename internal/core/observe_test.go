@@ -46,7 +46,7 @@ func runObserved(t *testing.T, cfg Config) observedRun {
 	total := rt.Register("total", func(tg Trigger) { sum.Store(1, sum.Load(1)+tg.Region.Load(tg.Index)) })
 	echo := rt.Register("echo", func(tg Trigger) { sum.TUpdate(0, UpdAdd, tg.Region.Load(tg.Index)) })
 	for _, err := range []error{
-		rt.Attach(double, in, 0, 8), rt.AllowWrites(double, out, 0, 8),
+		rt.Attach(double, in, 0, 8),
 		rt.Attach(total, sum, 0, 1), rt.Attach(echo, out, 0, 2),
 	} {
 		if err != nil {

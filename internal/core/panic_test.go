@@ -137,9 +137,6 @@ func TestPanicWithCheckerBalanced(t *testing.T) {
 	if err := rt.Attach(th, in, 0, 1); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if err := rt.AllowWrites(th, out, 0, 1); err != nil {
-		t.Fatalf("AllowWrites: %v", err)
-	}
 
 	in.TStore(0, 1)
 	rt.Wait(th)

@@ -48,7 +48,7 @@ func (r *Region) Load(i int) mem.Word {
 		r.rt.mergePlane(u, false)
 	}
 	v := r.buf.Load(i)
-	r.rt.obs.access(r, i, 1, accLoad)
+	r.rt.obs.access(r, i, accLoad)
 	return v
 }
 
@@ -56,15 +56,15 @@ func (r *Region) Load(i int) mem.Word {
 func (r *Region) LoadF(i int) float64 { return math.Float64frombits(r.Load(i)) }
 
 // Store writes v to word i without trigger semantics and reports whether
-// the value changed. With the protocol sanitizer on, changing stores are
-// checked and stamped; silent stores are checked against the
-// write-confinement rule only (they publish nothing, so they create no
-// happens-before obligation, but where a thread writes is a property of
-// the instruction, not the value). Poke bypasses both for input-setup
+// the value changed. With the protocol sanitizer on, a changing store is
+// checked and stamped; a silent one publishes nothing, so it creates no
+// happens-before obligation. Poke bypasses the sanitizer for input-setup
 // code.
 func (r *Region) Store(i int, v mem.Word) bool {
 	changed := r.buf.Store(i, v)
-	r.rt.obs.access(r, i, 1, written(changed))
+	if changed {
+		r.rt.obs.access(r, i, accStore)
+	}
 	return changed
 }
 

@@ -151,9 +151,6 @@ func TestRunRecoversPerBody(t *testing.T) {
 		if err := rt.Attach(th, in, 0, span); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.AllowWrites(th, out, 0, span); err != nil {
-			t.Fatal(err)
-		}
 		vs := make([]mem.Word, span)
 		var failed, executed int64
 		// In queue order the faults fall mid-run, on the run's last entry

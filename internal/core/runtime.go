@@ -368,25 +368,7 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 	rt.d.mu.Lock()
 	te.atts = append(te.atts, attachment{region: r, lo: loA, hi: hiA, pend: queue.NewPendingSet(loA, hiA)})
 	rt.d.mu.Unlock()
-	rt.obs.attach(t, loA, hiA)
-	return nil
-}
-
-// AllowWrites declares words [lo, hi) of r a legal output window of thread
-// t for the protocol sanitizer. Write confinement is opt-in per thread:
-// once any window is granted, CheckStrict confines t's writes to its
-// attached trigger windows plus its granted output windows and reports any
-// other write as a write-escape violation. A thread with no grants is not
-// confined (its outputs are undeclared). With the checker off this is a
-// no-op (the declaration is still validated).
-func (rt *Runtime) AllowWrites(t ThreadID, r *Region, lo, hi int) error {
-	if r == nil || r.rt != rt {
-		return fmt.Errorf("core: AllowWrites on a region of a different runtime")
-	}
-	if lo < 0 || hi > r.Len() || lo >= hi {
-		return fmt.Errorf("core: AllowWrites range [%d, %d) outside region %q of %d words", lo, hi, r.Name(), r.Len())
-	}
-	rt.obs.grant(t, r.buf.Addr(lo), r.buf.Addr(hi))
+	rt.obs.attach()
 	return nil
 }
 
@@ -438,7 +420,6 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	grown[t] = &threadEntry{name: te.name + " (retired)"}
 	rt.threads.Store(&grown)
 	rt.freeIDs = append(rt.freeIDs, t)
-	rt.obs.retire(t)
 	return true
 }
 

@@ -131,7 +131,6 @@ func (r *Region) TUpdate(i int, op mem.UpdateOp, v mem.Word) {
 	if u == nil {
 		u = r.rt.armUpdates(r)
 	}
-	r.rt.obs.access(r, i, 1, accUpdate)
 	u.plane.Apply(u.plane.Hint(), i, op, v)
 }
 
@@ -154,7 +153,6 @@ func (r *Region) TUpdateBatch(lo int, op mem.UpdateOp, vs []mem.Word) {
 	if u == nil {
 		u = r.rt.armUpdates(r)
 	}
-	r.rt.obs.access(r, lo, len(vs), accUpdate)
 	u.plane.ApplyBatch(u.plane.Hint(), lo, op, vs)
 }
 

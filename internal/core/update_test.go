@@ -377,37 +377,6 @@ func TestTUpdateConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestTUpdateSanitizerEscape checks OnUpdate's confinement: a support
-// thread folding into an unattached, ungranted region is a write escape
-// even though nothing lands in memory until the merge.
-func TestTUpdateSanitizerEscape(t *testing.T) {
-	rt := newDeferred(t, func(cfg *Config) { cfg.Checker = CheckStrict })
-	data := rt.NewRegion("data", 4)
-	out := rt.NewRegion("out", 4)
-	scratch := rt.NewRegion("scratch", 4)
-	id := rt.Register("th", func(Trigger) {
-		out.TUpdate(0, UpdAdd, 1)     // granted: clean
-		scratch.TUpdate(0, UpdAdd, 1) // escape
-	})
-	if err := rt.Attach(id, data, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.AllowWrites(id, out, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	data.TStore(0, 1)
-	rt.Wait(id)
-	vs := rt.Violations()
-	if len(vs) == 0 {
-		t.Fatal("no violation for an update escaping the granted windows")
-	}
-	for _, v := range vs {
-		if v.Region == "out" {
-			t.Errorf("granted-window update flagged: %+v", v)
-		}
-	}
-}
-
 // TestTUpdateSanitizerClean runs the full update/merge cycle under
 // CheckStrict with a well-behaved program: the merge's visibility stamps
 // must keep it violation-free.

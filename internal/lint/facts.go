@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -149,18 +150,14 @@ func constIntOf(info *types.Info, e ast.Expr) (int64, bool) {
 	return constant.Int64Val(tv.Value)
 }
 
-// threadFacts aggregates what the package says about one registered support
-// thread: its body, the regions attached to it, and its granted output
-// windows.
-type threadFacts struct {
-	obj     types.Object // the ThreadID variable; nil when discarded
-	body    ast.Node     // *ast.FuncLit or *ast.FuncDecl; nil when not in-package
-	stack   []ast.Node   // ancestors of the Register call (for capture analysis)
-	atts    map[types.Object]bool
-	grants  map[types.Object]bool
-	grantN  int // grants declared, even when the region object is unresolvable
-	regName string
-}
+// The Region write methods, named once: plainWrites bypass trigger
+// dispatch, triggerWrites fire the threads attached to the words they
+// change.
+var (
+	plainWrites   = []string{"Store", "StoreF"}
+	triggerWrites = []string{"TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch"}
+	regionWrites  = slices.Concat(plainWrites, triggerWrites)
+)
 
 // facts is the per-package database the rules consult.
 type facts struct {
@@ -172,16 +169,15 @@ type facts struct {
 	attached         map[types.Object]bool
 	unresolvedAttach int
 
-	// outputs holds region objects a support thread writes (any Store /
-	// StoreF / TStore in a registered body) or that are granted through
-	// AllowWrites — the statically known support-thread output surface.
+	// outputs holds region objects a support thread writes (any region
+	// write in a registered body) — the statically known support-thread
+	// output surface.
 	outputs map[types.Object]bool
 
-	// threads indexes per-thread facts by ThreadID object; anonymous
-	// registrations (discarded result) are only in bodies.
-	threads map[types.Object]*threadFacts
-	// bodies maps a support body node (FuncLit or FuncDecl) to its thread.
-	bodies map[ast.Node]*threadFacts
+	// bodies maps a support body node (FuncLit or FuncDecl) to the
+	// ancestors of its Register call, for capture analysis (nil for a named
+	// function).
+	bodies map[ast.Node][]ast.Node
 
 	// funcDecls maps a function object to its declaration, for resolving
 	// Register("name", someFunc).
@@ -205,16 +201,14 @@ func walkStack(root ast.Node, fn func(stack []ast.Node, n ast.Node) bool) {
 	})
 }
 
-// collectFacts builds the package database in two passes: registrations,
-// attachments and grants first; then the write surface of each support
-// body.
+// collectFacts builds the package database in two passes: registrations
+// and attachments first; then the write surface of each support body.
 func collectFacts(p *Package) *facts {
 	f := &facts{
 		pkg:       p,
 		attached:  make(map[types.Object]bool),
 		outputs:   make(map[types.Object]bool),
-		threads:   make(map[types.Object]*threadFacts),
-		bodies:    make(map[ast.Node]*threadFacts),
+		bodies:    make(map[ast.Node][]ast.Node),
 		funcDecls: make(map[types.Object]*ast.FuncDecl),
 	}
 	info := p.Info
@@ -229,18 +223,6 @@ func collectFacts(p *Package) *facts {
 		}
 	}
 
-	thread := func(obj types.Object) *threadFacts {
-		if obj == nil {
-			return &threadFacts{atts: map[types.Object]bool{}, grants: map[types.Object]bool{}}
-		}
-		tf := f.threads[obj]
-		if tf == nil {
-			tf = &threadFacts{obj: obj, atts: map[types.Object]bool{}, grants: map[types.Object]bool{}}
-			f.threads[obj] = tf
-		}
-		return tf
-	}
-
 	for _, file := range p.Files {
 		walkStack(file, func(stack []ast.Node, n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -250,35 +232,18 @@ func collectFacts(p *Package) *facts {
 			fn := calleeOf(info, call)
 			switch {
 			case isCoreMethod(fn, "Runtime", "Register") && len(call.Args) == 2:
-				tf := thread(registerResultObj(info, stack))
 				if lit, ok := unparen(call.Args[1]).(*ast.FuncLit); ok {
-					tf.body = lit
-					tf.stack = append([]ast.Node(nil), stack...)
+					f.bodies[lit] = append([]ast.Node(nil), stack...)
 				} else if o := rootObj(info, call.Args[1]); o != nil {
 					if fd := f.funcDecls[o]; fd != nil {
-						tf.body = fd
+						f.bodies[fd] = nil
 					}
 				}
-				if name, ok := stringLit(info, call.Args[0]); ok {
-					tf.regName = name
-				}
-				if tf.body != nil {
-					f.bodies[tf.body] = tf
-				}
 			case isCoreMethod(fn, "Runtime", "Attach") && len(call.Args) == 4:
-				tf := thread(rootObj(info, call.Args[0]))
 				if r := rootObj(info, call.Args[1]); r != nil {
 					f.attached[r] = true
-					tf.atts[r] = true
 				} else {
 					f.unresolvedAttach++
-				}
-			case isCoreMethod(fn, "Runtime", "AllowWrites") && len(call.Args) == 4:
-				tf := thread(rootObj(info, call.Args[0]))
-				tf.grantN++
-				if r := rootObj(info, call.Args[1]); r != nil {
-					f.outputs[r] = true
-					tf.grants[r] = true
 				}
 			}
 			return true
@@ -292,7 +257,7 @@ func collectFacts(p *Package) *facts {
 			if !ok {
 				return true
 			}
-			if fn := calleeOf(info, call); isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch") {
+			if fn := calleeOf(info, call); isCoreMethod(fn, "Region", regionWrites...) {
 				if o := rootObj(info, recvExpr(call)); o != nil {
 					f.outputs[o] = true
 				}
@@ -323,82 +288,4 @@ func (f *facts) inSupportBody(n ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// registerResultObj finds the variable a Register call's result is bound
-// to, via the enclosing assignment in the ancestor stack. Discarded or
-// blank-assigned results yield nil.
-func registerResultObj(info *types.Info, stack []ast.Node) types.Object {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.AssignStmt:
-			// Register returns one value; only the single-RHS form can bind it.
-			if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-				if id, ok := s.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					if o := info.Defs[id]; o != nil {
-						return o
-					}
-					return info.Uses[id]
-				}
-			}
-			return nil
-		case *ast.ValueSpec:
-			if len(s.Names) == 1 && len(s.Values) == 1 && s.Names[0].Name != "_" {
-				return info.Defs[s.Names[0]]
-			}
-			return nil
-		case *ast.ExprStmt, *ast.BlockStmt:
-			return nil
-		}
-	}
-	return nil
-}
-
-// stringLit evaluates e as a constant string.
-func stringLit(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
-// triggerParam returns the body's core.Trigger parameter object, so rules
-// can recognise tg.Region accesses (always protocol-legal: the trigger
-// region is by construction attached to the running thread).
-func triggerParam(info *types.Info, body ast.Node) types.Object {
-	var ft *ast.FuncType
-	switch n := body.(type) {
-	case *ast.FuncLit:
-		ft = n.Type
-	case *ast.FuncDecl:
-		ft = n.Type
-	}
-	if ft == nil || ft.Params == nil {
-		return nil
-	}
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			o := info.Defs[name]
-			if o == nil {
-				continue
-			}
-			if n, ok := o.Type().(*types.Named); ok &&
-				n.Obj().Name() == "Trigger" && n.Obj().Pkg() != nil && isCorePath(n.Obj().Pkg().Path()) {
-				return o
-			}
-		}
-	}
-	return nil
-}
-
-// isTriggerRegionExpr reports whether e is tg.Region for the body's Trigger
-// parameter tg.
-func isTriggerRegionExpr(info *types.Info, e ast.Expr, trigParam types.Object) bool {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
-	if !ok || trigParam == nil || sel.Sel.Name != "Region" {
-		return false
-	}
-	id, ok := unparen(sel.X).(*ast.Ident)
-	return ok && info.Uses[id] == trigParam
 }

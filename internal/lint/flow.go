@@ -20,10 +20,10 @@ import (
 // on an attached region (and by GuardSet.Update/Touch, which are
 // triggering stores by construction), cleared by any Wait or Barrier, and
 // checked at every Load/LoadF of a region the package knows to be a
-// support-thread output (written in a registered body or granted via
-// AllowWrites). Branches merge with OR — dangerous-on-any-path reports —
-// and loop bodies run to a two-pass fixpoint so a trigger at the bottom of
-// a loop reaches a load at the top.
+// support-thread output (written in a registered body). Branches merge
+// with OR — dangerous-on-any-path reports — and loop bodies run to a
+// two-pass fixpoint so a trigger at the bottom of a loop reaches a load at
+// the top.
 //
 // Known approximations, chosen to keep false positives near zero on real
 // code: Wait(t) on any thread clears the bit (the paper's discipline is
@@ -237,7 +237,7 @@ func (fa *flowAnalyzer) exprEvents(n ast.Node, st flowState) flowState {
 		}
 		fn := calleeOf(info, call)
 		switch {
-		case isCoreMethod(fn, "Region", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch"):
+		case isCoreMethod(fn, "Region", triggerWrites...):
 			if fa.regionTriggers(rootObj(info, recvExpr(call))) {
 				st.triggered = true
 			}

@@ -9,19 +9,17 @@
 // on every path, at build time, with no runtime cost — by analysing how a
 // package uses the runtime API.
 //
-// Five rules mirror the sanitizer's violation classes, and two more check
-// the runtime's own implementation invariants (see DESIGN.md "Static vs
+// Two rules mirror a sanitizer violation class, two more catch wrong
+// programs that every schedule runs the same way, and two check the
+// runtime's own implementation invariants (see DESIGN.md "Static vs
 // dynamic checking" for the mapping):
 //
 //	read-before-wait   an output-region Load reachable after a triggering
 //	                   store with no Wait/Barrier on that path
 //	untriggered-write  a plain Store to an attached region outside a
 //	                   support body (attached threads miss the update)
-//	write-escape       a support body writing a region neither attached
-//	                   nor granted via AllowWrites (opt-in, like the
-//	                   sanitizer's confinement)
-//	trigger-capture    a ThreadFunc closure capturing a loop variable or
-//	                   a local reassigned after registration
+//	trigger-capture    a ThreadFunc closure capturing a local reassigned
+//	                   after registration
 //	config-misuse      discarded Register/Attach results, New without
 //	                   Close, Workers on a single-goroutine backend
 //	lockorder          acquiring a lower-ranked lock while holding a
@@ -40,9 +38,9 @@
 // The analysis is whole-program and type-driven: packages load through
 // `go list -export` and type-check against compiler export data, so only
 // the standard library is needed. A bottom-up fixpoint over the call graph
-// summarises every function (trigger/wait transfer, output reads, region
-// writes, lock effects), and the rules consume call sites through those
-// summaries — see program.go. Everything is an approximation chosen to keep
+// summarises every function (trigger/wait transfer, output reads, lock
+// effects), and the rules consume call sites through those summaries —
+// see program.go. Everything is an approximation chosen to keep
 // false positives near zero on idiomatic DTT code; the dynamic sanitizer
 // remains the authority on what actually raced.
 package lint
@@ -65,7 +63,6 @@ type rule struct {
 var ruleTable = []rule{
 	{"read-before-wait", runFlowRule},
 	{"untriggered-write", runUntriggeredWrite},
-	{"write-escape", runWriteEscape},
 	{"trigger-capture", runTriggerCapture},
 	{"config-misuse", runConfigMisuse},
 	{"lockorder", runLockOrder},

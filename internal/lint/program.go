@@ -14,8 +14,8 @@ import (
 // one call deep used to be invisible to the CFG walk; here every function
 // declaration in the loaded packages gets a bottom-up summary (does it
 // leave a trigger outstanding, does it synchronise, which support outputs
-// does it read, which regions does it write, which ranked locks does it
-// acquire) computed to a bounded fixpoint so mutual recursion converges.
+// does it read, which ranked locks does it acquire) computed to a bounded
+// fixpoint so mutual recursion converges.
 // The summaries are deliberately instance-insensitive: regions and locks
 // are identified by struct field or package-level variable, so a helper
 // that triggers through a parameter is a documented blind spot (the facts
@@ -28,16 +28,6 @@ type readSite struct {
 	pos    token.Pos
 	region string
 	via    string // call chain below this function, "" for a direct load
-}
-
-// writeSite is one region write a function performs, directly or through
-// same-package callees. Only writes to struct fields and package-level
-// variables are recorded: those identities mean the same thing in the
-// caller.
-type writeSite struct {
-	obj    types.Object
-	region string
-	via    string
 }
 
 // lockAcq is one ranked-lock acquisition, directly or through callees.
@@ -58,8 +48,6 @@ type funcSummary struct {
 	// with a trigger outstanding (loads the function makes hazardous all
 	// by itself are reported at their own site by the intra pass).
 	reads []readSite
-	// writes is the transitive region write set (fields and package vars).
-	writes []writeSite
 	// acquires is the transitive set of named mutex acquisitions.
 	acquires []lockAcq
 	// exitHeld are lock keys held on every path at exit and not released
@@ -428,54 +416,8 @@ func (pr *program) summarize(fi *funcInfo) funcSummary {
 		s.reads = s.reads[:8]
 	}
 
-	s.writes = pr.collectWrites(fi)
 	s.acquires, s.exitHeld, s.exitReleased = pr.collectLockFacts(fi)
 	return s
-}
-
-// collectWrites gathers the function's direct region writes (fields and
-// package-level variables only) plus same-package callees' transitive
-// writes.
-func (pr *program) collectWrites(fi *funcInfo) []writeSite {
-	info := fi.pkg.Info
-	byObj := map[types.Object]writeSite{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeOf(info, call)
-		if isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch") {
-			if obj := rootObj(info, recvExpr(call)); obj != nil && summaryVisible(obj, fi.pkg) {
-				if _, ok := byObj[obj]; !ok {
-					byObj[obj] = writeSite{obj: obj, region: obj.Name()}
-				}
-			}
-			return true
-		}
-		if callee := pr.lookup(fn); callee != nil && callee != fi && callee.pkg == fi.pkg {
-			for _, w := range callee.sum.writes {
-				if _, ok := byObj[w.obj]; !ok {
-					byObj[w.obj] = writeSite{obj: w.obj, region: w.region, via: chainVia(callee.display, w.via)}
-				}
-			}
-		}
-		return true
-	})
-	var out []writeSite
-	for _, w := range byObj {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].region != out[j].region {
-			return out[i].region < out[j].region
-		}
-		return out[i].via < out[j].via
-	})
-	return out
 }
 
 // chainVia prepends one call-chain hop to an existing chain.
@@ -488,7 +430,7 @@ func chainVia(hop, rest string) string {
 
 func summariesEqual(a, b *funcSummary) bool {
 	if a.exitIfClean != b.exitIfClean || a.exitIfTriggered != b.exitIfTriggered ||
-		len(a.reads) != len(b.reads) || len(a.writes) != len(b.writes) || len(a.acquires) != len(b.acquires) ||
+		len(a.reads) != len(b.reads) || len(a.acquires) != len(b.acquires) ||
 		len(a.exitHeld) != len(b.exitHeld) || len(a.exitReleased) != len(b.exitReleased) {
 		return false
 	}
@@ -507,31 +449,12 @@ func summariesEqual(a, b *funcSummary) bool {
 			return false
 		}
 	}
-	for i := range a.writes {
-		if a.writes[i] != b.writes[i] {
-			return false
-		}
-	}
 	for i := range a.acquires {
 		if a.acquires[i] != b.acquires[i] {
 			return false
 		}
 	}
 	return true
-}
-
-// summaryVisible reports whether a region identity means the same thing in
-// a caller: struct fields (instance-insensitive by design) and
-// package-level variables do; locals and parameters do not.
-func summaryVisible(obj types.Object, p *Package) bool {
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	if v.IsField() {
-		return true
-	}
-	return v.Parent() == p.Types.Scope()
 }
 
 // computeEntryHeld infers, for every function, the set of lock keys held

@@ -34,7 +34,7 @@ func runUntriggeredWrite(pr *program, f *facts, rep *reporter) {
 					return true
 				}
 				fn := calleeOf(info, call)
-				if !isCoreMethod(fn, "Region", "Store", "StoreF") {
+				if !isCoreMethod(fn, "Region", plainWrites...) {
 					return true
 				}
 				obj := rootObj(info, recvExpr(call))
@@ -48,70 +48,6 @@ func runUntriggeredWrite(pr *program, f *facts, rep *reporter) {
 				return true
 			})
 		}
-	}
-}
-
-// Rule write-escape: a registered support body writes a region that is
-// neither attached to its thread nor granted via AllowWrites. This is the
-// static mirror of the sanitizer's KindWriteEscape and shares its opt-in
-// contract: a thread with no AllowWrites grants has an undeclared output
-// surface and is not confined; once the program grants any window, every
-// body write must land in the attachment or grant set. Writes through
-// tg.Region are always legal — the trigger region is attached by
-// construction.
-//
-// Interprocedural extension: a call from the body to a same-package helper
-// whose summary writes an undeclared region is the same escape one hop
-// removed, reported at the call site with the chain that reaches the
-// write. Same-package only — the summary's region identities (fields,
-// package variables) mean nothing to the attachment facts of another
-// package.
-func runWriteEscape(pr *program, f *facts, rep *reporter) {
-	info := f.pkg.Info
-	for body, tf := range f.bodies {
-		if tf.grantN == 0 {
-			continue
-		}
-		trig := triggerParam(info, body)
-		ast.Inspect(bodyBlock(body), func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeOf(info, call)
-			name := tf.regName
-			if name == "" {
-				name = "support thread"
-			}
-			if !isCoreMethod(fn, "Region", "Store", "StoreF", "TStore", "TStoreF", "TStoreBatch", "TUpdate", "TUpdateBatch") {
-				if callee := pr.lookup(fn); callee != nil && callee.pkg == f.pkg {
-					for _, w := range callee.sum.writes {
-						if tf.atts[w.obj] || tf.grants[w.obj] {
-							continue
-						}
-						rep.report(call.Pos(), "write-escape",
-							fmt.Sprintf("%s body writes region %q via %s, which is neither attached to it nor granted via AllowWrites",
-								name, w.region, chainVia(callee.display, w.via)),
-							"declare the output window with rt.AllowWrites(thread, region, lo, hi), or write only attached/granted regions")
-						break
-					}
-				}
-				return true
-			}
-			recv := recvExpr(call)
-			if isTriggerRegionExpr(info, recv, trig) {
-				return true
-			}
-			obj := rootObj(info, recv)
-			if obj == nil || tf.atts[obj] || tf.grants[obj] {
-				return true
-			}
-			rep.report(call.Pos(), "write-escape",
-				fmt.Sprintf("%s body writes region %q, which is neither attached to it nor granted via AllowWrites",
-					name, obj.Name()),
-				"declare the output window with rt.AllowWrites(thread, region, lo, hi), or write only attached/granted regions")
-			return true
-		})
 	}
 }
 
@@ -129,12 +65,12 @@ func runWriteEscape(pr *program, f *facts, rep *reporter) {
 // iteration's value unless the body of the loop reassigns it.
 func runTriggerCapture(_ *program, f *facts, rep *reporter) {
 	info := f.pkg.Info
-	for body, tf := range f.bodies {
+	for body, stack := range f.bodies {
 		lit, ok := body.(*ast.FuncLit)
 		if !ok {
 			continue // a named ThreadFunc cannot capture
 		}
-		enclosing := enclosingFunc(tf.stack)
+		enclosing := enclosingFunc(stack)
 		reported := make(map[types.Object]bool)
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)

@@ -14,7 +14,7 @@ import (
 //
 //   - a Register result discarded — the ThreadID is the only handle for
 //     Attach/Wait/Cancel, so an unbound registration is dead weight;
-//   - an Attach or AllowWrites error discarded — a rejected attachment
+//   - an Attach error discarded — a rejected attachment
 //     means the thread never fires, and the program runs wrong silently;
 //   - a runtime built with New and never Closed in the same function
 //     (when it does not escape) — worker goroutines leak;
@@ -47,7 +47,7 @@ func runConfigMisuse(_ *program, f *facts, rep *reporter) {
 	}
 }
 
-// checkDiscarded flags Register/Attach/AllowWrites/Serve calls whose result
+// checkDiscarded flags Register/Attach/Serve calls whose result
 // is thrown away — as a bare statement, assigned to blank, or (for the
 // error-returning calls) launched with go so the error dies with the
 // goroutine. serve's two-valued Session.Attach is handled separately: there
@@ -87,9 +87,6 @@ func checkDiscarded(info *types.Info, stack []ast.Node, call *ast.CallExpr, rep 
 	case isCoreMethod(fn, "Runtime", "Attach"):
 		what = "error returned by Attach"
 		hint = "check the error: a rejected attachment means the thread never fires"
-	case isCoreMethod(fn, "Runtime", "AllowWrites"):
-		what = "error returned by AllowWrites"
-		hint = "check the error: a rejected grant leaves the output window undeclared"
 	case isServeMethod(fn, "Server", "Serve"):
 		what = "error returned by Serve"
 		hint = "check the error (or capture it from the serving goroutine, as Server.Start does): an accept-loop failure is silent otherwise"

@@ -16,11 +16,6 @@ func DiscardedAttach(rt *dtt.Runtime, r *dtt.Region, id dtt.ThreadID) {
 	_ = rt.Attach(id, r, 0, 1) // want: config-misuse
 }
 
-// DiscardedGrant: AllowWrites errors matter for the same reason.
-func DiscardedGrant(rt *dtt.Runtime, r *dtt.Region, id dtt.ThreadID) {
-	_ = rt.AllowWrites(id, r, 0, 1) // want: config-misuse
-}
-
 // CheckedOK: binding and checking results is the clean form.
 func CheckedOK(rt *dtt.Runtime, r *dtt.Region) {
 	id := rt.Register("bound", func(tg dtt.Trigger) {})

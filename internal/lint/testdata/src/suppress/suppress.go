@@ -74,3 +74,20 @@ func UnknownRule() {
 	data.Store(0, 5)
 	rt.Barrier()
 }
+
+// RetiredRule: a directive naming a rule that no longer exists is a
+// bad-ignore finding like any unknown name, so a stale suppression surfaces
+// instead of lingering, and the store underneath still reports.
+func RetiredRule() {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+	// want: +1:bad-ignore +2:untriggered-write
+	//dtt:ignore write-escape -- the support body writes outside its declared windows
+	data.Store(0, 5)
+	rt.Barrier()
+}

@@ -2,9 +2,9 @@
 // checker for the synchronisation discipline the paper imposes on
 // data-triggered programs. The discipline replaces control-flow ordering
 // with tstore/twait ordering, so misuse — reading a support thread's output
-// without the matching Wait, a support thread writing outside the state it
-// owns, a tcancel racing a running instance — produces silent wrong answers
-// rather than crashes. The checker makes those misuses loud.
+// without the matching Wait, two threads touching one word with no
+// happens-before edge, a tcancel racing a running instance — produces silent
+// wrong answers rather than crashes. The checker makes those misuses loud.
 //
 // # Model
 //
@@ -29,11 +29,11 @@
 // requires a Wait before the output is read, and the checker enforces the
 // protocol, not the luck of the schedule.
 //
-// Every word write is stamped (agent, tick). A read or write of a word
-// whose last writer is another agent, with no happens-before edge covering
-// that write, is a violation. Writes by a support thread outside its
-// attached trigger windows and declared output windows (Grant) are
-// violations. Cancel of a thread with a running instance is a violation.
+// Every word write that changes memory is stamped (agent, tick); a silent
+// store publishes nothing, and the runtime does not report it. A read or
+// write of a word whose last writer is another agent, with no
+// happens-before edge covering that write, is a violation. Cancel of a
+// thread with a running instance is a violation.
 //
 // The checker observes the schedule that actually ran; like any dynamic
 // race detector it cannot flag orderings it did not see. The seeded
@@ -55,7 +55,7 @@ type Mode int
 const (
 	// CheckOff disables the sanitizer; accesses pay a nil-check only.
 	CheckOff Mode = iota
-	// CheckStrict enables full happens-before and write-window checking.
+	// CheckStrict enables full happens-before checking.
 	CheckStrict
 )
 
@@ -80,9 +80,6 @@ const (
 	// KindWriteRace is a main-thread write to a word written by a support
 	// thread with no intervening Wait/Barrier.
 	KindWriteRace
-	// KindWriteEscape is a support-thread write outside the union of its
-	// attached trigger windows and granted output windows.
-	KindWriteEscape
 	// KindCancelRace is a Cancel issued while an instance of the thread is
 	// executing.
 	KindCancelRace
@@ -99,8 +96,6 @@ func (k Kind) String() string {
 		return "read-before-wait"
 	case KindWriteRace:
 		return "write-race"
-	case KindWriteEscape:
-		return "write-escape"
 	case KindCancelRace:
 		return "cancel-race"
 	case KindCrossThread:
@@ -114,8 +109,7 @@ func (k Kind) String() string {
 type Violation struct {
 	Kind Kind
 	// Thread is the support thread on the "other side" of the violation:
-	// the writer whose output was read too early, the escaping writer, or
-	// the cancel target.
+	// the writer whose output was read too early, or the cancel target.
 	Thread queue.ThreadID
 	// ThreadName is Thread's registration name.
 	ThreadName string
@@ -139,9 +133,6 @@ func (v Violation) String() string {
 	case KindWriteRace:
 		return fmt.Sprintf("write-race: main wrote %s[%d] (addr %#x) last written by support thread %d (%q) with no intervening Wait/Barrier",
 			v.Region, v.Index, v.Addr, v.Thread, v.ThreadName)
-	case KindWriteEscape:
-		return fmt.Sprintf("write-escape: support thread %d (%q) wrote %s[%d] (addr %#x) outside its attached and granted windows",
-			v.Thread, v.ThreadName, v.Region, v.Index, v.Addr)
 	case KindCancelRace:
 		return fmt.Sprintf("cancel-race: Cancel(%d) (%q) while an instance is running; the instance's effects are undefined",
 			v.Thread, v.ThreadName)
@@ -193,17 +184,6 @@ type writeRec struct {
 	tick  uint64
 }
 
-type window struct{ lo, hi mem.Addr }
-
-func inWindows(ws []window, addr mem.Addr) bool {
-	for _, w := range ws {
-		if addr >= w.lo && addr < w.hi {
-			return true
-		}
-	}
-	return false
-}
-
 // maxViolations bounds the retained diagnostics; Total keeps counting past
 // it so a hot loop of violations cannot eat memory.
 const maxViolations = 64
@@ -226,9 +206,6 @@ type Checker struct {
 	published []vclock
 	// names[t] is thread t's registration name.
 	names []string
-	// atts and grants are the windows thread t may write.
-	atts   map[queue.ThreadID][]window
-	grants map[queue.ThreadID][]window
 	// stack[g] is the nest of support threads executing on goroutine g
 	// (inline overflow runs recurse, so it is a stack, not a single id).
 	stack map[uint64][]queue.ThreadID
@@ -248,11 +225,7 @@ type Checker struct {
 
 // NewChecker returns an empty checker.
 func NewChecker() *Checker {
-	return &Checker{
-		atts:   make(map[queue.ThreadID][]window),
-		grants: make(map[queue.ThreadID][]window),
-		stack:  make(map[uint64][]queue.ThreadID),
-	}
+	return &Checker{stack: make(map[uint64][]queue.ThreadID)}
 }
 
 // SetReporter installs a callback invoked (under the checker's lock) for
@@ -341,25 +314,8 @@ func (c *Checker) RegisterThread(t queue.ThreadID, name string) {
 	c.names[t] = name
 }
 
-// OnAttach records [lo, hi) as a trigger window of t: the thread may write
-// its own trigger data (e.g. to clear a guard word).
-func (c *Checker) OnAttach(t queue.ThreadID, lo, hi mem.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.atts[t] = append(c.atts[t], window{lo, hi})
-}
-
-// Grant declares [lo, hi) an output window of t: writes there by t are
-// protocol-legal. Strict mode confines each support thread's writes to its
-// attached and granted windows.
-func (c *Checker) Grant(t queue.ThreadID, lo, hi mem.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.grants[t] = append(c.grants[t], window{lo, hi})
-}
-
-// OnCancel checks a tcancel against running instances and drops t's trigger
-// windows. running is the number of instances executing at the cancel.
+// OnCancel checks a tcancel against running instances. running is the
+// number of instances executing at the cancel.
 func (c *Checker) OnCancel(t queue.ThreadID, running int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -369,7 +325,6 @@ func (c *Checker) OnCancel(t queue.ThreadID, running int) {
 			Accessor: "main", Index: -1,
 		})
 	}
-	delete(c.atts, t)
 }
 
 // OnTrigger records that a store by the agent running on goroutine g fired
@@ -487,45 +442,17 @@ func (c *Checker) OnLoad(g uint64, region string, index int, addr mem.Addr) {
 	c.recordAccessViolation(a, rec, access{region, index, addr}, true)
 }
 
-// OnStore checks and stamps a word write by the agent on goroutine g.
+// OnStore checks and stamps a word write by the agent on goroutine g. The
+// runtime reports only a store that changed the word.
 func (c *Checker) OnStore(g uint64, region string, index int, addr mem.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a := c.agentLocked(g)
-	c.escapeCheckLocked(a, region, index, addr)
 	if rec, ok := c.lookupWrite(addr); ok && rec.agent != a && rec.tick > c.clockOf(a).at(rec.agent) {
 		c.recordAccessViolation(a, rec, access{region, index, addr}, false)
 	}
 	tick := c.clockOf(a).bump(a)
 	c.stampWrite(addr, writeRec{agent: a, tick: tick})
-}
-
-// OnSilentStore checks a word write that left memory unchanged. A silent
-// store publishes nothing — no reader can observe it, so it neither stamps
-// the write map nor advances the writer's clock, and the happens-before
-// discipline is untouched. Confinement is a different matter: where a
-// thread writes is a property of the store instruction, not of the value
-// it happened to carry, so a support thread writing outside its windows
-// escapes whether or not the word already held that value.
-func (c *Checker) OnSilentStore(g uint64, region string, index int, addr mem.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.escapeCheckLocked(c.agentLocked(g), region, index, addr)
-}
-
-// OnUpdate checks a commutative triggering update (Region.TUpdate) at
-// addr by the agent on goroutine g. An update folds into a privatized
-// delta cell: nothing reaches memory and no reader can observe it until a
-// merge, so — exactly like a silent store — it neither stamps the write
-// map nor advances the updater's clock. The merge is the visibility
-// point: the runtime reports the merged result through OnStore (or
-// OnSilentStore when the net effect changed nothing) on the merging
-// agent's clock. Confinement still applies here: where a thread updates
-// is a property of the instruction, whatever the eventual net effect.
-func (c *Checker) OnUpdate(g uint64, region string, index int, addr mem.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.escapeCheckLocked(c.agentLocked(g), region, index, addr)
 }
 
 // ReleaseRange drops the write stamps of every word in [lo, hi). The
@@ -561,37 +488,6 @@ func (c *Checker) ReleaseRange(lo, hi mem.Addr) {
 		if len(b) == 0 {
 			delete(c.writesLazy, bk)
 		}
-	}
-}
-
-// RetireThread forgets thread t's windows and grants ahead of its table
-// slot being recycled; the next RegisterThread under the same ID starts
-// with a clean confinement state. Clocks are deliberately retained: the
-// agent's timeline must stay monotone across reuse so stamps from the
-// previous tenant (in ranges that were not released) still order
-// correctly against everyone else's accumulated knowledge.
-func (c *Checker) RetireThread(t queue.ThreadID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.atts, t)
-	delete(c.grants, t)
-}
-
-// escapeCheckLocked applies the write-confinement rule to a store at addr
-// by agent a. Write confinement is opt-in per thread: a thread that
-// declared no output windows has unknown outputs, and flagging every write
-// would drown real findings. Once the program Grants any window, the
-// thread's writes are confined to attachments ∪ grants.
-func (c *Checker) escapeCheckLocked(a int, region string, index int, addr mem.Addr) {
-	if a == mainAgent {
-		return
-	}
-	t := queue.ThreadID(a - 1)
-	if len(c.grants[t]) > 0 && !inWindows(c.atts[t], addr) && !inWindows(c.grants[t], addr) {
-		c.record(Violation{
-			Kind: KindWriteEscape, Thread: t, ThreadName: c.nameOf(t),
-			Accessor: c.nameOf(t), Region: region, Index: index, Addr: addr,
-		})
 	}
 }
 

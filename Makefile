@@ -42,11 +42,14 @@ fmt-check:
 
 # Static whole-program check (protocol rules + lockorder + atomics) over
 # the whole module (./... skips the linter's own testdata fixtures by
-# design). Findings are suppressed one at a time with
+# design), then over the examples alone, as the README runs it: that load
+# sees internal/core only through the root package's export data.
+# Findings are suppressed one at a time with
 # `//dtt:ignore <rule> -- <justification>`; see internal/lint and the
 # README's "Static checking" section.
 lint:
 	$(GO) run ./cmd/dttlint $(LINTFLAGS) ./...
+	$(GO) run ./cmd/dttlint $(LINTFLAGS) ./examples/...
 
 # The lock lattice lives once in internal/lint/lockorder.go and is
 # rendered into DESIGN.md between lock-order-table markers; this fails if

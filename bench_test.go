@@ -614,6 +614,64 @@ func BenchmarkTUpdateMergeCycle(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/store")
 }
 
+// BenchmarkTStoreOverflow prices a trigger that finds the thread queue full
+// and runs inline on the writer. QueueCapacity is 1, and a plug thread's
+// entry fills it for the whole run (on the immediate backend the one worker
+// sits inside the plug's previous instance, so nothing drains it), so every
+// changing write to the measured thread's 64 words overflows: batch64 is one
+// 64-word TStoreBatch per op, scalar one TStore. The body is empty.
+// ns/overflowed is the elapsed time over the overflowed triggers counted.
+func BenchmarkTStoreOverflow(b *testing.B) {
+	const words = 64
+	run := func(b *testing.B, backend dtt.Backend, store func(r *dtt.Region, i int, vals []dtt.Word)) {
+		rt, err := dtt.New(dtt.Config{Backend: backend, Workers: 1, QueueCapacity: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(rt.Close)
+		// entered holds one send per plug instance, and at most two run.
+		entered, release := make(chan struct{}, 2), make(chan struct{})
+		b.Cleanup(func() { close(release) }) // before Close: the worker leaves the plug
+		plug := rt.Register("plug", func(dtt.Trigger) { entered <- struct{}{}; <-release })
+		p := rt.NewRegion("plug", 1)
+		if err := rt.Attach(plug, p, 0, 1); err != nil {
+			b.Fatal(err)
+		}
+		if backend == dtt.BackendImmediate {
+			p.TStore(0, 1) // the worker claims it and stays in the body
+			<-entered
+		}
+		p.TStore(0, 2) // fills the queue
+		r := rt.NewRegion("bench", words)
+		id := rt.Register("noop", func(dtt.Trigger) {})
+		if err := rt.Attach(id, r, 0, words); err != nil {
+			b.Fatal(err)
+		}
+		var vals [words]dtt.Word
+		store(r, 0, vals[:]) // warm the batch scratch
+		before := rt.Stats().Overflowed
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := range vals {
+				vals[k] = dtt.Word(i + 1)
+			}
+			store(r, i, vals[:])
+		}
+		b.StopTimer()
+		overflowed := rt.Stats().Overflowed - before
+		if overflowed < int64(b.N) {
+			b.Fatalf("%d of %d ops overflowed", overflowed, b.N)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(overflowed), "ns/overflowed")
+	}
+	batch := func(r *dtt.Region, _ int, vals []dtt.Word) { r.TStoreBatch(0, vals) }
+	scalar := func(r *dtt.Region, i int, vals []dtt.Word) { r.TStore(i%words, vals[0]) }
+	b.Run("batch64/immediate", func(b *testing.B) { run(b, dtt.BackendImmediate, batch) })
+	b.Run("batch64/deferred", func(b *testing.B) { run(b, dtt.BackendDeferred, batch) })
+	b.Run("scalar/immediate", func(b *testing.B) { run(b, dtt.BackendImmediate, scalar) })
+}
+
 // dispatchBench builds the dispatch-side benchmarks' runtime: the immediate
 // backend with one worker beside the producer (the bench/ workloads' shape),
 // an empty body, and a queue that holds a whole round, so every changing

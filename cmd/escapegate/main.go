@@ -69,7 +69,7 @@ var pinned = map[string][]string{
 		// loop, the run-of-n bracket, and the run itself — whose one
 		// deferred recover must not move the worker's claim to the heap.
 		"Runtime.worker",
-		"Runtime.beginRunLocked",
+		"Runtime.runClaimLocked",
 		"threadEntry.resolveLocked",
 		"Runtime.runBodies",
 		"Runtime.endRunLocked",

@@ -576,3 +576,86 @@ func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 	}
 	assertIdentities(t, rt, "inline overflow")
 }
+
+// TestInlineGroupsKeepOrderAndCounters: one changing TStoreBatch over ten
+// words that two threads cover in interleaved ranges (a a b b a a b b a a),
+// at QueueCapacity 1, enqueues its first trigger and overflows the other
+// nine, so the writer's inline list alternates threads: a1 | b2 b3 | a4 a5 |
+// b6 b7 | a8 a9. runInline runs each group of one thread's consecutive
+// entries under one bracket, on every backend; the bodies still run in
+// admission order and the counters read as one run per entry. A body that
+// Cancels its own thread (a4) stops the rest of its group (a5) and its later
+// groups (a8 a9): all three count Dropped, as a per-entry attachment check
+// counts them.
+func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
+	for _, cfg := range []Config{
+		{Backend: BackendDeferred, QueueCapacity: 1},
+		{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1},
+		{Backend: BackendSeeded, SchedSeed: 7, QueueCapacity: 1},
+	} {
+		for _, cancelAt := range []int{-1, 4} {
+			cfg, cancelAt := cfg, cancelAt
+			name := cfg.Backend.String() + "/no_cancel"
+			if cancelAt >= 0 {
+				name = fmt.Sprintf("%s/cancel_at_%d", cfg.Backend, cancelAt)
+			}
+			t.Run(name, func(t *testing.T) {
+				rt, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(rt.Close)
+				const words = 10
+				in := rt.NewRegion("in", words)
+				var mu sync.Mutex
+				var ran []int // indices of the inline bodies, in run order
+				var a ThreadID
+				body := func(tg Trigger) {
+					if tg.Index == 0 {
+						return // the one queued entry, maybe on a worker
+					}
+					mu.Lock()
+					ran = append(ran, tg.Index)
+					mu.Unlock()
+					if tg.Index == cancelAt {
+						rt.Cancel(a)
+					}
+				}
+				a = rt.Register("a", body)
+				b := rt.Register("b", body)
+				for lo := 0; lo < words; lo += 4 {
+					if err := rt.Attach(a, in, lo, lo+2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for lo := 2; lo < words; lo += 4 {
+					if err := rt.Attach(b, in, lo, lo+2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				vs := make([]mem.Word, words)
+				for i := range vs {
+					vs[i] = 1
+				}
+				within(t, "the overflowing batch", func() { in.TStoreBatch(0, vs) })
+				within(t, "Barrier", rt.Barrier)
+
+				want, inline, dropped := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(9), int64(0)
+				if cancelAt >= 0 {
+					want, inline, dropped = []int{1, 2, 3, 4, 6, 7}, 6, 3
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if fmt.Sprint(ran) != fmt.Sprint(want) {
+					t.Fatalf("inline bodies ran %v, want %v", ran, want)
+				}
+				st := rt.Stats()
+				if st.Fired != words || st.Enqueued != 1 || st.Overflowed != 9 || st.InlineRuns != inline || st.Dropped != dropped {
+					t.Fatalf("Fired %d Enqueued %d Overflowed %d InlineRuns %d Dropped %d, want %d 1 9 %d %d",
+						st.Fired, st.Enqueued, st.Overflowed, st.InlineRuns, st.Dropped, words, inline, dropped)
+				}
+				assertIdentities(t, rt, "inline groups")
+			})
+		}
+	}
+}

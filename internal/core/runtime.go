@@ -131,7 +131,7 @@ type dispatcher struct {
 	// under it is torn-free (see dispatchStats).
 	c dispatchStats
 	// busy is the quiescence count, the only one: tq.Len() plus the
-	// dispatched entries plus the inline overflow runs in flight.
+	// dispatched entries plus the inline overflowed entries in flight.
 	busy int64 //dtt:guards dispatcher.mu
 	// barrierWaiters are woken when busy reaches zero: Barrier sleeps here.
 	barrierWaiters []chan struct{} //dtt:guards dispatcher.mu
@@ -520,12 +520,13 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 
 // afterWrite is the tail of every changing triggering write, run with no
 // lock held: the overflowed triggers the write collected execute inline in
-// the writer, and then the write is a preemption point — the deterministic
-// scheduler may dispatch any number of pending instances. A batch or a merge
-// is ONE preemption point, at its end, however many words it wrote.
+// the writer (runInline), and then the write is a preemption point — the
+// deterministic scheduler may dispatch any number of pending instances. A
+// batch or a merge is ONE preemption point, at its end, however many words it
+// wrote.
 func (rt *Runtime) afterWrite(inline []queue.Entry) {
-	for _, e := range inline {
-		rt.runInline(e)
+	if len(inline) > 0 {
+		rt.runInline(inline)
 	}
 	if rt.sched != nil {
 		rt.drain(false)
@@ -837,43 +838,70 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 	}
 }
 
-// beginRunLocked opens the instance-run bracket for a run of n >= 1 entries
-// of the thread whose record is te, which the caller has already taken off
-// the queue: it takes the thread's run token once for goroutine g
-// (re-entrantly, when an overflowed cascade re-enters its own thread) and
-// moves the n entries from the ring's pending count to the status row's
-// dispatched column (queued entries; busy, which counts both, stands) or
-// counts an inline run in flight in busy (an overflowed trigger, which the
-// status row never shows; n is 1). Only the immediate backend's worker
-// claims n > 1. Callers hold rt.d.mu, resolve the entries' triggers under
-// it (resolveLocked), release it around runBodies, and close the bracket
-// with endRunLocked.
-func (rt *Runtime) beginRunLocked(te *threadEntry, n int, g uint64, queued bool) {
+// runClaimLocked is the instance-run bracket, the one way any executor — a
+// worker's claim, drain's pick, a group of runInline's overflowed entries —
+// runs c.es[:n], n >= 1 entries of the thread whose record is te, on
+// goroutine g. Under the dispatch lock it takes the thread's run token once
+// (re-entrantly, when an overflowed cascade re-enters its own thread), moves
+// queued entries from the ring's pending count to the status row's
+// dispatched column (busy, which counts both, stands) or counts overflowed
+// ones, which the row never shows, in busy, resolves the triggers and reads
+// the cancel epoch. It runs the bodies back to back with no lock held and
+// settles the run in one endRunLocked. A Cancel of the thread since the claim
+// stops the run before its next body; a body that panics resumes the run
+// behind it. Entered and left with rt.d.mu held.
+func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, g uint64, queued bool) {
+	d := rt.d
+	t := c.es[0].Thread
 	te.running++
 	te.owner = g
 	if queued {
 		te.dispatched += n
 	} else {
-		rt.d.busy++
+		d.busy += int64(n)
 	}
+	te.resolveLocked(c, n)
+	epoch := te.cancelEpoch
+	if queued && d.tq.Len() > d.tq.PendingCount(t) {
+		rt.wakeWorker() // other threads' entries wait behind t's: offer them
+	}
+	d.mu.Unlock()
+
+	if queued {
+		rt.obs.beginSupport(te, c.es[0])
+	}
+	started := 0
+	for started < n && atomic.LoadUint32(&te.cancelEpoch) == epoch {
+		started = rt.runBodies(te, c, started, n, epoch)
+	}
+	if queued {
+		rt.obs.endSupport() //dtt:escape-ok -- the inlined recorder misuse panic's message, built only on that panic
+	}
+
+	d.mu.Lock()
+	rt.endRunLocked(te, t, queued, n, c.oks[:started]...)
 }
 
-// endRunLocked closes the bracket beginRunLocked opened on a run of n
+// endRunLocked closes the bracket runClaimLocked opened on a run of n
 // entries, in one settle: it returns the run token and records one outcome
 // per started body, in order — Executed or FailedRuns for a queued
-// instance, InlineRuns (and FailedRuns) for an inline one, keeping
-// Overflowed = InlineRuns + Dropped. Outcomes land on the thread's status
-// row and in the runtime's counters (which outlive a retired thread's row):
-// a failed run colours the row however it was dispatched, only a
-// queue-dispatched success clears it. The n - len(oks) entries a Cancel
-// stopped the run before leave the dispatched column as cancelled work,
-// neither executed nor failed. Then it drops the busy count by n and
-// propagates the quiescence consequences once. Callers hold rt.d.mu.
+// instance, InlineRuns (and FailedRuns) for an inline one. Outcomes land on
+// the thread's status row and in the runtime's counters (which outlive a
+// retired thread's row): a failed run colours the row however it was
+// dispatched, only a queue-dispatched success clears it. The n - len(oks)
+// entries a Cancel stopped the run before are cancelled work: queued ones
+// leave the dispatched column neither executed nor failed, inline ones count
+// Dropped, keeping Overflowed = InlineRuns + Dropped. Then it drops the busy
+// count by n and propagates the quiescence consequences once. Callers hold
+// rt.d.mu.
 func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
 	d := rt.d
 	te.running--
 	if te.running == 0 {
 		te.owner = 0
+	}
+	if !queued {
+		d.c.dropped += int64(n - len(oks))
 	}
 	for _, ok := range oks {
 		if !queued {
@@ -908,7 +936,7 @@ func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int,
 }
 
 // drain is the single-goroutine execution model: it runs queued instances on
-// the calling goroutine, entry by entry — pick, begin, resolve, run, end —
+// the calling goroutine, entry by entry — a pick and its one-entry bracket —
 // until pickLocked has nothing to run now. Wait and Barrier drain with all set
 // and leave the queue empty except for entries of threads still running in an
 // enclosing frame (impossible from the main thread, their only legal caller);
@@ -929,18 +957,7 @@ func (rt *Runtime) drain(all bool) {
 			d.mu.Unlock()
 			return
 		}
-		t := c.es[0].Thread
-		te := ths[t]
-		rt.beginRunLocked(te, 1, 0, true)
-		te.resolveLocked(&c, 1)
-		d.mu.Unlock()
-
-		rt.obs.beginSupport(te, c.es[0])
-		rt.runBodies(te, &c, 0, 1, 0)
-		rt.obs.endSupport()
-
-		d.mu.Lock()
-		rt.endRunLocked(te, t, true, 1, c.oks[0])
+		rt.runClaimLocked(ths[c.es[0].Thread], &c, 1, 0, true)
 	}
 }
 
@@ -970,50 +987,53 @@ func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) bool
 	return true
 }
 
-// runInline executes an overflowed trigger synchronously in the triggering
-// thread, honouring per-thread serialisation. When the triggering store
-// came from inside an instance of the same thread — a cascading trigger
-// that found the queue full — the body is re-entered recursively on this
-// goroutine: that preserves one-instance-at-a-time (the nesting is serial)
-// and avoids waiting for ourselves.
-func (rt *Runtime) runInline(e queue.Entry) {
-	// On the single-goroutine backends no identity is needed: if the
-	// thread is busy while we are issuing a store, we are necessarily
-	// inside its own body. Only the immediate backend pays for goroutine
-	// identity, and only on this overflow path.
+// runInline executes a write's overflowed triggers synchronously in the
+// writer, in admission order, honouring per-thread serialisation. Each
+// maximal run of one thread's consecutive entries (up to claimMax) is one
+// bracket: it waits for the thread's run token once, and an entry whose
+// attachment a Cancel removed since the overflow counts Dropped instead of
+// running, keeping Overflowed = InlineRuns + Dropped. When the write came from
+// inside an instance of the same thread — a cascading trigger that found the
+// queue full — the body is re-entered recursively on this goroutine: that
+// preserves one-instance-at-a-time (the nesting is serial) and avoids
+// waiting for ourselves. Only the immediate backend needs the goroutine's
+// identity for that: on the others a busy thread is necessarily our own.
+func (rt *Runtime) runInline(inline []queue.Entry) {
 	immediate := rt.cfg.Backend == BackendImmediate
 	var g uint64
 	if immediate {
 		g = goid()
 	}
-	te := rt.threadsSnap()[e.Thread]
+	ths := rt.threadsSnap()
+	var c claim
 	d := rt.d
 	d.mu.Lock()
-	for {
-		if te.attachmentAt(e.Addr) == nil {
-			// A Cancel raced in between the overflow and this run; the
-			// work it would have done is cancelled work. Counting it as
-			// dropped keeps Overflowed = InlineRuns + Dropped.
-			d.c.dropped++
-			d.mu.Unlock()
-			return
+	for len(inline) > 0 {
+		t := inline[0].Thread
+		te := ths[t]
+		k := 1
+		for k < len(inline) && k < claimMax && inline[k].Thread == t {
+			k++
 		}
-		if te.running == 0 || !immediate || te.owner == g {
-			// The run token is free — or ours already, and the bracket
-			// re-enters the body nested on this goroutine.
-			break
+		// Wait for the token unless it is free, or ours (the bracket nests on
+		// this goroutine), or nothing is left attached to run.
+		for immediate && te.running != 0 && te.owner != g && len(te.atts) > 0 {
+			d.sleepLocked(&te.tokenWaiters)
 		}
-		d.sleepLocked(&te.tokenWaiters)
+		n := 0
+		for _, e := range inline[:k] {
+			if te.attachmentAt(e.Addr) == nil {
+				d.c.dropped++
+				continue
+			}
+			c.es[n] = e
+			n++
+		}
+		inline = inline[k:]
+		if n > 0 {
+			rt.runClaimLocked(te, &c, n, g, false)
+		}
 	}
-	rt.beginRunLocked(te, 1, g, false)
-	c := claim{es: [claimMax]queue.Entry{e}}
-	te.resolveLocked(&c, 1)
-	d.mu.Unlock()
-
-	rt.runBodies(te, &c, 0, 1, 0)
-
-	d.mu.Lock()
-	rt.endRunLocked(te, e.Thread, false, 1, c.oks[0])
 	d.mu.Unlock()
 }
 
@@ -1037,13 +1057,12 @@ type claim struct {
 
 // worker is the BackendImmediate dispatch loop, one goroutine per spare
 // hardware context. In one critical section it finds the oldest entry whose
-// thread's token is free, takes that token once, and claims the entry plus
-// the entries of the same thread directly behind it (up to claimMax),
-// resolving their triggers. It runs the bodies back to back with no lock
-// held, settles the whole run in one endRunLocked, and — still holding the
-// lock — goes straight to the next claim. A claim holds one thread's token,
-// never two, so other workers can run other threads meanwhile; the token
-// spans the run, so a thread's instances stay serial and in enqueue order.
+// thread's token is free and claims it plus the entries of the same thread
+// directly behind it (up to claimMax); runClaimLocked runs them and returns
+// holding the lock, so the worker goes straight to the next claim. A claim
+// holds one thread's token, never two, so other workers can run other
+// threads meanwhile; the token spans the run, so a thread's instances stay
+// serial and in enqueue order.
 // Claimed entries have left the queue and cleared their pending bits, as the
 // paper frees the queue entry at spawn. When nothing is claimable the worker
 // sleeps on rt.idle in the same hold of the lock (wakeWorker), and once Close
@@ -1053,9 +1072,7 @@ type claim struct {
 // and ring lines bounce between producer and worker).
 func (rt *Runtime) worker() {
 	defer rt.wg.Done()
-	// goid is stable for the life of this worker goroutine; computing it
-	// once keeps runtime.Stack off the dispatch fast path.
-	g := goid()
+	g := goid() // stable for the worker's life: one traceback, not one per claim
 	var c claim
 	d := rt.d
 	d.mu.Lock()
@@ -1072,38 +1089,20 @@ func (rt *Runtime) worker() {
 			d.sleepLocked(&rt.idle)
 			continue
 		}
-		t := c.es[0].Thread
-		te := ths[t]
-		rt.beginRunLocked(te, n, g, true)
-		te.resolveLocked(&c, n)
-		epoch := te.cancelEpoch
-		if d.tq.Len() > d.tq.PendingCount(t) {
-			// Other threads' entries stay behind while this worker is busy
-			// with t: offer them to an idle one.
-			rt.wakeWorker()
-		}
-		d.mu.Unlock()
-
-		// One call is the whole run, unless a body panics (resume behind
-		// it) or a Cancel of t since the claim stops it.
-		started := 0
-		for started < n && atomic.LoadUint32(&te.cancelEpoch) == epoch {
-			started = rt.runBodies(te, &c, started, n, epoch)
-		}
-
-		d.mu.Lock()
-		rt.endRunLocked(te, t, true, n, c.oks[:started]...)
+		rt.runClaimLocked(ths[c.es[0].Thread], &c, n, g, true)
 	}
 }
 
-// goid returns the current goroutine's id, parsed from the stack header.
-// The unchecked fast paths never call it: a worker resolves its id once at
-// start, an inline overflow run on the immediate backend pays for it next
-// to the thread body about to run, and otherwise only the sanitizer asks
-// (once per checked access — part of CheckStrict's price). A parse failure
-// panics: the id guards the recursive-inline deadlock check, and an
-// unparseable id silently disabling that check (as a zero-valued fallback
-// once did) turns a Go version bump into a runtime hang.
+// goid returns the current goroutine's id, parsed from the stack header. It
+// is no cheap read: runtime.Stack walks and symbolises the whole stack to
+// print one line of it, ~5-10 µs that grows with the stack's depth. The
+// unchecked fast paths never call it: a worker resolves its id once at
+// start, runInline on the immediate backend once per overflowing write, and
+// otherwise only the sanitizer asks (once per checked access — part of
+// CheckStrict's price). A parse failure panics: the id guards the
+// recursive-inline deadlock check, and an unparseable id silently disabling
+// that check (as a zero-valued fallback once did) turns a Go version bump
+// into a runtime hang.
 func goid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)

@@ -294,7 +294,7 @@ func TestStatusLifecycle(t *testing.T) {
 				}
 			}()
 			te := r.rt.threadsSnap()[r.th]
-			te.running++ // the token, as beginRunLocked takes it; dispatched stays 0
+			te.running++ // the token, as runClaimLocked takes it; dispatched stays 0
 			r.rt.endRunLocked(te, r.th, true, 1, true)
 		}, corrupts: true},
 	}

@@ -251,6 +251,21 @@ func TestSelfClean(t *testing.T) {
 	}
 }
 
+// TestExamplesConfigClean: every example selects the backend its Workers
+// field needs. Linting ./examples/... loads core only as the stub the root
+// dtt package's export data describes, with none of core's Backend
+// constants, so naming the backend from core's scope alone called
+// BackendImmediate "Backend(1)" and flagged its Workers field.
+func TestExamplesConfigClean(t *testing.T) {
+	res, err := Run(Options{Dir: moduleRoot, Patterns: []string{"./examples/quickstart"}, Rules: []string{"config-misuse"}})
+	if err != nil {
+		t.Fatalf("lint.Run: %v", err)
+	}
+	for _, d := range res.Diagnostics {
+		t.Errorf("examples/quickstart: %s", d)
+	}
+}
+
 // TestUnknownRule: asking for a rule that does not exist is a usage error,
 // not a silent no-op.
 func TestUnknownRule(t *testing.T) {

@@ -40,7 +40,7 @@ func runConfigMisuse(_ *program, f *facts, rep *reporter) {
 				checkDiscarded(info, stack, n, rep)
 				checkNewWithoutClose(info, stack, n, rep)
 			case *ast.CompositeLit:
-				checkConfigLiteral(info, n, rep)
+				checkConfigLiteral(info, f.pkg.Types, n, rep)
 			}
 			return true
 		})
@@ -190,9 +190,9 @@ func checkNewWithoutClose(info *types.Info, stack []ast.Node, call *ast.CallExpr
 	}
 }
 
-// checkConfigLiteral inspects a core.Config composite literal for backend
-// mistakes that the runtime accepts silently.
-func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
+// checkConfigLiteral inspects a core.Config composite literal in package pkg
+// for backend mistakes that the runtime accepts silently.
+func checkConfigLiteral(info *types.Info, pkg *types.Package, cl *ast.CompositeLit, rep *reporter) {
 	tv, ok := info.Types[cl]
 	if !ok {
 		return
@@ -228,7 +228,7 @@ func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
 	}
 
 	if w, ok := fields["Workers"]; ok && backendKnown {
-		name := backendName(named.Obj().Pkg(), backend)
+		name := backendName(append([]*types.Package{named.Obj().Pkg()}, pkg.Imports()...), backend)
 		if v, isConst := constIntOf(info, w); isConst && v > 0 && name != "immediate" {
 			rep.report(w.Pos(), "config-misuse",
 				fmt.Sprintf("Workers: %d has no effect: the %s backend runs support threads on a single goroutine", v, name),
@@ -238,14 +238,20 @@ func checkConfigLiteral(info *types.Info, cl *ast.CompositeLit, rep *reporter) {
 }
 
 // backendName names Backend value v as core.Backend.String does, from the
-// constants of core itself (pkg declares Config): BackendSeeded is "seeded".
-// The enum lives once, so renumbering it cannot mislabel a finding here.
-func backendName(pkg *types.Package, v int64) string {
-	for _, id := range pkg.Scope().Names() {
-		c, ok := pkg.Scope().Lookup(id).(*types.Const)
-		if ok && strings.HasPrefix(id, "Backend") && strings.HasSuffix(c.Type().String(), ".Backend") {
-			if cv, exact := constant.Int64Val(c.Val()); exact && cv == v {
-				return strings.ToLower(strings.TrimPrefix(id, "Backend"))
+// first BackendX constant of type core.Backend that one of pkgs declares:
+// BackendSeeded is "seeded". pkgs are Config's package and then the linted
+// package's imports, because a package that reaches core only through the
+// root dtt package sees core as the stub dtt's export data describes, which
+// holds no constants, while dtt re-declares every one. The enum lives once,
+// so renumbering it cannot mislabel a finding here.
+func backendName(pkgs []*types.Package, v int64) string {
+	for _, pkg := range pkgs {
+		for _, id := range pkg.Scope().Names() {
+			c, ok := pkg.Scope().Lookup(id).(*types.Const)
+			if ok && strings.HasPrefix(id, "Backend") && strings.HasSuffix(c.Type().String(), ".Backend") {
+				if cv, exact := constant.Int64Val(c.Val()); exact && cv == v {
+					return strings.ToLower(strings.TrimPrefix(id, "Backend"))
+				}
 			}
 		}
 	}

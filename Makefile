@@ -3,7 +3,8 @@
 # lock-table check, the escape gate, vet, build, race-enabled tests, the
 # allocs/op gate (so a fast-path allocation regression fails here, not
 # just in benchmark output), a bounded native-fuzz pass over the dispatch
-# path and the frame decoder, the serve smoke, the repository
+# path, the frame decoder and one serve session, the serve smoke, the four
+# examples run under the race detector, the repository
 # benchmark's own vet and tests (bench-smoke, the one benchmark leg), and
 # the coverage floor for the runtime-critical packages. The bench-*
 # `go test -bench` targets are developer microbenchmarks and gate nothing;
@@ -29,9 +30,9 @@ COVER_PKGS  := ./internal/core ./internal/queue
 # Bounded fuzz budget for CI. `make fuzz FUZZTIME=5m` explores for real.
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-telemetry bench-update
+.PHONY: ci fmt-check lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke examples-smoke bench-smoke bench-fastpath bench-batch bench bench-serve bench-telemetry bench-update
 
-ci: fmt-check lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke bench-smoke cover
+ci: fmt-check lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke examples-smoke bench-smoke cover
 
 # Formatting gate: every tracked Go file is gofmt-clean. The linter's
 # fixtures under internal/lint/testdata are inputs, not code, and exempt.
@@ -85,14 +86,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bounded runs of the native fuzz targets: the tstore dispatch path and
-# the network frame decoder. The committed corpora under
-# internal/core/testdata/fuzz and internal/serve/testdata/fuzz seed them.
-# New crashers are written there by `go test` — commit them as regression
-# tests.
+# Bounded runs of the native fuzz targets: the tstore dispatch path, the
+# network frame decoder and one session's request handling. The committed
+# corpora under internal/core/testdata/fuzz and internal/serve/testdata/fuzz
+# seed them. New crashers are written there by `go test` — commit them as
+# regression tests.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 fuzz: fuzz-smoke
 
@@ -102,6 +104,11 @@ fuzz: fuzz-smoke
 # from the scraped values. Fails non-zero on any mismatch.
 serve-smoke:
 	$(GO) run ./cmd/dttclient -smoke
+
+# The public-API smoke: README's four example programs, run (not just
+# compiled) under the race detector. Each must exit 0.
+examples-smoke:
+	for ex in examples/*/; do $(GO) run -race ./$$ex > /dev/null; echo "examples-smoke: $$ex ok"; done
 
 # The repository benchmark (bench/, declared by BENCHMARK.json) is its own
 # module, so `go vet ./...` and `go test ./...` from the root never see it

@@ -202,6 +202,16 @@ func BenchmarkTStoreBatchChanging(b *testing.B) {
 			r.TStoreBatch(base, vals)
 		})
 	})
+	// The same 64 changing words through the update plane: a set-fold
+	// and the merge a Load forces, which is TStoreBatch's effect by the
+	// commutative path. DESIGN.md's "Batched triggering stores" compares
+	// the two per word.
+	b.Run("setmerge64", func(b *testing.B) {
+		run(b, func(r *dtt.Region, base int, vals []dtt.Word) {
+			r.TUpdateBatch(base, dtt.UpdSet, vals)
+			_ = r.Load(base)
+		})
+	})
 }
 
 // BenchmarkTStoreBatchSilent is the all-silent batch: one registry snapshot,

@@ -130,7 +130,6 @@ const (
 	StatusIdle    = queue.StatusIdle
 	StatusPending = queue.StatusPending
 	StatusRunning = queue.StatusRunning
-	StatusFailed  = queue.StatusFailed
 )
 
 // Stats is a snapshot of runtime trigger activity. See core.Stats.

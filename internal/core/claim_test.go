@@ -135,14 +135,22 @@ func assertIdentities(t *testing.T, rt *Runtime, phase string) {
 	assertQueueConservation(t, rt, phase)
 }
 
-// runningOf returns thread t's dispatched count (its status row's running
-// column): the size of the run a worker has claimed, when read from inside
-// one of its bodies.
-func runningOf(rt *Runtime, t ThreadID) int {
+// pendingOf returns how many entries of thread t the ring holds: 0, read
+// from inside entry 1's body of a claimed run, means the claim took every
+// entry of t that was queued.
+func pendingOf(rt *Runtime, t ThreadID) int {
 	d := rt.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return rt.threadsSnap()[t].dispatched
+	return d.tq.PendingCount(t)
+}
+
+// tokenOf returns thread t's run token: the instances of t executing.
+func tokenOf(rt *Runtime, t ThreadID) int {
+	d := rt.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return rt.threadsSnap()[t].running
 }
 
 // TestClaimOrderAndExactlyOnce: whatever the claim boundaries, each thread's
@@ -214,7 +222,7 @@ func TestClaimOrderAndExactlyOnce(t *testing.T) {
 
 // TestClaimPanicMidRun: a body that panics in the middle of a claimed run is
 // a failed run for that entry only; the rest of the run still executes, and
-// Status reports what the last completed instance did.
+// the thread is idle after it wherever the panic fell.
 func TestClaimPanicMidRun(t *testing.T) {
 	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const span = 12
@@ -230,7 +238,7 @@ func TestClaimPanicMidRun(t *testing.T) {
 		var th ThreadID
 		th = rt.Register("fragile", func(tg Trigger) {
 			if tg.Index == 0 {
-				claimed.Store(int64(runningOf(rt, th)))
+				claimed.Store(int64(pendingOf(rt, th)))
 			}
 			if int64(tg.Index) == bad.Load() {
 				panic("support thread fault")
@@ -240,11 +248,9 @@ func TestClaimPanicMidRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		vs := make([]mem.Word, span)
-		for round, c := range []struct {
-			bad  int64
-			want queue.Status
-		}{{5, queue.StatusIdle}, {span - 1, queue.StatusFailed}} {
+		for round, c := range []struct{ bad int64 }{{5}, {span - 1}} {
 			bad.Store(c.bad)
+			claimed.Store(-1)
 			for i := range vs {
 				vs[i] = mem.Word(round + 1)
 			}
@@ -252,15 +258,15 @@ func TestClaimPanicMidRun(t *testing.T) {
 			in.TStoreBatch(0, vs)
 			var crowdRan int64
 			within(t, "Wait", func() { rt.Wait(th); crowdRan = others.wait() })
-			if got := claimed.Load(); got != span {
-				t.Fatalf("round %d: the worker claimed a run of %d, want the whole batch of %d", round, got, span)
+			if got := claimed.Load(); got != 0 {
+				t.Fatalf("round %d: entry 1 of the run saw %d entries of the batch of %d still on the ring, want the whole batch claimed", round, got, span)
 			}
 			st := rt.Stats()
 			if want := int64((round+1)*(span-1)) + crowdRan; st.FailedRuns != int64(round+1) || st.Executed != want {
 				t.Fatalf("round %d: FailedRuns %d Executed %d, want %d and %d", round, st.FailedRuns, st.Executed, round+1, want)
 			}
-			if got := rt.Status(th); got != c.want {
-				t.Fatalf("round %d (panic at entry %d of %d): Status = %v, want %v", round, c.bad+1, span, got, c.want)
+			if got := rt.Status(th); got != queue.StatusIdle {
+				t.Fatalf("round %d (panic at entry %d of %d): Status = %v, want idle", round, c.bad+1, span, got)
 			}
 		}
 		assertIdentities(t, rt, "panic")
@@ -306,8 +312,8 @@ func TestClaimCancelMidRun(t *testing.T) {
 		others.queue()
 		in.TStoreBatch(0, vs)
 		await(t, "entry 1 to start", started)
-		if got := runningOf(rt, th); got != span {
-			t.Fatalf("claimed run is %d entries, want %d", got, span)
+		if got := pendingOf(rt, th); got != 0 {
+			t.Fatalf("%d of the batch's %d entries are still on the ring while entry 1 runs, want the whole batch claimed", got, span)
 		}
 
 		closed := make(chan struct{})
@@ -339,8 +345,8 @@ func TestClaimCancelMidRun(t *testing.T) {
 		if st.Executed != 1+crowdRan || st.FailedRuns != 0 {
 			t.Fatalf("Executed %d FailedRuns %d, want %d and 0 (the unstarted rest is cancelled work)", st.Executed, st.FailedRuns, 1+crowdRan)
 		}
-		if got := runningOf(rt, th); got != 0 {
-			t.Fatalf("TQST still counts %d running after the run settled", got)
+		if got := tokenOf(rt, th); got != 0 {
+			t.Fatalf("the run token still counts %d instances after the run settled", got)
 		}
 		if qc := rt.QueueCounters(); qc.Dequeued != span+crowdRan || qc.SquashedOut != 0 {
 			t.Fatalf("queue counters %+v: the claimed run had left the queue before the Cancel", qc)
@@ -377,8 +383,8 @@ func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
 	}
 	in.TStoreBatch(0, []mem.Word{1, 1, 1, 1})
 	await(t, "entry 1 to start", started)
-	if got := runningOf(rt, th); got != span {
-		t.Fatalf("claimed run is %d entries, want %d", got, span)
+	if got := pendingOf(rt, th); got != 0 {
+		t.Fatalf("%d of the batch's %d entries are still on the ring while entry 1 runs, want the whole batch claimed", got, span)
 	}
 	in.TStore(2, 2) // word 2 is claimed, its body not yet started
 	in.TStore(2, 3)

@@ -115,7 +115,7 @@ func TestCloseStrandsNothing(t *testing.T) {
 		})
 		aRelease.open()
 		within(t, "a's run to settle", func() {
-			for rt.Executed(a) == 0 {
+			for rt.Stats().Executed == 0 { // a's is the only queued run that can settle
 				runtime.Gosched()
 			}
 		})

@@ -80,8 +80,7 @@ type releaseKey struct {
 // attachObservers resolves the configured features into rt.obs. Telemetry
 // stamps each enqueue with its clock, for the trigger->dispatch latency, and
 // serves the metrics exporter on Config.MetricsAddr; the recorder watches the
-// address space as a probe and charges each sanitizer violation to the task
-// that was open.
+// address space as a probe.
 func (rt *Runtime) attachObservers() error {
 	o := &rt.obs
 	if rt.cfg.Checker != CheckOff {
@@ -95,9 +94,6 @@ func (rt *Runtime) attachObservers() error {
 		o.on |= withRecorder
 		o.rec = &recording{Recorder: rec, release: make(map[releaseKey]trace.TaskID)}
 		rt.sys.AttachProbe(rec)
-		if o.check != nil {
-			o.check.SetReporter(func(sanitize.Violation) { rec.NoteViolation() })
-		}
 	}
 	if rt.cfg.MetricsAddr == "" {
 		return nil
@@ -106,7 +102,6 @@ func (rt *Runtime) attachObservers() error {
 	if err != nil {
 		return fmt.Errorf("core: metrics listener: %w", err)
 	}
-	rt.metricsAddr = ln.Addr().String()
 	rt.metricsSrv = telemetry.Serve(ln, rt)
 	return nil
 }
@@ -373,8 +368,8 @@ func (o *observers) registerSlow(t ThreadID, name string) context.Context {
 // attach (Attach) and cancel (Cancel, under the dispatch lock; te nil for an id
 // never registered) are charged a tspawn and a tcancel by the recorder,
 // which also drops t's release points. The sanitizer checks the cancel
-// against the run token: an inline overflow run shows Idle but races the
-// cancel all the same.
+// against the run token, which every running instance holds, queued or
+// inline.
 func (o *observers) attach() {
 	if o.on&withRecorder != 0 {
 		o.rec.NoteSpawn()

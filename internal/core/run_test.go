@@ -127,10 +127,10 @@ func runBackends(t *testing.T, f func(t *testing.T, cfg Config)) {
 
 // TestRunRecoversPerBody: one deferred recover serves a whole run, so a body
 // that panics in the middle of it must cost exactly its own entry — the bodies
-// behind it run, the outcome lands on that entry, the status row takes the
-// last outcome's colour — and must leave the sanitizer's instance nesting
-// balanced, on every backend (the immediate worker claims the batch as one
-// run; the others run it entry by entry through the same helper).
+// behind it run, the outcome lands on that entry, the thread is idle after
+// the run wherever the panic fell — and must leave the sanitizer's instance
+// nesting balanced, on every backend (the immediate worker claims the batch
+// as one run; the others run it entry by entry through the same helper).
 func TestRunRecoversPerBody(t *testing.T) {
 	runBackends(t, func(t *testing.T, cfg Config) {
 		const span = 5
@@ -140,9 +140,8 @@ func TestRunRecoversPerBody(t *testing.T) {
 		}
 		defer rt.Close()
 		in, out := rt.NewRegion("in", span), rt.NewRegion("out", span)
-		bad, last := -1, -1 // written by the main thread only while the thread is quiet
+		bad := -1 // written by the main thread only while the thread is quiet
 		th := rt.Register("fragile", func(tg Trigger) {
-			last = tg.Index
 			if tg.Index == bad {
 				panic("support thread fault")
 			}
@@ -153,8 +152,8 @@ func TestRunRecoversPerBody(t *testing.T) {
 		}
 		vs := make([]mem.Word, span)
 		var failed, executed int64
-		// In queue order the faults fall mid-run, on the run's last entry
-		// (the row stays failed), nowhere (cleared), and on its first entry.
+		// In queue order the faults fall mid-run, on the run's last entry,
+		// nowhere, and on its first entry.
 		for round, c := range []struct{ bad int }{{2}, {span - 1}, {-1}, {0}} {
 			bad = c.bad
 			for i := range vs {
@@ -171,14 +170,8 @@ func TestRunRecoversPerBody(t *testing.T) {
 				t.Fatalf("round %d (panic at entry %d of %d): FailedRuns %d Executed %d, want %d and %d",
 					round, c.bad, span, st.FailedRuns, st.Executed, failed, executed-failed)
 			}
-			// The row's colour is the outcome of the instance that ran last,
-			// whichever that was (the seeded backend picks the order).
-			want := queue.StatusIdle
-			if last == c.bad {
-				want = queue.StatusFailed
-			}
-			if got := rt.Status(th); got != want {
-				t.Fatalf("round %d (panic at entry %d of %d, entry %d ran last): Status = %v, want %v", round, c.bad, span, last, got, want)
+			if got := rt.Status(th); got != queue.StatusIdle {
+				t.Fatalf("round %d (panic at entry %d of %d): Status = %v, want idle", round, c.bad, span, got)
 			}
 			for i := 0; i < span; i++ {
 				if want := mem.Word(round + 1); i != c.bad && out.Load(i) != want {
@@ -237,12 +230,15 @@ func TestRunPanicThenCancel(t *testing.T) {
 	}
 	in.TStoreBatch(0, vs)
 	await(t, "entry 1 to start", inBody)
-	if got := runningOf(rt, th); got != span {
-		t.Fatalf("claimed run is %d entries, want %d", got, span)
+	if got := pendingOf(rt, th); got != 0 {
+		t.Fatalf("%d of the batch's %d entries are still on the ring while entry 2 runs, want the whole batch claimed", got, span)
 	}
 	rt.Cancel(th)
 	release.open()
 	within(t, "drain", func() { rt.drainThread(th) })
+	if got := tokenOf(rt, th); got != 0 {
+		t.Fatalf("the run token still counts %d instances after the run settled", got)
+	}
 	st := rt.Stats()
 	if got := started.Load(); got != 2 || st.FailedRuns != 1 || st.Executed != 1 {
 		t.Fatalf("%d bodies started, FailedRuns %d, Executed %d; want 2, 1 and 1 (the rest is cancelled work)", got, st.FailedRuns, st.Executed)

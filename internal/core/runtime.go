@@ -23,16 +23,16 @@ type attachment struct {
 }
 
 // threadEntry is the runtime's per-thread record: the registered body, the
-// thread's trigger ranges, the thread's run token and its row of the thread
-// queue status table. The token serialises instances of one thread (the
-// paper's one-instance-at-a-time rule) without involving any other thread:
-// workers executing different threads only meet on the dispatch lock for
-// queue operations, never on each other's tokens.
+// thread's trigger ranges and its run token. The token serialises instances
+// of one thread (the paper's one-instance-at-a-time rule) without involving
+// any other thread: workers executing different threads only meet on the
+// dispatch lock for queue operations, never on each other's tokens. The
+// token and the ring's per-thread pending count are the thread's row of the
+// status table (TQST): Wait and Status read nothing else.
 //
-// name and fn are immutable after Register. atts, the status row and the
-// token/waiter fields are guarded by the dispatch lock (rt.d.mu); Attach
-// and Cancel additionally hold rt.mu to serialise against registry
-// mutations.
+// name and fn are immutable after Register. atts and the token/waiter
+// fields are guarded by the dispatch lock (rt.d.mu); Attach and Cancel
+// additionally hold rt.mu to serialise against registry mutations.
 type threadEntry struct {
 	name string
 	fn   ThreadFunc
@@ -52,19 +52,6 @@ type threadEntry struct {
 	// of deadlocking on its own token.
 	running int
 	owner   uint64
-
-	// The thread's row of the status table (TQST). The pending column is the
-	// ring's own rt.d.tq.PendingCount(t), not a second counter. dispatched is
-	// the running column: entries a run bracket took off the ring and has not
-	// settled, so it is non-zero only while running is. An inline overflow
-	// run holds the token without showing here — Running means a
-	// queue-dispatched instance. lastFailed colours the idle state
-	// StatusFailed until a queue-dispatched instance succeeds. The row goes
-	// with a retired entry, so a recycled ThreadID starts with a fresh history.
-	dispatched int   //dtt:guards dispatcher.mu
-	executed   int64 //dtt:guards dispatcher.mu
-	failed     int64 //dtt:guards dispatcher.mu
-	lastFailed bool  //dtt:guards dispatcher.mu
 
 	// cancelEpoch counts Cancels of this thread. A worker snapshots it when
 	// it claims a run of the thread's entries and re-reads it with one
@@ -119,11 +106,11 @@ func (te *threadEntry) attachmentNear(hint *attachment, addr mem.Addr) *attachme
 
 // dispatcher is the dispatch plane, one per runtime as the paper's hardware
 // has one thread queue and one status table: the ring-buffer thread queue
-// (whose status rows sit in each threadEntry, under this lock), the trigger
-// counters, the quiescence count and the Barrier waiters. One mutex guards
-// all of it. It is allocated in the 128-byte size class, whose objects fill
-// two whole cache lines, so the dispatch lock and busy count share no line
-// with another allocation.
+// (its per-thread pending counts, with the threadEntry run tokens, are the
+// status table), the trigger counters, the quiescence count and the Barrier
+// waiters. One mutex guards all of it. It is allocated in the 128-byte size
+// class, whose objects fill two whole cache lines, so the dispatch lock and
+// busy count share no line with another allocation.
 type dispatcher struct {
 	mu sync.Mutex
 	tq *queue.ThreadQueue
@@ -131,7 +118,7 @@ type dispatcher struct {
 	// under it is torn-free (see dispatchStats).
 	c dispatchStats
 	// busy is the quiescence count, the only one: tq.Len() plus the
-	// dispatched entries plus the inline overflowed entries in flight.
+	// entries of the runs in flight, queued or inline.
 	busy int64 //dtt:guards dispatcher.mu
 	// barrierWaiters are woken when busy reaches zero: Barrier sleeps here.
 	barrierWaiters []chan struct{} //dtt:guards dispatcher.mu
@@ -183,7 +170,7 @@ func (d *dispatcher) sleepLocked(waiters *[]chan struct{}) {
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
 //  2. The dispatch lock (dispatcher.mu): the thread queue, the
-//     per-thread records — status row and run token — and the quiescence
+//     per-thread records and their run tokens, and the quiescence
 //     count. A store that fires takes it once, and only for pointer-sized
 //     bookkeeping, never across a thread body.
 //  3. rt.mu, the management lock: Register/Attach/Cancel and registry
@@ -252,10 +239,8 @@ type Runtime struct {
 	freeIDs []ThreadID //dtt:guards mu
 
 	// metricsSrv serves /metrics and /debug/vars when Config.MetricsAddr
-	// is set; metricsAddr is the bound listen address (resolved, so
-	// ":0"-style configs report the real port).
-	metricsSrv  *http.Server
-	metricsAddr string
+	// is set; its Addr is the bound listen address.
+	metricsSrv *http.Server
 
 	stats statsCounters
 }
@@ -300,7 +285,12 @@ func (rt *Runtime) System() *mem.System { return rt.sys }
 // MetricsAddr returns the metrics exporter's bound listen address, or "" when
 // Config.MetricsAddr was empty. A config of "127.0.0.1:0" resolves here to
 // the real ephemeral port.
-func (rt *Runtime) MetricsAddr() string { return rt.metricsAddr }
+func (rt *Runtime) MetricsAddr() string {
+	if rt.metricsSrv == nil {
+		return ""
+	}
+	return rt.metricsSrv.Addr
+}
 
 // Config returns the configuration the runtime was built with, after
 // defaulting.
@@ -398,11 +388,9 @@ func (rt *Runtime) Cancel(t ThreadID) {
 // is replaced by an inert tombstone (dropping the registered closure and
 // whatever it captured) and the ID goes on the free list for the next
 // Register, so steady namespace churn keeps the thread table at a fixed
-// size. The tombstone also carries a blank status row, so the ID's next
-// owner starts with a fresh history. Only a quiet thread with no
-// attachments retires; otherwise the slot is left as-is and the call
-// reports false (a still-running instance finishes against the old entry it
-// captured). Callers hold rt.mu.
+// size. Only a quiet thread with no attachments retires; otherwise the slot
+// is left as-is and the call reports false (a still-running instance
+// finishes against the old entry it captured). Callers hold rt.mu.
 func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	ths := rt.threadsSnap()
 	te := entryOf(ths, t)
@@ -842,22 +830,19 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 // worker's claim, drain's pick, a group of runInline's overflowed entries —
 // runs c.es[:n], n >= 1 entries of the thread whose record is te, on
 // goroutine g. Under the dispatch lock it takes the thread's run token once
-// (re-entrantly, when an overflowed cascade re-enters its own thread), moves
-// queued entries from the ring's pending count to the status row's
-// dispatched column (busy, which counts both, stands) or counts overflowed
-// ones, which the row never shows, in busy, resolves the triggers and reads
-// the cancel epoch. It runs the bodies back to back with no lock held and
-// settles the run in one endRunLocked. A Cancel of the thread since the claim
-// stops the run before its next body; a body that panics resumes the run
-// behind it. Entered and left with rt.d.mu held.
+// (re-entrantly, when an overflowed cascade re-enters its own thread), counts
+// overflowed entries in busy (queued ones were counted at admission and stay
+// counted off the ring), resolves the triggers and reads the cancel epoch.
+// It runs the bodies back to back with no lock held and settles the run in
+// one endRunLocked. A Cancel of the thread since the claim stops the run
+// before its next body; a body that panics resumes the run behind it.
+// Entered and left with rt.d.mu held.
 func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, g uint64, queued bool) {
 	d := rt.d
 	t := c.es[0].Thread
 	te.running++
 	te.owner = g
-	if queued {
-		te.dispatched += n
-	} else {
+	if !queued {
 		d.busy += int64(n)
 	}
 	te.resolveLocked(c, n)
@@ -883,19 +868,20 @@ func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, g uint64, qu
 }
 
 // endRunLocked closes the bracket runClaimLocked opened on a run of n
-// entries, in one settle: it returns the run token and records one outcome
+// entries, in one settle: it returns the run token and counts one outcome
 // per started body, in order — Executed or FailedRuns for a queued
-// instance, InlineRuns (and FailedRuns) for an inline one. Outcomes land on
-// the thread's status row and in the runtime's counters (which outlive a
-// retired thread's row): a failed run colours the row however it was
-// dispatched, only a queue-dispatched success clears it. The n - len(oks)
+// instance, InlineRuns (and FailedRuns) for an inline one. The n - len(oks)
 // entries a Cancel stopped the run before are cancelled work: queued ones
-// leave the dispatched column neither executed nor failed, inline ones count
-// Dropped, keeping Overflowed = InlineRuns + Dropped. Then it drops the busy
-// count by n and propagates the quiescence consequences once. Callers hold
-// rt.d.mu.
+// are neither executed nor failed, inline ones count Dropped, keeping
+// Overflowed = InlineRuns + Dropped. Then it drops the busy count by n and
+// propagates the quiescence consequences once. A settle of more entries
+// than busy counts in flight panics before it changes anything. Callers
+// hold rt.d.mu.
 func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
 	d := rt.d
+	if d.busy < int64(n) {
+		panic(fmt.Sprintf("core: thread %d settled %d entries with %d in flight", t, n, d.busy))
+	}
 	te.running--
 	if te.running == 0 {
 		te.owner = 0
@@ -910,20 +896,8 @@ func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int,
 		switch {
 		case !ok:
 			d.c.failedRuns++
-			te.failed++
-			te.lastFailed = true
 		case queued:
 			d.c.executed++
-			te.executed++
-			te.lastFailed = false
-		}
-	}
-	if queued {
-		// The one assertion on the status row: a bracket settles exactly the
-		// entries it took off the ring.
-		te.dispatched -= n
-		if te.dispatched < 0 {
-			panic(fmt.Sprintf("core: thread %d settled %d dispatched entries more than it took", t, -te.dispatched))
 		}
 	}
 	d.busy -= int64(n)
@@ -1166,27 +1140,21 @@ func (rt *Runtime) Barrier() {
 	rt.obs.join(j, 0, true)
 }
 
-// Status returns thread t's TQST state (tstatus): the "most active" reading
-// of its status row. A thread never registered is idle.
+// Status returns thread t's TQST state (tstatus), read from the table Wait
+// reads: Running while an instance holds the run token, queued or inline;
+// otherwise Pending while the ring holds an entry of t; otherwise Idle. A
+// thread never registered is idle.
 func (rt *Runtime) Status(t ThreadID) queue.Status {
 	d := rt.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch te := entryOf(rt.threadsSnap(), t); {
-	case te == nil: // never registered: idle
-	case te.dispatched > 0:
+	case te != nil && te.running > 0:
 		return queue.StatusRunning
 	case d.tq.Pending(t):
 		return queue.StatusPending
-	case te.lastFailed:
-		return queue.StatusFailed
 	}
 	return queue.StatusIdle
-}
-
-// Executed returns how many queue-dispatched instances of t have completed.
-func (rt *Runtime) Executed(t ThreadID) int64 {
-	return rt.ThreadStatsFor(t).Executed
 }
 
 // QueueCounters returns the thread queue's lifetime counters (see

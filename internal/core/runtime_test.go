@@ -396,24 +396,6 @@ func TestThreadName(t *testing.T) {
 	}
 }
 
-func TestThreadStatsFor(t *testing.T) {
-	rt := newDeferred(t, nil)
-	data := rt.NewRegion("d", 8)
-	id := rt.Register("named", func(Trigger) {})
-	rt.Attach(id, data, 0, 4)
-	rt.Attach(id, data, 4, 8)
-	data.TStore(0, 1)
-	data.TStore(5, 1)
-	rt.Barrier()
-	ts := rt.ThreadStatsFor(id)
-	if ts.Name != "named" || ts.Attachments != 2 || ts.Executed != 2 {
-		t.Fatalf("ThreadStatsFor = %+v", ts)
-	}
-	if ts := rt.ThreadStatsFor(ThreadID(99)); ts.Name != "" || ts.Attachments != 0 {
-		t.Fatalf("unknown thread stats = %+v", ts)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	for _, row := range []struct {
 		cfg Config

@@ -42,8 +42,7 @@ type statsCounters struct {
 //
 // holds under the lock at all times. The decomposition is the queue's own
 // queue.Counters, bumped inside tq.Enqueue in the critical section that
-// bumps fired. executed and failedRuns repeat the threads' status rows
-// because a retired thread's row is discarded and Stats may not regress.
+// bumps fired.
 type dispatchStats struct {
 	// changing counts the changed tstore words of the writes that admit
 	// something, under the lock dispatchFired holds; it is in no identity.
@@ -101,8 +100,8 @@ type Stats struct {
 	// Executed counts queue-dispatched support instances completed.
 	Executed int64
 	// FailedRuns counts support-thread bodies (queue-dispatched or
-	// inline) that panicked; the panic is recovered and the thread's
-	// status reports StatusFailed until a later instance succeeds.
+	// inline) that panicked; the panic is recovered and the thread runs
+	// again on its next trigger.
 	FailedRuns int64
 	// Waits and Barriers count synchronisation operations.
 	Waits    int64
@@ -135,28 +134,6 @@ func (s Stats) SquashFraction() float64 {
 		return 0
 	}
 	return float64(s.Squashed) / float64(s.Fired)
-}
-
-// ThreadStats is per-thread trigger activity, for characterisation tables.
-type ThreadStats struct {
-	// Name is the registration name.
-	Name string
-	// Attachments is the number of live trigger ranges.
-	Attachments int
-	// Executed counts completed instances (queue-dispatched only; inline
-	// overflow runs are accounted globally).
-	Executed int64
-}
-
-// ThreadStatsFor returns thread t's activity snapshot.
-func (rt *Runtime) ThreadStatsFor(t ThreadID) ThreadStats {
-	rt.d.mu.Lock()
-	defer rt.d.mu.Unlock()
-	te := entryOf(rt.threadsSnap(), t)
-	if te == nil {
-		return ThreadStats{}
-	}
-	return ThreadStats{Name: te.name, Attachments: len(te.atts), Executed: te.executed}
 }
 
 // Stats returns a consistent snapshot of the runtime's counters: the

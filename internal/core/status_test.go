@@ -37,6 +37,7 @@ func newStatusRig(t *testing.T, backend Backend, mut func(*Config)) *statusRig {
 	}
 	t.Cleanup(rt.Close)
 	r := &statusRig{t: t, rt: rt, in: rt.NewRegion("in", 5), body: func(Trigger) {}}
+	t.Cleanup(r.unhold) // before Close, even when a case fails holding the worker
 	r.th = rt.Register("under-test", func(tg Trigger) { r.body(tg) })
 	// The blocker's entry has left the queue by the time its body holds the
 	// worker, so a capacity-1 queue is th's alone while the worker is held.
@@ -88,18 +89,15 @@ func (r *statusRig) expect(want queue.Status, when string) {
 	}
 }
 
-// statusRow is a thread's status-table row as the runtime stores it.
-type statusRow struct {
-	pending, dispatched int
-	executed, failed    int64
-}
+// statusRow is a thread's row of the status table as Wait reads it: the
+// ring's pending count and the run token.
+type statusRow struct{ pending, running int }
 
 func (r *statusRig) row(th ThreadID) statusRow {
 	d := r.rt.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	te := r.rt.threadsSnap()[th]
-	return statusRow{d.tq.PendingCount(th), te.dispatched, te.executed, te.failed}
+	return statusRow{d.tq.PendingCount(th), r.rt.threadsSnap()[th].running}
 }
 
 func (r *statusRig) expectRow(th ThreadID, want statusRow, when string) {
@@ -120,24 +118,22 @@ func (r *statusRig) reattach() {
 // so it is not squashed — overflow and run inline.
 func tinyQueue(c *Config) { c.QueueCapacity = 1 }
 
-// TestStatusLifecycle walks a thread's status row — pending (the ring's
-// count), dispatched, executed, failed, lastFailed, all kept in its
-// threadEntry — through every transition, reading it the way programs do
-// (Status, Executed, Stats) and, where the public surface cannot tell two
-// states apart, from the row itself.
+// TestStatusLifecycle walks a thread's row of the status table — the ring's
+// pending count and the run token, the two things Wait reads — through every
+// transition, reading it the way programs do (Status, Stats) and, where the
+// public surface cannot tell two states apart, from the row itself. Status
+// is Running whenever an instance holds the token, an inline overflow run
+// included, and a failed instance leaves nothing behind but its count.
 func TestStatusLifecycle(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  func(*Config)
 		run  func(t *testing.T, r *statusRig)
-		// corrupts marks the case that breaks the row on purpose; the
-		// closing conservation check would only re-report it.
-		corrupts bool
 	}{
 		{name: "lifecycle", run: func(t *testing.T, r *statusRig) {
 			r.expect(queue.StatusIdle, "fresh thread")
 			r.hold()
-			var inside queue.Status
+			inside := queue.StatusIdle
 			r.body = func(Trigger) { inside = r.rt.Status(r.th) }
 			r.in.TStore(0, 1)
 			r.expect(queue.StatusPending, "queued, not started")
@@ -148,14 +144,14 @@ func TestStatusLifecycle(t *testing.T) {
 				t.Fatalf("Status read from inside the body = %v, want running", inside)
 			}
 			r.expect(queue.StatusIdle, "after the instance")
-			if got := r.rt.Executed(r.th); got != 1 {
-				t.Fatalf("Executed = %d, want 1", got)
-			}
+			r.expectRow(r.th, statusRow{}, "after the instance")
 		}},
 		{name: "running_dominates_pending", run: func(t *testing.T, r *statusRig) {
 			var inside queue.Status
 			var row statusRow
+			runs := 0
 			r.body = func(tg Trigger) {
+				runs++
 				if tg.Index == 0 {
 					r.in.TStore(1, 7) // queues behind the instance that stores it
 					inside, row = r.rt.Status(r.th), r.row(r.th)
@@ -163,43 +159,51 @@ func TestStatusLifecycle(t *testing.T) {
 			}
 			r.in.TStore(0, 1)
 			r.wait()
-			if inside != queue.StatusRunning || row.pending != 1 || row.dispatched != 1 {
-				t.Fatalf("Status = %v with row %+v, want running over 1 pending + 1 dispatched", inside, row)
+			if inside != queue.StatusRunning || row != (statusRow{pending: 1, running: 1}) {
+				t.Fatalf("Status = %v with row %+v, want running over 1 pending + 1 running", inside, row)
 			}
 			r.expect(queue.StatusIdle, "after both instances")
-			r.expectRow(r.th, statusRow{executed: 2}, "after both instances")
+			if runs != 2 {
+				t.Fatalf("%d instances ran, want 2", runs)
+			}
 		}},
 		{name: "failed_then_cleared", run: func(t *testing.T, r *statusRig) {
 			r.body = func(Trigger) { panic("support thread fault") }
 			r.in.TStore(0, 1)
 			r.wait() // a failed thread is quiet: Wait must return
-			r.expect(queue.StatusFailed, "after a panicking instance")
-			r.expectRow(r.th, statusRow{failed: 1}, "after a panicking instance")
+			r.expect(queue.StatusIdle, "after a panicking instance")
+			r.expectRow(r.th, statusRow{}, "after a panicking instance")
 			r.body = func(Trigger) {}
 			r.in.TStore(0, 2)
 			r.wait()
 			r.expect(queue.StatusIdle, "after a clean instance")
-			r.expectRow(r.th, statusRow{executed: 1, failed: 1}, "history is kept")
 			if st := r.rt.Stats(); st.Executed != 1 || st.FailedRuns != 1 {
 				t.Fatalf("Stats Executed %d FailedRuns %d, want 1 and 1", st.Executed, st.FailedRuns)
 			}
 		}},
 		{name: "inline_runs", cfg: tinyQueue, run: func(t *testing.T, r *statusRig) {
 			r.hold()
-			r.body = func(Trigger) { panic("inline overflow fault") }
+			inside := queue.StatusIdle
+			r.body = func(Trigger) {
+				inside = r.rt.Status(r.th)
+				panic("inline overflow fault")
+			}
 			r.in.TStore(0, 1) // queued
 			r.in.TStore(1, 2) // overflows: runs here, now, and panics
+			if inside != queue.StatusRunning {
+				t.Fatalf("Status read from inside an inline overflow body = %v, want running", inside)
+			}
 			r.expect(queue.StatusPending, "inline run done, first trigger still queued")
-			r.expectRow(r.th, statusRow{pending: 1, failed: 1}, "an inline run is never dispatched")
+			r.expectRow(r.th, statusRow{pending: 1}, "the inline run returned its token")
 			r.rt.Cancel(r.th)
-			r.expect(queue.StatusFailed, "a failed inline run colours the row")
+			r.expect(queue.StatusIdle, "after a failed inline run")
 
 			r.reattach()
 			r.body = func(Trigger) {}
 			r.in.TStore(0, 3)
 			r.in.TStore(1, 4) // overflows: runs here and succeeds
 			r.rt.Cancel(r.th)
-			r.expect(queue.StatusFailed, "a clean inline run does not clear the colour")
+			r.expect(queue.StatusIdle, "after a clean inline run")
 			if st := r.rt.Stats(); st.InlineRuns != 2 || st.FailedRuns != 1 || st.Executed != 0 {
 				t.Fatalf("Stats InlineRuns %d FailedRuns %d Executed %d, want 2, 1 and 0", st.InlineRuns, st.FailedRuns, st.Executed)
 			}
@@ -208,8 +212,8 @@ func TestStatusLifecycle(t *testing.T) {
 			r.unhold()
 			r.in.TStore(0, 5)
 			r.wait()
-			r.expect(queue.StatusIdle, "a clean queued instance clears it")
-			r.expectRow(r.th, statusRow{executed: 1, failed: 1}, "after the queued instance")
+			r.expect(queue.StatusIdle, "after a queued instance")
+			r.expectRow(r.th, statusRow{}, "after the queued instance")
 		}},
 		{name: "cancel_pending", run: func(t *testing.T, r *statusRig) {
 			r.hold()
@@ -228,7 +232,11 @@ func TestStatusLifecycle(t *testing.T) {
 		}},
 		{name: "cancel_mid_run", run: func(t *testing.T, r *statusRig) {
 			r.hold()
-			r.body = func(Trigger) { r.rt.Cancel(r.th) }
+			runs := 0
+			r.body = func(Trigger) {
+				runs++
+				r.rt.Cancel(r.th)
+			}
 			for i := 0; i < 3; i++ {
 				r.in.TStore(i, 1)
 			}
@@ -238,9 +246,9 @@ func TestStatusLifecycle(t *testing.T) {
 			// queue or dropped from the worker's claim: cancelled work either
 			// way, neither executed nor failed.
 			r.expect(queue.StatusIdle, "after the cancelling instance")
-			r.expectRow(r.th, statusRow{executed: 1}, "after the cancelling instance")
-			if st := r.rt.Stats(); st.FailedRuns != 0 {
-				t.Fatalf("Stats FailedRuns %d, want 0", st.FailedRuns)
+			r.expectRow(r.th, statusRow{}, "after the cancelling instance")
+			if st := r.rt.Stats(); runs != 1 || st.FailedRuns != 0 {
+				t.Fatalf("%d instances ran and FailedRuns is %d, want 1 and 0", runs, st.FailedRuns)
 			}
 		}},
 		{name: "recycled_id_starts_fresh", run: func(t *testing.T, r *statusRig) {
@@ -249,38 +257,39 @@ func TestStatusLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old, err := ns.Register("t", func(tg Trigger) {
-				if tg.Region.Load(0) == 2 {
-					panic("second instance faults")
-				}
-			})
+			old, err := ns.Register("t", func(Trigger) { panic("support thread fault") })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := ns.Attach(old, reg, 0, 1); err != nil {
 				t.Fatal(err)
 			}
-			for v := uint64(1); v <= 2; v++ {
-				reg.TStore(0, v)
-				within(t, "Wait", func() { ns.Wait(old) })
-			}
-			if got := r.rt.Status(old); got != queue.StatusFailed || r.rt.Executed(old) != 1 {
-				t.Fatalf("before retiring: Status %v Executed %d, want failed and 1", got, r.rt.Executed(old))
-			}
+			reg.TStore(0, 1)
+			within(t, "Wait", func() { ns.Wait(old) })
 			ns.Close() // retires the thread; its id goes on the free list
-			next := r.rt.Register("next-owner", func(Trigger) {})
+			runs := 0
+			next := r.rt.Register("next-owner", func(Trigger) { runs++ })
 			if next != old {
 				t.Fatalf("Register reused id %d, want the retired %d", next, old)
 			}
-			if got := r.rt.Status(next); got != queue.StatusIdle || r.rt.Executed(next) != 0 {
-				t.Fatalf("recycled id: Status %v Executed %d, want idle and 0", got, r.rt.Executed(next))
-			}
 			r.expectRow(next, statusRow{}, "recycled id")
+			fresh := r.rt.NewRegion("fresh", 1)
+			if err := r.rt.Attach(next, fresh, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			fresh.TStore(0, 1)
+			within(t, "Wait", func() { r.rt.Wait(next) })
+			if got := r.rt.Status(next); got != queue.StatusIdle || runs != 1 {
+				t.Fatalf("recycled id: Status %v after %d runs of the new body, want idle and 1", got, runs)
+			}
+			if st := r.rt.Stats(); st.FailedRuns != 1 {
+				t.Fatalf("FailedRuns %d, want 1: the retired thread's one instance", st.FailedRuns)
+			}
 		}},
 		{name: "unknown_thread", run: func(t *testing.T, r *statusRig) {
 			for _, id := range []ThreadID{-1, 99} {
-				if got := r.rt.Status(id); got != queue.StatusIdle || r.rt.Executed(id) != 0 {
-					t.Fatalf("thread %d was never registered: Status %v Executed %d, want idle and 0", id, got, r.rt.Executed(id))
+				if got := r.rt.Status(id); got != queue.StatusIdle {
+					t.Fatalf("thread %d was never registered: Status %v, want idle", id, got)
 				}
 			}
 		}},
@@ -288,15 +297,16 @@ func TestStatusLifecycle(t *testing.T) {
 			d := r.rt.d
 			d.mu.Lock()
 			defer d.mu.Unlock()
+			te := r.rt.threadsSnap()[r.th]
+			te.running++ // the token, as runClaimLocked takes it; busy counts nothing in flight
 			defer func() {
 				if recover() == nil {
-					t.Fatal("endRunLocked settled a queued entry no bracket had dispatched without panicking")
+					t.Fatal("endRunLocked settled an entry busy did not count without panicking")
 				}
+				te.running-- // the panic changed nothing: give the token back
 			}()
-			te := r.rt.threadsSnap()[r.th]
-			te.running++ // the token, as runClaimLocked takes it; dispatched stays 0
 			r.rt.endRunLocked(te, r.th, true, 1, true)
-		}, corrupts: true},
+		}},
 	}
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {
 		backend := backend
@@ -307,7 +317,7 @@ func TestStatusLifecycle(t *testing.T) {
 					r := newStatusRig(t, backend, tc.cfg)
 					tc.run(t, r)
 					r.unhold()
-					if !t.Failed() && !tc.corrupts {
+					if !t.Failed() {
 						within(t, "final Barrier", r.rt.Barrier)
 						assertQueueConservation(t, r.rt, tc.name)
 					}

@@ -50,7 +50,7 @@ var lockOrderTable = []lockRank{
 	{3, "Runtime.mu", false, "runtime management: region create/release, thread retire"},
 	{4, "updatePlane.mergeMu", true, "one merger per plane; taken under rt.mu by release, never the reverse"},
 	{5, "deltaStripe.mu", true, "privatized delta stripes; taken by Collect under mergeMu"},
-	{6, "dispatcher.mu", false, "the dispatch lock: thread queue, status rows, run tokens, Wait and Barrier waiters"},
+	{6, "dispatcher.mu", false, "the dispatch lock: thread queue and run tokens (together the status table), Wait and Barrier waiters"},
 	{7, "recording.mu", false, "the recorder's release map, in the observer seam (leaf)"},
 	{7, "Runtime.batchMu", false, "batch scratch free list (leaf)"},
 	{7, "outbox.mu", false, "per-session reply mailbox (leaf)"},

@@ -2,9 +2,8 @@
 // the processor: the thread registry (trigger address range -> thread), the
 // fixed-capacity thread queue with duplicate squashing, and the states of
 // the thread queue status table (TQST) that synchronisation instructions
-// consult. The TQST's rows themselves are the status columns of the runtime's
-// per-thread record in internal/core, whose pending column is this package's
-// ThreadQueue.PendingCount.
+// consult. The TQST itself is this package's ThreadQueue.PendingCount beside
+// the run token of the runtime's per-thread record in internal/core.
 //
 // The thread queue carries no locking of its own: the runtime in
 // internal/core instantiates one and serialises access under its

@@ -5,10 +5,10 @@ import "fmt"
 // Status is a thread's state in the thread queue status table.
 type Status int
 
-// TQST states. A thread may have several in-flight instances; the runtime's
-// per-thread record holds the instance counts (the status row lives in
-// core.threadEntry, beside the run token, under the dispatch lock) and
-// reports the "most active" state, which is what twait spins on.
+// TQST states. The table is the thread queue's per-thread pending count
+// (ThreadQueue.PendingCount) beside the runtime's run token
+// (core.threadEntry.running), both under the dispatch lock; a thread reports
+// its "most active" state, and twait spins until it is idle.
 const (
 	// StatusIdle means no pending or running instance.
 	StatusIdle Status = iota
@@ -16,10 +16,6 @@ const (
 	StatusPending
 	// StatusRunning means at least one instance is executing.
 	StatusRunning
-	// StatusFailed means no pending or running instance and the most
-	// recently completed instance panicked. A subsequent successful
-	// instance returns the thread to StatusIdle.
-	StatusFailed
 )
 
 // String returns the status name.
@@ -31,8 +27,6 @@ func (s Status) String() string {
 		return "pending"
 	case StatusRunning:
 		return "running"
-	case StatusFailed:
-		return "failed"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }

@@ -2,13 +2,12 @@ package queue
 
 import "testing"
 
-// TestStatusStrings pins the Status names, including the new failed state.
+// TestStatusStrings pins the Status names.
 func TestStatusStrings(t *testing.T) {
 	cases := map[Status]string{
 		StatusIdle:    "idle",
 		StatusPending: "pending",
 		StatusRunning: "running",
-		StatusFailed:  "failed",
 		Status(99):    "Status(99)",
 	}
 	for s, want := range cases {

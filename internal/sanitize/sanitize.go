@@ -220,21 +220,11 @@ type Checker struct {
 
 	violations []Violation
 	total      int64
-	report     func(Violation)
 }
 
 // NewChecker returns an empty checker.
 func NewChecker() *Checker {
 	return &Checker{stack: make(map[uint64][]queue.ThreadID)}
-}
-
-// SetReporter installs a callback invoked (under the checker's lock) for
-// each recorded violation; the runtime uses it to note violation events in
-// a recorded trace.
-func (c *Checker) SetReporter(fn func(Violation)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.report = fn
 }
 
 // Violations returns a copy of the retained violations, in detection order.
@@ -269,9 +259,6 @@ func (c *Checker) record(v Violation) {
 	c.total++
 	if len(c.violations) < maxViolations {
 		c.violations = append(c.violations, v)
-	}
-	if c.report != nil {
-		c.report(v)
 	}
 }
 

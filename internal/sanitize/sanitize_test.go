@@ -213,16 +213,6 @@ func TestViolationCap(t *testing.T) {
 	}
 }
 
-func TestReporterCallback(t *testing.T) {
-	c := newTestChecker()
-	var seen []Kind
-	c.SetReporter(func(v Violation) { seen = append(seen, v.Kind) })
-	c.OnCancel(0, 2)
-	if len(seen) != 1 || seen[0] != KindCancelRace {
-		t.Fatalf("reporter saw %v", seen)
-	}
-}
-
 func TestModeAndKindStrings(t *testing.T) {
 	if CheckOff.String() != "off" || CheckStrict.String() != "strict" {
 		t.Fatal("Mode strings wrong")

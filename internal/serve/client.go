@@ -86,7 +86,8 @@ func newSession(conn net.Conn) (*Session, error) {
 	return s, nil
 }
 
-// ID returns the session ID the server assigned at HELLO.
+// ID returns the session ID the server assigned at HELLO: unique among the
+// server's sessions, counting up from 1, never reused for a later session.
 func (s *Session) ID() uint32 { return s.id }
 
 // roundTrip writes one request frame and reads until the reply of the

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"io"
+	"net"
 	"testing"
+	"time"
+
+	"dtt/internal/core"
 )
 
 // chunkReader delivers its bytes in fixed-size chunks, modelling a TCP
@@ -139,6 +143,114 @@ func FuzzFrame(f *testing.F) {
 				_ = c.take(int(c.u16()))
 			}
 			_ = c.done()
+		}
+	})
+}
+
+// sessionReq encodes one request the way FuzzSession cuts them from its
+// input: an opcode byte, a payload length byte, then the payload.
+func sessionReq(op byte, fields ...[]byte) []byte {
+	var p []byte
+	for _, f := range fields {
+		p = append(p, f...)
+	}
+	return append([]byte{op, byte(len(p))}, p...)
+}
+
+// u32s is vs in wire order.
+func u32s(vs ...uint32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = appendU32(b, v)
+	}
+	return b
+}
+
+// attachReq is an ATTACH of [lo, hi) of a words-long region named name.
+func attachReq(words, lo, hi uint32, name string) []byte {
+	return sessionReq(OpAttach, u32s(words, lo, hi), appendU16(nil, uint16(len(name))), []byte(name))
+}
+
+// FuzzSession drives one session's state machine with request frames cut
+// from the fuzzer's bytes, after a valid HELLO, over net.Pipe. Whatever the
+// sequence — unknown handles, bad or huge ATTACHes, truncated payloads,
+// opcodes out of order — the server must not panic, Close must return, the
+// session must be gone with every region word it allocated back on the free
+// list, and the runtime's counter identities must hold once it is quiet.
+func FuzzSession(f *testing.F) {
+	f.Add(attachReq(8, 5, 2, "r"))                                      // inverted range
+	f.Add(attachReq(1<<30, 0, 1, "r"))                                  // 2^30 words
+	f.Add(append(attachReq(8, 0, 8, "r"), attachReq(16, 0, 8, "r")...)) // re-ATTACH, other size
+	f.Add(append(sessionReq(OpTStoreBatch, u32s(7, 0, 1), make([]byte, 8)), sessionReq(OpWait, u32s(7))...))
+	var valid []byte
+	for _, r := range [][]byte{
+		attachReq(8, 0, 8, "r"),
+		sessionReq(OpSubscribe, u32s(0)),
+		sessionReq(OpTStoreBatch, u32s(0, 2, 2), appendU64(appendU64(nil, 5), 6)),
+		sessionReq(OpTUpdate, u32s(0), []byte{byte(core.UpdAdd)}, u32s(0, 1), appendU64(nil, 1)),
+		sessionReq(OpWait, u32s(0)),
+		sessionReq(OpRead, u32s(0, 0, 8)),
+		sessionReq(OpBarrier),
+	} {
+		valid = append(valid, r...)
+	}
+	f.Add(valid)
+
+	// A region may take 1 MiB (maxReadWords), so bound the frames an input
+	// sends to bound what one input can allocate.
+	const maxReqs = 32
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rt, err := core.New(core.Config{Backend: core.BackendImmediate, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		srv := NewServer(rt, Options{})
+		client, server := net.Pipe()
+		if !srv.startSession(server) {
+			t.Fatal("startSession refused on an open server")
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			_, _ = io.Copy(io.Discard, client)
+		}()
+		hello := rawFrame(OpHello, appendU16(appendU32(nil, Magic), Version))
+		if _, err := client.Write(hello); err != nil {
+			t.Fatalf("HELLO: %v", err)
+		}
+		for reqs := 0; len(data) >= 2 && reqs < maxReqs; reqs++ {
+			op, n := data[0], int(data[1])
+			data = data[2:]
+			n = min(n, len(data))
+			if _, err := client.Write(rawFrame(op, data[:n])); err != nil {
+				break // the server ended the session
+			}
+			data = data[n:]
+		}
+		client.Close()
+
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("Server.Close: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Server.Close did not return within 5 s")
+		}
+		<-drained
+		if c := srv.Counters(); c.Sessions != 0 {
+			t.Fatalf("%d sessions live after Close", c.Sessions)
+		}
+		if sys := rt.System(); sys.FreeBytes() != sys.Footprint() {
+			t.Fatalf("%d of %d region bytes still allocated after the session ended", sys.Footprint()-sys.FreeBytes(), sys.Footprint())
+		}
+		rt.Barrier()
+		st := rt.Stats()
+		if st.Fired != st.Enqueued+st.Squashed+st.Overflowed || st.Overflowed != st.InlineRuns+st.Dropped {
+			t.Fatalf("identities broken after Barrier: %+v", st)
 		}
 	})
 }

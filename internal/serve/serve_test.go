@@ -267,6 +267,41 @@ func TestServeCrossTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestServeSessionIDsNeverReused: the id HELLO carries names one session for
+// the server's lifetime. A closed session's id is not handed to a later one,
+// whether or not another session stays open meanwhile.
+func TestServeSessionIDsNeverReused(t *testing.T) {
+	rt, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 1}, Options{})
+	defer rt.Close()
+	defer srv.Close()
+	seen := make(map[uint32]bool)
+	var first *Session
+	for i := 0; i < 4; i++ {
+		cs, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("Dial %d: %v", i, err)
+		}
+		if seen[cs.ID()] {
+			t.Fatalf("session %d was given id %d, which an earlier session had", i, cs.ID())
+		}
+		seen[cs.ID()] = true
+		if first == nil {
+			first = cs // stays open throughout
+			continue
+		}
+		cs.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Counters().Sessions != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %d still live 5 s after its client closed", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	first.Close()
+}
+
 // rawDial opens a connection and completes the handshake by hand, for
 // tests that need to send malformed or partial frames.
 func rawDial(t *testing.T, addr string) (net.Conn, *frameReader) {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"dtt/internal/core"
-	"dtt/internal/queue"
 	"dtt/internal/telemetry"
 )
 
@@ -67,19 +66,19 @@ type Server struct {
 	rt   *core.Runtime
 	opts Options
 
-	mu       sync.Mutex
-	ln       net.Listener     //dtt:guards mu
+	mu sync.Mutex
+	ln net.Listener //dtt:guards mu
+	// sessions holds the live sessions by id; ids count up from 1 (seq is
+	// the last one issued) and are never reused.
 	sessions map[int]*session //dtt:guards mu
-	ids      queue.IDPool
-	seq      int64 //dtt:guards mu
-	closed   bool  //dtt:guards mu
+	seq      int              //dtt:guards mu
+	closed   bool             //dtt:guards mu
 
 	serveErr  atomic.Pointer[error]
 	wg        sync.WaitGroup
 	notifyLat *telemetry.Histogram
 
-	metricsSrv  *http.Server
-	metricsAddr string
+	metricsSrv *http.Server
 
 	// retired accumulates the counters of sessions that have ended.
 	retired Counters
@@ -157,17 +156,16 @@ func (s *Server) startSession(conn net.Conn) bool {
 		s.mu.Unlock()
 		return false
 	}
-	id := s.ids.Get()
 	s.seq++
 	sess := &session{
 		srv:  s,
-		id:   id,
+		id:   s.seq,
 		conn: conn,
 		ns:   s.rt.NewNamespace(fmt.Sprintf("s%d", s.seq)),
 		out:  newOutbox(s.opts.MailboxCap),
 		fr:   newFrameReader(conn),
 	}
-	s.sessions[id] = sess
+	s.sessions[sess.id] = sess
 	s.retired.SessionsTotal++
 	s.mu.Unlock()
 	s.wg.Add(2)
@@ -180,7 +178,7 @@ func (s *Server) startSession(conn net.Conn) bool {
 }
 
 // removeSession retires a finished session: its counters fold into the
-// aggregate and its ID returns to the free list for the next accept.
+// aggregate.
 func (s *Server) removeSession(sess *session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -188,7 +186,6 @@ func (s *Server) removeSession(sess *session) {
 		return
 	}
 	delete(s.sessions, sess.id)
-	s.ids.Put(sess.id)
 	addCounters(&s.retired, sess)
 }
 
@@ -219,16 +216,6 @@ func (s *Server) Counters() Counters {
 	return c
 }
 
-// Addr returns the bound listen address, or "" before Serve/Start.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // StartMetrics exposes the server's TelemetrySnapshot (runtime metrics
 // plus the dtt_serve_* plane) on addr, returning the bound address.
 func (s *Server) StartMetrics(addr string) (string, error) {
@@ -238,16 +225,8 @@ func (s *Server) StartMetrics(addr string) (string, error) {
 	}
 	s.mu.Lock()
 	s.metricsSrv = telemetry.Serve(ln, s)
-	s.metricsAddr = ln.Addr().String()
 	s.mu.Unlock()
 	return ln.Addr().String(), nil
-}
-
-// MetricsAddr returns the metrics endpoint's bound address, or "".
-func (s *Server) MetricsAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metricsAddr
 }
 
 // TelemetrySnapshot implements telemetry.Source: the runtime's snapshot

@@ -85,11 +85,11 @@ func Handler(src Source) http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP exporter for src on ln and returns the server; the
-// caller owns shutdown (srv.Close). The goroutine exits when the listener
-// closes.
+// Serve starts an HTTP exporter for src on ln and returns the server, whose
+// Addr is ln's bound address; the caller owns shutdown (srv.Close). The
+// goroutine exits when the listener closes.
 func Serve(ln net.Listener, src Source) *http.Server {
-	srv := &http.Server{Handler: Handler(src)}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(src)}
 	go func() {
 		// ErrServerClosed (and any listener error after Close) is the
 		// normal exporter shutdown; there is no caller to report it to.

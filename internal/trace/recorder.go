@@ -93,11 +93,6 @@ func (r *Recorder) noteMgmt(op isa.Opcode) {
 	r.cur.Mgmt += int64(ins.Latency)
 }
 
-// NoteViolation marks a protocol-sanitizer violation against the current
-// task, so a recorded trace localises where in the task DAG the discipline
-// was broken.
-func (r *Recorder) NoteViolation() { r.cur.Violations++ }
-
 // CutMain closes the open main segment and opens a new one that depends on
 // it. The runtime calls this when a trigger fires, so support tasks can be
 // released at the exact point in main-thread progress where their data

@@ -52,10 +52,6 @@ type Task struct {
 	TStores int64
 	// Mgmt counts DTT management/synchronisation instructions.
 	Mgmt int64
-	// Violations counts protocol-sanitizer violations detected while this
-	// task was the open one. Violations are diagnostic events, not
-	// instructions; they do not contribute to Instructions().
-	Violations int64
 
 	// Deps are the tasks that must complete before this one may start.
 	Deps []TaskID
@@ -96,16 +92,6 @@ func (tr *Trace) Instructions() int64 {
 	var n int64
 	for _, t := range tr.Tasks {
 		n += t.Instructions()
-	}
-	return n
-}
-
-// Violations returns the total sanitizer violations recorded across all
-// tasks.
-func (tr *Trace) Violations() int64 {
-	var n int64
-	for _, t := range tr.Tasks {
-		n += t.Violations
 	}
 	return n
 }

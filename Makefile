@@ -143,13 +143,14 @@ bench-fastpath:
 	@echo "wrote bench-fastpath.out; compare runs with: benchstat <saved-baseline>.out bench-fastpath.out"
 
 # Explicit allocation gate for the triggering-store fast paths, telemetry
-# off and on, the serve plane's subscribed request over loopback, and the
+# off and on, the serve plane's subscribed request over loopback, the
 # dispatch side (a 4096-entry batch or merge, drained by the worker's
-# claims). The same tests run inside `make race`, but a dedicated target
+# claims) and the overflow path (a scalar or 64-word write that overflows
+# and runs inline on the writer). The same tests run inside `make race`, but a dedicated target
 # runs them without -race instrumentation (which changes allocation
 # behaviour) and names the contract in the CI log.
 allocs-gate:
-	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate|ServeNotify)FastPathAllocs|TestDispatchDrainAllocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
+	$(GO) test -count=1 -run 'Test(TStore(Batch)?|TUpdate|ServeNotify)FastPathAllocs|Test(DispatchDrain|TStoreOverflow)Allocs' -v . | grep -E '^(=== RUN|--- (PASS|FAIL)|FAIL|ok)'
 
 # Batched triggering-store benchmarks: the scalar-vs-batch throughput pair
 # plus the silent and squash batch paths, with allocation reporting. The

@@ -305,6 +305,66 @@ func TestDispatchDrainAllocs(t *testing.T) {
 	}
 }
 
+// TestTStoreOverflowAllocs holds the overflow path to the contract, in
+// BenchmarkTStoreOverflow's shape: the immediate backend at QueueCapacity 1,
+// its one worker held inside a plug thread's body and the plug's next entry
+// filling the queue, so every changing write to the measured thread's 64
+// words overflows and runs inline on the writer. A scalar TStore and a
+// 64-word TStoreBatch must each allocate nothing per op, the inline run and
+// its settle included.
+func TestTStoreOverflowAllocs(t *testing.T) {
+	const words = 64
+	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 1, QueueCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	t.Cleanup(func() { close(release) }) // before Close: the worker leaves the plug
+	plug := rt.Register("plug", func(dtt.Trigger) { entered <- struct{}{}; <-release })
+	p := rt.NewRegion("plug", 1)
+	if err := rt.Attach(plug, p, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	p.TStore(0, 1) // the worker claims it and stays in the body
+	<-entered
+	p.TStore(0, 2) // fills the queue
+	r := rt.NewRegion("hot", words)
+	id := rt.Register("noop", func(dtt.Trigger) {})
+	if err := rt.Attach(id, r, 0, words); err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]dtt.Word, words)
+	var v dtt.Word
+	scalar := func() {
+		v++
+		r.TStore(int(v)%words, v)
+	}
+	batch := func() {
+		v++
+		for i := range vals {
+			vals[i] = v
+		}
+		r.TStoreBatch(0, vals)
+	}
+	batch() // warm the batch scratch
+	for _, tc := range []struct {
+		name  string
+		op    func()
+		words int64
+	}{{"scalar TStore", scalar, 1}, {"TStoreBatch(64)", batch, words}} {
+		before := rt.Stats().Overflowed
+		const runs = 200
+		if got := testing.AllocsPerRun(runs, tc.op); got != 0 {
+			t.Errorf("overflowing %s allocates %.0f allocs/op, want 0", tc.name, got)
+		}
+		// AllocsPerRun calls op once more to warm up.
+		if n := rt.Stats().Overflowed - before; n != (runs+1)*tc.words {
+			t.Fatalf("%s: %d triggers overflowed, want %d: the gate must measure the overflow path", tc.name, n, (runs+1)*tc.words)
+		}
+	}
+}
+
 // TestServeNotifyFastPathAllocs holds the serve plane's subscribed request
 // to the same contract over a real loopback socket, client and server
 // together (AllocsPerRun counts the whole process): a 16-word Batch, the

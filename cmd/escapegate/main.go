@@ -66,13 +66,17 @@ var pinned = map[string][]string{
 		"Runtime.afterWrite",
 		"Runtime.mergePlane",
 		// The dispatch side every admitted entry pays: the worker's claim
-		// loop, the run-of-n bracket, and the run itself — whose one
-		// deferred recover must not move the worker's claim to the heap.
+		// loop, the run-of-n bracket with its sweep of the marks, and the
+		// run itself — whose one deferred recover must not move the
+		// worker's claim to the heap. runInline is the writer's side of an
+		// overflow onto a free token.
 		"Runtime.worker",
 		"Runtime.runClaimLocked",
+		"Runtime.runLocked",
 		"threadEntry.resolveLocked",
 		"Runtime.runBodies",
 		"Runtime.endRunLocked",
+		"Runtime.runInline",
 	},
 	"internal/mem": {
 		"DeltaPlane.Apply",
@@ -84,6 +88,9 @@ var pinned = map[string][]string{
 		"ThreadQueue.Dequeue",
 		"ThreadQueue.DequeueRun",
 		"ThreadQueue.Enqueue",
+		"ThreadQueue.Mark",
+		"ThreadQueue.TakeMarks",
+		"ThreadQueue.takeMarks",
 		"ThreadQueue.at",
 		"ThreadQueue.countUp",
 		"PendingSet.slot",
@@ -103,13 +110,14 @@ var pinned = map[string][]string{
 // per-word, per-trigger and per-body paths (one test of the attached
 // observers each, and no call with none attached), the coverage test every
 // changed word pays, the hinted attachment lookup every admitted trigger
-// pays, the ring slot arithmetic, and the pending bit's test-and-set and
-// clear.
+// pays, the ring slot arithmetic, the pending bit's test-and-set and clear,
+// and the no-marks test every run bracket makes before it releases its
+// token.
 var inlined = map[string][]string{
 	"internal/core": {"observers.write", "observers.access", "observers.admit", "observers.queueDepth",
 		"observers.enter", "observers.exit", "covers", "threadEntry.attachmentNear"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
-	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit"},
+	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit", "ThreadQueue.TakeMarks"},
 }
 
 func main() {

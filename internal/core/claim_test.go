@@ -539,9 +539,9 @@ func TestCloseRacesParkingWorker(t *testing.T) {
 }
 
 // TestInlineOverflowWaitsOutClaimedRun: with a capacity-1 queue, a store
-// that overflows while a worker's claimed run holds the thread's token runs
-// inline once the run settles — the settle must wake the token waiter even
-// though the worker goes straight on to its next claim.
+// that overflows while a worker's claimed run holds the thread's token is
+// marked, and the worker sweeps it before it lets the token go, although it
+// goes straight on to its next claim; Wait waits out both.
 func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1})
 	if err != nil {
@@ -566,7 +566,7 @@ func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 	stored := make(chan struct{})
 	go func() {
 		defer close(stored)
-		in.TStore(2, 1) // overflows: inline, behind the token
+		in.TStore(2, 1) // overflows onto the held token: marked
 	}()
 	within(t, "the overflow", func() {
 		for rt.Stats().Overflowed == 0 {
@@ -588,21 +588,37 @@ func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 // at QueueCapacity 1, enqueues its first trigger and overflows the other
 // nine, so the writer's inline list alternates threads: a1 | b2 b3 | a4 a5 |
 // b6 b7 | a8 a9. runInline runs each group of one thread's consecutive
-// entries under one bracket, on every backend; the bodies still run in
-// admission order and the counters read as one run per entry. A body that
-// Cancels its own thread (a4) stops the rest of its group (a5) and its later
-// groups (a8 a9): all three count Dropped, as a per-entry attachment check
-// counts them.
+// entries under one bracket; the bodies still run in admission order — on
+// the immediate backend each thread's do, since a group whose token the
+// worker took meanwhile is marked for the worker — and the counters read as
+// one run per entry. A body that Cancels its own thread (a4) stops the rest
+// of its group (a5) and its later groups (a8 a9): all three count Dropped,
+// as a per-entry attachment check counts them.
+//
+// The held input overflows a onto a token the worker holds: its one worker
+// sits inside a's body for word 0 when the batch lands, so a's entries are
+// marked while b's run inline. The batch must return before that body is
+// released; a re-store of a marked word squashes; the worker sweeps the
+// marks before Wait(a) returns, or a Cancel before the sweep drops them.
 func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
-	for _, cfg := range []Config{
-		{Backend: BackendDeferred, QueueCapacity: 1},
-		{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1},
-		{Backend: BackendSeeded, SchedSeed: 7, QueueCapacity: 1},
+	for _, in := range []struct {
+		cfg  Config
+		held bool
+	}{
+		{cfg: Config{Backend: BackendDeferred, QueueCapacity: 1}},
+		{cfg: Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1}},
+		{cfg: Config{Backend: BackendSeeded, SchedSeed: 7, QueueCapacity: 1}},
+		{cfg: Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1}, held: true},
 	} {
 		for _, cancelAt := range []int{-1, 4} {
-			cfg, cancelAt := cfg, cancelAt
+			cfg, held, cancelAt := in.cfg, in.held, cancelAt
 			name := cfg.Backend.String() + "/no_cancel"
-			if cancelAt >= 0 {
+			switch {
+			case held && cancelAt >= 0:
+				name = "immediate/held/cancel_before_sweep"
+			case held:
+				name = "immediate/held/no_cancel"
+			case cancelAt >= 0:
 				name = fmt.Sprintf("%s/cancel_at_%d", cfg.Backend, cancelAt)
 			}
 			t.Run(name, func(t *testing.T) {
@@ -613,17 +629,22 @@ func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
 				t.Cleanup(rt.Close)
 				const words = 10
 				in := rt.NewRegion("in", words)
+				entered, release := make(chan struct{}, 2), newGate(t)
 				var mu sync.Mutex
 				var ran []int // indices of the inline bodies, in run order
 				var a ThreadID
 				body := func(tg Trigger) {
-					if tg.Index == 0 {
-						return // the one queued entry, maybe on a worker
+					if tg.Index == 0 { // the one queued entry, maybe on a worker
+						if held {
+							entered <- struct{}{}
+							<-release.ch
+						}
+						return
 					}
 					mu.Lock()
 					ran = append(ran, tg.Index)
 					mu.Unlock()
-					if tg.Index == cancelAt {
+					if tg.Index == cancelAt && !held {
 						rt.Cancel(a)
 					}
 				}
@@ -643,25 +664,83 @@ func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
 				for i := range vs {
 					vs[i] = 1
 				}
-				within(t, "the overflowing batch", func() { in.TStoreBatch(0, vs) })
-				within(t, "Barrier", rt.Barrier)
+				if !held {
+					within(t, "the overflowing batch", func() { in.TStoreBatch(0, vs) })
+					within(t, "Barrier", rt.Barrier)
 
-				want, inline, dropped := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(9), int64(0)
-				if cancelAt >= 0 {
-					want, inline, dropped = []int{1, 2, 3, 4, 6, 7}, 6, 3
+					want, inline, dropped := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(9), int64(0)
+					if cancelAt >= 0 {
+						want, inline, dropped = []int{1, 2, 3, 4, 6, 7}, 6, 3
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					got, wantOrder := fmt.Sprint(ran), fmt.Sprint(want)
+					if cfg.Backend == BackendImmediate {
+						got, wantOrder = fmt.Sprint(byThread(ran)), fmt.Sprint(byThread(want))
+					}
+					if got != wantOrder {
+						t.Fatalf("inline bodies ran %s, want %s", got, wantOrder)
+					}
+					st := rt.Stats()
+					if st.Fired != words || st.Enqueued != 1 || st.Overflowed != 9 || st.InlineRuns != inline || st.Dropped != dropped {
+						t.Fatalf("Fired %d Enqueued %d Overflowed %d InlineRuns %d Dropped %d, want %d 1 9 %d %d",
+							st.Fired, st.Enqueued, st.Overflowed, st.InlineRuns, st.Dropped, words, inline, dropped)
+					}
+					assertIdentities(t, rt, "inline groups")
+					return
 				}
+
+				in.TStore(0, 2) // the worker claims it and stays in a's body
+				await(t, "a's body", entered)
+				// The watchdog is the liveness check: a writer must never wait
+				// for a token another goroutine holds.
+				within(t, "the batch overflowing onto a held token", func() { in.TStoreBatch(0, vs) })
+				mu.Lock()
+				if fmt.Sprint(ran) != "[2 3 6 7]" {
+					t.Errorf("before the release ran %v, want b's inline groups [2 3 6 7] only", ran)
+				}
+				mu.Unlock()
+				if st := rt.Stats(); st.Overflowed != 9 || st.InlineRuns != 4 || rt.Status(a) != queue.StatusRunning {
+					t.Fatalf("Overflowed %d InlineRuns %d Status(a) %v, want 9 4 running: a's five entries are marks", st.Overflowed, st.InlineRuns, rt.Status(a))
+				}
+				in.TStore(1, 5) // word 1's mark holds its pending bit
+				// Overflowed = InlineRuns + Dropped holds at quiescence; until
+				// the sweep the five marks are the difference.
+				if st := rt.Stats(); st.Squashed != 1 || st.Fired != st.Enqueued+st.Squashed+st.Overflowed || st.Overflowed != st.InlineRuns+st.Dropped+5 {
+					t.Fatalf("a re-store of a marked word: Fired %d Enqueued %d Squashed %d Overflowed %d InlineRuns %d Dropped %d, want Squashed 1 and five marks in flight",
+						st.Fired, st.Enqueued, st.Squashed, st.Overflowed, st.InlineRuns, st.Dropped)
+				}
+				want, inline, dropped := "[2 3 6 7 1 4 5 8 9]", int64(9), int64(0)
+				if cancelAt >= 0 {
+					rt.Cancel(a) // before the sweep
+					want, inline, dropped = "[2 3 6 7]", 4, 5
+				}
+				release.open()
+				within(t, "Wait(a)", func() { rt.Wait(a) })
 				mu.Lock()
 				defer mu.Unlock()
-				if fmt.Sprint(ran) != fmt.Sprint(want) {
-					t.Fatalf("inline bodies ran %v, want %v", ran, want)
+				if fmt.Sprint(ran) != want {
+					t.Fatalf("after Wait(a) ran %v, want %s", ran, want)
 				}
 				st := rt.Stats()
-				if st.Fired != words || st.Enqueued != 1 || st.Overflowed != 9 || st.InlineRuns != inline || st.Dropped != dropped {
-					t.Fatalf("Fired %d Enqueued %d Overflowed %d InlineRuns %d Dropped %d, want %d 1 9 %d %d",
-						st.Fired, st.Enqueued, st.Overflowed, st.InlineRuns, st.Dropped, words, inline, dropped)
+				if st.Fired != words+2 || st.Enqueued != 2 || st.Squashed != 1 || st.Overflowed != 9 || st.InlineRuns != inline || st.Dropped != dropped {
+					t.Fatalf("Fired %d Enqueued %d Squashed %d Overflowed %d InlineRuns %d Dropped %d, want %d 2 1 9 %d %d",
+						st.Fired, st.Enqueued, st.Squashed, st.Overflowed, st.InlineRuns, st.Dropped, words+2, inline, dropped)
 				}
-				assertIdentities(t, rt, "inline groups")
+				within(t, "Barrier", rt.Barrier)
+				assertIdentities(t, rt, "marks swept")
 			})
 		}
 	}
+}
+
+// byThread splits the interleaved test's body indices by thread — a's words
+// are 0, 1, 4, 5, 8, 9 (index mod 4 below 2), b's the rest — keeping each
+// thread's run order.
+func byThread(ran []int) [2][]int {
+	var out [2][]int
+	for _, i := range ran {
+		out[i%4/2] = append(out[i%4/2], i)
+	}
+	return out
 }

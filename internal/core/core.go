@@ -98,7 +98,8 @@ type Config struct {
 	// the single-goroutine backends ignore it. Defaults to 1.
 	Workers int
 	// QueueCapacity bounds the runtime's one thread queue; overflowing
-	// triggers run inline in the storing context. Defaults to 64.
+	// triggers run inline in the storing context, or, onto a thread whose
+	// run token a worker holds, in that worker's. Defaults to 64.
 	QueueCapacity int
 	// Recorder, when set, receives the run's task DAG: every support
 	// instance becomes a trace task released by the store that triggered it.

@@ -3,9 +3,9 @@ package core
 import "testing"
 
 // TestGoidNonzeroAndStable covers the hardened goid parser: a successful
-// parse never yields the zero sentinel (parse failure now panics instead of
-// silently returning 0, which used to defeat the recursive-inline check and
-// deadlock cascading overflows).
+// parse never yields the zero sentinel (parse failure panics instead of
+// silently returning 0, which would fold every goroutine into one sanitizer
+// agent).
 func TestGoidNonzeroAndStable(t *testing.T) {
 	g := goid()
 	if g == 0 {
@@ -17,8 +17,8 @@ func TestGoidNonzeroAndStable(t *testing.T) {
 }
 
 // TestGoidDistinctAcrossGoroutines checks that concurrently live goroutines
-// observe distinct, nonzero ids — the property the overflow-inline recursion
-// check in runInline depends on.
+// observe distinct, nonzero ids — the property the sanitizer's per-goroutine
+// agents depend on.
 func TestGoidDistinctAcrossGoroutines(t *testing.T) {
 	const n = 8
 	ids := make(chan uint64, n)

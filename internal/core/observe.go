@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"strconv"
@@ -113,6 +114,33 @@ func (o *observers) checkGoid() uint64 {
 		return 0
 	}
 	return goid()
+}
+
+// goid returns the current goroutine's id, parsed from the stack header, for
+// the sanitizer alone: it names the agent of each checked access, and no
+// dispatch path asks for it. It is no cheap read: runtime.Stack walks and
+// symbolises the whole stack to print one line of it, about 4.5 µs at a
+// shallow stack on a 2-vCPU Xeon and more as the stack deepens — part of
+// CheckStrict's price, once per checked access. A parse failure panics: a
+// zero-valued fallback would silently fold every goroutine into one agent,
+// and a Go version bump would blind the sanitizer without a word.
+func goid() uint64 {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	s := buf[:n]
+	const header = "goroutine "
+	if len(s) < len(header) || string(s[:len(header)]) != header {
+		panic(fmt.Sprintf("core: goid: unrecognised stack header %q", s))
+	}
+	id, digits := uint64(0), 0
+	for i := len(header); i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		id = id*10 + uint64(s[i]-'0')
+		digits++
+	}
+	if digits == 0 || id == 0 {
+		panic(fmt.Sprintf("core: goid: cannot parse goroutine id from header %q", s))
+	}
+	return id
 }
 
 // write is pipeline stage one, the outcome of each word of a triggering

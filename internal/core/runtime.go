@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -30,8 +29,8 @@ type attachment struct {
 // token and the ring's per-thread pending count are the thread's row of the
 // status table (TQST): Wait and Status read nothing else.
 //
-// name and fn are immutable after Register. atts and the token/waiter
-// fields are guarded by the dispatch lock (rt.d.mu); Attach and Cancel
+// name and fn are immutable after Register. atts, the token and the waiter
+// list are guarded by the dispatch lock (rt.d.mu); Attach and Cancel
 // additionally hold rt.mu to serialise against registry mutations.
 type threadEntry struct {
 	name string
@@ -45,13 +44,13 @@ type threadEntry struct {
 
 	// running is the run token, held while it is non-zero: the number of
 	// instances of this thread executing (queue-dispatched or inline). It
-	// exceeds one only when a cascading trigger that overflowed the queue
-	// re-enters its own thread's body, nested and therefore still serial.
-	// owner is the goroutine id of the token holder on the immediate
-	// backend, so such a cascade can recognise itself and recurse instead
-	// of deadlocking on its own token.
+	// exceeds one only on a single-goroutine backend, when a cascading
+	// trigger that overflowed the queue re-enters its own thread's body,
+	// nested and therefore still serial. On the immediate backend an
+	// overflow onto a held token is a mark (queue.ThreadQueue.Mark), which
+	// the holder sweeps before it lets the token go, so nothing ever waits
+	// for a token and nothing needs to know whose it is.
 	running int
-	owner   uint64
 
 	// cancelEpoch counts Cancels of this thread. A worker snapshots it when
 	// it claims a run of the thread's entries and re-reads it with one
@@ -61,12 +60,9 @@ type threadEntry struct {
 	// dispatch lock, so a plain read under that lock is exact.
 	cancelEpoch uint32 //dtt:guards dispatcher.mu
 
-	// tokenWaiters are woken when no instance of this thread is executing
-	// (the run token is free): inline overflow runners sleep here.
 	// quietWaiters are woken when the thread is quiet (quietLocked): Wait
-	// sleeps here. Both are targeted wakeups — only goroutines interested
-	// in this thread are woken.
-	tokenWaiters []chan struct{}
+	// sleeps here, a targeted wakeup — only goroutines interested in this
+	// thread are woken.
 	quietWaiters []chan struct{}
 }
 
@@ -117,8 +113,8 @@ type dispatcher struct {
 	// c are the trigger counters, guarded by mu, so a Stats snapshot taken
 	// under it is torn-free (see dispatchStats).
 	c dispatchStats
-	// busy is the quiescence count, the only one: tq.Len() plus the
-	// entries of the runs in flight, queued or inline.
+	// busy is the quiescence count, the only one: tq.Len() plus the marks
+	// plus the entries of the runs in flight, queued or inline.
 	busy int64 //dtt:guards dispatcher.mu
 	// barrierWaiters are woken when busy reaches zero: Barrier sleeps here.
 	barrierWaiters []chan struct{} //dtt:guards dispatcher.mu
@@ -127,8 +123,8 @@ type dispatcher struct {
 }
 
 // sleepLocked is the one way to sleep on the dispatch lock, called by the
-// twait, tbarrier and run-token joins and by an idle worker, each in a loop
-// over its predicate. Entered with d.mu held, it parks on waiters until
+// twait and tbarrier joins and by an idle worker, each in a loop over its
+// predicate. Entered with d.mu held, it parks on waiters until
 // wakeAll empties that list or wakeWorker pops it off, and returns with d.mu
 // held. Its cap-1 channel comes from d.spare and is made only when that list
 // is empty. The waker sends on it instead of closing it, and the sleeper
@@ -169,8 +165,8 @@ func (d *dispatcher) sleepLocked(waiters *[]chan struct{}) {
 //     registry's immutable index snapshot, and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
-//  2. The dispatch lock (dispatcher.mu): the thread queue, the
-//     per-thread records and their run tokens, and the quiescence
+//  2. The dispatch lock (dispatcher.mu): the thread queue and its marks,
+//     the per-thread records and their run tokens, and the quiescence
 //     count. A store that fires takes it once, and only for pointer-sized
 //     bookkeeping, never across a thread body.
 //  3. rt.mu, the management lock: Register/Attach/Cancel and registry
@@ -378,6 +374,10 @@ func (rt *Runtime) Cancel(t ThreadID) {
 		atomic.AddUint32(&te.cancelEpoch, 1)
 	}
 	d.busy -= int64(d.tq.Squash(t))
+	// Marks never ran: cancelled overflowed work, Dropped.
+	dropped := d.tq.DropMarks(t)
+	d.c.dropped += int64(dropped)
+	d.busy -= int64(dropped)
 	rt.stats.cancels.Add(1)
 	// Squashing may have made t — or the whole runtime — quiet.
 	rt.finishLocked(te, t)
@@ -500,15 +500,15 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	if covers(cands, word[0]) {
 		n = 1
 	}
-	var inline []queue.Entry
-	rt.dispatchFired(cands, word[:n], &inline, g, 1)
-	rt.afterWrite(inline)
+	// Room on the stack for the overflow of a word one thread covers.
+	var spill [1]queue.Entry
+	rt.afterWrite(rt.dispatchFired(cands, word[:n], spill[:0], g, 1))
 	return true
 }
 
 // afterWrite is the tail of every changing triggering write, run with no
-// lock held: the overflowed triggers the write collected execute inline in
-// the writer (runInline), and then the write is a preemption point — the
+// lock held: the overflowed triggers the write collected for itself execute
+// inline in the writer (runInline), and then the write is a preemption point — the
 // deterministic scheduler may dispatch any number of pending instances. A
 // batch or a merge is ONE preemption point, at its end, however many words it
 // wrote.
@@ -531,27 +531,36 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 // id's record under that lock: its pending set is the dedup key. A nil a is a
 // trigger whose range a concurrent Cancel detached between the registry
 // snapshot and this lock: it never happened, and reports Squashed, like a
-// squash leaving nothing to settle. An overflowed trigger is appended to
-// inline for the caller to run after its dispatch completes — never with the
-// dispatch lock held. On Enqueued the caller owes the queue its settlement —
-// the busy count, a queue-depth sample and a worker wakeup — which
-// dispatchFired, the only caller, pays once per write. Moving the scalar
-// store from a settle per entry to this one moved no end-to-end metric
-// outside the old code's quartile spread, in ten alternating 20 s runs of
-// each bench/run.sh workload on a 2-core Xeon; in two traced runs each,
-// where baseline and DTT alternate within a pass, kernels_fine's speedup
-// read 0.27x against 0.25x.
-func (rt *Runtime) admitLocked(a *attachment, id ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) queue.EnqueueStatus {
+// squash leaving nothing to settle. On the immediate backend an overflowed
+// trigger whose thread's run token (te's) is held is marked
+// (queue.ThreadQueue.Mark) and counted in busy, for the holder to sweep; any
+// other is appended to inline, which is returned, for the caller to run after
+// its dispatch completes — never with the dispatch lock held. On a
+// single-goroutine backend a held token is the writer's own enclosing
+// bracket, which the inline run re-enters. On Enqueued the caller owes the
+// queue its settlement — the busy count, a queue-depth sample and a worker
+// wakeup — which dispatchFired, the only caller, pays once per write. Moving
+// the scalar store from a settle per entry to this one moved no end-to-end
+// metric outside the old code's quartile spread, in ten alternating 20 s
+// runs of each bench/run.sh workload on a 2-core Xeon; in two traced runs
+// each, where baseline and DTT alternate within a pass, kernels_fine's
+// speedup read 0.27x against 0.25x.
+func (rt *Runtime) admitLocked(te *threadEntry, a *attachment, id ThreadID, addr mem.Addr, g uint64, inline []queue.Entry) (queue.EnqueueStatus, []queue.Entry) {
 	if a == nil {
-		return queue.Squashed
+		return queue.Squashed, inline
 	}
 	rt.d.c.fired++
 	st := rt.d.tq.Enqueue(id, addr, &a.pend)
 	if st == queue.Overflowed {
-		*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
+		if te.running != 0 && rt.cfg.Backend == BackendImmediate {
+			rt.d.tq.Mark(id, addr, &a.pend)
+			rt.d.busy++
+		} else {
+			inline = append(inline, queue.Entry{Thread: id, Addr: addr})
+		}
 	}
 	rt.obs.admit(g, id, addr, st)
-	return st
+	return st, inline
 }
 
 // batchScratch is the per-call working set of a batch or a merge: the
@@ -647,7 +656,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	}
 	rt.obs.batchSize(len(vs))
 
-	rt.dispatchFired(sc.cands, sc.words, &sc.inline, g, changed)
+	sc.inline = rt.dispatchFired(sc.cands, sc.words, sc.inline, g, changed)
 	if changed > 0 {
 		rt.afterWrite(sc.inline)
 	}
@@ -670,13 +679,14 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 // Overflowed holds at every instant. The thread record and attachment are
 // resolved once per run of one thread's pairs, and busy, the queue-depth
 // sample and the worker wakeup settle once per write rather than once per
-// entry. Overflowed pairs land in inline for the caller's afterWrite.
-func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inline *[]queue.Entry, g uint64, stores int) {
+// entry. Overflowed pairs are marked or appended to inline (admitLocked),
+// which is returned for the caller's afterWrite.
+func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inline []queue.Entry, g uint64, stores int) []queue.Entry {
 	if len(words) == 0 {
 		if stores > 0 {
 			rt.stats.changing.Add(int64(stores))
 		}
-		return
+		return inline
 	}
 	// The thread table is loaded after the registry snapshot that produced
 	// cands, so every id in them is in range.
@@ -696,7 +706,8 @@ func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inl
 				te, a = ths[c.Thread], nil
 			}
 			a = te.attachmentNear(a, addr)
-			if rt.admitLocked(a, c.Thread, addr, g, inline) == queue.Enqueued {
+			st, grown := rt.admitLocked(te, a, c.Thread, addr, g, inline)
+			if inline = grown; st == queue.Enqueued {
 				enqueued++
 			}
 		}
@@ -709,6 +720,7 @@ func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inl
 		rt.wakeWorker()
 	}
 	d.mu.Unlock()
+	return inline
 }
 
 // wakeWorker wakes one idle worker, if there is one, for work its caller
@@ -733,20 +745,16 @@ func (d *dispatcher) quietLocked(te *threadEntry, t ThreadID) bool {
 }
 
 // finishLocked propagates the consequences of thread t's activity
-// dropping: it frees t's run token waiters, completes Wait waiters whose
-// predicate became true, and completes Barrier waiters — and, once Close has
-// sealed the queue, the idle workers, to exit — when the quiescence count is
-// zero (te is nil when a Cancel names an id never registered).
-// Re-offering t's skipped queue entries is the finisher's business — a
-// worker re-claims itself, an inline run wakes one (endRunLocked). Callers
-// hold rt.d.mu.
+// dropping: it completes Wait waiters whose predicate became true, and
+// completes Barrier waiters — and, once Close has sealed the queue, the idle
+// workers, to exit — when the quiescence count is zero (te is nil when a
+// Cancel names an id never registered). Re-offering t's skipped queue
+// entries is the finisher's business — a worker re-claims itself, an inline
+// run wakes one (runClaimLocked). Callers hold rt.d.mu.
 func (rt *Runtime) finishLocked(te *threadEntry, t ThreadID) {
 	d := rt.d
-	if te != nil && te.running == 0 {
-		wakeAll(&te.tokenWaiters)
-		if len(te.quietWaiters) > 0 && d.quietLocked(te, t) {
-			wakeAll(&te.quietWaiters)
-		}
+	if te != nil && len(te.quietWaiters) > 0 && d.quietLocked(te, t) {
+		wakeAll(&te.quietWaiters)
 	}
 	if d.busy == 0 {
 		wakeAll(&d.barrierWaiters)
@@ -828,23 +836,42 @@ func (rt *Runtime) runBodies(te *threadEntry, c *claim, i, n int, epoch uint32) 
 
 // runClaimLocked is the instance-run bracket, the one way any executor — a
 // worker's claim, drain's pick, a group of runInline's overflowed entries —
-// runs c.es[:n], n >= 1 entries of the thread whose record is te, on
-// goroutine g. Under the dispatch lock it takes the thread's run token once
-// (re-entrantly, when an overflowed cascade re-enters its own thread), counts
-// overflowed entries in busy (queued ones were counted at admission and stay
-// counted off the ring), resolves the triggers and reads the cancel epoch.
-// It runs the bodies back to back with no lock held and settles the run in
-// one endRunLocked. A Cancel of the thread since the claim stops the run
-// before its next body; a body that panics resumes the run behind it.
-// Entered and left with rt.d.mu held.
-func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, g uint64, queued bool) {
+// runs c.es[:n], n >= 1 entries of the thread whose record is te. It takes
+// the thread's run token once (re-entrantly, when an overflowed cascade
+// re-enters its own thread on a single-goroutine backend) and runs the
+// entries (runLocked). Then the sweep: before the token goes, its holder
+// takes the marks that overflows onto the held token left
+// (queue.ThreadQueue.TakeMarks) and runs them inline, up to claimMax at a
+// time, until none is left. Marks exist only while the token is held, so
+// the release leaves none behind. Entered and left with rt.d.mu held.
+func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, queued bool) {
 	d := rt.d
 	t := c.es[0].Thread
 	te.running++
-	te.owner = g
-	if !queued {
-		d.busy += int64(n)
+	rt.runLocked(te, c, n, queued)
+	for n = d.tq.TakeMarks(t, c.es[:]); n > 0; n = d.tq.TakeMarks(t, c.es[:]) {
+		rt.runLocked(te, c, n, false)
 	}
+	te.running--
+	rt.finishLocked(te, t)
+	if !queued && te.running == 0 && d.tq.Pending(t) {
+		// Entries of t that workers skipped while this inline run held the
+		// token are dispatchable again, and the finisher is no worker.
+		rt.wakeWorker()
+	}
+}
+
+// runLocked runs c.es[:n] under the run token runClaimLocked holds: under
+// the dispatch lock it resolves the triggers and reads the cancel epoch, runs
+// the bodies back to back with no lock held and settles the run in one
+// endRunLocked. A Cancel of the thread since the claim stops the run before
+// its next body; a body that panics resumes the run behind it. A separate
+// function so that every executor's frame keeps the lock held across the
+// sweep's loop, as dttlint's lock walker reads it. Entered and left with
+// rt.d.mu held.
+func (rt *Runtime) runLocked(te *threadEntry, c *claim, n int, queued bool) {
+	d := rt.d
+	t := c.es[0].Thread
 	te.resolveLocked(c, n)
 	epoch := te.cancelEpoch
 	if queued && d.tq.Len() > d.tq.PendingCount(t) {
@@ -864,27 +891,21 @@ func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, g uint64, qu
 	}
 
 	d.mu.Lock()
-	rt.endRunLocked(te, t, queued, n, c.oks[:started]...)
+	rt.endRunLocked(t, queued, n, c.oks[:started]...)
 }
 
-// endRunLocked closes the bracket runClaimLocked opened on a run of n
-// entries, in one settle: it returns the run token and counts one outcome
-// per started body, in order — Executed or FailedRuns for a queued
-// instance, InlineRuns (and FailedRuns) for an inline one. The n - len(oks)
-// entries a Cancel stopped the run before are cancelled work: queued ones
-// are neither executed nor failed, inline ones count Dropped, keeping
-// Overflowed = InlineRuns + Dropped. Then it drops the busy count by n and
-// propagates the quiescence consequences once. A settle of more entries
-// than busy counts in flight panics before it changes anything. Callers
-// hold rt.d.mu.
-func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int, oks ...bool) {
+// endRunLocked settles one run of n entries of thread t: it counts one
+// outcome per started body, in order — Executed or FailedRuns for a queued
+// instance, InlineRuns (and FailedRuns) for an overflowed one. The n -
+// len(oks) entries a Cancel stopped the run before are cancelled work:
+// queued ones are neither executed nor failed, overflowed ones count
+// Dropped, keeping Overflowed = InlineRuns + Dropped. Then it drops the busy
+// count by n. A settle of more entries than busy counts in flight panics
+// before it changes anything. Callers hold rt.d.mu.
+func (rt *Runtime) endRunLocked(t ThreadID, queued bool, n int, oks ...bool) {
 	d := rt.d
 	if d.busy < int64(n) {
 		panic(fmt.Sprintf("core: thread %d settled %d entries with %d in flight", t, n, d.busy))
-	}
-	te.running--
-	if te.running == 0 {
-		te.owner = 0
 	}
 	if !queued {
 		d.c.dropped += int64(n - len(oks))
@@ -901,12 +922,6 @@ func (rt *Runtime) endRunLocked(te *threadEntry, t ThreadID, queued bool, n int,
 		}
 	}
 	d.busy -= int64(n)
-	rt.finishLocked(te, t)
-	if !queued && te.running == 0 && d.tq.Pending(t) {
-		// Entries of t that workers skipped while this inline run held the
-		// token are dispatchable again, and the finisher is no worker.
-		rt.wakeWorker()
-	}
 }
 
 // drain is the single-goroutine execution model: it runs queued instances on
@@ -931,7 +946,7 @@ func (rt *Runtime) drain(all bool) {
 			d.mu.Unlock()
 			return
 		}
-		rt.runClaimLocked(ths[c.es[0].Thread], &c, 1, 0, true)
+		rt.runClaimLocked(ths[c.es[0].Thread], &c, 1, true)
 	}
 }
 
@@ -961,23 +976,20 @@ func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) bool
 	return true
 }
 
-// runInline executes a write's overflowed triggers synchronously in the
-// writer, in admission order, honouring per-thread serialisation. Each
-// maximal run of one thread's consecutive entries (up to claimMax) is one
-// bracket: it waits for the thread's run token once, and an entry whose
+// runInline executes the overflowed triggers a write collected for itself
+// (admitLocked) synchronously in the writer, in admission order, honouring
+// per-thread serialisation; it never waits. Each maximal run of one thread's
+// consecutive entries (up to claimMax) is one bracket, and an entry whose
 // attachment a Cancel removed since the overflow counts Dropped instead of
-// running, keeping Overflowed = InlineRuns + Dropped. When the write came from
-// inside an instance of the same thread — a cascading trigger that found the
-// queue full — the body is re-entered recursively on this goroutine: that
-// preserves one-instance-at-a-time (the nesting is serial) and avoids
-// waiting for ourselves. Only the immediate backend needs the goroutine's
-// identity for that: on the others a busy thread is necessarily our own.
+// running, keeping Overflowed = InlineRuns + Dropped. When the write came
+// from inside an instance of the same thread on a single-goroutine backend —
+// a cascading trigger that found the queue full — the bracket re-enters the
+// body on this goroutine, which preserves one-instance-at-a-time (the
+// nesting is serial). On the immediate backend a token a worker took since
+// the admission is no reason to wait either: the group's entries are marked
+// for that worker to sweep, as admission would have marked them.
 func (rt *Runtime) runInline(inline []queue.Entry) {
 	immediate := rt.cfg.Backend == BackendImmediate
-	var g uint64
-	if immediate {
-		g = goid()
-	}
 	ths := rt.threadsSnap()
 	var c claim
 	d := rt.d
@@ -989,23 +1001,24 @@ func (rt *Runtime) runInline(inline []queue.Entry) {
 		for k < len(inline) && k < claimMax && inline[k].Thread == t {
 			k++
 		}
-		// Wait for the token unless it is free, or ours (the bracket nests on
-		// this goroutine), or nothing is left attached to run.
-		for immediate && te.running != 0 && te.owner != g && len(te.atts) > 0 {
-			d.sleepLocked(&te.tokenWaiters)
-		}
+		held := immediate && te.running != 0
 		n := 0
 		for _, e := range inline[:k] {
-			if te.attachmentAt(e.Addr) == nil {
+			switch a := te.attachmentAt(e.Addr); {
+			case a == nil:
 				d.c.dropped++
-				continue
+			case held:
+				d.tq.Mark(t, e.Addr, &a.pend)
+				d.busy++
+			default:
+				c.es[n] = e
+				n++
 			}
-			c.es[n] = e
-			n++
 		}
 		inline = inline[k:]
 		if n > 0 {
-			rt.runClaimLocked(te, &c, n, g, false)
+			d.busy += int64(n) // a queued run's entries were counted at admission
+			rt.runClaimLocked(te, &c, n, false)
 		}
 	}
 	d.mu.Unlock()
@@ -1046,7 +1059,6 @@ type claim struct {
 // and ring lines bounce between producer and worker).
 func (rt *Runtime) worker() {
 	defer rt.wg.Done()
-	g := goid() // stable for the worker's life: one traceback, not one per claim
 	var c claim
 	d := rt.d
 	d.mu.Lock()
@@ -1063,37 +1075,8 @@ func (rt *Runtime) worker() {
 			d.sleepLocked(&rt.idle)
 			continue
 		}
-		rt.runClaimLocked(ths[c.es[0].Thread], &c, n, g, true)
+		rt.runClaimLocked(ths[c.es[0].Thread], &c, n, true)
 	}
-}
-
-// goid returns the current goroutine's id, parsed from the stack header. It
-// is no cheap read: runtime.Stack walks and symbolises the whole stack to
-// print one line of it, ~5-10 µs that grows with the stack's depth. The
-// unchecked fast paths never call it: a worker resolves its id once at
-// start, runInline on the immediate backend once per overflowing write, and
-// otherwise only the sanitizer asks (once per checked access — part of
-// CheckStrict's price). A parse failure panics: the id guards the
-// recursive-inline deadlock check, and an unparseable id silently disabling
-// that check (as a zero-valued fallback once did) turns a Go version bump
-// into a runtime hang.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
-	const header = "goroutine "
-	if len(s) < len(header) || string(s[:len(header)]) != header {
-		panic(fmt.Sprintf("core: goid: unrecognised stack header %q", s))
-	}
-	id, digits := uint64(0), 0
-	for i := len(header); i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
-		id = id*10 + uint64(s[i]-'0')
-		digits++
-	}
-	if digits == 0 || id == 0 {
-		panic(fmt.Sprintf("core: goid: cannot parse goroutine id from header %q", s))
-	}
-	return id
 }
 
 // Wait blocks until thread t has no pending or running instances (twait).

@@ -93,9 +93,12 @@ type Stats struct {
 	// has sealed is always full).
 	Overflowed int64
 	// Dropped counts overflowed triggers whose thread a Cancel detached
-	// before their inline run could start: cancelled work, never executed.
+	// before their inline run could start — marks included: cancelled
+	// work, never executed.
 	Dropped int64
-	// InlineRuns counts overflowed triggers executed in the main thread.
+	// InlineRuns counts overflowed triggers executed inline: by the
+	// storing goroutine, or by the holder of the thread's run token when
+	// the trigger overflowed onto a held token (a mark).
 	InlineRuns int64
 	// Executed counts queue-dispatched support instances completed.
 	Executed int64

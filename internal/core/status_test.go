@@ -297,15 +297,12 @@ func TestStatusLifecycle(t *testing.T) {
 			d := r.rt.d
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			te := r.rt.threadsSnap()[r.th]
-			te.running++ // the token, as runClaimLocked takes it; busy counts nothing in flight
-			defer func() {
+			defer func() { // busy counts nothing in flight
 				if recover() == nil {
 					t.Fatal("endRunLocked settled an entry busy did not count without panicking")
 				}
-				te.running-- // the panic changed nothing: give the token back
 			}()
-			r.rt.endRunLocked(te, r.th, true, 1, true)
+			r.rt.endRunLocked(r.th, true, 1, true)
 		}},
 	}
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {

@@ -115,7 +115,8 @@ func TestImmediateStress(t *testing.T) {
 // TestCascadeOverflowDoesNotDeadlock is a regression test: a support
 // thread whose own triggering store overflows the queue used to wait for
 // its own thread to go quiet. The recursive-inline path must run it on the
-// spot instead.
+// spot instead on the deferred backend; on the immediate backend it is a
+// mark, which the body's own bracket sweeps when the body returns.
 func TestCascadeOverflowDoesNotDeadlock(t *testing.T) {
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {
 		backend := backend

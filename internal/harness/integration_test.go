@@ -93,27 +93,6 @@ func TestSimWorkConservation(t *testing.T) {
 	}
 }
 
-// TestDeterministicExperiments runs a cheap experiment twice and demands
-// identical values: the whole evaluation must be reproducible bit-for-bit.
-func TestDeterministicExperiments(t *testing.T) {
-	for _, id := range []string{"F1", "F3", "F9"} {
-		e, _ := ByID(id)
-		a, err := e.Run(smallOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e.Run(smallOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range a.Values {
-			if b.Values[k] != v {
-				t.Errorf("%s: %s differs across identical runs: %v vs %v", id, k, v, b.Values[k])
-			}
-		}
-	}
-}
-
 // TestSeedRobustness re-runs the headline comparison for two benchmarks on
 // a different input instance: the conclusions must not be a property of
 // one seed.

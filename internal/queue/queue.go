@@ -17,7 +17,8 @@ type Entry struct {
 	// unserved trigger waited.
 	T0 int64
 	// pend is the word of its attachment's PendingSet that holds this entry's
-	// pending bit while the entry sits in the ring; nil anywhere else.
+	// pending bit while the entry sits in the ring or is marked; nil anywhere
+	// else, and on a mark that found its bit already held (Mark).
 	pend *uint64
 }
 
@@ -30,7 +31,8 @@ const (
 	// Squashed means a matching entry was already pending.
 	Squashed
 	// Overflowed means the queue was full or sealed; the caller runs the
-	// thread inline in the storing context.
+	// thread inline in the storing context, or marks it (Mark) for the
+	// holder of the thread's run token.
 	Overflowed
 )
 
@@ -92,7 +94,7 @@ type ThreadQueue struct {
 	ring      []Entry //dtt:guards dispatcher.mu
 	head      int     //dtt:guards dispatcher.mu
 	n         int     //dtt:guards dispatcher.mu
-	perThread []int   // pending entries per ThreadID, grown on demand
+	perThread []int   // pending entries per ThreadID, ring and marks, grown on demand
 	// sealed makes the queue read as full to every later offer (Seal).
 	sealed bool //dtt:guards dispatcher.mu
 	// clock stamps Entry.T0 at enqueue when non-nil; the runtime sets it
@@ -101,6 +103,11 @@ type ThreadQueue struct {
 	clock func() int64
 
 	c Counters
+
+	// marks[t] are thread t's marks, oldest first: overflowed offers that
+	// wait outside the ring for the holder of t's run token (Mark). Last,
+	// so the enqueue path's fields keep their lines.
+	marks [][]Entry //dtt:guards dispatcher.mu
 }
 
 // Counters are a ThreadQueue's lifetime statistics. They obey
@@ -156,10 +163,13 @@ func (q *ThreadQueue) countUp(t ThreadID) {
 
 // clearPending clears the pending bit of the entry in ring slot s, which is
 // leaving the ring, and with it the slot's hold on the attachment's bitmap: a
-// vacated slot must not keep a cancelled attachment's bits reachable.
+// vacated slot must not keep a cancelled attachment's bits reachable. A mark
+// that holds no bit clears nothing.
 func clearPending(s *Entry) {
-	*s.pend &^= pendBit(s.Addr)
-	s.pend = nil
+	if s.pend != nil {
+		*s.pend &^= pendBit(s.Addr)
+		s.pend = nil
+	}
 }
 
 // Enqueue offers a fired trigger of thread t at addr to the queue. p is the
@@ -302,6 +312,69 @@ func (q *ThreadQueue) Squash(t ThreadID) int {
 	return removed
 }
 
+// Mark records an offer of thread t at addr that overflowed while t's run
+// token is held as a mark: pending like a ring entry — it sets the address's
+// pending bit, so later offers of (t, addr) squash, and counts in t's pending
+// count — but outside the ring, which a mark never waits for. The token's
+// holder takes the marks (TakeMarks) before it releases the token, and a
+// tcancel drops them (DropMarks). p is as for Enqueue. A mark whose bit an
+// entry or an earlier mark already holds still joins the list, to run, but
+// leaves the bit to its holder.
+func (q *ThreadQueue) Mark(t ThreadID, addr mem.Addr, p *PendingSet) {
+	w, bit := p.slot(addr)
+	e := Entry{Thread: t, Addr: addr}
+	if *w&bit == 0 {
+		*w |= bit
+		e.pend = w
+	}
+	q.countUp(t) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
+	if int(t) >= len(q.marks) {
+		grown := make([][]Entry, len(q.perThread)) //dtt:escape-ok -- per-thread list growth; allocates only on first sight of a thread id
+		copy(grown, q.marks)
+		q.marks = grown
+	}
+	q.marks[t] = append(q.marks[t], e) //dtt:escape-ok -- a thread's mark list grows to its largest backlog once and keeps it
+}
+
+// TakeMarks removes up to len(out) of thread t's marks, oldest first, into
+// out, clears their pending bits and returns how many it took. Every run
+// bracket asks once before it releases its token, so the usual answer — no
+// marks — is an inlined test.
+func (q *ThreadQueue) TakeMarks(t ThreadID, out []Entry) int {
+	if int(t) >= len(q.marks) || len(q.marks[t]) == 0 {
+		return 0
+	}
+	return q.takeMarks(t, out)
+}
+
+func (q *ThreadQueue) takeMarks(t ThreadID, out []Entry) int {
+	ms := q.marks[t]
+	k := copy(out, ms)
+	for i := range out[:k] {
+		clearPending(&out[i])
+	}
+	n := copy(ms, ms[k:])
+	clear(ms[n:])
+	q.marks[t] = ms[:n]
+	q.perThread[t] -= k
+	return k
+}
+
+// DropMarks removes all of thread t's marks (tcancel), clears their pending
+// bits and returns how many it removed.
+func (q *ThreadQueue) DropMarks(t ThreadID) int {
+	if int(t) < 0 || int(t) >= len(q.marks) {
+		return 0
+	}
+	ms := q.marks[t]
+	for i := range ms {
+		clearPending(&ms[i])
+	}
+	q.marks[t] = ms[:0]
+	q.perThread[t] -= len(ms)
+	return len(ms)
+}
+
 // Seal makes the queue always full: from now on every offer that is not
 // squashed overflows, and the entries already queued still dequeue. It is
 // the runtime's closed state; a sealed queue stays sealed.
@@ -316,10 +389,11 @@ func (q *ThreadQueue) Len() int { return q.n }
 // Cap returns the queue capacity.
 func (q *ThreadQueue) Cap() int { return q.cap }
 
-// Pending reports whether thread t has any pending entry, in O(1).
+// Pending reports whether thread t has any pending entry or mark, in O(1).
 func (q *ThreadQueue) Pending(t ThreadID) bool { return q.PendingCount(t) > 0 }
 
-// PendingCount returns how many entries of thread t are pending, in O(1).
+// PendingCount returns how many entries and marks of thread t are pending, in
+// O(1).
 func (q *ThreadQueue) PendingCount(t ThreadID) int {
 	if int(t) < 0 || int(t) >= len(q.perThread) {
 		return 0

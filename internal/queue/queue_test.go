@@ -291,6 +291,52 @@ func TestQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestQueueMarks: a mark holds its address's pending bit outside the ring —
+// a later offer of the word squashes even with room in the ring, and the
+// mark counts in the thread's pending count but not in Len. TakeMarks hands
+// the marks back oldest first, at most len(out) at a time, clearing their
+// bits; a mark whose bit a ring entry already holds leaves the bit to the
+// entry; DropMarks removes the rest.
+func TestQueueMarks(t *testing.T) {
+	q := NewThreadQueue(4)
+	p := NewPendingSet(0, 1<<10)
+	for _, addr := range []mem.Addr{0x10, 0x18, 0x20} {
+		q.Mark(1, addr, &p)
+	}
+	if q.Len() != 0 || q.PendingCount(1) != 3 || !q.Pending(1) || q.Pending(2) {
+		t.Fatalf("after three marks: Len %d PendingCount(1) %d", q.Len(), q.PendingCount(1))
+	}
+	if s := q.Enqueue(1, 0x10, &p); s != Squashed {
+		t.Fatalf("offer of a marked word: %v, want squashed", s)
+	}
+	if s := q.Enqueue(1, 0x28, &p); s != Enqueued {
+		t.Fatalf("offer of an unmarked word: %v, want enqueued", s)
+	}
+	q.Mark(1, 0x28, &p) // the ring entry holds the bit
+	var out [2]Entry
+	if n := q.TakeMarks(1, out[:]); n != 2 || out[0].Addr != 0x10 || out[1].Addr != 0x18 {
+		t.Fatalf("TakeMarks = %d %+v, want the two oldest", n, out[:n])
+	}
+	if s := q.Enqueue(1, 0x10, &p); s != Enqueued {
+		t.Fatalf("offer of a swept word: %v, want enqueued", s)
+	}
+	if n := q.DropMarks(1); n != 2 || q.PendingCount(1) != 2 {
+		t.Fatalf("DropMarks = %d, PendingCount(1) %d, want 2 and the two ring entries", n, q.PendingCount(1))
+	}
+	if s := q.Enqueue(1, 0x28, &p); s != Squashed {
+		t.Fatalf("the ring entry lost its bit to a mark it preceded: %v", s)
+	}
+	if s := q.Enqueue(1, 0x20, &p); s != Enqueued {
+		t.Fatalf("offer of a dropped mark's word: %v, want enqueued", s)
+	}
+	if n := q.TakeMarks(1, out[:]) + q.TakeMarks(7, out[:]) + q.DropMarks(7); n != 0 {
+		t.Fatalf("%d marks left, want none", n)
+	}
+	if c := q.Counters(); c.Enqueued != 3 || c.Squashed != 2 || c.Overflowed != 0 {
+		t.Fatalf("marks moved the admission counters: %+v", c)
+	}
+}
+
 // TestQueueSeal: a sealed queue reads as full to every later offer. An offer
 // whose pending bit is set still squashes, every other offer overflows, even
 // with room in the ring, and the entries queued before the seal still

@@ -66,13 +66,14 @@ var pinned = map[string][]string{
 		"Runtime.afterWrite",
 		"Runtime.mergePlane",
 		// The dispatch side every admitted entry pays: the worker's claim
-		// loop, the run-of-n bracket with its sweep of the marks, and the
-		// run itself — whose one deferred recover must not move the
-		// worker's claim to the heap. runInline is the writer's side of an
-		// overflow onto a free token.
+		// loop, the helping join's (its claim must stay on the joiner's
+		// stack), and the run-of-n bracket with its sweep of the marks —
+		// whose bodies' one deferred recover must not move either claim to
+		// the heap. runInline is the writer's side of an overflow onto a
+		// free token.
 		"Runtime.worker",
+		"Runtime.drainThread",
 		"Runtime.runClaimLocked",
-		"Runtime.runLocked",
 		"threadEntry.resolveLocked",
 		"Runtime.runBodies",
 		"Runtime.endRunLocked",
@@ -97,9 +98,11 @@ var pinned = map[string][]string{
 		"clearPending",
 	},
 	// The serve plane's subscribed request: the notify push every firing
-	// support thread makes, and the writer's per-frame encode.
+	// support thread makes, the one flush both the reader and the writer
+	// goroutine call, and its per-frame encode.
 	"internal/serve": {
 		"outbox.pushNotify",
+		"session.flush",
 		"appendMsg",
 	},
 }

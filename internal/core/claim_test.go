@@ -600,20 +600,30 @@ func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
 // marked while b's run inline. The batch must return before that body is
 // released; a re-store of a marked word squashes; the worker sweeps the
 // marks before Wait(a) returns, or a Cancel before the sweep drops them.
+//
+// The help inputs queue a backlog of thread t while the one worker sits in
+// a plug body of another thread (helpingJoin).
 func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
 	for _, in := range []struct {
-		cfg  Config
-		held bool
+		cfg     Config
+		held    bool
+		backlog int
 	}{
 		{cfg: Config{Backend: BackendDeferred, QueueCapacity: 1}},
 		{cfg: Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1}},
 		{cfg: Config{Backend: BackendSeeded, SchedSeed: 7, QueueCapacity: 1}},
 		{cfg: Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1}, held: true},
+		{cfg: Config{Backend: BackendImmediate, Workers: 1}, backlog: claimMax},
+		{cfg: Config{Backend: BackendImmediate, Workers: 1}, backlog: claimMax + 1},
 	} {
 		for _, cancelAt := range []int{-1, 4} {
-			cfg, held, cancelAt := in.cfg, in.held, cancelAt
+			cfg, held, backlog, cancelAt := in.cfg, in.held, in.backlog, cancelAt
 			name := cfg.Backend.String() + "/no_cancel"
 			switch {
+			case backlog > 0 && cancelAt >= 0:
+				continue
+			case backlog > 0:
+				name = fmt.Sprintf("immediate/help/backlog_%d", backlog)
 			case held && cancelAt >= 0:
 				name = "immediate/held/cancel_before_sweep"
 			case held:
@@ -627,6 +637,10 @@ func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(rt.Close)
+				if backlog > 0 {
+					helpingJoin(t, rt, backlog)
+					return
+				}
 				const words = 10
 				in := rt.NewRegion("in", words)
 				entered, release := make(chan struct{}, 2), newGate(t)
@@ -732,6 +746,92 @@ func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
 			})
 		}
 	}
+}
+
+// helpingJoin is TestInlineGroupsKeepOrderAndCounters' help input: the one
+// worker sits in a plug body of thread u while backlog entries of thread t
+// are queued. With one claim's worth (claimMax) Wait(t) runs them itself
+// before the plug opens, on the joiner's goroutine, as queued instances
+// (Executed); with one more it sleeps until the worker, released, has run
+// them all.
+func helpingJoin(t *testing.T, rt *Runtime, backlog int) {
+	in := rt.NewRegion("in", 1+backlog)
+	entered, plug := make(chan struct{}, 1), newGate(t)
+	u := rt.Register("u", func(Trigger) {
+		entered <- struct{}{}
+		<-plug.ch
+	})
+	var mu sync.Mutex
+	var ran []uint64 // the goroutine each of t's bodies ran on
+	tid := rt.Register("t", func(Trigger) {
+		mu.Lock()
+		ran = append(ran, goid())
+		mu.Unlock()
+	})
+	if err := rt.Attach(u, in, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Attach(tid, in, 1, 1+backlog); err != nil {
+		t.Fatal(err)
+	}
+	in.TStore(0, 1)
+	await(t, "u's plug body", entered)
+	vs := make([]mem.Word, backlog)
+	for i := range vs {
+		vs[i] = 1
+	}
+	in.TStoreBatch(1, vs)
+	var joiner uint64
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		joiner = goid()
+		rt.Wait(tid)
+	}()
+	ranOn := func() (on, off int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, g := range ran {
+			if g == joiner {
+				on++
+			} else {
+				off++
+			}
+		}
+		return on, off
+	}
+	if backlog <= claimMax {
+		await(t, "Wait(t) beside the plugged worker", joined)
+		if on, off := ranOn(); on != backlog || off != 0 {
+			t.Fatalf("t's bodies ran %d on the joiner and %d elsewhere, want all %d on the joiner", on, off, backlog)
+		}
+		// u's run is still in flight, so the queue is not quiescent: the
+		// two counter identities hold all the same.
+		if st := rt.Stats(); st.Executed != int64(backlog) || st.Fired != st.Enqueued+st.Squashed+st.Overflowed || st.Overflowed != st.InlineRuns+st.Dropped {
+			t.Fatalf("after the helped join: Executed %d (want %d) Fired %d Enqueued %d Squashed %d Overflowed %d InlineRuns %d Dropped %d",
+				st.Executed, backlog, st.Fired, st.Enqueued, st.Squashed, st.Overflowed, st.InlineRuns, st.Dropped)
+		}
+	} else {
+		select {
+		case <-joined:
+			t.Fatalf("Wait(t) returned with %d entries of t queued and the worker plugged", backlog)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if on, off := ranOn(); on+off != 0 {
+			t.Fatalf("%d of t's bodies ran while the worker was plugged, want none", on+off)
+		}
+		plug.open()
+		await(t, "Wait(t) once the plug opens", joined)
+		if on, off := ranOn(); on != 0 || off != backlog {
+			t.Fatalf("t's bodies ran %d on the joiner and %d on the worker, want all %d on the worker", on, off, backlog)
+		}
+	}
+	plug.open()
+	within(t, "Barrier", rt.Barrier)
+	if st := rt.Stats(); st.Executed != int64(backlog+1) {
+		t.Fatalf("Executed %d, want %d: t's backlog and u's plug", st.Executed, backlog+1)
+	}
+	assertIdentities(t, rt, "plug released")
 }
 
 // byThread splits the interleaved test's body indices by thread — a's words

@@ -108,3 +108,45 @@ func (c *classed) swap(i int, v uint64) uint64 {
 	}
 	return old
 }
+
+// pool is the run bracket's shape: sweep is entered with mu held by its one
+// caller, drops it around each job and takes it back, and leaves its loop —
+// which has no condition — by a break, still holding mu. Run's accesses
+// after the call and settle's (called there) are guarded — Drive gives Run a
+// call site, so its entry is known to hold nothing; a walk that exited
+// the loop with the state from before it, empty in sweep's own summary, or
+// lost the break's state, would report both.
+type pool struct {
+	mu   sync.Mutex
+	jobs []func() //dtt:guards mu
+	done int      //dtt:guards mu
+}
+
+func (p *pool) sweep() {
+loop:
+	for {
+		job := p.jobs[0]
+		p.jobs = p.jobs[1:]
+		p.mu.Unlock()
+		job()
+		p.mu.Lock()
+		p.done++
+		switch len(p.jobs) {
+		case 0:
+			break loop
+		}
+	}
+}
+
+func (p *pool) settle() { p.done-- }
+
+func (p *pool) Run(job func()) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.jobs = append(p.jobs, job)
+	p.sweep()
+	p.settle()
+	return p.done
+}
+
+func Drive(p *pool) int { return p.Run(func() {}) }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -164,6 +165,7 @@ func (s *Server) startSession(conn net.Conn) bool {
 		ns:   s.rt.NewNamespace(fmt.Sprintf("s%d", s.seq)),
 		out:  newOutbox(s.opts.MailboxCap),
 		fr:   newFrameReader(conn),
+		bw:   bufio.NewWriter(conn),
 	}
 	s.sessions[sess.id] = sess
 	s.retired.SessionsTotal++

@@ -53,6 +53,10 @@ var pinned = map[string][]string{
 		"Region.Store",
 		"Region.TStore",
 		"Region.TStoreBatch",
+		// The joined write: its joiner, like the helping join's claim,
+		// must stay on the writer's stack.
+		"Region.TStoreBatchJoin",
+		"Runtime.joinLocked",
 		"Region.TUpdate",
 		"Region.TUpdateBatch",
 		"Runtime.tstore",

@@ -98,7 +98,29 @@ func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 // and on the seeded backend the whole batch is one preemption point where
 // a scalar loop would be len(vs) of them.
 func (r *Region) TStoreBatch(lo int, vs []mem.Word) int {
-	return r.rt.tstoreBatch(r, lo, vs)
+	return r.rt.tstoreBatch(r, lo, vs, nil)
+}
+
+// TStoreBatchJoin is TStoreBatch followed, when it is cheap, by Wait(t) on
+// the caller. When t's backlog after the batch's admission fits one claim
+// (WaitHelpMax entries), it makes Wait(t) itself — the merge point, then the
+// join, which runs that backlog on the caller when t's run token is free —
+// and reports quiet. A batch whose admission leaves nothing but t's entries
+// in the ring, with t's token free, wakes no worker for them: the join runs
+// them. A larger backlog wakes a worker and returns at once, not quiet, as
+// TStoreBatch does.
+//
+// quiet means t had no pending or running instance when the call returned.
+// It stays true until something triggers t again; a caller that issues no
+// store into t's ranges, and whose bodies issue none, can answer a Wait(t)
+// from it. Must not be called from a support-thread body of t.
+func (r *Region) TStoreBatchJoin(lo int, vs []mem.Word, t ThreadID) (changed int, quiet bool) {
+	j := joiner{t: t}
+	changed = r.rt.tstoreBatch(r, lo, vs, &j)
+	if j.run {
+		r.rt.Wait(t)
+	}
+	return changed, j.run
 }
 
 // TStoreF is the float64 form of TStore; change detection compares IEEE-754

@@ -424,8 +424,11 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 // epoch). A larger backlog is what admission woke a worker for, and two
 // executors on one thread's backlog put each other to sleep: a join that
 // helped with any backlog cost the fine-grained kernels and ingest about 3%
-// (see ROADMAP item 17). Admission still wakes a worker for every enqueue,
-// so liveness never rests on the joiner.
+// (see ROADMAP item 17). Admission wakes a worker for every enqueue but one
+// kind: a joined write (Region.TStoreBatchJoin) whose join will run
+// everything the ring holds (joinLocked) wakes none, and calls here next on
+// its own goroutine. So liveness rests on a joiner only for the entries its
+// own write admitted.
 //
 // Namespace.Close also calls it, on every backend, after Cancel, to let an
 // in-flight instance finish before the namespace's regions are freed — a
@@ -519,7 +522,7 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	}
 	// Room on the stack for the overflow of a word one thread covers.
 	var spill [1]queue.Entry
-	rt.afterWrite(rt.dispatchFired(cands, word[:n], spill[:0], g, 1))
+	rt.afterWrite(rt.dispatchFired(cands, word[:n], spill[:0], g, 1, nil))
 	return true
 }
 
@@ -629,9 +632,10 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 	rt.batchMu.Unlock()
 }
 
-// tstoreBatch is the batched triggering store behind Region.TStoreBatch:
-// semantically len(vs) scalar tstores, with the dispatch overhead amortized
-// over the span. It returns how many words changed.
+// tstoreBatch is the batched triggering store behind Region.TStoreBatch and
+// Region.TStoreBatchJoin: semantically len(vs) scalar tstores, with the
+// dispatch overhead amortized over the span. It returns how many words
+// changed. j is nil, or the joiner dispatchFired decides for.
 //
 // The batch runs in two phases. The write phase performs the word-at-a-time
 // atomic compares and resolves every changed word against ONE registry
@@ -644,7 +648,7 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 // span. The scratch comes from the rt.batchFree list, keeping the
 // steady-state path at 0 allocs/op for silent, squashed and enqueueing
 // batches alike.
-func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
+func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word, j *joiner) int {
 	if len(vs) == 0 {
 		return 0
 	}
@@ -673,7 +677,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	}
 	rt.obs.batchSize(len(vs))
 
-	sc.inline = rt.dispatchFired(sc.cands, sc.words, sc.inline, g, changed)
+	sc.inline = rt.dispatchFired(sc.cands, sc.words, sc.inline, g, changed, j)
 	if changed > 0 {
 		rt.afterWrite(sc.inline)
 	}
@@ -698,8 +702,15 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 // sample and the worker wakeup settle once per write rather than once per
 // entry. Overflowed pairs are marked or appended to inline (admitLocked),
 // which is returned for the caller's afterWrite.
-func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inline []queue.Entry, g uint64, stores int) []queue.Entry {
-	if len(words) == 0 {
+//
+// j is nil for a plain write. For a joined one (Region.TStoreBatchJoin) it
+// takes the lock even when nothing is covered, decides the join in the same
+// hold (joinLocked), and wakes no worker when the join will run everything
+// the ring holds. That is the whole liveness rule: every enqueue either wakes
+// a worker or is followed, on the same goroutine, by a drainThread of the
+// entry's thread.
+func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inline []queue.Entry, g uint64, stores int, j *joiner) []queue.Entry {
+	if len(words) == 0 && j == nil {
 		if stores > 0 {
 			rt.stats.changing.Add(int64(stores))
 		}
@@ -729,15 +740,40 @@ func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inl
 			}
 		}
 	}
+	helps := j != nil && rt.joinLocked(j)
 	if enqueued > 0 {
 		d.busy += int64(enqueued)
 		// One depth sample per write: the depth after its admissions, not
 		// one sample per entry.
 		rt.obs.queueDepth(d.tq)
-		rt.wakeWorker()
+		if !helps {
+			rt.wakeWorker()
+		}
 	}
 	d.mu.Unlock()
 	return inline
+}
+
+// joiner is a joined write's thread: the one whose Wait the writing
+// goroutine makes before the write returns, when run is set. dispatchFired
+// sets run; it stays on the writer's stack.
+type joiner struct {
+	t   ThreadID
+	run bool
+}
+
+// joinLocked decides a joined write's join in the critical section that
+// admitted it: the join runs when t's backlog fits one claim, the most a
+// joiner runs itself (drainThread). It reports whether that join will run
+// everything the ring holds — t's run token is free and the ring holds t's
+// entries only — so that a worker woken now would find nothing to claim.
+// Callers hold the dispatch lock.
+func (rt *Runtime) joinLocked(j *joiner) bool {
+	d := rt.d
+	n := d.tq.PendingCount(j.t)
+	j.run = n <= claimMax
+	te := entryOf(rt.threadsSnap(), j.t)
+	return j.run && te != nil && te.running == 0 && d.tq.Len() == n
 }
 
 // wakeWorker wakes one idle worker, if there is one, for work its caller
@@ -749,6 +785,7 @@ func (rt *Runtime) wakeWorker() {
 	if n := len(rt.idle); n > 0 {
 		rt.idle[n-1] <- struct{}{}
 		rt.idle = rt.idle[:n-1]
+		rt.d.c.workerWakes++
 	}
 }
 
@@ -1046,7 +1083,8 @@ const claimMax = 16
 
 // WaitHelpMax is the largest backlog of one thread that Wait runs itself on
 // the immediate backend, when no worker holds the thread's run: one claim
-// (see drainThread). A larger backlog waits for a worker.
+// (see drainThread). A larger backlog waits for a worker. It is also the
+// largest backlog a joined batch joins (Region.TStoreBatchJoin).
 const WaitHelpMax = claimMax
 
 // claim is a worker's private scratch for one claimed run: the entries, the

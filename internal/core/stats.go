@@ -52,6 +52,8 @@ type dispatchStats struct {
 	inlineRuns int64
 	executed   int64
 	failedRuns int64
+	// workerWakes counts the idle workers wakeWorker popped.
+	workerWakes int64
 }
 
 // Stats is a point-in-time snapshot of runtime activity. The relationships
@@ -111,6 +113,10 @@ type Stats struct {
 	Barriers int64
 	// Cancels counts tcancel operations.
 	Cancels int64
+	// WorkerWakes counts idle workers woken to claim work (immediate
+	// backend): a producer's or a finished run's wake of a parked worker,
+	// not Close's wake of all of them.
+	WorkerWakes int64
 	// TUpdates counts commutative update operations applied to privatized
 	// delta planes (Region.TUpdate/TUpdateBatch).
 	TUpdates int64
@@ -164,6 +170,7 @@ func (rt *Runtime) Stats() Stats {
 	s.InlineRuns = c.inlineRuns
 	s.Executed = c.executed
 	s.FailedRuns = c.failedRuns
+	s.WorkerWakes = c.workerWakes
 	d.mu.Unlock()
 	s.Silent = rt.stats.silent.Load()
 	s.TStores += s.Silent + rt.stats.changing.Load()

@@ -38,6 +38,7 @@ func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 			{Name: "dtt_waits_total", Help: "Wait (twait) operations.", Value: s.Waits},
 			{Name: "dtt_barriers_total", Help: "Barrier (tbarrier) operations.", Value: s.Barriers},
 			{Name: "dtt_cancels_total", Help: "Cancel (tcancel) operations.", Value: s.Cancels},
+			{Name: "dtt_worker_wakes_total", Help: "Idle workers woken to claim work.", Value: s.WorkerWakes},
 		},
 		Gauges: []telemetry.Metric{
 			{Name: "dtt_threads", Help: "Registered support threads.", Value: int64(len(rt.threadsSnap()))},

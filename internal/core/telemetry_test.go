@@ -137,6 +137,9 @@ func TestTelemetrySnapshotConsistency(t *testing.T) {
 	if got := counters["dtt_executed_total"]; got != runs {
 		t.Fatalf("dtt_executed_total = %d, body ran %d times", got, runs)
 	}
+	if got, ok := counters["dtt_worker_wakes_total"]; !ok || got != 0 {
+		t.Fatalf("dtt_worker_wakes_total = %d (exported %v), want 0 on a backend without workers", got, ok)
+	}
 
 	for _, g := range snap.Gauges {
 		if g.Name == "dtt_queue_len" && g.Value != 0 {

@@ -226,7 +226,7 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 			}
 		}
 	}
-	sc.inline = rt.dispatchFired(sc.cands, sc.words, sc.inline, g, 0)
+	sc.inline = rt.dispatchFired(sc.cands, sc.words, sc.inline, g, 0, nil)
 	rt.stats.mergedUpdates.Add(int64(n))
 	rt.stats.silentMerges.Add(int64(n - changed))
 	rt.stats.merges.Add(1)

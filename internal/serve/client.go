@@ -32,7 +32,8 @@ type Notify struct {
 // synchronous single-caller API: each request writes one frame and reads
 // until the matching reply, buffering any CHANGE_NOTIFY frames that
 // arrive in between (the server writes a batch's notifications before the
-// WAIT reply that covers them, so after Wait returns, Notifies holds
+// WAIT reply that covers them, or before the batch's own reply when it
+// stamps that reply quiet, so after Wait returns, Notifies holds
 // everything that batch triggered). A Session is not safe for concurrent
 // use; open one per goroutine — sessions are cheap on the server side by
 // design.
@@ -52,6 +53,11 @@ type Session struct {
 	// TakeGap.
 	dropped uint32
 	gap     uint32
+	// quiet is set when the last request sent was a Batch on handle
+	// quietHandle whose reply carried the quiet flag: a Wait on that
+	// handle is answered without I/O. Every roundTrip clears it.
+	quiet       bool
+	quietHandle uint32
 }
 
 // Dial connects to a dttserve server and performs the HELLO handshake.
@@ -94,6 +100,7 @@ func (s *Session) ID() uint32 { return s.id }
 // same opcode (or an ERROR) arrives, buffering notifications. The
 // returned payload is valid until the next read on the session.
 func (s *Session) roundTrip(op byte, payload func([]byte) []byte) ([]byte, error) {
+	s.quiet = false
 	var err error
 	s.scratch, _, err = writeFrame(s.bw, s.scratch, op, payload)
 	if err != nil {
@@ -204,7 +211,11 @@ func (s *Session) Batch(handle uint32, lo int, vs []mem.Word) (int, error) {
 		return 0, err
 	}
 	changed, err := u32Reply(OpTStoreBatch, reply)
-	return int(changed), err
+	if err != nil {
+		return 0, err
+	}
+	s.quiet, s.quietHandle = changed&batchQuiet != 0, handle
+	return int(changed &^ batchQuiet), nil
 }
 
 // Update issues a TUPDATE folding op with operands vs into words starting
@@ -235,7 +246,14 @@ func (s *Session) Update(handle uint32, lo int, op mem.UpdateOp, vs []mem.Word) 
 
 // Wait blocks until the handle's support thread has quiesced; every
 // notification its runs produced is buffered in Notifies when it returns.
+// When the last request sent was a Batch on handle whose reply the server
+// stamped quiet, the server already made this join, and the batch's
+// notifications arrived ahead of that reply: Wait returns at once, with no
+// I/O.
 func (s *Session) Wait(handle uint32) error {
+	if s.quiet && s.quietHandle == handle {
+		return nil
+	}
 	reply, err := s.roundTrip(OpWait, func(b []byte) []byte { return appendU32(b, handle) })
 	if err != nil {
 		return err

@@ -37,8 +37,11 @@ const (
 	// under a single dropped stamp, so a burst costs one header, not one
 	// per word. Both sides speak exactly one version; an older peer is
 	// refused at HELLO rather than silently fed frames whose payload
-	// shape it would misparse.
-	Version uint16 = 3
+	// shape it would misparse. Version 4 set the TSTORE_BATCH reply's top
+	// bit (batchQuiet) when the server joined the handle's thread before
+	// replying and found it quiet, so the client answers the WAIT behind
+	// the batch without a round trip.
+	Version uint16 = 4
 	// MaxFrame bounds length (opcode + payload). A TSTORE_BATCH of
 	// MaxFrame bytes carries ~128k words, far above any batch the span
 	// path can amortise further, and small enough that a hostile length
@@ -54,6 +57,11 @@ const (
 	// dropped, n); maxNotifyRun caps a run so the frame fits MaxFrame.
 	notifyFixed  = 16
 	maxNotifyRun = (MaxFrame - 1 - notifyFixed) / 8
+	// batchQuiet is the TSTORE_BATCH reply's quiet flag, its changed
+	// count's top bit (a frame carries far fewer than 2^31 words): the
+	// server joined the handle's thread after the batch and it was quiet,
+	// with every notification of its runs ahead of the reply.
+	batchQuiet = 1 << 31
 	// maxReadWords is the most words one READ reply (opcode, count u32 and
 	// the words) carries whole under MaxFrame, and so the largest region an
 	// ATTACH may ask for.
@@ -65,7 +73,7 @@ const (
 const (
 	OpHello        byte = 1  // req: magic u32 | version u16     → reply: session u32
 	OpAttach       byte = 2  // req: words u32 | lo u32 | hi u32 | nameLen u16 | name → reply: handle u32
-	OpTStoreBatch  byte = 3  // req: handle u32 | lo u32 | n u32 | n×8B words → reply: changed u32
+	OpTStoreBatch  byte = 3  // req: handle u32 | lo u32 | n u32 | n×8B words → reply: quiet<<31 | changed u32
 	OpWait         byte = 4  // req: handle u32 → reply: empty
 	OpBarrier      byte = 5  // req: empty → reply: empty
 	OpSubscribe    byte = 6  // req: handle u32 → reply: empty

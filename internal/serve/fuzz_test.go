@@ -220,6 +220,21 @@ func FuzzSession(f *testing.F) {
 	}
 	shed = append(shed, sessionReq(OpTStoreBatch, eight)...)
 	add(true, append(shed, sessionReq(OpWait, u32s(0))...))
+	// Batch → Wait → Update → Wait: the first WAIT is the one a client
+	// answers from the BATCH reply's quiet stamp; the second must merge the
+	// update and run what it fires.
+	var joined []byte
+	for _, r := range [][]byte{
+		attachReq(8, 0, 8, "r"),
+		sessionReq(OpSubscribe, u32s(0)),
+		sessionReq(OpTStoreBatch, u32s(0, 0, 2), appendU64(appendU64(nil, 3), 4)),
+		sessionReq(OpWait, u32s(0)),
+		sessionReq(OpTUpdate, u32s(0), []byte{byte(core.UpdAdd)}, u32s(1, 1), appendU64(nil, 9)),
+		sessionReq(OpWait, u32s(0)),
+	} {
+		joined = append(joined, r...)
+	}
+	add(false, joined)
 
 	// A region may take 1 MiB (maxReadWords), so bound the frames an input
 	// sends to bound what one input can allocate.

@@ -292,16 +292,32 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return countingConn{conn, l.reads, l.writes}, nil
 }
 
-// TestServeSyscallsPerRequest is the cost model's regression test: a
-// subscribed request changing 16 adjacent words (Batch + Wait) must cost
-// one server write and one client read per request frame, and three frames
-// out, not a syscall per frame or word. Wire v2 over unbuffered frame reads
-// paid 36 client reads (two per frame, 18 frames), 4 server reads and 18
-// frames out; a writer goroutine flushing beside the worker's pushes paid
-// about 3 server writes and 2.1–2.4 client reads.
+// TestServeSyscallsPerRequest is the cost model's regression test: a Batch +
+// Wait of at most one claim's changed words costs one client write, one
+// client read and one server write, whether subscribed (16 adjacent words,
+// serve_notify's shape) or not (one word, serve_rr's). The server joins the
+// thread before it replies, running the bodies on its reader without waking
+// the worker, so the BATCH reply goes out behind the batch's one ranged
+// CHANGE_NOTIFY, stamped quiet, and the client answers the WAIT from that
+// stamp: one frame in, at most two out, no worker wake. Wire v2 over
+// unbuffered frame reads paid 36 client reads (two per frame, 18 frames), 4
+// server reads and 18 frames out; wire v3 paid two of everything, a WAIT
+// round trip and a worker wake for bodies the reader then ran itself.
 func TestServeSyscallsPerRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		words      int
+		subscribed bool
+	}{
+		{"subscribed_16", 16, true},
+		{"unsubscribed_1", 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { syscallsPerRequest(t, tc.words, tc.subscribed) })
+	}
+}
+
+func syscallsPerRequest(t *testing.T, words int, subscribed bool) {
 	const (
-		words    = 16
 		warm     = 50
 		requests = 200
 	)
@@ -335,7 +351,7 @@ func TestServeSyscallsPerRequest(t *testing.T) {
 	}
 	defer cs.Close()
 	h, err := cs.Attach("r", 256, 0, 256)
-	if err == nil {
+	if err == nil && subscribed {
 		err = cs.Subscribe(h)
 	}
 	if err != nil {
@@ -345,9 +361,10 @@ func TestServeSyscallsPerRequest(t *testing.T) {
 	vs := make([]mem.Word, words)
 	var next mem.Word
 	var before Counters
+	var wakes0 int64
 	for req := -warm; req < requests; req++ {
 		if req == 0 {
-			before = srv.Counters()
+			before, wakes0 = srv.Counters(), rt.Stats().WorkerWakes
 			for _, c := range []*atomic.Int64{&srvReads, &srvWrites, &cliReads, &cliWrites} {
 				c.Store(0)
 			}
@@ -364,36 +381,47 @@ func TestServeSyscallsPerRequest(t *testing.T) {
 			t.Fatalf("request %d: Wait: %v", req, err)
 		}
 		got := cs.Notifies()
+		if !subscribed {
+			if len(got) != 0 {
+				t.Fatalf("request %d: %d notifies on an unsubscribed handle", req, len(got))
+			}
+			continue
+		}
 		if len(got) != words || got[0].Index != lo || got[words-1] != (Notify{Handle: h, Index: lo + words - 1, Value: next}) {
 			t.Fatalf("request %d: %d notifies, first %+v, last %+v", req, len(got), got[0], got[len(got)-1])
 		}
 	}
 	after := srv.Counters()
 	per := func(n int64) float64 { return float64(n) / requests }
-	framesOut := per(after.FramesOut - before.FramesOut)
-	t.Logf("per request: client %.2f reads %.2f writes, server %.2f reads %.2f writes, %.2f frames and %.0f bytes out",
+	framesIn, framesOut := per(after.FramesIn-before.FramesIn), per(after.FramesOut-before.FramesOut)
+	wakes := per(rt.Stats().WorkerWakes - wakes0)
+	t.Logf("per request: client %.2f reads %.2f writes, server %.2f reads %.2f writes, %.2f frames in, %.2f frames and %.0f bytes out, %.2f worker wakes",
 		per(cliReads.Load()), per(cliWrites.Load()), per(srvReads.Load()), per(srvWrites.Load()),
-		framesOut, per(after.BytesOut-before.BytesOut))
-	// A subscribed batch joins its thread before it replies, and the
-	// notifications pushed while a request is in flight ride its reply's
-	// flush: one write per request frame, holding the run's one ranged
-	// CHANGE_NOTIFY and the BATCH reply, then the WAIT reply. That does not
-	// depend on timing, so the bounds hold in every build, -race included.
+		framesIn, framesOut, per(after.BytesOut-before.BytesOut), wakes)
+	// None of this depends on timing, so the bounds hold in every build,
+	// -race and GOMAXPROCS=1 included.
 	for _, c := range []struct {
 		what  string
 		got   float64
 		bound float64
 	}{
-		{"server conn.Write calls", per(srvWrites.Load()), 2},
-		{"client conn.Read calls", per(cliReads.Load()), 2},
-		{"server conn.Read calls", per(srvReads.Load()), 3},
-		{"frames out", framesOut, 3},
+		{"client conn.Write calls", per(cliWrites.Load()), 1},
+		{"client conn.Read calls", per(cliReads.Load()), 1},
+		{"server conn.Write calls", per(srvWrites.Load()), 1},
+		{"server conn.Read calls", per(srvReads.Load()), 2},
+		{"frames in", framesIn, 1},
+		{"frames out", framesOut, 2},
+		{"worker wakes", wakes, 0},
 	} {
 		if c.got > c.bound {
 			t.Errorf("%.2f %s per request, want <= %.0f", c.got, c.what, c.bound)
 		}
 	}
-	if got := per(after.Notifies - before.Notifies); got != words {
-		t.Errorf("Counters.Notifies grew by %.2f per request, want %d: it counts words, not frames", got, words)
+	want := 0
+	if subscribed {
+		want = words
+	}
+	if got := per(after.Notifies - before.Notifies); got != float64(want) {
+		t.Errorf("Counters.Notifies grew by %.2f per request, want %d: it counts words, not frames", got, want)
 	}
 }

@@ -539,15 +539,19 @@ func TestServeHandshakeViolations(t *testing.T) {
 		t.Error("bad version still got a reply")
 	}
 
-	// The previous protocol version: its CHANGE_NOTIFY has another shape,
-	// so the peer is refused here rather than fed frames it would misparse.
-	v2Hello := make([]byte, 0, 16)
-	v2Hello, start = appendFrameHeader(v2Hello, OpHello)
-	v2Hello = appendU32(v2Hello, Magic)
-	v2Hello = appendU16(v2Hello, 2)
-	patchFrameLength(v2Hello, start)
-	if err := send(v2Hello); err == nil {
-		t.Error("version-2 HELLO still got a reply")
+	// Older protocol versions are refused here rather than fed frames they
+	// would misparse: version 2's CHANGE_NOTIFY has another shape, and
+	// version 3 would read a quiet-stamped TSTORE_BATCH reply as a changed
+	// count past 2^31.
+	for _, v := range []uint16{2, 3} {
+		oldHello := make([]byte, 0, 16)
+		oldHello, start = appendFrameHeader(oldHello, OpHello)
+		oldHello = appendU32(oldHello, Magic)
+		oldHello = appendU16(oldHello, v)
+		patchFrameLength(oldHello, start)
+		if err := send(oldHello); err == nil {
+			t.Errorf("version-%d HELLO still got a reply", v)
+		}
 	}
 
 	notHello := make([]byte, 0, 16)

@@ -429,8 +429,18 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 }
 
 // handleBatch decodes the span into the session's reused word buffer and
-// funnels it through TStoreBatch — one registry snapshot and one dispatch
-// lock acquisition for the whole wire batch.
+// funnels it through TStoreBatchJoin — one registry snapshot and one
+// dispatch lock acquisition for the whole wire batch, then, when the
+// thread's backlog fits one claim, its join on this goroutine. The join
+// runs the bodies here (they only push notifications), so their
+// notifications are in the mailbox ahead of the reply and leave in the
+// reply's flush, and no worker is woken for them. The reply then carries
+// the quiet flag: the thread was quiet after the join and stays quiet
+// until this reader's next request, because the session's regions are its
+// own, its bodies store nothing, and the join merged every pending delta.
+// The client answers a WAIT on the handle from that flag. A larger backlog
+// is what admission woke a worker for, so its reply does not wait for the
+// run, and its notifications stream out through the writer past the hold.
 func (s *session) handleBatch(handle, lo uint32, n int, c *cursor) {
 	h := s.lookup(handle, OpTStoreBatch)
 	if h == nil {
@@ -452,24 +462,15 @@ func (s *session) handleBatch(handle, lo uint32, n int, c *cursor) {
 		s.words[i] = c.u64()
 	}
 	s.batchT0.Store(telemetry.Now())
-	changed := h.region.TStoreBatch(int(lo), s.words)
-	if changed > 0 && changed <= core.WaitHelpMax && h.subscribed.Load() {
-		// A subscribed batch of at most one claim's changes joins its
-		// thread before replying: the join runs that backlog itself when
-		// no worker has taken it, the batch's notifications are in the
-		// mailbox ahead of its reply and leave in the reply's flush, and a
-		// WAIT behind it finds the thread quiet. This assumes small
-		// batches, with or without a WAIT behind them: the reply waits for
-		// the bodies' run, which the worker would spend anyway, and saves
-		// the writer's wake. A larger batch is what admission woke a worker
-		// for, so its reply does not wait for the run, and its
-		// notifications stream out through the writer past the hold.
-		s.ns.Wait(h.thread)
-	}
+	changed, quiet := h.region.TStoreBatchJoin(int(lo), s.words, h.thread)
 	s.batches.Add(1)
 	s.stores.Add(int64(n))
 	s.changed.Add(int64(changed))
-	s.reply(msg{op: OpTStoreBatch, a: uint32(changed)})
+	a := uint32(changed)
+	if quiet {
+		a |= batchQuiet
+	}
+	s.reply(msg{op: OpTStoreBatch, a: a})
 }
 
 // handleUpdate decodes the operand span and folds it through TUpdateBatch:

@@ -162,11 +162,22 @@ func BenchmarkTStoreChanging(b *testing.B) {
 // store path under test — so batch64's ns/op versus scalar64's ns/op is a
 // direct read of per-store dispatch throughput. The bar is batch64 at no
 // more than half of scalar64 (>=2x per-store throughput) at 0 B/op
-// 0 allocs/op.
+// 0 allocs/op. batch64x2 is batch64 against two threads attached in
+// interleaved 16-word ranges: four candidates per batch, and four runs of
+// one thread's words to admit.
 func BenchmarkTStoreBatchChanging(b *testing.B) {
 	const batch = 64
-	run := func(b *testing.B, store func(r *dtt.Region, base int, vals []dtt.Word)) {
-		rt, r, _ := benchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred, QueueCapacity: 2048})
+	run := func(b *testing.B, threads int, store func(r *dtt.Region, base int, vals []dtt.Word)) {
+		rt, r, id := benchRuntime(b, dtt.Config{Backend: dtt.BackendDeferred, QueueCapacity: 2048})
+		if threads == 2 {
+			rt.Cancel(id)
+			ids := [2]dtt.ThreadID{rt.Register("even", func(dtt.Trigger) {}), rt.Register("odd", func(dtt.Trigger) {})}
+			for lo := 0; lo < 1024; lo += 16 {
+				if err := rt.Attach(ids[lo/16%2], r, lo, lo+16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		var vals [batch]dtt.Word
 		r.TStoreBatch(0, vals[:]) // warm the runtime's batch scratch
 		rt.Barrier()
@@ -190,24 +201,22 @@ func BenchmarkTStoreBatchChanging(b *testing.B) {
 		rt.Barrier()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/store")
 	}
+	batchStore := func(r *dtt.Region, base int, vals []dtt.Word) { r.TStoreBatch(base, vals) }
 	b.Run("scalar64", func(b *testing.B) {
-		run(b, func(r *dtt.Region, base int, vals []dtt.Word) {
+		run(b, 1, func(r *dtt.Region, base int, vals []dtt.Word) {
 			for k, v := range vals {
 				r.TStore(base+k, v)
 			}
 		})
 	})
-	b.Run("batch64", func(b *testing.B) {
-		run(b, func(r *dtt.Region, base int, vals []dtt.Word) {
-			r.TStoreBatch(base, vals)
-		})
-	})
+	b.Run("batch64", func(b *testing.B) { run(b, 1, batchStore) })
+	b.Run("batch64x2", func(b *testing.B) { run(b, 2, batchStore) })
 	// The same 64 changing words through the update plane: a set-fold
 	// and the merge a Load forces, which is TStoreBatch's effect by the
 	// commutative path. DESIGN.md's "Batched triggering stores" compares
 	// the two per word.
 	b.Run("setmerge64", func(b *testing.B) {
-		run(b, func(r *dtt.Region, base int, vals []dtt.Word) {
+		run(b, 1, func(r *dtt.Region, base int, vals []dtt.Word) {
 			r.TUpdateBatch(base, dtt.UpdSet, vals)
 			_ = r.Load(base)
 		})
@@ -454,9 +463,11 @@ func BenchmarkTStoreParallelUncovered(b *testing.B) {
 func BenchmarkQueuePending(b *testing.B) {
 	q := queue.NewThreadQueue(4096)
 	pend := queue.NewPendingSet(0, 4096*mem.WordBytes)
-	for i := 0; i < 4096; i++ {
-		q.Enqueue(queue.ThreadID(1), mem.Addr(i)*mem.WordBytes, &pend)
+	addrs := make([]mem.Addr, 4096)
+	for i := range addrs {
+		addrs[i] = mem.Addr(i) * mem.WordBytes
 	}
+	q.EnqueueRun(queue.ThreadID(1), addrs, &pend)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -65,8 +65,10 @@ var pinned = map[string][]string{
 		// pinned bodies only, so the callees carrying the 0 allocs/op
 		// contract are named too. observers.write is stage one's hook.
 		"observers.write",
-		"Runtime.admitLocked",
+		"Runtime.admitRunLocked",
 		"Runtime.dispatchFired",
+		"soleCover",
+		"runWindow",
 		"Runtime.afterWrite",
 		"Runtime.mergePlane",
 		// The dispatch side every admitted entry pays: the worker's claim
@@ -92,7 +94,8 @@ var pinned = map[string][]string{
 	"internal/queue": {
 		"ThreadQueue.Dequeue",
 		"ThreadQueue.DequeueRun",
-		"ThreadQueue.Enqueue",
+		"ThreadQueue.EnqueueRun",
+		"ThreadQueue.stamp",
 		"ThreadQueue.Mark",
 		"ThreadQueue.TakeMarks",
 		"ThreadQueue.takeMarks",
@@ -116,13 +119,13 @@ var pinned = map[string][]string{
 // Compute every kernel arithmetic op pays, the observer hooks' gates on the
 // per-word, per-trigger and per-body paths (one test of the attached
 // observers each, and no call with none attached), the coverage test every
-// changed word pays, the hinted attachment lookup every admitted trigger
-// pays, the ring slot arithmetic, the pending bit's test-and-set and clear,
+// changed word pays, the sole-candidate test and the first-covering
+// attachment lookup every admitted run pays, the ring slot arithmetic, the pending bit's test-and-set and clear,
 // and the no-marks test every run bracket makes before it releases its
 // token.
 var inlined = map[string][]string{
 	"internal/core": {"observers.write", "observers.access", "observers.admit", "observers.queueDepth",
-		"observers.enter", "observers.exit", "covers", "threadEntry.attachmentNear"},
+		"observers.enter", "observers.exit", "covers", "soleCover", "threadEntry.attachmentAt"},
 	"internal/mem":   {"Buffer.Load", "Buffer.Store", "System.Compute"},
 	"internal/queue": {"PendingSet.slot", "ThreadQueue.at", "clearPending", "pendBit", "ThreadQueue.TakeMarks"},
 }

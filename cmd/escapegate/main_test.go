@@ -31,7 +31,7 @@ func TestSyntheticViolation(t *testing.T) {
 	}
 	for _, pin := range []struct{ file, fn string }{
 		{"internal/core/runtime.go", "Runtime.tstore"},
-		{"internal/core/runtime.go", "Runtime.admitLocked"},
+		{"internal/core/runtime.go", "Runtime.admitRunLocked"},
 		{"internal/core/runtime.go", "Runtime.dispatchFired"},
 		{"internal/core/runtime.go", "Runtime.worker"},
 		{"internal/core/runtime.go", "Runtime.endRunLocked"},

@@ -179,25 +179,42 @@ type accessKind = func(*sanitize.Checker, uint64, string, int, mem.Addr)
 
 var accLoad, accStore accessKind = (*sanitize.Checker).OnLoad, (*sanitize.Checker).OnStore
 
-// admit is the admission hook, under the dispatch lock: the queue's verdict st
-// on trigger (t, addr) of g's write. The sanitizer records the release edge
+// admit is the admission hook, under the dispatch lock: the queue's verdicts
+// on the run addrs of thread t that one EnqueueRun took for g's write, enq of
+// them enqueued and, when overflowed, the last overflowed. It fires once per
+// trigger (t, addr), in offer order. The sanitizer records the release edge
 // on every outcome, each of which ends in an instance that observes the
 // store; the recorder notes where the entry was released, unless it
 // overflowed (an inline run belongs to the writer's task).
-func (o *observers) admit(g uint64, t ThreadID, addr mem.Addr, st queue.EnqueueStatus) {
+func (o *observers) admit(g uint64, t ThreadID, addrs []mem.Addr, enq int, overflowed bool, tq *queue.ThreadQueue) {
 	if o.on&(withChecker|withRecorder) != 0 {
-		o.admitSlow(g, t, addr, st)
+		o.admitSlow(g, t, addrs, enq, overflowed, tq)
 	}
 }
 
-func (o *observers) admitSlow(g uint64, t ThreadID, addr mem.Addr, st queue.EnqueueStatus) {
-	if o.check != nil {
-		o.check.OnTrigger(g, t)
-	}
-	if o.rec != nil && st != queue.Overflowed {
-		o.rec.mu.Lock()
-		o.rec.release[releaseKey{t, addr}] = o.rec.ReleasePoint()
-		o.rec.mu.Unlock()
+// admitSlow recovers each offer's verdict from the ring: the run's enq
+// entries are the ring's last, in offer order, and an offer that matches none
+// of them squashed — a squashed address's bit stays set for the whole run, so
+// no later entry of the run can carry it.
+func (o *observers) admitSlow(g uint64, t ThreadID, addrs []mem.Addr, enq int, overflowed bool, tq *queue.ThreadQueue) {
+	next := tq.Len() - enq
+	for i, addr := range addrs {
+		st := queue.Squashed
+		switch {
+		case next < tq.Len() && tq.EntryAt(next).Addr == addr:
+			st = queue.Enqueued
+			next++
+		case overflowed && i == len(addrs)-1:
+			st = queue.Overflowed
+		}
+		if o.check != nil {
+			o.check.OnTrigger(g, t)
+		}
+		if o.rec != nil && st != queue.Overflowed {
+			o.rec.mu.Lock()
+			o.rec.release[releaseKey{t, addr}] = o.rec.ReleasePoint()
+			o.rec.mu.Unlock()
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"dtt/internal/trace"
 )
 
-// Tests of the run as the unit of work on both sides of the thread queue: the
-// hinted attachment lookup must answer what attachmentAt answers, one deferred
+// Tests of the run as the unit of work on both sides of the thread queue: a
+// lookup hoisted over a run must answer what attachmentAt answers, one deferred
 // recover must serve a whole run of bodies, and a scalar store that counts
 // itself under the dispatch lock must not make Stats lose or tear a store.
 

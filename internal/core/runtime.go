@@ -87,19 +87,6 @@ func (te *threadEntry) attachmentAt(addr mem.Addr) *attachment {
 	return nil
 }
 
-// attachmentNear is attachmentAt for a run of lookups on one thread inside one
-// critical section: hint is what the run's previous lookup returned (nil for
-// the first), and the search is skipped when hint still answers. The answer
-// must be the FIRST covering attachment — its pending bit is the dedup key
-// where a thread's ranges overlap — so only atts[0], which nothing precedes,
-// is reused: a later attachment covering addr proves nothing about earlier ones.
-func (te *threadEntry) attachmentNear(hint *attachment, addr mem.Addr) *attachment {
-	if hint != nil && hint == &te.atts[0] && addr >= hint.lo && addr < hint.hi {
-		return hint
-	}
-	return te.attachmentAt(addr)
-}
-
 // dispatcher is the dispatch plane, one per runtime as the paper's hardware
 // has one thread queue and one status table: the ring-buffer thread queue
 // (its per-thread pending counts, with the threadEntry run tokens, are the
@@ -541,46 +528,47 @@ func (rt *Runtime) afterWrite(inline []queue.Entry) {
 	}
 }
 
-// admitLocked is pipeline stage two, admission: it offers one fired
-// (thread, addr) trigger to the thread queue and is the only writer of the
-// Fired = Enqueued + Squashed + Overflowed identity — fired moves here and
-// exactly one decomposition counter inside tq.Enqueue (the queue's counters
-// are the admission counters), whose only call site this is, in one critical
-// section, so the identity holds under the dispatch lock at all times.
-// Callers hold rt.d.mu and pass a, what attachmentAt answers for addr on
-// id's record under that lock: its pending set is the dedup key. A nil a is a
-// trigger whose range a concurrent Cancel detached between the registry
-// snapshot and this lock: it never happened, and reports Squashed, like a
-// squash leaving nothing to settle. On the immediate backend an overflowed
-// trigger whose thread's run token (te's) is held is marked
-// (queue.ThreadQueue.Mark) and counted in busy, for the holder to sweep; any
-// other is appended to inline, which is returned, for the caller to run after
-// its dispatch completes — never with the dispatch lock held. On a
-// single-goroutine backend a held token is the writer's own enclosing
-// bracket, which the inline run re-enters. On Enqueued the caller owes the
-// queue its settlement — the busy count, a queue-depth sample and a worker
-// wakeup — which dispatchFired, the only caller, pays once per write. Moving
-// the scalar store from a settle per entry to this one moved no end-to-end
-// metric outside the old code's quartile spread, in ten alternating 20 s
-// runs of each bench/run.sh workload on a 2-core Xeon; in two traced runs
-// each, where baseline and DTT alternate within a pass, kernels_fine's
-// speedup read 0.27x against 0.25x.
-func (rt *Runtime) admitLocked(te *threadEntry, a *attachment, id ThreadID, addr mem.Addr, g uint64, inline []queue.Entry) (queue.EnqueueStatus, []queue.Entry) {
+// admitRunLocked is pipeline stage two, admission: it offers the fired
+// triggers of thread id at addrs — a run of words whose first covering
+// attachment of id is a — to the thread queue, in order, and is the only
+// writer of the Fired = Enqueued + Squashed + Overflowed identity: fired moves
+// here by the offers each EnqueueRun takes, and the queue's counters (the
+// admission counters) by one decomposition counter per offer, inside
+// EnqueueRun, whose only call site this is, in one critical section, so the
+// identity holds under the dispatch lock at all times. Callers hold rt.d.mu
+// and pass a, what attachmentAt answers for addrs on id's record te under that
+// lock: its pending set is the dedup key. A nil a is a run whose range a
+// concurrent Cancel detached between the registry snapshot and this lock: it
+// never happened, and counts nothing. An offer that overflows ends an
+// EnqueueRun call: on the immediate backend when the thread's run token (te's)
+// is held, it is marked (queue.ThreadQueue.Mark) and counted in busy, for the
+// holder to sweep; any other is appended to inline, which is returned, for the
+// caller to run after its dispatch completes — never with the dispatch lock
+// held. On a single-goroutine backend a held token is the writer's own
+// enclosing bracket, which the inline run re-enters. Then the rest of the run
+// is offered. For the entries that entered the ring the caller owes the queue
+// its settlement — the busy count, a queue-depth sample and a worker wakeup —
+// which dispatchFired, the only caller, pays once per write.
+func (rt *Runtime) admitRunLocked(te *threadEntry, a *attachment, id ThreadID, addrs []mem.Addr, g uint64, inline []queue.Entry) []queue.Entry {
 	if a == nil {
-		return queue.Squashed, inline
+		return inline
 	}
-	rt.d.c.fired++
-	st := rt.d.tq.Enqueue(id, addr, &a.pend)
-	if st == queue.Overflowed {
-		if te.running != 0 && rt.cfg.Backend == BackendImmediate {
-			rt.d.tq.Mark(id, addr, &a.pend)
-			rt.d.busy++
-		} else {
-			inline = append(inline, queue.Entry{Thread: id, Addr: addr})
+	d := rt.d
+	for len(addrs) > 0 {
+		k, enq, overflowed := d.tq.EnqueueRun(id, addrs, &a.pend)
+		d.c.fired += int64(k)
+		if overflowed {
+			if addr := addrs[k-1]; te.running != 0 && rt.cfg.Backend == BackendImmediate {
+				d.tq.Mark(id, addr, &a.pend)
+				d.busy++
+			} else {
+				inline = append(inline, queue.Entry{Thread: id, Addr: addr})
+			}
 		}
+		rt.obs.admit(g, id, addrs[:k], enq, overflowed, d.tq)
+		addrs = addrs[k:]
 	}
-	rt.obs.admit(g, id, addr, st)
-	return st, inline
+	return inline
 }
 
 // batchScratch is the per-call working set of a batch or a merge: the
@@ -610,6 +598,50 @@ func covers(cands []queue.Attachment, addr mem.Addr) bool {
 		}
 	}
 	return false
+}
+
+// soleCover returns the index in cands of the one candidate covering addr,
+// or -1 when several candidates cover addr (or none does).
+func soleCover(cands []queue.Attachment, addr mem.Addr) int {
+	c := -1
+	for i := range cands {
+		if x := &cands[i]; x.Lo <= addr && addr < x.Hi {
+			if c >= 0 {
+				return -1
+			}
+			c = i
+		}
+	}
+	return c
+}
+
+// runWindow returns the window [lo, hi) around addr over which cands[c] is
+// the only candidate and a, te's first attachment covering addr, stays the
+// first covering one: cands[c]'s range and a's, less the ranges of the other
+// candidates and of the attachments before a. Each of those lies wholly below
+// or wholly above addr, which nothing but cands[c] covers and no attachment
+// before a covers. The words of a run are the ones inside the window.
+func runWindow(cands []queue.Attachment, c int, te *threadEntry, a *attachment, addr mem.Addr) (lo, hi mem.Addr) {
+	lo, hi = max(cands[c].Lo, a.lo), min(cands[c].Hi, a.hi)
+	for i := range cands {
+		if x := &cands[i]; x.Hi <= addr {
+			lo = max(lo, x.Hi)
+		} else if x.Lo > addr {
+			hi = min(hi, x.Lo)
+		}
+	}
+	for i := range te.atts {
+		b := &te.atts[i]
+		if b == a {
+			break
+		}
+		if b.hi <= addr {
+			lo = max(lo, b.hi)
+		} else {
+			hi = min(hi, b.lo)
+		}
+	}
+	return lo, hi
 }
 
 // getScratch pops a warmed scratch off the free list, or makes a fresh one
@@ -693,15 +725,19 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word, j *joiner) int 
 //
 // A write that covers nothing takes no lock: it counts its stores lock-free.
 // Any other takes the dispatch lock exactly once, counts its stores under it,
-// and walks words × cands in index order, offering each covering (thread,
-// word) pair to admitLocked — the matches a per-word registry lookup would
-// produce, in its order — so each pair moves fired plus exactly one of
-// enqueued/squashed/overflowed and the identity Fired = Enqueued + Squashed +
-// Overflowed holds at every instant. The thread record and attachment are
-// resolved once per run of one thread's pairs, and busy, the queue-depth
-// sample and the worker wakeup settle once per write rather than once per
-// entry. Overflowed pairs are marked or appended to inline (admitLocked),
-// which is returned for the caller's afterWrite.
+// and admits the covering (thread, word) pairs in words × cands order — the
+// matches a per-word registry lookup would produce, in its order — cut into
+// runs: a stretch of words that one candidate alone covers and whose first
+// covering attachment of the candidate's thread is the same (runWindow) is
+// one admitRunLocked call, which hands it to the queue in one EnqueueRun. The
+// write's last word and a word several candidates cover are admitted pair by
+// pair, each pair a run of one: the scalar store's one word pays no window.
+// Each pair moves fired plus exactly one of enqueued/squashed/overflowed, so
+// the identity Fired = Enqueued + Squashed + Overflowed holds whenever the
+// lock is free, and busy, the queue-depth sample and the worker wakeup settle
+// once per write, for the ring's growth under this hold. Overflowed pairs are
+// marked or appended to inline (admitRunLocked), which is returned for the
+// caller's afterWrite.
 //
 // j is nil for a plain write. For a joined one (Region.TStoreBatchJoin) it
 // takes the lock even when nothing is covered, decides the join in the same
@@ -720,26 +756,44 @@ func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inl
 	// cands, so every id in them is in range.
 	ths := rt.threadsSnap()
 	d := rt.d
-	enqueued := 0
-	var te *threadEntry
-	var a *attachment
 	d.mu.Lock()
 	d.c.changing += int64(stores)
-	for _, addr := range words {
-		for _, c := range cands {
-			if addr < c.Lo || addr >= c.Hi {
+	before := d.tq.Len()
+	for i := 0; i < len(words); {
+		addr := words[i]
+		if i+1 < len(words) {
+			if c := soleCover(cands, addr); c >= 0 {
+				id := cands[c].Thread
+				te := ths[id]
+				a := te.attachmentAt(addr)
+				n := 1
+				if a != nil {
+					// The run: the words behind addr that stay in the window
+					// where cands[c] is the only candidate and a the first
+					// covering attachment. Merge words come in dirty order,
+					// so the window is two-sided, and the unsigned difference
+					// tests both sides at once.
+					lo, hi := runWindow(cands, c, te, a, addr)
+					for i+n < len(words) && words[i+n]-lo < hi-lo {
+						n++
+					}
+				}
+				inline = rt.admitRunLocked(te, a, id, words[i:i+n], g, inline)
+				i += n
 				continue
 			}
-			if ths[c.Thread] != te { // a new run of one thread's pairs
-				te, a = ths[c.Thread], nil
-			}
-			a = te.attachmentNear(a, addr)
-			st, grown := rt.admitLocked(te, a, c.Thread, addr, g, inline)
-			if inline = grown; st == queue.Enqueued {
-				enqueued++
+		}
+		// The write's last word, or one several candidates cover: one pair
+		// per covering candidate, in index order.
+		for _, c := range cands {
+			if c.Lo <= addr && addr < c.Hi {
+				te := ths[c.Thread]
+				inline = rt.admitRunLocked(te, te.attachmentAt(addr), c.Thread, words[i:i+1], g, inline)
 			}
 		}
+		i++
 	}
+	enqueued := d.tq.Len() - before
 	helps := j != nil && rt.joinLocked(j)
 	if enqueued > 0 {
 		d.busy += int64(enqueued)
@@ -834,18 +888,22 @@ func wakeAll(waiters *[]chan struct{}) {
 
 // resolveLocked builds the Triggers of the run c.es[:n] — entries of one
 // thread, te's — from the thread's own attachment list: the attachment is
-// looked up for the first entry and again only when an address leaves it.
-// Callers hold the dispatch lock, which guards atts.
+// looked up for the first entry and again only when an address leaves its
+// range. Any attachment covering an address names the address's one region,
+// so the claim side need not find the first. Callers hold the dispatch lock,
+// which guards atts.
 func (te *threadEntry) resolveLocked(c *claim, n int) {
 	var a *attachment
 	for i := range c.es[:n] {
 		e := &c.es[i]
-		if a = te.attachmentNear(a, e.Addr); a == nil {
-			// An entry can only exist for an attached range: the enqueue side
-			// re-checks the attachment under the dispatch lock, and Cancel
-			// squashes entries under the same lock when detaching. Reaching
-			// here is a runtime bug.
-			panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
+		if a == nil || e.Addr < a.lo || e.Addr >= a.hi {
+			if a = te.attachmentAt(e.Addr); a == nil {
+				// An entry can only exist for an attached range: the enqueue
+				// side re-checks the attachment under the dispatch lock, and
+				// Cancel squashes entries under the same lock when detaching.
+				// Reaching here is a runtime bug.
+				panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
+			}
 		}
 		// Attach checked [a.lo, a.hi) lies in the region: no second validation.
 		c.tgs[i] = Trigger{Thread: e.Thread, Region: a.region, Index: int((e.Addr - a.region.buf.Base()) / mem.WordBytes), Addr: e.Addr}
@@ -1025,7 +1083,7 @@ func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) bool
 }
 
 // runInline executes the overflowed triggers a write collected for itself
-// (admitLocked) synchronously in the writer, in admission order, honouring
+// (admitRunLocked) synchronously in the writer, in admission order, honouring
 // per-thread serialisation; it never waits. Each maximal run of one thread's
 // consecutive entries (up to claimMax) is one bracket, and an entry whose
 // attachment a Cancel removed since the overflow counts Dropped instead of

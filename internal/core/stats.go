@@ -41,7 +41,7 @@ type statsCounters struct {
 //	fired = enqueued + squashed + overflowed
 //
 // holds under the lock at all times. The decomposition is the queue's own
-// queue.Counters, bumped inside tq.Enqueue in the critical section that
+// queue.Counters, bumped inside tq.EnqueueRun in the critical section that
 // bumps fired.
 type dispatchStats struct {
 	// changing counts the changed tstore words of the writes that admit

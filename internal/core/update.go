@@ -24,8 +24,10 @@
 //
 // Merge words go through the pipeline stages every triggering write uses
 // (the compare-and-store, the write hook, an interval test per word, then
-// admitLocked — coverage re-check, Fired identity), so the
-// trigger-observable semantics match a TStore of the merged value. A merge
+// admitRunLocked — coverage re-check, Fired identity), so the
+// trigger-observable semantics match a TStore of the merged value. The words
+// reach admission in the delta plane's dirty order, not sorted; runs of them
+// that stay in one thread's window enter the ring in one EnqueueRun each. A merge
 // is a bulk operation over privatized deltas, not N scalar stores: it
 // resolves the attachments overlapping its region against one registry
 // snapshot, once, writes its words and tests each against those candidates

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -19,6 +20,7 @@ import (
 // PendingSet, so the test also verifies the bitmap changes no dedup decision.
 type qModel struct {
 	cap     int
+	sealed  bool
 	entries []Entry
 	c       Counters
 }
@@ -30,7 +32,7 @@ func (m *qModel) enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 			return Squashed
 		}
 	}
-	if len(m.entries) >= m.cap {
+	if len(m.entries) >= m.cap || m.sealed {
 		m.c.Overflowed++
 		return Overflowed
 	}
@@ -40,6 +42,21 @@ func (m *qModel) enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 		m.c.Peak = len(m.entries)
 	}
 	return Enqueued
+}
+
+// enqueueRun models EnqueueRun as one model offer per address, stopping
+// after the first that overflows.
+func (m *qModel) enqueueRun(t ThreadID, addrs []mem.Addr) (k, enq int, overflowed bool) {
+	for _, addr := range addrs {
+		k++
+		switch m.enqueue(t, addr) {
+		case Enqueued:
+			enq++
+		case Overflowed:
+			return k, enq, true
+		}
+	}
+	return k, enq, false
 }
 
 func (m *qModel) removeAt(i int) Entry {
@@ -97,17 +114,31 @@ func (m *qModel) pendingCount(t ThreadID) int {
 	return n
 }
 
+// offer makes a one-offer run of thread t at addr with pending set p and
+// returns the queue's verdict on it.
+func offer(q *ThreadQueue, t ThreadID, addr mem.Addr, p *PendingSet) EnqueueStatus {
+	switch k, enq, overflowed := q.EnqueueRun(t, []mem.Addr{addr}, p); {
+	case k != 1:
+		panic("offer: a one-offer run took no offer")
+	case overflowed:
+		return Overflowed
+	case enq == 1:
+		return Enqueued
+	}
+	return Squashed
+}
+
 // offers stands in for the runtime's attachments in the queue tests: every
 // thread is attached over the same ranges (one over the low 64 KiB unless the
-// test names others) with a PendingSet of its own per range, and enqueue hands
-// Enqueue the set of the first range covering the address, as admitLocked
-// does.
+// test names others) with a PendingSet of its own per range, and set hands
+// out the set of the first range covering an address, as the runtime's
+// admission does.
 type offers struct {
 	ranges [][2]mem.Addr
 	sets   map[ThreadID][]PendingSet
 }
 
-func (o *offers) enqueue(q *ThreadQueue, t ThreadID, addr mem.Addr) EnqueueStatus {
+func (o *offers) set(t ThreadID, addr mem.Addr) *PendingSet {
 	if o.ranges == nil {
 		o.ranges = [][2]mem.Addr{{0, 1 << 16}}
 	}
@@ -121,10 +152,15 @@ func (o *offers) enqueue(q *ThreadQueue, t ThreadID, addr mem.Addr) EnqueueStatu
 	}
 	for i, r := range o.ranges {
 		if addr >= r[0] && addr < r[1] {
-			return q.Enqueue(t, addr, &o.sets[t][i])
+			return &o.sets[t][i]
 		}
 	}
 	panic("offers: address outside the attached ranges")
+}
+
+// enqueue offers (t, addr) as a run of one.
+func (o *offers) enqueue(q *ThreadQueue, t ThreadID, addr mem.Addr) EnqueueStatus {
+	return offer(q, t, addr, o.set(t, addr))
 }
 
 // bitsSet counts the pending bits set across every range of every thread.
@@ -251,26 +287,111 @@ func TestQueueAgainstModel(t *testing.T) {
 					}
 				default:
 					// A batched triggering store: a run of word-stride
-					// enqueues for one thread, issued back to back under
-					// one dispatch lock (TStoreBatch). The queue
-					// has no batch entry point by design — the property
-					// pinned here is that a contiguous batch behaves
-					// exactly like N scalar enqueues, which is what the
+					// offers for one thread inside one range, admitted in
+					// one EnqueueRun (TStoreBatch), resumed behind each
+					// overflow as the runtime does. It must behave exactly
+					// like as many single offers, which is what the
 					// runtime's counter-identity proof relies on.
 					id := ThreadID(rng.Intn(modelThreads))
-					base := addrs[rng.Intn(len(addrs))]
-					n := 1 + rng.Intn(4)
-					for k := 0; k < n; k++ {
-						addr := base + mem.Addr(k*mem.WordBytes)
-						got := o.enqueue(q, id, addr)
-						want := m.enqueue(id, addr)
-						if got != want {
-							t.Fatalf("step %d: batch word %d: Enqueue(%d, %#x) = %v, model says %v",
-								step, k, id, addr, got, want)
+					first := addrs[rng.Intn(len(addrs))]
+					var run []mem.Addr
+					for k, n := 0, 1+rng.Intn(4); k < n; k++ {
+						if addr := first + mem.Addr(k*mem.WordBytes); o.set(id, addr) == o.set(id, first) {
+							run = append(run, addr)
 						}
+					}
+					for len(run) > 0 {
+						k, enq, over := q.EnqueueRun(id, run, o.set(id, first))
+						wk, wenq, wover := m.enqueueRun(id, run)
+						if k != wk || enq != wenq || over != wover {
+							t.Fatalf("step %d: EnqueueRun(%d, %#x) = (%d, %d, %v), model says (%d, %d, %v)",
+								step, id, run, k, enq, over, wk, wenq, wover)
+						}
+						run = run[k:]
 					}
 				}
 				m.checkAgainst(t, q, o, step)
+			}
+		})
+	}
+}
+
+// TestEnqueueRunAgainstModel drives EnqueueRun in lock step with the model,
+// one model offer per address: random runs of 1–64 addresses of one thread
+// inside one attached range, mostly ascending and with repeats (a run
+// squashes into itself), into rings small enough that runs overflow mid-run
+// and resume — sometimes after a claim made room — and, for the last quarter
+// of each stream, into a sealed queue. The ring, the pending bits, the
+// counters and the returned (k, enq, overflowed) must match the model after
+// every call.
+func TestEnqueueRunAgainstModel(t *testing.T) {
+	for _, capacity := range []int{1, 5, 24, 100} {
+		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity) * 31))
+			q := NewThreadQueue(capacity)
+			m := &qModel{cap: capacity}
+			// Two ranges per thread; the first straddles a bitmap-word
+			// boundary.
+			const base = pendSpan - 24
+			o := &offers{ranges: [][2]mem.Addr{
+				{base, base + 48*mem.WordBytes},
+				{base + 48*mem.WordBytes, base + 160*mem.WordBytes},
+			}}
+			claim := func(step int) {
+				skip := ThreadID(rng.Intn(modelThreads))
+				pred := func(e Entry) bool { return e.Thread != skip }
+				out := make([]Entry, 1+rng.Intn(16))
+				got := out[:q.DequeueRun(pred, out)]
+				if want := m.dequeueRun(pred, len(out)); !slices.Equal(got, want) {
+					t.Fatalf("step %d: DequeueRun(!=%d, %d) = %+v, model says %+v", step, skip, len(out), got, want)
+				}
+			}
+			const steps = 3000
+			for step := 0; step < steps; step++ {
+				if step == steps*3/4 {
+					q.Seal()
+					m.sealed = true
+				}
+				switch op := rng.Intn(8); {
+				case op < 5:
+					id := ThreadID(rng.Intn(modelThreads))
+					r := o.ranges[rng.Intn(len(o.ranges))]
+					words := int((r[1] - r[0]) / mem.WordBytes)
+					run := make([]mem.Addr, 1+rng.Intn(64))
+					start := rng.Intn(words)
+					for i := range run {
+						w := (start + i) % words
+						if rng.Intn(4) == 0 {
+							w = rng.Intn(words)
+						}
+						run[i] = r[0] + mem.Addr(w)*mem.WordBytes
+					}
+					p := o.set(id, run[0])
+					for len(run) > 0 {
+						k, enq, over := q.EnqueueRun(id, run, p)
+						wk, wenq, wover := m.enqueueRun(id, run)
+						if k != wk || enq != wenq || over != wover {
+							t.Fatalf("step %d: EnqueueRun(%d, %#x) = (%d, %d, %v), model says (%d, %d, %v)",
+								step, id, run, k, enq, over, wk, wenq, wover)
+						}
+						m.checkAgainst(t, q, o, step)
+						run = run[k:]
+						if over && rng.Intn(2) == 0 {
+							claim(step)
+						}
+					}
+				case op < 7:
+					claim(step)
+				default:
+					id := ThreadID(rng.Intn(modelThreads))
+					if got, want := q.Squash(id), m.squash(id); got != want {
+						t.Fatalf("step %d: Squash(%d) = %d, model says %d", step, id, got, want)
+					}
+				}
+				m.checkAgainst(t, q, o, step)
+			}
+			if c := q.Counters(); c.Enqueued == 0 || c.Squashed == 0 || c.Overflowed == 0 {
+				t.Fatalf("the stream missed an outcome: %+v", c)
 			}
 		})
 	}

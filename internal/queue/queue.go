@@ -22,7 +22,7 @@ type Entry struct {
 	pend *uint64
 }
 
-// EnqueueStatus reports what Enqueue did with a trigger.
+// EnqueueStatus is the queue's verdict on one offer of a run (EnqueueRun).
 type EnqueueStatus int
 
 const (
@@ -52,7 +52,7 @@ func (s EnqueueStatus) String() string {
 // PendingSet is one attachment's share of the queue's pending set: a bit per
 // word of the trigger range, set exactly while an entry for (the attachment's
 // thread, that word) sits in the ring. The runtime keeps one on each
-// attachment and hands it to Enqueue, which has already had to find the
+// attachment and hands it to EnqueueRun, which has already had to find the
 // attachment to confirm the trigger; "is this trigger already pending?" is
 // then a bit test on a line the producer just touched rather than a probe of a
 // shared table. Bits are laid out by absolute address — bit addr/WordBytes%64
@@ -83,7 +83,7 @@ func pendBit(addr mem.Addr) uint64 { return 1 << (addr / mem.WordBytes % 64) }
 
 // ThreadQueue is the fixed-capacity pending-trigger queue. Entries enter in
 // trigger order and leave in FIFO order. Storage is a ring buffer sized at
-// construction, so Enqueue and Dequeue move no entries and allocate nothing;
+// construction, so EnqueueRun and Dequeue move no entries and allocate nothing;
 // a per-thread pending count makes the Pending predicate — which the
 // runtime's Wait wakeup condition evaluates under the dispatch lock — O(1)
 // instead of a queue scan.
@@ -152,13 +152,14 @@ func (q *ThreadQueue) at(i int) *Entry {
 	return &q.ring[j]
 }
 
-func (q *ThreadQueue) countUp(t ThreadID) {
+// countUp adds n to thread t's pending count.
+func (q *ThreadQueue) countUp(t ThreadID, n int) {
 	if int(t) >= len(q.perThread) {
 		grown := make([]int, int(t)+1) //dtt:escape-ok -- per-thread counter growth; allocates only on first sight of a thread id
 		copy(grown, q.perThread)
 		q.perThread = grown
 	}
-	q.perThread[t]++
+	q.perThread[t] += n
 }
 
 // clearPending clears the pending bit of the entry in ring slot s, which is
@@ -172,35 +173,79 @@ func clearPending(s *Entry) {
 	}
 }
 
-// Enqueue offers a fired trigger of thread t at addr to the queue. p is the
-// pending set of t's attachment covering addr — the same one for every offer
-// of (t, addr), which is the caller's to guarantee. An offer whose bit is
-// already set is squashed — the paper's one dedup policy: the support thread
-// reads the latest data when it runs, so re-executing for every intermediate
-// value of a word is pure waste.
-func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr, p *PendingSet) EnqueueStatus {
-	w, bit := p.slot(addr)
-	if *w&bit != 0 {
-		q.c.Squashed++
-		return Squashed
+// EnqueueRun offers the fired triggers of thread t at addrs, in order, to the
+// queue: what as many single offers would do, in one pass. p is the pending
+// set of t's attachment covering every address of the run — the first
+// attachment of t covering it, the same one for every offer of (t, addr),
+// which is the caller's to guarantee. An offer whose bit is already set is
+// squashed — the paper's one dedup policy: the support thread reads the
+// latest data when it runs, so re-executing for every intermediate value of a
+// word is pure waste — and so is an address the run repeats. Any other offer
+// enters the ring, or overflows when the ring is full or sealed.
+//
+// The run stops after the first offer that overflows: k is the number of
+// offers taken, enq how many of them entered the ring, and overflowed
+// reports that addrs[k-1] overflowed, for the caller to mark (Mark) or run
+// inline before it offers addrs[k:]. The other k-enq offers, less the
+// overflowed one, squashed. The write position, the clock read — one T0 for
+// the run's entries — and the counters settle once per call, not per offer.
+func (q *ThreadQueue) EnqueueRun(t ThreadID, addrs []mem.Addr, p *PendingSet) (k, enq int, overflowed bool) {
+	room := q.cap - q.n
+	if q.sealed {
+		room = 0
 	}
-	if q.n >= q.cap || q.sealed {
-		q.c.Overflowed++
-		return Overflowed
+	j := q.head + q.n // the write position
+	if j >= q.cap {
+		j -= q.cap
 	}
-	*w |= bit
-	e := Entry{Thread: t, Addr: addr, pend: w}
+	for k < len(addrs) {
+		addr := addrs[k]
+		k++
+		w, bit := p.slot(addr)
+		if *w&bit != 0 {
+			continue
+		}
+		if enq == room {
+			overflowed = true
+			break
+		}
+		*w |= bit
+		q.ring[j] = Entry{Thread: t, Addr: addr, pend: w}
+		if j++; j == q.cap {
+			j = 0
+		}
+		enq++
+	}
+	if enq != k {
+		squashed := k - enq
+		if overflowed {
+			squashed--
+			q.c.Overflowed++
+		}
+		q.c.Squashed += int64(squashed)
+		if enq == 0 {
+			return k, 0, overflowed
+		}
+	}
 	if q.clock != nil {
-		e.T0 = q.clock()
+		q.stamp(enq)
 	}
-	*q.at(q.n) = e
-	q.n++
-	q.countUp(t) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
-	q.c.Enqueued++
+	q.n += enq
+	q.countUp(t, enq) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
+	q.c.Enqueued += int64(enq)
 	if q.n > q.c.Peak {
 		q.c.Peak = q.n
 	}
-	return Enqueued
+	return k, enq, overflowed
+}
+
+// stamp gives the enq entries just written behind the ring's tail one T0,
+// read from the queue's clock.
+func (q *ThreadQueue) stamp(enq int) {
+	t0 := q.clock()
+	for i := q.n; i < q.n+enq; i++ {
+		q.at(i).T0 = t0
+	}
 }
 
 // Dequeue removes and returns the oldest entry. ok is false when the queue
@@ -317,7 +362,7 @@ func (q *ThreadQueue) Squash(t ThreadID) int {
 // pending bit, so later offers of (t, addr) squash, and counts in t's pending
 // count — but outside the ring, which a mark never waits for. The token's
 // holder takes the marks (TakeMarks) before it releases the token, and a
-// tcancel drops them (DropMarks). p is as for Enqueue. A mark whose bit an
+// tcancel drops them (DropMarks). p is as for EnqueueRun. A mark whose bit an
 // entry or an earlier mark already holds still joins the list, to run, but
 // leaves the bit to its holder.
 func (q *ThreadQueue) Mark(t ThreadID, addr mem.Addr, p *PendingSet) {
@@ -327,7 +372,7 @@ func (q *ThreadQueue) Mark(t ThreadID, addr mem.Addr, p *PendingSet) {
 		*w |= bit
 		e.pend = w
 	}
-	q.countUp(t) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
+	q.countUp(t, 1) //dtt:escape-ok -- inlined per-thread counter growth; allocates only on first sight of a thread id
 	if int(t) >= len(q.marks) {
 		grown := make([][]Entry, len(q.perThread)) //dtt:escape-ok -- per-thread list growth; allocates only on first sight of a thread id
 		copy(grown, q.marks)

@@ -306,10 +306,10 @@ func TestQueueMarks(t *testing.T) {
 	if q.Len() != 0 || q.PendingCount(1) != 3 || !q.Pending(1) || q.Pending(2) {
 		t.Fatalf("after three marks: Len %d PendingCount(1) %d", q.Len(), q.PendingCount(1))
 	}
-	if s := q.Enqueue(1, 0x10, &p); s != Squashed {
+	if s := offer(q, 1, 0x10, &p); s != Squashed {
 		t.Fatalf("offer of a marked word: %v, want squashed", s)
 	}
-	if s := q.Enqueue(1, 0x28, &p); s != Enqueued {
+	if s := offer(q, 1, 0x28, &p); s != Enqueued {
 		t.Fatalf("offer of an unmarked word: %v, want enqueued", s)
 	}
 	q.Mark(1, 0x28, &p) // the ring entry holds the bit
@@ -317,16 +317,16 @@ func TestQueueMarks(t *testing.T) {
 	if n := q.TakeMarks(1, out[:]); n != 2 || out[0].Addr != 0x10 || out[1].Addr != 0x18 {
 		t.Fatalf("TakeMarks = %d %+v, want the two oldest", n, out[:n])
 	}
-	if s := q.Enqueue(1, 0x10, &p); s != Enqueued {
+	if s := offer(q, 1, 0x10, &p); s != Enqueued {
 		t.Fatalf("offer of a swept word: %v, want enqueued", s)
 	}
 	if n := q.DropMarks(1); n != 2 || q.PendingCount(1) != 2 {
 		t.Fatalf("DropMarks = %d, PendingCount(1) %d, want 2 and the two ring entries", n, q.PendingCount(1))
 	}
-	if s := q.Enqueue(1, 0x28, &p); s != Squashed {
+	if s := offer(q, 1, 0x28, &p); s != Squashed {
 		t.Fatalf("the ring entry lost its bit to a mark it preceded: %v", s)
 	}
-	if s := q.Enqueue(1, 0x20, &p); s != Enqueued {
+	if s := offer(q, 1, 0x20, &p); s != Enqueued {
 		t.Fatalf("offer of a dropped mark's word: %v, want enqueued", s)
 	}
 	if n := q.TakeMarks(1, out[:]) + q.TakeMarks(7, out[:]) + q.DropMarks(7); n != 0 {

@@ -169,6 +169,37 @@ func assertBatchFastPathAllocs(t *testing.T, label string, telemetry bool) {
 
 func TestTStoreFastPathAllocs(t *testing.T) {
 	assertFastPathAllocs(t, "telemetry off", false)
+
+	// Changing stores on the immediate backend while its one worker runs a
+	// body: each stages its word, and the stage's flushes admit them.
+	t.Run("immediate busy worker", func(t *testing.T) {
+		rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 1, QueueCapacity: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		hot := rt.NewRegion("hot", 1024)
+		if err := rt.Attach(rt.Register("noop", func(dtt.Trigger) {}), hot, 0, 1024); err != nil {
+			t.Fatal(err)
+		}
+		release := busyWorker(t, rt)
+		var v dtt.Word = 1
+		store := func() {
+			v++
+			for i := 0; i < 1024; i++ {
+				hot.TStore(i, v)
+			}
+		}
+		store() // the first pass enqueues; the measured ones squash
+		if got := testing.AllocsPerRun(20, store); got != 0 {
+			t.Errorf("staged changing tstore allocates %.1f allocs/op (1024 stores), want 0", got)
+		}
+		release()
+		rt.Barrier()
+		if st := rt.Stats(); st.Enqueued != 1024+1 || st.Fired != st.Enqueued+st.Squashed+st.Overflowed {
+			t.Fatalf("the busy-worker stores must enqueue each word once and squash the rest: %+v", st)
+		}
+	})
 }
 
 // TestTStoreBatchFastPathAllocs gates the batched paths the same way the

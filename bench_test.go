@@ -151,6 +151,43 @@ func BenchmarkTStoreChanging(b *testing.B) {
 	rt.Barrier()
 }
 
+// busyWorker attaches a blocker thread to a region of its own on rt and
+// triggers it, returning once the blocker's body holds the runtime's one
+// worker; the body returns when release is called.
+func busyWorker(tb testing.TB, rt *dtt.Runtime) (release func()) {
+	tb.Helper()
+	plug := rt.NewRegion("plug", 1)
+	started, done := make(chan struct{}), make(chan struct{})
+	id := rt.Register("blocker", func(dtt.Trigger) {
+		close(started)
+		<-done
+	})
+	if err := rt.Attach(id, plug, 0, 1); err != nil {
+		tb.Fatal(err)
+	}
+	plug.TStore(0, 1)
+	<-started
+	return func() { close(done) }
+}
+
+// BenchmarkTStoreChangingBusy is BenchmarkTStoreChanging on the immediate
+// backend while its one worker runs a body: every changing store finds no
+// worker idle and stages its word, and every stageMax-th store flushes the
+// stage into the queue in one admission (the first pass over the 1024 words
+// enqueues, every later one squashes). ns/op is per changing store.
+func BenchmarkTStoreChangingBusy(b *testing.B) {
+	rt, r, _ := benchRuntime(b, dtt.Config{Backend: dtt.BackendImmediate, Workers: 1, QueueCapacity: 2048})
+	release := busyWorker(b, rt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.TStore(i%1024, dtt.Word(i+1))
+	}
+	b.StopTimer()
+	release()
+	rt.Barrier()
+}
+
 // BenchmarkTStoreSquash is the duplicate-squash fast path: one instance is
 // pending at the address for the whole run, so every changing store squashes.
 // BenchmarkTStoreBatchChanging is the acceptance benchmark for batched

@@ -67,6 +67,13 @@ var pinned = map[string][]string{
 		"observers.write",
 		"Runtime.admitRunLocked",
 		"Runtime.dispatchFired",
+		"Runtime.admitWriteLocked",
+		// The stage: a busy runtime's scalar store, its flush and the
+		// flush's two wrappers, whose spill must stay on the stack.
+		"Runtime.stageWord",
+		"Runtime.flushLocked",
+		"Runtime.flushHeld",
+		"Runtime.flush",
 		"soleCover",
 		"runWindow",
 		"Runtime.afterWrite",
@@ -84,6 +91,7 @@ var pinned = map[string][]string{
 		"Runtime.runBodies",
 		"Runtime.endRunLocked",
 		"Runtime.runInline",
+		"Runtime.runInlineLocked",
 	},
 	"internal/mem": {
 		"DeltaPlane.Apply",

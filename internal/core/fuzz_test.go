@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"dtt/internal/queue"
 )
@@ -14,25 +15,68 @@ type fuzzState struct {
 	qc    queue.Counters
 }
 
+// fuzzConfig is the runtime one fuzzed program runs on.
+type fuzzConfig struct {
+	backend  Backend
+	seed     uint64
+	workers  int
+	capacity int
+	closeMid bool
+}
+
+// fuzzConfigOf decodes FuzzDispatch's cfg byte: bit 0 picks the seeded
+// backend over the deferred one, bit 1 closes the runtime midway, bit 2
+// picks the immediate backend, bits 3-4 its 1-3 workers and bit 5 its
+// QueueCapacity, 4 or 8192 — without and with room for the stage. The
+// single-goroutine backends keep a two-entry queue.
+func fuzzConfigOf(cfg byte, seed uint64) fuzzConfig {
+	fc := fuzzConfig{backend: BackendDeferred, seed: seed, workers: 1, capacity: 2, closeMid: cfg&2 != 0}
+	switch {
+	case cfg&4 != 0:
+		fc.backend = BackendImmediate
+		fc.workers = 1 + int(cfg>>3&3)%3
+		fc.capacity = 4
+		if cfg&32 != 0 {
+			fc.capacity = 8192
+		}
+	case cfg&1 != 0:
+		fc.backend = BackendSeeded
+	}
+	return fc
+}
+
 // runFuzzProgram interprets ops as a program over a two-thread runtime and
 // returns its final state. The interpreter is protocol-correct by
 // construction — support threads only read their trigger word and write
 // their own output words; the main thread reads outputs only after the final
-// Barrier — so any sanitizer violation it produces is a runtime bug. With
-// closeMid the runtime is closed at the midpoint of ops, and the rest of the
-// program runs against the sealed queue.
-func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, closeMid bool) fuzzState {
+// Barrier — so any sanitizer violation it produces is a runtime bug. The
+// sanitizer watches the single-goroutine backends only: attached, it would
+// turn the immediate backend's stage off. With closeMid the runtime is
+// closed at the midpoint of ops, and the rest of the program runs against
+// the sealed queue.
+func runFuzzProgram(t *testing.T, fc fuzzConfig, ops []byte) fuzzState {
 	t.Helper()
+	immediate := fc.backend == BackendImmediate
+	check := CheckStrict
+	if immediate {
+		check = CheckOff
+	}
 	rt, err := New(Config{
-		Backend:       backend,
-		SchedSeed:     seed,
-		Checker:       CheckStrict,
-		QueueCapacity: 2, // tiny: overflow is a first-class citizen here
+		Backend:       fc.backend,
+		SchedSeed:     fc.seed,
+		Workers:       fc.workers,
+		Checker:       check,
+		QueueCapacity: fc.capacity,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer rt.Close()
+	closing := false // a Close that hangs is reported once, not waited on again
+	defer func() {
+		if !closing {
+			rt.Close()
+		}
+	}()
 
 	const half = 4
 	in := rt.NewRegion("in", 2*half)
@@ -52,7 +96,7 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, clos
 	}
 
 	for pc, op := range ops {
-		if closeMid && pc == len(ops)/2 {
+		if fc.closeMid && pc == len(ops)/2 {
 			rt.Close()
 		}
 		i := int(op) % (2 * half)
@@ -102,7 +146,18 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, clos
 	if st.qc.Enqueued != st.qc.Dequeued+st.qc.SquashedOut {
 		t.Fatalf("queue counter invariant broken after Barrier: %+v", st.qc)
 	}
+	if s.MergedUpdates != s.SilentMerges {
+		t.Fatalf("MergedUpdates = %d, SilentMerges = %d in a program with no updates", s.MergedUpdates, s.SilentMerges)
+	}
 	assertQueueConservation(t, rt, "fuzz program")
+	if immediate {
+		// A Cancel landing in a worker's claimed run drops the run's
+		// unstarted rest, counted nowhere; what is left to hold is that
+		// Close returns.
+		closing = true
+		withinFor(t, 10*time.Second, "Close", rt.Close)
+		return st
+	}
 	// Every successfully dequeued entry executed; every squashed-out entry
 	// was a cancelled one.
 	if s.Enqueued != s.Executed+st.qc.SquashedOut {
@@ -113,30 +168,30 @@ func runFuzzProgram(t *testing.T, backend Backend, seed uint64, ops []byte, clos
 
 // FuzzDispatch feeds arbitrary operation streams — triggering stores (silent
 // and changing), Wait, Barrier, Cancel/re-Attach, and with bit 1 of cfg a
-// Close at the stream's midpoint — through the tstore dispatch path on both
-// the deferred and the seeded backend, asserting the sanitizer stays clean,
-// the stats identities hold, and seeded runs replay deterministically. Run `make fuzz-smoke` for a bounded CI pass or
-// `go test -fuzz FuzzDispatch ./internal/core` to explore.
+// Close at the stream's midpoint — through the tstore dispatch path on the
+// deferred, the seeded and the immediate backend (fuzzConfigOf), asserting
+// the stats identities hold after the final Barrier and, on the
+// single-goroutine backends, that the sanitizer stays clean and seeded runs
+// replay deterministically; an immediate run must Close within 10 s. Run
+// `make fuzz-smoke` for a bounded CI pass or `go test -fuzz FuzzDispatch
+// ./internal/core` to explore.
 func FuzzDispatch(f *testing.F) {
 	f.Add(byte(0), uint64(0), []byte{})
 	f.Add(byte(0), uint64(1), []byte{0x00, 0x01, 0x18, 0x20, 0x05})
 	f.Add(byte(1), uint64(42), []byte("\x00\x04\x10\x1b\x28\x2f\x07\x21"))
 	f.Add(byte(2), uint64(7), []byte{0x2a, 0x2a, 0x00, 0x40, 0x18, 0x20})
 	f.Add(byte(3), uint64(0xdeadbeef), []byte("watch the queue overflow"))
+	f.Add(byte(0x24), uint64(0), []byte("stage the stores, then \x20 and \x28 and \x6d"))
+	f.Add(byte(0x3e), uint64(0), []byte("three workers close midway \x2d\x2e"))
+	f.Add(byte(0x0c), uint64(0), []byte("two workers on a queue of four"))
 	f.Fuzz(func(t *testing.T, cfg byte, seed uint64, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512] // bound run time, not coverage
 		}
-		// Bit 0 of cfg picks the backend and bit 1 closes the runtime
-		// midway; the other bits are unread.
-		backend := BackendDeferred
-		if cfg&1 == 1 {
-			backend = BackendSeeded
-		}
-		closeMid := cfg&2 != 0
-		st := runFuzzProgram(t, backend, seed, ops, closeMid)
-		if backend == BackendSeeded {
-			replay := runFuzzProgram(t, backend, seed, ops, closeMid)
+		fc := fuzzConfigOf(cfg, seed)
+		st := runFuzzProgram(t, fc, ops)
+		if fc.backend == BackendSeeded {
+			replay := runFuzzProgram(t, fc, ops)
 			if replay != st {
 				t.Fatalf("seed %d is not deterministic:\nfirst  %+v\nreplay %+v", seed, st, replay)
 			}

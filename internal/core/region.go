@@ -82,7 +82,10 @@ func (r *Region) StoreF(i int, f float64) bool { return r.Store(i, wordOf(f)) }
 // lock: the attachment check is a lock-free read of the registry's
 // published interval index, so unrelated hot stores do not contend with
 // dispatch. A firing store takes the dispatch lock once per store, however
-// many attached threads it fires, for pointer-sized bookkeeping.
+// many attached threads it fires, for pointer-sized bookkeeping — or, on the
+// immediate backend while every worker runs a body, appends its word to the
+// runtime's stage, which enters the queue in one admission later (see
+// DESIGN.md, "The stage").
 // allocs_test.go and the BenchmarkTStore* families enforce this.
 func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 

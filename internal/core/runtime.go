@@ -155,11 +155,13 @@ func (d *dispatcher) sleepLocked(waiters *[]chan struct{}) {
 //  2. The dispatch lock (dispatcher.mu): the thread queue and its marks,
 //     the per-thread records and their run tokens, and the quiescence
 //     count. A store that fires takes it once, and only for pointer-sized
-//     bookkeeping, never across a thread body.
+//     bookkeeping, never across a thread body — unless every worker is
+//     busy: then a scalar store appends its word to the stage, under the
+//     stage's own leaf lock, and a flush admits the stage in one hold.
 //  3. rt.mu, the management lock: Register/Attach/Cancel and registry
 //     mutations. Never taken on the store path. Lock order is rt.mu →
-//     the dispatch lock → leaf locks (batchMu, recording.mu); the reverse
-//     order is never taken.
+//     the dispatch lock → leaf locks (batchMu, stage.mu, recording.mu); the
+//     reverse order is never taken.
 type Runtime struct {
 	cfg Config
 	sys *mem.System
@@ -226,6 +228,15 @@ type Runtime struct {
 	metricsSrv *http.Server
 
 	stats statsCounters
+
+	// idleN counts the idle workers: a worker adds itself before it looks at
+	// the stage for the last time, and whoever pops it off idle subtracts
+	// it, so it equals len(idle) whenever the dispatch lock is free. A
+	// producer reads it lock-free to decide whether to stage (stageWord).
+	idleN atomic.Int32
+	// stg is the stage of a busy runtime's scalar triggers, nil unless New
+	// found the runtime may stage (see stage).
+	stg *stage
 }
 
 // New builds a Runtime from cfg.
@@ -249,6 +260,9 @@ func New(cfg Config) (*Runtime, error) {
 		rt.sched = sched.New(cfg.SchedSeed)
 	}
 	if cfg.Backend == BackendImmediate {
+		if cfg.QueueCapacity >= 2*stageMax && rt.obs.on&(withChecker|withRecorder) == 0 {
+			rt.stg = new(stage)
+		}
 		for i := 0; i < cfg.Workers; i++ {
 			rt.wg.Add(1)
 			go rt.worker()
@@ -327,6 +341,8 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 	if lo < 0 || hi > r.Len() || lo >= hi {
 		return fmt.Errorf("core: Attach range [%d, %d) outside region %q of %d words", lo, hi, r.Name(), r.Len())
 	}
+	// Staged words resolve against the attachments they were stored under.
+	rt.flush()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	ths := rt.threadsSnap()
@@ -345,9 +361,11 @@ func (rt *Runtime) Attach(t ThreadID, r *Region, lo, hi int) error {
 	return nil
 }
 
-// Cancel detaches thread t and squashes its pending instances (tcancel).
-// It takes the management lock and then the dispatch lock.
+// Cancel detaches thread t and squashes its pending instances (tcancel),
+// the staged ones included: it flushes the stage first. It takes the
+// management lock and then the dispatch lock.
 func (rt *Runtime) Cancel(t ThreadID) {
+	rt.flush()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	te := entryOf(rt.threadsSnap(), t)
@@ -430,6 +448,9 @@ func (rt *Runtime) drainThread(t ThreadID) {
 	d := rt.d
 	d.mu.Lock()
 	for {
+		// At entry and after every wake: the caller's own staged stores, and
+		// a cascade a body staged, may trigger t.
+		rt.flushHeld()
 		te := entryOf(rt.threadsSnap(), t)
 		if te == nil || d.quietLocked(te, t) {
 			break
@@ -483,16 +504,19 @@ func (rt *Runtime) releaseRegionLocked(r *Region) {
 
 // tstore is the scalar triggering write behind Region.TStore and TStoreF: the
 // compare-and-store, the write hook, and for a changed word inside a trigger
-// range dispatchFired, with the registry's zero-copy prefix of candidates and
-// the one word on the stack. It reports whether the word changed.
+// range either the stage or dispatchFired, with the registry's zero-copy
+// prefix of candidates and the one word on the stack. It reports whether the
+// word changed.
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
 // store is one atomic load; a changing store to an unattached address adds
 // the swap and a lock-free index probe (two comparisons when the address is
-// far from every trigger range), either plus its counter's atomic add; only a
-// changing store inside a trigger range takes a lock — the dispatch lock, once
-// however many threads it fires — and counts itself under it: three locked
-// instructions, the swap, the lock and the unlock.
+// far from every trigger range), either plus its counter's atomic add. A
+// changing store inside a trigger range stages its word while every worker
+// is busy (stageWord): the stage's lock, held for one append, and its count's
+// store. Any other takes the dispatch lock — once however many threads it
+// fires — and counts itself under it: three locked instructions, the swap,
+// the lock and the unlock.
 func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	g := rt.obs.checkGoid()
 	changed := r.buf.Store(i, v)
@@ -503,13 +527,27 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	}
 	word := [1]mem.Addr{r.buf.Addr(i)}
 	cands := rt.reg.Snapshot().Prefix(word[0])
-	n := 0
-	if covers(cands, word[0]) {
-		n = 1
+	if !covers(cands, word[0]) {
+		rt.stats.changing.Add(1)
+		return true
 	}
-	// Room on the stack for the overflow of a word one thread covers.
+	s := rt.stg
+	if s != nil && rt.idleN.Load() == 0 && rt.stageWord(s, word[0]) {
+		return true
+	}
+	// dispatchFired for the one word, written out: the scalar store is the
+	// hot caller, and the wrapper's call cost it 2-4 ns a store. Room on the
+	// stack for the overflow of a word one thread covers.
 	var spill [1]queue.Entry
-	rt.afterWrite(rt.dispatchFired(cands, word[:n], spill[:0], g, 1, nil))
+	inline := spill[:0]
+	d := rt.d
+	d.mu.Lock()
+	if s != nil && s.n.Load() > 0 {
+		inline = rt.flushLocked(inline)
+	}
+	inline = rt.admitWriteLocked(cands, word[:], inline, g, 1, nil)
+	d.mu.Unlock()
+	rt.afterWrite(inline)
 	return true
 }
 
@@ -718,10 +756,11 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word, j *joiner) int 
 }
 
 // dispatchFired is the dispatch phase of every triggering write — a scalar
-// store, a batch, a merge — stages three and 3a of the pipeline. words are
-// the write's changed words that some attachment in cands covers, cands the
-// attachments the write resolved against one registry snapshot, in index
-// order, and stores the write's changed tstore words (0 for a merge).
+// store (which writes it out for its one word), a batch, a merge — stages
+// three and 3a of the pipeline. words are the write's changed words that
+// some attachment in cands covers, cands the attachments the write resolved
+// against one registry snapshot, in index order, and stores the write's
+// changed tstore words (0 for a merge).
 //
 // A write that covers nothing takes no lock: it counts its stores lock-free.
 // Any other takes the dispatch lock exactly once, counts its stores under it,
@@ -742,9 +781,11 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word, j *joiner) int 
 // j is nil for a plain write. For a joined one (Region.TStoreBatchJoin) it
 // takes the lock even when nothing is covered, decides the join in the same
 // hold (joinLocked), and wakes no worker when the join will run everything
-// the ring holds. That is the whole liveness rule: every enqueue either wakes
-// a worker or is followed, on the same goroutine, by a drainThread of the
-// entry's thread.
+// the ring holds. That is the whole liveness rule for the ring: every enqueue
+// either wakes a worker or is followed, on the same goroutine, by a
+// drainThread of the entry's thread. A write that takes the lock first
+// flushes the stage in the same hold (flushLocked), so the staged stores
+// before it keep their order ahead of its own words.
 func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inline []queue.Entry, g uint64, stores int, j *joiner) []queue.Entry {
 	if len(words) == 0 && j == nil {
 		if stores > 0 {
@@ -752,11 +793,24 @@ func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inl
 		}
 		return inline
 	}
+	d := rt.d
+	d.mu.Lock()
+	if s := rt.stg; s != nil && s.n.Load() > 0 {
+		inline = rt.flushLocked(inline)
+	}
+	inline = rt.admitWriteLocked(cands, words, inline, g, stores, j)
+	d.mu.Unlock()
+	return inline
+}
+
+// admitWriteLocked is dispatchFired's critical section, and a flush's: it
+// counts the write's stores, admits its words run by run and settles the
+// ring's growth. Callers hold the dispatch lock.
+func (rt *Runtime) admitWriteLocked(cands []queue.Attachment, words []mem.Addr, inline []queue.Entry, g uint64, stores int, j *joiner) []queue.Entry {
 	// The thread table is loaded after the registry snapshot that produced
 	// cands, so every id in them is in range.
 	ths := rt.threadsSnap()
 	d := rt.d
-	d.mu.Lock()
 	d.c.changing += int64(stores)
 	before := d.tq.Len()
 	for i := 0; i < len(words); {
@@ -804,8 +858,110 @@ func (rt *Runtime) dispatchFired(cands []queue.Attachment, words []mem.Addr, inl
 			rt.wakeWorker()
 		}
 	}
-	d.mu.Unlock()
 	return inline
+}
+
+// stageMax is the most words the stage holds. Swept on bench's kernels_fine
+// and ingest (see DESIGN.md "The stage"); a full stage flushes on the store
+// that filled it.
+const stageMax = 64
+
+// stage holds the fired words of changing covered scalar stores made while
+// every worker is busy, in store order, for one admission of them all: the
+// paper's thread queue takes a tstore's entry without stalling the main
+// thread, and the stage is how a store here avoids the dispatch lock the
+// workers claim under. A store stages only while no worker is idle (one that
+// finds a worker idle admits directly and wakes it), and the words wait only
+// while every worker runs a body. They are flushed (flushLocked) by the store
+// that fills the stage, by the first write that takes the dispatch lock
+// itself, by every sync point that reads or changes queue state — Wait,
+// Barrier, Status, Stats, QueueCounters, Attach, Cancel, Close — and by a
+// worker that finds nothing to claim, before it sleeps. The runtime has one,
+// on the immediate backend, when its queue holds two full stages and no
+// checker or recorder watches admission.
+type stage struct {
+	mu sync.Mutex
+	// n is the number of staged words, stored under mu and read lock-free.
+	n atomic.Int32
+	// closed is set by Close: nothing stages after it.
+	closed bool               //dtt:guards mu
+	words  [stageMax]mem.Addr //dtt:guards mu
+	// out and cands are a flush's scratch — the words it took and the
+	// attachments overlapping their span — guarded by the dispatch lock
+	// every flush holds.
+	out   [stageMax]mem.Addr //dtt:guards dispatcher.mu
+	cands []queue.Attachment //dtt:guards dispatcher.mu
+}
+
+// stageWord appends addr, a changed word some attachment covered, to the
+// stage s and reports true, or reports false — for the store to admit
+// directly — when Close has shut the stage or a racing producer filled it.
+// The count is published (seq-cst) before the idle count is read, and a
+// worker publishes its idleness before it reads the count (worker), so one
+// of the two sees the other: a store that finds a worker idle flushes, and a
+// worker that finds words staged flushes instead of sleeping. No staged word
+// is stranded.
+func (rt *Runtime) stageWord(s *stage, addr mem.Addr) bool {
+	s.mu.Lock()
+	k := s.n.Load()
+	if k == stageMax || s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.words[k] = addr
+	s.n.Store(k + 1)
+	s.mu.Unlock()
+	if k+1 == stageMax || rt.idleN.Load() > 0 {
+		rt.flush()
+	}
+	return true
+}
+
+// flushLocked takes the stage's words and admits them as one write of that
+// many changing scalar stores: admitWriteLocked against the attachments that
+// overlap their span now, so every counter and verdict comes from the path
+// batches and merges take, and T0 is stamped here. It returns inline extended
+// by what overflowed, for the caller to run with no lock held. Callers hold
+// the dispatch lock and know rt.stg is not nil.
+func (rt *Runtime) flushLocked(inline []queue.Entry) []queue.Entry {
+	s := rt.stg
+	s.mu.Lock()
+	n := copy(s.out[:], s.words[:s.n.Load()])
+	s.n.Store(0)
+	s.mu.Unlock()
+	if n == 0 {
+		return inline
+	}
+	words := s.out[:n]
+	lo, hi := words[0], words[0]
+	for _, a := range words[1:] {
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	s.cands = rt.reg.Snapshot().Overlapping(lo, hi+mem.WordBytes, s.cands[:0])
+	return rt.admitWriteLocked(s.cands, words, inline, 0, n, nil)
+}
+
+// flushHeld flushes a non-empty stage from a caller that holds the dispatch
+// lock and runs what overflowed (runInlineLocked, which drops the lock
+// around the bodies only), and returns holding it.
+func (rt *Runtime) flushHeld() {
+	if s := rt.stg; s == nil || s.n.Load() == 0 {
+		return
+	}
+	var spill [1]queue.Entry
+	if inline := rt.flushLocked(spill[:0]); len(inline) > 0 {
+		rt.runInlineLocked(inline)
+	}
+}
+
+// flush is flushHeld for a caller that holds no lock.
+func (rt *Runtime) flush() {
+	if s := rt.stg; s == nil || s.n.Load() == 0 {
+		return
+	}
+	rt.d.mu.Lock()
+	rt.flushHeld()
+	rt.d.mu.Unlock()
 }
 
 // joiner is a joined write's thread: the one whose Wait the writing
@@ -839,8 +995,16 @@ func (rt *Runtime) wakeWorker() {
 	if n := len(rt.idle); n > 0 {
 		rt.idle[n-1] <- struct{}{}
 		rt.idle = rt.idle[:n-1]
+		rt.idleN.Add(-1)
 		rt.d.c.workerWakes++
 	}
+}
+
+// wakeIdle wakes every idle worker, for Close's seal: they exit once the
+// runtime is quiescent. Callers hold the dispatch lock.
+func (rt *Runtime) wakeIdle() {
+	rt.idleN.Add(-int32(len(rt.idle)))
+	wakeAll(&rt.idle)
 }
 
 // quietLocked is the twait release condition, spelled once: thread t, whose
@@ -867,7 +1031,7 @@ func (rt *Runtime) finishLocked(te *threadEntry, t ThreadID) {
 	if d.busy == 0 {
 		wakeAll(&d.barrierWaiters)
 		if d.tq.Sealed() {
-			wakeAll(&rt.idle)
+			rt.wakeIdle()
 		}
 	}
 }
@@ -886,13 +1050,28 @@ func wakeAll(waiters *[]chan struct{}) {
 	*waiters = (*waiters)[:0]
 }
 
+// brokenLocked reports a broken runtime invariant found under the dispatch
+// lock: it releases the lock, then panics with the message format makes of
+// args. A panic that left the lock held would hang every deferred call that
+// takes it as the panic unwinds — a test's deferred Close among them — where
+// it must fail at once. The arguments are int64s so that a pinned caller
+// boxes nothing: the message is built here, on the panic's path only.
+func (d *dispatcher) brokenLocked(format string, args ...int64) {
+	d.mu.Unlock()
+	as := make([]any, len(args))
+	for i, a := range args {
+		as[i] = a
+	}
+	panic(fmt.Sprintf(format, as...))
+}
+
 // resolveLocked builds the Triggers of the run c.es[:n] — entries of one
 // thread, te's — from the thread's own attachment list: the attachment is
 // looked up for the first entry and again only when an address leaves its
 // range. Any attachment covering an address names the address's one region,
-// so the claim side need not find the first. Callers hold the dispatch lock,
-// which guards atts.
-func (te *threadEntry) resolveLocked(c *claim, n int) {
+// so the claim side need not find the first. Callers hold d's lock, which
+// guards atts.
+func (te *threadEntry) resolveLocked(d *dispatcher, c *claim, n int) {
 	var a *attachment
 	for i := range c.es[:n] {
 		e := &c.es[i]
@@ -902,7 +1081,7 @@ func (te *threadEntry) resolveLocked(c *claim, n int) {
 				// side re-checks the attachment under the dispatch lock, and
 				// Cancel squashes entries under the same lock when detaching.
 				// Reaching here is a runtime bug.
-				panic(fmt.Sprintf("core: queue entry for thread %d addr %#x has no attachment", e.Thread, e.Addr))
+				d.brokenLocked("core: queue entry for thread %d addr %#x has no attachment", int64(e.Thread), int64(e.Addr))
 			}
 		}
 		// Attach checked [a.lo, a.hi) lies in the region: no second validation.
@@ -966,7 +1145,7 @@ func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, queued bool)
 	inline := !queued // what this bracket's first run was; marks run inline
 	te.running++
 	for {
-		te.resolveLocked(c, n)
+		te.resolveLocked(d, c, n)
 		epoch := te.cancelEpoch
 		if queued && d.tq.Len() > d.tq.PendingCount(t) {
 			rt.wakeWorker() // other threads' entries wait behind t's: offer them
@@ -1007,11 +1186,12 @@ func (rt *Runtime) runClaimLocked(te *threadEntry, c *claim, n int, queued bool)
 // queued ones are neither executed nor failed, overflowed ones count
 // Dropped, keeping Overflowed = InlineRuns + Dropped. Then it drops the busy
 // count by n. A settle of more entries than busy counts in flight panics
-// before it changes anything. Callers hold rt.d.mu.
+// before it changes anything, with the lock released (brokenLocked). Callers
+// hold rt.d.mu.
 func (rt *Runtime) endRunLocked(t ThreadID, queued bool, n int, oks ...bool) {
 	d := rt.d
 	if d.busy < int64(n) {
-		panic(fmt.Sprintf("core: thread %d settled %d entries with %d in flight", t, n, d.busy))
+		d.brokenLocked("core: thread %d settled %d entries with %d in flight", int64(t), int64(n), d.busy)
 	}
 	if !queued {
 		d.c.dropped += int64(n - len(oks))
@@ -1095,11 +1275,18 @@ func (rt *Runtime) pickLocked(ths []*threadEntry, all bool, e *queue.Entry) bool
 // the admission is no reason to wait either: the group's entries are marked
 // for that worker to sweep, as admission would have marked them.
 func (rt *Runtime) runInline(inline []queue.Entry) {
+	rt.d.mu.Lock()
+	rt.runInlineLocked(inline)
+	rt.d.mu.Unlock()
+}
+
+// runInlineLocked is runInline for a caller that holds the dispatch lock,
+// which it drops around the bodies only (runClaimLocked).
+func (rt *Runtime) runInlineLocked(inline []queue.Entry) {
 	immediate := rt.cfg.Backend == BackendImmediate
 	ths := rt.threadsSnap()
 	var c claim
 	d := rt.d
-	d.mu.Lock()
 	for len(inline) > 0 {
 		t := inline[0].Thread
 		te := ths[t]
@@ -1127,7 +1314,6 @@ func (rt *Runtime) runInline(inline []queue.Entry) {
 			rt.runClaimLocked(te, &c, n, false)
 		}
 	}
-	d.mu.Unlock()
 }
 
 // claimMax bounds how many entries of one thread a worker takes off the
@@ -1164,9 +1350,10 @@ type claim struct {
 // serial and in enqueue order.
 // Claimed entries have left the queue and cleared their pending bits, as the
 // paper frees the queue entry at spawn. When nothing is claimable the worker
-// sleeps on rt.idle in the same hold of the lock (wakeWorker), and once Close
-// has sealed the queue it exits at the first look that finds the runtime
-// quiescent: nothing queued, nothing running. There is no spinning before
+// sleeps on rt.idle in the same hold of the lock (wakeWorker) — unless words
+// are staged, which it flushes and then claims — and once Close has sealed
+// the queue it exits at the first look that finds the runtime quiescent:
+// nothing queued, nothing running. There is no spinning before
 // the sleep: on two vCPUs it cost the ammp kernel 30-60% (the dispatch lock
 // and ring lines bounce between producer and worker).
 func (rt *Runtime) worker() {
@@ -1183,6 +1370,14 @@ func (rt *Runtime) worker() {
 			if d.tq.Sealed() && d.busy == 0 {
 				d.mu.Unlock()
 				return
+			}
+			// Idle before the last look at the stage (see stageWord): a
+			// worker flushes staged words instead of sleeping on them.
+			rt.idleN.Add(1)
+			if s := rt.stg; s != nil && s.n.Load() > 0 {
+				rt.idleN.Add(-1)
+				rt.flushHeld()
+				continue
 			}
 			d.sleepLocked(&rt.idle)
 			continue
@@ -1218,7 +1413,8 @@ func (rt *Runtime) Wait(t ThreadID) {
 // (drain); on the immediate backend the waiter checks the quiescence count
 // under the dispatch lock and, while it is not zero, sleeps on
 // barrierWaiters, which finishLocked wakes when it reaches zero — Wait's
-// shape, with the whole runtime as the thread.
+// shape, with the whole runtime as the thread. Staged stores count: the
+// loop flushes the stage before each look.
 func (rt *Runtime) Barrier() {
 	rt.stats.barriers.Add(1)
 	j := rt.obs.beginJoin("dtt.Barrier")
@@ -1228,7 +1424,9 @@ func (rt *Runtime) Barrier() {
 	if rt.cfg.Backend == BackendImmediate {
 		d := rt.d
 		d.mu.Lock()
-		for d.busy != 0 {
+		// The stage is flushed at entry and after every wake: a body that
+		// stores can stage a cascade after busy reached zero.
+		for rt.flushHeld(); d.busy != 0; rt.flushHeld() {
 			d.sleepLocked(&d.barrierWaiters)
 		}
 		d.mu.Unlock()
@@ -1241,11 +1439,13 @@ func (rt *Runtime) Barrier() {
 // Status returns thread t's TQST state (tstatus), read from the table Wait
 // reads: Running while an instance holds the run token, queued or inline;
 // otherwise Pending while the ring holds an entry of t; otherwise Idle. A
-// thread never registered is idle.
+// thread never registered is idle. The stage is flushed first, so a staged
+// trigger of t reads Pending.
 func (rt *Runtime) Status(t ThreadID) queue.Status {
 	d := rt.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	rt.flushHeld()
 	switch te := entryOf(rt.threadsSnap(), t); {
 	case te != nil && te.running > 0:
 		return queue.StatusRunning
@@ -1256,10 +1456,11 @@ func (rt *Runtime) Status(t ThreadID) queue.Status {
 }
 
 // QueueCounters returns the thread queue's lifetime counters (see
-// queue.Counters for the invariant they obey).
+// queue.Counters for the invariant they obey), staged words flushed first.
 func (rt *Runtime) QueueCounters() queue.Counters {
 	rt.d.mu.Lock()
 	defer rt.d.mu.Unlock()
+	rt.flushHeld()
 	return rt.d.tq.Counters()
 }
 
@@ -1274,12 +1475,19 @@ func (rt *Runtime) ShardCounters() []queue.Counters {
 // strands nothing admitted before it: on the immediate backend it returns
 // once the workers have run the queue dry and the runtime is quiescent; on
 // the single-goroutine backends the next Wait or Barrier drains the queue on
-// the caller. It is idempotent.
+// the caller. It shuts the stage and flushes it first, so nothing staged is
+// stranded and nothing stages after it. It is idempotent.
 func (rt *Runtime) Close() {
+	if s := rt.stg; s != nil {
+		s.mu.Lock()
+		s.closed = true
+		s.mu.Unlock()
+		rt.flush()
+	}
 	d := rt.d
 	d.mu.Lock()
 	d.tq.Seal()
-	wakeAll(&rt.idle)
+	rt.wakeIdle()
 	d.mu.Unlock()
 	if rt.metricsSrv != nil {
 		rt.metricsSrv.Close()

@@ -45,7 +45,8 @@ type statsCounters struct {
 // bumps fired.
 type dispatchStats struct {
 	// changing counts the changed tstore words of the writes that admit
-	// something, under the lock dispatchFired holds; it is in no identity.
+	// something, under the lock dispatchFired holds, and a stage's words at
+	// their flush; it is in no identity.
 	changing   int64
 	fired      int64
 	dropped    int64
@@ -155,11 +156,13 @@ func (s Stats) SquashFraction() float64 {
 //
 // The lock-free counters carry no cross-counter identity; TStores is the
 // sum of the silent count and the changing counts, lock-free and locked,
-// so Silent <= TStores by construction.
+// so Silent <= TStores by construction. The stage is flushed first: a
+// staged store is counted — TStores, Fired and its verdict — at its flush.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	d := rt.d
 	d.mu.Lock()
+	rt.flushHeld()
 	c, q := &d.c, d.tq.Counters()
 	s.TStores = c.changing
 	s.Fired = c.fired

@@ -294,15 +294,24 @@ func TestStatusLifecycle(t *testing.T) {
 			}
 		}},
 		{name: "settling_more_than_dispatched_panics", run: func(t *testing.T, r *statusRig) {
+			// The invariant panic releases the dispatch lock before it
+			// unwinds, so the deferred Close of a failing test cannot hang.
 			d := r.rt.d
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			defer func() { // busy counts nothing in flight
-				if recover() == nil {
-					t.Fatal("endRunLocked settled an entry busy did not count without panicking")
-				}
+			func() {
+				d.mu.Lock()
+				defer func() { // busy counts nothing in flight
+					if recover() == nil {
+						d.mu.Unlock()
+						t.Fatal("endRunLocked settled an entry busy did not count without panicking")
+					}
+				}()
+				r.rt.endRunLocked(r.th, true, 1, true)
 			}()
-			r.rt.endRunLocked(r.th, true, 1, true)
+			if !d.mu.TryLock() {
+				t.Fatal("the invariant panic left the dispatch lock held")
+			}
+			d.mu.Unlock()
+			within(t, "Close", r.rt.Close)
 		}},
 	}
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {

@@ -33,9 +33,10 @@
 // snapshot, once, writes its words and tests each against those candidates
 // — so, like a batch, a merge orders wholly before or wholly after a
 // concurrent Attach/Cancel — and admits the covered words under one hold of
-// the dispatch lock (dispatchFired, as every triggering write does). On the
-// seeded backend the whole merge is one preemption point at its end, like a
-// batch.
+// the dispatch lock (dispatchFired, as every triggering write does), which
+// first flushes the stage: a scalar store staged before the merge is admitted
+// ahead of the merge's words. On the seeded backend the whole merge is one
+// preemption point at its end, like a batch.
 //
 // # Lock order
 //

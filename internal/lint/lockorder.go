@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,6 +54,7 @@ var lockOrderTable = []lockRank{
 	{6, "dispatcher.mu", false, "the dispatch lock: thread queue and run tokens (together the status table), Wait and Barrier waiters"},
 	{7, "recording.mu", false, "the recorder's release map, in the observer seam (leaf)"},
 	{7, "Runtime.batchMu", false, "batch scratch free list (leaf)"},
+	{7, "stage.mu", false, "the stage of a busy runtime's scalar triggers: a store's append, a flush's take under the dispatch lock (leaf)"},
 	{7, "outbox.mu", false, "per-session reply mailbox (leaf)"},
 	{7, "Checker.mu", false, "sanitizer state (leaf; runtime locks may be held around checker calls, never the reverse)"},
 }
@@ -145,6 +147,10 @@ type lockWalker struct {
 	// released records keys unlocked while not locally held — releases of
 	// the caller's locks by a release helper.
 	released map[string]bool
+	// waits records the caller's keys this function passes to a condition
+	// wait — a callee that drops the key and takes it back — without
+	// releasing them itself: it is then a condition wait on them too.
+	waits map[string]bool
 	// deferredRelease records keys released by deferred Unlocks or
 	// deferred calls to releasing helpers; they apply at function exit.
 	deferredRelease map[string]bool
@@ -165,6 +171,7 @@ func (lw *lockWalker) walkDecl(fd *ast.FuncDecl, entry lockState) {
 	}
 	lw.exit = lockState{dead: true}
 	lw.released = map[string]bool{}
+	lw.waits = map[string]bool{}
 	lw.deferredRelease = map[string]bool{}
 	out := lw.stmts(fd.Body.List, entry)
 	lw.exit = mergeLock(lw.exit, out)
@@ -184,7 +191,7 @@ func (lw *lockWalker) walkDecl(fd *ast.FuncDecl, entry lockState) {
 			sub := &lockWalker{f: lw.f, pr: lw.pr,
 				onAcquire: lw.onAcquire, onCallSite: lw.onCallSite, onNode: lw.onNode,
 				exit:     lockState{dead: true},
-				released: map[string]bool{}, deferredRelease: map[string]bool{}}
+				released: map[string]bool{}, waits: map[string]bool{}, deferredRelease: map[string]bool{}}
 			sub.stmts(lit.Body.List, lockState{held: map[string]lockAcq{}})
 			return false
 		}
@@ -348,10 +355,30 @@ func (lw *lockWalker) stmt(s ast.Stmt, st lockState) lockState {
 		// A spawned goroutine starts with no locks of ours held.
 		lw.noteDetachedCall(s.Call)
 		return st
-	case *ast.ExprStmt, *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
+	case *ast.ExprStmt:
+		st = lw.scan(s, st)
+		if call, ok := unparen(s.X).(*ast.CallExpr); ok && lw.noReturn(call) {
+			return lockState{dead: true}
+		}
+		return st
+	case *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
 		return lw.scan(s, st)
 	}
 	return st
+}
+
+// noReturn reports whether call never returns: a panic, or a call of a
+// function whose every path ends in one. Its statement ends the path, so the
+// locks a panicking helper releases on its way out are not released for the
+// code after the call.
+func (lw *lockWalker) noReturn(call *ast.CallExpr) bool {
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := lw.f.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
+			return true
+		}
+	}
+	callee := lw.pr.lookup(calleeOf(lw.f.pkg.Info, call))
+	return callee != nil && callee.sum.noReturn
 }
 
 // breakTarget is a statement a break can leave — a loop, a switch or a
@@ -456,6 +483,11 @@ func (lw *lockWalker) scan(n ast.Node, st lockState) lockState {
 		if callee == nil {
 			return true
 		}
+		if callee.sum.noReturn {
+			// The path ends at the call (stmt): it acquires nothing and
+			// releases nothing for the code after it.
+			return true
+		}
 		if lw.onCallSite != nil {
 			lw.onCallSite(callee, st.held)
 		}
@@ -467,14 +499,27 @@ func (lw *lockWalker) scan(n ast.Node, st lockState) lockState {
 		// Apply the callee's net lock effect: a lock helper's acquisitions
 		// become held here; a release helper drops the caller's locks (or
 		// propagates outward when this function does not hold them either).
+		// A condition wait on a key this function does not hold either —
+		// its caller's — leaves the state as it was, on whatever path the
+		// call sits: the function waits on its caller's lock in turn.
+		var waited map[string]bool
 		for _, k := range callee.sum.exitReleased {
 			if _, heldNow := st.held[k]; heldNow {
 				delete(st.held, k)
+			} else if slices.Contains(callee.sum.exitHeld, k) {
+				lw.waits[k] = true
+				if waited == nil {
+					waited = map[string]bool{}
+				}
+				waited[k] = true
 			} else {
 				lw.released[k] = true
 			}
 		}
 		for _, k := range callee.sum.exitHeld {
+			if waited[k] {
+				continue
+			}
 			if st.held == nil {
 				st.held = map[string]lockAcq{}
 			}
@@ -606,7 +651,7 @@ func (lw *lockWalker) tryLockCall(cond ast.Expr, negated bool) (string, token.Po
 // around a sleep and taken back — and is not an acquisition: the key stays
 // in exitReleased and exitHeld, so the caller's held set is unchanged
 // across the call.
-func (pr *program) collectLockFacts(fi *funcInfo) (acquires []lockAcq, exitHeld, exitReleased []string) {
+func (pr *program) collectLockFacts(fi *funcInfo) (acquires []lockAcq, exitHeld, exitReleased []string, noReturn bool) {
 	byKey := map[string]lockAcq{}
 	var lw *lockWalker
 	lw = &lockWalker{
@@ -629,13 +674,22 @@ func (pr *program) collectLockFacts(fi *funcInfo) (acquires []lockAcq, exitHeld,
 		for k := range lw.exit.held {
 			exitHeld = append(exitHeld, k)
 		}
-		sort.Strings(exitHeld)
 	}
 	for k := range lw.released {
 		exitReleased = append(exitReleased, k)
 	}
+	for k := range lw.waits {
+		if lw.released[k] {
+			continue
+		}
+		exitReleased = append(exitReleased, k)
+		if !lw.exit.dead && !slices.Contains(exitHeld, k) {
+			exitHeld = append(exitHeld, k)
+		}
+	}
+	sort.Strings(exitHeld)
 	sort.Strings(exitReleased)
-	return acquires, exitHeld, exitReleased
+	return acquires, exitHeld, exitReleased, lw.exit.dead
 }
 
 // runLockOrder checks every function against the lattice.

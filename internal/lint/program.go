@@ -56,6 +56,9 @@ type funcSummary struct {
 	// exitReleased are lock keys the function unlocks without holding —
 	// releases of the caller's locks by a release helper.
 	exitReleased []string
+	// noReturn marks a function no path of which returns: every one ends
+	// in a panic (or a call of another such function) or loops forever.
+	noReturn bool
 }
 
 // refSite is one place a function is called or referenced.
@@ -416,7 +419,7 @@ func (pr *program) summarize(fi *funcInfo) funcSummary {
 		s.reads = s.reads[:8]
 	}
 
-	s.acquires, s.exitHeld, s.exitReleased = pr.collectLockFacts(fi)
+	s.acquires, s.exitHeld, s.exitReleased, s.noReturn = pr.collectLockFacts(fi)
 	return s
 }
 
@@ -431,7 +434,8 @@ func chainVia(hop, rest string) string {
 func summariesEqual(a, b *funcSummary) bool {
 	if a.exitIfClean != b.exitIfClean || a.exitIfTriggered != b.exitIfTriggered ||
 		len(a.reads) != len(b.reads) || len(a.acquires) != len(b.acquires) ||
-		len(a.exitHeld) != len(b.exitHeld) || len(a.exitReleased) != len(b.exitReleased) {
+		len(a.exitHeld) != len(b.exitHeld) || len(a.exitReleased) != len(b.exitReleased) ||
+		a.noReturn != b.noReturn {
 		return false
 	}
 	for i := range a.exitHeld {

@@ -150,3 +150,44 @@ func (p *pool) Run(job func()) int {
 }
 
 func Drive(p *pool) int { return p.Run(func() {}) }
+
+// maybeSweep waits on its caller's lock only when there is work: a
+// condition wait on one path, none on the other. It is a condition wait all
+// the same, so Flush's accesses after the call are guarded; a walk that
+// joined the two paths' held sets would drop the caller's lock there.
+func (p *pool) maybeSweep() {
+	if len(p.jobs) > 0 {
+		p.sweep()
+	}
+}
+
+func (p *pool) Flush() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.maybeSweep()
+	p.settle()
+	return p.done
+}
+
+// broken releases its caller's lock and panics, so the lock is not held
+// while the panic unwinds. No path returns: check's access after the call
+// is unreachable, and the caller's lock is still held on every path that
+// gets there — Check's own accesses are guarded.
+func (p *pool) broken() {
+	p.mu.Unlock()
+	panic("pool: broken invariant")
+}
+
+func (p *pool) check() {
+	if p.done < 0 {
+		p.broken()
+	}
+	p.done++
+}
+
+func (p *pool) Check() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.check()
+	return p.done
+}

@@ -28,7 +28,6 @@ package sched
 // It is not safe for concurrent use; the seeded backend only consults it
 // from the runtime's single driving goroutine.
 type Scheduler struct {
-	seed  uint64
 	state uint64
 	draws int64
 }
@@ -36,11 +35,8 @@ type Scheduler struct {
 // New returns a scheduler whose decisions are fully determined by seed.
 // Any seed value is valid, including zero.
 func New(seed uint64) *Scheduler {
-	return &Scheduler{seed: seed, state: seed}
+	return &Scheduler{state: seed}
 }
-
-// Seed returns the construction seed, for failure reports.
-func (s *Scheduler) Seed() uint64 { return s.seed }
 
 // Draws returns how many random decisions have been taken, as a cheap
 // fingerprint that two runs followed the same schedule.

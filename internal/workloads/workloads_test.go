@@ -44,6 +44,7 @@ func runDTT(t *testing.T, w Workload, size Size, mut func(*core.Config)) Result 
 // threads' bodies sharing an output, is a report under `make race`. A full
 // two-entry queue runs the overflow bodies inline on the producer beside the
 // workers — the schedule in which a private buffer changes hands most often.
+// A queue of 8192 entries lets the stores made while the worker is busy stage.
 func checkEquivalence(t *testing.T, w Workload) {
 	t.Helper()
 	size := Size{Scale: 1, Iters: 12, Seed: 7}
@@ -59,6 +60,13 @@ func checkEquivalence(t *testing.T, w Workload) {
 		"immediate-one-worker": func(c *core.Config) {
 			c.Backend = core.BackendImmediate
 			c.Workers = 1
+		},
+		// A queue that holds two stages: a store made while every worker
+		// runs a body stages its word (the benchmark's shape).
+		"immediate-staged": func(c *core.Config) {
+			c.Backend = core.BackendImmediate
+			c.Workers = 1
+			c.QueueCapacity = 8192
 		},
 		"immediate-tiny-queue": func(c *core.Config) {
 			c.Backend = core.BackendImmediate

@@ -37,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listen  = fs.String("listen", "127.0.0.1:0", "TCP address to serve the trigger plane on")
 		workers = fs.Int("workers", 2, "support-thread contexts")
 		qcap    = fs.Int("queue", 64, "thread queue capacity")
-		mailbox = fs.Int("mailbox", 0, "per-session notify mailbox capacity (0 = default)")
 		check   = fs.Bool("check", false, "run the DTT protocol sanitizer (CheckStrict) and exit 1 on violations")
 		metrics = fs.String("metrics", "", "serve /metrics and /debug/vars on this address, e.g. 127.0.0.1:9090")
 		hold    = fs.Duration("hold", 0, "serve this long and exit cleanly (0 = until interrupted)")
@@ -61,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer rt.Close()
 
-	srv := serve.NewServer(rt, serve.Options{MailboxCap: *mailbox})
+	srv := serve.NewServer(rt, serve.Options{})
 	addr, err := srv.Start(*listen)
 	if err != nil {
 		fmt.Fprintf(stderr, "dttserve: %v\n", err)

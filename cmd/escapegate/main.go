@@ -113,12 +113,15 @@ var pinned = map[string][]string{
 		"clearPending",
 	},
 	// The serve plane's subscribed request: the notify push every firing
-	// support thread makes, the one flush both the reader and the writer
-	// goroutine call, and its per-frame encode.
+	// support thread makes, the swap that marks its words clean, the one
+	// flush both the reader and the writer goroutine call, and its encode
+	// of replies and of the CHANGE_NOTIFY runs it cuts from the notes.
 	"internal/serve": {
 		"outbox.pushNotify",
+		"outbox.swapLocked",
 		"session.flush",
 		"appendMsg",
+		"appendNotes",
 	},
 }
 

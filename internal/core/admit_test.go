@@ -149,11 +149,7 @@ func TestRunAdmissionMatchesPairWalk(t *testing.T) {
 				if obs == "observed" {
 					cfg.Checker, cfg.Recorder = CheckStrict, trace.NewRecorder(nil)
 				}
-				rt, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(rt.Close)
+				rt := newRuntime(t, cfg)
 				data := rt.NewRegion("data", 64)
 				var ran []pairKey
 				body := func(tg Trigger) { ran = append(ran, pairKey{tg.Thread, tg.Index}) }
@@ -266,11 +262,7 @@ func TestRunAdmissionSkipsCancelledRange(t *testing.T) {
 func TestRunAdmissionOverflowImmediate(t *testing.T) {
 	for _, held := range []bool{true, false} {
 		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
-			rt, err := New(Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rt.Close)
+			rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 4})
 			data := rt.NewRegion("data", 32)
 			entered, release := make(chan struct{}, 1), newGate(t)
 			var mu sync.Mutex

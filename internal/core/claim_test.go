@@ -161,11 +161,7 @@ func tokenOf(rt *Runtime, t ThreadID) int {
 func TestClaimOrderAndExactlyOnce(t *testing.T) {
 	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const threads, span, rounds = 6, 40, 25
-		rt, err := New(Config{Backend: BackendImmediate, Workers: workers, QueueCapacity: threads*span + sharers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
+		rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: workers, QueueCapacity: threads*span + sharers})
 		others := crowd(t, rt, sharers)
 		in := rt.NewRegion("in", threads*span)
 		got := make([][]int, threads) // each written only under its thread's token
@@ -226,11 +222,7 @@ func TestClaimOrderAndExactlyOnce(t *testing.T) {
 func TestClaimPanicMidRun(t *testing.T) {
 	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const span = 12
-		rt, err := New(Config{Backend: BackendImmediate, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
+		rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: workers})
 		others := crowd(t, rt, sharers)
 		in := rt.NewRegion("in", span)
 		var bad atomic.Int64
@@ -279,11 +271,7 @@ func TestClaimPanicMidRun(t *testing.T) {
 func TestClaimCancelMidRun(t *testing.T) {
 	claimGeometries(t, func(t *testing.T, workers, sharers int) {
 		const span = 10
-		rt, err := New(Config{Backend: BackendImmediate, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
+		rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: workers})
 		others := crowd(t, rt, sharers)
 		ns := rt.NewNamespace("tenant")
 		in, err := ns.Region("in", span)
@@ -364,11 +352,7 @@ func TestClaimCancelMidRun(t *testing.T) {
 // same word squashes against the first.
 func TestRestoreToClaimedAddressEnqueuesAgain(t *testing.T) {
 	const span = 4
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1})
 	in := rt.NewRegion("in", span)
 	started, release := make(chan struct{}), newGate(t)
 	var runs atomic.Int64
@@ -409,11 +393,7 @@ func TestClaimLeavesOtherThreadsRunnable(t *testing.T) {
 		interleaved := interleaved
 		t.Run(fmt.Sprintf("interleaved=%v", interleaved), func(t *testing.T) {
 			const span = 8
-			rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Close()
+			rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2})
 			in := rt.NewRegion("in", 2*span)
 			bDone := make(chan struct{})
 			var aRuns, bRuns atomic.Int64
@@ -467,11 +447,7 @@ func TestNoLostWakeup(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			join, workers := join, workers
 			t.Run(fmt.Sprintf("%s_w%d", join, workers), func(t *testing.T) {
-				rt, err := New(Config{Backend: BackendImmediate, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rt.Close()
+				rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: workers})
 				in := rt.NewRegion("in", producers)
 				var runs atomic.Int64
 				ids := make([]ThreadID, producers)
@@ -543,11 +519,7 @@ func TestCloseRacesParkingWorker(t *testing.T) {
 // marked, and the worker sweeps it before it lets the token go, although it
 // goes straight on to its next claim; Wait waits out both.
 func TestInlineOverflowWaitsOutClaimedRun(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1})
 	in := rt.NewRegion("in", 3)
 	started, release := make(chan struct{}), newGate(t)
 	var runs atomic.Int64
@@ -632,11 +604,7 @@ func TestInlineGroupsKeepOrderAndCounters(t *testing.T) {
 				name = fmt.Sprintf("%s/cancel_at_%d", cfg.Backend, cancelAt)
 			}
 			t.Run(name, func(t *testing.T) {
-				rt, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(rt.Close)
+				rt := newRuntime(t, cfg)
 				if backlog > 0 {
 					helpingJoin(t, rt, backlog)
 					return

@@ -35,11 +35,7 @@ func TestCloseStrandsNothing(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.Backend.String(), func(t *testing.T) {
-			rt, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rt.Close)
+			rt := newRuntime(t, cfg)
 			in := rt.NewRegion("in", 8)
 			var runs atomic.Int64
 			th := rt.Register("t", func(Trigger) { runs.Add(1) })
@@ -68,10 +64,7 @@ func TestCloseStrandsNothing(t *testing.T) {
 	// lands: its thread's token frees only after the one worker has gone
 	// idle, so that worker must still be there to run it.
 	t.Run("behind_token", func(t *testing.T) {
-		rt, err := New(Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 1})
 		in := rt.NewRegion("in", 3)
 		aStarted, aRelease := make(chan struct{}), newGate(t)
 		tStarted, tRelease := make(chan struct{}), newGate(t)
@@ -137,10 +130,7 @@ func TestCloseStrandsNothing(t *testing.T) {
 	t.Run("stress", func(t *testing.T) {
 		const producers, stores, rounds = 3, 40, 100
 		for r := 0; r < rounds; r++ {
-			rt, err := New(Config{Backend: BackendImmediate, Workers: 1 + r%3, QueueCapacity: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1 + r%3, QueueCapacity: 1})
 			in := rt.NewRegion("in", producers)
 			var runs atomic.Int64
 			ids := make([]ThreadID, producers)

@@ -164,11 +164,7 @@ type planeRun struct {
 func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel, overlap3 bool) planeRun {
 	t.Helper()
 	rec := cfg.Recorder
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New(%+v): %v", cfg, err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, cfg)
 
 	const half = 8
 	in := rt.NewRegion("in", 2*half)
@@ -270,11 +266,7 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel, overlap3 
 // conservation rather than overflow.
 func TestConcurrentCascadesConserveCounters(t *testing.T) {
 	const chains, hops, rounds = 4, 16, 10
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: chains})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: chains})
 	regions := make([]*Region, chains)
 	for c := 0; c < chains; c++ {
 		regions[c] = rt.NewRegion(fmt.Sprintf("chain%d", c), hops)
@@ -318,11 +310,7 @@ func TestConcurrentCascadesConserveCounters(t *testing.T) {
 // zero only after the last one.
 func TestBarrierWaitsOutCascade(t *testing.T) {
 	const hops, rounds = 16, 50
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: hops})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: hops})
 	r := rt.NewRegion("chain", hops)
 	// Thread k handles hop hops-1-k, so the hop sequence walks thread IDs
 	// downwards.
@@ -397,11 +385,7 @@ func TestDispatchStress(t *testing.T) {
 		producers = 4
 		stores    = 600
 	)
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 16})
 
 	in := rt.NewRegion("in", threads*span)
 	out := rt.NewRegion("out", threads*span)
@@ -491,10 +475,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	runOne := func(cfg Config) {
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New(%v): %v", cfg.Backend, err)
-		}
+		rt := newRuntime(t, cfg)
 		r := rt.NewRegion("r", 8)
 		th := rt.Register("w", func(tg Trigger) { _ = tg.Region.Load(tg.Index) })
 		if err := rt.Attach(th, r, 0, 8); err != nil {
@@ -516,10 +497,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	// Close racing in-flight inline-overflow runs: a capacity-1 queue and
 	// concurrent producers force the overflow-inline path while Close tears
 	// the worker pool down mid-stream.
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 1})
 	r := rt.NewRegion("hot", 4)
 	th := rt.Register("busy", func(tg Trigger) { _ = tg.Region.Load(tg.Index) })
 	if err := rt.Attach(th, r, 0, 4); err != nil {

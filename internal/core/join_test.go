@@ -228,14 +228,3 @@ func TestTStoreBatchJoinFallbacks(t *testing.T) {
 		assertIdentities(t, rt, "cancel before the join")
 	})
 }
-
-// newRuntime builds a runtime from cfg, closed at the test's end.
-func newRuntime(t *testing.T, cfg Config) *Runtime {
-	t.Helper()
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	return rt
-}

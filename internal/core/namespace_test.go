@@ -13,11 +13,7 @@ import (
 
 func nsRuntime(t *testing.T) *Runtime {
 	t.Helper()
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2})
 	return rt
 }
 

@@ -33,11 +33,7 @@ type observedRun struct {
 func runObserved(t *testing.T, cfg Config) observedRun {
 	t.Helper()
 	cfg.QueueCapacity = 2
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, cfg)
 	run := observedRun{runs: make([]int64, 3)}
 	in, out, sum := rt.NewRegion("in", 8), rt.NewRegion("out", 8), rt.NewRegion("sum", 2)
 	double := rt.Register("double", func(tg Trigger) {
@@ -78,6 +74,7 @@ func runObserved(t *testing.T, cfg Config) observedRun {
 		run.memory = append(run.memory, r.Snapshot())
 	}
 	if cfg.Recorder != nil {
+		var err error
 		if run.trace, err = cfg.Recorder.Finish(); err != nil {
 			t.Fatal(err)
 		}

@@ -19,11 +19,7 @@ func TestPanicRecovered(t *testing.T) {
 			panicking.Store(true)
 			var runs atomic.Int64
 
-			rt, err := New(Config{Backend: b, Workers: 2})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			defer rt.Close()
+			rt := newRuntime(t, Config{Backend: b, Workers: 2})
 			in := rt.NewRegion("in", 1)
 			th := rt.Register("fragile", func(tg Trigger) {
 				runs.Add(1)
@@ -72,11 +68,7 @@ func TestPanicRecovered(t *testing.T) {
 // still holds: the failed inline run stays counted as an inline run.
 func TestPanicInlineOverflow(t *testing.T) {
 	var calls atomic.Int64
-	rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendDeferred, QueueCapacity: 1})
 	in := rt.NewRegion("in", 2) // two trigger words: the second is not squashed
 	th := rt.Register("fragile", func(tg Trigger) {
 		if calls.Add(1) == 1 {
@@ -119,11 +111,7 @@ func TestPanicInlineOverflow(t *testing.T) {
 func TestPanicWithCheckerBalanced(t *testing.T) {
 	var panicking atomic.Bool
 	panicking.Store(true)
-	rt, err := New(Config{Backend: BackendDeferred, Checker: CheckStrict})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendDeferred, Checker: CheckStrict})
 	in := rt.NewRegion("in", 1)
 	out := rt.NewRegion("out", 1)
 	th := rt.Register("fragile", func(tg Trigger) {

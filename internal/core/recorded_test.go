@@ -13,11 +13,7 @@ import (
 func newRecorded(t *testing.T) (*Runtime, *trace.Recorder) {
 	t.Helper()
 	rec := trace.NewRecorder(nil)
-	rt, err := New(Config{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Recorder: rec})
 	return rt, rec
 }
 
@@ -125,11 +121,7 @@ func TestRecordedDTTBeatsBaselineWhenRedundant(t *testing.T) {
 	const iters = 20
 	runDTT := func() float64 {
 		rec := trace.NewRecorder(nil)
-		rt, err := New(Config{Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
+		rt := newRuntime(t, Config{Recorder: rec})
 		data := rt.NewRegion("data", 1)
 		id := rt.Register("heavy", func(Trigger) { rt.System().Compute(10000) })
 		rt.Attach(id, data, 0, 1)
@@ -257,10 +249,7 @@ func TestRecordedNestedDispatch(t *testing.T) {
 	nested := false
 	for seed := uint64(0); seed < 8; seed++ {
 		rec := trace.NewRecorder(nil)
-		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := newRuntime(t, Config{Backend: BackendSeeded, SchedSeed: seed, Recorder: rec})
 		src, mid := rt.NewRegion("src", words), rt.NewRegion("mid", words)
 		depth := 0
 		first := rt.Register("first", func(tg Trigger) {

@@ -134,11 +134,7 @@ func runBackends(t *testing.T, f func(t *testing.T, cfg Config)) {
 func TestRunRecoversPerBody(t *testing.T) {
 	runBackends(t, func(t *testing.T, cfg Config) {
 		const span = 5
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
+		rt := newRuntime(t, cfg)
 		in, out := rt.NewRegion("in", span), rt.NewRegion("out", span)
 		bad := -1 // written by the main thread only while the thread is quiet
 		th := rt.Register("fragile", func(tg Trigger) {
@@ -203,11 +199,7 @@ func TestRunRecoversPerBody(t *testing.T) {
 // never start.
 func TestRunPanicThenCancel(t *testing.T) {
 	const span = 6
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1})
 	in := rt.NewRegion("in", span)
 	inBody, release := make(chan struct{}), newGate(t)
 	var started atomic.Int64
@@ -252,11 +244,7 @@ func TestRunPanicThenCancel(t *testing.T) {
 // store may be lost or counted per matched thread, and no snapshot may tear.
 func TestScalarStoreCountsExactUnderConcurrency(t *testing.T) {
 	const producers, perProducer, words = 4, 4000, 48
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2})
 	data := rt.NewRegion("data", words)
 	// Words [0,16) fire one thread; [16,32) fire two threads and, over
 	// [24,32), one of them through two overlapping attachments; [32,48)

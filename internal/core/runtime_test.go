@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dtt/internal/mem"
@@ -13,17 +15,42 @@ import (
 	"dtt/internal/trace"
 )
 
+// cleanupDeadline bounds a test's Close of its runtime.
+const cleanupDeadline = 10 * time.Second
+
+// newRuntime builds a runtime from cfg. The test's cleanup closes it under
+// cleanupDeadline; past it, it reports every goroutine's stack and returns,
+// so a Close wedged on a lock that a panic left held fails in seconds and
+// lets that panic surface.
+func newRuntime(t testing.TB, cfg Config) *Runtime {
+	t.Helper()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rt.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(cleanupDeadline):
+			buf := make([]byte, 1<<20)
+			t.Errorf("Close not done after %v:\n%s", cleanupDeadline, buf[:runtime.Stack(buf, true)])
+		}
+	})
+	return rt
+}
+
 func newDeferred(t *testing.T, mut func(*Config)) *Runtime {
 	t.Helper()
 	cfg := Config{Backend: BackendDeferred}
 	if mut != nil {
 		mut(&cfg)
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, cfg)
 	return rt
 }
 
@@ -506,11 +533,7 @@ func TestDispatcherSize(t *testing.T) {
 }
 
 func TestImmediateBackendParallelExecution(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4})
 	data := rt.NewRegion("data", 64)
 	var runs atomic.Int64
 	id := rt.Register("r", func(tg Trigger) {
@@ -531,11 +554,7 @@ func TestImmediateBackendParallelExecution(t *testing.T) {
 }
 
 func TestImmediateSilentStoresStillSkip(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2})
 	data := rt.NewRegion("data", 4)
 	var runs atomic.Int64
 	id := rt.Register("r", func(Trigger) { runs.Add(1) })
@@ -553,11 +572,7 @@ func TestImmediateSilentStoresStillSkip(t *testing.T) {
 }
 
 func TestImmediatePerThreadSerialisation(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 256})
 	// One trigger word per instance: distinct addresses are never squashed,
 	// so all 50 queue up behind the four workers.
 	data := rt.NewRegion("data", 50)
@@ -583,11 +598,7 @@ func TestImmediatePerThreadSerialisation(t *testing.T) {
 }
 
 func TestImmediateDistinctThreadsRunConcurrently(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2})
 	a := rt.NewRegion("a", 1)
 	b := rt.NewRegion("b", 1)
 	// Rendezvous: each thread waits for the other's start signal; this
@@ -604,10 +615,7 @@ func TestImmediateDistinctThreadsRunConcurrently(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2})
 	rt.Close()
 	rt.Close()
 }

@@ -18,11 +18,7 @@ type misSyncResult struct {
 
 func runMisSync(t *testing.T, seed uint64, insertWait bool) misSyncResult {
 	t.Helper()
-	rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed, Checker: CheckStrict})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendSeeded, SchedSeed: seed, Checker: CheckStrict})
 
 	in := rt.NewRegion("in", 4)
 	out := rt.NewRegion("out", 4)
@@ -121,11 +117,7 @@ func runEquivalenceWorkloadStores(t *testing.T, cfg Config, batch bool) fuzzRun 
 		cfg.Checker = CheckStrict
 	}
 	cfg.QueueCapacity = 4 // force overflow-inline runs into the schedule
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New(%v): %v", cfg.Backend, err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, cfg)
 
 	const half = 8
 	in := rt.NewRegion("in", 2*half)
@@ -253,10 +245,7 @@ func TestSilentStorePublishesNothing(t *testing.T) {
 	for _, mode := range []string{"store", "tstore", "tstore-batch"} {
 		t.Run(mode, func(t *testing.T) {
 			for _, changing := range []bool{false, true} {
-				rt, err := New(Config{Backend: BackendDeferred, Checker: CheckStrict})
-				if err != nil {
-					t.Fatalf("New: %v", err)
-				}
+				rt := newRuntime(t, Config{Backend: BackendDeferred, Checker: CheckStrict})
 				in := rt.NewRegion("in", 2)
 				shared := rt.NewRegion("shared", 1)
 				shared.Poke(0, 7)
@@ -301,11 +290,7 @@ func TestSilentStorePublishesNothing(t *testing.T) {
 // diagnostic-free: nil violations and nil CheckErr even for the
 // mis-synchronised program.
 func TestCheckerOffRecordsNothing(t *testing.T) {
-	rt, err := New(Config{Backend: BackendDeferred})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendDeferred})
 	in := rt.NewRegion("in", 1)
 	out := rt.NewRegion("out", 1)
 	th := rt.Register("t", func(tg Trigger) { out.Store(0, 1) })

@@ -25,11 +25,7 @@ const stageDeadline = 10 * time.Second
 // that holds two stages, so it stages.
 func newStageRuntime(t *testing.T) *Runtime {
 	t.Helper()
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 4 * stageMax})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1, QueueCapacity: 4 * stageMax})
 	if rt.stg == nil {
 		t.Fatal("an immediate runtime whose queue holds two stages has no stage")
 	}
@@ -306,11 +302,7 @@ func TestStageClose(t *testing.T) {
 // the counter identities and that every thread ran for its last store.
 // Under -race it covers the stage's lock and counts end to end.
 func TestStageStress(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 2 * stageMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 2 * stageMax})
 	const threads, span, producers, rounds = 8, 16, 4, 300
 	in := rt.NewRegion("in", threads*span)
 	sink := rt.NewRegion("sink", threads)

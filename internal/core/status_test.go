@@ -31,11 +31,7 @@ func newStatusRig(t *testing.T, backend Backend, mut func(*Config)) *statusRig {
 	if mut != nil {
 		mut(&cfg)
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, cfg)
 	r := &statusRig{t: t, rt: rt, in: rt.NewRegion("in", 5), body: func(Trigger) {}}
 	t.Cleanup(r.unhold) // before Close, even when a case fails holding the worker
 	r.th = rt.Register("under-test", func(tg Trigger) { r.body(tg) })

@@ -20,11 +20,7 @@ func TestRandomOpSequencesKeepInvariants(t *testing.T) {
 		Idx  uint8
 		Val  uint8
 	}) bool {
-		rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 3})
-		if err != nil {
-			return false
-		}
-		defer rt.Close()
+		rt := newRuntime(t, Config{Backend: BackendDeferred, QueueCapacity: 3})
 		data := rt.NewRegion("d", 16)
 		id := rt.Register("r", func(tg Trigger) {
 			// A thread body that itself loads and stores, exercising the
@@ -71,11 +67,7 @@ func TestRandomOpSequencesKeepInvariants(t *testing.T) {
 // goroutine while support threads run, with waits interleaved; run under
 // -race this is the concurrency soak for the whole dispatch path.
 func TestImmediateStress(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 8})
 	data := rt.NewRegion("d", 64)
 	out := rt.NewRegion("o", 64)
 	var runs atomic.Int64
@@ -121,11 +113,7 @@ func TestCascadeOverflowDoesNotDeadlock(t *testing.T) {
 	for _, backend := range []Backend{BackendDeferred, BackendImmediate} {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
-			rt, err := New(Config{Backend: backend, Workers: 2, QueueCapacity: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Close()
+			rt := newRuntime(t, Config{Backend: backend, Workers: 2, QueueCapacity: 1})
 			chain := rt.NewRegion("chain", 8)
 			runs := 0
 			var mu sync.Mutex
@@ -177,11 +165,7 @@ func TestCascadeOverflowDoesNotDeadlock(t *testing.T) {
 func TestInlineOverflowConcurrentCascades(t *testing.T) {
 	// All four chains fight over one capacity-1 queue so cascades overflow
 	// (see TestConcurrentCascadesConserveCounters for a queue with room).
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 4, QueueCapacity: 1})
 	const chains, hops, rounds = 4, 16, 10
 	regions := make([]*Region, chains)
 	for c := 0; c < chains; c++ {
@@ -235,11 +219,7 @@ func TestInlineOverflowConcurrentCascades(t *testing.T) {
 // triggers on the immediate backend; afterwards the runtime must be quiet
 // and further triggers inert.
 func TestCancelWhileWorkInFlight(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 128})
 	// One word per store up to the Cancel: distinct trigger addresses, so
 	// none of the backlog the Cancel races is squashed away.
 	data := rt.NewRegion("d", 100)
@@ -270,10 +250,7 @@ func TestCancelWhileWorkInFlight(t *testing.T) {
 // next Wait or Barrier runs what it holds (TestCloseStrandsNothing). On the
 // immediate backend Close returns only once the workers have run it dry.
 func TestCloseLeavesPendingUnexecuted(t *testing.T) {
-	rt, err := New(Config{Backend: BackendDeferred, QueueCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRuntime(t, Config{Backend: BackendDeferred, QueueCapacity: 64})
 	data := rt.NewRegion("d", 8)
 	runs := 0
 	id := rt.Register("r", func(Trigger) { runs++ })
@@ -295,11 +272,7 @@ func TestCloseLeavesPendingUnexecuted(t *testing.T) {
 // TestWaitOnForeignThreadReturns ensures Wait on a never-armed thread does
 // not block.
 func TestWaitOnForeignThreadReturns(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 1})
 	id := rt.Register("idle", func(Trigger) {})
 	done := make(chan struct{})
 	go func() {

@@ -59,11 +59,7 @@ func startStatsWorkload(t *testing.T, rt *Runtime, stores int) <-chan struct{} {
 // this test polls Stats concurrently with producers, asserting the
 // documented identity on every single read — not just at quiescence.
 func TestStatsSnapshotNotTorn(t *testing.T) {
-	rt, err := New(Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendImmediate, Workers: 2, QueueCapacity: 8})
 	done := startStatsWorkload(t, rt, 2500)
 
 	reads := 0
@@ -99,11 +95,7 @@ func TestStatsSnapshotNotTorn(t *testing.T) {
 // counter identity, the queue-length gauge reading the drained queue, and
 // the histogram counts matching the dispatch counts they observe.
 func TestTelemetrySnapshotConsistency(t *testing.T) {
-	rt, err := New(Config{Backend: BackendDeferred, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendDeferred, Telemetry: true})
 	r := rt.NewRegion("r", 16)
 	var runs int64
 	for i := 0; i < 4; i++ {
@@ -196,14 +188,10 @@ func parsePromCounters(t *testing.T, body string) map[string]int64 {
 // /debug/vars with JSON carrying the same counters. After Close the
 // exporter must be gone.
 func TestMetricsEndpointDuringLoad(t *testing.T) {
-	rt, err := New(Config{
+	rt := newRuntime(t, Config{
 		Backend: BackendImmediate, Workers: 2, QueueCapacity: 8,
 		MetricsAddr: "127.0.0.1:0",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
 	addr := rt.MetricsAddr()
 	if addr == "" || strings.HasSuffix(addr, ":0") {
 		t.Fatalf("MetricsAddr = %q, want a resolved host:port", addr)
@@ -285,11 +273,7 @@ func TestMetricsEndpointDuringLoad(t *testing.T) {
 // thread (so per-instance labelling allocates nothing); with telemetry off
 // the context stays nil and the instance path never touches pprof.
 func TestRegisterPprofLabels(t *testing.T) {
-	rt, err := New(Config{Backend: BackendDeferred, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, Config{Backend: BackendDeferred, Telemetry: true})
 	id := rt.Register("decoder", func(Trigger) {})
 	te := rt.threadsSnap()[id]
 	if te.labels == nil {
@@ -301,11 +285,7 @@ func TestRegisterPprofLabels(t *testing.T) {
 		t.Fatalf("labels = %v", got)
 	}
 
-	off, err := New(Config{Backend: BackendDeferred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
+	off := newRuntime(t, Config{Backend: BackendDeferred})
 	id = off.Register("decoder", func(Trigger) {})
 	if off.threadsSnap()[id].labels != context.Context(nil) {
 		t.Fatal("telemetry off: label context should stay nil")

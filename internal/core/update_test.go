@@ -19,11 +19,7 @@ func newBackend(t *testing.T, b Backend) *Runtime {
 	if b == BackendSeeded {
 		cfg.SchedSeed = 1
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	rt := newRuntime(t, cfg)
 	return rt
 }
 
@@ -276,11 +272,7 @@ func TestLoadMergesPending(t *testing.T) {
 // merges interleave with the update stream instead of waiting for Barrier.
 func TestTUpdateSeededDeterminism(t *testing.T) {
 	run := func(seed uint64) Stats {
-		rt, err := New(Config{Backend: BackendSeeded, SchedSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
+		rt := newRuntime(t, Config{Backend: BackendSeeded, SchedSeed: seed})
 		data := rt.NewRegion("data", 8)
 		out := rt.NewRegion("out", 8)
 		id := rt.Register("sq", func(tg Trigger) {

@@ -9,22 +9,22 @@ import (
 )
 
 // Notify is one change notification received from the server: the
-// subscribed handle, the changed word's index in its region, and the value
-// the support thread observed. The wire carries runs of adjacent words in
-// one CHANGE_NOTIFY frame; the session expands each frame back into one
-// Notify per word, in index order.
+// subscribed handle, the changed word's index in its region, and the
+// latest value the support thread observed. A word that changes again
+// before the server flushes it is sent once, with its latest value, so
+// intermediate values may be skipped; no value arrives ahead of a reply
+// the server sent after the word first changed. The wire carries runs of
+// adjacent words in one CHANGE_NOTIFY frame; the session expands each
+// frame back into one Notify per word, in index order.
 type Notify struct {
 	Handle uint32
 	Index  int
 	Value  mem.Word
 	// Dropped is the session's cumulative count of notifications (words)
-	// the server shed at the mailbox cap, stamped when the frame that
-	// carried this word was encoded; every word of one frame shares it. A
-	// jump between consecutive notifies means notifications were lost in
-	// between: the subscriber's view may be stale and should be
-	// re-established with Read. The count is session-wide, not per-handle
-	// — shedding at the mailbox does not know which handle's notification
-	// it refused.
+	// the server could not deliver, stamped when the frame that carried
+	// this word was encoded; every word of one frame shares it. A live
+	// session sheds nothing, so it reads 0; only words refused while the
+	// session closes count.
 	Dropped uint32
 }
 
@@ -48,7 +48,7 @@ type Session struct {
 	// the next pending so a steady drain allocates nothing.
 	pending []Notify
 	handed  []Notify
-	// dropped is the highest cumulative shed count seen on any
+	// dropped is the highest cumulative dropped count seen on any
 	// CHANGE_NOTIFY; gap is the portion not yet acknowledged via
 	// TakeGap.
 	dropped uint32
@@ -281,8 +281,9 @@ func (s *Session) Subscribe(handle uint32) error {
 
 // Read returns a point-in-time copy of words [lo, lo+n) of the handle's
 // region, merged truth included (the server folds any pending
-// commutative-update deltas before reading). It is the recovery path a
-// subscriber uses after TakeGap reports lost notifications.
+// commutative-update deltas before reading). A subscriber reads with it
+// the words that changed before it subscribed, and recovers with it after
+// TakeGap reports lost notifications.
 func (s *Session) Read(handle uint32, lo, n int) ([]mem.Word, error) {
 	// The reply frame carries opcode + count u32 + n words and must fit
 	// under MaxFrame.
@@ -324,15 +325,18 @@ func (s *Session) Notifies() []Notify {
 	return n
 }
 
-// Dropped returns the highest cumulative shed count observed on any
+// Dropped returns the highest cumulative dropped count observed on any
 // notification so far: the server-side dtt_serve_notify_dropped
-// contribution of this session, seen from the client.
+// contribution of this session, seen from the client. The server drops
+// only words it could not deliver while the session closed, so on a live
+// session this reads 0.
 func (s *Session) Dropped() uint32 { return s.dropped }
 
-// TakeGap returns how many notifications the server has shed since the
-// previous TakeGap call (or since Dial), and resets the gap. A nonzero
-// return means the subscriber's derived state may be stale: re-establish
-// it with Read before trusting it.
+// TakeGap returns how much the dropped count has grown since the previous
+// TakeGap call (or since Dial), and resets the gap. The server drops only
+// words a closing session could not deliver, so this reads 0 while the
+// session lives; a nonzero return means the subscriber's derived state
+// may be stale: re-establish it with Read before trusting it.
 func (s *Session) TakeGap() uint32 {
 	g := s.gap
 	s.gap = 0

@@ -40,7 +40,12 @@ const (
 	// shape it would misparse. Version 4 set the TSTORE_BATCH reply's top
 	// bit (batchQuiet) when the server joined the handle's thread before
 	// replying and found it quiet, so the client answers the WAIT behind
-	// the batch without a round trip.
+	// the batch without a round trip. Version 4 delivers state, not a
+	// log, in v3's CHANGE_NOTIFY shape: a word that changes again before
+	// its CHANGE_NOTIFY is flushed is sent once, with its latest value,
+	// and never ahead of a reply pushed after it first changed; a live
+	// session sheds nothing, so the dropped stamp counts only words a
+	// closing session could not deliver.
 	Version uint16 = 4
 	// MaxFrame bounds length (opcode + payload). A TSTORE_BATCH of
 	// MaxFrame bytes carries ~128k words, far above any batch the span
@@ -69,7 +74,11 @@ const (
 )
 
 // Opcodes. Replies reuse the request opcode; CHANGE_NOTIFY and ERROR are
-// server-originated.
+// server-originated. CHANGE_NOTIFY carries the latest values of a run of
+// adjacent subscribed words: each changed word's latest value reaches the
+// client at least once per flush, and never ahead of a later reply;
+// intermediate values may be skipped. Its dropped stamp reads 0 on a live
+// session.
 const (
 	OpHello        byte = 1  // req: magic u32 | version u16     → reply: session u32
 	OpAttach       byte = 2  // req: words u32 | lo u32 | hi u32 | nameLen u16 | name → reply: handle u32

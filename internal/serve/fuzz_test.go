@@ -2,11 +2,14 @@ package serve
 
 import (
 	"io"
+	"maps"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"dtt/internal/core"
+	"dtt/internal/mem"
 )
 
 // chunkReader delivers its bytes in fixed-size chunks, modelling a TCP
@@ -179,16 +182,18 @@ func attachReq(words, lo, hi uint32, name string) []byte {
 // list, and the runtime's counter identities must hold once it is quiet.
 //
 // While the session lives, a final BARRIER ends the input, and its reply
-// checks the outbox's hold: the outbox is empty with no request in flight,
-// every notification word the session pushed reached the client, and the
-// client's last gap stamp equals NotifyDropped.
+// checks the outbox: it is empty with no request in flight, every
+// notification word the session queued reached the client, the client's
+// last gap stamp and NotifyDropped are 0, and every word the client
+// cached from its notifications equals the region's word.
 //
-// The first input byte picks the mailbox: four words when it is odd, so a
-// subscribed batch can outrun the writer and shed, else the default cap.
+// The first input byte picks the client: when it is odd, the client
+// yields between frames, so the support thread's pushes can find their
+// words still pending and overwrite them before a swap.
 func FuzzSession(f *testing.F) {
-	add := func(small bool, reqs []byte) {
+	add := func(yield bool, reqs []byte) {
 		mode := byte(0)
-		if small {
+		if yield {
 			mode = 1
 		}
 		f.Add(append([]byte{mode}, reqs...))
@@ -211,8 +216,7 @@ func FuzzSession(f *testing.F) {
 	}
 	add(false, valid)
 	add(true, valid)
-	// A subscribed batch of eight changed words into the four-word mailbox:
-	// whatever the writer does not swap out in time sheds.
+	// A subscribed batch of eight changed words to a yielding client.
 	shed := append(attachReq(8, 0, 8, "r"), sessionReq(OpSubscribe, u32s(0))...)
 	eight := u32s(0, 0, 8)
 	for v := uint64(1); v <= 8; v++ {
@@ -235,39 +239,50 @@ func FuzzSession(f *testing.F) {
 		joined = append(joined, r...)
 	}
 	add(false, joined)
+	// Two subscribed batches to the same eight words before a WAIT: the
+	// second's pushes find the first's words pending or already swapped.
+	twice := append(attachReq(8, 0, 8, "r"), sessionReq(OpSubscribe, u32s(0))...)
+	for round := uint64(0); round < 2; round++ {
+		batch := u32s(0, 0, 8)
+		for v := uint64(1); v <= 8; v++ {
+			batch = appendU64(batch, 10*round+v)
+		}
+		twice = append(twice, sessionReq(OpTStoreBatch, batch)...)
+	}
+	add(true, append(twice, sessionReq(OpWait, u32s(0))...))
 
 	// A region may take 1 MiB (maxReadWords), so bound the frames an input
 	// sends to bound what one input can allocate.
 	const maxReqs = 32
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rt, err := core.New(core.Config{Backend: core.BackendImmediate, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		var opts Options
+		rt, srv := newServer(t, core.Config{Backend: core.BackendImmediate, Workers: 1})
+		yield := false
 		if len(data) > 0 {
-			if data[0]&1 == 1 {
-				opts.MailboxCap = 4
-			}
+			yield = data[0]&1 == 1
 			data = data[1:]
 		}
-		srv := NewServer(rt, opts)
 		client, server := net.Pipe()
 		if !srv.startSession(server) {
 			t.Fatal("startSession refused on an open server")
 		}
-		// The client decodes what it is sent: the notification words and
-		// the latest gap stamp, as of each BARRIER reply.
-		type tally struct{ words, stamp int64 }
+		// The client decodes what it is sent: the notification words, the
+		// latest gap stamp and the latest value of each (handle, index), as
+		// of each BARRIER reply.
+		type tally struct {
+			words, stamp int64
+			cache        map[[2]int]mem.Word
+		}
 		barriers := make(chan tally, maxReqs+1)
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
 			defer close(barriers)
 			fr := newFrameReader(client)
-			var tl tally
+			tl := tally{cache: map[[2]int]mem.Word{}}
 			for {
+				if yield {
+					runtime.Gosched()
+				}
 				op, payload, err := fr.ReadFrame()
 				if err != nil {
 					_, _ = io.Copy(io.Discard, client)
@@ -279,10 +294,13 @@ func FuzzSession(f *testing.F) {
 					if err != nil {
 						t.Errorf("server sent a malformed CHANGE_NOTIFY: %v", err)
 					}
+					for _, n := range ns {
+						tl.cache[[2]int{int(n.Handle), n.Index}] = n.Value
+					}
 					tl.words += int64(len(ns))
 					tl.stamp = int64(dropped)
 				case OpBarrier:
-					barriers <- tl
+					barriers <- tally{tl.words, tl.stamp, maps.Clone(tl.cache)}
 				}
 			}
 		}()
@@ -329,14 +347,22 @@ func FuzzSession(f *testing.F) {
 				}
 				srv.mu.Unlock()
 				sess.out.mu.Lock()
-				pending, inflight := len(sess.out.buf), sess.out.inflight
+				pending, inflight := len(sess.out.replies)+len(sess.out.notes), sess.out.inflight
 				sess.out.mu.Unlock()
 				if pending != 0 || inflight {
 					t.Fatalf("after the final BARRIER reply the outbox holds %d frames, in flight %v; want 0, false", pending, inflight)
 				}
-				if c := srv.Counters(); last.words != c.Notifies || last.stamp != c.NotifyDropped {
-					t.Fatalf("client got %d notification words, last gap stamp %d; server pushed %d, dropped %d",
+				if c := srv.Counters(); last.words != c.Notifies || last.stamp != 0 || c.NotifyDropped != 0 {
+					t.Fatalf("client got %d notification words, last gap stamp %d; server queued %d, dropped %d",
 						last.words, last.stamp, c.Notifies, c.NotifyDropped)
+				}
+				// The reader is parked on the next frame: its handle table
+				// is the one the BARRIER reply followed.
+				for k, v := range last.cache {
+					if h := sess.handles[k[0]]; h.region.Load(k[1]) != v {
+						t.Fatalf("client caches %d for word %d of handle %d; the region holds %d",
+							v, k[1], k[0], h.region.Load(k[1]))
+					}
 				}
 			}
 		}

@@ -15,9 +15,7 @@ import (
 // answered with ERROR all send the WAIT. Client writes are counted on the
 // connection, so an elided Wait is one that wrote nothing.
 func TestWaitElisionStaysHonest(t *testing.T) {
-	rt, srv, addr := newServerPair(t, core.Config{Backend: core.BackendImmediate, Workers: 1}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+	_, _, addr := newServerPair(t, core.Config{Backend: core.BackendImmediate, Workers: 1})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net"
@@ -17,67 +18,52 @@ import (
 // check where replies fall between notifications.
 var replyMark = Notify{Handle: ^uint32(0)}
 
-// TestRangedNotifyMatchesPerWordModel drives the mailbox with seeded
+// TestRangedNotifyMatchesPerWordModel drives the outbox with seeded
 // random bursts over two handles — adjacent runs, gaps, descending and
-// repeated indices, replies in between, drains at random points — beside a
-// reference mailbox that keeps one slot per word (wire v2's shape). Each
-// drain is encoded, read back through a frameReader and expanded by the
-// client decoder; the expanded stream must equal the reference's word for
-// word, shed words and dropped stamps included.
+// repeated indices, replies in between, flushes at random points — beside
+// a reference mailbox that keeps one slot per word: a word pushed again
+// takes the new value in its slot while no reply has been queued since,
+// and gets a new slot after a reply. Each flush writes through the real
+// encoder, read back through a frameReader and expanded by the client
+// decoder; the expanded stream must equal the reference's word for word,
+// with every dropped stamp 0.
 func TestRangedNotifyMatchesPerWordModel(t *testing.T) {
-	for _, capacity := range []int{4, 64, 1024} {
-		rng := rand.New(rand.NewSource(int64(capacity)))
-		o := newOutbox(capacity)
+	const words = 264
+	for _, seed := range []int64{4, 64, 1024} {
+		rng := rand.New(rand.NewSource(seed))
+		o := newOutbox()
+		var wire bytes.Buffer
+		s := testSession(o, &wire)
+		hs := []*attachHandle{testHandle(0, words), testHandle(1, words)}
 		var (
-			model        []Notify // the reference mailbox: pending words and reply marks
-			modelNotes   int
-			modelDropped uint32
-			want, got    []Notify
-			frames       int
-			wire         bytes.Buffer
-			scratch      []byte
-			next         mem.Word
+			model     []Notify           // the reference mailbox: pending words and reply marks
+			slot      = map[[2]int]int{} // (handle, index) -> its position in model
+			mark      int                // len(model) at the last reply
+			want, got []Notify
+			next      mem.Word
 		)
-		fr := newFrameReader(&wire)
 		word := func(handle uint32, index int) {
 			next++
-			ok := o.pushNotify(handle, uint32(index), next, 0)
-			if shed := modelNotes >= capacity; shed == ok {
-				t.Fatalf("cap %d: pushNotify = %v with %d words pending", capacity, ok, modelNotes)
-			} else if shed {
-				modelDropped++
+			queued := o.pushNotify(hs[handle], uint32(index), next, 0)
+			if k, ok := slot[[2]int{int(handle), index}]; ok && k >= mark {
+				if queued {
+					t.Fatalf("seed %d: a word pending since the last reply was queued again", seed)
+				}
+				model[k].Value = next
 				return
 			}
-			modelNotes++
+			if !queued {
+				t.Fatalf("seed %d: a word not pending since the last reply was not queued", seed)
+			}
+			slot[[2]int{int(handle), index}] = len(model)
 			model = append(model, Notify{Handle: handle, Index: index, Value: next})
 		}
 		drain := func() {
-			batch, vals, _ := o.swap()
-			for i := range batch {
-				scratch = appendMsg(scratch[:0], &batch[i], vals, uint32(o.dropped.Load()))
-				wire.Write(scratch)
-			}
-			frames += len(batch)
-			for _, n := range model {
-				if n != replyMark {
-					n.Dropped = modelDropped
-				}
-				want = append(want, n)
-			}
-			model, modelNotes = model[:0], 0
-			for range batch {
-				op, payload, err := fr.ReadFrame()
-				if err != nil {
-					t.Fatalf("cap %d: ReadFrame: %v", capacity, err)
-				}
-				if op != OpChangeNotify {
-					got = append(got, replyMark)
-					continue
-				}
-				if got, _, err = appendNotifies(got, payload); err != nil {
-					t.Fatalf("cap %d: %v", capacity, err)
-				}
-			}
+			s.flush(false)
+			want = append(want, model...)
+			model, mark = model[:0], 0
+			clear(slot)
+			got = append(got, readStream(t, &wire, map[int]mem.Word{})...)
 		}
 		for step := 0; step < 4000; step++ {
 			handle, lo, k := uint32(rng.Intn(2)), rng.Intn(200), 1+rng.Intn(32)
@@ -105,6 +91,7 @@ func TestRangedNotifyMatchesPerWordModel(t *testing.T) {
 			case 5:
 				o.push(msg{op: OpWait})
 				model = append(model, replyMark)
+				mark = len(model)
 			case 6:
 				drain()
 			}
@@ -115,41 +102,43 @@ func TestRangedNotifyMatchesPerWordModel(t *testing.T) {
 			for i < len(got) && i < len(want) && got[i] == want[i] {
 				i++
 			}
-			t.Fatalf("cap %d: expanded stream (%d entries) and per-word model (%d) diverge at %d:\ngot  %+v\nwant %+v",
-				capacity, len(got), len(want), i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
+			t.Fatalf("seed %d: expanded stream (%d entries) and per-word model (%d) diverge at %d:\ngot  %+v\nwant %+v",
+				seed, len(got), len(want), i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
 		}
-		if o.dropped.Load() != int64(modelDropped) {
-			t.Errorf("cap %d: dropped = %d, per-word model shed %d", capacity, o.dropped.Load(), modelDropped)
+		if o.dropped.Load() != 0 {
+			t.Errorf("seed %d: dropped = %d on an open outbox", seed, o.dropped.Load())
 		}
-		if capacity == 4 && modelDropped == 0 {
-			t.Errorf("cap %d: the bursts never shed a word; the test lost its shedding half", capacity)
+		frames := s.framesOut.Load()
+		if frames >= int64(len(want)) {
+			t.Errorf("seed %d: %d frames for %d words and replies: nothing coalesced", seed, frames, len(want))
 		}
-		if frames >= len(want) {
-			t.Errorf("cap %d: %d frames for %d words and replies: nothing coalesced", capacity, frames, len(want))
-		}
-		t.Logf("cap %d: %d words and replies in %d frames, %d shed", capacity, len(want), frames, modelDropped)
+		t.Logf("seed %d: %d words and replies in %d frames, %d pushes", seed, len(want), frames, next)
 	}
 }
 
 // TestRangedNotifyEndToEnd is the same equivalence over a real session:
 // seeded random requests of several batches over two handles — runs that
 // continue, skip, step back over or repeat the previous batch's span,
-// each batch's reply landing among the notifications — at three mailbox
-// caps. Per handle the client's expanded stream must be, in order and
-// value, the words the batches changed minus what the mailbox shed, the
-// shed must be announced exactly (len(notifies) + gap == changed on every
-// request), and the client's final dropped count must equal the server's.
+// each batch's reply landing among the notifications — at three run caps:
+// a batch stores 1..cap words, over regions of max(96, cap) words, so
+// the longest runs cover a whole region. Per handle the client's
+// expanded stream must be exactly the words the batches changed, each
+// with its value: nothing shed, nothing merged (a word is stored again
+// only after a Wait on its handle), every stamp and gap 0. A request
+// whose words fit the thread queue together gets them in store order;
+// past that a batch overflows the queue, and the writer runs the
+// overflowed rest inline ahead of the queued entries, so there only the
+// words and values are compared.
 func TestRangedNotifyEndToEnd(t *testing.T) {
 	const (
-		words    = 96
 		requests = 300
+		queueCap = 64
 	)
 	for _, capacity := range []int{4, 64, 1024} {
 		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
-			rt, srv, addr := newServerPair(t,
-				core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{MailboxCap: capacity})
-			defer rt.Close()
-			defer srv.Close()
+			words := max(96, capacity)
+			_, srv, addr := newServerPair(t,
+				core.Config{Backend: core.BackendImmediate, Workers: 2, QueueCapacity: queueCap})
 			cs, err := Dial(addr)
 			if err != nil {
 				t.Fatalf("Dial: %v", err)
@@ -169,16 +158,16 @@ func TestRangedNotifyEndToEnd(t *testing.T) {
 			var (
 				next     mem.Word
 				received int64
-				lastDrop uint32
+				inOrder  int                     // requests whose streams were compared in order
 				prev     [2]struct{ lo, hi int } // the previous batch's span, per handle
 			)
+			dirty := [2][]bool{make([]bool, words), make([]bool, words)}
 			for req := 0; req < requests; req++ {
-				var want [2][]Notify
-				var dirty [2][words]bool
+				var want, got [2][]Notify
 				changed := 0
 				for sub, subs := 0, 1+rng.Intn(4); sub < subs; sub++ {
 					i := rng.Intn(2)
-					k := 1 + rng.Intn(16)
+					k := 1 + rng.Intn(capacity)
 					var lo int
 					switch rng.Intn(4) {
 					case 0: // continues the previous run
@@ -201,7 +190,7 @@ func TestRangedNotifyEndToEnd(t *testing.T) {
 						if err := cs.Wait(handles[i]); err != nil {
 							t.Fatalf("request %d: Wait: %v", req, err)
 						}
-						dirty[i] = [words]bool{}
+						clear(dirty[i])
 					}
 					vs := make([]mem.Word, k)
 					for j := range vs {
@@ -219,44 +208,47 @@ func TestRangedNotifyEndToEnd(t *testing.T) {
 				if err := cs.Barrier(); err != nil {
 					t.Fatalf("request %d: Barrier: %v", req, err)
 				}
-				got := cs.Notifies()
-				gap := int(cs.TakeGap())
-				if len(got)+gap != changed {
-					t.Fatalf("request %d: %d notifies + gap %d != %d changed words", req, len(got), gap, changed)
+				ns := cs.Notifies()
+				if gap := cs.TakeGap(); len(ns) != changed || gap != 0 {
+					t.Fatalf("request %d: %d notifies and gap %d for %d changed words", req, len(ns), gap, changed)
 				}
-				received += int64(len(got))
-				// Per handle, what arrived is an in-order subsequence of what
-				// changed; with no gap it is all of it.
-				var at [2]int
-				for _, n := range got {
-					if n.Dropped < lastDrop {
-						t.Fatalf("request %d: dropped stamp went backwards: %d after %d", req, n.Dropped, lastDrop)
-					}
-					lastDrop = n.Dropped
+				received += int64(len(ns))
+				if changed <= queueCap {
+					inOrder++
+				}
+				for _, n := range ns {
 					i := slices.Index(handles[:], n.Handle)
-					if i < 0 {
-						t.Fatalf("request %d: notify for unknown handle %d", req, n.Handle)
+					if i < 0 || n.Dropped != 0 {
+						t.Fatalf("request %d: notify %+v: unknown handle or a nonzero stamp", req, n)
 					}
-					n.Dropped = 0
-					j := slices.Index(want[i][at[i]:], n)
-					if j < 0 {
-						t.Fatalf("request %d: handle %d: %+v is not among the changed words left after position %d of %v",
-							req, i, n, at[i], want[i])
+					got[i] = append(got[i], n)
+				}
+				for i := range got {
+					if changed > queueCap {
+						slices.SortFunc(got[i], func(a, b Notify) int { return cmp.Compare(a.Value, b.Value) })
 					}
-					at[i] += j + 1
+					if !slices.Equal(got[i], want[i]) {
+						j := 0
+						for j < len(got[i]) && j < len(want[i]) && got[i][j] == want[i][j] {
+							j++
+						}
+						t.Fatalf("request %d: handle %d: %d notifies, %d changed words; they diverge at %d: got %v, want %v",
+							req, i, len(got[i]), len(want[i]), j, got[i][j:min(j+3, len(got[i]))], want[i][j:min(j+3, len(want[i]))])
+					}
 				}
 			}
 			c := srv.Counters()
-			if int64(cs.Dropped()) != c.NotifyDropped {
-				t.Errorf("client Dropped() %d != server NotifyDropped %d", cs.Dropped(), c.NotifyDropped)
+			if cs.Dropped() != 0 || c.NotifyDropped != 0 {
+				t.Errorf("client Dropped() %d, server NotifyDropped %d; want 0", cs.Dropped(), c.NotifyDropped)
 			}
-			if received != c.Notifies {
-				t.Errorf("client received %d notifies, server queued %d", received, c.Notifies)
+			if received != c.Notifies || c.Notifies != c.Changed {
+				t.Errorf("client received %d notifies, server queued %d of %d changed words", received, c.Notifies, c.Changed)
 			}
-			if c.Notifies+c.NotifyDropped != c.Changed {
-				t.Errorf("Notifies %d + NotifyDropped %d != Changed %d", c.Notifies, c.NotifyDropped, c.Changed)
+			if capacity < queueCap && inOrder == 0 {
+				t.Errorf("cap %d: no request fit the queue; the test lost its ordered half", capacity)
 			}
-			t.Logf("cap %d: %d words changed, %d shed, %d frames out", capacity, c.Changed, c.NotifyDropped, c.FramesOut)
+			t.Logf("cap %d: %d words changed, %d frames out, %d of %d requests compared in order",
+				capacity, c.Changed, c.FramesOut, inOrder, requests)
 		})
 	}
 }
@@ -321,17 +313,12 @@ func syscallsPerRequest(t *testing.T, words int, subscribed bool) {
 		warm     = 50
 		requests = 200
 	)
-	rt, err := core.New(core.Config{Backend: core.BackendImmediate, Workers: 1})
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	defer rt.Close()
+	rt, srv := newServer(t, core.Config{Backend: core.BackendImmediate, Workers: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	var srvReads, srvWrites, cliReads, cliWrites atomic.Int64
-	srv := NewServer(rt, Options{})
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(countingListener{ln, &srvReads, &srvWrites}) }()
 	defer func() {

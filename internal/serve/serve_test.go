@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -34,16 +36,44 @@ func expectGoroutines(t *testing.T, base int, phase string) {
 	}
 }
 
-func newServerPair(t *testing.T, cfg core.Config, opts Options) (*core.Runtime, *Server, string) {
+// closeDeadline bounds a test's closing of its server and runtime.
+const closeDeadline = 10 * time.Second
+
+// newServer builds a runtime from cfg and a server over it. The test's
+// cleanup closes both under closeDeadline; past it, it reports every
+// goroutine's stack and returns, so a wedged Close fails in seconds and a
+// panic that wedged it still surfaces.
+func newServer(t testing.TB, cfg core.Config) (*core.Runtime, *Server) {
 	t.Helper()
 	rt, err := core.New(cfg)
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	srv := NewServer(rt, opts)
+	srv := NewServer(rt, Options{})
+	t.Cleanup(func() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.Close()
+			rt.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(closeDeadline):
+			buf := make([]byte, 1<<20)
+			t.Errorf("server and runtime Close not done after %v:\n%s", closeDeadline, buf[:runtime.Stack(buf, true)])
+		}
+	})
+	return rt, srv
+}
+
+// newServerPair is newServer serving on a loopback port: it returns the
+// runtime, the server and its address.
+func newServerPair(t *testing.T, cfg core.Config) (*core.Runtime, *Server, string) {
+	t.Helper()
+	rt, srv := newServer(t, cfg)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
-		rt.Close()
 		t.Fatalf("Start: %v", err)
 	}
 	return rt, srv, addr
@@ -64,7 +94,7 @@ func TestServeSessionsEndToEnd(t *testing.T) {
 	)
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 4}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 4})
 
 	// Concurrent snapshot sampler: the identity must hold on every read,
 	// not just at quiescence.
@@ -213,10 +243,8 @@ func TestServeSessionsEndToEnd(t *testing.T) {
 // never fire session B's threads, even with identical region names and
 // indices.
 func TestServeCrossTenantIsolation(t *testing.T) {
-	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+	_, _, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 2})
 
 	a, err := Dial(addr)
 	if err != nil {
@@ -271,10 +299,8 @@ func TestServeCrossTenantIsolation(t *testing.T) {
 // the server's lifetime. A closed session's id is not handed to a later one,
 // whether or not another session stays open meanwhile.
 func TestServeSessionIDsNeverReused(t *testing.T) {
-	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 1}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+	_, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 1})
 	seen := make(map[uint32]bool)
 	var first *Session
 	for i := 0; i < 4; i++ {
@@ -332,7 +358,7 @@ func rawDial(t *testing.T, addr string) (net.Conn, *frameReader) {
 func TestServeMidBatchDisconnect(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 2})
 
 	conn, fr := rawDial(t, addr)
 	attach := make([]byte, 0, 32)
@@ -404,10 +430,8 @@ func TestServeMidBatchDisconnect(t *testing.T) {
 // TestServeErrorRepliesKeepSessionAlive drives the semantic-failure
 // paths: each earns an ERROR frame and the session keeps working.
 func TestServeErrorRepliesKeepSessionAlive(t *testing.T) {
-	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+	_, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 2})
 
 	cs, err := Dial(addr)
 	if err != nil {
@@ -454,9 +478,7 @@ func TestServeErrorRepliesKeepSessionAlive(t *testing.T) {
 // make the 32 GiB region, a fatal out-of-memory for every session.
 func TestServeRejectedAttachRegistersNothing(t *testing.T) {
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+		core.Config{Backend: core.BackendImmediate, Workers: 2})
 
 	cs, err := Dial(addr)
 	if err != nil {
@@ -502,10 +524,8 @@ func TestServeRejectedAttachRegistersNothing(t *testing.T) {
 // TestServeHandshakeViolations: anything but a well-formed HELLO as the
 // first frame closes the connection without a session reply.
 func TestServeHandshakeViolations(t *testing.T) {
-	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 1}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+	_, _, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 1})
 
 	send := func(frame []byte) error {
 		conn, err := net.Dial("tcp", addr)
@@ -565,10 +585,8 @@ func TestServeHandshakeViolations(t *testing.T) {
 // TestServeSubscribeGating: without SUBSCRIBE no notifications flow;
 // after it they do.
 func TestServeSubscribeGating(t *testing.T) {
-	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+	_, _, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 2})
 
 	cs, err := Dial(addr)
 	if err != nil {
@@ -608,7 +626,7 @@ func TestServeSubscribeGating(t *testing.T) {
 func TestServeCloseRacesInFlightBatches(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 4}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 4})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
@@ -665,7 +683,7 @@ func TestServeCloseRacesInFlightBatches(t *testing.T) {
 func TestServeCloseWithSessionInWait(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 1}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 1})
 	entered, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
@@ -749,9 +767,7 @@ func TestServeCloseWithSessionInWait(t *testing.T) {
 // runtime: the serving plane must be protocol-clean under the sanitizer.
 func TestServeSanitizerClean(t *testing.T) {
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2, Checker: core.CheckStrict}, Options{})
-	defer rt.Close()
-	defer srv.Close()
+		core.Config{Backend: core.BackendImmediate, Workers: 2, Checker: core.CheckStrict})
 
 	cs, err := Dial(addr)
 	if err != nil {
@@ -788,169 +804,194 @@ func TestServeSanitizerClean(t *testing.T) {
 	}
 }
 
-// swap is a flush's swap, taken under the outbox lock and reporting the
-// closed flag: the outbox tests drain the mailbox without a connection.
-func (o *outbox) swap() (batch []msg, vals []mem.Word, closed bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	batch, vals = o.swapLocked()
-	return batch, vals, o.closed
+// wireConn is a connection whose writes land in a buffer, so the outbox
+// tests run the real flush without a peer.
+type wireConn struct {
+	net.Conn
+	w *bytes.Buffer
 }
 
-// TestOutboxShedsNotifiesAtCap pins the backpressure contract at the
-// unit level: replies always enqueue, notifications shed at capacity —
-// and capacity counts words, however few frames they coalesced into.
-func TestOutboxShedsNotifiesAtCap(t *testing.T) {
-	o := newOutbox(2)
-	if !o.pushNotify(0, 5, 50, 1) || !o.pushNotify(0, 6, 60, 2) {
-		t.Fatal("pushes under cap failed")
+func (c wireConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+// testSession is a session over o whose flushes write into wire.
+func testSession(o *outbox, wire *bytes.Buffer) *session {
+	return &session{srv: NewServer(nil, Options{}), out: o, conn: wireConn{w: wire}}
+}
+
+// testHandle is a subscribed handle id over words [0, words).
+func testHandle(id, words uint32) *attachHandle {
+	return &attachHandle{id: id, hi: words, slots: make([]uint32, words)}
+}
+
+// readStream decodes every frame in wire into the client's per-word view:
+// one Notify per CHANGE_NOTIFY word, and replyMark for each reply. A READ
+// reply also lands its words in cache, as a subscriber re-reading would.
+func readStream(t *testing.T, wire *bytes.Buffer, cache map[int]mem.Word) []Notify {
+	t.Helper()
+	var got []Notify
+	fr := newFrameReader(wire)
+	for {
+		op, payload, err := fr.ReadFrame()
+		if err == io.EOF {
+			return got
+		}
+		if err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		if op != OpChangeNotify {
+			got = append(got, replyMark)
+			if op == OpRead {
+				c := cursor{b: payload}
+				for i, n := 0, int(c.u32()); i < n; i++ {
+					cache[i] = c.u64()
+				}
+			}
+			continue
+		}
+		k := len(got)
+		if got, _, err = appendNotifies(got, payload); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range got[k:] {
+			cache[n.Index] = n.Value
+		}
 	}
-	if o.pushNotify(0, 7, 70, 3) {
-		t.Fatal("droppable push above cap succeeded")
+}
+
+// TestOutboxOverwritesPendingWords pins the thread queue's rule at the
+// unit level: a word pushed twice before a swap goes out once, with its
+// latest value, and the list never holds more entries than attached words
+// per reply segment. Only a closed outbox refuses a word.
+func TestOutboxOverwritesPendingWords(t *testing.T) {
+	const words = 8
+	o := newOutbox()
+	var wire bytes.Buffer
+	s := testSession(o, &wire)
+	h := testHandle(0, words)
+	for round := 0; round < 3; round++ {
+		for v := mem.Word(1); v <= 5; v++ {
+			for i := uint32(0); i < words; i++ {
+				if queued := o.pushNotify(h, i, v*100+mem.Word(i), int64(v)); queued != (v == 1) {
+					t.Fatalf("round %d: push %d of word %d queued %v, want %v", round, v, i, queued, v == 1)
+				}
+			}
+		}
+		o.mu.Lock()
+		pending := len(o.notes)
+		o.mu.Unlock()
+		if pending != words {
+			t.Fatalf("round %d: %d entries for %d words pushed five times", round, pending, words)
+		}
+		s.flush(false)
+		cache := map[int]mem.Word{}
+		got := readStream(t, &wire, cache)
+		if len(got) != words || s.framesOut.Load() != int64(round+1) {
+			t.Fatalf("round %d: %d words in %d frames, want %d in one", round, len(got), s.framesOut.Load(), words)
+		}
+		for i := 0; i < words; i++ {
+			if cache[i] != 500+mem.Word(i) {
+				t.Fatalf("round %d: word %d went out as %d, want its latest value %d", round, i, cache[i], 500+i)
+			}
+		}
+		// The swap cleaned every slot: the next round queues afresh.
+		for i, sl := range h.slots {
+			if sl != 0 {
+				t.Fatalf("round %d: slot %d = %d after the swap", round, i, sl)
+			}
+		}
 	}
-	if got := o.dropped.Load(); got != 1 {
-		t.Fatalf("dropped = %d after one shed word, want 1", got)
+	// A reply splits the segments: a word pending before it gets a second
+	// entry after it, and each segment holds at most one entry per word.
+	for seg := 0; seg < 4; seg++ {
+		for v := mem.Word(0); v < 3; v++ {
+			for i := uint32(0); i < words; i++ {
+				o.pushNotify(h, i, v, 0)
+			}
+		}
+		o.push(msg{op: OpWait})
 	}
-	if !o.push(msg{op: OpWait}) {
-		t.Fatal("reply push above cap was dropped")
+	o.mu.Lock()
+	pending := len(o.notes)
+	o.mu.Unlock()
+	if pending != 4*words {
+		t.Fatalf("%d entries over 4 reply segments of %d words", pending, words)
 	}
-	batch, vals, closed := o.swap()
-	if len(batch) != 2 || closed {
-		t.Fatalf("swap: %d msgs, closed %v; want 2 (one ranged notify, one reply), false", len(batch), closed)
-	}
-	if m := batch[0]; m.op != OpChangeNotify || m.b != 5 || m.n != 2 || m.t0 != 1 ||
-		len(vals) != 2 || vals[m.off] != 50 || vals[m.off+1] != 60 {
-		t.Fatalf("ranged notify = %+v over %v; want lo 5, n 2, the first word's t0, values [50 60]", m, vals)
-	}
-	// The swap emptied the mailbox: the cap is per pending batch.
-	if !o.pushNotify(0, 7, 71, 4) {
-		t.Fatal("push after swap failed")
-	}
+	s.flush(false)
+	wire.Reset()
 	o.close()
-	if o.push(msg{op: OpWait}) || o.pushNotify(0, 8, 80, 5) {
+	if o.push(msg{op: OpWait}) || o.pushNotify(h, 0, 1, 0) {
 		t.Fatal("push after close succeeded")
 	}
-	if got := o.dropped.Load(); got != 2 {
-		t.Fatalf("dropped = %d, want 2: a word refused by close is shed too", got)
-	}
-	if batch, _, closed := o.swap(); !closed || len(batch) != 1 {
-		t.Fatalf("swap after close: %d msgs, closed %v; want the queued 1, true", len(batch), closed)
+	if got := o.dropped.Load(); got != 1 {
+		t.Fatalf("dropped = %d, want 1: only the word refused by close", got)
 	}
 }
 
-// TestOutboxHoldReleasesToWriter pins the hold at the unit level: a
-// request in flight keeps its notifications for its reply's flush only up
-// to hold words (one Wait claim, at most half the mailbox); the next word
-// wakes the writer, whose flush then takes them. A writer that flushes
-// each time it is woken sheds nothing, however many words arrive while
-// the request is in flight, and the reply carries what is held at its
-// push.
-func TestOutboxHoldReleasesToWriter(t *testing.T) {
-	for _, capacity := range []int{1, 8, 1024} {
-		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
-			o := newOutbox(capacity)
-			hold := min(core.WaitHelpMax, capacity/2)
-			o.begin()
-			words, flushes, held := 0, 0, 0
-			for i := range 5 * capacity {
-				if !o.pushNotify(0, uint32(i), mem.Word(i), 0) {
-					t.Fatalf("word %d shed with the writer keeping up", i)
-				}
-				held++
-				select {
-				case <-o.wake:
-					if held != hold+1 {
-						t.Fatalf("writer woken with %d words held, want %d", held, hold+1)
-					}
-					o.mu.Lock()
-					if o.heldLocked() {
-						o.mu.Unlock()
-						t.Fatal("writer woken for a held outbox")
-					}
-					batch, _ := o.swapLocked()
-					o.mu.Unlock()
-					for _, m := range batch {
-						words += int(m.n)
-					}
-					flushes++
-					held = 0
-				default:
-					if held > hold {
-						t.Fatalf("%d words held without a wake, hold %d", held, hold)
-					}
-				}
-			}
-			if !o.push(msg{op: OpWait}) {
-				t.Fatal("reply push refused")
-			}
-			batch, _, _ := o.swap()
-			if n := len(batch); n == 0 || batch[n-1].op != OpWait {
-				t.Fatalf("reply flush: %+v, want the held words then the reply", batch)
-			}
-			for _, m := range batch[:len(batch)-1] {
-				words += int(m.n)
-			}
-			if words != 5*capacity || o.dropped.Load() != 0 {
-				t.Fatalf("%d of %d words out, %d dropped, over %d writer flushes", words, 5*capacity, o.dropped.Load(), flushes)
-			}
-		})
-	}
-}
-
-// TestOutboxCoalescesOnlyAdjacentRuns pins when a word joins the tail
-// frame: same handle, next index, nothing queued in between, run under
-// the frame cap. Everything else starts a new frame, so expanding the
-// frames in order reproduces the push order word for word.
+// TestOutboxCoalescesOnlyAdjacentRuns pins where the flush cuts
+// CHANGE_NOTIFY runs: consecutive entries of one handle whose indices
+// ascend by one, with no reply between them, under the frame cap. A
+// repeated index is an overwrite, not an entry; everything else starts a
+// new frame, so expanding the frames in order reproduces the entries.
 func TestOutboxCoalescesOnlyAdjacentRuns(t *testing.T) {
-	o := newOutbox(maxNotifyRun + 64)
+	o := newOutbox()
+	var wire bytes.Buffer
+	s := testSession(o, &wire)
+	hs := []*attachHandle{testHandle(0, maxNotifyRun+64), testHandle(1, 64)}
 	type run struct{ handle, lo, n uint32 }
 	push := func(handle, index uint32) {
 		t.Helper()
-		if !o.pushNotify(handle, index, mem.Word(index), 0) {
-			t.Fatalf("pushNotify(%d, %d) refused", handle, index)
+		o.pushNotify(hs[handle], index, mem.Word(index), 0)
+	}
+	runs := func() (got []run) {
+		t.Helper()
+		fr := newFrameReader(&wire)
+		for {
+			op, payload, err := fr.ReadFrame()
+			if err == io.EOF {
+				return got
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op != OpChangeNotify {
+				continue
+			}
+			ns, _, err := appendNotifies(nil, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range ns {
+				if n.Value != mem.Word(n.Index) {
+					t.Errorf("run at %d word %d carries %d", ns[0].Index, i, n.Value)
+				}
+			}
+			got = append(got, run{ns[0].Handle, uint32(ns[0].Index), uint32(len(ns))})
 		}
 	}
 	push(0, 10)
 	push(0, 11) // adjacent: joins
 	push(0, 13) // gap
 	push(0, 12) // descending
-	push(0, 12) // repeated
-	push(0, 13) // adjacent again
+	push(0, 12) // repeated: overwrites, no entry
+	push(0, 13) // pending: overwrites
 	push(1, 14) // other handle
 	push(1, 15)
 	o.push(msg{op: OpTStoreBatch}) // a reply in between
 	push(1, 16)
-	want := []run{{0, 10, 2}, {0, 13, 1}, {0, 12, 1}, {0, 12, 2}, {1, 14, 2}, {1, 16, 1}}
-	batch, vals, _ := o.swap()
-	var got []run
-	for _, m := range batch {
-		if m.op != OpChangeNotify {
-			continue
-		}
-		got = append(got, run{m.a, m.b, m.n})
-		for i := uint32(0); i < m.n; i++ {
-			if vals[m.off+i] != mem.Word(m.b+i) {
-				t.Errorf("run %+v word %d carries %d", run{m.a, m.b, m.n}, i, vals[m.off+i])
-			}
-		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	s.flush(false)
+	want := []run{{0, 10, 2}, {0, 13, 1}, {0, 12, 1}, {1, 14, 2}, {1, 16, 1}}
+	if got := runs(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("runs = %v, want %v", got, want)
-	}
-	// A swap ends the tail: the next adjacent word starts a new frame.
-	push(1, 17)
-	if batch, _, _ := o.swap(); len(batch) != 1 || batch[0].b != 17 || batch[0].off != 0 {
-		t.Fatalf("after swap: %+v, want one fresh run at 17", batch)
 	}
 	// A run is cut where its frame would outgrow MaxFrame.
 	for i := uint32(0); i <= maxNotifyRun; i++ {
 		push(0, i)
 	}
-	batch, vals, _ = o.swap()
-	if len(batch) != 2 || batch[0].n != maxNotifyRun || batch[1].n != 1 {
-		t.Fatalf("over-long run split into %d frames, want [%d 1]", len(batch), maxNotifyRun)
+	s.flush(false)
+	if got, want := runs(), []run{{0, 0, maxNotifyRun}, {0, maxNotifyRun, 1}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("over-long run split into %v, want %v", got, want)
 	}
-	if frame := appendMsg(nil, &batch[0], vals, 0); len(frame)-4 > MaxFrame || len(frame)-4 <= MaxFrame-8 {
-		t.Fatalf("longest run encodes to a frame of length %d, want the most that fits MaxFrame %d", len(frame)-4, MaxFrame)
+	if n := notifyFixed + 8*maxNotifyRun + 1; n > MaxFrame || n <= MaxFrame-8 {
+		t.Fatalf("the longest run's frame length %d is not the most that fits MaxFrame %d", n, MaxFrame)
 	}
 }

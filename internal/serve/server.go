@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -13,26 +12,9 @@ import (
 	"dtt/internal/telemetry"
 )
 
-// Options configures a Server. The zero value is usable.
-type Options struct {
-	// MailboxCap bounds each session's pending notifications, counted in
-	// changed words however few CHANGE_NOTIFY frames they coalesce into;
-	// a slow client sheds notifications past this (counted in
-	// NotifyDropped) rather than stalling the dispatch plane. Replies
-	// are never shed. Shedding is visible in-band: every CHANGE_NOTIFY
-	// frame carries the session's cumulative dropped count, so a
-	// subscriber detects the gap from the next frame it receives and can
-	// re-read the region (READ) to recover — NotifyDropped always equals
-	// the sum over sessions of the latest count each put on the wire.
-	// Default 1024.
-	MailboxCap int
-}
-
-func (o *Options) applyDefaults() {
-	if o.MailboxCap <= 0 {
-		o.MailboxCap = 1024
-	}
-}
+// Options configures a Server. It has no fields: a session's outbox holds
+// one pending value per subscribed word and needs no bound.
+type Options struct{}
 
 // Counters is a point-in-time snapshot of the serving plane's activity,
 // summed over live sessions plus everything retired sessions accumulated.
@@ -47,9 +29,10 @@ type Counters struct {
 	// Updates counts operands folded by TUPDATE requests; their triggers
 	// fire at merge time, so they have no Changed analogue here.
 	Updates int64
-	// Notifies counts notifications queued and NotifyDropped those shed
-	// at the mailbox cap, both in changed words: a ranged CHANGE_NOTIFY
-	// frame carrying n words counts n (frames are in FramesOut).
+	// Notifies counts notification words queued for the wire — a word
+	// overwritten while pending counts once — and NotifyDropped the words
+	// a closing session could not deliver: a ranged CHANGE_NOTIFY frame
+	// carrying n words counts n (frames are in FramesOut).
 	Notifies, NotifyDropped int64
 	// Errors counts ERROR replies (semantic request failures).
 	Errors int64
@@ -64,8 +47,7 @@ type Counters struct {
 // leaf taken only on the accept/retire path and never together with any
 // runtime lock the caller holds.
 type Server struct {
-	rt   *core.Runtime
-	opts Options
+	rt *core.Runtime
 
 	mu sync.Mutex
 	ln net.Listener //dtt:guards mu
@@ -88,11 +70,9 @@ type Server struct {
 // NewServer returns a server over rt. Call Serve or Start to accept
 // connections and Close to shut the plane down; the runtime is the
 // caller's and is not closed with the server.
-func NewServer(rt *core.Runtime, opts Options) *Server {
-	opts.applyDefaults()
+func NewServer(rt *core.Runtime, _ Options) *Server {
 	return &Server{
 		rt:        rt,
-		opts:      opts,
 		sessions:  make(map[int]*session),
 		notifyLat: telemetry.NewHistogram(telemetry.LatencyBounds),
 	}
@@ -163,9 +143,8 @@ func (s *Server) startSession(conn net.Conn) bool {
 		id:   s.seq,
 		conn: conn,
 		ns:   s.rt.NewNamespace(fmt.Sprintf("s%d", s.seq)),
-		out:  newOutbox(s.opts.MailboxCap),
+		out:  newOutbox(),
 		fr:   newFrameReader(conn),
-		bw:   bufio.NewWriter(conn),
 	}
 	s.sessions[sess.id] = sess
 	s.retired.SessionsTotal++
@@ -247,8 +226,8 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 		telemetry.Metric{Name: "dtt_serve_stores_total", Help: "Words carried by TSTORE_BATCH requests.", Value: c.Stores},
 		telemetry.Metric{Name: "dtt_serve_changed_total", Help: "Value-changing stores among the batched words.", Value: c.Changed},
 		telemetry.Metric{Name: "dtt_serve_updates_total", Help: "Operands folded by TUPDATE requests.", Value: c.Updates},
-		telemetry.Metric{Name: "dtt_serve_notifies_total", Help: "Notifications (changed words) queued to clients; a ranged CHANGE_NOTIFY frame carries one or more.", Value: c.Notifies},
-		telemetry.Metric{Name: "dtt_serve_notify_dropped_total", Help: "Notifications (changed words) shed at the session mailbox cap; equals the sum of the cumulative gap counts carried on CHANGE_NOTIFY frames.", Value: c.NotifyDropped},
+		telemetry.Metric{Name: "dtt_serve_notifies_total", Help: "Notifications (changed words) queued to clients; a word overwritten while pending counts once, and a ranged CHANGE_NOTIFY frame carries one or more.", Value: c.Notifies},
+		telemetry.Metric{Name: "dtt_serve_notify_dropped_total", Help: "Notifications (changed words) a closing session could not deliver; equals the sum of the cumulative gap counts carried on CHANGE_NOTIFY frames.", Value: c.NotifyDropped},
 		telemetry.Metric{Name: "dtt_serve_errors_total", Help: "ERROR replies sent (semantic request failures).", Value: c.Errors},
 		telemetry.Metric{Name: "dtt_serve_sessions_total", Help: "Sessions ever accepted.", Value: c.SessionsTotal},
 	)
@@ -256,7 +235,7 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 		telemetry.Metric{Name: "dtt_serve_sessions", Help: "Live sessions.", Value: c.Sessions})
 	snap.Histograms = append(snap.Histograms,
 		s.notifyLat.Snapshot("dtt_serve_notify_latency_ns",
-			"Nanoseconds from a TSTORE_BATCH arriving to its CHANGE_NOTIFY being written"))
+			"Nanoseconds from a TSTORE_BATCH arriving to its CHANGE_NOTIFY being encoded"))
 	return snap
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -12,102 +11,85 @@ import (
 	"dtt/internal/telemetry"
 )
 
-// msg is one queued outbound frame. Frames on this plane are small and
-// fixed-shape, so a mailbox entry is a flat struct — no per-message
-// allocation, and the writer encodes straight out of the slot.
+// msg is one queued reply frame. Replies are small and fixed-shape, so
+// an outbox entry is a flat struct — no per-message allocation, and the
+// flush encodes straight out of the slot.
 type msg struct {
-	op   byte
-	a, b uint32     // first/second u32 payload fields (handle, lo, ...)
-	n    uint32     // CHANGE_NOTIFY: words in the run
-	off  uint32     // CHANGE_NOTIFY: the run is vals[off:off+n] of its batch's arena
-	t0   int64      // CHANGE_NOTIFY: batch arrival stamp of the run's first word, for the latency histogram
-	s    string     // ERROR message
-	ws   []mem.Word // READ reply words (reader-owned copy; READ is off the hot path)
+	op byte
+	a  uint32     // first u32 payload field (handle, changed count, ...)
+	at int        // the reply goes out after the first at notes of its swap
+	s  string     // ERROR message
+	ws []mem.Word // READ reply words (reader-owned copy; READ is off the hot path)
+}
+
+// note is one pending notification: the latest value a subscribed word's
+// support thread saw, and the arrival stamp of the batch that first
+// dirtied it, for the latency histogram.
+type note struct {
+	h     *attachHandle
+	index uint32
+	v     mem.Word
+	t0    int64
 }
 
 // outbox is a session's mailbox: the per-session dual of the runtime's
-// thread queue. Producers (the session's reader goroutine and any
-// support-thread body firing a notification) append under the mailbox
-// lock; a flush (session.flush) swaps the full buffer out and encodes it
-// without holding the lock — the same double-buffer discipline the
-// mailbox exemplars use, so a slow client connection never blocks a
-// worker beyond one short critical section.
+// thread queue, with its rule. A subscribed word that is already waiting
+// for a flush is overwritten in place, not queued twice — each attached
+// word has a slot (attachHandle.slots), 0 when clean, else 1 plus its
+// entry's position in notes. So between two replies the notifications a
+// session holds are bounded by the words it attached, and nothing is shed
+// while it lives.
+// The overwrite stops at a reply: a word whose entry was queued before
+// the last reply push gets a new entry, so no value overtakes a reply
+// (a READ snapshot, a WAIT) pushed after the word first changed. The
+// client sees each changed word's latest value at least once per flush,
+// and never ahead of a later reply; intermediate values may be skipped.
+//
+// Producers (the session's reader, and any support-thread body pushing a
+// notification) append under the lock; a flush (session.flush) swaps both
+// lists out, clearing the slots of the notes it takes, and encodes them
+// without holding the lock — the double-buffer discipline of the mailbox
+// exemplars, so a slow client never blocks a worker beyond one short
+// critical section.
 //
 // One flush function has two callers. The reader flushes right after it
 // pushes each reply, on its own goroutine; the writer goroutine flushes
-// the notifications that arrive outside a request or past its hold. A
-// request is in flight from the moment the reader takes its frame (begin)
-// to its reply's push, which clears the flag in the same critical section;
-// a notification pushed meanwhile wakes nobody and rides out with that
-// reply, up to hold words — one Wait claim, and never more than half the
-// mailbox. The word past the hold wakes the writer, which flushes as it
-// would with no request in flight, so a long WAIT or a large batch streams
-// its notifications to a client that keeps up instead of shedding them at
-// cap. Every request frame ends in exactly one reply push or in the
-// session's close, and close wakes the writer, which then flushes whatever
-// is held, so a held notification always reaches the wire. A flush that
-// finds another in progress leaves, since that one swaps until the outbox
-// is empty: the swaps stay in push order, and the frames of one request go
-// out in one write.
+// the notifications that arrive outside a request. A request is in flight
+// from the moment the reader takes its frame (begin) to its reply's push,
+// which clears the flag in the same critical section; a notification
+// pushed meanwhile wakes nobody and rides out with that reply. Every
+// request frame ends in exactly one reply push or in the session's close,
+// and close wakes the writer, which then flushes whatever is held, so a
+// held notification always reaches the wire. A flush that finds another
+// in progress leaves, since that one swaps until the outbox is empty: the
+// swaps stay in push order, and the frames of one swap go out in one
+// write.
 //
-// Notifications coalesce in the mailbox, under the lock the push already
-// takes: a changed word that extends the tail CHANGE_NOTIFY's run (same
-// handle, next index) joins that frame — its value goes to the vals
-// arena, which is double-buffered with buf, and the tail's n grows — so a
-// burst of adjacent words costs one slot, one header and one client
-// decode, not one of each per word. Anything else (another handle, a gap,
-// a descending or repeated index, a reply in between) starts a new frame,
-// so the client's expansion of the frames is exactly the per-word stream
-// in push order.
-//
-// Replies are never dropped: the client is waiting on them and they are
-// bounded by requests in flight (one each). Notifications are
-// fire-and-forget and are dropped once the mailbox holds cap words of
-// them, counted in dropped — backpressure by shedding, not by stalling
-// the dispatch plane. Shedding is never silent on the wire: every
-// CHANGE_NOTIFY frame carries the session's cumulative dropped count,
-// stamped once at encode time (see flush), so a subscriber that lost
-// notifications learns it from the very next frame it receives. Before
-// close a word can only be dropped while buf already holds cap >= 1
-// pending words — at least one CHANGE_NOTIFY frame — and the drop is
-// counted under mu before the swap that hands that frame to a flush can
-// take mu, so the frame's stamp, read after the swap, includes the drop:
-// every drop is followed onto the wire by a stamp that counts it. (After
-// close there is no wire left to announce on; those words are counted all
-// the same.) The cap therefore counts notification words only: were
-// queued replies to count against it, a burst shed behind cap replies
-// would have no stamp behind it and the gap would stay invisible until
-// the next notification.
+// Only a closed outbox refuses a word, counted in dropped. Every
+// CHANGE_NOTIFY frame still carries that count (wire v4's stamp), which
+// on a live session reads 0.
 type outbox struct {
-	mu    sync.Mutex
-	buf   []msg //dtt:guards mu
-	spare []msg //dtt:guards mu
-	// vals is the arena the CHANGE_NOTIFY runs of buf index into;
-	// spareVals is its other half, swapped together with buf/spare.
-	vals      []mem.Word //dtt:guards mu
-	spareVals []mem.Word //dtt:guards mu
-	// notes counts the droppable words in buf.
-	notes int //dtt:guards mu
+	mu sync.Mutex
+	// replies and notes are the pending batch; spareReplies and
+	// spareNotes are their other halves, swapped together.
+	replies      []msg  //dtt:guards mu
+	spareReplies []msg  //dtt:guards mu
+	notes        []note //dtt:guards mu
+	spareNotes   []note //dtt:guards mu
 	// inflight is set while a request is in flight: from begin to its
 	// reply's push.
 	inflight bool //dtt:guards mu
-	// hold is how many notification words a request in flight keeps for
-	// its reply's flush.
-	hold int
-	// flushing is set while a flush owns the connection's writer.
+	// flushing is set while a flush owns the connection's writes.
 	flushing bool //dtt:guards mu
-	// dropped is the cumulative count of words shed, at cap or after
-	// close. Written under mu (that ordering is the stamp argument
-	// above); atomic because a flush stamps it and Counters reads it
-	// without the lock.
+	// dropped counts the words a closed outbox refused; atomic because a
+	// flush stamps it and Counters reads it without the lock.
 	dropped atomic.Int64
 	wake    chan struct{}
 	closed  bool //dtt:guards mu
-	cap     int
 }
 
-func newOutbox(capacity int) *outbox {
-	return &outbox{wake: make(chan struct{}, 1), cap: capacity, hold: min(core.WaitHelpMax, capacity/2)}
+func newOutbox() *outbox {
+	return &outbox{wake: make(chan struct{}, 1)}
 }
 
 // begin marks a request in flight: until its reply's push, notifications
@@ -126,55 +108,41 @@ func (o *outbox) push(m msg) bool {
 		o.mu.Unlock()
 		return false
 	}
-	o.buf = append(o.buf, m)
+	m.at = len(o.notes)
+	o.replies = append(o.replies, m)
 	o.inflight = false
 	o.mu.Unlock()
 	return true
 }
 
-// pushNotify enqueues one changed word of handle, extending the tail
-// frame's run when the word is adjacent to it, and wakes the writer for a
-// new frame when no request is in flight, or for the word past the
-// request's hold. Returns false when the word was shed — at cap, or
-// because the outbox is closed — and counts it in dropped.
-func (o *outbox) pushNotify(handle, index uint32, v mem.Word, t0 int64) bool {
+// pushNotify records v as the latest value of word index of h, which is
+// subscribed. A word already pending since the last reply push takes the
+// new value in place; otherwise the word is queued, waking the writer
+// when no request is in flight. It reports whether it queued a new word:
+// false for an overwrite, and for a word the closed outbox refused, which
+// it counts in dropped.
+func (o *outbox) pushNotify(h *attachHandle, index uint32, v mem.Word, t0 int64) bool {
 	o.mu.Lock()
-	if o.closed || o.notes >= o.cap {
+	if o.closed {
 		o.dropped.Add(1)
 		o.mu.Unlock()
 		return false
 	}
-	o.notes++
-	o.vals = append(o.vals, v)
-	// The word past a request's hold releases what it holds to the writer.
-	release := o.inflight && o.notes == o.hold+1
-	if k := len(o.buf) - 1; k >= 0 {
-		tail := &o.buf[k]
-		if tail.op == OpChangeNotify && tail.a == handle && tail.b+tail.n == index && tail.n < maxNotifyRun {
-			// The tail's flush is still due — its wake is pending, or its
-			// request's reply will carry it: no new slot, and no second
-			// wake unless this word releases the hold.
-			tail.n++
-			o.mu.Unlock()
-			if release {
-				o.signal()
-			}
-			return true
-		}
+	slot := &h.slots[index-h.lo]
+	// A slot past the last reply's position names a note no reply follows.
+	if k := len(o.replies); *slot != 0 && (k == 0 || int(*slot) > o.replies[k-1].at) {
+		o.notes[*slot-1].v = v
+		o.mu.Unlock()
+		return false
 	}
-	o.buf = append(o.buf, msg{op: OpChangeNotify, a: handle, b: index, n: 1, off: uint32(len(o.vals) - 1), t0: t0})
-	wake := !o.inflight || release
+	o.notes = append(o.notes, note{h: h, index: index, v: v, t0: t0})
+	*slot = uint32(len(o.notes))
+	wake := !o.inflight
 	o.mu.Unlock()
 	if wake {
 		o.signal()
 	}
 	return true
-}
-
-// heldLocked reports whether the request in flight holds buf's
-// notifications for its reply's flush. Callers hold mu.
-func (o *outbox) heldLocked() bool {
-	return o.inflight && o.notes <= o.hold && !o.closed
 }
 
 // signal wakes the writer if it is not already due to wake.
@@ -185,16 +153,18 @@ func (o *outbox) signal() {
 	}
 }
 
-// swapLocked hands a flush the pending batch and its value arena (into the
-// spare buffers). The returned slices are the flush's until the next swap.
-// Callers hold mu.
-func (o *outbox) swapLocked() (batch []msg, vals []mem.Word) {
-	batch, o.buf = o.buf, o.spare[:0]
-	o.spare = batch
-	vals, o.vals = o.vals, o.spareVals[:0]
-	o.spareVals = vals
-	o.notes = 0
-	return batch, vals
+// swapLocked hands a flush the pending batch (into the spare buffers) and
+// marks the words it takes clean. The returned slices are the flush's
+// until the next swap. Callers hold mu.
+func (o *outbox) swapLocked() (replies []msg, notes []note) {
+	replies, o.replies = o.replies, o.spareReplies[:0]
+	o.spareReplies = replies
+	notes, o.notes = o.notes, o.spareNotes[:0]
+	o.spareNotes = notes
+	for _, n := range notes {
+		n.h.slots[n.index-n.h.lo] = 0
+	}
+	return replies, notes
 }
 
 // close marks the outbox closed and wakes the writer so it can flush what
@@ -207,20 +177,25 @@ func (o *outbox) close() {
 }
 
 // attachHandle is one ATTACH's server-side state: the support thread, the
-// region it watches, and whether the client subscribed to its outputs.
-// ThreadFunc closures capture the handle pointer, so a concurrent append
-// to the session's handle table never races a firing trigger.
+// region and words [lo, hi) it watches, its wire number, and whether the
+// client subscribed to its outputs. ThreadFunc closures capture the handle
+// pointer, so a concurrent append to the session's handle table never
+// races a firing trigger.
 type attachHandle struct {
 	thread     core.ThreadID
 	region     *core.Region
+	id, lo, hi uint32
 	subscribed atomic.Bool
+	// slots holds one outbox slot per attached word, allocated by the
+	// first SUBSCRIBE (see outbox).
+	slots []uint32 //dtt:guards outbox.mu
 }
 
 // session is one accepted connection: a reader goroutine decoding and
 // handling request frames and flushing each reply, a writer goroutine
-// flushing the notifications that arrive outside a request or past its
-// hold, and a connection-scoped namespace giving the tenant its own
-// regions and threads.
+// flushing the notifications that arrive outside a request, and a
+// connection-scoped namespace giving the tenant its own regions and
+// threads.
 type session struct {
 	srv  *Server
 	id   int
@@ -233,11 +208,10 @@ type session struct {
 	handles []*attachHandle
 	words   []mem.Word
 
-	// The connection's writer and its encode scratch belong to the flush
+	// The connection's writes and the encode scratch belong to the flush
 	// in progress (outbox.flushing): the reader's or the writer
 	// goroutine's. broken is set once a write fails: the peer is gone, and
 	// later flushes swallow what they swap until the session closes.
-	bw      *bufio.Writer
 	scratch []byte
 	broken  bool
 
@@ -362,6 +336,9 @@ func (s *session) handle(op byte, payload []byte) bool {
 			return false
 		}
 		if h := s.lookup(handle, OpSubscribe); h != nil {
+			if h.slots == nil {
+				h.slots = make([]uint32, h.hi-h.lo)
+			}
 			h.subscribed.Store(true)
 			s.reply(msg{op: OpSubscribe})
 		}
@@ -405,13 +382,12 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 		s.sendErr(fmt.Sprintf("serve: ATTACH range [%d, %d) outside region %q of %d words", lo, hi, name, r.Len()))
 		return
 	}
-	h := &attachHandle{region: r}
-	handle := uint32(len(s.handles))
-	tid, err := s.ns.Register(fmt.Sprintf("%s#%d", name, handle), func(tg core.Trigger) {
+	h := &attachHandle{region: r, id: uint32(len(s.handles)), lo: lo, hi: hi}
+	tid, err := s.ns.Register(fmt.Sprintf("%s#%d", name, h.id), func(tg core.Trigger) {
 		if !h.subscribed.Load() {
 			return
 		}
-		if s.out.pushNotify(handle, uint32(tg.Index), tg.Region.Load(tg.Index), s.batchT0.Load()) {
+		if s.out.pushNotify(h, uint32(tg.Index), tg.Region.Load(tg.Index), s.batchT0.Load()) {
 			s.notifies.Add(1)
 		}
 	})
@@ -425,7 +401,7 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 		return
 	}
 	s.handles = append(s.handles, h)
-	s.reply(msg{op: OpAttach, a: handle})
+	s.reply(msg{op: OpAttach, a: h.id})
 }
 
 // handleBatch decodes the span into the session's reused word buffer and
@@ -440,7 +416,7 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 // own, its bodies store nothing, and the join merged every pending delta.
 // The client answers a WAIT on the handle from that flag. A larger backlog
 // is what admission woke a worker for, so its reply does not wait for the
-// run, and its notifications stream out through the writer past the hold.
+// run, and its notifications stream out through the writer.
 func (s *session) handleBatch(handle, lo uint32, n int, c *cursor) {
 	h := s.lookup(handle, OpTStoreBatch)
 	if h == nil {
@@ -554,23 +530,14 @@ func (s *session) sendErr(text string) {
 	s.reply(msg{op: OpError, s: text})
 }
 
-// appendMsg encodes m as one frame onto dst. vals is the arena m's batch
-// was swapped out with; dropped is the stamp a CHANGE_NOTIFY carries.
-func appendMsg(dst []byte, m *msg, vals []mem.Word, dropped uint32) []byte {
+// appendMsg encodes the reply m as one frame onto dst.
+func appendMsg(dst []byte, m *msg) []byte {
 	dst, start := appendFrameHeader(dst, m.op)
 	switch m.op {
 	case OpHello, OpAttach, OpTStoreBatch, OpTUpdate:
 		dst = appendU32(dst, m.a)
 	case OpWait, OpBarrier, OpSubscribe:
 		// empty payload
-	case OpChangeNotify:
-		dst = appendU32(dst, m.a)
-		dst = appendU32(dst, m.b)
-		dst = appendU32(dst, dropped)
-		dst = appendU32(dst, m.n)
-		for _, w := range vals[m.off : m.off+m.n] {
-			dst = appendU64(dst, w)
-		}
 	case OpRead:
 		dst = appendU32(dst, m.a)
 		for _, w := range m.ws {
@@ -584,10 +551,42 @@ func appendMsg(dst []byte, m *msg, vals []mem.Word, dropped uint32) []byte {
 	return dst
 }
 
+// appendNotes encodes notes as CHANGE_NOTIFY frames onto dst, cutting a
+// run at each break in adjacency — another handle, or an index that is
+// not the next — and at the frame cap. Every frame carries the stamp
+// dropped; each run's latency, from its first word's t0 to its encoding,
+// goes to lat. It returns the grown dst and the frames appended.
+func appendNotes(dst []byte, notes []note, dropped uint32, lat *telemetry.Histogram) ([]byte, int) {
+	if len(notes) == 0 {
+		return dst, 0
+	}
+	now, frames := telemetry.Now(), 0
+	for len(notes) > 0 {
+		n := 1
+		for n < len(notes) && n < maxNotifyRun && notes[n].h == notes[0].h && notes[n].index == notes[0].index+uint32(n) {
+			n++
+		}
+		var start int
+		dst, start = appendFrameHeader(dst, OpChangeNotify)
+		dst = appendU32(dst, notes[0].h.id)
+		dst = appendU32(dst, notes[0].index)
+		dst = appendU32(dst, dropped)
+		dst = appendU32(dst, uint32(n))
+		for _, w := range notes[:n] {
+			dst = appendU64(dst, w.v)
+		}
+		patchFrameLength(dst, start)
+		lat.Observe(now - notes[0].t0)
+		notes = notes[n:]
+		frames++
+	}
+	return dst, frames
+}
+
 // writeLoop is the writer goroutine. It flushes only what the reader will
-// not: notifications pushed while no request is in flight or past a
-// request's hold, and whatever is held when the outbox closes. It exits
-// once it has flushed after the close.
+// not: notifications pushed while no request is in flight, and whatever is
+// held when the outbox closes. It exits once it has flushed after the
+// close.
 func (s *session) writeLoop() {
 	defer s.srv.wg.Done()
 	for range s.out.wake {
@@ -599,51 +598,43 @@ func (s *session) writeLoop() {
 
 // flush is the outbox's one flush, for its two callers: the reader after
 // each reply push (writer false) and the writer goroutine (writer true),
-// which leaves the outbox to the reply's flush while a request in flight
-// holds it. Unless another flush is in progress it owns the connection's
-// writer, swaps the outbox and encodes the batch into the reused scratch,
-// one write per swap, until a swap finds the outbox empty — so a burst of
-// notifications and the reply behind them cost one syscall, not one per
-// frame. It reports whether the outbox is closed.
+// which leaves the outbox to the reply's flush while a request is in
+// flight. Unless another flush is in progress it owns the connection's
+// writes, swaps the outbox and encodes the batch into the reused scratch —
+// each reply after the notes queued before its push — one write per swap,
+// until a swap finds the outbox empty: a burst of notifications and the
+// reply behind them cost one syscall, not one per frame. It reports
+// whether the outbox is closed.
 func (s *session) flush(writer bool) (closed bool) {
 	o := s.out
 	o.mu.Lock()
-	if o.flushing || writer && o.heldLocked() {
+	if o.flushing || writer && o.inflight && !o.closed {
 		closed = o.closed
 		o.mu.Unlock()
 		return closed
 	}
 	o.flushing = true
-	for len(o.buf) > 0 {
-		batch, vals := o.swapLocked()
+	for len(o.replies)+len(o.notes) > 0 {
+		replies, notes := o.swapLocked()
 		o.mu.Unlock()
-		for i := range batch {
-			if s.broken {
-				break // peer gone: swallow the swap
+		if !s.broken { // else the peer is gone: swallow the swap
+			dropped := uint32(o.dropped.Load())
+			b, frames, done := s.scratch[:0], 0, 0
+			for i := range replies {
+				var k int
+				b, k = appendNotes(b, notes[done:replies[i].at], dropped, s.srv.notifyLat)
+				b, done = appendMsg(b, &replies[i]), replies[i].at
+				frames += k + 1
 			}
-			m := &batch[i]
-			// The cumulative dropped count is stamped at encode time, once
-			// per frame, not at enqueue time: a drop is counted under the
-			// mailbox lock while a CHANGE_NOTIFY frame is pending, and that
-			// frame reaches this line strictly after the swap that followed
-			// the drop, so the stamp that announces a gap always trails it
-			// onto the wire. Stamping at enqueue would race the drop and
-			// could leave every in-flight notify carrying the pre-drop
-			// count.
-			s.scratch = appendMsg(s.scratch[:0], m, vals, uint32(o.dropped.Load()))
-			n, err := s.bw.Write(s.scratch)
-			if err != nil {
+			b, k := appendNotes(b, notes[done:], dropped, s.srv.notifyLat)
+			s.scratch = b
+			// Counted before the write, so a client that has read the
+			// frames finds them in Counters.
+			s.framesOut.Add(int64(frames + k))
+			s.bytesOut.Add(int64(len(b)))
+			if _, err := s.conn.Write(b); err != nil {
 				s.broken = true
-				break
 			}
-			s.framesOut.Add(1)
-			s.bytesOut.Add(int64(n))
-			if m.op == OpChangeNotify {
-				s.srv.notifyLat.Observe(telemetry.Now() - m.t0)
-			}
-		}
-		if !s.broken && s.bw.Flush() != nil {
-			s.broken = true
 		}
 		o.mu.Lock()
 	}

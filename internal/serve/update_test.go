@@ -18,7 +18,7 @@ import (
 func TestServeUpdateEndToEnd(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt, srv, addr := newServerPair(t,
-		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
+		core.Config{Backend: core.BackendImmediate, Workers: 2})
 
 	cs, err := Dial(addr)
 	if err != nil {

@@ -91,15 +91,17 @@ func (r *Region) TStore(i int, v mem.Word) bool { return r.rt.tstore(r, i, v) }
 
 // TStoreBatch is the vectorized form of TStore: it writes vs to words
 // [lo, lo+len(vs)) with word-at-a-time comparison and returns how many
-// words changed. Trigger semantics are identical to issuing len(vs)
-// scalar TStores — each changing word fires the threads attached to its
-// address, with duplicate squashing — but the dispatch cost is amortized:
-// the batch resolves attachments against one registry snapshot and takes
-// the dispatch lock once, enqueueing all of its fired entries under the
-// single acquisition. Like TStore it is allocation-free
-// in the steady state (the grouping scratch is pooled by the runtime),
-// and on the seeded backend the whole batch is one preemption point where
-// a scalar loop would be len(vs) of them.
+// words changed. Each changing word fires the threads attached to its
+// address, with duplicate squashing, as len(vs) scalar TStores would — but
+// the dispatch cost is amortized: the batch resolves attachments against
+// one registry snapshot and takes the dispatch lock once, enqueueing all of
+// its fired entries under the single acquisition. Their order is store
+// order only while they fit the thread queue: a batch that overflows it
+// runs its overflowed words' instances inline after the whole span is
+// stored, ahead of the queued head. Like TStore it is allocation-free in
+// the steady state (the grouping scratch is pooled by the runtime), and on
+// the seeded backend the whole batch is one preemption point where a
+// scalar loop would be len(vs) of them.
 func (r *Region) TStoreBatch(lo int, vs []mem.Word) int {
 	return r.rt.tstoreBatch(r, lo, vs, nil)
 }
@@ -111,7 +113,8 @@ func (r *Region) TStoreBatch(lo int, vs []mem.Word) int {
 // and reports quiet. A batch whose admission leaves nothing but t's entries
 // in the ring, with t's token free, wakes no worker for them: the join runs
 // them. A larger backlog wakes a worker and returns at once, not quiet, as
-// TStoreBatch does.
+// TStoreBatch does. A batch that overflows the thread queue runs its
+// instances out of store order, as TStoreBatch's do.
 //
 // quiet means t had no pending or running instance when the call returned.
 // It stays true until something triggers t again; a caller that issues no

@@ -296,7 +296,7 @@ func checkGuardedAccesses(pr *program, f *facts, specs map[string]guardSpec, acc
 		byDecl[a.decl] = append(byDecl[a.decl], a)
 	}
 	for decl, as := range byDecl {
-		entry := lockState{held: map[string]lockAcq{}}
+		var entryHeld map[string]bool
 		fn, _ := f.pkg.Info.Defs[decl.Name].(*types.Func)
 		if fi := pr.lookup(fn); fi != nil {
 			if !fi.entryHeldKnown {
@@ -308,9 +308,7 @@ func checkGuardedAccesses(pr *program, f *facts, specs map[string]guardSpec, acc
 				}
 				continue
 			}
-			for key := range fi.entryHeld {
-				entry.held[key] = lockAcq{key: key, pos: decl.Pos()}
-			}
+			entryHeld = fi.entryHeld
 		}
 		constructed := constructedTypes(f.pkg.Info, decl)
 		byNode := map[ast.Node]*fieldAccess{}
@@ -336,7 +334,7 @@ func checkGuardedAccesses(pr *program, f *facts, specs map[string]guardSpec, acc
 				}
 			},
 		}
-		lw.walkDecl(decl, entry)
+		lw.walkDecl(decl, entryState(entryHeld, decl.Pos()))
 	}
 }
 

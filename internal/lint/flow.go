@@ -14,16 +14,18 @@ import (
 // it happens to see, while this pass flags the access pattern on every
 // path of every build.
 //
-// The analysis is intra-procedural and deliberately small: each function
-// body is walked as a control-flow graph over statements, propagating one
-// bit — "a trigger may be outstanding". The bit is set by TStore/TStoreF
-// on an attached region (and by GuardSet.Update/Touch, which are
-// triggering stores by construction), cleared by any Wait or Barrier, and
-// checked at every Load/LoadF of a region the package knows to be a
-// support-thread output (written in a registered body). Branches merge
-// with OR — dangerous-on-any-path reports — and loop bodies run to a
-// two-pass fixpoint so a trigger at the bottom of a loop reaches a load at
-// the top.
+// The analysis runs on the shared statement walker (walk.go), propagating
+// one bit — "a trigger may be outstanding". The bit is set by a triggering
+// write (TStore, TStoreF, their batch forms and TUpdate) on an attached
+// region and by GuardSet.Update/Touch, which are triggering stores by
+// construction; it is cleared by any Wait or Barrier, and checked at every
+// Load/LoadF of a region the package knows to be a support-thread output
+// (written in a registered body). Paths join with OR — dangerous on any
+// path reports — so a break that skips a Wait carries the bit out of its
+// loop or switch, a continue carries it to the next iteration, and a path
+// that ends in a panic carries it nowhere. A range loop may run zero times.
+// Calls to functions of the loaded program apply their summaries
+// (program.go), so the rule is interprocedural.
 //
 // Known approximations, chosen to keep false positives near zero on real
 // code: Wait(t) on any thread clears the bit (the paper's discipline is
@@ -34,22 +36,23 @@ import (
 // Wait does not order the loads that precede it textually... but follow
 // it dynamically).
 
-// flowState is the dataflow fact at one program point.
+// flowState is the dataflow fact at one program point; the zero value is
+// the unreachable path.
 type flowState struct {
+	live      bool
 	triggered bool // a triggering store may be outstanding on this path
-	dead      bool // this path has returned/broken
 }
 
-func mergeFlow(a, b flowState) flowState {
-	if a.dead {
-		return b
-	}
-	if b.dead {
-		return a
-	}
-	return flowState{triggered: a.triggered || b.triggered}
+func (s flowState) dead() bool { return !s.live }
+
+func (s flowState) clone() flowState { return s }
+
+func (s flowState) join(o flowState) flowState {
+	s.triggered = s.triggered || o.triggered
+	return s
 }
 
+// flowAnalyzer is read-before-wait's hooks on the shared walker.
 type flowAnalyzer struct {
 	f   *facts
 	rep *reporter
@@ -61,15 +64,19 @@ type flowAnalyzer struct {
 	// sumReads, when non-nil, puts the analyzer in summary-collection
 	// mode: hazardous reads are recorded here instead of reported.
 	sumReads map[token.Pos]readSite
-	// exit, when non-nil, accumulates the merge of the flow state at
-	// every reachable function exit (returns and fall-off).
-	exit *flowState
+}
+
+// walk walks one function body entering with the bit as given and
+// returns the state joined over its exits.
+func (fa *flowAnalyzer) walk(body *ast.BlockStmt, triggered bool) flowState {
+	return walkBody(fa.prog, fa.f, fa, body, flowState{live: true, triggered: triggered})
 }
 
 // runFlowRule analyses every function of the package that executes in
-// main-thread context: support bodies are excluded (a support thread
-// reading its own outputs is its business; cross-thread hazards are the
-// dynamic checker's domain), as are function literals nested inside them.
+// main-thread context, each literal as a function of its own (funcLits):
+// support bodies are excluded (a support thread reading its own outputs is
+// its business; cross-thread hazards are the dynamic checker's domain), as
+// are function literals nested inside them.
 func runFlowRule(pr *program, f *facts, rep *reporter) {
 	fa := &flowAnalyzer{f: f, rep: rep, prog: pr}
 	for _, file := range f.pkg.Files {
@@ -78,154 +85,36 @@ func runFlowRule(pr *program, f *facts, rep *reporter) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if _, isSupport := f.bodies[fd]; isSupport {
-				continue
+			if _, isSupport := f.bodies[fd]; !isSupport {
+				fa.walk(fd.Body, false)
 			}
-			fa.stmts(fd.Body.List, flowState{})
 		}
-		// Function literals run at times the linter cannot order against
-		// the enclosing protocol state, so each is analysed as its own
-		// function starting from a clean state.
-		ast.Inspect(file, func(n ast.Node) bool {
-			lit, ok := n.(*ast.FuncLit)
-			if !ok {
-				return true
+		funcLits(file, func(lit *ast.FuncLit) {
+			if _, isSupport := f.bodies[lit]; !isSupport && !f.inSupportBody(lit) {
+				fa.walk(lit.Body, false)
 			}
-			if _, isSupport := f.bodies[lit]; isSupport || f.inSupportBody(lit) {
-				return true
-			}
-			fa.stmts(lit.Body.List, flowState{})
-			return true
 		})
 	}
 }
 
-func (fa *flowAnalyzer) stmts(list []ast.Stmt, st flowState) flowState {
-	for _, s := range list {
-		st = fa.stmt(s, st)
-	}
-	return st
+// cond applies an if condition's events to both arms alike.
+func (fa *flowAnalyzer) cond(e ast.Expr, st flowState) (then, els flowState) {
+	st = fa.scan(e, st)
+	return st, st
 }
 
-func (fa *flowAnalyzer) stmt(s ast.Stmt, st flowState) flowState {
-	if st.dead {
-		return st
-	}
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return fa.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		return fa.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st = fa.stmt(s.Init, st)
-		}
-		st = fa.exprEvents(s.Cond, st)
-		thenOut := fa.stmt(s.Body, st)
-		elseOut := st
-		if s.Else != nil {
-			elseOut = fa.stmt(s.Else, st)
-		}
-		return mergeFlow(thenOut, elseOut)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st = fa.stmt(s.Init, st)
-		}
-		in := st
-		for pass := 0; pass < 2; pass++ {
-			iter := in
-			if s.Cond != nil {
-				iter = fa.exprEvents(s.Cond, iter)
-			}
-			iter = fa.stmt(s.Body, iter)
-			if s.Post != nil && !iter.dead {
-				iter = fa.stmt(s.Post, iter)
-			}
-			in = mergeFlow(in, iter)
-		}
-		return in
-	case *ast.RangeStmt:
-		st = fa.exprEvents(s.X, st)
-		in := st
-		for pass := 0; pass < 2; pass++ {
-			in = mergeFlow(in, fa.stmt(s.Body, in))
-		}
-		return in
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st = fa.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			st = fa.exprEvents(s.Tag, st)
-		}
-		return fa.caseClauses(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st = fa.stmt(s.Init, st)
-		}
-		st = fa.exprEvents(s.Assign, st)
-		return fa.caseClauses(s.Body, st)
-	case *ast.SelectStmt:
-		out := flowState{dead: true}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := st
-			if cc.Comm != nil {
-				branch = fa.stmt(cc.Comm, branch)
-			}
-			out = mergeFlow(out, fa.stmts(cc.Body, branch))
-		}
-		return mergeFlow(out, st)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			st = fa.exprEvents(r, st)
-		}
-		if fa.exit != nil {
-			*fa.exit = mergeFlow(*fa.exit, flowState{triggered: st.triggered})
-		}
-		return flowState{dead: true}
-	case *ast.BranchStmt:
-		// break/continue/goto leave this straight-line region; treating
-		// the path as ended under-approximates (may miss findings past a
-		// loop) but never invents one.
-		return flowState{dead: true}
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Deferred and spawned calls run at unknowable protocol points:
-		// no state effects, no findings inside.
-		return st
-	case *ast.ExprStmt, *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
-		return fa.exprEvents(s, st)
-	}
-	return st
-}
+// detached: deferred and spawned calls run at unknowable protocol points,
+// so they have no state effects and no findings inside.
+func (*flowAnalyzer) detached(*ast.CallExpr, bool) {}
 
-// caseClauses analyses a switch body: every clause branches from the same
-// entry state; a missing default keeps the fall-past path live.
-func (fa *flowAnalyzer) caseClauses(body *ast.BlockStmt, st flowState) flowState {
-	out := flowState{dead: true}
-	hasDefault := false
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-		}
-		branch := st
-		for _, e := range cc.List {
-			branch = fa.exprEvents(e, branch)
-		}
-		out = mergeFlow(out, fa.stmts(cc.Body, branch))
-	}
-	if !hasDefault {
-		out = mergeFlow(out, st)
-	}
-	return out
-}
+// rangeOnce is false: the path that skips a range loop's body is live.
+func (*flowAnalyzer) rangeOnce() bool { return false }
 
-// exprEvents applies the protocol events inside one statement or
-// expression, in syntactic order — trigger stores set the bit, Wait and
-// Barrier clear it, output-region loads are checked against it. Function
-// literals are not descended into (see runFlowRule).
-func (fa *flowAnalyzer) exprEvents(n ast.Node, st flowState) flowState {
+// scan applies the protocol events inside one statement or expression, in
+// syntactic order — trigger stores set the bit, Wait and Barrier clear it,
+// output-region loads are checked against it. Function literals are not
+// descended into (see runFlowRule).
+func (fa *flowAnalyzer) scan(n ast.Node, st flowState) flowState {
 	info := fa.f.pkg.Info
 	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {

@@ -39,8 +39,12 @@
 // `go list -export` and type-check against compiler export data, so only
 // the standard library is needed. A bottom-up fixpoint over the call graph
 // summarises every function (trigger/wait transfer, output reads, lock
-// effects), and the rules consume call sites through those summaries —
-// see program.go. Everything is an approximation chosen to keep
+// effects), run until no summary changes, and the rules consume call sites
+// through those summaries — see program.go. The path-sensitive analyses
+// (read-before-wait's trigger bit; the held lock set of lockorder, atomics
+// and the lock summaries) run on one statement walker, walk.go, which
+// follows break, continue, labels and calls that never return for all of
+// them alike. Everything is an approximation chosen to keep
 // false positives near zero on idiomatic DTT code; the dynamic sanitizer
 // remains the authority on what actually raced.
 package lint

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -90,41 +91,42 @@ func LockTable() string {
 	return b.String()
 }
 
-// lockState is the dataflow fact of the held-lock walk.
+// lockState is the dataflow fact of the held-lock walk; the zero value is
+// the unreachable path.
 type lockState struct {
+	live bool
 	held map[string]lockAcq
-	dead bool
 }
 
-func (ls lockState) clone() lockState {
-	out := lockState{held: make(map[string]lockAcq, len(ls.held)), dead: ls.dead}
+// entryState is a live state holding keys, acquired at pos.
+func entryState(keys map[string]bool, pos token.Pos) lockState {
+	st := lockState{live: true, held: map[string]lockAcq{}}
+	for key := range keys {
+		st.held[key] = lockAcq{key: key, pos: pos}
+	}
+	return st
+}
+
+func (ls lockState) dead() bool { return !ls.live }
+
+func (ls lockState) clone() lockState { return lockState{live: ls.live, held: maps.Clone(ls.held)} }
+
+// join keeps a lock held only when it is held on both paths
+// (intersection), so the checks never fire on a lock the program might not
+// hold.
+func (ls lockState) join(o lockState) lockState {
+	out := lockState{live: true, held: map[string]lockAcq{}}
 	for k, v := range ls.held {
-		out.held[k] = v
-	}
-	return out
-}
-
-// mergeLock joins two branch states: a lock counts as held only when held
-// on every live path (intersection), so the checks never fire on a lock
-// the program might not hold.
-func mergeLock(a, b lockState) lockState {
-	if a.dead {
-		return b
-	}
-	if b.dead {
-		return a
-	}
-	out := lockState{held: make(map[string]lockAcq)}
-	for k, v := range a.held {
-		if _, ok := b.held[k]; ok {
+		if _, ok := o.held[k]; ok {
 			out.held[k] = v
 		}
 	}
 	return out
 }
 
-// lockWalker walks one function tracking the held set. Consumers hook the
-// events they care about; unset hooks are skipped.
+// lockWalker is the held-lock analysis's hooks on the shared walker
+// (walk.go), with the per-function records its summary reads. Consumers
+// hook the events they care about; unset hooks are skipped.
 type lockWalker struct {
 	f  *facts
 	pr *program
@@ -139,10 +141,10 @@ type lockWalker struct {
 	// (the atomics rule checks guarded field accesses here).
 	onNode func(n ast.Node, held map[string]lockAcq)
 
-	// exit accumulates the held-set join over every function exit; after
-	// walkDecl it is the net "still held by my caller's lights" set (with
-	// deferred releases applied), exported as the summary's exitHeld so
-	// lock helpers propagate their effect to callers.
+	// exit is the held-set join over every function exit; after walkDecl
+	// it is the net "still held by my caller's lights" set (with deferred
+	// releases applied), exported as the summary's exitHeld so lock
+	// helpers propagate their effect to callers.
 	exit lockState
 	// released records keys unlocked while not locally held — releases of
 	// the caller's locks by a release helper.
@@ -154,298 +156,77 @@ type lockWalker struct {
 	// deferredRelease records keys released by deferred Unlocks or
 	// deferred calls to releasing helpers; they apply at function exit.
 	deferredRelease map[string]bool
-	// targets are the statements enclosing the walk's position that a
-	// break or continue can leave, innermost last; labels maps each label
-	// walked to the statement it labels.
-	targets []*breakTarget
-	labels  map[string]ast.Stmt
 }
 
-// walkDecl runs the walker over one declaration body. Function literals
-// inside it are walked as separate functions with an empty held set: a
-// literal's run point is unknowable, so inheriting the definition-site
-// locks could claim protection that is not there.
+// walkDecl walks one declaration from entry, then each function literal
+// inside it from an empty held set (funcLits): inheriting the
+// definition-site locks could claim protection that is not there.
 func (lw *lockWalker) walkDecl(fd *ast.FuncDecl, entry lockState) {
-	if fd.Body == nil {
-		return
-	}
-	lw.exit = lockState{dead: true}
-	lw.released = map[string]bool{}
-	lw.waits = map[string]bool{}
-	lw.deferredRelease = map[string]bool{}
-	out := lw.stmts(fd.Body.List, entry)
-	lw.exit = mergeLock(lw.exit, out)
-	for k := range lw.deferredRelease {
-		if lw.exit.held != nil {
-			if _, ok := lw.exit.held[k]; ok {
-				delete(lw.exit.held, k)
-				continue
-			}
-		}
-		lw.released[k] = true
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			// A literal's returns are not the enclosing function's exits:
-			// give it a sub-walker with its own exit state.
-			sub := &lockWalker{f: lw.f, pr: lw.pr,
-				onAcquire: lw.onAcquire, onCallSite: lw.onCallSite, onNode: lw.onNode,
-				exit:     lockState{dead: true},
-				released: map[string]bool{}, waits: map[string]bool{}, deferredRelease: map[string]bool{}}
-			sub.stmts(lit.Body.List, lockState{held: map[string]lockAcq{}})
-			return false
-		}
-		return true
+	lw.walk(fd.Body, entry)
+	funcLits(fd.Body, func(lit *ast.FuncLit) {
+		sub := &lockWalker{f: lw.f, pr: lw.pr, onAcquire: lw.onAcquire, onCallSite: lw.onCallSite, onNode: lw.onNode}
+		sub.walk(lit.Body, entryState(nil, token.NoPos))
 	})
 }
 
-func (lw *lockWalker) stmts(list []ast.Stmt, st lockState) lockState {
-	for _, s := range list {
-		st = lw.stmt(s, st)
+// walk walks one function body and settles its exit state.
+func (lw *lockWalker) walk(body *ast.BlockStmt, entry lockState) {
+	lw.released, lw.waits, lw.deferredRelease = map[string]bool{}, map[string]bool{}, map[string]bool{}
+	lw.exit = walkBody(lw.pr, lw.f, lw, body, entry)
+	for k := range lw.deferredRelease {
+		if _, ok := lw.exit.held[k]; ok {
+			delete(lw.exit.held, k)
+			continue
+		}
+		lw.released[k] = true
 	}
-	return st
 }
 
-func (lw *lockWalker) stmt(s ast.Stmt, st lockState) lockState {
-	if st.dead {
-		return st
+// cond models both TryLock idioms: the lock is held exactly on the success
+// arm.
+func (lw *lockWalker) cond(e ast.Expr, st lockState) (then, els lockState) {
+	if key, pos, ok := lw.tryLockCall(e, false); ok {
+		return lw.acquire(st.clone(), key, pos), st
 	}
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return lw.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		if lw.labels == nil {
-			lw.labels = map[string]ast.Stmt{}
-		}
-		lw.labels[s.Label.Name] = s.Stmt
-		return lw.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st = lw.stmt(s.Init, st)
-		}
-		// TryLock idioms: the lock is held exactly on the success arm.
-		if key, pos, ok := lw.tryLockCall(s.Cond, false); ok {
-			thenIn := lw.acquire(st.clone(), key, pos)
-			thenOut := lw.stmt(s.Body, thenIn)
-			elseOut := st
-			if s.Else != nil {
-				elseOut = lw.stmt(s.Else, st.clone())
-			}
-			return mergeLock(thenOut, elseOut)
-		}
-		if key, pos, ok := lw.tryLockCall(s.Cond, true); ok {
-			thenOut := lw.stmt(s.Body, st.clone())
-			elseIn := lw.acquire(st.clone(), key, pos)
-			elseOut := elseIn
-			if s.Else != nil {
-				elseOut = lw.stmt(s.Else, elseIn)
-			}
-			return mergeLock(thenOut, elseOut)
-		}
-		st = lw.scan(s.Cond, st)
-		thenOut := lw.stmt(s.Body, st.clone())
-		elseOut := st
-		if s.Else != nil {
-			elseOut = lw.stmt(s.Else, st.clone())
-		}
-		return mergeLock(thenOut, elseOut)
-	case *ast.ForStmt:
-		bt := lw.enter(s, true)
-		defer lw.leave()
-		if s.Init != nil {
-			st = lw.stmt(s.Init, st)
-		}
-		in := st
-		for pass := 0; pass < 2; pass++ {
-			iter := in.clone()
-			if s.Cond != nil {
-				iter = lw.scan(s.Cond, iter)
-			}
-			iter = lw.loopBody(bt, s.Body, iter)
-			if s.Post != nil && !iter.dead {
-				iter = lw.stmt(s.Post, iter)
-			}
-			in = mergeLock(in, iter)
-		}
-		// A loop with no condition exits only through its breaks, never
-		// from the state before it.
-		if s.Cond == nil {
-			return bt.brk
-		}
-		return mergeLock(in, bt.brk)
-	case *ast.RangeStmt:
-		bt := lw.enter(s, true)
-		defer lw.leave()
-		st = lw.scan(s.X, st)
-		// Assume at least one iteration: the ranges that matter here walk
-		// stripe arrays that are non-empty by construction, and a helper
-		// that locks in a loop must export the lock its loop takes.
-		// Three-clause loops keep the zero-iteration join above.
-		out := lw.loopBody(bt, s.Body, st.clone())
-		out = mergeLock(out, lw.loopBody(bt, s.Body, out.clone()))
-		return mergeLock(out, bt.brk)
-	case *ast.SwitchStmt:
-		bt := lw.enter(s, false)
-		defer lw.leave()
-		if s.Init != nil {
-			st = lw.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			st = lw.scan(s.Tag, st)
-		}
-		return mergeLock(lw.caseClauses(s.Body, st), bt.brk)
-	case *ast.TypeSwitchStmt:
-		bt := lw.enter(s, false)
-		defer lw.leave()
-		if s.Init != nil {
-			st = lw.stmt(s.Init, st)
-		}
-		st = lw.scan(s.Assign, st)
-		return mergeLock(lw.caseClauses(s.Body, st), bt.brk)
-	case *ast.SelectStmt:
-		bt := lw.enter(s, false)
-		defer lw.leave()
-		out := lockState{dead: true}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := st.clone()
-			if cc.Comm != nil {
-				branch = lw.stmt(cc.Comm, branch)
-			}
-			out = mergeLock(out, lw.stmts(cc.Body, branch))
-		}
-		return mergeLock(mergeLock(out, st), bt.brk)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			st = lw.scan(r, st)
-		}
-		lw.exit = mergeLock(lw.exit, st.clone())
-		return lockState{dead: true}
-	case *ast.BranchStmt:
-		// A break or continue carries its state to the statement it
-		// leaves; goto and fallthrough are not followed.
-		switch bt := lw.branchTarget(s); {
-		case bt == nil:
-		case s.Tok == token.BREAK:
-			bt.brk = mergeLock(bt.brk, st.clone())
-		default:
-			bt.cont = mergeLock(bt.cont, st.clone())
-		}
-		return lockState{dead: true}
-	case *ast.DeferStmt:
-		// A deferred call runs at return: the lock stays held through the
-		// rest of the body (the walk does not process the release), but the
-		// release is recorded so the function's exit summary does not claim
-		// the lock for its callers. Deferred calls to in-program functions
-		// contribute an empty held set to entry inference.
-		if key, ok := lw.mutexCall(s.Call, "Unlock", "RUnlock"); ok {
-			if key != "" {
-				lw.deferredRelease[key] = true
-			}
-			return st
-		}
-		lw.noteDetachedCall(s.Call)
-		if callee := lw.pr.lookup(calleeOf(lw.f.pkg.Info, s.Call)); callee != nil {
-			for _, k := range callee.sum.exitReleased {
-				lw.deferredRelease[k] = true
-			}
-		}
-		return st
-	case *ast.GoStmt:
-		// A spawned goroutine starts with no locks of ours held.
-		lw.noteDetachedCall(s.Call)
-		return st
-	case *ast.ExprStmt:
-		st = lw.scan(s, st)
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok && lw.noReturn(call) {
-			return lockState{dead: true}
-		}
-		return st
-	case *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
-		return lw.scan(s, st)
+	if key, pos, ok := lw.tryLockCall(e, true); ok {
+		return st.clone(), lw.acquire(st.clone(), key, pos)
 	}
-	return st
+	st = lw.scan(e, st)
+	return st.clone(), st
 }
 
-// noReturn reports whether call never returns: a panic, or a call of a
-// function whose every path ends in one. Its statement ends the path, so the
-// locks a panicking helper releases on its way out are not released for the
-// code after the call.
-func (lw *lockWalker) noReturn(call *ast.CallExpr) bool {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := lw.f.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-			return true
+// detached handles defer and go. A deferred call runs at return: the lock
+// stays held through the rest of the body (the walk does not process the
+// release), but the release is recorded so the function's exit summary
+// does not claim the lock for its callers. A spawned goroutine starts with
+// no locks of ours held, and a deferred call's entry is unknown too: both
+// contribute an empty held set to entry inference.
+func (lw *lockWalker) detached(call *ast.CallExpr, deferred bool) {
+	if key, ok := lw.mutexCall(call, "Unlock", "RUnlock"); ok && deferred {
+		if key != "" {
+			lw.deferredRelease[key] = true
 		}
+		return
 	}
 	callee := lw.pr.lookup(calleeOf(lw.f.pkg.Info, call))
-	return callee != nil && callee.sum.noReturn
-}
-
-// breakTarget is a statement a break can leave — a loop, a switch or a
-// select — or a continue can resume (a loop). brk joins the states the
-// breaks out of it carry, cont those of the continues of one pass of its
-// body.
-type breakTarget struct {
-	stmt      ast.Stmt
-	loop      bool
-	brk, cont lockState
-}
-
-// enter pushes s as the innermost break target; leave pops it.
-func (lw *lockWalker) enter(s ast.Stmt, loop bool) *breakTarget {
-	bt := &breakTarget{stmt: s, loop: loop, brk: lockState{dead: true}}
-	lw.targets = append(lw.targets, bt)
-	return bt
-}
-
-func (lw *lockWalker) leave() { lw.targets = lw.targets[:len(lw.targets)-1] }
-
-// loopBody walks one pass of bt's loop body and joins its continues.
-func (lw *lockWalker) loopBody(bt *breakTarget, body *ast.BlockStmt, in lockState) lockState {
-	bt.cont = lockState{dead: true}
-	return mergeLock(lw.stmt(body, in), bt.cont)
-}
-
-// branchTarget resolves a break or continue to the statement it leaves: the
-// one its label names, else the innermost loop (continue) or break target
-// (break). Nil for goto and fallthrough.
-func (lw *lockWalker) branchTarget(s *ast.BranchStmt) *breakTarget {
-	if s.Tok != token.BREAK && s.Tok != token.CONTINUE {
-		return nil
+	if callee == nil {
+		return
 	}
-	for i := len(lw.targets) - 1; i >= 0; i-- {
-		bt := lw.targets[i]
-		switch {
-		case s.Label != nil:
-			if bt.stmt == lw.labels[s.Label.Name] {
-				return bt
-			}
-		case s.Tok == token.BREAK || bt.loop:
-			return bt
+	if lw.onCallSite != nil {
+		lw.onCallSite(callee, map[string]lockAcq{})
+	}
+	if deferred {
+		for _, k := range callee.sum.exitReleased {
+			lw.deferredRelease[k] = true
 		}
 	}
-	return nil
 }
 
-func (lw *lockWalker) caseClauses(body *ast.BlockStmt, st lockState) lockState {
-	out := lockState{dead: true}
-	hasDefault := false
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-		}
-		branch := st.clone()
-		for _, e := range cc.List {
-			branch = lw.scan(e, branch)
-		}
-		out = mergeLock(out, lw.stmts(cc.Body, branch))
-	}
-	if !hasDefault {
-		out = mergeLock(out, st)
-	}
-	return out
-}
+// rangeOnce assumes at least one iteration: the ranges that matter here
+// walk stripe arrays that are non-empty by construction, and a helper that
+// locks in a loop must export the lock its loop takes. Three-clause loops
+// keep the zero-iteration join.
+func (*lockWalker) rangeOnce() bool { return true }
 
 // scan applies the lock events inside one statement or expression, in
 // syntactic order. Function literals are not descended into (walkDecl
@@ -544,16 +325,6 @@ func (lw *lockWalker) acquire(st lockState, key string, pos token.Pos) lockState
 		st.held[key] = lockAcq{key: key, pos: pos}
 	}
 	return st
-}
-
-// noteDetachedCall reports a defer/go call site with an empty held set.
-func (lw *lockWalker) noteDetachedCall(call *ast.CallExpr) {
-	if lw.onCallSite == nil {
-		return
-	}
-	if callee := lw.pr.lookup(calleeOf(lw.f.pkg.Info, call)); callee != nil {
-		lw.onCallSite(callee, map[string]lockAcq{})
-	}
 }
 
 // mutexCall matches x.f.Name() where Name is one of names and the method's
@@ -665,12 +436,12 @@ func (pr *program) collectLockFacts(fi *funcInfo) (acquires []lockAcq, exitHeld,
 			}
 		},
 	}
-	lw.walkDecl(fi.decl, lockState{held: map[string]lockAcq{}})
+	lw.walkDecl(fi.decl, entryState(nil, token.NoPos))
 	for _, a := range byKey {
 		acquires = append(acquires, a)
 	}
 	sort.Slice(acquires, func(i, j int) bool { return acquires[i].key < acquires[j].key })
-	if !lw.exit.dead {
+	if lw.exit.live {
 		for k := range lw.exit.held {
 			exitHeld = append(exitHeld, k)
 		}
@@ -683,13 +454,13 @@ func (pr *program) collectLockFacts(fi *funcInfo) (acquires []lockAcq, exitHeld,
 			continue
 		}
 		exitReleased = append(exitReleased, k)
-		if !lw.exit.dead && !slices.Contains(exitHeld, k) {
+		if lw.exit.live && !slices.Contains(exitHeld, k) {
 			exitHeld = append(exitHeld, k)
 		}
 	}
 	sort.Strings(exitHeld)
 	sort.Strings(exitReleased)
-	return acquires, exitHeld, exitReleased, lw.exit.dead
+	return acquires, exitHeld, exitReleased, !lw.exit.live
 }
 
 // runLockOrder checks every function against the lattice.
@@ -706,7 +477,7 @@ func runLockOrder(pr *program, f *facts, rep *reporter) {
 					reportLockOrder(rep, f, key, pos, via, held)
 				},
 			}
-			lw.walkDecl(fd, lockState{held: map[string]lockAcq{}})
+			lw.walkDecl(fd, entryState(nil, token.NoPos))
 		}
 	}
 }

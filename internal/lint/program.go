@@ -14,8 +14,9 @@ import (
 // one call deep used to be invisible to the CFG walk; here every function
 // declaration in the loaded packages gets a bottom-up summary (does it
 // leave a trigger outstanding, does it synchronise, which support outputs
-// does it read, which ranked locks does it acquire) computed to a bounded
-// fixpoint so mutual recursion converges.
+// does it read, which ranked locks does it acquire) computed to a fixpoint
+// that runs until nothing changes, so call chains of any depth and mutual
+// recursion converge.
 // The summaries are deliberately instance-insensitive: regions and locks
 // are identified by struct field or package-level variable, so a helper
 // that triggers through a parameter is a documented blind spot (the facts
@@ -304,15 +305,16 @@ func sortedUnique(ss []string) []string {
 // computeSupportOnly finds functions whose every reference sits in
 // support-thread context: inside a registered body, or inside another
 // support-only function. A greatest fixpoint starting from "has refs"
-// knocks entries out until stable. Method-value references count as
+// knocks entries out until none changes; a round that changes something
+// knocks one out, so it ends. Method-value references count as
 // main-context (the invocation point is unknown).
 func (pr *program) computeSupportOnly() {
 	for _, k := range pr.keys {
 		fi := pr.funcs[k]
 		fi.supportOnly = len(fi.refs) > 0
 	}
-	for round := 0; round < 20; round++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		for _, k := range pr.keys {
 			fi := pr.funcs[k]
 			if !fi.supportOnly {
@@ -328,9 +330,6 @@ func (pr *program) computeSupportOnly() {
 					break
 				}
 			}
-		}
-		if !changed {
-			return
 		}
 	}
 }
@@ -354,25 +353,27 @@ func (pr *program) supportOnlyFunc(fn *types.Func) bool {
 	return fi != nil && fi.supportOnly
 }
 
-// summaryRounds bounds the global fixpoint. Flow bits stabilise in one
-// round per call-chain depth; recursion cycles converge because the merge
-// is monotone in practice. The cap is a backstop, not a budget.
-const summaryRounds = 12
-
-// computeSummaries runs the bottom-up fixpoint over all declarations.
+// computeSummaries runs the bottom-up fixpoint over all declarations until
+// no summary changes. A round carries every effect at least one call
+// further up its chain, so no fixpoint takes more rounds than the program
+// has functions: passing that is a bug, and panics naming a function whose
+// summary is still changing.
 func (pr *program) computeSummaries() {
-	for round := 0; round < summaryRounds; round++ {
-		changed := false
+	for round := 0; ; round++ {
+		var changing *funcInfo
 		for _, k := range pr.keys {
 			fi := pr.funcs[k]
 			s := pr.summarize(fi)
 			if !summariesEqual(&fi.sum, &s) {
 				fi.sum = s
-				changed = true
+				changing = fi
 			}
 		}
-		if !changed {
+		if changing == nil {
 			return
+		}
+		if round > len(pr.keys)+1 {
+			panic(fmt.Sprintf("lint: summaries did not converge in %d rounds over %d functions: %s is still changing", round, len(pr.keys), changing.key))
 		}
 	}
 }
@@ -393,14 +394,10 @@ func (pr *program) summarize(fi *funcInfo) funcSummary {
 		if entry {
 			reads = readsTrig
 		}
-		exit := flowState{dead: true}
-		fa := &flowAnalyzer{f: fi.f, prog: pr, sumReads: reads, exit: &exit}
-		final := fa.stmts(fi.decl.Body.List, flowState{triggered: entry})
-		if !final.dead {
-			exit = mergeFlow(exit, final)
-		}
+		fa := &flowAnalyzer{f: fi.f, prog: pr, sumReads: reads}
+		exit := fa.walk(fi.decl.Body, entry)
 		out := entry // a function that never returns keeps the identity transfer
-		if !exit.dead {
+		if exit.live {
 			out = exit.triggered
 		}
 		if entry {
@@ -480,12 +477,6 @@ func (pr *program) computeEntryHeld() {
 		seen := map[string]bool{}
 		for _, k := range pr.keys {
 			fi := pr.funcs[k]
-			entry := lockState{held: map[string]lockAcq{}}
-			if fi.entryHeldKnown {
-				for key := range fi.entryHeld {
-					entry.held[key] = lockAcq{key: key, pos: fi.decl.Pos()}
-				}
-			}
 			lw := &lockWalker{
 				f: fi.f, pr: pr,
 				onCallSite: func(callee *funcInfo, held map[string]lockAcq) {
@@ -506,7 +497,7 @@ func (pr *program) computeEntryHeld() {
 					}
 				},
 			}
-			lw.walkDecl(fi.decl, entry)
+			lw.walkDecl(fi.decl, entryState(fi.entryHeld, fi.decl.Pos()))
 		}
 		changed := false
 		for _, k := range pr.keys {

@@ -83,6 +83,12 @@ func TestCallGraph(t *testing.T) {
 		t.Error("pipe.sync summary: exitIfTriggered = true, want false (Wait clears the bit)")
 	}
 
+	// settle's break leaves its loop between a store and the Wait, so a
+	// caller that enters clean may leave with a trigger outstanding.
+	if !mustFunc(t, pr, "pipe.settle").sum.exitIfClean {
+		t.Error("pipe.settle summary: exitIfClean = false, want true (its break skips the Wait)")
+	}
+
 	// result's summary carries the hidden output read.
 	res := mustFunc(t, pr, "pipe.result")
 	if len(res.sum.reads) == 0 {
@@ -112,8 +118,8 @@ func TestInterprocFindsHiddenHazards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
-	if n := len(full.Diagnostics); n != 3 {
-		t.Errorf("interprocedural run: %d read-before-wait findings, want 3 (HiddenTrigger, HiddenRead, Recursive): %v",
+	if n := len(full.Diagnostics); n != 4 {
+		t.Errorf("interprocedural run: %d read-before-wait findings, want 4 (HiddenTrigger, HiddenRead, BreakInHelper, Recursive): %v",
 			n, full.Diagnostics)
 	}
 

@@ -75,6 +75,28 @@ func HiddenWait() dtt.Word {
 	return p.out.Load(0)
 }
 
+// settle waits for sq after each store, but its break leaves the loop
+// between a store and its Wait: its summary must export "trigger may be
+// outstanding" for a caller that enters clean.
+func (p *pipe) settle(vs []dtt.Word) {
+	for _, v := range vs {
+		p.in.TStore(0, v)
+		if v == 0 {
+			break
+		}
+		p.sync()
+	}
+}
+
+// BreakInHelper: settle's break path leaves the trigger outstanding, so
+// the hidden read in result is reported at its call with the chain.
+func BreakInHelper() dtt.Word {
+	p := newPipe()
+	defer p.rt.Close()
+	p.settle([]dtt.Word{1, 0, 2})
+	return p.result() // want: read-before-wait
+}
+
 // fireEven / fireOdd are mutually recursive: the triggering store escapes
 // through an arbitrary recursion depth. The summary fixpoint must converge
 // on exitIfClean = true for both.

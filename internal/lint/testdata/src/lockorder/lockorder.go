@@ -141,3 +141,32 @@ func RelockHelper(rt *Runtime) {
 	relock(rt.d) // want: lockorder
 	rt.d.mu.Unlock()
 }
+
+// lockVia01 … lockVia16 hide the Runtime.mu acquisition sixteen calls
+// deep. Each caller's key sorts before its callee's, so the summaries learn
+// the chain one link a round: the fixpoint must run until nothing changes,
+// however long the chain.
+func lockVia01(rt *Runtime) { lockVia02(rt) }
+func lockVia02(rt *Runtime) { lockVia03(rt) }
+func lockVia03(rt *Runtime) { lockVia04(rt) }
+func lockVia04(rt *Runtime) { lockVia05(rt) }
+func lockVia05(rt *Runtime) { lockVia06(rt) }
+func lockVia06(rt *Runtime) { lockVia07(rt) }
+func lockVia07(rt *Runtime) { lockVia08(rt) }
+func lockVia08(rt *Runtime) { lockVia09(rt) }
+func lockVia09(rt *Runtime) { lockVia10(rt) }
+func lockVia10(rt *Runtime) { lockVia11(rt) }
+func lockVia11(rt *Runtime) { lockVia12(rt) }
+func lockVia12(rt *Runtime) { lockVia13(rt) }
+func lockVia13(rt *Runtime) { lockVia14(rt) }
+func lockVia14(rt *Runtime) { lockVia15(rt) }
+func lockVia15(rt *Runtime) { lockVia16(rt) }
+func lockVia16(rt *Runtime) { rt.mu.Lock() }
+
+// BadDeepChain: the BadDeep inversion, sixteen helpers down.
+func BadDeepChain(rt *Runtime) {
+	rt.d.mu.Lock()
+	lockVia01(rt) // want: lockorder
+	rt.mu.Unlock()
+	rt.d.mu.Unlock()
+}

@@ -213,3 +213,154 @@ func UpdateNegative() dtt.Word {
 	rt.Barrier()
 	return out.Load(0)
 }
+
+// The cases below hold read-before-wait to the paths break, continue and
+// calls that never return take. Each function keeps its regions inline: a
+// region a helper returns has no identity the rule can follow.
+
+// BreakSkipsWait: the break leaves the loop with the last trigger still
+// outstanding, so the load after the loop is reachable unsynchronised.
+func BreakSkipsWait(n int) dtt.Word {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	out := rt.NewRegion("out", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {
+		out.Store(tg.Index, 1)
+	})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+	for i := 0; i < n; i++ {
+		data.TStore(0, dtt.Word(i))
+		if i == 3 {
+			break
+		}
+		rt.Wait(sq)
+	}
+	return out.Load(0) // want: read-before-wait
+}
+
+// ContinueSkipsWait: the continue carries the trigger to the next
+// iteration's load at the loop head.
+func ContinueSkipsWait(n int) dtt.Word {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	out := rt.NewRegion("out", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {
+		out.Store(tg.Index, 1)
+	})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+	var acc dtt.Word
+	for i := 0; i < n; i++ {
+		acc += out.Load(0) // want: read-before-wait
+		data.TStore(0, dtt.Word(i))
+		if i%2 == 0 {
+			continue
+		}
+		rt.Wait(sq)
+	}
+	rt.Barrier()
+	return acc
+}
+
+// SwitchBreak: a break out of a switch case skips the case's Wait.
+func SwitchBreak(mode int, skip bool) dtt.Word {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	out := rt.NewRegion("out", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {
+		out.Store(tg.Index, 1)
+	})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+	data.TStore(0, 1)
+	switch mode {
+	case 0:
+		if skip {
+			break
+		}
+		rt.Wait(sq)
+	default:
+		rt.Barrier()
+	}
+	return out.Load(0) // want: read-before-wait
+}
+
+// LabelledBreak: the labelled break leaves both loops from between the
+// inner loop's store and its Wait.
+func LabelledBreak(n int) dtt.Word {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	out := rt.NewRegion("out", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {
+		out.Store(tg.Index, 1)
+	})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+outer:
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			data.TStore(0, dtt.Word(i+j))
+			if j == i {
+				break outer
+			}
+			rt.Wait(sq)
+		}
+	}
+	return out.Load(0) // want: read-before-wait
+}
+
+// ForeverExitsAfterWait: a loop with no condition leaves only through its
+// break, which follows a Wait; the store before the loop cannot reach the
+// load after it. Clean.
+func ForeverExitsAfterWait() dtt.Word {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	out := rt.NewRegion("out", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {
+		out.Store(tg.Index, 1)
+	})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+	data.TStore(0, 1)
+	for {
+		rt.Wait(sq)
+		if out.Load(0) != 0 {
+			break
+		}
+		data.TStore(0, 2)
+	}
+	return out.Load(0)
+}
+
+// PanicEndsPath: the branch that skips the Wait never returns, so no path
+// reaches the load with the trigger outstanding. Clean.
+func PanicEndsPath(ok bool) dtt.Word {
+	rt := newRT()
+	defer rt.Close()
+	data := rt.NewRegion("data", 8)
+	out := rt.NewRegion("out", 8)
+	sq := rt.Register("sq", func(tg dtt.Trigger) {
+		out.Store(tg.Index, 1)
+	})
+	if err := rt.Attach(sq, data, 0, 8); err != nil {
+		panic(err)
+	}
+	data.TStore(0, 1)
+	if ok {
+		rt.Wait(sq)
+	} else {
+		panic("no result")
+	}
+	return out.Load(0)
+}

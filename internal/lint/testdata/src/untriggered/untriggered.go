@@ -103,3 +103,50 @@ func UpdateOK() {
 	data.TUpdateBatch(2, dtt.UpdMax, []dtt.Word{3, 4})
 	rt.Barrier()
 }
+
+// deepStore holds the region a 22-helper chain stores to.
+type deepStore struct {
+	b *dtt.Region
+}
+
+// storeVia01 … storeVia22: DeepChain reaches the plain Store in storeVia01
+// through twenty-one helpers. Each callee's key sorts before its caller's,
+// so support-only inference learns one link a round that the chain runs in
+// main context: it must run until nothing changes, however long the chain.
+func storeVia01(x *deepStore) {
+	x.b.Store(0, 1) // want: untriggered-write
+}
+func storeVia02(x *deepStore) { storeVia01(x) }
+func storeVia03(x *deepStore) { storeVia02(x) }
+func storeVia04(x *deepStore) { storeVia03(x) }
+func storeVia05(x *deepStore) { storeVia04(x) }
+func storeVia06(x *deepStore) { storeVia05(x) }
+func storeVia07(x *deepStore) { storeVia06(x) }
+func storeVia08(x *deepStore) { storeVia07(x) }
+func storeVia09(x *deepStore) { storeVia08(x) }
+func storeVia10(x *deepStore) { storeVia09(x) }
+func storeVia11(x *deepStore) { storeVia10(x) }
+func storeVia12(x *deepStore) { storeVia11(x) }
+func storeVia13(x *deepStore) { storeVia12(x) }
+func storeVia14(x *deepStore) { storeVia13(x) }
+func storeVia15(x *deepStore) { storeVia14(x) }
+func storeVia16(x *deepStore) { storeVia15(x) }
+func storeVia17(x *deepStore) { storeVia16(x) }
+func storeVia18(x *deepStore) { storeVia17(x) }
+func storeVia19(x *deepStore) { storeVia18(x) }
+func storeVia20(x *deepStore) { storeVia19(x) }
+func storeVia21(x *deepStore) { storeVia20(x) }
+func storeVia22(x *deepStore) { storeVia21(x) }
+
+// DeepChain: the Positive store, twenty-two calls down.
+func DeepChain() {
+	rt := newRT()
+	defer rt.Close()
+	x := &deepStore{b: rt.NewRegion("b", 8)}
+	sq := rt.Register("sq", func(tg dtt.Trigger) {})
+	if err := rt.Attach(sq, x.b, 0, 8); err != nil {
+		panic(err)
+	}
+	storeVia22(x)
+	rt.Barrier()
+}

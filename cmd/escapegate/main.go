@@ -94,8 +94,9 @@ var pinned = map[string][]string{
 		"Runtime.runInlineLocked",
 	},
 	"internal/mem": {
-		"DeltaPlane.Apply",
 		"DeltaPlane.ApplyBatch",
+		"DeltaPlane.Collect",
+		"DeltaPlane.fold",
 		"DeltaPlane.Hint",
 		"deltaStripe.apply",
 	},

@@ -57,7 +57,7 @@ func TestSyntheticViolation(t *testing.T) {
 
 // TestExemptions: panic-argument allocations and //dtt:escape-ok lines are
 // screened, not flagged. Both sites exist in the real tree: tstoreBatch's
-// range panic and DeltaPlane.Apply's first-touch stripe allocation.
+// range panic and DeltaPlane.ApplyBatch's first-touch stripe allocation.
 func TestExemptions(t *testing.T) {
 	idx, err := buildIndex("../..", pinned)
 	if err != nil {
@@ -72,7 +72,7 @@ func TestExemptions(t *testing.T) {
 			break
 		}
 	}
-	sp = idx.funcs[okFile]["DeltaPlane.Apply"]
+	sp = idx.funcs[okFile]["DeltaPlane.ApplyBatch"]
 	for l := range idx.okLine[okFile] {
 		if sp.contains(l) {
 			okLine = l
@@ -80,11 +80,11 @@ func TestExemptions(t *testing.T) {
 		}
 	}
 	if panicLine == 0 || okLine == 0 {
-		t.Fatalf("expected a panic inside tstoreBatch and an escape-ok line inside DeltaPlane.Apply (got %d, %d)", panicLine, okLine)
+		t.Fatalf("expected a panic inside tstoreBatch and an escape-ok line inside DeltaPlane.ApplyBatch (got %d, %d)", panicLine, okLine)
 	}
 	violations, screened := idx.check([]diag{
 		{file: panicFile, line: panicLine, msg: "fmt.Sprintf(...) escapes to heap"},
-		{file: okFile, line: okLine, msg: "make([]deltaCell, p.words) escapes to heap"},
+		{file: okFile, line: okLine, msg: "make([]deltaCell, p.buf.Len()) escapes to heap"},
 		{file: okFile, line: okLine + 1, msg: "moved to heap: y"}, // comment on the line above also exempts
 	})
 	if len(violations) != 0 {

@@ -336,7 +336,7 @@ func TestClaimCancelMidRun(t *testing.T) {
 		if got := tokenOf(rt, th); got != 0 {
 			t.Fatalf("the run token still counts %d instances after the run settled", got)
 		}
-		if qc := rt.QueueCounters(); qc.Dequeued != span+crowdRan || qc.SquashedOut != 0 {
+		if qc := queueCounters(rt); qc.Dequeued != span+crowdRan || qc.SquashedOut != 0 {
 			t.Fatalf("queue counters %+v: the claimed run had left the queue before the Cancel", qc)
 		}
 		assertIdentities(t, rt, "cancel")

@@ -233,7 +233,7 @@ func runWritePlane(t *testing.T, cfg Config, plane writePlane, cancel, overlap3 
 		mem: append(in.Snapshot(), out.Snapshot()...),
 		dispatch: Stats{Fired: st.Fired, Enqueued: st.Enqueued, Squashed: st.Squashed, Overflowed: st.Overflowed,
 			InlineRuns: st.InlineRuns, Dropped: st.Dropped, Executed: st.Executed},
-		qc: rt.QueueCounters(),
+		qc: queueCounters(rt),
 	}
 	if side != nil {
 		run.mem = append(run.mem, side.Snapshot()...)
@@ -439,7 +439,7 @@ func TestDispatchStress(t *testing.T) {
 	// Every dequeued entry was executed — no panics in this workload —
 	// except the unstarted rest of a run a worker had claimed when the one
 	// Cancel landed: those left the queue and settled as cancelled work.
-	qc := rt.QueueCounters()
+	qc := queueCounters(rt)
 	if dropped := qc.Dequeued - st.Executed; dropped < 0 || dropped >= claimMax {
 		t.Fatalf("Executed %d vs Dequeued %d in a panic-free workload with one Cancel: the gap must be in [0, claimMax)", st.Executed, qc.Dequeued)
 	}

@@ -128,7 +128,7 @@ func runFuzzProgram(t *testing.T, fc fuzzConfig, ops []byte) fuzzState {
 		st.out[i] = uint64(out.Load(i))
 	}
 	st.stats = rt.Stats()
-	st.qc = rt.QueueCounters()
+	st.qc = queueCounters(rt)
 
 	if err := rt.CheckErr(); err != nil {
 		t.Fatalf("sanitizer violation in a protocol-correct program: %v", err)

@@ -875,7 +875,7 @@ const stageMax = 64
 // while every worker runs a body. They are flushed (flushLocked) by the store
 // that fills the stage, by the first write that takes the dispatch lock
 // itself, by every sync point that reads or changes queue state — Wait,
-// Barrier, Status, Stats, QueueCounters, Attach, Cancel, Close — and by a
+// Barrier, Status, Stats, ShardCounters, Attach, Cancel, Close — and by a
 // worker that finds nothing to claim, before it sleeps. The runtime has one,
 // on the immediate backend, when its queue holds two full stages and no
 // checker or recorder watches admission.
@@ -1455,19 +1455,15 @@ func (rt *Runtime) Status(t ThreadID) queue.Status {
 	return queue.StatusIdle
 }
 
-// QueueCounters returns the thread queue's lifetime counters (see
-// queue.Counters for the invariant they obey), staged words flushed first.
-func (rt *Runtime) QueueCounters() queue.Counters {
+// ShardCounters returns the thread queue's lifetime counters (see
+// queue.Counters for the invariant they obey), staged words flushed first,
+// as a one-element slice: the shape of the per-shard breakdown the runtime
+// reported when its queue was split.
+func (rt *Runtime) ShardCounters() []queue.Counters {
 	rt.d.mu.Lock()
 	defer rt.d.mu.Unlock()
 	rt.flushHeld()
-	return rt.d.tq.Counters()
-}
-
-// ShardCounters returns QueueCounters as a one-element slice, the shape of
-// the per-shard breakdown the runtime reported when its queue was split.
-func (rt *Runtime) ShardCounters() []queue.Counters {
-	return []queue.Counters{rt.QueueCounters()}
+	return []queue.Counters{rt.d.tq.Counters()}
 }
 
 // Close seals the thread queue, so every later trigger that is not squashed

@@ -394,7 +394,7 @@ func TestReattachAfterCancelStartsClean(t *testing.T) {
 	data.TStore(0, 1)
 	data.TStore(1, 1)
 	rt.Cancel(id)
-	if qc := rt.QueueCounters(); qc.Enqueued != 2 || qc.SquashedOut != 2 {
+	if qc := queueCounters(rt); qc.Enqueued != 2 || qc.SquashedOut != 2 {
 		t.Fatalf("queue counters %+v, want both pending entries squashed out by the Cancel", qc)
 	}
 	if err := rt.Attach(id, data, 0, 4); err != nil {

@@ -59,6 +59,10 @@ func expectStaged(t *testing.T, rt *Runtime, n int, what string) {
 	}
 }
 
+// queueCounters reads the thread queue's lifetime counters, staged words
+// flushed first.
+func queueCounters(rt *Runtime) queue.Counters { return rt.ShardCounters()[0] }
+
 // expectIdentities checks the Stats identities at quiescence.
 func expectIdentities(t *testing.T, rt *Runtime, phase string) Stats {
 	t.Helper()
@@ -248,7 +252,7 @@ func TestStageCancelKeepsIdentities(t *testing.T) {
 	}
 	plug := plugWorker(t, rt)
 	s0 := rt.Stats()
-	q0 := rt.QueueCounters()
+	q0 := queueCounters(rt)
 
 	in.TStore(0, 1)
 	expectStaged(t, rt, 1, "the store before the Cancel")
@@ -259,7 +263,7 @@ func TestStageCancelKeepsIdentities(t *testing.T) {
 	plug.open()
 	rt.Barrier()
 	s := expectIdentities(t, rt, "after Barrier")
-	q := rt.QueueCounters()
+	q := queueCounters(rt)
 	if s.Fired-s0.Fired != 1 || s.Enqueued-s0.Enqueued != 1 || q.SquashedOut-q0.SquashedOut != 1 {
 		t.Fatalf("the staged store cancelled: Fired +%d, Enqueued +%d, SquashedOut +%d, want +1 each",
 			s.Fired-s0.Fired, s.Enqueued-s0.Enqueued, q.SquashedOut-q0.SquashedOut)

@@ -222,7 +222,7 @@ func TestStatusLifecycle(t *testing.T) {
 			r.expectRow(r.th, statusRow{}, "cancelled")
 			r.unhold()
 			within(t, "Barrier", r.rt.Barrier)
-			if qc := r.rt.QueueCounters(); qc.SquashedOut != 3 {
+			if qc := queueCounters(r.rt); qc.SquashedOut != 3 {
 				t.Fatalf("SquashedOut = %d, want 3", qc.SquashedOut)
 			}
 		}},

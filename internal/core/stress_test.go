@@ -208,7 +208,7 @@ func TestInlineOverflowConcurrentCascades(t *testing.T) {
 	if s.Fired != s.Enqueued+s.Squashed+s.Overflowed {
 		t.Fatalf("conservation broken: %+v", s)
 	}
-	qc := rt.QueueCounters()
+	qc := queueCounters(rt)
 	if qc.Enqueued != qc.Dequeued+qc.SquashedOut {
 		t.Fatalf("queue conservation broken after quiesce: %+v", qc)
 	}

@@ -138,7 +138,7 @@ func TestTelemetrySnapshotConsistency(t *testing.T) {
 			t.Fatalf("dtt_queue_len = %d after Barrier, want 0", g.Value)
 		}
 	}
-	deq := rt.QueueCounters().Dequeued
+	deq := queueCounters(rt).Dequeued
 
 	hists := make(map[string]telemetry.HistogramSnapshot)
 	for _, h := range snap.Histograms {

@@ -5,11 +5,13 @@
 // word and fires per change; TUpdate instead folds a declared-commutative
 // op (add, min, max, and, or, set) into a per-producer-stripe privatized
 // delta cell (mem.DeltaPlane) — no cross-producer contention, no
-// allocation — and defers the trigger to the *merge*, when the net
-// pending effect is applied to memory. Deduplication thereby generalizes
-// from "value unchanged" to "net effect unchanged": a merge that nets to
-// the value already in memory is a silent merge, the squash-equivalent,
-// and fires nothing.
+// allocation — and defers the trigger to the *merge*. A merge is one fold:
+// DeltaPlane.Collect folds every stripe's pending phases straight onto
+// their words' values, and the runtime stores each folded value as a
+// triggering store. Deduplication thereby generalizes from "value
+// unchanged" to "net effect unchanged": a merge that nets to the value
+// already in memory is a silent merge, the squash-equivalent, and fires
+// nothing.
 //
 // # Merge points and visibility
 //
@@ -26,17 +28,17 @@
 // (the compare-and-store, the write hook, an interval test per word, then
 // admitRunLocked — coverage re-check, Fired identity), so the
 // trigger-observable semantics match a TStore of the merged value. The words
-// reach admission in the delta plane's dirty order, not sorted; runs of them
-// that stay in one thread's window enter the ring in one EnqueueRun each. A merge
-// is a bulk operation over privatized deltas, not N scalar stores: it
-// resolves the attachments overlapping its region against one registry
-// snapshot, once, writes its words and tests each against those candidates
-// — so, like a batch, a merge orders wholly before or wholly after a
-// concurrent Attach/Cancel — and admits the covered words under one hold of
-// the dispatch lock (dispatchFired, as every triggering write does), which
-// first flushes the stage: a scalar store staged before the merge is admitted
-// ahead of the merge's words. On the seeded backend the whole merge is one
-// preemption point at its end, like a batch.
+// reach admission in the order Collect first met them, not sorted; runs of
+// them that stay in one thread's window enter the ring in one EnqueueRun
+// each. A merge is a bulk operation over privatized deltas, not N scalar
+// stores: it resolves the attachments overlapping its region against one
+// registry snapshot, once, writes its words and tests each against those
+// candidates — so, like a batch, a merge orders wholly before or wholly
+// after a concurrent Attach/Cancel — and admits the covered words under one
+// hold of the dispatch lock (dispatchFired, as every triggering write
+// does), which first flushes the stage: a scalar store staged before the
+// merge is admitted ahead of the merge's words. On the seeded backend the
+// whole merge is one preemption point at its end, like a batch.
 //
 // # Lock order
 //
@@ -98,7 +100,7 @@ func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 	if u := r.upd.Load(); u != nil {
 		return u
 	}
-	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), defaultParallelism(rt.cfg.Backend == BackendImmediate))}
+	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf, defaultParallelism(rt.cfg.Backend == BackendImmediate))}
 	var grown []*updatePlane
 	if ps := rt.updPlanes.Load(); ps != nil {
 		grown = append(grown, *ps...)
@@ -109,11 +111,12 @@ func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 	return u
 }
 
-// TUpdate folds a commutative op into word i's privatized delta: the
-// producer-side cost is one stripe-local lock and a cell write, with no
-// cross-producer contention and no allocation in the steady state. The
-// trigger fires on merge (see package comment in update.go); until then
-// memory is unchanged and nothing dispatches.
+// TUpdate folds a commutative op into word i's privatized delta, through
+// ApplyBatch on a one-word span: the producer-side cost is one
+// stripe-local lock and a cell write, with no cross-producer contention
+// and no allocation in the steady state. The trigger fires on merge (see
+// package comment in update.go); until then memory is unchanged and
+// nothing dispatches.
 //
 // Mixing TUpdate with direct TStore/Store on the same word is legal only
 // when a merge point separates them (merge order against an unmerged
@@ -134,7 +137,8 @@ func (r *Region) TUpdate(i int, op mem.UpdateOp, v mem.Word) {
 	if u == nil {
 		u = r.rt.armUpdates(r)
 	}
-	u.plane.Apply(u.plane.Hint(), i, op, v)
+	one := [1]mem.Word{v}
+	u.plane.ApplyBatch(u.plane.Hint(), i, op, one[:])
 }
 
 // TUpdateBatch folds vs[j] into words lo+j under a single stripe lock,
@@ -177,13 +181,13 @@ func (rt *Runtime) mergeAllPlanes() {
 	}
 }
 
-// mergePlane collects a plane's pending deltas and applies the net effect
-// word by word: each changed word stores and fires like a triggering store
-// of the merged value; a word whose net effect is the value already in
-// memory is a silent merge and fires nothing. The covered changed words are
-// admitted together at the end, still under the merge lock, the dispatch lock
-// taken once. block selects a blocking acquisition of the merge lock (sync points)
-// versus try-and-skip (Load).
+// mergePlane folds a plane's pending deltas onto their words (Collect) and
+// stores each folded value: a changed word stores and fires like a
+// triggering store of the merged value; a word whose net effect is the
+// value already in memory is a silent merge and fires nothing. The covered
+// changed words are admitted together at the end, still under the merge
+// lock, the dispatch lock taken once. block selects a blocking acquisition
+// of the merge lock (sync points) versus try-and-skip (Load).
 func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	if block {
 		u.mergeMu.Lock()
@@ -197,8 +201,8 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		return
 	}
 	t0 := rt.obs.clock()
-	p := u.plane
-	n := p.Collect()
+	merged := u.plane.Collect()
+	n := len(merged)
 	if n == 0 {
 		u.mergeMu.Unlock()
 		return
@@ -212,19 +216,15 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	// the attachments overlapping r's span are the candidates of each.
 	sc.begin(rt.reg.Snapshot(), r.buf.Addr(0), r.buf.Addr(r.buf.Len()))
 	changed := 0
-	for k := 0; k < n; k++ {
-		i := p.MergeIndex(k)
-		// LoadQuiet: folding reads the base value as part of applying a
-		// store, not as a workload load — it must not reach probes. The
-		// merge store itself is a real store on the merging agent's clock
+	for _, m := range merged {
+		// The merge store is a real store on the merging agent's clock
 		// (merge is the visibility point), charged, checked and fired as a
 		// tstore of the merged value.
-		_, v := p.MergeWord(k, r.buf.LoadQuiet(i))
-		wrote := r.buf.Store(i, v)
-		rt.obs.write(r, i, wrote, g)
+		wrote := r.buf.Store(m.Index, m.Value)
+		rt.obs.write(r, m.Index, wrote, g)
 		if wrote {
 			changed++
-			if addr := r.buf.Addr(i); covers(sc.cands, addr) {
+			if addr := r.buf.Addr(m.Index); covers(sc.cands, addr) {
 				sc.words = append(sc.words, addr)
 			}
 		}

@@ -135,7 +135,7 @@ func TestTUpdateEquivalence(t *testing.T) {
 
 				observe := func(rt *Runtime, play func(data *Region)) ([]mem.Word, map[int]mem.Word) {
 					data := rt.NewRegion("data", words)
-					rt.armUpdates(data).plane = mem.NewDeltaPlane(words, stripes)
+					rt.armUpdates(data).plane = mem.NewDeltaPlane(data.buf, stripes)
 					var mu sync.Mutex
 					seen := make(map[int]mem.Word)
 					id := rt.Register("obs", func(tg Trigger) {

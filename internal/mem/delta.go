@@ -6,14 +6,15 @@
 // counter-shaped regions stop serializing every producer through the
 // buffer word and the dispatch lock. Nothing reaches the real Buffer —
 // and so nothing can trigger a support thread — until a *merge* collects
-// the net pending effect of every stripe and applies it word by word.
-// That generalizes the triggering store's dedup from "value unchanged"
-// to "net effect unchanged": a +5 followed by a -5 merges silently.
+// every stripe's pending phases and folds them, in one pass, onto the
+// words they name. That generalizes the triggering store's dedup from
+// "value unchanged" to "net effect unchanged": a +5 followed by a -5
+// merges silently.
 //
-// The plane is storage and folding only. Merge policy (when), trigger
-// dispatch (what fires) and visibility rules live in the runtime; the
-// contract here is that exactly one merger at a time calls
-// Collect/MergeWord (the runtime's per-plane merge lock enforces it)
+// The plane is storage and folding only. Merge policy (when), the store of
+// each merged value, trigger dispatch (what fires) and visibility rules
+// live in the runtime; the contract here is that exactly one merger at a
+// time calls Collect (the runtime's per-plane merge lock enforces it)
 // while producers keep applying concurrently.
 package mem
 
@@ -45,7 +46,7 @@ const (
 	// UpdOr is bitwise OR (set union on bit sets).
 	UpdOr
 	// UpdSet overwrites: last writer wins. The winner is deterministic
-	// only among ops folded into the same stripe (replayed in application
+	// only among ops folded into the same stripe (merged in application
 	// order); across stripes the merge's stripe-visit order decides. On a
 	// single-stripe plane — every single-goroutine backend — that makes
 	// one producer's last value exact; on a multi-stripe plane even one
@@ -82,8 +83,9 @@ func (op UpdateOp) String() string {
 
 // Combine folds operand b (the newer value) into accumulator a. The same
 // function serves both producer-side folding (a = pending, b = operand)
-// and merge-time application (a = memory, b = folded pending): for every
-// op, folding then applying equals applying each operand in order.
+// and the merge's fold (a = the word's value so far, b = a collected
+// phase): for every op, folding then applying equals applying each
+// operand in order.
 func (op UpdateOp) Combine(a, b Word) Word {
 	switch op {
 	case UpdAdd:
@@ -116,7 +118,7 @@ type deltaCell struct {
 
 // stripePend is a displaced accumulation: when a producer switches ops on
 // a cell mid-epoch (add then set, say), the old (op, val) moves here so
-// the merge can replay the two phases in order.
+// the merge can fold the two phases in order.
 type stripePend struct {
 	val Word
 	idx int32
@@ -142,51 +144,42 @@ type deltaStripe struct {
 
 // DeltaPlane is the striped privatized replica of one Buffer.
 type DeltaPlane struct {
-	words   int
+	buf     *Buffer
 	smask   uint32
 	stripes []deltaStripe
 
 	// pending approximates the number of distinct dirty (stripe, word)
 	// cells. It is the lock-free "anything to merge?" probe; it can
-	// transiently lag a concurrent Apply, which is why Wait/Barrier merge
-	// under a blocking lock.
+	// transiently lag a concurrent ApplyBatch, which is why Wait/Barrier
+	// merge under a blocking lock.
 	pending atomic.Int64
 
 	// Merge scratch, touched only under the runtime's per-plane merge
-	// lock. mergeIdx lists distinct dirty words in collection order;
-	// mergeSeq holds per-word ordered (op, val) chains linked through
-	// next so mixed-op epochs replay in application order.
-	mergeIdx []int32
-	mergeSeq []pendingOp
-	has      []bool
-	head     []int32
-	tail     []int32
+	// lock. merged lists a Collect's words in first-meeting order with
+	// their folded values; slot maps a word to its position in merged
+	// plus one, zero when a Collect has not met it yet.
+	merged []MergedWord
+	slot   []int32
 }
 
-type pendingOp struct {
-	val  Word
-	idx  int32
-	next int32
-	op   UpdateOp
+// MergedWord is one word a Collect folded: its index in the shadowed
+// buffer and its value with every collected phase applied.
+type MergedWord struct {
+	Index int
+	Value Word
 }
 
-// NewDeltaPlane returns a plane shadowing a buffer of words words with
-// stripes producer stripes (rounded up to a power of two, minimum 1).
-// Cell storage is allocated per stripe on first touch, so idle stripes
-// cost one padded header.
-func NewDeltaPlane(words, stripes int) *DeltaPlane {
-	if words < 0 {
-		panic(fmt.Sprintf("mem: NewDeltaPlane with negative size %d", words))
-	}
+// NewDeltaPlane returns a plane shadowing buf with stripes producer
+// stripes (rounded up to a power of two, minimum 1). Cell storage is
+// allocated per stripe on first touch, so idle stripes cost one padded
+// header.
+func NewDeltaPlane(buf *Buffer, stripes int) *DeltaPlane {
 	n := 1
 	for n < stripes {
 		n <<= 1
 	}
-	return &DeltaPlane{words: words, smask: uint32(n - 1), stripes: make([]deltaStripe, n)}
+	return &DeltaPlane{buf: buf, smask: uint32(n - 1), stripes: make([]deltaStripe, n)}
 }
-
-// Words returns the shadowed buffer's length.
-func (p *DeltaPlane) Words() int { return p.words }
 
 // StripeCount returns the number of producer stripes.
 func (p *DeltaPlane) StripeCount() int { return len(p.stripes) }
@@ -204,7 +197,7 @@ func (p *DeltaPlane) Pending() int64 { return p.pending.Load() }
 // with stack depth (different call sites) and moves when the stack grows,
 // so one goroutine's successive ops can land on different stripes. That
 // only spreads contention — every commutative op merges to the same net
-// effect regardless of stripe — but it means per-producer replay order is
+// effect regardless of stripe — but it means per-producer fold order is
 // NOT preserved across stripes; see UpdSet and Collect. (A goroutine-
 // stable key would need a goid lookup per op, which costs a stack read —
 // orders of magnitude more than the whole fold.)
@@ -214,23 +207,9 @@ func (p *DeltaPlane) Hint() uint32 {
 	return uint32((h*0x9E3779B97F4A7C15)>>33) & p.smask
 }
 
-// Apply folds (op, v) into word i of stripe s (masked into range).
-func (p *DeltaPlane) Apply(s uint32, i int, op UpdateOp, v Word) {
-	st := &p.stripes[s&p.smask]
-	st.mu.Lock()
-	if st.cells == nil {
-		st.cells = make([]deltaCell, p.words) //dtt:escape-ok -- first-touch stripe allocation; steady state re-uses it
-	}
-	newly := st.apply(i, op, v)
-	st.ops++
-	st.mu.Unlock()
-	if newly {
-		p.pending.Add(1)
-	}
-}
-
-// ApplyBatch folds vs[j] into words lo+j of stripe s under one stripe
-// lock, amortizing the lock and the counter maintenance across the span.
+// ApplyBatch folds vs[j] into words lo+j of stripe s (masked into range)
+// under one stripe lock, amortizing the lock and the counter maintenance
+// across the span. A scalar update is a one-word span.
 //
 // The op dispatch is hoisted out of the per-word loop. In both loops the
 // warm path (cell already accumulating under the same op) is one combine
@@ -242,7 +221,7 @@ func (p *DeltaPlane) ApplyBatch(s uint32, lo int, op UpdateOp, vs []Word) {
 	st := &p.stripes[s&p.smask]
 	st.mu.Lock()
 	if st.cells == nil {
-		st.cells = make([]deltaCell, p.words) //dtt:escape-ok -- first-touch stripe allocation; steady state re-uses it
+		st.cells = make([]deltaCell, p.buf.Len()) //dtt:escape-ok -- first-touch stripe allocation; steady state re-uses it
 	}
 	cells := st.cells[lo : lo+len(vs)]
 	newly := 0
@@ -293,55 +272,68 @@ func (st *deltaStripe) apply(i int, op UpdateOp, v Word) (newly bool) {
 	return false
 }
 
-// Collect drains every stripe's pending deltas into the merge scratch and
-// returns the number of distinct dirty words. The caller must hold the
-// plane's merge lock and then call MergeWord exactly once for each
-// k in [0, n). Stripes are visited in index order and, per word, each
-// stripe's displaced phases precede its live cell — so ops that landed on
-// one stripe replay in their application order. Ops of one producer that
-// landed on different stripes (possible on multi-stripe planes: Hint is
-// affinity, not identity) replay in stripe order instead; that changes
-// nothing for the commutative ops, and is why UpdSet's last-wins
-// determinism is only per-stripe. A single-stripe plane — every
-// single-goroutine backend — replays each producer's full sequence
+// Collect drains every stripe's pending phases and folds each straight
+// onto its word, returning the folded words, valid until the next Collect.
+// The caller must hold the plane's merge lock. The first time Collect meets
+// a word it reads the word's value with LoadQuiet — reading the base is
+// part of applying a store, not a workload load, so it reaches no probe —
+// and every phase then applies op.Combine once. Stripes are visited in
+// index order and, per word, each stripe's displaced phases precede its
+// live cell — so ops that landed on one stripe fold in their application
+// order. Ops of one producer that landed on different stripes (possible on
+// multi-stripe planes: Hint is affinity, not identity) fold in stripe
+// order instead; that changes nothing for the commutative ops, and is why
+// UpdSet's last-wins determinism is only per-stripe. A single-stripe plane
+// — every single-goroutine backend — folds each producer's full sequence
 // exactly.
-func (p *DeltaPlane) Collect() int {
-	if p.has == nil {
-		p.has = make([]bool, p.words)
-		p.head = make([]int32, p.words)
-		p.tail = make([]int32, p.words)
+func (p *DeltaPlane) Collect() []MergedWord {
+	if p.slot == nil {
+		p.slot = make([]int32, p.buf.Len()) //dtt:escape-ok -- first-merge scratch allocation; later merges re-use it
 	}
-	p.mergeIdx = p.mergeIdx[:0]
-	p.mergeSeq = p.mergeSeq[:0]
+	p.merged = p.merged[:0]
 	var collected int64
 	for s := range p.stripes {
 		st := &p.stripes[s]
 		st.mu.Lock()
 		for _, e := range st.extra {
-			p.push(e.idx, e.op, e.val)
+			p.fold(e.idx, e.op, e.val)
 		}
 		st.extra = st.extra[:0]
 		for _, i := range st.dirty {
 			c := &st.cells[i]
-			p.push(i, c.op, c.val)
+			p.fold(i, c.op, c.val)
 			c.set = false
-			collected++
 		}
+		collected += int64(len(st.dirty))
 		st.dirty = st.dirty[:0]
 		st.mu.Unlock()
+	}
+	for _, m := range p.merged {
+		p.slot[m.Index] = 0
 	}
 	if collected != 0 {
 		p.pending.Add(-collected)
 	}
-	return len(p.mergeIdx)
+	return p.merged
+}
+
+// fold applies one collected phase to word i's merged value.
+func (p *DeltaPlane) fold(i int32, op UpdateOp, v Word) {
+	if k := p.slot[i]; k != 0 {
+		m := &p.merged[k-1]
+		m.Value = op.Combine(m.Value, v)
+		return
+	}
+	p.merged = append(p.merged, MergedWord{Index: int(i), Value: op.Combine(p.buf.LoadQuiet(int(i)), v)})
+	p.slot[i] = int32(len(p.merged))
 }
 
 // Discard drains every stripe's pending deltas without collecting them:
 // the release path calls it when the shadowed region is freed, so a plane
 // that outlives its region through a stale snapshot reads as having
 // nothing to merge. Lifetime op counts (Ops) are unaffected. Safe against
-// concurrent Apply; the caller serializes it against mergers the same way
-// it serializes Collect.
+// concurrent ApplyBatch; the caller serializes it against mergers the same
+// way it serializes Collect.
 func (p *DeltaPlane) Discard() {
 	var dropped int64
 	for s := range p.stripes {
@@ -358,46 +350,6 @@ func (p *DeltaPlane) Discard() {
 	if dropped != 0 {
 		p.pending.Add(-dropped)
 	}
-}
-
-// push appends one pending (op, val) to word i's merge chain, folding
-// into the chain tail when the op matches (the common single-op case
-// collapses to one entry per word regardless of stripe count).
-func (p *DeltaPlane) push(i int32, op UpdateOp, v Word) {
-	k := int32(len(p.mergeSeq))
-	if !p.has[i] {
-		p.has[i] = true
-		p.mergeIdx = append(p.mergeIdx, i)
-		p.head[i] = k
-	} else {
-		t := p.tail[i]
-		if p.mergeSeq[t].op == op {
-			p.mergeSeq[t].val = op.Combine(p.mergeSeq[t].val, v)
-			return
-		}
-		p.mergeSeq[t].next = k
-	}
-	p.tail[i] = k
-	p.mergeSeq = append(p.mergeSeq, pendingOp{val: v, idx: i, next: -1, op: op})
-}
-
-// MergeIndex returns the word index of collected entry k, valid after a
-// Collect until the next one. Callers read memory's current value at the
-// index, then hand it to MergeWord as the fold base.
-func (p *DeltaPlane) MergeIndex(k int) int { return int(p.mergeIdx[k]) }
-
-// MergeWord folds collected entry k into base — the shadowed word's
-// current memory value — and returns the word index and merged value.
-// Must be called exactly once per k after a Collect; it retires the
-// word's chain as it goes.
-func (p *DeltaPlane) MergeWord(k int, base Word) (int, Word) {
-	i := p.mergeIdx[k]
-	v := base
-	for e := p.head[i]; e >= 0; e = p.mergeSeq[e].next {
-		v = p.mergeSeq[e].op.Combine(v, p.mergeSeq[e].val)
-	}
-	p.has[i] = false
-	return int(i), v
 }
 
 // Ops returns the lifetime count of updates applied to the plane, summed

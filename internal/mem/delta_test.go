@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,39 +43,49 @@ func TestUpdateOpValidAndString(t *testing.T) {
 	}
 }
 
-// TestDeltaPlaneFoldAndMerge exercises the single-stripe fold/collect/merge
-// cycle: same-op applies fold in place, Collect drains in per-word order,
-// MergeWord reproduces the sequential result.
-func TestDeltaPlaneFoldAndMerge(t *testing.T) {
-	p := NewDeltaPlane(8, 1)
-	if p.Words() != 8 || p.StripeCount() != 1 {
-		t.Fatalf("plane geometry = (%d words, %d stripes)", p.Words(), p.StripeCount())
+// newPlane returns a plane of the given stripes over a fresh buffer of
+// words zero words.
+func newPlane(words, stripes int) (*DeltaPlane, *Buffer) {
+	buf := NewSystem().Alloc("plane", words)
+	return NewDeltaPlane(buf, stripes), buf
+}
+
+// apply folds one scalar op through a one-word ApplyBatch, as
+// Region.TUpdate does.
+func apply(p *DeltaPlane, s uint32, i int, op UpdateOp, v Word) {
+	p.ApplyBatch(s, i, op, []Word{v})
+}
+
+// collect runs a Collect and returns its merged values by word index.
+func collect(p *DeltaPlane) map[int]Word {
+	got := make(map[int]Word)
+	for _, m := range p.Collect() {
+		got[m.Index] = m.Value
 	}
-	p.Apply(0, 2, UpdAdd, 5)
-	p.Apply(0, 2, UpdAdd, 7)
-	p.Apply(0, 5, UpdMax, 100)
+	return got
+}
+
+// TestDeltaPlaneFoldAndMerge exercises the single-stripe fold/collect
+// cycle: same-op applies fold in place and Collect folds each word onto
+// its buffer value, reproducing the sequential result.
+func TestDeltaPlaneFoldAndMerge(t *testing.T) {
+	p, buf := newPlane(8, 1)
+	if p.StripeCount() != 1 {
+		t.Fatalf("plane has %d stripes", p.StripeCount())
+	}
+	buf.Poke(5, 200)
+	apply(p, 0, 2, UpdAdd, 5)
+	apply(p, 0, 2, UpdAdd, 7)
+	apply(p, 0, 5, UpdMax, 100)
 	if got := p.Pending(); got != 2 {
 		t.Fatalf("Pending = %d, want 2 distinct dirty words", got)
 	}
-	n := p.Collect()
-	if n != 2 {
-		t.Fatalf("Collect = %d, want 2", n)
+	got := collect(p)
+	if len(got) != 2 {
+		t.Fatalf("Collect = %d words, want 2", len(got))
 	}
 	if p.Pending() != 0 {
 		t.Fatalf("Pending after Collect = %d", p.Pending())
-	}
-	got := map[int]Word{}
-	for k := 0; k < n; k++ {
-		i := p.MergeIndex(k)
-		base := Word(0)
-		if i == 5 {
-			base = 200
-		}
-		j, v := p.MergeWord(k, base)
-		if j != i {
-			t.Fatalf("MergeWord index %d != MergeIndex %d", j, i)
-		}
-		got[j] = v
 	}
 	if got[2] != 12 {
 		t.Errorf("word 2 merged to %d, want 12", got[2])
@@ -91,19 +102,19 @@ func TestDeltaPlaneFoldAndMerge(t *testing.T) {
 // sees different ops between merges, the merge must apply them in the
 // stripe's application order (set then add != add then set).
 func TestDeltaPlaneMixedOpsOrder(t *testing.T) {
-	p := NewDeltaPlane(4, 1)
-	p.Apply(0, 1, UpdSet, 10)
-	p.Apply(0, 1, UpdAdd, 3)
-	p.Apply(0, 1, UpdAdd, 4)
-	p.Apply(0, 1, UpdSet, 50)
-	p.Apply(0, 1, UpdAdd, 1)
-	n := p.Collect()
-	if n != 1 {
-		t.Fatalf("Collect = %d, want 1", n)
+	p, buf := newPlane(4, 1)
+	buf.Poke(1, 999)
+	apply(p, 0, 1, UpdSet, 10)
+	apply(p, 0, 1, UpdAdd, 3)
+	apply(p, 0, 1, UpdAdd, 4)
+	apply(p, 0, 1, UpdSet, 50)
+	apply(p, 0, 1, UpdAdd, 1)
+	got := collect(p)
+	if len(got) != 1 {
+		t.Fatalf("Collect = %d words, want 1", len(got))
 	}
-	_, v := p.MergeWord(0, 999)
 	// Sequentially: set 10, +3, +4, set 50, +1 = 51 regardless of base.
-	if v != 51 {
+	if v := got[1]; v != 51 {
 		t.Fatalf("mixed-op merge = %d, want 51", v)
 	}
 }
@@ -111,31 +122,31 @@ func TestDeltaPlaneMixedOpsOrder(t *testing.T) {
 // TestDeltaPlaneBatch covers ApplyBatch's span path and the reuse of
 // cells across merge cycles (no repeated lazy allocation).
 func TestDeltaPlaneBatch(t *testing.T) {
-	p := NewDeltaPlane(16, 2)
+	p, buf := newPlane(16, 2)
 	if p.ApplyBatch(0, 4, UpdAdd, []Word{1, 2, 3}); p.Ops() != 3 || p.Pending() != 3 {
 		t.Fatalf("ApplyBatch: Ops = %d Pending = %d, want 3 ops and 3 newly dirty cells", p.Ops(), p.Pending())
 	}
 	if p.ApplyBatch(0, 4, UpdAdd, []Word{10, 10, 10}); p.Ops() != 6 || p.Pending() != 3 {
 		t.Fatalf("re-fold: Ops = %d Pending = %d, want 6 ops and no newly dirty cell", p.Ops(), p.Pending())
 	}
-	n := p.Collect()
-	if n != 3 {
-		t.Fatalf("Collect = %d, want 3", n)
+	got := collect(p)
+	if len(got) != 3 {
+		t.Fatalf("Collect = %d words, want 3", len(got))
 	}
 	want := map[int]Word{4: 11, 5: 12, 6: 13}
-	for k := 0; k < n; k++ {
-		i, v := p.MergeWord(k, 0)
+	for i, v := range got {
 		if v != want[i] {
 			t.Errorf("word %d merged to %d, want %d", i, v, want[i])
 		}
+		buf.Poke(i, v)
 	}
 	// Second cycle on the same words reuses the retained capacity.
 	p.ApplyBatch(1, 4, UpdOr, []Word{8, 8, 8})
-	if n := p.Collect(); n != 3 {
-		t.Fatalf("second Collect = %d, want 3", n)
+	got = collect(p)
+	if len(got) != 3 {
+		t.Fatalf("second Collect = %d words, want 3", len(got))
 	}
-	for k := 0; k < 3; k++ {
-		i, v := p.MergeWord(k, want[p.MergeIndex(k)])
+	for i, v := range got {
 		if v != want[i]|8 {
 			t.Errorf("word %d second merge = %d, want %d", i, v, want[i]|8)
 		}
@@ -151,7 +162,7 @@ func TestDeltaPlaneConcurrentStripes(t *testing.T) {
 		producers = 8
 		opsEach   = 2000
 	)
-	p := NewDeltaPlane(words, 4)
+	p, _ := newPlane(words, 4)
 	want := make([]Word, words)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -165,7 +176,7 @@ func TestDeltaPlaneConcurrentStripes(t *testing.T) {
 			for k := 0; k < opsEach; k++ {
 				i := rng.Intn(words)
 				v := Word(rng.Intn(1000))
-				p.Apply(s, i, UpdAdd, v)
+				apply(p, s, i, UpdAdd, v)
 				local[i] += v
 			}
 			mu.Lock()
@@ -176,12 +187,7 @@ func TestDeltaPlaneConcurrentStripes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	got := make([]Word, words)
-	n := p.Collect()
-	for k := 0; k < n; k++ {
-		i, v := p.MergeWord(k, 0)
-		got[i] = v
-	}
+	got := collect(p)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("word %d = %d, want %d", i, got[i], want[i])
@@ -189,5 +195,75 @@ func TestDeltaPlaneConcurrentStripes(t *testing.T) {
 	}
 	if p.Ops() != producers*opsEach {
 		t.Errorf("Ops = %d, want %d", p.Ops(), producers*opsEach)
+	}
+}
+
+// TestDeltaPlaneFoldOrderReference pins the merge's fold order on
+// multi-stripe planes. Seeded ApplyBatch calls over all six ops, on
+// explicitly chosen stripes and with op switches on dirty cells, must merge
+// word by word to a plain replay: each stripe's ops on the word in
+// application order, stripes in index order, folded onto the word's value.
+func TestDeltaPlaneFoldOrderReference(t *testing.T) {
+	const words, calls, cycles = 24, 200, 4
+	type phase struct {
+		op UpdateOp
+		v  Word
+	}
+	for _, stripes := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(stripes)))
+			buf := NewSystem().Alloc("ref", words)
+			for i := 0; i < words; i++ {
+				buf.Poke(i, Word(rng.Intn(1<<10)))
+			}
+			p := NewDeltaPlane(buf, stripes)
+			for cycle := 0; cycle < cycles; cycle++ {
+				// applied[s][i] lists stripe s's ops on word i in order.
+				applied := make([][][]phase, stripes)
+				for s := range applied {
+					applied[s] = make([][]phase, words)
+				}
+				for c := 0; c < calls; c++ {
+					s := rng.Intn(stripes)
+					lo := rng.Intn(words)
+					vs := make([]Word, 1+rng.Intn(min(4, words-lo)))
+					op := UpdateOp(rng.Intn(int(NumUpdateOps)))
+					for j := range vs {
+						vs[j] = Word(rng.Intn(1 << 10))
+						applied[s][lo+j] = append(applied[s][lo+j], phase{op, vs[j]})
+					}
+					p.ApplyBatch(uint32(s), lo, op, vs)
+				}
+				switches := 0
+				for s := range p.stripes {
+					switches += len(p.stripes[s].extra)
+				}
+				if switches == 0 {
+					t.Fatalf("cycle %d switched no dirty cell's op", cycle)
+				}
+				want := make(map[int]Word)
+				for i := 0; i < words; i++ {
+					v, touched := buf.Peek(i), false
+					for s := range applied {
+						for _, ph := range applied[s][i] {
+							v, touched = ph.op.Combine(v, ph.v), true
+						}
+					}
+					if touched {
+						want[i] = v
+					}
+				}
+				got := collect(p)
+				if len(got) != len(want) {
+					t.Fatalf("cycle %d: merged %d words, want %d", cycle, len(got), len(want))
+				}
+				for i, v := range want {
+					if g, ok := got[i]; !ok || g != v {
+						t.Errorf("cycle %d: word %d merged to %d (present %v), replay gives %d", cycle, i, g, ok, v)
+					}
+					buf.Poke(i, v)
+				}
+			}
+		})
 	}
 }
